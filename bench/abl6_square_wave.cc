@@ -11,6 +11,7 @@
 
 #include "bench/bench_common.h"
 #include "felip/fo/frequency_oracle.h"
+#include "felip/fo/registry.h"
 #include "felip/fo/square_wave.h"
 #include "felip/grid/grid.h"
 #include "felip/grid/optimizer.h"
@@ -74,11 +75,14 @@ void Run() {
       const grid::GridPlan plan =
           grid::Optimize1D({kDomain, false}, params);
       grid::Grid1D g(0, grid::Partition1D(kDomain, plan.lx));
-      auto oracle = fo::MakeFrequencyOracle(plan.protocol, eps, plan.lx,
-                                            {.seed_pool_size = 4096});
+      fo::ProtocolOptions options;
+      options.olh.seed_pool_size = 4096;
+      auto oracle =
+          fo::MakeFrequencyOracle(plan.protocol, eps, plan.lx, options);
       for (const uint32_t v : dataset.Column(0)) {
-        oracle->SubmitUserValue(g.CellOf(v), rng);
+        oracle->BufferUserValue(g.CellOf(v), rng);
       }
+      oracle->FlushReports(1);
       std::vector<double> cell_freq = oracle->EstimateFrequencies().value();
       post::RemoveNegativity(&cell_freq);
       g.SetFrequencies(std::move(cell_freq));

@@ -14,6 +14,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -48,10 +49,10 @@ std::vector<wire::ReportMessage> SampleBatch(size_t count) {
   std::vector<wire::ReportMessage> batch(count);
   for (size_t i = 0; i < count; ++i) {
     batch[i].grid_index = static_cast<uint32_t>(i % 16);
-    batch[i].protocol = fo::Protocol::kOlh;
-    batch[i].olh.seed = 0x1234u + static_cast<uint32_t>(i);
-    batch[i].olh.hashed_report = static_cast<uint64_t>(i % 64);
-    batch[i].olh.seed_index = fo::OlhReport::kNoPool;
+    batch[i].payload = fo::OlhReport{
+        .seed = 0x1234u + static_cast<uint32_t>(i),
+        .hashed_report = static_cast<uint32_t>(i % 64),
+        .seed_index = fo::OlhReport::kNoPool};
   }
   return batch;
 }
@@ -73,7 +74,8 @@ void BM_DistIngestLoopback(benchmark::State& state) {
   for (size_t b = 0; b < kBatches; ++b) {
     std::vector<wire::ReportMessage> batch = SampleBatch(kBatchReports);
     for (wire::ReportMessage& m : batch) {
-      m.olh.seed ^= static_cast<uint32_t>(b << 20);
+      std::get<fo::OlhReport>(m.payload).seed ^=
+          static_cast<uint32_t>(b << 20);
     }
     batches.push_back(std::move(batch));
   }
@@ -105,7 +107,8 @@ void BM_DistIngestLoopback(benchmark::State& state) {
     for (size_t b = 0; b < kBatches; ++b) {
       // Vary one report per batch per iteration: new checksum (so no
       // dedup hit) and a fresh routing draw.
-      batches[b][0].olh.hashed_report = iteration;
+      std::get<fo::OlhReport>(batches[b][0].payload).hashed_report =
+          static_cast<uint32_t>(iteration);
       if (!client.SendBatch(batches[b]).ok()) {
         state.SkipWithError("batch delivery failed");
         return;

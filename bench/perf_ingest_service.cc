@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <memory>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -43,10 +44,10 @@ std::vector<wire::ReportMessage> SampleBatch(size_t count) {
   std::vector<wire::ReportMessage> batch(count);
   for (size_t i = 0; i < count; ++i) {
     batch[i].grid_index = static_cast<uint32_t>(i % 16);
-    batch[i].protocol = fo::Protocol::kOlh;
-    batch[i].olh.seed = 0x1234u + static_cast<uint32_t>(i);
-    batch[i].olh.hashed_report = static_cast<uint64_t>(i % 64);
-    batch[i].olh.seed_index = fo::OlhReport::kNoPool;
+    batch[i].payload = fo::OlhReport{
+        .seed = 0x1234u + static_cast<uint32_t>(i),
+        .hashed_report = static_cast<uint32_t>(i % 64),
+        .seed_index = fo::OlhReport::kNoPool};
   }
   return batch;
 }
@@ -66,7 +67,8 @@ void RunIngestBench(benchmark::State& state, TransportFactory make,
   for (size_t b = 0; b < kBatches; ++b) {
     std::vector<wire::ReportMessage> batch = SampleBatch(kBatchReports);
     for (wire::ReportMessage& m : batch) {
-      m.olh.seed ^= static_cast<uint32_t>(b << 20);
+      std::get<fo::OlhReport>(m.payload).seed ^=
+          static_cast<uint32_t>(b << 20);
     }
     batches.push_back(std::move(batch));
   }
@@ -90,7 +92,8 @@ void RunIngestBench(benchmark::State& state, TransportFactory make,
   for (auto _ : state) {
     for (size_t b = 0; b < kBatches; ++b) {
       // Vary one report per batch per iteration: new checksum, no dedup.
-      batches[b][0].olh.hashed_report = iteration;
+      std::get<fo::OlhReport>(batches[b][0].payload).hashed_report =
+          static_cast<uint32_t>(iteration);
       if (!client.SendBatch(batches[b]).ok()) {
         state.SkipWithError("batch delivery failed");
         return;

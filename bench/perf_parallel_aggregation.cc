@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <variant>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -111,8 +112,7 @@ const std::vector<uint8_t>& WireBatch() {
     const auto& reports = OlhPoolReports();
     std::vector<wire::ReportMessage> messages(reports.size());
     for (size_t i = 0; i < reports.size(); ++i) {
-      messages[i].protocol = fo::Protocol::kOlh;
-      messages[i].olh = reports[i];
+      messages[i].payload = reports[i];
     }
     return new std::vector<uint8_t>(wire::EncodeReportBatch(messages));
   }();
@@ -205,7 +205,7 @@ void BM_WireDecodeAggregate(benchmark::State& state) {
         buffer,
         [&shard_reports](size_t shard, size_t /*index*/,
                          wire::ReportMessage&& m) {
-          shard_reports[shard].push_back(m.olh);
+          shard_reports[shard].push_back(std::get<fo::OlhReport>(m.payload));
         },
         threads);
     for (const auto& batch : shard_reports) {

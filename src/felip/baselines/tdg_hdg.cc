@@ -6,6 +6,7 @@
 #include "felip/common/check.h"
 #include "felip/common/numeric.h"
 #include "felip/common/rng.h"
+#include "felip/fo/registry.h"
 #include "felip/post/consistency.h"
 #include "felip/post/lambda_estimator.h"
 #include "felip/post/norm_sub.h"
@@ -102,12 +103,13 @@ void TdgHdgPipeline::Collect(const data::Dataset& dataset) {
   const size_t n1 = grids_1d_.size();
   const size_t m = n1 + grids_2d_.size();
   oracles_.clear();
+  fo::ProtocolOptions options;
+  options.olh = config_.olh_options;
   for (size_t g = 0; g < m; ++g) {
     const uint64_t domain = g < n1 ? grids_1d_[g].num_cells()
                                    : grids_2d_[g - n1].num_cells();
-    oracles_.push_back(fo::MakeFrequencyOracle(fo::Protocol::kOlh,
-                                               config_.epsilon, domain,
-                                               config_.olh_options));
+    oracles_.push_back(fo::MakeFrequencyOracle(
+        fo::Protocol::kOlh, config_.epsilon, domain, options));
   }
 
   Rng rng(config_.seed);
@@ -122,8 +124,9 @@ void TdgHdgPipeline::Collect(const data::Dataset& dataset) {
       cell = grid.CellOf(dataset.Value(row, grid.attr_x()),
                          dataset.Value(row, grid.attr_y()));
     }
-    oracles_[g]->SubmitUserValue(cell, rng);
+    oracles_[g]->BufferUserValue(cell, rng);
   }
+  for (auto& oracle : oracles_) oracle->FlushReports(1);
   collected_ = true;
 }
 
@@ -132,7 +135,7 @@ void TdgHdgPipeline::Finalize() {
   FELIP_CHECK_MSG(!finalized_, "Finalize() called twice");
   const size_t n1 = grids_1d_.size();
   for (size_t g = 0; g < oracles_.size(); ++g) {
-    // SubmitUserValue aggregates eagerly, so the buffer is always flushed.
+    // Collect() flushed every oracle, so no reports are buffered.
     std::vector<double> freq = oracles_[g]->EstimateFrequencies().value();
     post::RemoveNegativity(&freq);
     if (g < n1) {

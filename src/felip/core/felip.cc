@@ -320,61 +320,6 @@ void FelipPipeline::BeginIngest() {
   state_ = PipelineState::kCollecting;
 }
 
-Status FelipPipeline::IngestGrrReport(uint32_t grid_index, uint64_t report) {
-  ExpectState(PipelineState::kCollecting, "IngestGrrReport()");
-  if (grid_index >= oracles_.size()) {
-    return Status::InvalidArgument("report names a grid that is not planned");
-  }
-  FELIP_RETURN_IF_ERROR(oracles_[grid_index]->IngestGrrReport(report));
-  ++reports_ingested_;
-  return Status::Ok();
-}
-
-Status FelipPipeline::IngestOlhReport(uint32_t grid_index,
-                                      const fo::OlhReport& report) {
-  ExpectState(PipelineState::kCollecting, "IngestOlhReport()");
-  if (grid_index >= oracles_.size()) {
-    return Status::InvalidArgument("report names a grid that is not planned");
-  }
-  FELIP_RETURN_IF_ERROR(oracles_[grid_index]->IngestOlhReport(report));
-  ++reports_ingested_;
-  return Status::Ok();
-}
-
-Status FelipPipeline::IngestOueReport(uint32_t grid_index,
-                                      const std::vector<uint8_t>& bits) {
-  ExpectState(PipelineState::kCollecting, "IngestOueReport()");
-  if (grid_index >= oracles_.size()) {
-    return Status::InvalidArgument("report names a grid that is not planned");
-  }
-  FELIP_RETURN_IF_ERROR(oracles_[grid_index]->IngestOueReport(bits));
-  ++reports_ingested_;
-  return Status::Ok();
-}
-
-Status FelipPipeline::IngestPgrReport(uint32_t grid_index, uint32_t point) {
-  ExpectState(PipelineState::kCollecting, "IngestPgrReport()");
-  if (grid_index >= oracles_.size()) {
-    return Status::InvalidArgument("report names a grid that is not planned");
-  }
-  FELIP_RETURN_IF_ERROR(oracles_[grid_index]->IngestPgrReport(point));
-  ++reports_ingested_;
-  return Status::Ok();
-}
-
-Status FelipPipeline::IngestFldpReport(uint32_t grid_index,
-                                       uint32_t subset_index,
-                                       const std::vector<uint8_t>& bits) {
-  ExpectState(PipelineState::kCollecting, "IngestFldpReport()");
-  if (grid_index >= oracles_.size()) {
-    return Status::InvalidArgument("report names a grid that is not planned");
-  }
-  FELIP_RETURN_IF_ERROR(
-      oracles_[grid_index]->IngestFldpReport(subset_index, bits));
-  ++reports_ingested_;
-  return Status::Ok();
-}
-
 Status FelipPipeline::IngestReport(uint32_t grid_index,
                                    const fo::ReportData& report) {
   ExpectState(PipelineState::kCollecting, "IngestReport()");

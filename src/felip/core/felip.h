@@ -239,7 +239,7 @@ class FelipPipeline {
   // Alternative to Collect() for deployments where already-perturbed
   // reports arrive over a transport instead of being simulated in-process.
   // BeginIngest() builds the per-grid oracles at the per-grid budget
-  // (kConfigured -> kCollecting); Ingest*Report() validates one report
+  // (kConfigured -> kCollecting); IngestReport() validates one report
   // against `grid_index`'s planned protocol and domain, returning
   // kInvalidArgument on any out-of-range or mismatched input (network
   // bytes are untrusted — never fatal); FinishIngest() closes the round
@@ -247,16 +247,9 @@ class FelipPipeline {
   // based, so the estimates depend only on the multiset of accepted
   // reports, never on arrival order or batching.
   void BeginIngest();
-  Status IngestGrrReport(uint32_t grid_index, uint64_t report);
-  Status IngestOlhReport(uint32_t grid_index, const fo::OlhReport& report);
-  Status IngestOueReport(uint32_t grid_index,
-                         const std::vector<uint8_t>& bits);
-  Status IngestPgrReport(uint32_t grid_index, uint32_t point);
-  Status IngestFldpReport(uint32_t grid_index, uint32_t subset_index,
-                          const std::vector<uint8_t>& bits);
-  // Protocol-tagged entry point: validates the grid index and hands the
-  // report to that grid's oracle, which accepts only its own protocol.
-  // Callers (sinks, the replay engine) never branch on the protocol.
+  // Validates the grid index and hands the report to that grid's oracle,
+  // which accepts only its own protocol. Callers (sinks, the replay
+  // engine) never branch on the protocol.
   Status IngestReport(uint32_t grid_index, const fo::ReportData& report);
   void FinishIngest();
   uint64_t reports_ingested() const { return reports_ingested_; }

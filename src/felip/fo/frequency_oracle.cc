@@ -1,425 +1,8 @@
 #include "felip/fo/frequency_oracle.h"
 
 #include <limits>
-#include <utility>
-
-#include "felip/common/check.h"
-#include "felip/fo/fldp.h"
-#include "felip/fo/grr.h"
-#include "felip/fo/oue.h"
-#include "felip/fo/pgr.h"
-#include "felip/fo/registry.h"
 
 namespace felip::fo {
-
-namespace {
-
-class GrrOracle final : public FrequencyOracle {
- public:
-  GrrOracle(double epsilon, uint64_t domain)
-      : client_(epsilon, domain), server_(epsilon, domain) {}
-
-  void SubmitUserValue(uint64_t value, Rng& rng) override {
-    server_.Add(client_.Perturb(value, rng));
-  }
-  void BufferUserValue(uint64_t value, Rng& rng) override {
-    buffer_.push_back(client_.Perturb(value, rng));
-  }
-  void FlushReports(unsigned thread_count) override {
-    server_.AggregateReports(buffer_, thread_count);
-    buffer_.clear();
-  }
-  size_t buffered_reports() const override { return buffer_.size(); }
-  Status IngestGrrReport(uint64_t report) override {
-    if (report >= client_.domain()) {
-      return Status::InvalidArgument("GRR report outside the domain");
-    }
-    server_.Add(report);
-    return Status::Ok();
-  }
-  OracleState ExportState() const override {
-    OracleState state;
-    state.protocol = Protocol::kGrr;
-    state.num_reports = server_.num_reports();
-    state.counts = server_.counts();
-    return state;
-  }
-  Status RestoreState(OracleState state) override {
-    if (!buffer_.empty()) {
-      return Status::FailedPrecondition(
-          "unflushed reports; call FlushReports");
-    }
-    if (state.protocol != Protocol::kGrr) {
-      return Status::InvalidArgument("oracle state protocol is not GRR");
-    }
-    if (state.counts.size() != client_.domain()) {
-      return Status::InvalidArgument("GRR state size does not match domain");
-    }
-    uint64_t total = 0;
-    for (const uint64_t c : state.counts) total += c;
-    if (total != state.num_reports) {
-      return Status::InvalidArgument("GRR counts do not sum to num_reports");
-    }
-    server_.RestoreState(std::move(state.counts), state.num_reports);
-    return Status::Ok();
-  }
-  StatusOr<std::vector<double>> EstimateFrequencies(unsigned) const override {
-    if (!buffer_.empty()) {
-      return Status::FailedPrecondition(
-          "unflushed reports; call FlushReports");
-    }
-    return server_.EstimateFrequencies();
-  }
-  uint64_t domain() const override { return client_.domain(); }
-  uint64_t num_reports() const override { return server_.num_reports(); }
-  Protocol protocol() const override { return Protocol::kGrr; }
-
- private:
-  GrrClient client_;
-  GrrServer server_;
-  std::vector<uint64_t> buffer_;
-};
-
-class OlhOracle final : public FrequencyOracle {
- public:
-  OlhOracle(double epsilon, uint64_t domain, OlhOptions options)
-      : client_(epsilon, domain, options),
-        server_(epsilon, domain, options) {}
-
-  void SubmitUserValue(uint64_t value, Rng& rng) override {
-    server_.Add(client_.Perturb(value, rng));
-  }
-  void BufferUserValue(uint64_t value, Rng& rng) override {
-    buffer_.push_back(client_.Perturb(value, rng));
-  }
-  void FlushReports(unsigned thread_count) override {
-    server_.AggregateReports(buffer_, thread_count);
-    buffer_.clear();
-  }
-  size_t buffered_reports() const override { return buffer_.size(); }
-  Status IngestOlhReport(const OlhReport& report) override {
-    if (report.hashed_report >= client_.g()) {
-      return Status::InvalidArgument("OLH hashed report outside [0, g)");
-    }
-    const uint32_t pool = client_.options().seed_pool_size;
-    if (pool > 0) {
-      if (report.seed_index >= pool) {
-        return Status::InvalidArgument("OLH seed index outside the pool");
-      }
-    } else if (report.seed_index != OlhReport::kNoPool) {
-      return Status::InvalidArgument("OLH pool index on a per-user oracle");
-    }
-    server_.Add(report);
-    return Status::Ok();
-  }
-  OracleState ExportState() const override {
-    OracleState state;
-    state.protocol = Protocol::kOlh;
-    state.num_reports = server_.num_reports();
-    state.pool_counts = server_.pool_counts();
-    state.reports = server_.reports();
-    return state;
-  }
-  Status RestoreState(OracleState state) override {
-    if (!buffer_.empty()) {
-      return Status::FailedPrecondition(
-          "unflushed reports; call FlushReports");
-    }
-    if (state.protocol != Protocol::kOlh) {
-      return Status::InvalidArgument("oracle state protocol is not OLH");
-    }
-    const uint32_t pool = client_.options().seed_pool_size;
-    if (pool > 0) {
-      if (!state.reports.empty()) {
-        return Status::InvalidArgument("raw reports in pooled OLH state");
-      }
-      const size_t bins = static_cast<size_t>(pool) * client_.g();
-      if (state.pool_counts.size() != bins) {
-        return Status::InvalidArgument("OLH pool histogram is not K * g");
-      }
-      uint64_t total = 0;
-      for (const uint32_t c : state.pool_counts) total += c;
-      if (total != state.num_reports) {
-        return Status::InvalidArgument(
-            "OLH pool histogram does not sum to num_reports");
-      }
-      server_.RestorePoolState(std::move(state.pool_counts),
-                               state.num_reports);
-      return Status::Ok();
-    }
-    if (!state.pool_counts.empty()) {
-      return Status::InvalidArgument("pool histogram in per-user OLH state");
-    }
-    if (state.reports.size() != state.num_reports) {
-      return Status::InvalidArgument(
-          "OLH report list does not match num_reports");
-    }
-    for (const OlhReport& r : state.reports) {
-      if (r.hashed_report >= client_.g() ||
-          r.seed_index != OlhReport::kNoPool) {
-        return Status::InvalidArgument("invalid report in OLH state");
-      }
-    }
-    server_.RestoreReports(std::move(state.reports));
-    return Status::Ok();
-  }
-  StatusOr<std::vector<double>> EstimateFrequencies(
-      unsigned thread_count) const override {
-    if (!buffer_.empty()) {
-      return Status::FailedPrecondition(
-          "unflushed reports; call FlushReports");
-    }
-    return server_.EstimateFrequencies(thread_count);
-  }
-  uint64_t domain() const override { return client_.domain(); }
-  uint64_t num_reports() const override { return server_.num_reports(); }
-  Protocol protocol() const override { return Protocol::kOlh; }
-
- private:
-  OlhClient client_;
-  OlhServer server_;
-  std::vector<OlhReport> buffer_;
-};
-
-class OueOracle final : public FrequencyOracle {
- public:
-  OueOracle(double epsilon, uint64_t domain)
-      : client_(epsilon, domain), server_(epsilon, domain) {}
-
-  void SubmitUserValue(uint64_t value, Rng& rng) override {
-    server_.Add(client_.Perturb(value, rng));
-  }
-  void BufferUserValue(uint64_t value, Rng& rng) override {
-    buffer_.push_back(client_.Perturb(value, rng));
-  }
-  void FlushReports(unsigned thread_count) override {
-    server_.AggregateReports(buffer_, thread_count);
-    buffer_.clear();
-  }
-  size_t buffered_reports() const override { return buffer_.size(); }
-  Status IngestOueReport(const std::vector<uint8_t>& bits) override {
-    if (bits.size() != client_.domain()) {
-      return Status::InvalidArgument("OUE bit vector length != domain");
-    }
-    for (const uint8_t bit : bits) {
-      if (bit > 1) {
-        return Status::InvalidArgument("OUE bit vector has a non-bit entry");
-      }
-    }
-    server_.Add(bits);
-    return Status::Ok();
-  }
-  OracleState ExportState() const override {
-    OracleState state;
-    state.protocol = Protocol::kOue;
-    state.num_reports = server_.num_reports();
-    state.counts = server_.counts();
-    return state;
-  }
-  Status RestoreState(OracleState state) override {
-    if (!buffer_.empty()) {
-      return Status::FailedPrecondition(
-          "unflushed reports; call FlushReports");
-    }
-    if (state.protocol != Protocol::kOue) {
-      return Status::InvalidArgument("oracle state protocol is not OUE");
-    }
-    if (state.counts.size() != client_.domain()) {
-      return Status::InvalidArgument("OUE state size does not match domain");
-    }
-    // Each report contributes at most one to every bit's count, so no bit
-    // count can exceed the report total.
-    for (const uint64_t c : state.counts) {
-      if (c > state.num_reports) {
-        return Status::InvalidArgument("OUE bit count exceeds num_reports");
-      }
-    }
-    server_.RestoreState(std::move(state.counts), state.num_reports);
-    return Status::Ok();
-  }
-  StatusOr<std::vector<double>> EstimateFrequencies(unsigned) const override {
-    if (!buffer_.empty()) {
-      return Status::FailedPrecondition(
-          "unflushed reports; call FlushReports");
-    }
-    return server_.EstimateFrequencies();
-  }
-  uint64_t domain() const override { return client_.domain(); }
-  uint64_t num_reports() const override { return server_.num_reports(); }
-  Protocol protocol() const override { return Protocol::kOue; }
-
- private:
-  OueClient client_;
-  OueServer server_;
-  std::vector<std::vector<uint8_t>> buffer_;
-};
-
-class PgrOracle final : public FrequencyOracle {
- public:
-  PgrOracle(double epsilon, uint64_t domain, PgrOptions options)
-      : client_(epsilon, domain), server_(epsilon, domain, options) {}
-
-  void SubmitUserValue(uint64_t value, Rng& rng) override {
-    server_.Add(client_.Perturb(value, rng));
-  }
-  void BufferUserValue(uint64_t value, Rng& rng) override {
-    buffer_.push_back(client_.Perturb(value, rng));
-  }
-  void FlushReports(unsigned thread_count) override {
-    server_.AggregateReports(buffer_, thread_count);
-    buffer_.clear();
-  }
-  size_t buffered_reports() const override { return buffer_.size(); }
-  Status IngestPgrReport(uint32_t point) override {
-    if (point >= server_.params().num_points) {
-      return Status::InvalidArgument("PGR point outside the point space");
-    }
-    server_.Add(point);
-    return Status::Ok();
-  }
-  OracleState ExportState() const override {
-    OracleState state;
-    state.protocol = Protocol::kPgr;
-    state.num_reports = server_.num_reports();
-    state.counts = server_.counts();
-    return state;
-  }
-  Status RestoreState(OracleState state) override {
-    if (!buffer_.empty()) {
-      return Status::FailedPrecondition(
-          "unflushed reports; call FlushReports");
-    }
-    if (state.protocol != Protocol::kPgr) {
-      return Status::InvalidArgument("oracle state protocol is not PGR");
-    }
-    if (state.counts.size() != server_.params().num_points) {
-      return Status::InvalidArgument(
-          "PGR histogram does not match the point space");
-    }
-    uint64_t total = 0;
-    for (const uint64_t c : state.counts) total += c;
-    if (total != state.num_reports) {
-      return Status::InvalidArgument("PGR counts do not sum to num_reports");
-    }
-    server_.RestoreState(std::move(state.counts), state.num_reports);
-    return Status::Ok();
-  }
-  StatusOr<std::vector<double>> EstimateFrequencies(unsigned) const override {
-    if (!buffer_.empty()) {
-      return Status::FailedPrecondition(
-          "unflushed reports; call FlushReports");
-    }
-    return server_.EstimateFrequencies();
-  }
-  uint64_t domain() const override { return server_.domain(); }
-  uint64_t num_reports() const override { return server_.num_reports(); }
-  Protocol protocol() const override { return Protocol::kPgr; }
-
- private:
-  PgrClient client_;
-  PgrServer server_;
-  std::vector<uint32_t> buffer_;
-};
-
-class FldpOracle final : public FrequencyOracle {
- public:
-  FldpOracle(double epsilon, uint64_t domain, FldpOptions options)
-      : client_(epsilon, domain, options), server_(epsilon, domain, options) {}
-
-  void SubmitUserValue(uint64_t value, Rng& rng) override {
-    server_.Add(client_.Perturb(value, rng));
-  }
-  void BufferUserValue(uint64_t value, Rng& rng) override {
-    buffer_.push_back(client_.Perturb(value, rng));
-  }
-  void FlushReports(unsigned thread_count) override {
-    server_.AggregateReports(buffer_, thread_count);
-    buffer_.clear();
-  }
-  size_t buffered_reports() const override { return buffer_.size(); }
-  Status IngestFldpReport(uint32_t subset_index,
-                          const std::vector<uint8_t>& bits) override {
-    if (subset_index >= client_.options().subset_pool_size) {
-      return Status::InvalidArgument("FLDP subset index outside the pool");
-    }
-    if (bits.size() != client_.subset_size()) {
-      return Status::InvalidArgument("FLDP bit vector length != subset size");
-    }
-    for (const uint8_t bit : bits) {
-      if (bit > 1) {
-        return Status::InvalidArgument("FLDP bit vector has a non-bit entry");
-      }
-    }
-    FldpReport report;
-    report.subset_index = subset_index;
-    report.bits = bits;
-    server_.Add(report);
-    return Status::Ok();
-  }
-  OracleState ExportState() const override {
-    OracleState state;
-    state.protocol = Protocol::kFldp;
-    state.num_reports = server_.num_reports();
-    state.counts = server_.counts();
-    state.pool_counts = server_.coverage_counts();
-    return state;
-  }
-  Status RestoreState(OracleState state) override {
-    if (!buffer_.empty()) {
-      return Status::FailedPrecondition(
-          "unflushed reports; call FlushReports");
-    }
-    if (state.protocol != Protocol::kFldp) {
-      return Status::InvalidArgument("oracle state protocol is not FLDP");
-    }
-    const uint32_t s = client_.subset_size();
-    const uint32_t pools = client_.options().subset_pool_size;
-    if (state.pool_counts.size() != pools) {
-      return Status::InvalidArgument(
-          "FLDP coverage does not match the pool size");
-    }
-    if (state.counts.size() != static_cast<size_t>(pools) * s) {
-      return Status::InvalidArgument("FLDP histogram is not K * s");
-    }
-    uint64_t total = 0;
-    for (const uint32_t c : state.pool_counts) total += c;
-    if (total != state.num_reports) {
-      return Status::InvalidArgument(
-          "FLDP coverage does not sum to num_reports");
-    }
-    // A slot's set-bit count can exceed neither the users who drew that
-    // pool index (each contributes at most one bit per slot).
-    for (uint32_t k = 0; k < pools; ++k) {
-      const size_t base = static_cast<size_t>(k) * s;
-      for (uint32_t j = 0; j < s; ++j) {
-        if (state.counts[base + j] > state.pool_counts[k]) {
-          return Status::InvalidArgument(
-              "FLDP set-bit count exceeds pool coverage");
-        }
-      }
-    }
-    server_.RestoreState(std::move(state.counts), std::move(state.pool_counts),
-                         state.num_reports);
-    return Status::Ok();
-  }
-  StatusOr<std::vector<double>> EstimateFrequencies(unsigned) const override {
-    if (!buffer_.empty()) {
-      return Status::FailedPrecondition(
-          "unflushed reports; call FlushReports");
-    }
-    return server_.EstimateFrequencies();
-  }
-  uint64_t domain() const override { return client_.domain(); }
-  uint64_t num_reports() const override { return server_.num_reports(); }
-  Protocol protocol() const override { return Protocol::kFldp; }
-
- private:
-  FldpClient client_;
-  FldpServer server_;
-  std::vector<FldpReport> buffer_;
-};
-
-}  // namespace
 
 Status MergeOracleState(OracleState* into, const OracleState& from) {
   if (into->protocol != from.protocol) {
@@ -453,73 +36,6 @@ Status MergeOracleState(OracleState* into, const OracleState& from) {
                        from.reports.end());
   into->num_reports += from.num_reports;
   return Status::Ok();
-}
-
-Status FrequencyOracle::IngestReport(const ReportData& report) {
-  switch (report.protocol) {
-    case Protocol::kGrr:
-      return IngestGrrReport(report.grr_report);
-    case Protocol::kOlh:
-      return IngestOlhReport(report.olh);
-    case Protocol::kOue:
-      return IngestOueReport(report.oue_bits);
-    case Protocol::kPgr:
-      return IngestPgrReport(report.pgr_point);
-    case Protocol::kFldp:
-      return IngestFldpReport(report.fldp_subset_index, report.oue_bits);
-  }
-  return Status::InvalidArgument("report has an unknown protocol tag");
-}
-
-Status FrequencyOracle::IngestGrrReport(uint64_t) {
-  return Status::InvalidArgument("GRR report sent to a non-GRR oracle");
-}
-Status FrequencyOracle::IngestOlhReport(const OlhReport&) {
-  return Status::InvalidArgument("OLH report sent to a non-OLH oracle");
-}
-Status FrequencyOracle::IngestOueReport(const std::vector<uint8_t>&) {
-  return Status::InvalidArgument("OUE report sent to a non-OUE oracle");
-}
-Status FrequencyOracle::IngestPgrReport(uint32_t) {
-  return Status::InvalidArgument("PGR report sent to a non-PGR oracle");
-}
-Status FrequencyOracle::IngestFldpReport(uint32_t,
-                                         const std::vector<uint8_t>&) {
-  return Status::InvalidArgument("FLDP report sent to a non-FLDP oracle");
-}
-
-void FrequencyOracle::SubmitUserValues(std::span<const uint64_t> values,
-                                       Rng& rng, unsigned thread_count) {
-  for (const uint64_t value : values) BufferUserValue(value, rng);
-  FlushReports(thread_count);
-}
-
-std::unique_ptr<FrequencyOracle> MakeFrequencyOracle(
-    Protocol protocol, double epsilon, uint64_t domain,
-    const ProtocolOptions& options) {
-  switch (protocol) {
-    case Protocol::kGrr:
-      return std::make_unique<GrrOracle>(epsilon, domain);
-    case Protocol::kOlh:
-      return std::make_unique<OlhOracle>(epsilon, domain, options.olh);
-    case Protocol::kOue:
-      return std::make_unique<OueOracle>(epsilon, domain);
-    case Protocol::kPgr:
-      return std::make_unique<PgrOracle>(epsilon, domain, options.pgr);
-    case Protocol::kFldp:
-      return std::make_unique<FldpOracle>(epsilon, domain, options.fldp);
-  }
-  FELIP_CHECK_MSG(false, "unknown protocol");
-  return nullptr;
-}
-
-std::unique_ptr<FrequencyOracle> MakeFrequencyOracle(Protocol protocol,
-                                                     double epsilon,
-                                                     uint64_t domain,
-                                                     OlhOptions olh_options) {
-  ProtocolOptions options;
-  options.olh = olh_options;
-  return MakeFrequencyOracle(protocol, epsilon, domain, options);
 }
 
 }  // namespace felip::fo

@@ -1,31 +1,30 @@
 // Protocol-agnostic frequency-oracle facade.
 //
-// The grid-collection code (FELIP core, baselines) only needs "submit one
-// user's value; later, estimate all frequencies". FrequencyOracle wraps a
-// matching client/server pair behind that interface so collectors are
-// independent of the protocol AFO selects. The underlying client/server
-// classes remain public API for deployments that separate the two sides.
+// The grid-collection code (FELIP core, baselines) only needs "aggregate
+// one user's report; later, estimate all frequencies". FrequencyOracle
+// wraps a matching client/server pair behind that interface so collectors
+// are independent of the protocol AFO selects. The underlying
+// client/server classes remain public API for deployments that separate
+// the two sides. Create oracles with MakeFrequencyOracle (fo/registry.h).
 //
 // Two ingestion paths exist:
-//   * SubmitUserValue — perturb and aggregate immediately (one report).
-//   * BufferUserValue + FlushReports — perturb with the exact same rng
-//     trajectory, but park the report in a buffer; FlushReports hands the
-//     whole buffer to the server's sharded AggregateReports, which spreads
-//     the accumulation over threads with fixed shard boundaries and an
-//     ordered reduction, so estimates are bit-identical to the serial path
-//     for every thread count. See docs/aggregation.md.
+//   * IngestReport — one already-perturbed, untrusted report (the network
+//     path); invalid input is rejected with a Status, never fatal.
+//   * BufferUserValue + FlushReports — in-process simulation: perturb with
+//     the user's rng and park the report in a buffer; FlushReports hands
+//     the whole buffer to the server's sharded AggregateReports, which
+//     spreads the accumulation over threads with fixed shard boundaries
+//     and an ordered reduction, so estimates are bit-identical to the
+//     serial path for every thread count. See docs/aggregation.md.
 
 #ifndef FELIP_FO_FREQUENCY_ORACLE_H_
 #define FELIP_FO_FREQUENCY_ORACLE_H_
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "felip/common/rng.h"
 #include "felip/common/status.h"
-#include "felip/fo/olh.h"
 #include "felip/fo/protocol.h"
 #include "felip/fo/report.h"
 
@@ -67,12 +66,8 @@ class FrequencyOracle {
  public:
   virtual ~FrequencyOracle() = default;
 
-  // Perturbs `value` with the user's `rng` and accumulates the report.
-  virtual void SubmitUserValue(uint64_t value, Rng& rng) = 0;
-
-  // Perturbs `value` exactly like SubmitUserValue (identical rng
-  // trajectory) but parks the perturbed report in a buffer instead of
-  // aggregating it.
+  // Perturbs `value` with the user's `rng` and parks the perturbed report
+  // in a buffer instead of aggregating it.
   virtual void BufferUserValue(uint64_t value, Rng& rng) = 0;
 
   // Aggregates all buffered reports with the server's sharded parallel
@@ -88,20 +83,10 @@ class FrequencyOracle {
   //
   // Aggregates one already-perturbed report after validating it against
   // this oracle's protocol and domain. Unlike the server Add() methods
-  // (which FELIP_CHECK their input), these return kInvalidArgument on
-  // invalid input so a service can count and drop bad reports from the
-  // network instead of aborting. Each oracle accepts only its own
-  // protocol's overload; the others reject. IngestReport dispatches a
-  // protocol-tagged ReportData to the matching overload (rejecting a
-  // report whose tag differs from this oracle's protocol), so callers
-  // outside fo/ never branch on the protocol.
-  Status IngestReport(const ReportData& report);
-  virtual Status IngestGrrReport(uint64_t report);
-  virtual Status IngestOlhReport(const OlhReport& report);
-  virtual Status IngestOueReport(const std::vector<uint8_t>& bits);
-  virtual Status IngestPgrReport(uint32_t point);
-  virtual Status IngestFldpReport(uint32_t subset_index,
-                                  const std::vector<uint8_t>& bits);
+  // (which FELIP_CHECK their input), this returns kInvalidArgument on
+  // invalid input — including a report of another protocol — so a service
+  // can count and drop bad reports from the network instead of aborting.
+  virtual Status IngestReport(const ReportData& report) = 0;
 
   // --- Accumulator persistence (snapshot path) ---
   //
@@ -126,19 +111,7 @@ class FrequencyOracle {
   virtual uint64_t domain() const = 0;
   virtual uint64_t num_reports() const = 0;
   virtual Protocol protocol() const = 0;
-
-  // Convenience: buffer every value in order (same rng trajectory as
-  // submitting them one by one), then flush once with `thread_count`.
-  void SubmitUserValues(std::span<const uint64_t> values, Rng& rng,
-                        unsigned thread_count = 0);
 };
-
-// Creates an oracle for `protocol`. `olh_options` applies only to OLH;
-// other protocols get default options. The registry overload
-// (fo/registry.h) accepts a full ProtocolOptions.
-std::unique_ptr<FrequencyOracle> MakeFrequencyOracle(
-    Protocol protocol, double epsilon, uint64_t domain,
-    OlhOptions olh_options = {});
 
 }  // namespace felip::fo
 

@@ -4,130 +4,27 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <utility>
 
 #include "felip/common/check.h"
 #include "felip/fo/frequency_oracle.h"
-#include "felip/fo/grr.h"
-#include "felip/fo/oue.h"
+#include "felip/fo/protocol_pair.h"
 
 namespace felip::fo {
 
 namespace {
 
-// --- Report clients ---
-
-class GrrReportClient final : public ReportClient {
- public:
-  GrrReportClient(double epsilon, uint64_t domain) : client_(epsilon, domain) {}
-  ReportData Perturb(uint64_t value, Rng& rng) const override {
-    ReportData report;
-    report.protocol = Protocol::kGrr;
-    report.grr_report = client_.Perturb(value, rng);
-    return report;
-  }
-  Protocol protocol() const override { return Protocol::kGrr; }
-  uint64_t domain() const override { return client_.domain(); }
-
- private:
-  GrrClient client_;
-};
-
-class OlhReportClient final : public ReportClient {
- public:
-  OlhReportClient(double epsilon, uint64_t domain, OlhOptions options)
-      : client_(epsilon, domain, options) {}
-  ReportData Perturb(uint64_t value, Rng& rng) const override {
-    ReportData report;
-    report.protocol = Protocol::kOlh;
-    report.olh = client_.Perturb(value, rng);
-    return report;
-  }
-  Protocol protocol() const override { return Protocol::kOlh; }
-  uint64_t domain() const override { return client_.domain(); }
-
- private:
-  OlhClient client_;
-};
-
-class OueReportClient final : public ReportClient {
- public:
-  OueReportClient(double epsilon, uint64_t domain) : client_(epsilon, domain) {}
-  ReportData Perturb(uint64_t value, Rng& rng) const override {
-    ReportData report;
-    report.protocol = Protocol::kOue;
-    report.oue_bits = client_.Perturb(value, rng);
-    return report;
-  }
-  Protocol protocol() const override { return Protocol::kOue; }
-  uint64_t domain() const override { return client_.domain(); }
-
- private:
-  OueClient client_;
-};
-
-class PgrReportClient final : public ReportClient {
- public:
-  PgrReportClient(double epsilon, uint64_t domain) : client_(epsilon, domain) {}
-  ReportData Perturb(uint64_t value, Rng& rng) const override {
-    ReportData report;
-    report.protocol = Protocol::kPgr;
-    report.pgr_point = client_.Perturb(value, rng);
-    return report;
-  }
-  Protocol protocol() const override { return Protocol::kPgr; }
-  uint64_t domain() const override { return client_.domain(); }
-
- private:
-  PgrClient client_;
-};
-
-class FldpReportClient final : public ReportClient {
- public:
-  FldpReportClient(double epsilon, uint64_t domain, FldpOptions options)
-      : client_(epsilon, domain, options) {}
-  ReportData Perturb(uint64_t value, Rng& rng) const override {
-    FldpReport perturbed = client_.Perturb(value, rng);
-    ReportData report;
-    report.protocol = Protocol::kFldp;
-    report.fldp_subset_index = perturbed.subset_index;
-    report.oue_bits = std::move(perturbed.bits);
-    return report;
-  }
-  Protocol protocol() const override { return Protocol::kFldp; }
-  uint64_t domain() const override { return client_.domain(); }
-
- private:
-  FldpClient client_;
-};
-
 // --- Factory hooks ---
 
 template <Protocol P>
 std::unique_ptr<FrequencyOracle> OracleHook(double epsilon, uint64_t domain,
-                                            const ProtocolOptions& opts) {
-  return MakeFrequencyOracle(P, epsilon, domain, opts);
+                                            const ProtocolOptions& options) {
+  return std::make_unique<PairOracle<P>>(epsilon, domain, options);
 }
 
-std::unique_ptr<ReportClient> GrrClientHook(double epsilon, uint64_t domain,
-                                            const ProtocolOptions&) {
-  return std::make_unique<GrrReportClient>(epsilon, domain);
-}
-std::unique_ptr<ReportClient> OlhClientHook(double epsilon, uint64_t domain,
-                                            const ProtocolOptions& opts) {
-  return std::make_unique<OlhReportClient>(epsilon, domain, opts.olh);
-}
-std::unique_ptr<ReportClient> OueClientHook(double epsilon, uint64_t domain,
-                                            const ProtocolOptions&) {
-  return std::make_unique<OueReportClient>(epsilon, domain);
-}
-std::unique_ptr<ReportClient> PgrClientHook(double epsilon, uint64_t domain,
-                                            const ProtocolOptions&) {
-  return std::make_unique<PgrReportClient>(epsilon, domain);
-}
-std::unique_ptr<ReportClient> FldpClientHook(double epsilon, uint64_t domain,
-                                             const ProtocolOptions& opts) {
-  return std::make_unique<FldpReportClient>(epsilon, domain, opts.fldp);
+template <Protocol P>
+std::unique_ptr<ReportClient> ClientHook(double epsilon, uint64_t domain,
+                                         const ProtocolOptions& options) {
+  return std::make_unique<PairReportClient<P>>(epsilon, domain, options);
 }
 
 // --- Error-model hooks ---
@@ -250,25 +147,22 @@ uint64_t FldpReportBytes(double, uint64_t domain, const ProtocolOptions& opts) {
 }
 
 constexpr std::array<ProtocolTraits, kNumProtocols> kTraits = {{
-    {Protocol::kGrr, "grr", ReportWire::kValue64, &OracleHook<Protocol::kGrr>,
-     &GrrClientHook, /*domain_free_noise=*/false, &GrrNoiseUnit,
+    {Protocol::kGrr, "grr", &OracleHook<Protocol::kGrr>,
+     &ClientHook<Protocol::kGrr>, /*domain_free_noise=*/false, &GrrNoiseUnit,
      &GrrNoiseUnitDerivative, &GrrVarianceHook, &GrrReportBytes},
-    {Protocol::kOlh, "olh", ReportWire::kOlhTriple,
-     &OracleHook<Protocol::kOlh>, &OlhClientHook, /*domain_free_noise=*/true,
-     &OlhNoiseUnit, &OlhNoiseUnitDerivative, &OlhVarianceHook,
-     &OlhReportBytes},
-    {Protocol::kOue, "oue", ReportWire::kBitVector,
-     &OracleHook<Protocol::kOue>, &OueClientHook, /*domain_free_noise=*/true,
-     &OlhNoiseUnit, &OlhNoiseUnitDerivative, &OueVarianceHook,
-     &OueReportBytes},
-    {Protocol::kPgr, "pgr", ReportWire::kValue32,
-     &OracleHook<Protocol::kPgr>, &PgrClientHook, /*domain_free_noise=*/false,
-     &PgrNoiseUnit, &PgrNoiseUnitDerivative, &PgrVarianceHook,
-     &PgrReportBytes},
-    {Protocol::kFldp, "fldp", ReportWire::kIndexedBits,
-     &OracleHook<Protocol::kFldp>, &FldpClientHook,
-     /*domain_free_noise=*/false, &FldpNoiseUnit, &FldpNoiseUnitDerivative,
-     &FldpVarianceHook, &FldpReportBytes},
+    {Protocol::kOlh, "olh", &OracleHook<Protocol::kOlh>,
+     &ClientHook<Protocol::kOlh>, /*domain_free_noise=*/true, &OlhNoiseUnit,
+     &OlhNoiseUnitDerivative, &OlhVarianceHook, &OlhReportBytes},
+    {Protocol::kOue, "oue", &OracleHook<Protocol::kOue>,
+     &ClientHook<Protocol::kOue>, /*domain_free_noise=*/true, &OlhNoiseUnit,
+     &OlhNoiseUnitDerivative, &OueVarianceHook, &OueReportBytes},
+    {Protocol::kPgr, "pgr", &OracleHook<Protocol::kPgr>,
+     &ClientHook<Protocol::kPgr>, /*domain_free_noise=*/false, &PgrNoiseUnit,
+     &PgrNoiseUnitDerivative, &PgrVarianceHook, &PgrReportBytes},
+    {Protocol::kFldp, "fldp", &OracleHook<Protocol::kFldp>,
+     &ClientHook<Protocol::kFldp>, /*domain_free_noise=*/false,
+     &FldpNoiseUnit, &FldpNoiseUnitDerivative, &FldpVarianceHook,
+     &FldpReportBytes},
 }};
 
 // Every Protocol enumerator has exactly one row, at its own index. Adding
@@ -314,6 +208,12 @@ std::unique_ptr<ReportClient> MakeReportClient(Protocol protocol,
                                                double epsilon, uint64_t domain,
                                                const ProtocolOptions& options) {
   return GetTraits(protocol).make_client(epsilon, domain, options);
+}
+
+std::unique_ptr<FrequencyOracle> MakeFrequencyOracle(
+    Protocol protocol, double epsilon, uint64_t domain,
+    const ProtocolOptions& options) {
+  return GetTraits(protocol).make_oracle(epsilon, domain, options);
 }
 
 }  // namespace felip::fo

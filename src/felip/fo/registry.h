@@ -5,14 +5,16 @@
 // static_assert in registry.cc pins the count), bundling everything a
 // caller needs without switching on the enum:
 //   * factories for the oracle facade and the device-side report client,
-//   * the wire shape of one report (how the codec frames its payload),
 //   * the closed-form error model the AFO optimizer scores with,
 //   * the per-report communication cost for budget-aware selection.
-// Adding a protocol = one enum entry + one table row (+ a client/server
-// pair); snapshots, shard merges, the wire codec, tools, and AFO pick it
-// up through the registry with no out-of-layer edits. Protocol `switch`
-// statements outside src/felip/fo are a build error by policy (a CI grep
-// test enforces it).
+// Adding a protocol = one enum entry + one ReportPayload alternative
+// (fo/report.h) + one table row + a client/server pair and its
+// ProtocolPair specialization (fo/protocol_pair.h). Snapshots, shard
+// merges, tools and AFO pick it up through the registry with no
+// out-of-layer edits; the wire codec needs one Put/Read overload only for
+// a report type no other protocol uses. Protocol `switch` statements
+// outside src/felip/fo are a build error by policy (a CI grep test
+// enforces it).
 
 #ifndef FELIP_FO_REGISTRY_H_
 #define FELIP_FO_REGISTRY_H_
@@ -45,23 +47,11 @@ struct ProtocolOptions {
                          const ProtocolOptions&) = default;
 };
 
-// How one report's payload is framed on the wire. The codec switches on
-// this shape — never on the protocol — so protocols sharing a shape share
-// the codec path.
-enum class ReportWire : uint8_t {
-  kValue64 = 0,      // one uint64 (GRR)
-  kOlhTriple = 1,    // OLH seed / seed_index / hashed report
-  kBitVector = 2,    // length-prefixed byte-per-bit vector (OUE)
-  kValue32 = 3,      // one uint32 point index (PGR)
-  kIndexedBits = 4,  // uint32 subset index + length-prefixed bits (FLDP)
-};
-
 struct ProtocolTraits {
   Protocol protocol = Protocol::kGrr;
   // Canonical lower-case name, accepted (case-insensitively) by
   // ProtocolFromName and used for per-protocol metric suffixes.
   std::string_view name;
-  ReportWire wire = ReportWire::kValue64;
 
   // --- Factories ---
   std::unique_ptr<FrequencyOracle> (*make_oracle)(double epsilon,
@@ -115,11 +105,10 @@ std::unique_ptr<ReportClient> MakeReportClient(Protocol protocol,
                                                double epsilon, uint64_t domain,
                                                const ProtocolOptions& options);
 
-// Creates an oracle for `protocol` with per-protocol options. The
-// OlhOptions overload in frequency_oracle.h forwards here.
+// Creates an oracle for `protocol` with per-protocol options.
 std::unique_ptr<FrequencyOracle> MakeFrequencyOracle(
     Protocol protocol, double epsilon, uint64_t domain,
-    const ProtocolOptions& options);
+    const ProtocolOptions& options = {});
 
 }  // namespace felip::fo
 

@@ -159,8 +159,11 @@ std::vector<uint8_t> EncodeSchemaSection(
 Status DecodeSchemaSection(const std::vector<uint8_t>& payload,
                            std::vector<AttributeInfo>* schema) {
   Reader r(payload);
+  // Each attribute is at least name_len(4) + domain(4) + categorical(1).
   uint32_t count = 0;
-  if (!r.Get(&count)) return Malformed("snapshot schema section is truncated");
+  if (!r.GetCount(&count, 4 + 4 + 1)) {
+    return Malformed("snapshot schema section is truncated");
+  }
   if (count == 0) return Malformed("snapshot schema has no attributes");
   schema->clear();
   schema->reserve(count);
@@ -247,8 +250,10 @@ std::vector<uint8_t> EncodeOracles(
 Status DecodeOracles(const std::vector<uint8_t>& payload,
                      std::vector<fo::OracleState>* states) {
   Reader r(payload);
+  // Each oracle is at least protocol(1) + num_reports(8) + three
+  // length prefixes(8 each).
   uint32_t count = 0;
-  if (!r.Get(&count)) {
+  if (!r.GetCount(&count, 1 + 8 + 3 * 8)) {
     return Malformed("snapshot oracle section is truncated");
   }
   states->clear();
@@ -318,8 +323,9 @@ std::vector<uint8_t> EncodeGridFrequencies(
 Status DecodeGridFrequencies(const std::vector<uint8_t>& payload,
                              std::vector<std::vector<double>>* frequencies) {
   Reader r(payload);
+  // Each grid is at least its length prefix(8).
   uint32_t count = 0;
-  if (!r.Get(&count)) {
+  if (!r.GetCount(&count, 8)) {
     return Malformed("snapshot frequency section is truncated");
   }
   frequencies->clear();
@@ -370,8 +376,10 @@ std::vector<uint8_t> EncodeResponseMatrices(
 Status DecodeResponseMatrices(const std::vector<uint8_t>& payload,
                               std::vector<post::ResponseMatrix>* matrices) {
   Reader r(payload);
+  // Each matrix is at least domain_x(4) + domain_y(4) + three length
+  // prefixes(8 each).
   uint32_t count = 0;
-  if (!r.Get(&count)) {
+  if (!r.GetCount(&count, 4 + 4 + 3 * 8)) {
     return Malformed("snapshot response-matrix section is truncated");
   }
   matrices->clear();

@@ -72,6 +72,23 @@ class Reader {
     return true;
   }
 
+  // Reads a uint32 record count, rejecting it unless `count` records of
+  // at least `min_record_bytes` each fit in the bytes left before
+  // `payload_end` (default: the end of the input). Decoders must size
+  // allocations only by counts read through here: one flipped bit in an
+  // unchecked count asks for billions of records.
+  bool GetCount(uint32_t* count, size_t min_record_bytes,
+                size_t payload_end = SIZE_MAX) {
+    const size_t end = payload_end < in_.size() ? payload_end : in_.size();
+    uint32_t value = 0;
+    if (!Get(&value) || pos_ > end) return false;
+    if (static_cast<uint64_t>(value) * min_record_bytes > end - pos_) {
+      return false;
+    }
+    *count = value;
+    return true;
+  }
+
   // Bytes at the current position (valid for remaining() bytes).
   const uint8_t* cursor() const { return in_.data() + pos_; }
 

@@ -8,6 +8,8 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
+#include <variant>
 
 #include "felip/common/check.h"
 #include "felip/common/hash.h"
@@ -115,39 +117,34 @@ std::optional<StatusCode> QueryStatusFromWire(uint8_t byte) {
   }
 }
 
-// The report codec frames whichever ReportData fields the protocol's
-// ReportWire shape (fo/registry.h) names — new protocols reuse a shape or
-// add one here; nothing in this file enumerates protocols.
-void EncodeReportBody(Writer& w, const ReportMessage& m) {
-  w.Put<uint32_t>(m.grid_index);
-  w.Put<uint8_t>(static_cast<uint8_t>(m.protocol));
-  switch (fo::GetTraits(m.protocol).wire) {
-    case fo::ReportWire::kValue64:
-      w.Put<uint64_t>(m.grr_report);
-      break;
-    case fo::ReportWire::kOlhTriple:
-      w.Put<uint64_t>(m.olh.seed);
-      w.Put<uint32_t>(m.olh.hashed_report);
-      w.Put<uint32_t>(m.olh.seed_index);
-      break;
-    case fo::ReportWire::kBitVector:
-      w.Put<uint32_t>(static_cast<uint32_t>(m.oue_bits.size()));
-      w.PutBytes(m.oue_bits.data(), m.oue_bits.size());
-      break;
-    case fo::ReportWire::kValue32:
-      w.Put<uint32_t>(m.pgr_point);
-      break;
-    case fo::ReportWire::kIndexedBits:
-      w.Put<uint32_t>(m.fldp_subset_index);
-      w.Put<uint32_t>(static_cast<uint32_t>(m.oue_bits.size()));
-      w.PutBytes(m.oue_bits.data(), m.oue_bits.size());
-      break;
-  }
+// The report codec frames each payload by its type: one Put/Read overload
+// per fo::ReportPayload alternative, so nothing in this file enumerates
+// protocols. The protocol byte is the payload's alternative index.
+void PutPayload(Writer& w, uint64_t value) { w.Put<uint64_t>(value); }
+void PutPayload(Writer& w, uint32_t value) { w.Put<uint32_t>(value); }
+void PutPayload(Writer& w, const fo::OlhReport& report) {
+  w.Put<uint64_t>(report.seed);
+  w.Put<uint32_t>(report.hashed_report);
+  w.Put<uint32_t>(report.seed_index);
+}
+void PutPayload(Writer& w, const std::vector<uint8_t>& bits) {
+  w.Put<uint32_t>(static_cast<uint32_t>(bits.size()));
+  w.PutBytes(bits.data(), bits.size());
+}
+void PutPayload(Writer& w, const fo::FldpReport& report) {
+  w.Put<uint32_t>(report.subset_index);
+  PutPayload(w, report.bits);
 }
 
-// Reads a length-prefixed bit vector into `bits`, rejecting absurd lengths
-// and non-bit bytes (shared by the kBitVector and kIndexedBits shapes).
-bool DecodeBitVector(Reader& r, std::vector<uint8_t>* bits) {
+bool ReadPayload(Reader& r, uint64_t* value) { return r.Get(value); }
+bool ReadPayload(Reader& r, uint32_t* value) { return r.Get(value); }
+bool ReadPayload(Reader& r, fo::OlhReport* report) {
+  return r.Get(&report->seed) && r.Get(&report->hashed_report) &&
+         r.Get(&report->seed_index);
+}
+// A length-prefixed bit vector, rejecting absurd lengths and non-bit
+// bytes.
+bool ReadPayload(Reader& r, std::vector<uint8_t>* bits) {
   uint32_t len = 0;
   if (!r.Get(&len)) return false;
   if (len > r.remaining()) return false;  // reject absurd lengths early
@@ -158,68 +155,55 @@ bool DecodeBitVector(Reader& r, std::vector<uint8_t>* bits) {
   }
   return true;
 }
+bool ReadPayload(Reader& r, fo::FldpReport* report) {
+  return r.Get(&report->subset_index) && ReadPayload(r, &report->bits);
+}
 
-bool DecodeReportBody(Reader& r, ReportMessage* m) {
+// Reads alternative I of the payload in place, reusing the storage of a
+// payload that already holds it (the sharded decoder's index pass reads
+// every record into one scratch message).
+template <size_t I>
+bool ReadAlternative(Reader& r, fo::ReportPayload* payload) {
+  if (payload->index() != I) payload->emplace<I>();
+  return ReadPayload(r, &std::get<I>(*payload));
+}
+
+using PayloadReader = bool (*)(Reader&, fo::ReportPayload*);
+
+template <size_t... I>
+constexpr std::array<PayloadReader, sizeof...(I)> PayloadReaders(
+    std::index_sequence<I...>) {
+  return {&ReadAlternative<I>...};
+}
+
+// Indexed by protocol byte.
+constexpr std::array<PayloadReader, fo::kNumProtocols> kPayloadReaders =
+    PayloadReaders(std::make_index_sequence<fo::kNumProtocols>());
+
+void EncodeReportBody(Writer& w, const ReportMessage& m) {
+  w.Put<uint32_t>(m.grid_index);
+  w.Put<uint8_t>(static_cast<uint8_t>(m.protocol()));
+  std::visit([&w](const auto& payload) { PutPayload(w, payload); },
+             m.payload);
+}
+
+// Reads one report record without counting it; the index pass of the
+// sharded decoder validates with exactly the decoder's own checks.
+bool ReadReportBody(Reader& r, ReportMessage* m) {
   uint8_t protocol = 0;
   if (!r.Get(&m->grid_index) || !r.Get(&protocol)) return false;
   if (!fo::KnownProtocolByte(protocol)) return false;
-  m->protocol = static_cast<fo::Protocol>(protocol);
-  const size_t body_start = r.position();
-  bool ok = false;
-  switch (fo::GetTraits(m->protocol).wire) {
-    case fo::ReportWire::kValue64:
-      ok = r.Get(&m->grr_report);
-      break;
-    case fo::ReportWire::kOlhTriple:
-      ok = r.Get(&m->olh.seed) && r.Get(&m->olh.hashed_report) &&
-           r.Get(&m->olh.seed_index);
-      break;
-    case fo::ReportWire::kBitVector:
-      ok = DecodeBitVector(r, &m->oue_bits);
-      break;
-    case fo::ReportWire::kValue32:
-      ok = r.Get(&m->pgr_point);
-      break;
-    case fo::ReportWire::kIndexedBits:
-      ok = r.Get(&m->fldp_subset_index) && DecodeBitVector(r, &m->oue_bits);
-      break;
-  }
-  if (ok) ReportBytesCounter(m->protocol).Increment(r.position() - body_start);
-  return ok;
+  return kPayloadReaders[protocol](r, &m->payload);
 }
 
-// Validates one report record's structure without materializing it: the
-// index pass of the sharded decoder. Must accept exactly the inputs
-// DecodeReportBody accepts (including the bit-value checks) so the decode
-// pass cannot fail after this pass succeeds.
-bool SkipReportBody(Reader& r) {
-  uint32_t grid_index = 0;
-  uint8_t protocol = 0;
-  if (!r.Get(&grid_index) || !r.Get(&protocol)) return false;
-  if (!fo::KnownProtocolByte(protocol)) return false;
-  auto skip_bit_vector = [&r]() -> bool {
-    uint32_t len = 0;
-    if (!r.Get(&len)) return false;
-    if (len > r.remaining()) return false;
-    const uint8_t* bits = r.cursor();
-    for (uint32_t i = 0; i < len; ++i) {
-      if (bits[i] > 1) return false;
-    }
-    return r.Skip(len);
-  };
-  switch (fo::GetTraits(static_cast<fo::Protocol>(protocol)).wire) {
-    case fo::ReportWire::kValue64:
-      return r.Skip(sizeof(uint64_t));
-    case fo::ReportWire::kOlhTriple:
-      return r.Skip(sizeof(uint64_t) + sizeof(uint32_t) + sizeof(uint32_t));
-    case fo::ReportWire::kBitVector:
-      return skip_bit_vector();
-    case fo::ReportWire::kValue32:
-      return r.Skip(sizeof(uint32_t));
-    case fo::ReportWire::kIndexedBits:
-      return r.Skip(sizeof(uint32_t)) && skip_bit_vector();
-  }
-  return false;
+bool DecodeReportBody(Reader& r, ReportMessage* m) {
+  const size_t start = r.position();
+  if (!ReadReportBody(r, m)) return false;
+  // The counted span is the payload after the grid-index/protocol header.
+  constexpr size_t kHeaderBytes = 4 + 1;
+  ReportBytesCounter(m->protocol())
+      .Increment(r.position() - start - kHeaderBytes);
+  return true;
 }
 
 // Decode-path instruments, cached once per process. Every public decoder
@@ -261,27 +245,22 @@ std::optional<size_t> DecodeReportBatchShardedImpl(
   if (!payload_end.has_value()) return std::nullopt;
   Reader r(buffer);
   if (!r.Skip(6)) return std::nullopt;
+  // Every record is at least grid(4) + protocol(1) + a 4-byte payload
+  // (PGR point or empty-OUE length), so an adversarial count is rejected
+  // before anything proportional to it is reserved.
+  constexpr size_t kMinReportBytes = 4 + 1 + 4;
   uint32_t count = 0;
-  if (!r.Get(&count)) return std::nullopt;
-
-  // An adversarial count cannot exceed what the remaining payload could
-  // possibly hold (every record is at least grid(4) + protocol(1) +
-  // empty-OUE length(4) = 9 bytes); reject before reserving anything
-  // proportional to it.
-  constexpr uint64_t kMinReportBytes = 4 + 1 + 4;
-  if (static_cast<uint64_t>(count) * kMinReportBytes >
-      *payload_end - r.position()) {
-    return std::nullopt;
-  }
+  if (!r.GetCount(&count, kMinReportBytes, *payload_end)) return std::nullopt;
 
   // Index pass: record each report's byte offset while validating its
   // structure. After this loop every record is known well-formed, so the
   // decode pass below cannot fail.
   std::vector<size_t> offsets;
   offsets.reserve(count);
+  ReportMessage scratch;
   for (uint32_t i = 0; i < count; ++i) {
     offsets.push_back(r.position());
-    if (!SkipReportBody(r)) return std::nullopt;
+    if (!ReadReportBody(r, &scratch)) return std::nullopt;
   }
   if (r.position() != *payload_end) return std::nullopt;
 
@@ -549,12 +528,10 @@ bool DecodePredicateBody(Reader& r, query::Predicate* p) {
 // every frame kind that carries a query list.
 std::optional<std::vector<query::Query>> DecodeQueryList(
     Reader& r, size_t payload_end) {
-  uint32_t count = 0;
-  if (!r.Get(&count)) return std::nullopt;
   // A query is at least predicate_count(2) + one predicate record; reject
   // adversarial counts before reserving anything proportional to them.
-  if (static_cast<uint64_t>(count) * (2 + kMinPredicateBytes) >
-      payload_end - r.position()) {
+  uint32_t count = 0;
+  if (!r.GetCount(&count, 2 + kMinPredicateBytes, payload_end)) {
     return std::nullopt;
   }
   std::vector<query::Query> queries;

@@ -3,7 +3,8 @@
 // A real FELIP deployment ships three kinds of messages:
 //   * GridConfig (aggregator -> client): which grid the client is assigned,
 //     its cell layout, the protocol and epsilon to perturb with.
-//   * Report (client -> aggregator): one perturbed cell report.
+//   * Report (client -> aggregator): one perturbed cell report, an
+//     fo::ReportData whose payload is framed by its type.
 //   * ReportBatch: length-prefixed sequence of reports from a relay.
 //
 // Encoding is a compact little-endian binary format with a 4-byte magic, a
@@ -61,10 +62,12 @@ struct GridConfigMessage {
                          const GridConfigMessage&) = default;
 };
 
-// Client -> aggregator: one perturbed report — a protocol-tagged
-// fo::ReportData addressed to a grid. The payload/protocol contract is
-// documented on ReportData (fo/report.h); the codec frames exactly the
-// fields the protocol's ReportWire shape (fo/registry.h) names.
+// Client -> aggregator: one perturbed report — an fo::ReportData
+// addressed to a grid. On the wire a report is its grid index, its
+// protocol byte (the payload's alternative index, see fo/report.h), and
+// the payload framed by its type: a uint64 or uint32 value as is, an OLH
+// report as seed/hashed report/seed index, and a bit vector as a uint32
+// length plus one byte per bit (FLDP prefixes its uint32 subset index).
 struct ReportMessage : public fo::ReportData {
   uint32_t grid_index = 0;
 

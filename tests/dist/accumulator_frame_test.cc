@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "felip/snapshot/pipeline_snapshot.h"
 #include "felip/wire/wire.h"
 
 namespace felip::wire {
@@ -108,6 +109,21 @@ TEST(AccumulatorWireTest, InconsistentTopologyIsRejected) {
   frame.num_shards = 0;
   frame.shard_id = 0;
   EXPECT_FALSE(DecodeAccumulatorFrame(EncodeAccumulatorFrame(frame)).ok());
+}
+
+TEST(AccumulatorWireTest, HugeOracleCountIsRejectedWithoutAllocating) {
+  // A checksum-valid frame from the network whose oracle section claims
+  // 2^32 - 1 grids but carries none: the root must reject it instead of
+  // reserving room for billions of oracle states.
+  AccumulatorFrameMessage frame = SampleFrame();
+  frame.oracle_section = {0xff, 0xff, 0xff, 0xff};
+  const auto decoded = DecodeAccumulatorFrame(EncodeAccumulatorFrame(frame));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  std::vector<fo::OracleState> states;
+  const Status status = snapshot::PipelineCodec::DecodeOracleSection(
+      decoded->oracle_section, &states);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(states.capacity(), 0u);
 }
 
 }  // namespace

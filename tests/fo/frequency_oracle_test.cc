@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "felip/fo/protocol.h"
+#include "felip/fo/registry.h"
 
 namespace felip::fo {
 namespace {
@@ -22,7 +23,10 @@ TEST_P(FrequencyOracleTest, ReportsProtocolAndDomain) {
 TEST_P(FrequencyOracleTest, CountsSubmissions) {
   const auto oracle = MakeFrequencyOracle(GetParam(), 1.0, 4);
   Rng rng(1);
-  for (int i = 0; i < 25; ++i) oracle->SubmitUserValue(i % 4, rng);
+  for (int i = 0; i < 25; ++i) oracle->BufferUserValue(i % 4, rng);
+  EXPECT_EQ(oracle->buffered_reports(), 25u);
+  oracle->FlushReports();
+  EXPECT_EQ(oracle->buffered_reports(), 0u);
   EXPECT_EQ(oracle->num_reports(), 25u);
 }
 
@@ -32,8 +36,9 @@ TEST_P(FrequencyOracleTest, RecoversUniformDistribution) {
   const auto oracle = MakeFrequencyOracle(GetParam(), 1.0, kDomain);
   Rng rng(2);
   for (int i = 0; i < kUsers; ++i) {
-    oracle->SubmitUserValue(rng.UniformU64(kDomain), rng);
+    oracle->BufferUserValue(rng.UniformU64(kDomain), rng);
   }
+  oracle->FlushReports();
   const std::vector<double> est = oracle->EstimateFrequencies().value();
   ASSERT_EQ(est.size(), kDomain);
   const double sd = std::sqrt(
@@ -49,8 +54,9 @@ TEST_P(FrequencyOracleTest, RecoversSkewedDistribution) {
   const auto oracle = MakeFrequencyOracle(GetParam(), 2.0, kDomain);
   Rng rng(3);
   for (int i = 0; i < kUsers; ++i) {
-    oracle->SubmitUserValue(rng.Bernoulli(0.8) ? 0 : 4, rng);
+    oracle->BufferUserValue(rng.Bernoulli(0.8) ? 0 : 4, rng);
   }
+  oracle->FlushReports();
   const std::vector<double> est = oracle->EstimateFrequencies().value();
   const double sd = std::sqrt(
       ProtocolVariance(GetParam(), 2.0, kDomain, kUsers));
@@ -68,11 +74,12 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, FrequencyOracleTest,
                          });
 
 TEST(FrequencyOracleFactoryTest, OlhHonorsPoolOptions) {
-  OlhOptions options;
-  options.seed_pool_size = 256;
+  ProtocolOptions options;
+  options.olh.seed_pool_size = 256;
   const auto oracle = MakeFrequencyOracle(Protocol::kOlh, 1.0, 8, options);
   Rng rng(4);
-  for (int i = 0; i < 2000; ++i) oracle->SubmitUserValue(1, rng);
+  for (int i = 0; i < 2000; ++i) oracle->BufferUserValue(1, rng);
+  oracle->FlushReports();
   const std::vector<double> est = oracle->EstimateFrequencies().value();
   EXPECT_NEAR(est[1], 1.0, 0.3);
 }

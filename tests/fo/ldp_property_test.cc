@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "felip/fo/grr.h"
-#include "felip/fo/histogram_encoding.h"
 #include "felip/fo/olh.h"
 #include "felip/fo/oue.h"
 #include "felip/fo/square_wave.h"
@@ -69,17 +68,6 @@ TEST_P(LdpRatioTest, OueBitwiseRatioComposes) {
   const double ratio_one = p / q;                    // bit v1: 1 vs 0
   const double ratio_zero = (1.0 - q) / (1.0 - p);   // bit v2: 0 vs 1
   EXPECT_LE(ratio_one * ratio_zero, std::exp(eps) * (1.0 + 1e-9));
-}
-
-TEST_P(LdpRatioTest, TheThresholdedRatioComposes) {
-  const double eps = GetParam();
-  const TheClient client(eps, 50);
-  // Thresholding is post-processing over SHE's Laplace mechanism, so the
-  // per-bit set-probabilities must satisfy the same two-bit composition.
-  const double p = client.p();
-  const double q = client.q();
-  const double ratio = (p / q) * ((1.0 - q) / (1.0 - p));
-  EXPECT_LE(ratio, std::exp(eps) * (1.0 + 1e-9));
 }
 
 TEST_P(LdpRatioTest, SquareWaveDensityRatioExact) {

@@ -2,9 +2,7 @@
 // integer-count protocol the estimates must be BITWISE identical whether
 // reports are added one by one or aggregated with 1/2/4/8 threads — shard
 // boundaries are a function of the report count only and partials fold in
-// shard order. SHE accumulates doubles, so it only promises bit-identical
-// results across AggregateReports thread counts (not vs the Add() loop).
-// Also covers the facade buffer/flush path, the pipeline-level
+// shard order. Also covers the facade buffer/flush path, the pipeline-level
 // aggregation_threads knob, and a TSan-friendly stress loop.
 
 #include <cmath>
@@ -19,9 +17,9 @@
 #include "felip/data/synthetic.h"
 #include "felip/fo/frequency_oracle.h"
 #include "felip/fo/grr.h"
-#include "felip/fo/histogram_encoding.h"
 #include "felip/fo/olh.h"
 #include "felip/fo/oue.h"
+#include "felip/fo/registry.h"
 #include "felip/fo/square_wave.h"
 #include "felip/query/query.h"
 #include "felip/stream/streaming.h"
@@ -115,23 +113,6 @@ TEST(ParallelAggregationTest, OueBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelAggregationTest, TheBitIdenticalAcrossThreadCounts) {
-  TheClient client(kEpsilon, kDomain);
-  Rng rng(104);
-  std::vector<std::vector<uint8_t>> reports;
-  for (const uint64_t v : TrueValues()) reports.push_back(client.Perturb(v, rng));
-
-  TheServer serial(kEpsilon, kDomain);
-  for (const auto& r : reports) serial.Add(r);
-  const std::vector<double> want = serial.EstimateFrequencies();
-
-  for (const unsigned threads : kThreadCounts) {
-    TheServer sharded(kEpsilon, kDomain);
-    sharded.AggregateReports(reports, threads);
-    ExpectBitwiseEqual(sharded.EstimateFrequencies(), want, "THE");
-  }
-}
-
 TEST(ParallelAggregationTest, SquareWaveBitIdenticalAcrossThreadCounts) {
   SwClient client(kEpsilon, kDomain);
   Rng rng(105);
@@ -151,41 +132,20 @@ TEST(ParallelAggregationTest, SquareWaveBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelAggregationTest, SheBitIdenticalAcrossThreadCountsNearAddLoop) {
-  SheClient client(kEpsilon, kDomain);
-  Rng rng(106);
-  std::vector<std::vector<double>> reports;
-  for (const uint64_t v : TrueValues()) reports.push_back(client.Perturb(v, rng));
-
-  SheServer serial(kDomain);
-  for (const auto& r : reports) serial.Add(r);
-  const std::vector<double> add_loop = serial.EstimateFrequencies();
-
-  SheServer reference(kDomain);
-  reference.AggregateReports(reports, 1);
-  const std::vector<double> want = reference.EstimateFrequencies();
-
-  for (const unsigned threads : kThreadCounts) {
-    SheServer sharded(kDomain);
-    sharded.AggregateReports(reports, threads);
-    // Bit-identical across thread counts...
-    ExpectBitwiseEqual(sharded.EstimateFrequencies(), want, "SHE");
-  }
-  // ...but only numerically close to the non-associative Add() loop.
-  ASSERT_EQ(add_loop.size(), want.size());
-  for (size_t v = 0; v < want.size(); ++v) {
-    EXPECT_NEAR(want[v], add_loop[v], 1e-9) << "cell " << v;
-  }
-}
-
-TEST(ParallelAggregationTest, FacadeBufferFlushMatchesSubmit) {
+TEST(ParallelAggregationTest, FacadeBufferFlushMatchesIngest) {
+  // The simulation path (buffer + sharded flush) and the untrusted network
+  // path (report client + IngestReport, one report at a time) must give
+  // bit-identical estimates for the same rng trajectory.
   for (const Protocol protocol :
        {Protocol::kGrr, Protocol::kOlh, Protocol::kOue, Protocol::kPgr,
         Protocol::kFldp}) {
     const std::vector<uint64_t> values = TrueValues();
-    auto submit = MakeFrequencyOracle(protocol, kEpsilon, kDomain);
+    const auto client = MakeReportClient(protocol, kEpsilon, kDomain, {});
+    auto ingested = MakeFrequencyOracle(protocol, kEpsilon, kDomain);
     Rng rng_a(107);
-    for (const uint64_t v : values) submit->SubmitUserValue(v, rng_a);
+    for (const uint64_t v : values) {
+      ASSERT_TRUE(ingested->IngestReport(client->Perturb(v, rng_a)).ok());
+    }
 
     for (const unsigned threads : kThreadCounts) {
       auto buffered = MakeFrequencyOracle(protocol, kEpsilon, kDomain);
@@ -196,7 +156,7 @@ TEST(ParallelAggregationTest, FacadeBufferFlushMatchesSubmit) {
       EXPECT_EQ(buffered->buffered_reports(), 0u);
       EXPECT_EQ(buffered->num_reports(), values.size());
       ExpectBitwiseEqual(buffered->EstimateFrequencies().value(),
-                         submit->EstimateFrequencies().value(),
+                         ingested->EstimateFrequencies().value(),
                          ProtocolName(protocol).data());
     }
   }

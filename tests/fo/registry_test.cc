@@ -88,7 +88,7 @@ TEST(RegistryTest, ClientReportsIngestIntoMatchingOracle) {
     Rng rng(3);
     for (int i = 0; i < 200; ++i) {
       const ReportData report = client->Perturb(i % 16, rng);
-      EXPECT_EQ(report.protocol, traits.protocol);
+      EXPECT_EQ(report.protocol(), traits.protocol);
       const Status status = oracle->IngestReport(report);
       EXPECT_TRUE(status.ok()) << status.ToString();
     }
@@ -97,19 +97,38 @@ TEST(RegistryTest, ClientReportsIngestIntoMatchingOracle) {
   }
 }
 
-// A report whose protocol tag differs from the oracle's plan must be
-// rejected, not aborted on — the network path depends on it.
+// A report of another protocol must be rejected, not aborted on, and
+// must leave the oracle untouched — the network path depends on it. Every
+// (oracle protocol, report protocol) pair is checked.
 TEST(RegistryTest, MismatchedReportTagIsRejected) {
   const ProtocolOptions options;
-  const std::unique_ptr<FrequencyOracle> oracle =
-      MakeFrequencyOracle(Protocol::kGrr, 1.0, 16, options);
-  const std::unique_ptr<ReportClient> client =
-      MakeReportClient(Protocol::kPgr, 1.0, 16, options);
-  Rng rng(4);
-  const ReportData report = client->Perturb(5, rng);
-  EXPECT_EQ(oracle->IngestReport(report).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(oracle->num_reports(), 0u);
+  for (const ProtocolTraits& oracle_traits : AllProtocolTraits()) {
+    const std::unique_ptr<FrequencyOracle> oracle =
+        MakeFrequencyOracle(oracle_traits.protocol, 1.0, 16, options);
+    const std::unique_ptr<ReportClient> own =
+        MakeReportClient(oracle_traits.protocol, 1.0, 16, options);
+    Rng rng(4);
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(oracle->IngestReport(own->Perturb(i % 16, rng)).ok());
+    }
+    const OracleState before = oracle->ExportState();
+    for (const ProtocolTraits& report_traits : AllProtocolTraits()) {
+      if (report_traits.protocol == oracle_traits.protocol) continue;
+      SCOPED_TRACE(std::string(report_traits.name) + " report to a " +
+                   std::string(oracle_traits.name) + " oracle");
+      const std::unique_ptr<ReportClient> client =
+          MakeReportClient(report_traits.protocol, 1.0, 16, options);
+      EXPECT_EQ(oracle->IngestReport(client->Perturb(5, rng)).code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(oracle->num_reports(), 20u);
+      const OracleState after = oracle->ExportState();
+      EXPECT_EQ(after.protocol, before.protocol);
+      EXPECT_EQ(after.num_reports, before.num_reports);
+      EXPECT_EQ(after.counts, before.counts);
+      EXPECT_EQ(after.pool_counts, before.pool_counts);
+      EXPECT_EQ(after.reports, before.reports);
+    }
+  }
 }
 
 TEST(RegistryTest, VarianceHooksArePositiveAndShrinkWithN) {

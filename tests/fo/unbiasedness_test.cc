@@ -4,7 +4,7 @@
 // of the exact empirical truth, with sigma from the closed-form variance
 // of the protocol's estimator.
 //
-// For the support-counting protocols (GRR, OLH, OUE, THE) the estimator is
+// For the support-counting protocols (GRR, OLH, OUE) the estimator is
 // f_hat(v) = (C(v)/n - q) / (p - q) where C(v) sums independent Bernoulli
 // support indicators: probability p for the n_v users whose true value is
 // v and q for the other n - n_v users. Its exact variance is
@@ -12,10 +12,8 @@
 //   Var[f_hat(v)] = (n_v p(1-p) + (n - n_v) q(1-q)) / (n (p - q))^2
 //
 // which is what the tests use (the textbook OlhVariance/OueVariance forms
-// are this expression at n_v = 0). SHE's estimator is a per-bucket mean of
-// n iid Laplace(2/eps) samples plus the exact truth, so its variance is
-// 2 (2/eps)^2 / n. Square Wave's EM reconstruction has no closed form and
-// gets an empirical error bound instead.
+// are this expression at n_v = 0). Square Wave's EM reconstruction has no
+// closed form and gets an empirical error bound instead.
 
 #include <algorithm>
 #include <cmath>
@@ -28,7 +26,6 @@
 #include "felip/common/rng.h"
 #include "felip/fo/fldp.h"
 #include "felip/fo/grr.h"
-#include "felip/fo/histogram_encoding.h"
 #include "felip/fo/olh.h"
 #include "felip/fo/oue.h"
 #include "felip/fo/pgr.h"
@@ -164,51 +161,6 @@ TEST(UnbiasednessTest, OueWithinFourSigma) {
       server.EstimateFrequencies(), counts, kNumReports,
       [&](uint64_t v) { return SupportVariance(counts[v], kNumReports, p, q); },
       "OUE");
-}
-
-TEST(UnbiasednessTest, TheWithinFourSigma) {
-  const std::vector<uint64_t> values = TrueValues();
-  const std::vector<uint64_t> counts = TrueCounts(values, kDomain);
-  TheClient client(kEpsilon, kDomain);
-  Rng rng(20260805);
-  std::vector<std::vector<uint8_t>> reports;
-  reports.reserve(values.size());
-  for (const uint64_t v : values) reports.push_back(client.Perturb(v, rng));
-
-  TheServer server(kEpsilon, kDomain);
-  server.AggregateReports(reports, kThreads);
-  ASSERT_EQ(server.num_reports(), kNumReports);
-
-  const double p = client.p();
-  const double q = client.q();
-  ExpectCellsWithinSigma(
-      server.EstimateFrequencies(), counts, kNumReports,
-      [&](uint64_t v) { return SupportVariance(counts[v], kNumReports, p, q); },
-      "THE");
-}
-
-TEST(UnbiasednessTest, SheWithinFourSigma) {
-  // SHE reports are |D| doubles each; a smaller domain keeps the 200k
-  // resident batch modest without changing the per-cell statistics.
-  constexpr uint64_t kSheDomain = 16;
-  const std::vector<uint64_t> values = TrueValues(kSheDomain);
-  const std::vector<uint64_t> counts = TrueCounts(values, kSheDomain);
-  SheClient client(kEpsilon, kSheDomain);
-  Rng rng(20260806);
-  std::vector<std::vector<double>> reports;
-  reports.reserve(values.size());
-  for (const uint64_t v : values) reports.push_back(client.Perturb(v, rng));
-
-  SheServer server(kSheDomain);
-  server.AggregateReports(reports, kThreads);
-  ASSERT_EQ(server.num_reports(), kNumReports);
-
-  // Mean of n one-hot-plus-Laplace(2/eps) vectors: truth + mean noise.
-  const double scale = 2.0 / kEpsilon;
-  const double variance = 2.0 * scale * scale / kNumReports;
-  ExpectCellsWithinSigma(
-      server.EstimateFrequencies(), counts, kNumReports,
-      [&](uint64_t) { return variance; }, "SHE");
 }
 
 TEST(UnbiasednessTest, PgrWithinFourSigma) {

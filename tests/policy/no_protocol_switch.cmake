@@ -1,9 +1,7 @@
 # Policy gate: no `switch` over a frequency-oracle Protocol outside
 # src/felip/fo/. Every layer above fo/ must resolve protocols through the
 # registry (fo/registry.h), so adding a protocol never needs out-of-layer
-# edits. Switching on a ProtocolTraits *wire shape* is allowed — that is
-# the registry-sanctioned dispatch in the codec — so conditions mentioning
-# `.wire` are exempt.
+# edits.
 #
 # Invoked by ctest as:
 #   cmake -DSRC=<repo>/src -P no_protocol_switch.cmake
@@ -22,7 +20,7 @@ foreach(path IN LISTS sources)
   # One candidate per switch statement: the condition up to end of line.
   string(REGEX MATCHALL "switch[ \t]*\\([^\n]*" candidates "${content}")
   foreach(candidate IN LISTS candidates)
-    if(candidate MATCHES "[Pp]rotocol" AND NOT candidate MATCHES "\\.wire")
+    if(candidate MATCHES "[Pp]rotocol")
       string(APPEND violations "  ${path}: ${candidate}\n")
     endif()
   endforeach()

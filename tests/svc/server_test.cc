@@ -70,8 +70,7 @@ std::vector<wire::ReportMessage> GrrBatch(uint64_t start, size_t count) {
   std::vector<wire::ReportMessage> batch(count);
   for (size_t i = 0; i < count; ++i) {
     batch[i].grid_index = 0;
-    batch[i].protocol = fo::Protocol::kGrr;
-    batch[i].grr_report = start + i;
+    batch[i].payload = uint64_t{start + i};
   }
   return batch;
 }

@@ -12,6 +12,7 @@
 #include <functional>
 #include <initializer_list>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +35,13 @@ struct TransportParam {
   std::function<std::unique_ptr<Transport>()> make;
   const char* endpoint;  // port 0 => ephemeral for TCP
 };
+
+// Test listings show the parameter; without this gtest prints the struct's
+// raw bytes, whose pointers move with the load address, so every run of
+// the binary would list these tests under different names.
+void PrintTo(const TransportParam& param, std::ostream* os) {
+  *os << param.name;
+}
 
 class TransportContractTest
     : public ::testing::TestWithParam<TransportParam> {};

@@ -92,9 +92,7 @@ TEST(SnapshotTest, TruncationDetected) {
 }
 
 TEST(SnapshotTest, WrongKindRejected) {
-  ReportMessage r;
-  r.protocol = fo::Protocol::kGrr;
-  EXPECT_FALSE(DecodeSnapshot(EncodeReport(r)).has_value());
+  EXPECT_FALSE(DecodeSnapshot(EncodeReport(ReportMessage{})).has_value());
 }
 
 TEST(SnapshotTest, MissingFileFails) {

@@ -57,20 +57,17 @@ GridConfigMessage SampleGridConfig() {
 }
 
 ReportMessage SampleReport(fo::Protocol protocol) {
+  // Indexed by protocol.
+  const fo::ReportPayload payloads[] = {
+      uint64_t{42},
+      fo::OlhReport{.seed = 0x1234, .hashed_report = 3, .seed_index = 9},
+      std::vector<uint8_t>{1, 0, 0, 1, 0, 1, 1, 0},
+      uint32_t{5},
+      fo::FldpReport{.subset_index = 2, .bits = {0, 1, 1, 0}},
+  };
   ReportMessage m;
   m.grid_index = 7;
-  m.protocol = protocol;
-  switch (protocol) {
-    case fo::Protocol::kGrr:
-      m.grr_report = 42;
-      break;
-    case fo::Protocol::kOlh:
-      m.olh = {.seed = 0x1234, .hashed_report = 3, .seed_index = 9};
-      break;
-    case fo::Protocol::kOue:
-      m.oue_bits = {1, 0, 0, 1, 0, 1, 1, 0};
-      break;
-  }
+  m.payload = payloads[static_cast<size_t>(protocol)];
   return m;
 }
 
@@ -86,9 +83,8 @@ TEST(WireFuzzTest, AllThreeMessageTypesRoundTrip) {
   ASSERT_TRUE(config_rt.ok()) << config_rt.status().ToString();
   EXPECT_EQ(*config_rt, config);
 
-  for (const fo::Protocol protocol :
-       {fo::Protocol::kGrr, fo::Protocol::kOlh, fo::Protocol::kOue}) {
-    const ReportMessage report = SampleReport(protocol);
+  for (const fo::ProtocolTraits& traits : fo::AllProtocolTraits()) {
+    const ReportMessage report = SampleReport(traits.protocol);
     const auto report_rt = DecodeReport(EncodeReport(report));
     ASSERT_TRUE(report_rt.ok()) << report_rt.status().ToString();
     EXPECT_EQ(*report_rt, report);
@@ -274,7 +270,7 @@ TEST(WireShardedDecodeTest, AgreesWithPlainDecoderOnMultiShardBatch) {
   std::vector<ReportMessage> batch;
   for (size_t i = 0; i < 10000; ++i) {
     ReportMessage m = SampleReport(fo::Protocol::kGrr);
-    m.grr_report = i;
+    m.payload = uint64_t{i};
     batch.push_back(std::move(m));
   }
   const std::vector<uint8_t> buffer = EncodeReportBatch(batch);

@@ -44,20 +44,16 @@ std::vector<ReportMessage> SampleBatch() {
   std::vector<ReportMessage> reports;
   ReportMessage grr;
   grr.grid_index = 0;
-  grr.protocol = fo::Protocol::kGrr;
-  grr.grr_report = 11;
+  grr.payload = uint64_t{11};
   reports.push_back(grr);
   ReportMessage olh;
   olh.grid_index = 1;
-  olh.protocol = fo::Protocol::kOlh;
-  olh.olh.seed = 0x1234;
-  olh.olh.hashed_report = 3;
-  olh.olh.seed_index = 7;
+  olh.payload = fo::OlhReport{.seed = 0x1234, .hashed_report = 3,
+                              .seed_index = 7};
   reports.push_back(olh);
   ReportMessage oue;
   oue.grid_index = 2;
-  oue.protocol = fo::Protocol::kOue;
-  oue.oue_bits = {1, 0, 1, 1};
+  oue.payload = std::vector<uint8_t>{1, 0, 1, 1};
   reports.push_back(oue);
   return reports;
 }
@@ -139,8 +135,7 @@ TEST(WireMetricsTest, MalformedCounterMatchesInjectedCorruptionCount) {
 TEST(WireMetricsTest, SingleReportDecodesAreCounted) {
   ReportMessage m;
   m.grid_index = 5;
-  m.protocol = fo::Protocol::kGrr;
-  m.grr_report = 2;
+  m.payload = uint64_t{2};
   const std::vector<uint8_t> valid = EncodeReport(m);
   std::vector<uint8_t> corrupt = valid;
   corrupt[0] ^= 0xff;
@@ -187,8 +182,7 @@ TEST(WireMetricsTest, PerProtocolReportByteCounterMatchesRegistryModel) {
 
   ReportMessage grr;
   grr.grid_index = 3;
-  grr.protocol = fo::Protocol::kGrr;
-  grr.grr_report = 11;
+  grr.payload = uint64_t{11};
   const uint64_t grr_before =
       registry.CounterValue("felip_fo_report_bytes_total_grr");
   ASSERT_TRUE(DecodeReport(EncodeReport(grr)).has_value());
@@ -199,9 +193,7 @@ TEST(WireMetricsTest, PerProtocolReportByteCounterMatchesRegistryModel) {
 
   ReportMessage fldp;
   fldp.grid_index = 4;
-  fldp.protocol = fo::Protocol::kFldp;
-  fldp.fldp_subset_index = 2;
-  fldp.oue_bits = {1, 0, 1, 1};
+  fldp.payload = fo::FldpReport{.subset_index = 2, .bits = {1, 0, 1, 1}};
   fo::ProtocolOptions fldp_options;
   fldp_options.fldp.report_bits = 4;
   const uint64_t fldp_before =

@@ -1,6 +1,8 @@
 #include "felip/wire/wire.h"
 
 #include <memory>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -161,16 +163,13 @@ TEST(WireReportTest, RegistryReportBytesMatchCodecBodySize) {
 }
 
 TEST(WireGridConfigTest, RejectsWrongKind) {
-  ReportMessage r;
-  r.protocol = fo::Protocol::kGrr;
-  EXPECT_FALSE(DecodeGridConfig(EncodeReport(r)).has_value());
+  EXPECT_FALSE(DecodeGridConfig(EncodeReport(ReportMessage{})).has_value());
 }
 
 TEST(WireReportTest, GrrRoundTrip) {
   ReportMessage m;
   m.grid_index = 3;
-  m.protocol = fo::Protocol::kGrr;
-  m.grr_report = 42;
+  m.payload = uint64_t{42};
   const auto decoded = DecodeReport(EncodeReport(m));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, m);
@@ -179,10 +178,8 @@ TEST(WireReportTest, GrrRoundTrip) {
 TEST(WireReportTest, OlhRoundTrip) {
   ReportMessage m;
   m.grid_index = 9;
-  m.protocol = fo::Protocol::kOlh;
-  m.olh.seed = 0xdeadbeef;
-  m.olh.hashed_report = 2;
-  m.olh.seed_index = 17;
+  m.payload =
+      fo::OlhReport{.seed = 0xdeadbeef, .hashed_report = 2, .seed_index = 17};
   const auto decoded = DecodeReport(EncodeReport(m));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, m);
@@ -191,8 +188,7 @@ TEST(WireReportTest, OlhRoundTrip) {
 TEST(WireReportTest, OueRoundTrip) {
   ReportMessage m;
   m.grid_index = 0;
-  m.protocol = fo::Protocol::kOue;
-  m.oue_bits = {1, 0, 0, 1, 1, 0};
+  m.payload = std::vector<uint8_t>{1, 0, 0, 1, 1, 0};
   const auto decoded = DecodeReport(EncodeReport(m));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, m);
@@ -201,8 +197,7 @@ TEST(WireReportTest, OueRoundTrip) {
 TEST(WireReportTest, PgrRoundTrip) {
   ReportMessage m;
   m.grid_index = 5;
-  m.protocol = fo::Protocol::kPgr;
-  m.pgr_point = 0xbeef;
+  m.payload = uint32_t{0xbeef};
   const auto decoded = DecodeReport(EncodeReport(m));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, m);
@@ -211,23 +206,22 @@ TEST(WireReportTest, PgrRoundTrip) {
 TEST(WireReportTest, FldpRoundTrip) {
   ReportMessage m;
   m.grid_index = 2;
-  m.protocol = fo::Protocol::kFldp;
-  m.fldp_subset_index = 321;
-  m.oue_bits = {1, 0, 1, 1, 0, 0, 0, 1};
+  m.payload = fo::FldpReport{.subset_index = 321,
+                              .bits = {1, 0, 1, 1, 0, 0, 0, 1}};
   const auto decoded = DecodeReport(EncodeReport(m));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, m);
 }
 
 TEST(WireReportTest, NewShapesRejectTruncationAndBitFlips) {
-  for (const fo::Protocol protocol :
-       {fo::Protocol::kPgr, fo::Protocol::kFldp}) {
+  for (const fo::ReportPayload& payload :
+       {fo::ReportPayload(uint32_t{77}),
+        fo::ReportPayload(fo::FldpReport{.subset_index = 13,
+                                         .bits = {0, 1, 1, 0}})}) {
     ReportMessage m;
     m.grid_index = 11;
-    m.protocol = protocol;
-    m.pgr_point = 77;
-    m.fldp_subset_index = 13;
-    if (protocol == fo::Protocol::kFldp) m.oue_bits = {0, 1, 1, 0};
+    m.payload = payload;
+    const fo::Protocol protocol = m.protocol();
     const std::vector<uint8_t> encoded = EncodeReport(m);
     for (size_t len = 0; len < encoded.size(); ++len) {
       const std::vector<uint8_t> truncated(encoded.begin(),
@@ -246,16 +240,13 @@ TEST(WireReportTest, NewShapesRejectTruncationAndBitFlips) {
 
 TEST(WireReportTest, RejectsNonBinaryFldpBits) {
   ReportMessage m;
-  m.protocol = fo::Protocol::kFldp;
-  m.fldp_subset_index = 1;
-  m.oue_bits = {1, 2, 0};
+  m.payload = fo::FldpReport{.subset_index = 1, .bits = {1, 2, 0}};
   EXPECT_FALSE(DecodeReport(EncodeReport(m)).has_value());
 }
 
 TEST(WireReportTest, RejectsNonBinaryOueBits) {
   ReportMessage m;
-  m.protocol = fo::Protocol::kOue;
-  m.oue_bits = {1, 2, 0};
+  m.payload = std::vector<uint8_t>{1, 2, 0};
   // The encoder writes whatever it is given; the decoder must reject it.
   EXPECT_FALSE(DecodeReport(EncodeReport(m)).has_value());
 }
@@ -266,18 +257,11 @@ TEST(WireReportTest, EmptyBufferFails) {
 
 TEST(WireBatchTest, RoundTripsMixedProtocols) {
   std::vector<ReportMessage> batch(5);
-  batch[0].protocol = fo::Protocol::kGrr;
-  batch[0].grr_report = 5;
-  batch[1].protocol = fo::Protocol::kOlh;
-  batch[1].olh.seed = 77;
-  batch[1].olh.hashed_report = 1;
-  batch[2].protocol = fo::Protocol::kOue;
-  batch[2].oue_bits = {0, 1};
-  batch[3].protocol = fo::Protocol::kPgr;
-  batch[3].pgr_point = 9;
-  batch[4].protocol = fo::Protocol::kFldp;
-  batch[4].fldp_subset_index = 4;
-  batch[4].oue_bits = {1, 1, 0};
+  batch[0].payload = uint64_t{5};
+  batch[1].payload = fo::OlhReport{.seed = 77, .hashed_report = 1};
+  batch[2].payload = std::vector<uint8_t>{0, 1};
+  batch[3].payload = uint32_t{9};
+  batch[4].payload = fo::FldpReport{.subset_index = 4, .bits = {1, 1, 0}};
   const auto decoded = DecodeReportBatch(EncodeReportBatch(batch));
   ASSERT_TRUE(decoded.has_value());
   ASSERT_EQ(decoded->size(), batch.size());
@@ -294,36 +278,89 @@ TEST(WireBatchTest, EmptyBatchAllowed) {
 
 TEST(WireBatchTest, CorruptedCountFails) {
   std::vector<ReportMessage> batch(2);
-  batch[0].protocol = fo::Protocol::kGrr;
-  batch[1].protocol = fo::Protocol::kGrr;
   std::vector<uint8_t> encoded = EncodeReportBatch(batch);
   encoded[6] = 200;  // claim 200 reports
   EXPECT_FALSE(DecodeReportBatch(encoded).has_value());
 }
 
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const uint8_t b : bytes) {
+    hex.push_back(kDigits[b >> 4]);
+    hex.push_back(kDigits[b & 0xf]);
+  }
+  return hex;
+}
+
+// One pinned report frame: a registry client perturbs `value` with
+// Rng(seed), and the encoded frame must be exactly `hex`.
+struct GoldenReport {
+  const char* name;
+  fo::Protocol protocol;
+  fo::ProtocolOptions options;
+  double epsilon;
+  uint64_t domain;
+  uint64_t value;
+  uint64_t seed;
+  const char* hex;
+};
+
+fo::ProtocolOptions PooledOlh() {
+  fo::ProtocolOptions options;
+  options.olh.seed_pool_size = 64;
+  return options;
+}
+
+fo::ProtocolOptions SmallFldpPool() {
+  fo::ProtocolOptions options;
+  options.fldp.subset_pool_size = 16;
+  return options;
+}
+
 TEST(WireFormatStabilityTest, GoldenBytesForGrrReport) {
   // Wire-format regression guard: these exact bytes are version 1 of the
-  // format. If this test breaks, bump kVersion instead of silently
-  // changing the encoding under deployed clients.
-  ReportMessage m;
-  m.grid_index = 0x01020304;
-  m.protocol = fo::Protocol::kGrr;
-  m.grr_report = 0x1122334455667788ULL;
-  const std::vector<uint8_t> encoded = EncodeReport(m);
-  // magic "FELP" LE, version 1, kind 2, grid index LE, protocol 0,
-  // payload LE, then an 8-byte checksum.
-  const std::vector<uint8_t> expected_prefix = {
-      0x50, 0x4c, 0x45, 0x46, 0x01, 0x02, 0x04, 0x03, 0x02, 0x01, 0x00,
-      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11};
-  ASSERT_EQ(encoded.size(), expected_prefix.size() + 8);
-  for (size_t i = 0; i < expected_prefix.size(); ++i) {
-    EXPECT_EQ(encoded[i], expected_prefix[i]) << "byte " << i;
+  // format, one row per protocol shape. If this test breaks, bump
+  // kVersion instead of silently changing the encoding under deployed
+  // clients. Rows are built through the registry's report clients, so
+  // they also pin each client's rng trajectory. Frame layout: magic
+  // "FELP" LE, version 1, kind 2, grid index LE, protocol byte, payload
+  // LE, then the 8-byte xxHash64 trailer.
+  const GoldenReport rows[] = {
+      {"grr", fo::Protocol::kGrr, {}, 1.0, 1000000, 123456, 1,
+       "504c4546" "0102" "04030201" "00"
+       "60660b0000000000" "a5d685d6d52ceab7"},
+      {"olh_pooled", fo::Protocol::kOlh, PooledOlh(), 1.0, 64, 5, 2,
+       "504c4546" "0102" "04030201" "01"
+       "b23c12e56f2fd6340100000030000000" "3f9a500389b58ecd"},
+      {"olh_per_user", fo::Protocol::kOlh, {}, 1.0, 64, 5, 3,
+       "504c4546" "0102" "04030201" "01"
+       "296919b991eb2b0d03000000ffffffff" "820c111114c31f7d"},
+      {"oue", fo::Protocol::kOue, {}, 1.0, 12, 7, 4,
+       "504c4546" "0102" "04030201" "02"
+       "0c000000000001000100000000010100" "8fe8e87ed839c9e5"},
+      {"pgr", fo::Protocol::kPgr, {}, 1.0, 100, 42, 5,
+       "504c4546" "0102" "04030201" "03"
+       "03000000" "87a679bedc1d6c74"},
+      {"fldp", fo::Protocol::kFldp, SmallFldpPool(), 1.0, 50, 9, 6,
+       "504c4546" "0102" "04030201" "04"
+       "0b000000080000000000010000010001" "bc92eb03a24f4b28"},
+  };
+  for (const GoldenReport& row : rows) {
+    SCOPED_TRACE(row.name);
+    const std::unique_ptr<fo::ReportClient> client = fo::MakeReportClient(
+        row.protocol, row.epsilon, row.domain, row.options);
+    Rng rng(row.seed);
+    ReportMessage m;
+    static_cast<fo::ReportData&>(m) = client->Perturb(row.value, rng);
+    m.grid_index = 0x01020304;
+    const std::vector<uint8_t> encoded = EncodeReport(m);
+    EXPECT_EQ(Hex(encoded), row.hex);
+    const auto decoded = DecodeReport(encoded);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(*decoded, m);
+    EXPECT_EQ(EncodeReport(*decoded), encoded);
   }
-  // The trailer must be the xxHash64 of the prefix under the fixed salt —
-  // verified indirectly: decoding succeeds and round-trips.
-  const auto decoded = DecodeReport(encoded);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, m);
 }
 
 TEST(WireFuzzTest, RandomBuffersNeverDecode) {
@@ -341,8 +378,7 @@ TEST(WireFuzzTest, RandomBuffersNeverDecode) {
 
 TEST(WireFuzzTest, ValidPrefixWithGarbageTailFails) {
   ReportMessage m;
-  m.protocol = fo::Protocol::kGrr;
-  m.grr_report = 1;
+  m.payload = uint64_t{1};
   std::vector<uint8_t> buffer = EncodeReport(m);
   buffer.push_back(0xab);
   EXPECT_FALSE(DecodeReport(buffer).has_value());
@@ -388,8 +424,7 @@ TEST(WireDeviceIntegrationTest, DeviceSideRoundTripEstimates) {
   for (uint64_t row = 0; row < ds.num_rows(); ++row) {
     ReportMessage report;
     report.grid_index = device_config->grid_index;
-    report.protocol = fo::Protocol::kOlh;
-    report.olh =
+    report.payload =
         olh_client.Perturb(device.ProjectToCell(ds.Value(row, 0)), rng);
     batch.push_back(report);
   }
@@ -399,7 +434,9 @@ TEST(WireDeviceIntegrationTest, DeviceSideRoundTripEstimates) {
   ASSERT_TRUE(received.has_value());
   fo::OlhServer server(device_config->epsilon, device.cell_domain(),
                        olh_options);
-  for (const ReportMessage& r : *received) server.Add(r.olh);
+  for (const ReportMessage& r : *received) {
+    server.Add(std::get<fo::OlhReport>(r.payload));
+  }
   const std::vector<double> est = server.EstimateFrequencies();
 
   // Compare to the exact cell histogram.
