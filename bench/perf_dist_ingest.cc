@@ -88,7 +88,6 @@ void BM_DistIngestLoopback(benchmark::State& state) {
     svc::IngestServerOptions options;
     options.queue_capacity = 128;
     options.worker_threads = 2;
-    options.decode_threads = 1;
     shard->server = std::make_unique<svc::IngestServer>(
         &transport, "dist-ingest" + std::to_string(s), &shard->sink,
         options);

@@ -1,6 +1,6 @@
 // Ingest-service throughput (google-benchmark): reports/sec through the
 // full networked path — encode, frame, transport, checksum + dedup, queue,
-// sharded decode, sink — over loopback and real TCP sockets, at 1/2/4
+// batch decode, sink — over loopback and real TCP sockets, at 1/2/4
 // server worker threads. The sink counts reports without aggregating so
 // the numbers isolate service overhead from estimation cost.
 
@@ -78,7 +78,6 @@ void RunIngestBench(benchmark::State& state, TransportFactory make,
   svc::IngestServerOptions options;
   options.queue_capacity = 128;
   options.worker_threads = workers;
-  options.decode_threads = 1;
   options.report_log = std::move(report_log);
   svc::IngestServer server(transport.get(), endpoint, &sink, options);
   if (!server.Start()) {

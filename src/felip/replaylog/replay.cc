@@ -137,6 +137,10 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
     stats.segments_read += 1;
 
     LogRecord record;
+    // Reused for every batch of this segment, like a server worker's
+    // decode buffer; scoped to the segment so what it retains stays
+    // proportional to the segment bytes already in memory.
+    std::vector<wire::ReportMessage> messages;
     while (true) {
       StatusOr<bool> next = parser->Next(&record);
       if (!next.ok()) {
@@ -148,9 +152,8 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
       if (!*next) break;
 
       // Mirror the live server's gates: trailer verification
-      // (HandleFrame), trailer-keyed dedup, then the sharded structural
-      // decode (WorkerLoop). Thread count 1 keeps the decode serial; the
-      // accepted multiset — hence the estimate — is identical either way.
+      // (HandleFrame), trailer-keyed dedup, then the structural decode
+      // (WorkerLoop).
       if (!svc::VerifyChecksumTrailer(record.payload) ||
           svc::ChecksumTrailer(record.payload).value_or(0) != record.key) {
         stats.batches_undecodable += 1;
@@ -160,14 +163,7 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
         stats.batches_duplicate += 1;
         continue;
       }
-      std::vector<wire::ReportMessage> messages;
-      const StatusOr<size_t> count = wire::DecodeReportBatchSharded(
-          record.payload,
-          [&](size_t /*shard*/, size_t /*index*/, wire::ReportMessage&& m) {
-            messages.push_back(std::move(m));
-          },
-          /*thread_count=*/1);
-      if (!count.ok()) {
+      if (!wire::DecodeReportBatch(record.payload, &messages).ok()) {
         stats.batches_undecodable += 1;
         continue;
       }

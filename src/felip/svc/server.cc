@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <utility>
+#include <vector>
 
 #include "felip/obs/metrics.h"
 #include "felip/obs/trace.h"
@@ -46,6 +47,26 @@ struct ServerCounters {
     return counters;
   }
 };
+
+// A worker's decode buffer is reused across frames, so what it holds —
+// the report array and each report's bit vector — was sized by the frames
+// decoded into it since it was last released. Releasing it once it holds
+// more than kRetainedReports reports, or once those frames exceed
+// kRetainedFrameBytes, keeps what a worker pins between batches to a few
+// MiB whatever a client sends; one 64 MiB frame of 9-byte records alone
+// would otherwise pin ~360 MB for the server's lifetime.
+constexpr size_t kRetainedReports = size_t{1} << 16;
+constexpr size_t kRetainedFrameBytes = size_t{4} << 20;
+
+void ReleaseIfOversized(std::vector<wire::ReportMessage>* messages,
+                        size_t* retained_frame_bytes, size_t frame_bytes) {
+  *retained_frame_bytes += frame_bytes;
+  if (messages->capacity() > kRetainedReports ||
+      *retained_frame_bytes > kRetainedFrameBytes) {
+    std::vector<wire::ReportMessage>().swap(*messages);
+    *retained_frame_bytes = 0;
+  }
+}
 
 }  // namespace
 
@@ -201,27 +222,22 @@ void IngestServer::CheckpointLocked() {
 
 void IngestServer::WorkerLoop() {
   ServerCounters& counters = ServerCounters::Get();
+  // Every frame decodes into this one vector, which keeps its reports'
+  // storage from frame to frame until ReleaseIfOversized drops it.
+  std::vector<wire::ReportMessage> messages;
+  size_t retained_frame_bytes = 0;
   while (true) {
     std::optional<std::vector<uint8_t>> frame = queue_.Pop();
     if (!frame.has_value()) return;
     counters.queue_depth.Set(static_cast<double>(queue_.size()));
 
     obs::ScopedTimer span("felip_svc_drain");
-    // The sharded decoder validates every record before the first sink
-    // call, so structurally bad batches (checksum-valid garbage from an
-    // adversarial client — honest retries can't produce them) are dropped
-    // whole, and messages collected here are always well-formed.
-    std::vector<wire::ReportMessage> messages;
-    std::mutex messages_mutex;
-    const StatusOr<size_t> count = wire::DecodeReportBatchSharded(
-        *frame,
-        [&](size_t /*shard*/, size_t /*index*/, wire::ReportMessage&& m) {
-          std::lock_guard<std::mutex> lock(messages_mutex);
-          messages.push_back(std::move(m));
-        },
-        options_.decode_threads);
-    if (!count.ok()) {
+    // The decoder validates every record before the first sink call, so
+    // structurally bad batches (checksum-valid garbage from an adversarial
+    // client — honest retries can't produce them) are dropped whole.
+    if (!wire::DecodeReportBatch(*frame, &messages).ok()) {
       batches_undecodable_.fetch_add(1);
+      ReleaseIfOversized(&messages, &retained_frame_bytes, frame->size());
       continue;
     }
     {
@@ -259,10 +275,12 @@ void IngestServer::WorkerLoop() {
       // epoch being sealed.
       if (options_.after_drain) options_.after_drain(drained_.Keys());
     }
-    counters.reports.Increment(messages.size());
+    const size_t count = messages.size();
+    ReleaseIfOversized(&messages, &retained_frame_bytes, frame->size());
+    counters.reports.Increment(count);
     {
       std::lock_guard<std::mutex> lock(reports_mutex_);
-      reports_seen_ += messages.size();
+      reports_seen_ += count;
     }
     reports_cv_.notify_all();
   }

@@ -15,9 +15,10 @@
 //      suggested retry_after_ms and NOT recorded as seen, so the client's
 //      resend is a fresh attempt.
 //
-// A pool of worker threads drains the queue, decodes each batch with
-// wire::DecodeReportBatchSharded (structural validation before any report
-// reaches the sink), and hands the decoded reports to a ReportSink.
+// A pool of worker threads drains the queue. Each worker decodes a batch
+// in one validating pass (wire::DecodeReportBatch: no report reaches the
+// sink unless the whole batch is well-formed) into one report vector it
+// reuses across batches, and hands that vector to a ReportSink.
 // Aggregation is integer-count based, so estimates depend only on the
 // multiset of accepted batches — worker count, queue order, and batch
 // boundaries cannot change the result.
@@ -86,8 +87,6 @@ struct IngestServerOptions {
   size_t queue_capacity = 64;
   // Worker threads draining the queue into the sink.
   unsigned worker_threads = 2;
-  // Threads each worker hands to the sharded batch decoder (1 = serial).
-  unsigned decode_threads = 1;
   // Suggested client wait carried in kResourceExhausted acks.
   uint32_t retry_after_ms = 5;
   // Max keys remembered by each dedup window (admission and drained).

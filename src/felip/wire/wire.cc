@@ -61,11 +61,11 @@ std::optional<size_t> ValidateEnvelope(const std::vector<uint8_t>& buffer,
 
 // Per-protocol received-report byte counters
 // (felip_fo_report_bytes_total_<protocol>), indexed by protocol byte and
-// cached once per process. Incremented by the decode pass only, so every
-// accepted report is counted exactly once even under the two-pass sharded
-// decoder. The measured span is the protocol body after the grid-index/
-// protocol header, so the counter agrees with ProtocolTraits::report_bytes
-// — the per-report cost AFO budgets against.
+// cached once per process. Incremented only for frames that decoded
+// whole, so every accepted report is counted exactly once. The measured
+// span is the protocol body after the grid-index/protocol header, so the
+// counter agrees with ProtocolTraits::report_bytes — the per-report cost
+// AFO budgets against.
 obs::Counter& ReportBytesCounter(fo::Protocol protocol) {
   static std::array<obs::Counter*, fo::kNumProtocols> counters = [] {
     std::array<obs::Counter*, fo::kNumProtocols> c{};
@@ -160,8 +160,7 @@ bool ReadPayload(Reader& r, fo::FldpReport* report) {
 }
 
 // Reads alternative I of the payload in place, reusing the storage of a
-// payload that already holds it (the sharded decoder's index pass reads
-// every record into one scratch message).
+// payload that already holds it (a batch decoded into a reused vector).
 template <size_t I>
 bool ReadAlternative(Reader& r, fo::ReportPayload* payload) {
   if (payload->index() != I) payload->emplace<I>();
@@ -187,23 +186,30 @@ void EncodeReportBody(Writer& w, const ReportMessage& m) {
              m.payload);
 }
 
-// Reads one report record without counting it; the index pass of the
-// sharded decoder validates with exactly the decoder's own checks.
-bool ReadReportBody(Reader& r, ReportMessage* m) {
+// Per-protocol sums of received report body bytes, indexed by protocol
+// byte. A decoder adds each record's body here and hands the sums to
+// CountReportBytes only once its whole frame has validated, so a rejected
+// frame counts nothing.
+using ReportBodyBytes = std::array<uint64_t, fo::kNumProtocols>;
+
+// Reads one report record into `m`, reusing the storage of its payload.
+bool ReadReport(Reader& r, ReportMessage* m, ReportBodyBytes* body_bytes) {
   uint8_t protocol = 0;
   if (!r.Get(&m->grid_index) || !r.Get(&protocol)) return false;
   if (!fo::KnownProtocolByte(protocol)) return false;
-  return kPayloadReaders[protocol](r, &m->payload);
+  const size_t body_start = r.position();
+  if (!kPayloadReaders[protocol](r, &m->payload)) return false;
+  (*body_bytes)[protocol] += r.position() - body_start;
+  return true;
 }
 
-bool DecodeReportBody(Reader& r, ReportMessage* m) {
-  const size_t start = r.position();
-  if (!ReadReportBody(r, m)) return false;
-  // The counted span is the payload after the grid-index/protocol header.
-  constexpr size_t kHeaderBytes = 4 + 1;
-  ReportBytesCounter(m->protocol())
-      .Increment(r.position() - start - kHeaderBytes);
-  return true;
+void CountReportBytes(const ReportBodyBytes& body_bytes) {
+  for (size_t p = 0; p < body_bytes.size(); ++p) {
+    if (body_bytes[p] != 0) {
+      ReportBytesCounter(static_cast<fo::Protocol>(p))
+          .Increment(body_bytes[p]);
+    }
+  }
 }
 
 // Decode-path instruments, cached once per process. Every public decoder
@@ -235,53 +241,47 @@ DecodeCounters& Counters() {
 // names the frame kind so service logs stay diagnosable.
 Status Malformed(const char* what) { return Status::InvalidArgument(what); }
 
-std::optional<size_t> DecodeReportBatchShardedImpl(
-    const std::vector<uint8_t>& buffer,
-    const std::function<void(size_t shard_index, size_t report_index,
-                             ReportMessage&& message)>& sink,
-    unsigned thread_count) {
+// One validating pass over a ReportBatch frame: record i is read straight
+// into (*out)[i], and the pass must end exactly at the checksum trailer.
+bool DecodeReportBatchImpl(const std::vector<uint8_t>& buffer,
+                           std::vector<ReportMessage>* out) {
   const auto payload_end =
       ValidateEnvelope(buffer, MessageKind::kReportBatch);
-  if (!payload_end.has_value()) return std::nullopt;
+  if (!payload_end.has_value()) return false;
   Reader r(buffer);
-  if (!r.Skip(6)) return std::nullopt;
+  if (!r.Skip(6)) return false;
   // Every record is at least grid(4) + protocol(1) + a 4-byte payload
   // (PGR point or empty-OUE length), so an adversarial count is rejected
-  // before anything proportional to it is reserved.
+  // before anything proportional to it is allocated.
   constexpr size_t kMinReportBytes = 4 + 1 + 4;
   uint32_t count = 0;
-  if (!r.GetCount(&count, kMinReportBytes, *payload_end)) return std::nullopt;
-
-  // Index pass: record each report's byte offset while validating its
-  // structure. After this loop every record is known well-formed, so the
-  // decode pass below cannot fail.
-  std::vector<size_t> offsets;
-  offsets.reserve(count);
-  ReportMessage scratch;
-  for (uint32_t i = 0; i < count; ++i) {
-    offsets.push_back(r.position());
-    if (!ReadReportBody(r, &scratch)) return std::nullopt;
+  if (!r.GetCount(&count, kMinReportBytes, *payload_end)) return false;
+  out->resize(count);
+  ReportBodyBytes body_bytes{};
+  for (ReportMessage& m : *out) {
+    if (!ReadReport(r, &m, &body_bytes)) return false;
   }
-  if (r.position() != *payload_end) return std::nullopt;
-
-  const size_t num_shards = ReportBatchShardCount(count);
-  ParallelFor(
-      num_shards,
-      [&](size_t s) {
-        const auto [begin, end] = SliceRange(count, s, num_shards);
-        Reader shard_reader(buffer);
-        if (begin < end) FELIP_CHECK(shard_reader.Skip(offsets[begin]));
-        for (size_t i = begin; i < end; ++i) {
-          ReportMessage m;
-          FELIP_CHECK(DecodeReportBody(shard_reader, &m));
-          sink(s, i, std::move(m));
-        }
-      },
-      thread_count);
-  return count;
+  if (r.position() != *payload_end) return false;
+  CountReportBytes(body_bytes);
+  return true;
 }
 
 }  // namespace
+
+Status DecodeReportBatch(const std::vector<uint8_t>& buffer,
+                         std::vector<ReportMessage>* out) {
+  obs::ScopedTimer span("felip_wire_decode_batch");
+  DecodeCounters& counters = Counters();
+  counters.bytes.Increment(buffer.size());
+  if (!DecodeReportBatchImpl(buffer, out)) {
+    out->clear();
+    counters.malformed.Increment();
+    return Malformed("malformed report-batch frame");
+  }
+  counters.batches.Increment();
+  counters.reports.Increment(out->size());
+  return Status::Ok();
+}
 
 size_t ReportBatchShardCount(size_t count) { return ReduceShardCount(count); }
 
@@ -290,18 +290,20 @@ StatusOr<size_t> DecodeReportBatchSharded(
     const std::function<void(size_t shard_index, size_t report_index,
                              ReportMessage&& message)>& sink,
     unsigned thread_count) {
-  obs::ScopedTimer span("felip_wire_decode_batch");
-  DecodeCounters& counters = Counters();
-  counters.bytes.Increment(buffer.size());
-  const std::optional<size_t> count =
-      DecodeReportBatchShardedImpl(buffer, sink, thread_count);
-  if (!count.has_value()) {
-    counters.malformed.Increment();
-    return Malformed("malformed report-batch frame");
-  }
-  counters.batches.Increment();
-  counters.reports.Increment(*count);
-  return *count;
+  std::vector<ReportMessage> reports;
+  FELIP_RETURN_IF_ERROR(DecodeReportBatch(buffer, &reports));
+  const size_t count = reports.size();
+  const size_t num_shards = ReportBatchShardCount(count);
+  ParallelFor(
+      num_shards,
+      [&](size_t s) {
+        const auto [begin, end] = SliceRange(count, s, num_shards);
+        for (size_t i = begin; i < end; ++i) {
+          sink(s, i, std::move(reports[i]));
+        }
+      },
+      thread_count);
+  return count;
 }
 
 std::vector<uint8_t> EncodeGridConfig(const GridConfigMessage& m) {
@@ -409,8 +411,10 @@ std::optional<ReportMessage> DecodeReportImpl(
   uint8_t skip[6];
   if (!r.GetBytes(skip, sizeof(skip))) return std::nullopt;
   ReportMessage m;
-  if (!DecodeReportBody(r, &m)) return std::nullopt;
+  ReportBodyBytes body_bytes{};
+  if (!ReadReport(r, &m, &body_bytes)) return std::nullopt;
   if (r.position() != *payload_end) return std::nullopt;
+  CountReportBytes(body_bytes);
   return m;
 }
 
@@ -441,16 +445,8 @@ std::vector<uint8_t> EncodeReportBatch(
 
 StatusOr<std::vector<ReportMessage>> DecodeReportBatch(
     const std::vector<uint8_t>& buffer) {
-  // The sharded decoder with thread_count == 1 visits reports in index
-  // order on the calling thread, so a plain push_back rebuilds the batch.
   std::vector<ReportMessage> reports;
-  const StatusOr<size_t> count = DecodeReportBatchSharded(
-      buffer,
-      [&reports](size_t /*shard*/, size_t /*index*/, ReportMessage&& m) {
-        reports.push_back(std::move(m));
-      },
-      /*thread_count=*/1);
-  FELIP_RETURN_IF_ERROR(count.status());
+  FELIP_RETURN_IF_ERROR(DecodeReportBatch(buffer, &reports));
   return reports;
 }
 

@@ -87,6 +87,18 @@ StatusOr<ReportMessage> DecodeReport(const std::vector<uint8_t>& buffer);
 StatusOr<std::vector<ReportMessage>> DecodeReportBatch(
     const std::vector<uint8_t>& buffer);
 
+// The report-batch decoder every other one wraps: one validating pass
+// (envelope, checksum, a count bounded by the bytes present, every record,
+// no trailing bytes) that reads record i straight into (*out)[i]. `out` is
+// resized to the batch's report count, and an element whose payload
+// already holds the record's alternative keeps its storage, so a caller
+// that reuses one vector across frames allocates only when a batch
+// outgrows it. On error `out` is left empty. The per-protocol
+// felip_fo_report_bytes_total_* counters move only for a batch that
+// decoded whole.
+Status DecodeReportBatch(const std::vector<uint8_t>& buffer,
+                         std::vector<ReportMessage>* out);
+
 // --- Query frames (the networked query service, felip/svc) ---
 //
 // A QueryBatch frame carries λ-dimensional counting queries from a client
@@ -210,13 +222,10 @@ StatusOr<AccumulatorFrameMessage> DecodeAccumulatorFrame(
 
 // --- Sharded batch decoding ---
 //
-// DecodeReportBatch materializes every report before the caller can
-// aggregate any of them. The sharded variant instead validates the whole
-// batch up front (envelope, checksum, and every record boundary — any
-// malformed input fails before the sink sees a single report), then
-// decodes fixed shards of records concurrently, handing each report to
-// `sink(shard_index, report_index, message)` as it is decoded — no
-// intermediate vector of all decoded reports exists.
+// Decodes the whole batch with DecodeReportBatch (any malformed input
+// fails before the sink sees a single report), then hands fixed shards of
+// the decoded reports concurrently to `sink(shard_index, report_index,
+// message)`.
 //
 // Shard boundaries depend only on the report count (never on
 // `thread_count`), shard_index < ReportBatchShardCount(count), and reports

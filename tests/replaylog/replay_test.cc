@@ -92,7 +92,6 @@ LoggedRound RunLoggedRound(const std::string& log_dir,
   svc::IngestServerOptions server_options;
   server_options.queue_capacity = 8;
   server_options.worker_threads = 3;
-  server_options.decode_threads = 2;
   server_options.report_log = [&log](uint64_t key,
                                      std::span<const uint8_t> frame) {
     return log->Append(RecordType::kBatch, key, frame);

@@ -80,7 +80,6 @@ NetworkedRun RunNetworked(const data::Dataset& dataset,
   IngestServerOptions server_options;
   server_options.queue_capacity = 8;
   server_options.worker_threads = 3;
-  server_options.decode_threads = 2;
   IngestServer server(transport, endpoint, &sink, server_options);
   EXPECT_TRUE(server.Start());
 

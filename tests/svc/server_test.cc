@@ -9,6 +9,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -16,9 +17,13 @@
 #include <gtest/gtest.h>
 
 #include "felip/common/hash.h"
+#include "felip/core/felip.h"
+#include "felip/data/synthetic.h"
 #include "felip/svc/client.h"
 #include "felip/svc/loopback.h"
 #include "felip/svc/message.h"
+#include "felip/svc/simulator.h"
+#include "felip/svc/sink.h"
 #include "felip/wire/wire.h"
 
 namespace felip::svc {
@@ -271,6 +276,103 @@ TEST(IngestServerTest, ChecksumValidButUndecodableBatchIsCountedNotSunk) {
   EXPECT_EQ(server.batches_undecodable(), 1u);
   EXPECT_EQ(sink.batches(), 0u);
   EXPECT_EQ(sink.reports(), 0u);
+}
+
+// A worker decodes every frame into one vector it keeps across frames. A
+// short batch after a long one, then an undecodable batch that fails
+// midway, must reach the sink with nothing left over from an earlier
+// frame: exactly the reports sent, aggregated as an in-process ingest of
+// them would be.
+TEST(IngestServerTest, ReusedDecodeBufferNeverSinksAStaleTail) {
+  constexpr uint64_t kUsers = 6000;
+  const data::Dataset dataset = data::MakeIpumsLike(kUsers, 4, 30, 6, 7);
+  core::FelipConfig config;
+  config.strategy = core::Strategy::kOhg;
+  config.epsilon = 1.0;
+  config.seed = 7;
+  const auto new_pipeline = [&] {
+    return core::FelipPipeline(dataset.attributes(), kUsers, config);
+  };
+
+  // One round's reports, split by protocol.
+  core::FelipPipeline planned = new_pipeline();
+  std::vector<wire::GridConfigMessage> grid_configs;
+  for (uint32_t g = 0; g < planned.num_groups(); ++g) {
+    grid_configs.push_back(wire::MakeGridConfig(
+        planned, dataset.attributes(), g, planned.per_grid_epsilon(),
+        config.protocol_options()));
+  }
+  SimulatorOptions simulator_options;
+  simulator_options.seed = config.seed;
+  std::map<fo::Protocol, std::vector<wire::ReportMessage>> by_protocol;
+  ASSERT_TRUE(PopulationSimulator(grid_configs, simulator_options)
+                  .Run(dataset,
+                       [&](const std::vector<wire::ReportMessage>& batch) {
+                         for (const wire::ReportMessage& m : batch) {
+                           by_protocol[m.protocol()].push_back(m);
+                         }
+                         return true;
+                       })
+                  .has_value());
+  ASSERT_GE(by_protocol.size(), 2u);
+  auto most = by_protocol.begin();
+  for (auto it = by_protocol.begin(); it != by_protocol.end(); ++it) {
+    if (it->second.size() > most->second.size()) most = it;
+  }
+  auto other = by_protocol.begin();
+  if (other == most) ++other;
+  ASSERT_GE(most->second.size(), 2005u);
+  ASSERT_GE(other->second.size(), 3u);
+  const std::vector<wire::ReportMessage> long_batch(
+      most->second.begin(), most->second.begin() + 2000);
+  const std::vector<wire::ReportMessage> short_batch(
+      other->second.begin(), other->second.begin() + 3);
+  // Checksum-valid, but record 3 carries an unknown protocol byte.
+  const std::vector<wire::ReportMessage> victim(
+      most->second.begin() + 2000, most->second.begin() + 2005);
+  std::vector<uint8_t> undecodable = wire::EncodeReportBatch(victim);
+  size_t offset = 6 + 4;  // header + report count
+  for (size_t i = 0; i < 3; ++i) {
+    offset += wire::EncodeReport(victim[i]).size() - 6 - 8;
+  }
+  undecodable[offset + 4] = 0x7f;
+  Reseal(&undecodable);
+
+  core::FelipPipeline served = new_pipeline();
+  PipelineSink sink(&served);
+  LoopbackTransport transport;
+  IngestServerOptions options;
+  options.worker_threads = 1;
+  IngestServer server(&transport, "ingest", &sink, options);
+  ASSERT_TRUE(server.Start());
+  auto connection = transport.Connect(server.endpoint(), 1000);
+  ASSERT_NE(connection, nullptr);
+  for (const std::vector<uint8_t>& frame :
+       {wire::EncodeReportBatch(long_batch),
+        wire::EncodeReportBatch(short_batch), undecodable}) {
+    const std::optional<Ack> ack = RoundTrip(connection.get(), frame);
+    ASSERT_TRUE(ack.has_value());
+    EXPECT_EQ(ack->status, StatusCode::kOk);
+  }
+  server.Stop();  // drains all three
+  sink.Finish();
+  EXPECT_EQ(server.batches_undecodable(), 1u);
+  EXPECT_EQ(server.reports_seen(), 2003u);
+  EXPECT_EQ(sink.accepted() + sink.rejected(), 2003u);
+  EXPECT_EQ(sink.rejected(), 0u);
+
+  core::FelipPipeline reference = new_pipeline();
+  reference.BeginIngest();
+  for (const auto* batch : {&long_batch, &short_batch}) {
+    for (const wire::ReportMessage& m : *batch) {
+      ASSERT_TRUE(reference.IngestReport(m.grid_index, m).ok());
+    }
+  }
+  reference.FinishIngest();
+  reference.Finalize();
+  served.Finalize();
+  EXPECT_EQ(core::GridFrequencyDigest(served),
+            core::GridFrequencyDigest(reference));
 }
 
 TEST(IngestServerTest, WaitForReportsTimesOutWhenShortOfCount) {

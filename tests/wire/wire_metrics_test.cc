@@ -7,7 +7,9 @@
 
 #include "felip/wire/wire.h"
 
+#include <cctype>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -221,6 +223,95 @@ TEST(WireMetricsTest, ShardedDecodeCountsOncePerCall) {
   EXPECT_EQ(after.reports - before.reports, batch.size());
   EXPECT_EQ(after.bytes - before.bytes, valid.size());
   EXPECT_EQ(after.malformed, before.malformed);
+}
+
+// The batch decoder reads each frame into the caller's vector, reusing
+// the storage of every element whose payload already holds the record's
+// alternative. Decoding a run of frames into one vector — growing,
+// shrinking, switching alternatives, changing bit-vector lengths, and
+// failing midway — must give exactly what a fresh decode gives.
+TEST(WireMetricsTest, ReusedBatchVectorMatchesFreshDecodes) {
+  const auto bits_batch = [](size_t count, size_t bits) {
+    std::vector<ReportMessage> batch(count);
+    for (size_t i = 0; i < count; ++i) {
+      batch[i].grid_index = static_cast<uint32_t>(i);
+      std::vector<uint8_t> vector(bits);
+      for (size_t b = 0; b < bits; ++b) vector[b] = (i + b) % 3 == 0;
+      batch[i].payload = std::move(vector);
+    }
+    return batch;
+  };
+  std::vector<ReportMessage> grr(3);
+  for (size_t i = 0; i < grr.size(); ++i) {
+    grr[i].grid_index = 7;
+    grr[i].payload = uint64_t{100 + i};
+  }
+  std::vector<ReportMessage> fldp(7);
+  for (size_t i = 0; i < fldp.size(); ++i) {
+    fldp[i].grid_index = 2;
+    fldp[i].payload = fo::FldpReport{
+        .subset_index = static_cast<uint32_t>(i),
+        .bits = std::vector<uint8_t>(1 + i % 4, i % 2)};
+  }
+  std::vector<ReportMessage> olh(4);
+  for (size_t i = 0; i < olh.size(); ++i) {
+    olh[i].grid_index = 1;
+    olh[i].payload = fo::OlhReport{.seed = 0x1234 + i,
+                                   .hashed_report = static_cast<uint32_t>(i),
+                                   .seed_index = 9};
+  }
+
+  // Checksum-valid, with an unknown protocol byte in record 2 (0-based):
+  // records 0 and 1 decode before the failure.
+  const std::vector<ReportMessage> victim = bits_batch(4, 4);
+  std::vector<uint8_t> bad = EncodeReportBatch(victim);
+  size_t offset = 6 + 4;  // header + report count
+  for (size_t i = 0; i < 2; ++i) {
+    offset += EncodeReport(victim[i]).size() - 6 - kTrailerSize;
+  }
+  bad[offset + 4] = 0x7f;  // after the grid index
+  Reseal(&bad);
+
+  std::vector<std::string> byte_counters;
+  for (const fo::ProtocolTraits& traits : fo::AllProtocolTraits()) {
+    std::string name = "felip_fo_report_bytes_total_";
+    for (const char ch : traits.name) {
+      name.push_back(
+          static_cast<char>(std::tolower(static_cast<unsigned char>(ch))));
+    }
+    byte_counters.push_back(std::move(name));
+  }
+  const obs::Registry& registry = obs::Registry::Default();
+
+  std::vector<ReportMessage> reused;
+  const auto decode_valid = [&reused](const std::vector<ReportMessage>& batch) {
+    const std::vector<uint8_t> frame = EncodeReportBatch(batch);
+    ASSERT_TRUE(DecodeReportBatch(frame, &reused).ok());
+    const auto fresh = DecodeReportBatch(frame);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(reused, *fresh);
+    EXPECT_EQ(reused, batch);
+  };
+  decode_valid(bits_batch(5, 8));
+  decode_valid(grr);
+  decode_valid(fldp);
+  decode_valid(bits_batch(6, 4));
+
+  std::vector<uint64_t> bytes_before;
+  for (const std::string& name : byte_counters) {
+    bytes_before.push_back(registry.CounterValue(name));
+  }
+  const CounterSnapshot before = Snapshot();
+  EXPECT_EQ(DecodeReportBatch(bad, &reused).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(reused.empty());
+  EXPECT_EQ(Snapshot().malformed - before.malformed, 1u);
+  for (size_t p = 0; p < byte_counters.size(); ++p) {
+    EXPECT_EQ(registry.CounterValue(byte_counters[p]), bytes_before[p])
+        << byte_counters[p];
+  }
+
+  decode_valid(olh);
 }
 
 #endif  // FELIP_OBS_NOOP

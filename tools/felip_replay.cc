@@ -4,7 +4,7 @@
 // --report-log-dir to union several shards' logs into one estimation
 // round), reconstructs the pipeline the logs' shared plan describes,
 // re-ingests the logged batches through the exact server gates (trailer
-// checksum, idempotency window, sharded decode, per-report validation),
+// checksum, idempotency window, batch decode, per-report validation),
 // finalizes, and prints the same `attr0 marginal head:` +
 // `grid frequencies xxh64=` lines felip_server prints after a live
 // round — so replay-vs-live is one diff away, and a sharded round
