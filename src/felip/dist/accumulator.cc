@@ -4,14 +4,13 @@
 #include <chrono>
 #include <filesystem>
 #include <string>
-#include <system_error>
 
 #include "felip/common/check.h"
 #include "felip/common/hash.h"
 #include "felip/dist/partition.h"
 #include "felip/obs/metrics.h"
 #include "felip/snapshot/pipeline_snapshot.h"
-#include "felip/snapshot/store.h"
+#include "felip/storage/storage.h"
 #include "felip/wire/wire.h"
 
 namespace felip::dist {
@@ -26,15 +25,13 @@ uint64_t PlanDigest(const core::FelipPipeline& pipeline) {
 }
 
 StatusOr<uint64_t> BumpShardEpoch(const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
+  if (!storage::CreateDirectories(dir).ok()) {
     return Status::Unavailable("cannot create shard epoch directory: " + dir);
   }
   const std::string path =
       (std::filesystem::path(dir) / "EPOCH").string();
   uint64_t epoch = 0;
-  StatusOr<std::vector<uint8_t>> bytes = snapshot::ReadFileBytes(path);
+  StatusOr<std::vector<uint8_t>> bytes = storage::ReadFile(path);
   if (bytes.ok()) {
     const char* begin = reinterpret_cast<const char*>(bytes->data());
     const auto [ptr, parse_ec] =
@@ -45,7 +42,7 @@ StatusOr<uint64_t> BumpShardEpoch(const std::string& dir) {
   }
   ++epoch;
   const std::string text = std::to_string(epoch);
-  FELIP_RETURN_IF_ERROR(snapshot::WriteFileAtomic(
+  FELIP_RETURN_IF_ERROR(storage::WriteFileAtomic(
       path, std::vector<uint8_t>(text.begin(), text.end())));
   return epoch;
 }

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "felip/simd/dispatch.h"
+#include "felip/storage/storage.h"
 
 namespace felip::eval {
 
@@ -382,11 +383,9 @@ BenchComparison CompareBenchReports(const BenchReport& baseline,
 
 bool WriteBenchJsonFile(const std::string& path, const BenchReport& report) {
   const std::string json = RenderBenchJson(report);
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const bool ok = std::fwrite(json.data(), 1, json.size(), file) ==
-                  json.size();
-  return std::fclose(file) == 0 && ok;
+  return storage::WriteFileAtomic(
+             path, std::vector<uint8_t>(json.begin(), json.end()))
+      .ok();
 }
 
 }  // namespace felip::eval

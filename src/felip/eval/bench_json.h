@@ -76,8 +76,8 @@ BenchParseResult ParseBenchJsonDetailed(std::string_view json,
 // obvious; pass a directory without one).
 std::string BenchJsonPath(std::string_view dir, std::string_view name);
 
-// Renders and writes atomically-enough for bench use (tmp + rename is
-// overkill here; a failed write returns false). Returns true on success.
+// Renders and commits through storage::WriteFileAtomic. Returns true on
+// success.
 bool WriteBenchJsonFile(const std::string& path, const BenchReport& report);
 
 // --- Trajectory comparison (tools/bench_diff) ---

@@ -7,7 +7,7 @@
 #include "felip/replaylog/format.h"
 #include "felip/replaylog/store.h"
 #include "felip/snapshot/pipeline_snapshot.h"
-#include "felip/snapshot/store.h"
+#include "felip/storage/storage.h"
 #include "felip/svc/dedup.h"
 #include "felip/svc/message.h"
 #include "felip/wire/framing.h"
@@ -94,7 +94,7 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
   svc::DedupWindow dedup;
 
   for (const std::string& path : segments) {
-    StatusOr<std::vector<uint8_t>> bytes = snapshot::ReadFileBytes(path);
+    StatusOr<std::vector<uint8_t>> bytes = storage::ReadFile(path);
     if (!bytes.ok()) {
       stats.segments_damaged += 1;
       damaged_total.Increment();

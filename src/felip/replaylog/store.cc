@@ -1,21 +1,16 @@
 #include "felip/replaylog/store.h"
 
-#include <unistd.h>
-
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
-#include <filesystem>
 #include <mutex>
-#include <system_error>
 #include <thread>
 #include <utility>
 
-namespace felip::replaylog {
+#include "felip/storage/storage.h"
 
-namespace fs = std::filesystem;
+namespace felip::replaylog {
 
 namespace {
 
@@ -23,43 +18,30 @@ constexpr char kPrefix[] = "reportlog-";
 constexpr char kSealedSuffix[] = ".flog";
 constexpr char kOpenSuffix[] = ".open";
 
-// Sequence number of a segment file name with `suffix`, or 0 when the
-// name does not match reportlog-<seq><suffix>.
-uint64_t SequenceOf(const std::string& name, std::string_view suffix) {
-  const std::string_view prefix(kPrefix);
-  if (name.size() <= prefix.size() + suffix.size()) return 0;
-  if (name.compare(0, prefix.size(), prefix) != 0) return 0;
-  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix.data(),
-                   suffix.size()) != 0) {
-    return 0;
-  }
-  uint64_t seq = 0;
-  for (size_t i = prefix.size(); i < name.size() - suffix.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return 0;
-    seq = seq * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  return seq;
-}
-
-uint64_t AnySequenceOf(const std::string& name) {
-  const uint64_t sealed = SequenceOf(name, kSealedSuffix);
-  return sealed > 0 ? sealed : SequenceOf(name, kOpenSuffix);
-}
-
 }  // namespace
 
 // Three stages, three owners:
 //   Append (caller)  — encode + push onto `queue` under `mutex`;
 //   writer thread    — pops the queue, owns all active-segment state
-//                      (file, open_path, active_*, next_seq: no lock,
-//                      single owner after Open), write + fflush, hands
-//                      full segments to the sealer;
-//   sealer thread    — fsync + rename + prune under `sealer_mutex`.
+//                      (file, active_*, series.next_seq: no lock, single
+//                      owner after Open), write + fflush, hands full
+//                      segments to the sealer;
+//   sealer thread    — series.Seal (fsync + rename + directory fsync +
+//                      prune), reading only the series' fixed naming.
 // Barriers count records: Flush waits for written >= its snapshot of
 // pushed; Seal additionally waits for a seal epoch to complete. Failures
 // accumulate in `io_failures` and are consumed once per barrier.
 struct LogWriter::Impl {
-  std::string dir;
+  Impl(const std::string& dir, std::vector<uint8_t> plan_bytes,
+       LogWriterOptions writer_options)
+      : series(dir, kPrefix, {kSealedSuffix, kOpenSuffix},
+               writer_options.keep_segments),
+        plan(std::move(plan_bytes)),
+        options(writer_options) {}
+
+  // .flog segments are committed, .open ones are being written; both
+  // share one sequence space.
+  storage::FileSeries series;
   std::vector<uint8_t> plan;
   LogWriterOptions options;
 
@@ -82,16 +64,13 @@ struct LogWriter::Impl {
 
   // --- writer-thread-owned active segment (no lock) ---
   std::FILE* file = nullptr;
-  std::string open_path;
   uint64_t active_seq = 0;
   uint64_t active_bytes = 0;
   uint64_t active_records = 0;
-  uint64_t next_seq = 1;
 
   // --- writer <-> sealer handoff, under `sealer_mutex` ---
   struct PendingSeal {
     std::FILE* file = nullptr;
-    std::string open_path;
     uint64_t seq = 0;
   };
   std::mutex sealer_mutex;
@@ -197,10 +176,8 @@ struct LogWriter::Impl {
   }
 
   bool OpenSegment() {
-    const uint64_t seq = next_seq;
-    const std::string path =
-        (fs::path(dir) / (kPrefix + std::to_string(seq) + kOpenSuffix))
-            .string();
+    const uint64_t seq = series.next_seq();
+    const std::string path = series.PathOf(seq, kOpenSuffix);
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) return false;
     const std::vector<uint8_t> header = EncodeSegmentHeader(plan);
@@ -214,11 +191,10 @@ struct LogWriter::Impl {
     // buffer would only add a copy of every logged byte.
     std::setvbuf(f, nullptr, _IONBF, 0);
     file = f;
-    open_path = path;
     active_seq = seq;
     active_bytes = header.size();
     active_records = 0;
-    next_seq = seq + 1;
+    series.Advance(seq);
     return true;
   }
 
@@ -226,7 +202,6 @@ struct LogWriter::Impl {
     if (file == nullptr) return;
     std::fclose(file);
     file = nullptr;
-    open_path.clear();
   }
 
   // Discards an empty active segment, otherwise hands it to the sealer.
@@ -235,7 +210,7 @@ struct LogWriter::Impl {
     if (active_records == 0) {
       // Nothing but a header: discard rather than seal an empty segment.
       std::fclose(file);
-      std::remove(open_path.c_str());
+      std::remove(series.PathOf(active_seq, kOpenSuffix).c_str());
     } else {
       if (std::fflush(file) != 0) {
         io_failures.fetch_add(1, std::memory_order_relaxed);
@@ -244,12 +219,11 @@ struct LogWriter::Impl {
       }
       {
         std::lock_guard<std::mutex> lock(sealer_mutex);
-        sealer_queue.push_back({file, std::move(open_path), active_seq});
+        sealer_queue.push_back({file, active_seq});
       }
       sealer_cv.notify_all();
     }
     file = nullptr;
-    open_path.clear();
   }
 
   void WaitSealerDrained() {
@@ -273,7 +247,10 @@ struct LogWriter::Impl {
       sealer_queue.pop_front();
       sealer_in_flight = true;
       lock.unlock();
-      const bool ok = SealSegment(pending);
+      // The expensive half of a seal. On failure the .open stays in place:
+      // its flushed records still replay after a process death, they just
+      // lack the sealed-name durability promise.
+      const bool ok = series.Seal(pending.file, pending.seq, kOpenSuffix).ok();
       lock.lock();
       sealer_in_flight = false;
       if (ok) {
@@ -282,46 +259,6 @@ struct LogWriter::Impl {
         io_failures.fetch_add(1, std::memory_order_relaxed);
       }
       sealer_done_cv.notify_all();
-    }
-  }
-
-  // The expensive half of a seal: fsync, rename to .flog, prune. Returns
-  // false when the segment could not be made durable — the .open is left
-  // in place (its flushed records still replay after a process death,
-  // they just lack the sealed-name durability promise).
-  bool SealSegment(const PendingSeal& pending) {
-    const bool synced = ::fsync(fileno(pending.file)) == 0;
-    std::fclose(pending.file);
-    if (!synced) return false;
-    const std::string sealed_path =
-        (fs::path(dir) /
-         (kPrefix + std::to_string(pending.seq) + kSealedSuffix))
-            .string();
-    std::error_code ec;
-    fs::rename(pending.open_path, sealed_path, ec);
-    if (ec) return false;
-    Prune();
-    return true;
-  }
-
-  // Pruning failures are ignored on purpose, exactly like SnapshotStore:
-  // leaking an old segment beats failing the seal that produced a good
-  // new one.
-  void Prune() {
-    if (options.keep_segments == 0) return;
-    std::vector<std::pair<uint64_t, std::string>> sealed;
-    std::error_code ec;
-    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-         it.increment(ec)) {
-      const uint64_t seq =
-          SequenceOf(it->path().filename().string(), kSealedSuffix);
-      if (seq > 0) sealed.emplace_back(seq, it->path().string());
-    }
-    std::sort(sealed.begin(), sealed.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    for (size_t i = options.keep_segments; i < sealed.size(); ++i) {
-      std::error_code remove_ec;
-      fs::remove(sealed[i].second, remove_ec);
     }
   }
 
@@ -340,20 +277,12 @@ struct LogWriter::Impl {
 StatusOr<LogWriter> LogWriter::Open(const std::string& dir,
                                     std::vector<uint8_t> plan,
                                     LogWriterOptions options) {
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  auto impl = std::make_unique<Impl>();
-  impl->dir = dir;
-  impl->plan = std::move(plan);
-  impl->options = options;
+  // The series creates `dir` and resumes the sequence past every existing
+  // segment — sealed or a crashed writer's leftover .open — so a
+  // committed name is never reused.
+  auto impl = std::make_unique<Impl>(dir, std::move(plan), options);
   if (impl->options.max_buffered_bytes == 0) {
     impl->options.max_buffered_bytes = impl->options.segment_bytes;
-  }
-  // Resume the sequence past every existing segment — sealed or a crashed
-  // writer's leftover .open — so a committed name is never reused.
-  for (const std::string& path : ListSegmentsOldestFirst(dir)) {
-    const uint64_t seq = AnySequenceOf(fs::path(path).filename().string());
-    impl->next_seq = std::max(impl->next_seq, seq + 1);
   }
   // Eagerly open the first segment on this thread (the writer thread has
   // not started, so the single-owner rule holds) to fail fast on an
@@ -377,7 +306,7 @@ LogWriter::~LogWriter() {
 LogWriter::LogWriter(LogWriter&& other) noexcept = default;
 LogWriter& LogWriter::operator=(LogWriter&& other) noexcept = default;
 
-const std::string& LogWriter::dir() const { return impl_->dir; }
+const std::string& LogWriter::dir() const { return impl_->series.dir(); }
 
 uint64_t LogWriter::records_appended() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
@@ -431,7 +360,8 @@ Status LogWriter::Flush() {
   impl.writer_cv.notify_all();
   impl.done_cv.wait(lock, [&impl, target] { return impl.written >= target; });
   if (!impl.ConsumeFailuresLocked()) {
-    return Status::Unavailable("report log lost records under: " + impl.dir);
+    return Status::Unavailable("report log lost records under: " +
+                               impl.series.dir());
   }
   return Status::Ok();
 }
@@ -444,24 +374,18 @@ Status LogWriter::Seal() {
   impl.done_cv.wait(lock,
                     [&impl, my_epoch] { return impl.seals_done >= my_epoch; });
   if (!impl.ConsumeFailuresLocked()) {
-    return Status::Unavailable("cannot seal log segment under: " + impl.dir);
+    return Status::Unavailable("cannot seal log segment under: " +
+                               impl.series.dir());
   }
   return Status::Ok();
 }
 
 std::vector<std::string> ListSegmentsOldestFirst(const std::string& dir) {
-  std::vector<std::pair<uint64_t, std::string>> found;
-  std::error_code ec;
-  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    const uint64_t seq = AnySequenceOf(it->path().filename().string());
-    if (seq > 0) found.emplace_back(seq, it->path().string());
-  }
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<std::string> paths;
-  paths.reserve(found.size());
-  for (auto& [seq, path] : found) paths.push_back(std::move(path));
+  for (storage::SeriesFile& file :
+       storage::ListSeries(dir, kPrefix, {kSealedSuffix, kOpenSuffix})) {
+    paths.push_back(std::move(file.path));
+  }
   return paths;
 }
 

@@ -1,12 +1,13 @@
 // On-disk report log store: segment files, rotation, crash discipline.
 //
-// A LogWriter owns one directory of segment files with a monotonically
-// increasing sequence number (resumed past existing files on open, like
-// SnapshotStore). The active segment is reportlog-<seq>.open; sealing
-// (size rotation, Seal(), destruction) does fflush + fsync + rename to
-// reportlog-<seq>.flog: a .flog name is a complete, fully-durable
-// segment even across a machine crash, mirroring SnapshotStore's
-// tmp+fsync+rename contract.
+// A LogWriter owns one directory of segment files, the report-log schema
+// of storage::FileSeries: the active segment is reportlog-<seq>.open, and
+// sealing (size rotation, Seal(), destruction) does fflush + fsync +
+// rename to reportlog-<seq>.flog + directory fsync, so a .flog name is a
+// complete, fully-durable segment even across a machine crash. Both
+// suffixes share one sequence space, resumed past every existing file on
+// open. The naming, durability and rotation rules are in
+// felip/storage/storage.h and docs/snapshots.md ("On-disk storage").
 //
 // Append is called inside the ingest drain critical section, where every
 // microsecond is tail latency, so it does no file I/O at all: it encodes

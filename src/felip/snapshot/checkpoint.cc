@@ -6,6 +6,7 @@
 #include "felip/common/check.h"
 #include "felip/obs/metrics.h"
 #include "felip/obs/trace.h"
+#include "felip/storage/storage.h"
 
 namespace felip::snapshot {
 
@@ -44,7 +45,7 @@ Status Checkpointer::Checkpoint(std::span<const uint64_t> drained_keys) {
 StatusOr<Recovered> RecoverFromStore(const SnapshotStore& store) {
   size_t skipped = 0;
   for (const std::string& path : store.ListNewestFirst()) {
-    const StatusOr<std::vector<uint8_t>> bytes = ReadFileBytes(path);
+    const StatusOr<std::vector<uint8_t>> bytes = storage::ReadFile(path);
     if (!bytes.ok()) {
       ++skipped;
       continue;

@@ -11,7 +11,7 @@
 #include "felip/obs/metrics.h"
 #include "felip/obs/trace.h"
 #include "felip/snapshot/format.h"
-#include "felip/snapshot/store.h"
+#include "felip/storage/storage.h"
 #include "felip/wire/framing.h"
 
 namespace felip::snapshot {
@@ -665,7 +665,7 @@ Status FelipPipeline::SaveSnapshot(const std::string& path,
   const auto start = std::chrono::steady_clock::now();
   const std::vector<uint8_t> bytes =
       snapshot::PipelineCodec::Encode(*this, options, {});
-  FELIP_RETURN_IF_ERROR(snapshot::WriteFileAtomic(path, bytes));
+  FELIP_RETURN_IF_ERROR(storage::WriteFileAtomic(path, bytes));
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
   obs::Registry::Default()
@@ -679,7 +679,7 @@ Status FelipPipeline::SaveSnapshot(const std::string& path,
 
 StatusOr<FelipPipeline> FelipPipeline::LoadSnapshot(const std::string& path) {
   FELIP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                         snapshot::ReadFileBytes(path));
+                         storage::ReadFile(path));
   FELIP_ASSIGN_OR_RETURN(snapshot::RecoveredPipeline recovered,
                          snapshot::PipelineCodec::Decode(bytes));
   return std::move(recovered.pipeline);

@@ -1,132 +1,24 @@
 #include "felip/snapshot/store.h"
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <filesystem>
-#include <system_error>
-
 #include "felip/common/check.h"
 
 namespace felip::snapshot {
 
-namespace fs = std::filesystem;
-
-namespace {
-
-constexpr char kPrefix[] = "snapshot-";
-constexpr char kSuffix[] = ".felip";
-
-// Sequence number of a snapshot file name, or 0 when the name does not
-// match snapshot-<seq>.felip.
-uint64_t SequenceOf(const std::string& name) {
-  const std::string_view prefix(kPrefix);
-  const std::string_view suffix(kSuffix);
-  if (name.size() <= prefix.size() + suffix.size()) return 0;
-  if (name.compare(0, prefix.size(), prefix) != 0) return 0;
-  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return 0;
-  }
-  uint64_t seq = 0;
-  for (size_t i = prefix.size(); i < name.size() - suffix.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return 0;
-    seq = seq * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  return seq;
-}
-
-}  // namespace
-
-StatusOr<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::NotFound("cannot open file for reading: " + path);
-  }
-  std::vector<uint8_t> bytes;
-  uint8_t chunk[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + got);
-  }
-  const bool failed = std::ferror(file) != 0;
-  std::fclose(file);
-  if (failed) {
-    return Status::Unavailable("read error on file: " + path);
-  }
-  return bytes;
-}
-
-Status WriteFileAtomic(const std::string& path,
-                       const std::vector<uint8_t>& bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) {
-    return Status::Unavailable("cannot open tmp file for writing: " + tmp);
-  }
-  const size_t written =
-      bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), file);
-  // fflush pushes the bytes to the OS before the rename makes the file
-  // visible under its final name; a torn final file would defeat the
-  // whole checksummed-recovery design.
-  const bool flushed = std::fflush(file) == 0;
-  std::fclose(file);
-  if (written != bytes.size() || !flushed) {
-    std::remove(tmp.c_str());
-    return Status::Unavailable("short write to tmp file: " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    return Status::Unavailable("cannot rename tmp file into place: " + path);
-  }
-  return Status::Ok();
-}
-
 SnapshotStore::SnapshotStore(std::string dir, size_t keep_last_n)
-    : dir_(std::move(dir)), keep_last_n_(keep_last_n) {
-  FELIP_CHECK_MSG(keep_last_n_ >= 1, "keep_last_n must be at least 1");
-  std::error_code ec;
-  fs::create_directories(dir_, ec);
-  // Resume the sequence past any existing snapshots so a restarted server
-  // never reuses (and silently clobbers) a committed name.
-  for (const std::string& path : ListNewestFirst()) {
-    const uint64_t seq = SequenceOf(fs::path(path).filename().string());
-    next_seq_ = std::max(next_seq_, seq + 1);
-  }
+    : series_(std::move(dir), "snapshot-", {".felip"}, keep_last_n) {
+  FELIP_CHECK_MSG(keep_last_n >= 1, "keep_last_n must be at least 1");
 }
 
 StatusOr<std::string> SnapshotStore::Write(const std::vector<uint8_t>& bytes) {
-  const uint64_t seq = next_seq_;
-  const std::string path =
-      (fs::path(dir_) / (kPrefix + std::to_string(seq) + kSuffix)).string();
-  FELIP_RETURN_IF_ERROR(WriteFileAtomic(path, bytes));
-  next_seq_ = seq + 1;
-
-  // Rotation failures are ignored on purpose: the new snapshot is already
-  // durable, and leaking an old file is strictly better than failing the
-  // checkpoint that produced a good one.
-  const std::vector<std::string> all = ListNewestFirst();
-  for (size_t i = keep_last_n_; i < all.size(); ++i) {
-    std::error_code ec;
-    fs::remove(all[i], ec);
-  }
-  return path;
+  return series_.Commit(series_.next_seq(), bytes);
 }
 
 std::vector<std::string> SnapshotStore::ListNewestFirst() const {
-  std::vector<std::pair<uint64_t, std::string>> found;
-  std::error_code ec;
-  for (fs::directory_iterator it(dir_, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    const uint64_t seq = SequenceOf(it->path().filename().string());
-    if (seq > 0) found.emplace_back(seq, it->path().string());
-  }
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
   std::vector<std::string> paths;
-  paths.reserve(found.size());
-  for (auto& [seq, path] : found) paths.push_back(std::move(path));
+  const std::vector<storage::SeriesFile> files = series_.List();
+  for (auto it = files.rbegin(); it != files.rend(); ++it) {
+    paths.push_back(it->path);
+  }
   return paths;
 }
 

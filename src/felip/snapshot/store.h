@@ -1,12 +1,10 @@
-// On-disk snapshot store: atomic commits and keep-last-N rotation.
+// On-disk snapshot store: snapshot-<seq>.felip files in one directory.
 //
-// A SnapshotStore owns one directory of snapshot files named
-// snapshot-<seq>.felip with a monotonically increasing sequence number.
-// Write() lands bytes via tmp-file + fsync + atomic rename, so a crash at
-// any instant leaves either the previous set of snapshots or the previous
-// set plus one complete new file — never a torn file under a final name.
-// After each successful commit the oldest files beyond keep_last_n are
-// deleted, newest first wins.
+// A SnapshotStore is the snapshot schema of storage::FileSeries: each
+// Write() is an atomic, durable commit of the next sequence number, and
+// after it all but the newest keep_last_n snapshots are deleted. The
+// naming, commit, durability and rotation rules are in
+// felip/storage/storage.h and docs/snapshots.md ("On-disk storage").
 //
 // Reading is recovery-oriented: ListNewestFirst() enumerates candidates,
 // and callers walk them newest to oldest until one verifies (see
@@ -21,18 +19,9 @@
 #include <vector>
 
 #include "felip/common/status.h"
+#include "felip/storage/storage.h"
 
 namespace felip::snapshot {
-
-// Reads an entire file. kNotFound when it cannot be opened, kUnavailable
-// on a read error.
-StatusOr<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
-
-// Writes `bytes` to `path` atomically: a sibling tmp file is written,
-// flushed to disk, and renamed over `path`. kUnavailable on any I/O
-// failure (the tmp file is cleaned up).
-Status WriteFileAtomic(const std::string& path,
-                       const std::vector<uint8_t>& bytes);
 
 class SnapshotStore {
  public:
@@ -44,15 +33,13 @@ class SnapshotStore {
   // files. Returns the committed file's path.
   StatusOr<std::string> Write(const std::vector<uint8_t>& bytes);
 
-  // Absolute-ordered snapshot paths, newest (highest sequence) first.
+  // Snapshot paths, newest (highest sequence) first.
   std::vector<std::string> ListNewestFirst() const;
 
-  const std::string& dir() const { return dir_; }
+  const std::string& dir() const { return series_.dir(); }
 
  private:
-  std::string dir_;
-  size_t keep_last_n_;
-  uint64_t next_seq_ = 1;  // advanced past existing files at construction
+  storage::FileSeries series_;
 };
 
 }  // namespace felip::snapshot

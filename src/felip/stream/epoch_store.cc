@@ -1,17 +1,11 @@
 #include "felip/stream/epoch_store.h"
 
-#include <algorithm>
 #include <cmath>
-#include <filesystem>
-#include <system_error>
 
 #include "felip/common/check.h"
-#include "felip/snapshot/store.h"
 #include "felip/wire/framing.h"
 
 namespace felip::stream {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -20,27 +14,6 @@ constexpr uint8_t kEpochVersion = 1;
 // Distinct from the wire ("wirecsum") and snapshot ("snapcsum") salts, so
 // a segment can never verify as either of those artifacts or vice versa.
 constexpr uint64_t kEpochChecksumSalt = 0x65706f63'6373756dULL;  // epoccsum
-
-constexpr char kPrefix[] = "epoch-";
-constexpr char kSuffix[] = ".fesg";
-
-// Sequence number of a segment file name, or 0 when the name does not
-// match epoch-<seq>.fesg.
-uint64_t SequenceOf(const std::string& name) {
-  const std::string_view prefix(kPrefix);
-  const std::string_view suffix(kSuffix);
-  if (name.size() <= prefix.size() + suffix.size()) return 0;
-  if (name.compare(0, prefix.size(), prefix) != 0) return 0;
-  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return 0;
-  }
-  uint64_t seq = 0;
-  for (size_t i = prefix.size(); i < name.size() - suffix.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return 0;
-    seq = seq * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  return seq;
-}
 
 }  // namespace
 
@@ -64,7 +37,11 @@ StatusOr<EpochSegment> DecodeEpochSegment(const std::vector<uint8_t>& bytes) {
   if (!wire::CheckSealedChecksum(bytes, kEpochChecksumSalt)) {
     return Status::DataLoss("epoch segment checksum mismatch or truncation");
   }
-  wire::Reader r(bytes);
+  // Parse the body without the trailer (as SnapshotReader::Open does), so
+  // no header field can read into the checksum bytes.
+  const std::vector<uint8_t> body(bytes.begin(),
+                                  bytes.end() - sizeof(uint64_t));
+  wire::Reader r(body);
   uint32_t magic = 0;
   uint8_t version = 0;
   EpochSegment segment;
@@ -90,90 +67,39 @@ StatusOr<EpochSegment> DecodeEpochSegment(const std::vector<uint8_t>& bytes) {
   }
   // The snapshot must occupy exactly the bytes between the header and the
   // trailer; anything else is a framing error a checksum cannot excuse.
-  if (snapshot_len != r.remaining() - sizeof(uint64_t)) {
+  if (snapshot_len != r.remaining()) {
     return Status::DataLoss("epoch segment snapshot length mismatch");
   }
-  segment.snapshot.resize(snapshot_len);
-  if (snapshot_len > 0 &&
-      !r.GetBytes(segment.snapshot.data(), snapshot_len)) {
-    return Status::DataLoss("epoch segment snapshot is truncated");
-  }
+  segment.snapshot.assign(r.cursor(), r.cursor() + r.remaining());
   return segment;
 }
 
 EpochStore::EpochStore(std::string dir, size_t keep_last_n)
-    : dir_(std::move(dir)), keep_last_n_(keep_last_n) {
-  FELIP_CHECK_MSG(keep_last_n_ >= 1, "keep_last_n must be at least 1");
-  std::error_code ec;
-  fs::create_directories(dir_, ec);
-  // Resume the sequence past any existing segments so a restarted server
-  // never reuses (and silently clobbers) a committed epoch.
-  for (const std::string& path : ListOldestFirst()) {
-    const uint64_t seq = SequenceOf(fs::path(path).filename().string());
-    next_seq_ = std::max(next_seq_, seq + 1);
-  }
+    : series_(std::move(dir), "epoch-", {".fesg"}, keep_last_n) {
+  FELIP_CHECK_MSG(keep_last_n >= 1, "keep_last_n must be at least 1");
 }
 
 StatusOr<std::string> EpochStore::Write(const EpochSegment& segment) {
-  FELIP_CHECK_MSG(segment.seq >= next_seq_,
-                  "epoch segments must seal in increasing sequence");
-  const std::string path =
-      (fs::path(dir_) / (kPrefix + std::to_string(segment.seq) + kSuffix))
-          .string();
-  FELIP_RETURN_IF_ERROR(
-      snapshot::WriteFileAtomic(path, EncodeEpochSegment(segment)));
-  next_seq_ = segment.seq + 1;
-
-  // Compaction failures are ignored on purpose: the new segment is already
-  // durable, and leaking an expired file is strictly better than failing
-  // the seal that produced a good one.
-  const std::vector<std::string> all = ListOldestFirst();
-  if (all.size() > keep_last_n_) {
-    for (size_t i = 0; i < all.size() - keep_last_n_; ++i) {
-      std::error_code ec;
-      fs::remove(all[i], ec);
-    }
-  }
-  return path;
+  return series_.Commit(segment.seq, EncodeEpochSegment(segment));
 }
 
 LoadedEpochs EpochStore::LoadAll() const {
   LoadedEpochs loaded;
-  for (const std::string& path : ListOldestFirst()) {
-    const StatusOr<std::vector<uint8_t>> bytes =
-        snapshot::ReadFileBytes(path);
+  for (const storage::SeriesFile& file : series_.List()) {
+    const StatusOr<std::vector<uint8_t>> bytes = storage::ReadFile(file.path);
     if (!bytes.ok()) {
       ++loaded.files_skipped;
       continue;
     }
     StatusOr<EpochSegment> segment = DecodeEpochSegment(*bytes);
-    if (!segment.ok()) {
-      ++loaded.files_skipped;
-      continue;
-    }
     // The file name is untrusted; the sealed header is the identity.
-    if (SequenceOf(fs::path(path).filename().string()) != segment->seq) {
+    if (!segment.ok() || segment->seq != file.seq) {
       ++loaded.files_skipped;
       continue;
     }
     loaded.segments.push_back(*std::move(segment));
   }
   return loaded;
-}
-
-std::vector<std::string> EpochStore::ListOldestFirst() const {
-  std::vector<std::pair<uint64_t, std::string>> found;
-  std::error_code ec;
-  for (fs::directory_iterator it(dir_, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    const uint64_t seq = SequenceOf(it->path().filename().string());
-    if (seq > 0) found.emplace_back(seq, it->path().string());
-  }
-  std::sort(found.begin(), found.end());
-  std::vector<std::string> paths;
-  paths.reserve(found.size());
-  for (auto& [seq, path] : found) paths.push_back(std::move(path));
-  return paths;
 }
 
 }  // namespace felip::stream

@@ -12,14 +12,13 @@
 // so a restarted server can both answer windowed queries from the segment
 // set and recognize resent batches the sealed epochs already counted.
 //
-// EpochStore mirrors SnapshotStore's file discipline exactly: tmp + fsync
-// + atomic rename commits (a crash leaves the previous segment set or the
-// previous set plus one complete file, never a torn one), keep-last-N
-// compaction after each seal, and a sequence resumed past existing files
-// so a restart never clobbers a committed epoch. Reading is
-// recovery-oriented: LoadAll() decodes every segment that verifies and
-// accounts for the ones that do not, so one damaged file costs one epoch
-// of history, not the whole window.
+// EpochStore is the epoch-segment schema of storage::FileSeries: atomic,
+// durable commits, keep-last-N compaction after each seal, and a sequence
+// resumed past existing files so a restart never clobbers a committed
+// epoch (the rules are in felip/storage/storage.h and docs/snapshots.md,
+// "On-disk storage"). Reading is recovery-oriented: LoadAll() decodes
+// every segment that verifies and accounts for the ones that do not, so
+// one damaged file costs one epoch of history, not the whole window.
 
 #ifndef FELIP_STREAM_EPOCH_STORE_H_
 #define FELIP_STREAM_EPOCH_STORE_H_
@@ -29,6 +28,7 @@
 #include <vector>
 
 #include "felip/common/status.h"
+#include "felip/storage/storage.h"
 
 namespace felip::stream {
 
@@ -74,20 +74,15 @@ class EpochStore {
   // Damaged files are skipped and counted, never fatal.
   LoadedEpochs LoadAll() const;
 
-  // Absolute-ordered segment paths, oldest (lowest sequence) first.
-  std::vector<std::string> ListOldestFirst() const;
-
   // The sequence the next sealed epoch will take; equivalently, one past
   // the highest sequence ever committed to this directory (compaction
   // never lowers it because the newest segment always survives).
-  uint64_t next_seq() const { return next_seq_; }
+  uint64_t next_seq() const { return series_.next_seq(); }
 
-  const std::string& dir() const { return dir_; }
+  const std::string& dir() const { return series_.dir(); }
 
  private:
-  std::string dir_;
-  size_t keep_last_n_;
-  uint64_t next_seq_ = 1;  // advanced past existing files at construction
+  storage::FileSeries series_;
 };
 
 }  // namespace felip::stream

@@ -4,7 +4,6 @@
 #include <array>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -17,6 +16,7 @@
 #include "felip/fo/registry.h"
 #include "felip/obs/metrics.h"
 #include "felip/obs/trace.h"
+#include "felip/storage/storage.h"
 #include "felip/wire/framing.h"
 
 namespace felip::wire {
@@ -969,31 +969,13 @@ Status SaveSnapshot(const core::FelipPipeline& pipeline,
                     const std::vector<data::AttributeInfo>& schema,
                     uint64_t num_users, const core::FelipConfig& config,
                     const std::string& path) {
-  const std::vector<uint8_t> buffer =
-      EncodeSnapshot(pipeline, schema, num_users, config);
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return Status::Unavailable("cannot open snapshot file for writing");
-  }
-  const size_t written =
-      std::fwrite(buffer.data(), 1, buffer.size(), file);
-  const bool ok = std::fclose(file) == 0 && written == buffer.size();
-  if (!ok) return Status::Unavailable("short write saving snapshot");
-  return Status::Ok();
+  return storage::WriteFileAtomic(
+      path, EncodeSnapshot(pipeline, schema, num_users, config));
 }
 
 StatusOr<core::FelipPipeline> LoadSnapshot(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::NotFound("cannot open snapshot file");
-  }
-  std::vector<uint8_t> buffer;
-  uint8_t chunk[4096];
-  size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    buffer.insert(buffer.end(), chunk, chunk + got);
-  }
-  std::fclose(file);
+  FELIP_ASSIGN_OR_RETURN(const std::vector<uint8_t> buffer,
+                         storage::ReadFile(path));
   return DecodeSnapshot(buffer);
 }
 

@@ -279,8 +279,9 @@ std::vector<uint8_t> EncodeSnapshot(
 StatusOr<core::FelipPipeline> DecodeSnapshot(
     const std::vector<uint8_t>& buffer);
 
-// File convenience wrappers. SaveSnapshot returns kUnavailable on I/O
-// failure; LoadSnapshot returns kNotFound when the file cannot be opened.
+// File convenience wrappers over felip/storage. SaveSnapshot commits
+// atomically and returns kUnavailable on I/O failure; LoadSnapshot
+// returns kNotFound when the file cannot be opened.
 Status SaveSnapshot(const core::FelipPipeline& pipeline,
                     const std::vector<data::AttributeInfo>& schema,
                     uint64_t num_users, const core::FelipConfig& config,

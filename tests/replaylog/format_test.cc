@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "felip/common/hash.h"
+#include "support/alloc_cap.h"
 
 namespace felip::replaylog {
 namespace {
@@ -172,6 +173,7 @@ TEST(ReplayLogFormatTest, TinyAndEmptyInputsRejected) {
 // return are bit-exact originals.
 TEST(ReplayLogFormatTest, EveryTruncationLengthStopsAtARecordBoundary) {
   const SegmentFixture fixture = MakeValidSegment();
+  const test_support::ScopedAllocationCap cap(fixture.bytes.size());
   const size_t header_end = fixture.boundaries.front();
   for (size_t keep = 0; keep < fixture.bytes.size(); ++keep) {
     const std::vector<uint8_t> truncated(fixture.bytes.begin(),
@@ -200,6 +202,7 @@ TEST(ReplayLogFormatTest, EveryTruncationLengthStopsAtARecordBoundary) {
 
 TEST(ReplayLogFormatTest, BitFlipSweepNeverYieldsACorruptRecord) {
   const SegmentFixture fixture = MakeValidSegment();
+  const test_support::ScopedAllocationCap cap(fixture.bytes.size());
   const size_t header_end = fixture.boundaries.front();
   for (size_t byte = 0; byte < fixture.bytes.size(); ++byte) {
     for (uint8_t bit = 0; bit < 8; bit += 3) {

@@ -27,7 +27,7 @@
 #include "felip/replaylog/format.h"
 #include "felip/replaylog/store.h"
 #include "felip/simd/dispatch.h"
-#include "felip/snapshot/store.h"
+#include "felip/storage/storage.h"
 #include "felip/svc/client.h"
 #include "felip/svc/fault_injection.h"
 #include "felip/svc/loopback.h"
@@ -206,7 +206,7 @@ LoggedRound* ReplayE2eTest::round_ = nullptr;
 // Reads every record of a segment file (expects no damage).
 std::vector<LogRecord> ReadSegment(const std::string& path,
                                    std::vector<uint8_t>* plan) {
-  StatusOr<std::vector<uint8_t>> bytes = snapshot::ReadFileBytes(path);
+  StatusOr<std::vector<uint8_t>> bytes = storage::ReadFile(path);
   EXPECT_TRUE(bytes.ok());
   StatusOr<SegmentParser> parser = SegmentParser::Open(*std::move(bytes));
   EXPECT_TRUE(parser.ok()) << parser.status().ToString();
@@ -291,7 +291,7 @@ TEST_F(ReplayE2eTest, TornTailReplaysEverythingBeforeTheTear) {
   ASSERT_FALSE(segments.empty());
   const std::string& last = segments.back();
   const StatusOr<std::vector<uint8_t>> bytes =
-      snapshot::ReadFileBytes(last);
+      storage::ReadFile(last);
   ASSERT_TRUE(bytes.ok());
   // Cut into the final record: mid-append crash shape.
   ASSERT_GT(bytes->size(), 5u);

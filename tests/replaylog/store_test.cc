@@ -14,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "felip/replaylog/format.h"
-#include "felip/snapshot/store.h"
+#include "felip/storage/storage.h"
 
 namespace felip::replaylog {
 namespace {
@@ -43,7 +43,7 @@ Status AppendN(LogWriter* writer, int n, uint64_t first_key = 100) {
 // Parses one segment file and returns its record keys (empty on damage
 // after the last good boundary — damage itself is the parser's business).
 std::vector<uint64_t> SegmentKeys(const std::string& path) {
-  StatusOr<std::vector<uint8_t>> bytes = snapshot::ReadFileBytes(path);
+  StatusOr<std::vector<uint8_t>> bytes = storage::ReadFile(path);
   if (!bytes.ok()) return {};
   StatusOr<SegmentParser> parser = SegmentParser::Open(*std::move(bytes));
   if (!parser.ok()) return {};
@@ -202,7 +202,7 @@ TEST(LogWriterTest, CrashLeftoverOpenIsNeverTouched) {
   EXPECT_EQ(names[1], "reportlog-8.flog");
   // Bytes untouched; its whole records still read up to the tear.
   const StatusOr<std::vector<uint8_t>> bytes =
-      snapshot::ReadFileBytes(leftover_path);
+      storage::ReadFile(leftover_path);
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(*bytes, leftover);
   EXPECT_EQ(SegmentKeys(leftover_path), (std::vector<uint64_t>{7, 8}));

@@ -15,6 +15,7 @@
 
 #include "felip/common/hash.h"
 #include "felip/wire/framing.h"
+#include "support/alloc_cap.h"
 
 namespace felip::snapshot {
 namespace {
@@ -131,6 +132,7 @@ TEST(SnapshotFormatTest, SectionPayloadCorruptionCaughtBySectionChecksum) {
 
 TEST(SnapshotFormatTest, EveryTruncationLengthRejected) {
   const std::vector<uint8_t> valid = MakeValidFile();
+  const test_support::ScopedAllocationCap cap(valid.size());
   for (size_t keep = 0; keep < valid.size(); ++keep) {
     const std::vector<uint8_t> truncated(valid.begin(),
                                          valid.begin() + keep);
@@ -141,6 +143,7 @@ TEST(SnapshotFormatTest, EveryTruncationLengthRejected) {
 
 TEST(SnapshotFormatTest, BitFlipSweepRejected) {
   const std::vector<uint8_t> valid = MakeValidFile();
+  const test_support::ScopedAllocationCap cap(valid.size());
   for (size_t byte = 0; byte < valid.size(); ++byte) {
     for (uint8_t bit = 0; bit < 8; bit += 3) {
       std::vector<uint8_t> flipped = valid;

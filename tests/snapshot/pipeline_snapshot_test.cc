@@ -27,7 +27,7 @@
 #include "felip/query/generator.h"
 #include "felip/query/query.h"
 #include "felip/snapshot/format.h"
-#include "felip/snapshot/store.h"
+#include "felip/storage/storage.h"
 #include "felip/svc/simulator.h"
 #include "felip/svc/sink.h"
 #include "felip/wire/wire.h"
@@ -312,10 +312,10 @@ TEST(PipelineSnapshotTest, CorruptedFileIsDataLoss) {
       ::testing::TempDir() + "/felip_corrupt_snapshot.felip";
   ASSERT_TRUE(original.SaveSnapshot(path).ok());
 
-  StatusOr<std::vector<uint8_t>> bytes = ReadFileBytes(path);
+  StatusOr<std::vector<uint8_t>> bytes = storage::ReadFile(path);
   ASSERT_TRUE(bytes.ok());
   (*bytes)[bytes->size() / 3] ^= 0x10;
-  ASSERT_TRUE(WriteFileAtomic(path, *bytes).ok());
+  ASSERT_TRUE(storage::WriteFileAtomic(path, *bytes).ok());
 
   const auto loaded = core::FelipPipeline::LoadSnapshot(path);
   ASSERT_FALSE(loaded.ok());

@@ -23,6 +23,7 @@
 #include "felip/obs/metrics.h"
 #include "felip/snapshot/checkpoint.h"
 #include "felip/snapshot/store.h"
+#include "felip/storage/storage.h"
 #include "felip/svc/client.h"
 #include "felip/svc/loopback.h"
 #include "felip/svc/server.h"
@@ -225,10 +226,10 @@ TEST(RecoveryE2eTest, CorruptNewestSnapshotFallsBackToPrevious) {
   const std::vector<std::string> files = store.ListNewestFirst();
   ASSERT_GE(files.size(), 2u);
   {
-    StatusOr<std::vector<uint8_t>> bytes = ReadFileBytes(files[0]);
+    StatusOr<std::vector<uint8_t>> bytes = storage::ReadFile(files[0]);
     ASSERT_TRUE(bytes.ok());
     (*bytes)[bytes->size() / 2] ^= 0x40;
-    ASSERT_TRUE(WriteFileAtomic(files[0], *bytes).ok());
+    ASSERT_TRUE(storage::WriteFileAtomic(files[0], *bytes).ok());
   }
   const uint64_t recoveries_before = obs::Registry::Default().CounterValue(
       "felip_snapshot_recoveries_total");

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "felip/storage/storage.h"
+
 namespace felip::snapshot {
 namespace {
 
@@ -41,7 +43,7 @@ TEST_F(SnapshotStoreTest, WriteCommitsAndReadsBack) {
   SnapshotStore store(dir(), 3);
   const StatusOr<std::string> path = store.Write(Bytes(7));
   ASSERT_TRUE(path.ok()) << path.status().ToString();
-  const StatusOr<std::vector<uint8_t>> read = ReadFileBytes(*path);
+  const StatusOr<std::vector<uint8_t>> read = storage::ReadFile(*path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, Bytes(7));
   // No tmp file survives a successful commit.
@@ -76,8 +78,8 @@ TEST_F(SnapshotStoreTest, RotationKeepsOnlyLastN) {
   const std::vector<std::string> listed = store.ListNewestFirst();
   ASSERT_EQ(listed.size(), 2u);
   // Newest content wins: the survivors are writes #5 and #4.
-  EXPECT_EQ(*ReadFileBytes(listed[0]), Bytes(4));
-  EXPECT_EQ(*ReadFileBytes(listed[1]), Bytes(3));
+  EXPECT_EQ(*storage::ReadFile(listed[0]), Bytes(4));
+  EXPECT_EQ(*storage::ReadFile(listed[1]), Bytes(3));
 }
 
 TEST_F(SnapshotStoreTest, SequenceResumesPastExistingFilesOnRestart) {
@@ -97,7 +99,7 @@ TEST_F(SnapshotStoreTest, SequenceResumesPastExistingFilesOnRestart) {
   EXPECT_NE(*next, first);
   const std::vector<std::string> listed = restarted.ListNewestFirst();
   ASSERT_EQ(listed.size(), 3u);
-  EXPECT_EQ(*ReadFileBytes(listed[0]), Bytes(3));
+  EXPECT_EQ(*storage::ReadFile(listed[0]), Bytes(3));
 }
 
 TEST_F(SnapshotStoreTest, ForeignFilesAreIgnored) {
@@ -119,31 +121,6 @@ TEST_F(SnapshotStoreTest, CreatesMissingDirectory) {
   SnapshotStore store(nested, 1);
   EXPECT_TRUE(store.Write(Bytes(9)).ok());
   EXPECT_TRUE(fs::exists(nested));
-}
-
-TEST(ReadFileBytesTest, MissingFileIsNotFound) {
-  const auto read = ReadFileBytes("/definitely/not/here.felip");
-  ASSERT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kNotFound);
-}
-
-TEST(WriteFileAtomicTest, UnwritablePathFailsWithoutTmpDebris) {
-  const Status status =
-      WriteFileAtomic("/nonexistent-dir/snapshot.felip", {1, 2, 3});
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-  EXPECT_FALSE(fs::exists("/nonexistent-dir/snapshot.felip.tmp"));
-}
-
-TEST(WriteFileAtomicTest, OverwritesExistingFileAtomically) {
-  const std::string path =
-      (fs::path(::testing::TempDir()) / "felip_atomic.felip").string();
-  ASSERT_TRUE(WriteFileAtomic(path, {1, 1, 1}).ok());
-  ASSERT_TRUE(WriteFileAtomic(path, {2, 2}).ok());
-  const auto read = ReadFileBytes(path);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, (std::vector<uint8_t>{2, 2}));
-  std::remove(path.c_str());
 }
 
 TEST(SnapshotStoreDeathTest, KeepZeroAborts) {

@@ -15,8 +15,8 @@
 
 #include <gtest/gtest.h>
 
-#include "felip/snapshot/store.h"
 #include "felip/wire/framing.h"
+#include "support/alloc_cap.h"
 
 namespace felip::stream {
 namespace {
@@ -97,6 +97,7 @@ TEST(EpochSegmentCodecTest, RoundTripsEmptySnapshot) {
 
 TEST(EpochSegmentCodecTest, EveryTruncationIsDataLoss) {
   const std::vector<uint8_t> bytes = EncodeEpochSegment(Segment(3));
+  const test_support::ScopedAllocationCap cap(bytes.size());
   for (size_t len = 0; len < bytes.size(); ++len) {
     const std::vector<uint8_t> cut(bytes.begin(), bytes.begin() + len);
     const StatusOr<EpochSegment> decoded = DecodeEpochSegment(cut);
@@ -108,6 +109,7 @@ TEST(EpochSegmentCodecTest, EveryTruncationIsDataLoss) {
 
 TEST(EpochSegmentCodecTest, EveryBitFlipIsRejected) {
   const std::vector<uint8_t> bytes = EncodeEpochSegment(Segment(3));
+  const test_support::ScopedAllocationCap cap(bytes.size());
   for (size_t i = 0; i < bytes.size(); ++i) {
     std::vector<uint8_t> flipped = bytes;
     flipped[i] ^= 0x01;
@@ -291,6 +293,39 @@ TEST_F(EpochStoreTest, IgnoresForeignFilesInTheDirectory) {
   EXPECT_EQ(loaded.files_skipped, 0u);  // foreign names are not segments
   EpochStore reopened(dir(), 8);
   EXPECT_EQ(reopened.next_seq(), 2u);
+}
+
+TEST_F(EpochStoreTest, LengthFieldRunningIntoTheTrailerIsSkipped) {
+  // 44 bytes under a valid seal: a 29-byte header for seq 31, then only
+  // seven bytes of the 8-byte snapshot_len, all 0xFF. The trailer's low
+  // byte is 0xFF too, so a reader that still sees the trailer reads
+  // snapshot_len = 2^64 - 1 and must not size a buffer from it.
+  std::vector<uint8_t> bytes;
+  wire::Writer w(&bytes);
+  w.Put<uint32_t>(kMagic);
+  w.Put<uint8_t>(kVersion);
+  w.Put<uint64_t>(31);
+  w.Put<uint64_t>(10);
+  w.Put<double>(1.0);
+  for (int i = 0; i < 7; ++i) w.Put<uint8_t>(0xFF);
+  wire::SealChecksum(&bytes, kSalt);
+  ASSERT_EQ(bytes.size(), 44u);
+  ASSERT_EQ(bytes[36], 0xFF);  // the trailer's low byte
+  {
+    const test_support::ScopedAllocationCap cap(bytes.size());
+    const StatusOr<EpochSegment> decoded = DecodeEpochSegment(bytes);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  }
+  fs::create_directories(dir());
+  {
+    std::ofstream out(fs::path(dir()) / "epoch-31.fesg", std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  const LoadedEpochs loaded = EpochStore(dir(), 8).LoadAll();
+  EXPECT_EQ(loaded.files_skipped, 1u);
+  EXPECT_TRUE(loaded.segments.empty());
 }
 
 using EpochStoreDeathTest = EpochStoreTest;

@@ -12,22 +12,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <vector>
 
 #include "felip/eval/bench_json.h"
+#include "felip/storage/storage.h"
 
 namespace {
-
-bool ReadFile(const char* path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
 
 int Usage() {
   std::fprintf(stderr,
@@ -64,8 +55,9 @@ int main(int argc, char** argv) {
   felip::eval::BenchReport baseline, current;
   for (int i = 0; i < 2; ++i) {
     const char* role = i == 0 ? "baseline" : "current";
-    std::string text;
-    if (!ReadFile(paths[i], &text)) {
+    const felip::StatusOr<std::vector<uint8_t>> bytes =
+        felip::storage::ReadFile(paths[i]);
+    if (!bytes.ok()) {
       // Most often the committed baseline for a brand-new bench simply
       // hasn't landed yet — say so instead of a bare read error.
       std::fprintf(stderr,
@@ -75,6 +67,7 @@ int main(int argc, char** argv) {
                    role, paths[i]);
       return 2;
     }
+    const std::string text(bytes->begin(), bytes->end());
     felip::eval::BenchReport* out = i == 0 ? &baseline : &current;
     int version_seen = -1;
     switch (felip::eval::ParseBenchJsonDetailed(text, out, &version_seen)) {
