@@ -320,6 +320,15 @@ void FelipPipeline::BeginIngest() {
   state_ = PipelineState::kCollecting;
 }
 
+size_t FelipPipeline::IngestReports(
+    uint32_t grid_index, std::span<const fo::ReportData* const> reports) {
+  ExpectState(PipelineState::kCollecting, "IngestReports()");
+  if (grid_index >= oracles_.size()) return 0;
+  const size_t accepted = oracles_[grid_index]->IngestReports(reports);
+  reports_ingested_ += accepted;
+  return accepted;
+}
+
 Status FelipPipeline::IngestReport(uint32_t grid_index,
                                    const fo::ReportData& report) {
   ExpectState(PipelineState::kCollecting, "IngestReport()");

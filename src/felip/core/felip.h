@@ -239,17 +239,22 @@ class FelipPipeline {
   // Alternative to Collect() for deployments where already-perturbed
   // reports arrive over a transport instead of being simulated in-process.
   // BeginIngest() builds the per-grid oracles at the per-grid budget
-  // (kConfigured -> kCollecting); IngestReport() validates one report
-  // against `grid_index`'s planned protocol and domain, returning
-  // kInvalidArgument on any out-of-range or mismatched input (network
-  // bytes are untrusted — never fatal); FinishIngest() closes the round
+  // (kConfigured -> kCollecting); IngestReports() / IngestReport()
+  // validate reports against `grid_index`'s planned protocol and domain,
+  // dropping any out-of-range or mismatched input (network bytes are
+  // untrusted — never fatal); FinishIngest() closes the round
   // (-> kSealed) so Finalize() can run. Aggregation is integer-count
   // based, so the estimates depend only on the multiset of accepted
   // reports, never on arrival order or batching.
   void BeginIngest();
-  // Validates the grid index and hands the report to that grid's oracle,
-  // which accepts only its own protocol. Callers (sinks, the replay
-  // engine) never branch on the protocol.
+  // Hands a run of reports that all name `grid_index` to that grid's
+  // oracle, which accepts only its own protocol, and returns how many it
+  // accepted (none when the grid is not planned). The state and the grid
+  // index are checked once per run. Callers (sinks, the replay engine)
+  // never branch on the protocol.
+  size_t IngestReports(uint32_t grid_index,
+                       std::span<const fo::ReportData* const> reports);
+  // One report, with the reason when it is rejected (kInvalidArgument).
   Status IngestReport(uint32_t grid_index, const fo::ReportData& report);
   void FinishIngest();
   uint64_t reports_ingested() const { return reports_ingested_; }

@@ -8,8 +8,12 @@
 // the two sides. Create oracles with MakeFrequencyOracle (fo/registry.h).
 //
 // Two ingestion paths exist:
-//   * IngestReport — one already-perturbed, untrusted report (the network
-//     path); invalid input is rejected with a Status, never fatal.
+//   * IngestReports / IngestReport — already-perturbed, untrusted reports
+//     (the network and replay paths). Service sinks sort each decoded
+//     frame by grid and hand every grid's oracle its run of reports in one
+//     IngestReports call, a tight check-then-Add loop; IngestReport is the
+//     one-report form with the same checks. Invalid input is rejected,
+//     never fatal.
 //   * BufferUserValue + FlushReports — in-process simulation: perturb with
 //     the user's rng and park the report in a buffer; FlushReports hands
 //     the whole buffer to the server's sharded AggregateReports, which
@@ -20,7 +24,9 @@
 #ifndef FELIP_FO_FREQUENCY_ORACLE_H_
 #define FELIP_FO_FREQUENCY_ORACLE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "felip/common/rng.h"
@@ -87,6 +93,11 @@ class FrequencyOracle {
   // invalid input — including a report of another protocol — so a service
   // can count and drop bad reports from the network instead of aborting.
   virtual Status IngestReport(const ReportData& report) = 0;
+
+  // Aggregates a run of reports, in order, as IngestReport would one at a
+  // time: each report passes the same checks or is dropped. Returns how
+  // many were accepted.
+  virtual size_t IngestReports(std::span<const ReportData* const> reports) = 0;
 
   // --- Accumulator persistence (snapshot path) ---
   //

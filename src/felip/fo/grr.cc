@@ -48,12 +48,6 @@ GrrServer::GrrServer(double epsilon, uint64_t domain)
   ComputeGrrProbabilities(epsilon, domain, &p_, &q_);
 }
 
-void GrrServer::Add(uint64_t report) {
-  FELIP_CHECK(report < counts_.size());
-  ++counts_[report];
-  ++num_reports_;
-}
-
 void GrrServer::AggregateReports(std::span<const uint64_t> reports,
                                  unsigned thread_count) {
   if (reports.empty()) return;

@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "felip/common/check.h"
 #include "felip/common/rng.h"
 
 namespace felip::fo {
@@ -43,8 +44,13 @@ class GrrServer {
  public:
   GrrServer(double epsilon, uint64_t domain);
 
-  // Accumulates one perturbed report in [0, domain).
-  void Add(uint64_t report);
+  // Accumulates one perturbed report in [0, domain). Inline so the
+  // oracle's grid-run ingest loop compiles to a check and an increment.
+  void Add(uint64_t report) {
+    FELIP_CHECK(report < counts_.size());
+    ++counts_[report];
+    ++num_reports_;
+  }
 
   // Batch ingestion, equivalent to Add() on every report: the reports are
   // histogrammed in fixed shards over up to `thread_count` threads (0 =

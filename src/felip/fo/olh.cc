@@ -69,19 +69,6 @@ OlhServer::OlhServer(double epsilon, uint64_t domain, OlhOptions options)
   }
 }
 
-void OlhServer::Add(const OlhReport& report) {
-  FELIP_CHECK(report.hashed_report < g_);
-  if (options_.seed_pool_size > 0) {
-    FELIP_CHECK_MSG(report.seed_index < options_.seed_pool_size,
-                    "report missing pool index in pooled OLH mode");
-    ++pool_counts_[static_cast<size_t>(report.seed_index) * g_ +
-                   report.hashed_report];
-  } else {
-    reports_.push_back(report);
-  }
-  ++num_reports_;
-}
-
 void OlhServer::AggregateReports(std::span<const OlhReport> reports,
                                  unsigned thread_count) {
   if (reports.empty()) return;

@@ -19,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "felip/common/check.h"
 #include "felip/common/rng.h"
 
 namespace felip::fo {
@@ -68,7 +69,21 @@ class OlhServer {
  public:
   OlhServer(double epsilon, uint64_t domain, OlhOptions options = {});
 
-  void Add(const OlhReport& report);
+  // Accumulates one perturbed report. Inline so the oracle's grid-run
+  // ingest loop compiles to the checks and one histogram increment (pool
+  // mode) or one append (per-user mode).
+  void Add(const OlhReport& report) {
+    FELIP_CHECK(report.hashed_report < g_);
+    if (options_.seed_pool_size > 0) {
+      FELIP_CHECK_MSG(report.seed_index < options_.seed_pool_size,
+                      "report missing pool index in pooled OLH mode");
+      ++pool_counts_[static_cast<size_t>(report.seed_index) * g_ +
+                     report.hashed_report];
+    } else {
+      reports_.push_back(report);
+    }
+    ++num_reports_;
+  }
 
   // Batch ingestion, equivalent to Add() on every report. In pool mode the
   // (seed, y) histogram is accumulated in fixed shards over up to

@@ -5,7 +5,7 @@
 // registry. A protocol is its client/server pair plus a ProtocolPair<P>
 // specialization naming what really differs between protocols:
 //   * Client / Server and how they are built from ProtocolOptions,
-//   * CheckReport — the untrusted-report checks IngestReport runs before
+//   * CheckReport — the untrusted-report checks IngestReport(s) run before
 //     Server::Add (which FELIP_CHECKs instead of returning a Status),
 //   * Export / Restore — which OracleState fields carry the accumulator,
 //     and the checks that make restoring untrusted state safe.
@@ -15,7 +15,9 @@
 #ifndef FELIP_FO_PROTOCOL_PAIR_H_
 #define FELIP_FO_PROTOCOL_PAIR_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -320,16 +322,20 @@ class PairOracle final : public FrequencyOracle {
   size_t buffered_reports() const override { return buffer_.size(); }
 
   Status IngestReport(const ReportData& report) override {
-    const Report* payload =
-        std::get_if<static_cast<size_t>(P)>(&report.payload);
-    if (payload == nullptr) {
-      return Status::InvalidArgument(
-          std::string(ProtocolName(report.protocol())) + " report sent to a " +
-          std::string(ProtocolName(P)) + " oracle");
-    }
-    FELIP_RETURN_IF_ERROR(Pair::CheckReport(client_, server_, *payload));
+    const Report* payload = nullptr;
+    FELIP_RETURN_IF_ERROR(Check(report, &payload));
     server_.Add(*payload);
     return Status::Ok();
+  }
+  size_t IngestReports(std::span<const ReportData* const> reports) override {
+    size_t accepted = 0;
+    for (const ReportData* report : reports) {
+      const Report* payload = nullptr;
+      if (!Check(*report, &payload).ok()) continue;
+      server_.Add(*payload);
+      ++accepted;
+    }
+    return accepted;
   }
 
   OracleState ExportState() const override {
@@ -372,6 +378,19 @@ class PairOracle final : public FrequencyOracle {
   Protocol protocol() const override { return P; }
 
  private:
+  // The one validation of both ingest entry points: the payload must be
+  // this protocol's report and pass Pair::CheckReport. Sets `*payload` on
+  // success.
+  Status Check(const ReportData& report, const Report** payload) const {
+    *payload = std::get_if<static_cast<size_t>(P)>(&report.payload);
+    if (*payload == nullptr) {
+      return Status::InvalidArgument(
+          std::string(ProtocolName(report.protocol())) + " report sent to a " +
+          std::string(ProtocolName(P)) + " oracle");
+    }
+    return Pair::CheckReport(client_, server_, **payload);
+  }
+
   typename Pair::Client client_;
   typename Pair::Server server_;
   std::vector<Report> buffer_;

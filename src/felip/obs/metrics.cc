@@ -205,6 +205,13 @@ Gauge& Registry::GetGauge(std::string_view name) {
 }
 
 Histogram& Registry::GetHistogram(std::string_view name) {
+  {
+    // Look up first: building the default bounds costs an allocation,
+    // and spans resolve their histogram this way on every close.
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = histograms_.find(name);
+    if (it != histograms_.end()) return *it->second;
+  }
   return GetHistogram(name, LatencyBuckets());
 }
 

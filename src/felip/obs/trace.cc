@@ -10,12 +10,11 @@ namespace felip::obs {
 
 namespace {
 
-// Per-thread stack of active span paths (innermost at the back). Heap
-// allocated so thread exit never races instrument teardown.
+// Per-thread stack of active span paths (innermost at the back), freed
+// when its thread exits.
 std::vector<std::string>& SpanStack() {
-  thread_local std::vector<std::string>* stack =
-      new std::vector<std::string>;
-  return *stack;
+  thread_local std::vector<std::string> stack;
+  return stack;
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "felip/storage/storage.h"
 #include "felip/svc/dedup.h"
 #include "felip/svc/message.h"
+#include "felip/svc/sink.h"
 #include "felip/wire/framing.h"
 #include "felip/wire/wire.h"
 
@@ -137,10 +138,11 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
     stats.segments_read += 1;
 
     LogRecord record;
-    // Reused for every batch of this segment, like a server worker's
-    // decode buffer; scoped to the segment so what it retains stays
-    // proportional to the segment bytes already in memory.
+    // Decode and grid-run buffers reused for every batch of this segment,
+    // like a server worker's; scoped to the segment so what they retain
+    // stays proportional to the segment bytes already in memory.
     std::vector<wire::ReportMessage> messages;
+    svc::GridRunIngester grid_runs;
     while (true) {
       StatusOr<bool> next = parser->Next(&record);
       if (!next.ok()) {
@@ -167,16 +169,11 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
         stats.batches_undecodable += 1;
         continue;
       }
-      for (const wire::ReportMessage& m : messages) {
-        // The pipeline dispatches on the report's protocol tag; replay
-        // stays protocol-agnostic as new oracles are registered.
-        const Status status = pipeline->IngestReport(m.grid_index, m);
-        if (status.ok()) {
-          stats.reports_accepted += 1;
-        } else {
-          stats.reports_rejected += 1;
-        }
-      }
+      // The live sink's grid-run path, so replay validates and orders
+      // reports exactly as the server did.
+      const size_t accepted = grid_runs.Ingest(*pipeline, messages);
+      stats.reports_accepted += accepted;
+      stats.reports_rejected += messages.size() - accepted;
       stats.batches_replayed += 1;
       replayed_total.Increment();
     }

@@ -16,23 +16,47 @@ PipelineSink::PipelineSink(core::FelipPipeline* pipeline)
   }
 }
 
+size_t GridRunIngester::Ingest(core::FelipPipeline& pipeline,
+                               std::span<const wire::ReportMessage> reports) {
+  const size_t num_grids = pipeline.num_groups();
+  run_ends_.assign(num_grids, 0);
+  for (const wire::ReportMessage& m : reports) {
+    if (m.grid_index < num_grids) ++run_ends_[m.grid_index];
+  }
+  size_t placed = 0;
+  for (size_t& run : run_ends_) {
+    const size_t count = run;
+    run = placed;
+    placed += count;
+  }
+  sorted_.resize(placed);
+  // In batch order, so each run keeps its reports' relative order.
+  for (const wire::ReportMessage& m : reports) {
+    if (m.grid_index < num_grids) sorted_[run_ends_[m.grid_index]++] = &m;
+  }
+  const std::span<const fo::ReportData* const> sorted(sorted_);
+  size_t accepted = 0;
+  size_t begin = 0;
+  for (size_t g = 0; g < num_grids; ++g) {
+    const size_t end = run_ends_[g];
+    if (end > begin) {
+      accepted += pipeline.IngestReports(static_cast<uint32_t>(g),
+                                         sorted.subspan(begin, end - begin));
+    }
+    begin = end;
+  }
+  return accepted;
+}
+
 size_t PipelineSink::IngestBatch(std::span<const wire::ReportMessage> reports) {
   static obs::Counter& rejected_total = obs::Registry::Default().GetCounter(
       "felip_svc_reports_rejected_total");
   std::lock_guard<std::mutex> lock(mutex_);
-  size_t accepted = 0;
-  for (const wire::ReportMessage& m : reports) {
-    // ReportMessage is a protocol-tagged fo::ReportData; the pipeline
-    // dispatches on the tag, so the sink needs no per-protocol branches.
-    const Status status = pipeline_->IngestReport(m.grid_index, m);
-    if (status.ok()) {
-      ++accepted;
-    } else {
-      rejected_total.Increment();
-    }
-  }
+  const size_t accepted = grid_runs_.Ingest(*pipeline_, reports);
+  const size_t rejected = reports.size() - accepted;
+  if (rejected > 0) rejected_total.Increment(rejected);
   accepted_ += accepted;
-  rejected_ += reports.size() - accepted;
+  rejected_ += rejected;
   return accepted;
 }
 

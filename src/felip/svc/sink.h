@@ -2,17 +2,21 @@
 // the aggregation pipeline.
 //
 // IngestServer workers hand fully decoded, structurally valid batches to a
-// ReportSink. PipelineSink is the production sink: it feeds a planned
-// FelipPipeline's ingestion API (BeginIngest/Ingest*/FinishIngest) under a
-// mutex. Per-report validation (grid index in range, protocol matching the
-// grid's plan, payload within the grid's domain) happens inside the
-// pipeline's oracles and rejected reports are counted, never fatal —
+// ReportSink. PipelineSink is the production sink: under a mutex it feeds
+// each batch to a planned FelipPipeline one grid run at a time
+// (GridRunIngester): a stable counting sort by grid index, then one
+// FelipPipeline::IngestReports call per grid the batch touches. Per-report
+// validation (grid index in range, protocol matching the grid's plan,
+// payload within the grid's domain) still happens report by report inside
+// the pipeline's oracles, and rejected reports are counted, never fatal —
 // these bytes come from the network.
 //
 // Aggregation counts are integers, so the final estimates depend only on
 // the multiset of accepted reports — never on batch arrival order or
 // which worker ingested what. That is what makes the networked path
-// bit-identical to the in-process pipeline.
+// bit-identical to the in-process pipeline. The one order that state does
+// keep, OLH per-user raw report lists, is each grid's reports in frame
+// order, which the stable sort preserves.
 
 #ifndef FELIP_SVC_SINK_H_
 #define FELIP_SVC_SINK_H_
@@ -21,6 +25,7 @@
 #include <functional>
 #include <mutex>
 #include <span>
+#include <vector>
 
 #include "felip/core/felip.h"
 #include "felip/wire/wire.h"
@@ -35,6 +40,25 @@ class ReportSink {
   // Called concurrently by server workers; implementations synchronize.
   virtual size_t IngestBatch(
       std::span<const wire::ReportMessage> reports) = 0;
+};
+
+// The grid-run ingest path PipelineSink and the replay engine share. It
+// reuses its partition buffers across batches and is not thread-safe. A
+// report naming an unplanned grid is rejected. The result equals
+// FelipPipeline::IngestReport on every report in batch order: the same
+// accepted reports and the same oracle states.
+class GridRunIngester {
+ public:
+  // Ingests `reports` into `pipeline` (kCollecting) and returns how many
+  // were accepted.
+  size_t Ingest(core::FelipPipeline& pipeline,
+                std::span<const wire::ReportMessage> reports);
+
+ private:
+  // Per grid: the start of its run, then, once placed, its end.
+  std::vector<size_t> run_ends_;
+  // The batch's in-range reports, grouped by grid.
+  std::vector<const fo::ReportData*> sorted_;
 };
 
 // Thread-safe sink over a planned (not yet collected) FelipPipeline.
@@ -75,6 +99,7 @@ class PipelineSink final : public ReportSink {
  private:
   std::mutex mutex_;
   core::FelipPipeline* pipeline_;
+  GridRunIngester grid_runs_;
   uint64_t accepted_ = 0;
   uint64_t rejected_ = 0;
 };

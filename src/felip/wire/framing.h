@@ -61,7 +61,9 @@ class Reader {
 
   bool GetBytes(uint8_t* data, size_t len) {
     if (pos_ + len > in_.size()) return false;
-    std::memcpy(data, in_.data() + pos_, len);
+    // An empty vector's data() may be null, and memcpy from or to null is
+    // undefined even for zero bytes.
+    if (len > 0) std::memcpy(data, in_.data() + pos_, len);
     pos_ += len;
     return true;
   }

@@ -12,7 +12,10 @@ namespace {
 class CsvLoaderTest : public ::testing::Test {
  protected:
   void WriteFile(const std::string& content) {
-    path_ = ::testing::TempDir() + "/felip_csv_test.csv";
+    // One file per test: ctest runs the tests of this fixture in parallel.
+    path_ = ::testing::TempDir() + "/felip_csv_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
     std::ofstream out(path_);
     out << content;
   }

@@ -169,6 +169,18 @@ TEST(RegistryTest, FindOrCreateReturnsStableReferences) {
   EXPECT_EQ(&h, &h2);
 }
 
+TEST(RegistryTest, DefaultBoundsLookupOfAnExistingHistogramKeepsIt) {
+  Registry registry;
+  Histogram& custom = registry.GetHistogram("felip_test_custom", {1.0, 2.0});
+  custom.Observe(1.5);
+  Histogram& first = registry.GetHistogram("felip_test_custom");
+  Histogram& second = registry.GetHistogram("felip_test_custom");
+  EXPECT_EQ(&first, &custom);
+  EXPECT_EQ(&second, &custom);
+  EXPECT_EQ(second.bounds(), (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(second.Count(), 1u);
+}
+
 TEST(RegistryTest, ConcurrentGetAndIncrementFromManyThreads) {
   Registry registry;
   constexpr int kThreads = 8;

@@ -1,5 +1,6 @@
-// A per-scope cap on single heap allocations, for the on-disk corruption
-// corpora (truncation and bit-flip sweeps over FSNP, FRLG and FESG bytes).
+// A per-scope cap on single heap allocations, for the corruption corpora
+// (truncation and bit-flip sweeps over FSNP, FRLG and FESG bytes on disk
+// and over wire report frames).
 //
 // Linking alloc_cap.cc into a test binary replaces the global operator
 // new. While a ScopedAllocationCap is alive on a thread, any single

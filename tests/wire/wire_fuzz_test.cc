@@ -6,6 +6,9 @@
 // exercise the structural validation behind the checksum, not just the
 // checksum itself. Also pins DecodeReportBatchSharded to DecodeReportBatch:
 // same accepts, same rejects, and the sink never runs on malformed input.
+// The corruption sweeps run under an allocation cap (support/alloc_cap.h),
+// so a decoder that sizes a buffer from a corrupted count fails here on
+// every host.
 
 #include "felip/wire/wire.h"
 
@@ -21,6 +24,7 @@
 #include "felip/common/rng.h"
 #include "felip/fo/protocol.h"
 #include "felip/obs/metrics.h"
+#include "support/alloc_cap.h"
 
 namespace felip::wire {
 namespace {
@@ -106,6 +110,7 @@ TEST(WireFuzzTest, TruncationAtEveryByteOffsetFails) {
   };
   for (size_t e = 0; e < encodings.size(); ++e) {
     const std::vector<uint8_t>& full = encodings[e];
+    const test_support::ScopedAllocationCap cap(full.size());
     for (size_t len = 0; len < full.size(); ++len) {
       const std::vector<uint8_t> prefix(full.begin(), full.begin() + len);
       EXPECT_FALSE(DecodeGridConfig(prefix).ok())
@@ -147,6 +152,7 @@ TEST(WireFuzzTest, OversizedBatchCountFailsEvenResealed) {
   const uint32_t absurd = 1u << 31;
   std::memcpy(corrupt.data() + kHeaderSize, &absurd, sizeof(absurd));
   Reseal(&corrupt);
+  const test_support::ScopedAllocationCap cap(corrupt.size());
   EXPECT_FALSE(DecodeReportBatch(corrupt).ok());
 }
 
@@ -165,6 +171,7 @@ TEST(WireFuzzTest, CountJustOverRemainingBytesFailsBeforeAllocating) {
 
   const uint64_t malformed_before =
       obs::Registry::Default().CounterValue("felip_wire_malformed_total");
+  const test_support::ScopedAllocationCap cap(corrupt.size());
   EXPECT_FALSE(DecodeReportBatch(corrupt).ok());
   EXPECT_FALSE(DecodeReportBatchSharded(
                    corrupt, [](size_t, size_t, ReportMessage&&) {}, 1)
@@ -186,6 +193,7 @@ TEST(WireFuzzTest, OversizedOueLengthPrefixFailsEvenResealed) {
   const uint32_t absurd = 0xffffffffu;
   std::memcpy(corrupt.data() + len_offset, &absurd, sizeof(absurd));
   Reseal(&corrupt);
+  const test_support::ScopedAllocationCap cap(corrupt.size());
   EXPECT_FALSE(DecodeReport(corrupt).ok());
 }
 
@@ -215,6 +223,7 @@ TEST(WireFuzzTest, InvalidProtocolByteFailsEvenResealed) {
 TEST(WireFuzzTest, RandomSingleByteCorruptionNeverDecodes) {
   const std::vector<uint8_t> full = EncodeReportBatch(SampleBatch());
   Rng rng(20260808);
+  const test_support::ScopedAllocationCap cap(full.size());
   for (int trial = 0; trial < 500; ++trial) {
     std::vector<uint8_t> corrupt = full;
     const size_t pos = rng.UniformU64(corrupt.size());
@@ -228,6 +237,7 @@ TEST(WireFuzzTest, RandomSingleByteCorruptionNeverDecodes) {
 
 TEST(WireFuzzTest, RandomGarbageBuffersNeverDecode) {
   Rng rng(20260809);
+  const test_support::ScopedAllocationCap cap(256);
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<uint8_t> garbage(rng.UniformU64(256));
     for (uint8_t& b : garbage) {
@@ -327,6 +337,7 @@ TEST(WireShardedDecodeTest, SinkNeverRunsOnMalformedInput) {
   const auto counting_sink = [&sink_calls](size_t, size_t, ReportMessage&&) {
     ++sink_calls;
   };
+  const test_support::ScopedAllocationCap cap(valid.size());
 
   // Truncations.
   for (size_t len = 0; len < valid.size(); ++len) {

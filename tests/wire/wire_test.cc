@@ -9,6 +9,7 @@
 
 #include "felip/common/rng.h"
 #include "felip/data/synthetic.h"
+#include "felip/wire/framing.h"
 
 namespace felip::wire {
 namespace {
@@ -189,6 +190,30 @@ TEST(WireReportTest, OueRoundTrip) {
   ReportMessage m;
   m.grid_index = 0;
   m.payload = std::vector<uint8_t>{1, 0, 0, 1, 1, 0};
+  const auto decoded = DecodeReport(EncodeReport(m));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, m);
+}
+
+// Zero-length reads must not reach memcpy: an empty vector's data() may
+// be null, which UBSan flags even for a zero-byte copy.
+TEST(WireReaderTest, ZeroByteReadIntoAnEmptyVectorSucceeds) {
+  const std::vector<uint8_t> input = {7};
+  Reader reader(input);
+  std::vector<uint8_t> empty;
+  EXPECT_TRUE(reader.GetBytes(empty.data(), 0));
+  EXPECT_EQ(reader.remaining(), 1u);
+
+  const std::vector<uint8_t> no_input;
+  Reader at_end(no_input);
+  EXPECT_TRUE(at_end.GetBytes(empty.data(), 0));
+  EXPECT_FALSE(at_end.GetBytes(empty.data(), 1));
+}
+
+TEST(WireReportTest, EmptyOueBitVectorRoundTrips) {
+  ReportMessage m;
+  m.grid_index = 2;
+  m.payload = std::vector<uint8_t>{};
   const auto decoded = DecodeReport(EncodeReport(m));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, m);
