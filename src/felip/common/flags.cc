@@ -1,5 +1,6 @@
 #include "felip/common/flags.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 namespace felip {
@@ -93,6 +94,33 @@ std::vector<std::string> FlagParser::UnconsumedFlags() const {
     if (consumed_.count(name) == 0) unread.push_back(name);
   }
   return unread;
+}
+
+bool FlagParser::CheckAllConsumed() const {
+  bool ok = true;
+  for (const std::string& unknown : UnconsumedFlags()) {
+    std::fprintf(stderr, "error: unknown flag: --%s\n", unknown.c_str());
+    ok = false;
+  }
+  for (const std::string& positional : positional_) {
+    std::fprintf(stderr, "error: unexpected argument: %s\n",
+                 positional.c_str());
+    ok = false;
+  }
+  return ok;
+}
+
+std::vector<std::string> FlagParser::SplitList(const std::string& list) {
+  std::vector<std::string> items;
+  size_t begin = 0;
+  while (begin <= list.size()) {
+    const size_t comma = list.find(',', begin);
+    const size_t end = comma == std::string::npos ? list.size() : comma;
+    if (end > begin) items.push_back(list.substr(begin, end - begin));
+    if (comma == std::string::npos) break;
+    begin = comma + 1;
+  }
+  return items;
 }
 
 }  // namespace felip

@@ -38,6 +38,14 @@ class FlagParser {
   // Flags that were passed but never read — almost always typos.
   std::vector<std::string> UnconsumedFlags() const;
 
+  // Prints "error: ..." to stderr for every unread flag and positional
+  // argument (a single-dash `-metrics` lands there); true when there was
+  // none. Call after the last accessor.
+  bool CheckAllConsumed() const;
+
+  // Splits a comma-separated value, dropping empty items.
+  static std::vector<std::string> SplitList(const std::string& list);
+
   // Arguments that did not start with "--", in order.
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -1,6 +1,7 @@
 #include "felip/core/felip.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
 #include <limits>
 #include <thread>
@@ -683,6 +684,16 @@ uint64_t GridFrequencyDigest(const FelipPipeline& pipeline) {
         XxHash64Bytes(grid.data(), grid.size() * sizeof(double), digest);
   }
   return digest;
+}
+
+void PrintFingerprint(const FelipPipeline& pipeline, std::FILE* out) {
+  const std::vector<double> marginal = pipeline.EstimateMarginal(0);
+  std::fprintf(out, "attr0 marginal head:");
+  for (size_t v = 0; v < marginal.size() && v < 8; ++v) {
+    std::fprintf(out, " %.17g", marginal[v]);
+  }
+  std::fprintf(out, "\ngrid frequencies xxh64=%016" PRIx64 "\n",
+               GridFrequencyDigest(pipeline));
 }
 
 }  // namespace felip::core

@@ -16,6 +16,7 @@
 #define FELIP_CORE_FELIP_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <span>
@@ -407,6 +408,11 @@ FelipPipeline RunFelip(const data::Dataset& dataset, FelipConfig config);
 // after replaying a report log, so replay-vs-live (and resumed-vs-
 // uninterrupted) runs can be compared bit for bit. Requires kQueryable.
 uint64_t GridFrequencyDigest(const FelipPipeline& pipeline);
+
+// Prints that fingerprint as felip_server and felip_replay print it:
+// attribute 0's marginal head (%.17g round-trips doubles exactly), then
+// the GridFrequencyDigest. Requires kQueryable.
+void PrintFingerprint(const FelipPipeline& pipeline, std::FILE* out);
 
 }  // namespace felip::core
 

@@ -58,8 +58,7 @@ StatusOr<SegmentParser> SegmentParser::Open(std::vector<uint8_t> bytes) {
   if (!r.Get(&version) || version != kFormatVersion) {
     return Damaged("replay log segment has an unsupported version");
   }
-  if (!r.Get(&plan_len) || plan_len > kMaxPlanBytes ||
-      plan_len > r.remaining()) {
+  if (!r.GetLength(&plan_len, 1) || plan_len > kMaxPlanBytes) {
     return Damaged("replay log segment header is truncated");
   }
   std::vector<uint8_t> plan(plan_len);

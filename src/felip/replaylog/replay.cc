@@ -37,13 +37,13 @@ Status DecodePlan(const std::vector<uint8_t>& plan, core::FelipConfig* config,
                   std::vector<data::AttributeInfo>* schema) {
   wire::Reader r(plan);
   uint32_t config_len = 0;
-  if (!r.Get(&config_len) || config_len > r.remaining()) {
+  if (!r.GetLength(&config_len, 1)) {
     return Status::InvalidArgument("replay log plan is truncated");
   }
   std::vector<uint8_t> config_bytes(r.cursor(), r.cursor() + config_len);
   r.Skip(config_len);
   uint32_t schema_len = 0;
-  if (!r.Get(&schema_len) || schema_len > r.remaining()) {
+  if (!r.GetLength(&schema_len, 1)) {
     return Status::InvalidArgument("replay log plan is truncated");
   }
   std::vector<uint8_t> schema_bytes(r.cursor(), r.cursor() + schema_len);

@@ -23,7 +23,7 @@
 //
 // The one ordering rule this imposes on callers: cut no checkpoint that
 // claims a batch until Flush() has covered that batch's record, or a
-// SIGKILL could leave a snapshot that leads the log (felip_server wires
+// SIGKILL could leave a snapshot that leads the log (node::Node wires
 // this into its checkpoint callback; docs/replay.md explains why replay
 // correctness needs it).
 //

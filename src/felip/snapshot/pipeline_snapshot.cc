@@ -74,8 +74,7 @@ Status DecodeConfigSection(const std::vector<uint8_t>& payload,
   uint32_t selectivities = 0;
   if (!r.Get(num_users) || !r.Get(&strategy) || !r.Get(&partitioning) ||
       !r.Get(&config->epsilon) || !r.Get(&config->alpha1) ||
-      !r.Get(&config->alpha2) || !r.Get(&config->default_selectivity) ||
-      !r.Get(&selectivities)) {
+      !r.Get(&config->alpha2) || !r.Get(&config->default_selectivity)) {
     return Malformed("snapshot config section is truncated");
   }
   if (strategy > 1 || partitioning > 1) {
@@ -83,7 +82,7 @@ Status DecodeConfigSection(const std::vector<uint8_t>& payload,
   }
   config->strategy = static_cast<core::Strategy>(strategy);
   config->partitioning = static_cast<core::PartitioningMode>(partitioning);
-  if (selectivities > r.remaining() / sizeof(double)) {
+  if (!r.GetLength(&selectivities, sizeof(double))) {
     return Malformed("snapshot config selectivity list overruns the section");
   }
   config->attribute_selectivity.resize(selectivities);
@@ -169,7 +168,7 @@ Status DecodeSchemaSection(const std::vector<uint8_t>& payload,
   schema->reserve(count);
   for (uint32_t a = 0; a < count; ++a) {
     uint32_t name_len = 0;
-    if (!r.Get(&name_len) || name_len > r.remaining()) {
+    if (!r.GetLength(&name_len, 1)) {
       return Malformed("snapshot schema section is truncated");
     }
     AttributeInfo attr;
@@ -262,15 +261,14 @@ Status DecodeOracles(const std::vector<uint8_t>& payload,
     fo::OracleState state;
     uint8_t protocol = 0;
     uint64_t counts_len = 0;
-    if (!r.Get(&protocol) || !r.Get(&state.num_reports) ||
-        !r.Get(&counts_len)) {
+    if (!r.Get(&protocol) || !r.Get(&state.num_reports)) {
       return Malformed("snapshot oracle section is truncated");
     }
     if (!fo::KnownProtocolByte(protocol)) {
       return Malformed("snapshot oracle carries an unknown protocol");
     }
     state.protocol = static_cast<fo::Protocol>(protocol);
-    if (counts_len > r.remaining() / sizeof(uint64_t)) {
+    if (!r.GetLength(&counts_len, sizeof(uint64_t))) {
       return Malformed("snapshot oracle counts overrun the section");
     }
     state.counts.resize(counts_len);
@@ -278,7 +276,7 @@ Status DecodeOracles(const std::vector<uint8_t>& payload,
       if (!r.Get(&c)) return Malformed("snapshot oracle section is truncated");
     }
     uint64_t pool_len = 0;
-    if (!r.Get(&pool_len) || pool_len > r.remaining() / sizeof(uint32_t)) {
+    if (!r.GetLength(&pool_len, sizeof(uint32_t))) {
       return Malformed("snapshot oracle pool overruns the section");
     }
     state.pool_counts.resize(pool_len);
@@ -287,8 +285,7 @@ Status DecodeOracles(const std::vector<uint8_t>& payload,
     }
     uint64_t reports_len = 0;
     constexpr size_t kOlhReportBytes = 8 + 4 + 4;
-    if (!r.Get(&reports_len) ||
-        reports_len > r.remaining() / kOlhReportBytes) {
+    if (!r.GetLength(&reports_len, kOlhReportBytes)) {
       return Malformed("snapshot oracle reports overrun the section");
     }
     state.reports.resize(reports_len);
@@ -332,7 +329,7 @@ Status DecodeGridFrequencies(const std::vector<uint8_t>& payload,
   frequencies->reserve(count);
   for (uint32_t g = 0; g < count; ++g) {
     uint64_t len = 0;
-    if (!r.Get(&len) || len > r.remaining() / sizeof(double)) {
+    if (!r.GetLength(&len, sizeof(double))) {
       return Malformed("snapshot frequency grid overruns the section");
     }
     std::vector<double> grid(len);
@@ -388,7 +385,7 @@ Status DecodeResponseMatrices(const std::vector<uint8_t>& payload,
     post::ResponseMatrix::Blocks blocks;
     uint64_t len = 0;
     if (!r.Get(&blocks.domain_x) || !r.Get(&blocks.domain_y) ||
-        !r.Get(&len) || len > r.remaining() / sizeof(uint32_t)) {
+        !r.GetLength(&len, sizeof(uint32_t))) {
       return Malformed("snapshot response-matrix section is truncated");
     }
     blocks.bx.resize(len);
@@ -397,7 +394,7 @@ Status DecodeResponseMatrices(const std::vector<uint8_t>& payload,
         return Malformed("snapshot response-matrix section is truncated");
       }
     }
-    if (!r.Get(&len) || len > r.remaining() / sizeof(uint32_t)) {
+    if (!r.GetLength(&len, sizeof(uint32_t))) {
       return Malformed("snapshot response-matrix section is truncated");
     }
     blocks.by.resize(len);
@@ -406,7 +403,7 @@ Status DecodeResponseMatrices(const std::vector<uint8_t>& payload,
         return Malformed("snapshot response-matrix section is truncated");
       }
     }
-    if (!r.Get(&len) || len > r.remaining() / sizeof(double)) {
+    if (!r.GetLength(&len, sizeof(double))) {
       return Malformed("snapshot response-matrix section is truncated");
     }
     blocks.mass.resize(len);
@@ -441,7 +438,7 @@ Status DecodeDedup(const std::vector<uint8_t>& payload,
                    std::vector<uint64_t>* keys) {
   Reader r(payload);
   uint64_t count = 0;
-  if (!r.Get(&count) || count > r.remaining() / sizeof(uint64_t)) {
+  if (!r.GetLength(&count, sizeof(uint64_t))) {
     return Malformed("snapshot dedup section is truncated");
   }
   keys->resize(count);

@@ -10,23 +10,78 @@
 
 namespace felip::svc {
 
-namespace {
-
-void SleepMs(uint32_t ms) {
-  if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
-}  // namespace
-
-IngestClient::IngestClient(Transport* transport, std::string endpoint,
-                           IngestClientOptions options)
-    : transport_(transport),
+RetryingClient::RetryingClient(Transport* transport, std::string endpoint,
+                               const ClientOptions& options,
+                               const std::string& metrics)
+    : options_(options),
+      transport_(transport),
       endpoint_(std::move(endpoint)),
-      options_(options),
+      retries_total_(
+          obs::Registry::Default().GetCounter(metrics + "_retries_total")),
+      reconnects_total_(
+          obs::Registry::Default().GetCounter(metrics + "_reconnects_total")),
       rng_(options.jitter_seed) {
   FELIP_CHECK(transport != nullptr);
   FELIP_CHECK(options_.max_attempts > 0);
 }
+
+Status RetryingClient::Exchange(int attempt,
+                                const std::vector<uint8_t>& frame,
+                                std::vector<uint8_t>* response) {
+  if (attempt > 1) {
+    retries_total_.Increment();
+    retries_.fetch_add(1);
+  }
+  if (connection_ == nullptr) {
+    connection_ = transport_->Connect(endpoint_, options_.connect_timeout_ms);
+    if (connection_ == nullptr) {
+      return Status::Unavailable("cannot connect to the server");
+    }
+    reconnects_total_.Increment();
+    reconnects_.fetch_add(1);
+  }
+  if (!connection_->SendFrame(frame)) {
+    DropConnection();
+    return Status::Unavailable("send failed; reconnecting");
+  }
+  if (connection_->RecvFrame(response, options_.response_timeout_ms) !=
+      RecvStatus::kOk) {
+    // After a timeout a late response could desynchronize request/response
+    // pairing on this connection, so both failure kinds reconnect.
+    DropConnection();
+    return Status::Unavailable("no response before the timeout");
+  }
+  return Status::Ok();
+}
+
+void RetryingClient::DropConnection() {
+  if (connection_ == nullptr) return;
+  connection_->Close();
+  connection_.reset();
+}
+
+void RetryingClient::Backoff(int attempt) {
+  const int shift = std::min(attempt - 1, 16);
+  const uint64_t base = std::min<uint64_t>(
+      static_cast<uint64_t>(options_.backoff_initial_ms) << shift,
+      options_.backoff_cap_ms);
+  SleepMs(static_cast<uint32_t>(base) + Jitter(static_cast<uint32_t>(base)));
+}
+
+uint32_t RetryingClient::Jitter(uint32_t bound_ms) {
+  if (bound_ms == 0) return 0;
+  std::lock_guard<std::mutex> lock(rng_mutex_);
+  return static_cast<uint32_t>(rng_.UniformU64(bound_ms + 1));
+}
+
+void RetryingClient::SleepMs(uint32_t ms) {
+  if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+IngestClient::IngestClient(Transport* transport, std::string endpoint,
+                           IngestClientOptions options)
+    : RetryingClient(transport, std::move(endpoint), options,
+                     "felip_svc_client") {}
 
 SendOutcome IngestClient::SendBatch(
     const std::vector<wire::ReportMessage>& batch) {
@@ -37,51 +92,26 @@ SendOutcome IngestClient::SendEncodedBatch(
     const std::vector<uint8_t>& frame) {
   static obs::Counter& batches_total = obs::Registry::Default().GetCounter(
       "felip_svc_client_batches_total");
-  static obs::Counter& retries_total = obs::Registry::Default().GetCounter(
-      "felip_svc_client_retries_total");
   batches_total.Increment();
 
   SendOutcome outcome;
   const std::optional<uint64_t> checksum = ChecksumTrailer(frame);
   FELIP_CHECK_MSG(checksum.has_value(), "batch frame has no checksum trailer");
 
+  std::vector<uint8_t> response;
   for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {
     outcome.attempts = attempt;
-    if (attempt > 1) {
-      retries_total.Increment();
-      retries_.fetch_add(1);
-    }
-
-    if (!EnsureConnected()) {
-      outcome.status = Status::Unavailable("cannot connect to the server");
-      SleepMs(BackoffMs(attempt));
+    outcome.status = Exchange(attempt, frame, &response);
+    if (!outcome.status.ok()) {
+      Backoff(attempt);
       continue;
     }
-    if (!connection_->SendFrame(frame)) {
-      outcome.status = Status::Unavailable("send failed; reconnecting");
-      DropConnection();
-      SleepMs(BackoffMs(attempt));
-      continue;
-    }
-
-    std::vector<uint8_t> response;
-    const RecvStatus recv_status =
-        connection_->RecvFrame(&response, options_.response_timeout_ms);
-    if (recv_status != RecvStatus::kOk) {
-      // After a timeout a late ack could desynchronize request/response
-      // pairing on this connection, so both failure kinds reconnect.
-      outcome.status = Status::Unavailable("no ack before the timeout");
-      DropConnection();
-      SleepMs(BackoffMs(attempt));
-      continue;
-    }
-
     const StatusOr<Ack> ack = DecodeAck(response);
     if (!ack.ok() || ack->batch_checksum != *checksum) {
       outcome.status =
           Status::Unavailable("ack was undecodable or mismatched");
       DropConnection();
-      SleepMs(BackoffMs(attempt));
+      Backoff(attempt);
       continue;
     }
     switch (ack->status) {
@@ -101,7 +131,7 @@ SendOutcome IngestClient::SendEncodedBatch(
       case StatusCode::kDataLoss:
         // Damaged in flight; the frame itself is fine — resend.
         outcome.status = Status::DataLoss("frame damaged in flight");
-        SleepMs(BackoffMs(attempt));
+        Backoff(attempt);
         continue;
       default:
         // DecodeAck only yields the four codes above.
@@ -109,38 +139,6 @@ SendOutcome IngestClient::SendEncodedBatch(
     }
   }
   return outcome;
-}
-
-bool IngestClient::EnsureConnected() {
-  if (connection_ != nullptr) return true;
-  connection_ = transport_->Connect(endpoint_, options_.connect_timeout_ms);
-  if (connection_ == nullptr) return false;
-  static obs::Counter& reconnects_total = obs::Registry::Default().GetCounter(
-      "felip_svc_client_reconnects_total");
-  reconnects_total.Increment();
-  reconnects_.fetch_add(1);
-  return true;
-}
-
-void IngestClient::DropConnection() {
-  if (connection_ == nullptr) return;
-  connection_->Close();
-  connection_.reset();
-}
-
-uint32_t IngestClient::BackoffMs(int attempt) {
-  const int shift = std::min(attempt - 1, 16);
-  const uint64_t base =
-      std::min<uint64_t>(static_cast<uint64_t>(options_.backoff_initial_ms)
-                             << shift,
-                         options_.backoff_cap_ms);
-  return static_cast<uint32_t>(base) + Jitter(static_cast<uint32_t>(base));
-}
-
-uint32_t IngestClient::Jitter(uint32_t bound_ms) {
-  if (bound_ms == 0) return 0;
-  std::lock_guard<std::mutex> lock(rng_mutex_);
-  return static_cast<uint32_t>(rng_.UniformU64(bound_ms + 1));
 }
 
 }  // namespace felip::svc

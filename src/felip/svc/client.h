@@ -33,18 +33,64 @@
 #include "felip/svc/transport.h"
 #include "felip/wire/wire.h"
 
+namespace felip::obs {
+class Counter;
+}  // namespace felip::obs
+
 namespace felip::svc {
 
-struct IngestClientOptions {
+// Connection and retry pacing of a retrying client.
+struct ClientOptions {
   int connect_timeout_ms = 2000;
   int response_timeout_ms = 2000;
-  // Delivery attempts per batch before giving up.
+  // Delivery attempts per request before giving up.
   int max_attempts = 16;
   // Capped exponential backoff between failed attempts.
   uint32_t backoff_initial_ms = 1;
   uint32_t backoff_cap_ms = 64;
   // Seeds the jitter Rng; fixed seed => identical retry schedule.
   uint64_t jitter_seed = 1;
+};
+using IngestClientOptions = ClientOptions;
+
+// The transport half both retrying clients share (IngestClient below,
+// QueryClient in svc/query_service.h): one lazily (re)connected
+// connection, one request/response exchange per attempt, and capped
+// exponential backoff with jitter from the seeded Rng.
+class RetryingClient {
+ public:
+  uint64_t retries() const { return retries_.load(); }
+  uint64_t reconnects() const { return reconnects_.load(); }
+
+ protected:
+  // `transport` must outlive the client. Retries and reconnects are also
+  // counted in <metrics>_retries_total and <metrics>_reconnects_total.
+  RetryingClient(Transport* transport, std::string endpoint,
+                 const ClientOptions& options, const std::string& metrics);
+
+  // Attempt `attempt` (1-based; later ones count as retries): connects
+  // when needed, sends `frame` and waits for one response. A failure
+  // drops the connection and says why.
+  Status Exchange(int attempt, const std::vector<uint8_t>& frame,
+                  std::vector<uint8_t>* response);
+  void DropConnection();
+  // Sleeps the capped exponential backoff + jitter for `attempt`.
+  void Backoff(int attempt);
+  uint32_t Jitter(uint32_t bound_ms);
+  static void SleepMs(uint32_t ms);
+
+  const ClientOptions options_;
+
+ private:
+  Transport* transport_;
+  std::string endpoint_;
+  obs::Counter& retries_total_;
+  obs::Counter& reconnects_total_;
+  std::unique_ptr<FrameConnection> connection_;
+  std::mutex rng_mutex_;
+  Rng rng_;
+  std::atomic<uint64_t> retries_{0};
+  std::atomic<uint64_t> reconnects_{0};
 };
 
 struct SendOutcome {
@@ -63,7 +109,7 @@ struct SendOutcome {
   }
 };
 
-class IngestClient {
+class IngestClient : public RetryingClient {
  public:
   // `transport` must outlive the client.
   IngestClient(Transport* transport, std::string endpoint,
@@ -74,26 +120,6 @@ class IngestClient {
 
   // Delivers an already-encoded batch frame (wire::EncodeReportBatch).
   SendOutcome SendEncodedBatch(const std::vector<uint8_t>& frame);
-
-  // --- Introspection ---
-  uint64_t retries() const { return retries_.load(); }
-  uint64_t reconnects() const { return reconnects_.load(); }
-
- private:
-  bool EnsureConnected();
-  void DropConnection();
-  // Capped exponential backoff + jitter for the given 1-based attempt.
-  uint32_t BackoffMs(int attempt);
-  uint32_t Jitter(uint32_t bound_ms);
-
-  Transport* transport_;
-  std::string endpoint_;
-  IngestClientOptions options_;
-  std::unique_ptr<FrameConnection> connection_;
-  std::mutex rng_mutex_;
-  Rng rng_;
-  std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> reconnects_{0};
 };
 
 }  // namespace felip::svc

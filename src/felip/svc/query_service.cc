@@ -1,9 +1,8 @@
 #include "felip/svc/query_service.h"
 
-#include <algorithm>
 #include <chrono>
+#include <optional>
 #include <span>
-#include <thread>
 #include <utility>
 
 #include "felip/obs/metrics.h"
@@ -40,10 +39,6 @@ struct QueryCounters {
     return counters;
   }
 };
-
-void SleepMs(uint32_t ms) {
-  if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
 
 }  // namespace
 
@@ -112,41 +107,55 @@ std::vector<uint8_t> QueryServer::HandleFrame(
     return EncodeAck(ack);
   }
   const uint64_t checksum = *ChecksumTrailer(payload);
-
-  // Windowed frames take the epoch route; everything below this point is
-  // a plain query batch.
-  if (wire::IsWindowedQueryFrame(payload)) {
-    return HandleWindowedFrame(std::move(payload), checksum);
-  }
-
   wire::QueryResponseMessage response;
   response.request_checksum = checksum;
-  if (epochs_ != nullptr) response.sealed_epochs = epochs_->newest_seq();
-
-  // Gate 2: structure. Checksum-valid but undecodable means a bad
-  // client, not corruption — a resend would fail identically, so the
-  // response is a terminal kInvalidArgument rather than an ack.
-  const auto queries = wire::DecodeQueryBatch(payload);
-  if (!queries.ok() || queries->size() > options_.max_batch_queries) {
-    batches_invalid_.fetch_add(1);
-    counters.invalid.Increment();
-    response.status = StatusCode::kInvalidArgument;
-    response.bad_query = wire::kBadQueryNone;
+  const auto reply = [&](StatusCode code, obs::Counter& counter,
+                         std::atomic<uint64_t>& stat) {
+    stat.fetch_add(1);
+    counter.Increment();
+    response.status = code;
     return wire::EncodeQueryResponse(response);
+  };
+
+  // Gate 2: structure. Checksum-valid but undecodable (including a
+  // windowed frame's out-of-range decay) means a bad client, not
+  // corruption — a resend would fail identically, so the response is a
+  // terminal kInvalidArgument rather than an ack. A windowed frame to a
+  // server without an epoch window is terminal too: it will never grow
+  // one.
+  const bool windowed = wire::IsWindowedQueryFrame(payload);
+  std::optional<obs::ScopedTimer> windowed_span;
+  wire::WindowedQueryMessage request;
+  bool decoded = false;
+  if (windowed) {
+    windowed_span.emplace("felip_svc_windowed_batch");
+    auto message = wire::DecodeWindowedQuery(payload);
+    decoded = message.ok() && epochs_ != nullptr;
+    if (decoded) request = *std::move(message);
+  } else {
+    auto queries = wire::DecodeQueryBatch(payload);
+    decoded = queries.ok();
+    if (decoded) request.queries = *std::move(queries);
+  }
+  const std::vector<query::Query>& queries = request.queries;
+  response.bad_query = wire::kBadQueryNone;
+  if (epochs_ != nullptr) response.sealed_epochs = epochs_->newest_seq();
+  if (!decoded || queries.size() > options_.max_batch_queries) {
+    return reply(StatusCode::kInvalidArgument, counters.invalid,
+                 batches_invalid_);
   }
 
-  // Readiness gate. Pipeline mode: the one round must be queryable.
-  // Epoch mode (no pipeline): at least one epoch must have sealed — and
-  // this check must come before schema validation, because the window's
-  // schema is empty until the first seal and would wrongly turn valid
-  // queries into terminal kInvalidArgument.
-  if (pipeline_ != nullptr
-          ? pipeline_->state() != core::PipelineState::kQueryable
+  // Readiness gate: a pipeline serves once it is queryable, an epoch
+  // window once its first epoch sealed. This check must come before
+  // schema validation, because the window's schema is empty until the
+  // first seal and would wrongly turn valid queries into a terminal
+  // kInvalidArgument.
+  const core::FelipPipeline* pipeline = windowed ? nullptr : pipeline_;
+  if (pipeline != nullptr
+          ? pipeline->state() != core::PipelineState::kQueryable
           : response.sealed_epochs == 0) {
-    batches_not_ready_.fetch_add(1);
-    counters.not_ready.Increment();
-    response.status = StatusCode::kFailedPrecondition;
-    return wire::EncodeQueryResponse(response);
+    return reply(StatusCode::kFailedPrecondition, counters.not_ready,
+                 batches_not_ready_);
   }
 
   // Gate 3: schema domains. AnswerQuery treats out-of-domain predicates
@@ -154,127 +163,49 @@ std::vector<uint8_t> QueryServer::HandleFrame(
   // untrusted client's input and get a terminal kInvalidArgument naming
   // the first offending query.
   const std::vector<data::AttributeInfo> schema =
-      pipeline_ != nullptr ? pipeline_->schema() : epochs_->schema();
-  for (size_t q = 0; q < queries->size(); ++q) {
-    if (query::ValidateQuery((*queries)[q], schema)) {
-      batches_invalid_.fetch_add(1);
-      counters.invalid.Increment();
-      response.status = StatusCode::kInvalidArgument;
+      pipeline != nullptr ? pipeline->schema() : epochs_->schema();
+  for (size_t q = 0; q < queries.size(); ++q) {
+    if (query::ValidateQuery(queries[q], schema)) {
       response.bad_query = static_cast<uint32_t>(q);
-      return wire::EncodeQueryResponse(response);
+      return reply(StatusCode::kInvalidArgument, counters.invalid,
+                   batches_invalid_);
     }
   }
 
   core::QueryBatchOptions batch_options;
   batch_options.threads = options_.answer_threads;
   batch_options.pair_path = options_.pair_path;
-  if (pipeline_ != nullptr) {
-    response.answers = pipeline_->AnswerQueries(
-        std::span<const query::Query>(*queries), batch_options);
-  } else {
-    auto answers = epochs_->AnswerLatest(
-        std::span<const query::Query>(*queries), batch_options);
-    if (!answers.ok()) {
-      // Unreachable once sealed_epochs > 0 (the window only grows), but
-      // degrade to retryable rather than crash on a contract drift.
-      batches_not_ready_.fetch_add(1);
-      counters.not_ready.Increment();
-      response.status = StatusCode::kFailedPrecondition;
-      return wire::EncodeQueryResponse(response);
-    }
-    response.answers = std::move(answers).value();
-  }
-  response.status = StatusCode::kOk;
-  response.bad_query = wire::kBadQueryNone;
-
-  counters.batches.Increment();
-  counters.queries.Increment(queries->size());
-  queries_answered_.fetch_add(queries->size());
-  {
-    std::lock_guard<std::mutex> lock(answered_mutex_);
-    batches_answered_.fetch_add(1);
-  }
-  answered_cv_.notify_all();
-  return wire::EncodeQueryResponse(response);
-}
-
-std::vector<uint8_t> QueryServer::HandleWindowedFrame(
-    std::vector<uint8_t>&& payload, uint64_t checksum) {
-  obs::ScopedTimer span("felip_svc_windowed_batch");
-  QueryCounters& counters = QueryCounters::Get();
-
-  wire::QueryResponseMessage response;
-  response.request_checksum = checksum;
-
-  // Structure gate, same contract as the plain batch: checksum-valid but
-  // undecodable (including an out-of-range decay) is a bad client and a
-  // terminal kInvalidArgument.
-  const auto request = wire::DecodeWindowedQuery(payload);
-  if (!request.ok() || request->queries.size() > options_.max_batch_queries) {
-    batches_invalid_.fetch_add(1);
-    counters.invalid.Increment();
-    response.status = StatusCode::kInvalidArgument;
-    response.bad_query = wire::kBadQueryNone;
-    return wire::EncodeQueryResponse(response);
-  }
-
-  // A server without an epoch window can never answer a windowed query:
-  // terminal, not retryable.
-  if (epochs_ == nullptr) {
-    batches_invalid_.fetch_add(1);
-    counters.invalid.Increment();
-    response.status = StatusCode::kInvalidArgument;
-    response.bad_query = wire::kBadQueryNone;
-    return wire::EncodeQueryResponse(response);
-  }
-  response.sealed_epochs = epochs_->newest_seq();
-
-  // Readiness before schema: the window's schema is empty until the
-  // first seal, and an empty schema would wrongly reject valid queries
-  // with a terminal status. Retry until the first epoch lands.
-  if (response.sealed_epochs == 0) {
-    batches_not_ready_.fetch_add(1);
-    counters.not_ready.Increment();
-    response.status = StatusCode::kFailedPrecondition;
-    return wire::EncodeQueryResponse(response);
-  }
-
-  const std::vector<data::AttributeInfo> schema = epochs_->schema();
-  for (size_t q = 0; q < request->queries.size(); ++q) {
-    if (query::ValidateQuery(request->queries[q], schema)) {
-      batches_invalid_.fetch_add(1);
-      counters.invalid.Increment();
-      response.status = StatusCode::kInvalidArgument;
-      response.bad_query = static_cast<uint32_t>(q);
-      return wire::EncodeQueryResponse(response);
-    }
-  }
-
-  core::QueryBatchOptions batch_options;
-  batch_options.threads = options_.answer_threads;
-  batch_options.pair_path = options_.pair_path;
-  auto answers = epochs_->AnswerWindowed(
-      std::span<const query::Query>(request->queries), request->window,
-      request->decay, batch_options);
+  const std::span<const query::Query> batch(queries);
+  StatusOr<std::vector<double>> answers =
+      windowed ? epochs_->AnswerWindowed(batch, request.window,
+                                         request.decay, batch_options)
+      : pipeline != nullptr
+          ? StatusOr<std::vector<double>>(
+                pipeline->AnswerQueries(batch, batch_options))
+          : epochs_->AnswerLatest(batch, batch_options);
   if (!answers.ok()) {
     // Unreachable once sealed_epochs > 0 (the window only grows), but
     // degrade to retryable rather than crash on a contract drift.
-    batches_not_ready_.fetch_add(1);
-    counters.not_ready.Increment();
-    response.status = StatusCode::kFailedPrecondition;
-    return wire::EncodeQueryResponse(response);
+    return reply(StatusCode::kFailedPrecondition, counters.not_ready,
+                 batches_not_ready_);
   }
   response.status = StatusCode::kOk;
-  response.bad_query = wire::kBadQueryNone;
-  response.answers = std::move(answers).value();
+  response.answers = *std::move(answers);
 
-  counters.windowed.Increment();
-  counters.windowed_queries.Increment(request->queries.size());
-  windowed_answered_.fetch_add(1);
-  queries_answered_.fetch_add(request->queries.size());
   {
+    // A plain batch whose response was lost comes back as the same bytes:
+    // it is answered again but counted once, so WaitForBatches(n) waits
+    // for n distinct batches. Windowed polls repeat on purpose and count
+    // every time.
     std::lock_guard<std::mutex> lock(answered_mutex_);
-    batches_answered_.fetch_add(1);
+    if (windowed || answered_keys_.Insert(checksum)) {
+      (windowed ? counters.windowed : counters.batches).Increment();
+      (windowed ? counters.windowed_queries : counters.queries)
+          .Increment(queries.size());
+      if (windowed) windowed_answered_.fetch_add(1);
+      queries_answered_.fetch_add(queries.size());
+      batches_answered_.fetch_add(1);
+    }
   }
   answered_cv_.notify_all();
   return wire::EncodeQueryResponse(response);
@@ -282,13 +213,8 @@ std::vector<uint8_t> QueryServer::HandleWindowedFrame(
 
 QueryClient::QueryClient(Transport* transport, std::string endpoint,
                          QueryClientOptions options)
-    : transport_(transport),
-      endpoint_(std::move(endpoint)),
-      options_(options),
-      rng_(options.jitter_seed) {
-  FELIP_CHECK(transport != nullptr);
-  FELIP_CHECK(options_.max_attempts > 0);
-}
+    : RetryingClient(transport, std::move(endpoint), options,
+                     "felip_svc_query_client") {}
 
 QueryOutcome QueryClient::AnswerQueries(
     const std::vector<query::Query>& queries) {
@@ -311,44 +237,18 @@ QueryOutcome QueryClient::AnswerWindowed(
 }
 
 QueryOutcome QueryClient::Deliver(const std::vector<uint8_t>& frame) {
-  static obs::Counter& retries_total = obs::Registry::Default().GetCounter(
-      "felip_svc_query_client_retries_total");
-
   const std::optional<uint64_t> checksum = ChecksumTrailer(frame);
   FELIP_CHECK_MSG(checksum.has_value(), "query frame has no checksum trailer");
 
   QueryOutcome outcome;
+  std::vector<uint8_t> response;
   for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {
     outcome.attempts = attempt;
-    if (attempt > 1) {
-      retries_total.Increment();
-      retries_.fetch_add(1);
-    }
-
-    if (!EnsureConnected()) {
-      outcome.status = Status::Unavailable("cannot connect to the server");
-      SleepMs(BackoffMs(attempt));
+    outcome.status = Exchange(attempt, frame, &response);
+    if (!outcome.status.ok()) {
+      Backoff(attempt);
       continue;
     }
-    if (!connection_->SendFrame(frame)) {
-      outcome.status = Status::Unavailable("send failed; reconnecting");
-      DropConnection();
-      SleepMs(BackoffMs(attempt));
-      continue;
-    }
-
-    std::vector<uint8_t> response;
-    const RecvStatus recv_status =
-        connection_->RecvFrame(&response, options_.response_timeout_ms);
-    if (recv_status != RecvStatus::kOk) {
-      // A late response could desynchronize request/response pairing on
-      // this connection, so both failure kinds reconnect.
-      outcome.status = Status::Unavailable("no response before the timeout");
-      DropConnection();
-      SleepMs(BackoffMs(attempt));
-      continue;
-    }
-
     if (auto decoded = wire::DecodeQueryResponse(response);
         decoded.ok() && decoded->request_checksum == *checksum) {
       outcome.sealed_epochs = decoded->sealed_epochs;
@@ -368,7 +268,7 @@ QueryOutcome QueryClient::Deliver(const std::vector<uint8_t>& frame) {
           // sealed yet); retry after backoff.
           outcome.status = Status::FailedPrecondition(
               "the serving backend is not queryable yet");
-          SleepMs(BackoffMs(attempt));
+          Backoff(attempt);
           continue;
         default:
           // DecodeQueryResponse only yields the three codes above.
@@ -381,46 +281,14 @@ QueryOutcome QueryClient::Deliver(const std::vector<uint8_t>& frame) {
     const StatusOr<Ack> ack = DecodeAck(response);
     if (ack.ok() && ack->status == StatusCode::kDataLoss) {
       outcome.status = Status::DataLoss("frame damaged in flight");
-      SleepMs(BackoffMs(attempt));
+      Backoff(attempt);
       continue;
     }
     outcome.status = Status::Unavailable("unpairable response; reconnecting");
     DropConnection();
-    SleepMs(BackoffMs(attempt));
+    Backoff(attempt);
   }
   return outcome;
-}
-
-bool QueryClient::EnsureConnected() {
-  if (connection_ != nullptr) return true;
-  connection_ = transport_->Connect(endpoint_, options_.connect_timeout_ms);
-  if (connection_ == nullptr) return false;
-  static obs::Counter& reconnects_total = obs::Registry::Default().GetCounter(
-      "felip_svc_query_client_reconnects_total");
-  reconnects_total.Increment();
-  reconnects_.fetch_add(1);
-  return true;
-}
-
-void QueryClient::DropConnection() {
-  if (connection_ == nullptr) return;
-  connection_->Close();
-  connection_.reset();
-}
-
-uint32_t QueryClient::BackoffMs(int attempt) {
-  const int shift = std::min(attempt - 1, 16);
-  const uint64_t base =
-      std::min<uint64_t>(static_cast<uint64_t>(options_.backoff_initial_ms)
-                             << shift,
-                         options_.backoff_cap_ms);
-  return static_cast<uint32_t>(base) + Jitter(static_cast<uint32_t>(base));
-}
-
-uint32_t QueryClient::Jitter(uint32_t bound_ms) {
-  if (bound_ms == 0) return 0;
-  std::lock_guard<std::mutex> lock(rng_mutex_);
-  return static_cast<uint32_t>(rng_.UniformU64(bound_ms + 1));
 }
 
 }  // namespace felip::svc

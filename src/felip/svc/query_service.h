@@ -47,6 +47,8 @@
 #include "felip/common/status.h"
 #include "felip/core/felip.h"
 #include "felip/stream/epoch_service.h"
+#include "felip/svc/client.h"
+#include "felip/svc/dedup.h"
 #include "felip/svc/transport.h"
 #include "felip/wire/wire.h"
 
@@ -105,6 +107,8 @@ class QueryServer {
   bool WaitForBatches(uint64_t count, int timeout_ms);
 
   // --- Stats ---
+  // Batches answered kOk; a plain batch resent after a lost response
+  // counts once (as do its queries).
   uint64_t batches_answered() const { return batches_answered_.load(); }
   uint64_t queries_answered() const { return queries_answered_.load(); }
   uint64_t batches_malformed() const { return batches_malformed_.load(); }
@@ -115,8 +119,6 @@ class QueryServer {
  private:
   std::vector<uint8_t> HandleFrame(uint64_t connection_id,
                                    std::vector<uint8_t>&& payload);
-  std::vector<uint8_t> HandleWindowedFrame(std::vector<uint8_t>&& payload,
-                                           uint64_t checksum);
 
   Transport* transport_;
   std::string endpoint_;
@@ -129,6 +131,9 @@ class QueryServer {
 
   mutable std::mutex answered_mutex_;
   std::condition_variable answered_cv_;
+  // Checksums of the plain batches answered so far, so a resend counts
+  // once; guarded by answered_mutex_.
+  DedupWindow answered_keys_{size_t{1} << 16};
 
   std::atomic<uint64_t> batches_answered_{0};
   std::atomic<uint64_t> queries_answered_{0};
@@ -138,13 +143,9 @@ class QueryServer {
   std::atomic<uint64_t> windowed_answered_{0};
 };
 
-struct QueryClientOptions {
-  int connect_timeout_ms = 2000;
-  int response_timeout_ms = 5000;
-  int max_attempts = 16;
-  uint32_t backoff_initial_ms = 1;
-  uint32_t backoff_cap_ms = 64;
-  uint64_t jitter_seed = 1;
+// A query batch takes longer to answer than a report batch to ack.
+struct QueryClientOptions : ClientOptions {
+  QueryClientOptions() { response_timeout_ms = 5000; }
 };
 
 struct QueryOutcome {
@@ -162,7 +163,7 @@ struct QueryOutcome {
   bool ok() const { return status.ok(); }
 };
 
-class QueryClient {
+class QueryClient : public RetryingClient {
  public:
   // `transport` must outlive the client.
   QueryClient(Transport* transport, std::string endpoint,
@@ -181,26 +182,9 @@ class QueryClient {
   QueryOutcome AnswerWindowed(const std::vector<query::Query>& queries,
                               uint32_t window, double decay);
 
-  // --- Introspection ---
-  uint64_t retries() const { return retries_.load(); }
-  uint64_t reconnects() const { return reconnects_.load(); }
-
  private:
   // The shared send-retry-pair loop over one encoded request frame.
   QueryOutcome Deliver(const std::vector<uint8_t>& frame);
-  bool EnsureConnected();
-  void DropConnection();
-  uint32_t BackoffMs(int attempt);
-  uint32_t Jitter(uint32_t bound_ms);
-
-  Transport* transport_;
-  std::string endpoint_;
-  QueryClientOptions options_;
-  std::unique_ptr<FrameConnection> connection_;
-  std::mutex rng_mutex_;
-  Rng rng_;
-  std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> reconnects_{0};
 };
 
 }  // namespace felip::svc

@@ -158,9 +158,18 @@ bool IngestServer::WaitForReports(uint64_t count, int timeout_ms) {
 }
 
 void IngestServer::WithDrainCut(
-    const std::function<void(std::span<const uint64_t> drained_keys)>& fn) {
+    const std::function<void(const DrainCut& cut)>& fn) {
   std::lock_guard<std::mutex> lock(drain_mutex_);
-  fn(drained_.Keys());
+  fn(DrainCut(this));
+}
+
+std::vector<uint64_t> DrainCut::Keys() const {
+  return server_->DrainedKeysLocked();
+}
+
+std::vector<uint64_t> IngestServer::DrainedKeysLocked() {
+  drained_key_copies_.fetch_add(1, std::memory_order_relaxed);
+  return drained_.Keys();
 }
 
 std::vector<uint8_t> IngestServer::HandleFrame(
@@ -205,8 +214,7 @@ std::vector<uint8_t> IngestServer::HandleFrame(
 
 void IngestServer::CheckpointLocked() {
   ServerCounters& counters = ServerCounters::Get();
-  const std::vector<uint64_t> keys = drained_.Keys();
-  const Status status = options_.checkpoint(keys);
+  const Status status = options_.checkpoint(DrainedKeysLocked());
   if (status.ok()) {
     checkpoints_written_.fetch_add(1);
     counters.checkpoints.Increment();
@@ -273,7 +281,7 @@ void IngestServer::WorkerLoop() {
       // Rotation hook last: if it swaps the sink's pipeline, the batch
       // just drained (and any checkpoint of it) belongs wholly to the
       // epoch being sealed.
-      if (options_.after_drain) options_.after_drain(drained_.Keys());
+      if (options_.after_drain) options_.after_drain(DrainCut(this));
     }
     const size_t count = messages.size();
     ReleaseIfOversized(&messages, &retained_frame_bytes, frame->size());

@@ -81,6 +81,23 @@ using CheckpointFn = std::function<Status(std::span<const uint64_t>)>;
 using ReportLogFn =
     std::function<Status(uint64_t key, std::span<const uint8_t> frame)>;
 
+class IngestServer;
+
+// One consistent cut of the drain path, handed to callbacks that run under
+// the server's drain lock: the batch that just drained is wholly in the
+// sink and no other batch is partially in. Keys() copies the drained-key
+// window (oldest first, up to dedup_capacity keys), so a callback reads it
+// only when it needs it.
+class DrainCut {
+ public:
+  std::vector<uint64_t> Keys() const;
+
+ private:
+  friend class IngestServer;
+  explicit DrainCut(IngestServer* server) : server_(server) {}
+  IngestServer* server_;
+};
+
 struct IngestServerOptions {
   // Batches buffered between the IO thread and the workers; a full queue
   // acks kResourceExhausted (backpressure).
@@ -106,13 +123,12 @@ struct IngestServerOptions {
   // shard's partition. Unset = this server owns every key.
   std::function<bool(uint64_t key)> owns_key;
   // Runs after every drained batch, inside the same critical section as
-  // the sink ingest and any checkpoint, with the full drained-key window
-  // (oldest first). This is the epoch-rotation hook: the callback sees
-  // the sink's state as a consistent cut — the batch that just drained is
-  // fully in, no other batch is partially in — and may swap the sink's
-  // pipeline and seal the old one (stream::EpochRotationService). Keep it
-  // fast when it does not rotate; it runs on the worker's drain path.
-  std::function<void(std::span<const uint64_t> drained_keys)> after_drain;
+  // the sink ingest and any checkpoint. This is the epoch-rotation hook:
+  // the callback sees the sink's state as a consistent cut and may swap
+  // the sink's pipeline and seal the old one with cut.Keys()
+  // (stream::EpochRotationService). Keep it fast when it does not rotate;
+  // it runs on the worker's drain path.
+  std::function<void(const DrainCut& cut)> after_drain;
 };
 
 class IngestServer {
@@ -149,13 +165,12 @@ class IngestServer {
   // drivers await a quiesced queue without polling the transport.
   bool WaitForReports(uint64_t count, int timeout_ms);
 
-  // Runs `fn` under the drain lock with the drained-key window (oldest
-  // first): no batch is mid-ingest while it runs, so — like a checkpoint
-  // or the after_drain hook — it observes one consistent cut of the sink.
-  // This is how a clock-driven rotation thread seals an epoch between
-  // batches. `fn` must not call back into the server.
-  void WithDrainCut(
-      const std::function<void(std::span<const uint64_t> drained_keys)>& fn);
+  // Runs `fn` under the drain lock: no batch is mid-ingest while it runs,
+  // so — like a checkpoint or the after_drain hook — it observes one
+  // consistent cut of the sink. This is how a clock-driven rotation
+  // thread seals an epoch between batches. `fn` must not call back into
+  // the server other than through `cut`.
+  void WithDrainCut(const std::function<void(const DrainCut& cut)>& fn);
 
   // --- Stats (exact once Stop() returned or WaitForReports succeeded) ---
   uint64_t batches_accepted() const { return batches_accepted_.load(); }
@@ -168,6 +183,9 @@ class IngestServer {
   uint64_t batches_logged() const { return batches_logged_.load(); }
   uint64_t log_failures() const { return log_failures_.load(); }
   uint64_t preseed_filtered() const { return preseed_filtered_.load(); }
+  // Copies of the drained-key window made so far (checkpoints and
+  // DrainCut::Keys()).
+  uint64_t drained_key_copies() const { return drained_key_copies_.load(); }
   uint64_t dedup_evictions() const;
   uint64_t reports_seen() const;
 
@@ -175,8 +193,11 @@ class IngestServer {
   std::vector<uint8_t> HandleFrame(uint64_t connection_id,
                                    std::vector<uint8_t>&& payload);
   void WorkerLoop();
+  friend class DrainCut;
   // Runs the checkpoint callback; caller must hold drain_mutex_.
   void CheckpointLocked();
+  // Copies the drained-key window; caller must hold drain_mutex_.
+  std::vector<uint64_t> DrainedKeysLocked();
 
   Transport* transport_;
   std::string endpoint_;
@@ -215,6 +236,7 @@ class IngestServer {
   std::atomic<uint64_t> batches_logged_{0};
   std::atomic<uint64_t> log_failures_{0};
   std::atomic<uint64_t> preseed_filtered_{0};
+  std::atomic<uint64_t> drained_key_copies_{0};
 };
 
 }  // namespace felip::svc

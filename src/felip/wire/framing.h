@@ -91,6 +91,18 @@ class Reader {
     return true;
   }
 
+  // Reads an unsigned length prefix of type T counting `elem_bytes`-byte
+  // elements, rejecting it unless that many elements fit in the bytes
+  // left. Like GetCount, this is what allocations may be sized by.
+  template <typename T>
+  bool GetLength(T* len, size_t elem_bytes) {
+    static_assert(std::is_unsigned_v<T>);
+    T value = 0;
+    if (!Get(&value) || value > remaining() / elem_bytes) return false;
+    *len = value;
+    return true;
+  }
+
   // Bytes at the current position (valid for remaining() bytes).
   const uint8_t* cursor() const { return in_.data() + pos_; }
 

@@ -146,8 +146,7 @@ bool ReadPayload(Reader& r, fo::OlhReport* report) {
 // bytes.
 bool ReadPayload(Reader& r, std::vector<uint8_t>* bits) {
   uint32_t len = 0;
-  if (!r.Get(&len)) return false;
-  if (len > r.remaining()) return false;  // reject absurd lengths early
+  if (!r.GetLength(&len, 1)) return false;  // reject absurd lengths early
   bits->resize(len);
   if (!r.GetBytes(bits->data(), len)) return false;
   for (const uint8_t b : *bits) {
@@ -904,8 +903,7 @@ std::optional<core::FelipPipeline> DecodeSnapshotImpl(
   std::vector<data::AttributeInfo> schema(num_attributes);
   for (data::AttributeInfo& a : schema) {
     uint32_t name_len = 0;
-    if (!r.Get(&name_len)) return std::nullopt;
-    if (name_len > r.remaining()) return std::nullopt;
+    if (!r.GetLength(&name_len, 1)) return std::nullopt;
     a.name.resize(name_len);
     if (!r.GetBytes(reinterpret_cast<uint8_t*>(a.name.data()), name_len)) {
       return std::nullopt;
@@ -922,10 +920,7 @@ std::optional<core::FelipPipeline> DecodeSnapshotImpl(
   std::vector<std::vector<double>> grids(num_grids);
   for (std::vector<double>& f : grids) {
     uint32_t cells = 0;
-    if (!r.Get(&cells)) return std::nullopt;
-    if (static_cast<size_t>(cells) * sizeof(double) > r.remaining()) {
-      return std::nullopt;
-    }
+    if (!r.GetLength(&cells, sizeof(double))) return std::nullopt;
     f.resize(cells);
     for (double& v : f) {
       if (!r.Get(&v)) return std::nullopt;

@@ -3,7 +3,9 @@
 // flips, wrong message kinds, and frames whose topology fields are
 // internally inconsistent. The frame's oracle section reuses the snapshot
 // kOracles codec, so its deep validation is covered by the snapshot
-// suites; here we pin the envelope.
+// suites; here we pin the envelope. The truncation and bit-flip sweeps
+// decode under an allocation cap (support/alloc_cap.h), so a decoder that
+// sizes a buffer from a corrupted field fails here on every host.
 
 #include <cstdint>
 #include <vector>
@@ -12,6 +14,7 @@
 
 #include "felip/snapshot/pipeline_snapshot.h"
 #include "felip/wire/wire.h"
+#include "support/alloc_cap.h"
 
 namespace felip::wire {
 namespace {
@@ -64,12 +67,13 @@ TEST(AccumulatorWireTest, FrameRoundTrips) {
 TEST(AccumulatorWireTest, EveryTruncationIsRejected) {
   const std::vector<uint8_t> encoded =
       EncodeAccumulatorFrame(SampleFrame());
+  const std::vector<uint8_t> pull =
+      EncodeAccumulatorPull(AccumulatorPullMessage{.shard_id = 1});
+  const test_support::ScopedAllocationCap cap(encoded.size());
   for (size_t len = 0; len < encoded.size(); ++len) {
     const std::vector<uint8_t> cut(encoded.begin(), encoded.begin() + len);
     EXPECT_FALSE(DecodeAccumulatorFrame(cut).ok()) << "length " << len;
   }
-  const std::vector<uint8_t> pull =
-      EncodeAccumulatorPull(AccumulatorPullMessage{.shard_id = 1});
   for (size_t len = 0; len < pull.size(); ++len) {
     const std::vector<uint8_t> cut(pull.begin(), pull.begin() + len);
     EXPECT_FALSE(DecodeAccumulatorPull(cut).ok()) << "length " << len;
@@ -82,6 +86,7 @@ TEST(AccumulatorWireTest, EveryBitFlipIsRejected) {
   // itself. (A flip that survives decoding would merge garbage counts.)
   const std::vector<uint8_t> encoded =
       EncodeAccumulatorFrame(SampleFrame());
+  const test_support::ScopedAllocationCap cap(encoded.size());
   for (size_t byte = 0; byte < encoded.size(); ++byte) {
     std::vector<uint8_t> damaged = encoded;
     damaged[byte] ^= 0x10;

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,27 +24,23 @@
 #include "felip/data/synthetic.h"
 #include "felip/dist/accumulator.h"
 #include "felip/dist/client.h"
-#include "felip/dist/partition.h"
 #include "felip/dist/root.h"
-#include "felip/snapshot/checkpoint.h"
+#include "felip/node/node.h"
 #include "felip/snapshot/store.h"
 #include "felip/svc/fault_injection.h"
 #include "felip/svc/loopback.h"
-#include "felip/svc/server.h"
-#include "felip/svc/simulator.h"
-#include "felip/svc/sink.h"
 #include "felip/svc/tcp.h"
-#include "felip/wire/wire.h"
+#include "support/rounds.h"
 
 namespace felip::dist {
 namespace {
 
 namespace fs = std::filesystem;
+using test_support::Batch;
+using test_support::ExpectIdenticalEstimates;
 
 constexpr uint64_t kUsers = 2000;
 constexpr uint64_t kSeed = 17;
-
-using Batch = std::vector<wire::ReportMessage>;
 
 core::FelipConfig MakeConfig() {
   core::FelipConfig config;
@@ -61,25 +56,8 @@ data::Dataset MakeData() {
 
 std::vector<Batch> MakeBatches(const data::Dataset& dataset,
                                const core::FelipConfig& config) {
-  core::FelipPipeline pipeline(dataset.attributes(), kUsers, config);
-  std::vector<wire::GridConfigMessage> grid_configs;
-  for (uint32_t g = 0; g < pipeline.num_groups(); ++g) {
-    grid_configs.push_back(wire::MakeGridConfig(
-        pipeline, pipeline.schema(), g, pipeline.per_grid_epsilon(),
-        config.protocol_options()));
-  }
-  svc::SimulatorOptions options;
-  options.seed = config.seed;
-  options.partitioning = config.partitioning;
-  options.batch_size = 64;
-  const svc::PopulationSimulator simulator(grid_configs, options);
-  std::vector<Batch> batches;
-  const auto sent = simulator.Run(dataset, [&](const Batch& batch) {
-    batches.push_back(batch);
-    return true;
-  });
-  EXPECT_TRUE(sent.has_value());
-  return batches;
+  const core::FelipPipeline planned(dataset.attributes(), kUsers, config);
+  return test_support::MakeBatches(dataset, planned, 64);
 }
 
 // The single-node reference: the whole round collected in process.
@@ -91,66 +69,23 @@ core::FelipPipeline RunSingleNode(const data::Dataset& dataset,
   return pipeline;
 }
 
-void ExpectIdenticalEstimates(const core::FelipPipeline& expected,
-                              const core::FelipPipeline& actual) {
-  const auto a = expected.ExportGridFrequencies();
-  const auto b = actual.ExportGridFrequencies();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t g = 0; g < a.size(); ++g) {
-    ASSERT_EQ(a[g].size(), b[g].size());
-    for (size_t c = 0; c < a[g].size(); ++c) {
-      EXPECT_EQ(a[g][c], b[g][c]) << "grid " << g << " cell " << c;
-    }
-  }
-  EXPECT_EQ(core::GridFrequencyDigest(expected),
-            core::GridFrequencyDigest(actual));
-  for (uint32_t attr = 0; attr < 3; ++attr) {
-    const std::vector<double> ma = expected.EstimateMarginal(attr);
-    const std::vector<double> mb = actual.EstimateMarginal(attr);
-    ASSERT_EQ(ma.size(), mb.size());
-    for (size_t v = 0; v < ma.size(); ++v) {
-      EXPECT_EQ(ma[v], mb[v]) << "attr " << attr << " value " << v;
-    }
-  }
+// Shard `shard_id` of `num_shards` as felip_server runs it in
+// --shard-id mode: ingest on <host>:1, accumulator on <host>:2.
+node::NodeConfig ShardConfig(const data::Dataset& dataset,
+                             const core::FelipConfig& config,
+                             const std::string& host, uint32_t shard_id,
+                             uint32_t num_shards) {
+  node::NodeConfig shard;
+  shard.schema = dataset.attributes();
+  shard.users = kUsers;
+  shard.config = config;
+  shard.host = host;
+  shard.port = 1;
+  shard.accum_port = 2;
+  shard.shard_id = shard_id;
+  shard.num_shards = num_shards;
+  return shard;
 }
-
-// One shard's full server stack: ingest gate chain plus the accumulator
-// endpoint, the way felip_server wires it in --shard-id mode.
-struct Shard {
-  Shard(const data::Dataset& dataset, const core::FelipConfig& config,
-        svc::Transport* transport, const std::string& ingest_endpoint,
-        const std::string& accum_endpoint, uint32_t shard_id,
-        uint32_t num_shards, uint64_t epoch, uint64_t plan_digest)
-      : pipeline(dataset.attributes(), kUsers, config),
-        sink(&pipeline),
-        router(num_shards) {
-    svc::IngestServerOptions options;
-    options.owns_key = [this, shard_id](uint64_t key) {
-      return router.OwnerShard(key) == shard_id;
-    };
-    ingest = std::make_unique<svc::IngestServer>(transport, ingest_endpoint,
-                                                 &sink, options);
-    ShardAccumulatorOptions accum_options;
-    accum_options.shard_id = shard_id;
-    accum_options.num_shards = num_shards;
-    accum_options.epoch = epoch;
-    accum_options.plan_digest = plan_digest;
-    accum = std::make_unique<ShardAccumulatorServer>(
-        transport, accum_endpoint, &sink, accum_options);
-  }
-
-  bool Start() { return ingest->Start() && accum->Start(); }
-  void Stop() {
-    ingest->Stop();
-    accum->Stop();
-  }
-
-  core::FelipPipeline pipeline;
-  svc::PipelineSink sink;
-  ShardRouter router;
-  std::unique_ptr<svc::IngestServer> ingest;
-  std::unique_ptr<ShardAccumulatorServer> accum;
-};
 
 // Runs a full sharded round and returns the root's merged, finalized
 // pipeline. `faults` (optional) corrupts both the client's ingest path
@@ -164,20 +99,22 @@ core::FelipPipeline RunSharded(const data::Dataset& dataset,
   core::FelipPipeline root_pipeline(dataset.attributes(), kUsers, config);
   const uint64_t plan_digest = PlanDigest(root_pipeline);
 
-  std::vector<std::unique_ptr<Shard>> shards;
+  std::vector<std::unique_ptr<node::Node>> shards;
   std::vector<std::string> ingest_endpoints;
   std::vector<std::string> accum_endpoints;
   for (uint32_t s = 0; s < num_shards; ++s) {
-    const std::string ingest_ep =
-        tcp ? "127.0.0.1:0" : "ingest" + std::to_string(s);
-    const std::string accum_ep =
-        tcp ? "127.0.0.1:0" : "accum" + std::to_string(s);
-    shards.push_back(std::make_unique<Shard>(
-        dataset, config, transport, ingest_ep, accum_ep, s, num_shards,
-        /*epoch=*/1, plan_digest));
-    EXPECT_TRUE(shards.back()->Start());
-    ingest_endpoints.push_back(shards.back()->ingest->endpoint());
-    accum_endpoints.push_back(shards.back()->accum->endpoint());
+    node::NodeConfig shard = ShardConfig(dataset, config,
+                                         "shard" + std::to_string(s), s,
+                                         num_shards);
+    if (tcp) {
+      shard.host = "127.0.0.1";
+      shard.port = shard.accum_port = 0;
+    }
+    shards.push_back(std::make_unique<node::Node>(shard, transport));
+    EXPECT_TRUE(shards.back()->Start().ok());
+    EXPECT_EQ(shards.back()->shard_epoch(), 1u);
+    ingest_endpoints.push_back(shards.back()->ingest()->endpoint());
+    accum_endpoints.push_back(shards.back()->accumulator()->endpoint());
   }
 
   std::unique_ptr<svc::FaultInjectingTransport> faulty;
@@ -216,7 +153,7 @@ core::FelipPipeline RunSharded(const data::Dataset& dataset,
   const Status merged = root.MergeInto(&root_pipeline);
   EXPECT_TRUE(merged.ok()) << merged.ToString();
 
-  for (auto& shard : shards) shard->Stop();
+  for (auto& shard : shards) EXPECT_TRUE(shard->Stop().ok());
   root_pipeline.Finalize();
   return root_pipeline;
 }
@@ -291,23 +228,27 @@ TEST(DistE2eTest, FaultSoakStaysBitIdentical) {
 TEST(DistE2eTest, RootRejectsPlanDigestMismatch) {
   const data::Dataset dataset = MakeData();
   const core::FelipConfig config = MakeConfig();
-  const std::vector<Batch> batches = MakeBatches(dataset, config);
 
   svc::LoopbackTransport transport;
   core::FelipPipeline planned(dataset.attributes(), kUsers, config);
-  Shard shard(dataset, config, &transport, "mismatch-ingest",
-              "mismatch-accum", 0, 1, /*epoch=*/1, PlanDigest(planned));
-  ASSERT_TRUE(shard.Start());
+  std::vector<std::unique_ptr<node::Node>> shards;
+  std::vector<std::string> accum_endpoints;
+  for (uint32_t s = 0; s < 2; ++s) {
+    shards.push_back(std::make_unique<node::Node>(
+        ShardConfig(dataset, config, "mismatch" + std::to_string(s), s, 2),
+        &transport));
+    ASSERT_TRUE(shards.back()->Start().ok());
+    accum_endpoints.push_back(shards.back()->accumulator()->endpoint());
+  }
 
   RootAggregatorOptions root_options;
   root_options.expected_reports = kUsers;
   root_options.plan_digest = PlanDigest(planned) ^ 1;  // a different plan
   root_options.response_timeout_ms = 250;
-  RootAggregator root(&transport, {shard.accum->endpoint()}, root_options);
+  RootAggregator root(&transport, accum_endpoints, root_options);
   const Status pulled = root.PullUntilComplete(5000);
   EXPECT_EQ(pulled.code(), StatusCode::kFailedPrecondition)
       << pulled.ToString();
-  shard.Stop();
 }
 
 TEST(DistE2eTest, ShardKillAndWarmRestartStaysBitIdentical) {
@@ -320,58 +261,34 @@ TEST(DistE2eTest, ShardKillAndWarmRestartStaysBitIdentical) {
   const fs::path dir =
       fs::path(::testing::TempDir()) / "felip_dist_restart";
   fs::remove_all(dir);
-  snapshot::SnapshotStore store(dir.string(), 3);
+  node::NodeConfig shard0 = ShardConfig(dataset, config, "restart0", 0, 2);
+  shard0.snapshot_dir = dir.string();
+  shard0.snapshot_interval = 2;
 
   core::FelipPipeline root_pipeline(dataset.attributes(), kUsers, config);
-  const uint64_t plan_digest = PlanDigest(root_pipeline);
-  const ShardRouter router(2);
-
   svc::LoopbackTransport transport;
 
   // Shard 1 lives through the whole round.
-  Shard shard1(dataset, config, &transport, "restart-ingest1",
-               "restart-accum1", 1, 2, /*epoch=*/1, plan_digest);
-  ASSERT_TRUE(shard1.Start());
+  node::Node shard1(ShardConfig(dataset, config, "restart1", 1, 2),
+                    &transport);
+  ASSERT_TRUE(shard1.Start().ok());
 
   RootAggregatorOptions root_options;
   root_options.expected_reports = kUsers;
-  root_options.plan_digest = plan_digest;
+  root_options.plan_digest = PlanDigest(root_pipeline);
   root_options.response_timeout_ms = 100;
   root_options.poll_interval_ms = 5;
   RootAggregator root(&transport,
-                      {"restart-accum0", shard1.accum->endpoint()},
+                      {"restart0:2", shard1.accumulator()->endpoint()},
                       root_options);
 
   // --- Shard 0, first incarnation: checkpointing, killed mid-ingest.
   {
-    const StatusOr<uint64_t> epoch = BumpShardEpoch(dir.string());
-    ASSERT_TRUE(epoch.ok());
-    EXPECT_EQ(*epoch, 1u);
-
-    core::FelipPipeline pipeline(dataset.attributes(), kUsers, config);
-    svc::PipelineSink sink(&pipeline);
-    snapshot::Checkpointer checkpointer(&store, &pipeline);
-    svc::IngestServerOptions options;
-    options.checkpoint_every_batches = 2;
-    options.checkpoint = [&](std::span<const uint64_t> keys) {
-      return checkpointer.Checkpoint(keys);
-    };
-    options.owns_key = [&router](uint64_t key) {
-      return router.OwnerShard(key) == 0;
-    };
-    svc::IngestServer ingest(&transport, "restart-ingest0", &sink, options);
-    ASSERT_TRUE(ingest.Start());
-    ShardAccumulatorOptions accum_options;
-    accum_options.shard_id = 0;
-    accum_options.num_shards = 2;
-    accum_options.epoch = *epoch;
-    accum_options.plan_digest = plan_digest;
-    ShardAccumulatorServer accum(&transport, "restart-accum0", &sink,
-                                 accum_options);
-    ASSERT_TRUE(accum.Start());
-
+    node::Node doomed(shard0, &transport);
+    ASSERT_TRUE(doomed.Start().ok());
+    EXPECT_EQ(doomed.shard_epoch(), 1u);
     ShardedIngestClient client(
-        &transport, {ingest.endpoint(), shard1.ingest->endpoint()});
+        &transport, {doomed.ingest()->endpoint(), shard1.ingest()->endpoint()});
     for (size_t b = 0; b < batches.size() / 2; ++b) {
       ASSERT_TRUE(client.SendBatch(batches[b]).ok());
     }
@@ -380,45 +297,27 @@ TEST(DistE2eTest, ShardKillAndWarmRestartStaysBitIdentical) {
     const Status early = root.PullUntilComplete(100);
     EXPECT_FALSE(early.ok());
     EXPECT_GT(root.frames_pulled(), 0u);
-    // ~IngestServer checkpoints a final cut on orderly Stop; the crash is
-    // simulated below by discarding it.
+    // Dropping the node checkpoints a final cut on orderly Stop; the
+    // crash is simulated below by discarding it.
   }
   {
+    const snapshot::SnapshotStore store(dir.string(), 3);
     const std::vector<std::string> files = store.ListNewestFirst();
     ASSERT_GE(files.size(), 1u);
     if (files.size() >= 2) fs::remove(files[0]);
   }
 
   // --- Shard 0, second incarnation: recover, preseed, rebind, resend.
-  StatusOr<snapshot::Recovered> recovered = snapshot::RecoverFromStore(store);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  core::FelipPipeline pipeline0 = std::move(recovered->state.pipeline);
-  svc::PipelineSink sink0(&pipeline0);
-  const StatusOr<uint64_t> epoch = BumpShardEpoch(dir.string());
-  ASSERT_TRUE(epoch.ok());
-  EXPECT_EQ(*epoch, 2u);
-
-  svc::IngestServerOptions options;
-  options.owns_key = [&router](uint64_t key) {
-    return router.OwnerShard(key) == 0;
-  };
-  svc::IngestServer ingest0(&transport, "restart-ingest0", &sink0, options);
-  ingest0.PreseedDedup(recovered->state.dedup_keys);
-  ASSERT_TRUE(ingest0.Start());
-  ShardAccumulatorOptions accum_options;
-  accum_options.shard_id = 0;
-  accum_options.num_shards = 2;
-  accum_options.epoch = *epoch;
-  accum_options.plan_digest = plan_digest;
-  ShardAccumulatorServer accum0(&transport, "restart-accum0", &sink0,
-                                accum_options);
-  ASSERT_TRUE(accum0.Start());
+  node::Node restarted(shard0, &transport);
+  ASSERT_TRUE(restarted.Start().ok());
+  EXPECT_TRUE(restarted.recovery().snapshot_adopted);
+  EXPECT_EQ(restarted.shard_epoch(), 2u);
 
   // The client resends the entire stream: shard dedup absorbs what the
   // snapshot already counts (and everything shard 1 drained), the rest
   // is admitted exactly once.
-  ShardedIngestClient client(
-      &transport, {ingest0.endpoint(), shard1.ingest->endpoint()});
+  ShardedIngestClient client(&transport, {restarted.ingest()->endpoint(),
+                                          shard1.ingest()->endpoint()});
   for (const Batch& batch : batches) {
     ASSERT_TRUE(client.SendBatch(batch).ok());
   }
@@ -429,9 +328,8 @@ TEST(DistE2eTest, ShardKillAndWarmRestartStaysBitIdentical) {
   const Status merged = root.MergeInto(&root_pipeline);
   ASSERT_TRUE(merged.ok()) << merged.ToString();
 
-  ingest0.Stop();
-  accum0.Stop();
-  shard1.Stop();
+  EXPECT_TRUE(restarted.Stop().ok());
+  EXPECT_TRUE(shard1.Stop().ok());
   root_pipeline.Finalize();
   EXPECT_EQ(root_pipeline.reports_ingested(), kUsers);
   ExpectIdenticalEstimates(reference, root_pipeline);

@@ -25,9 +25,9 @@
 #include "felip/fo/frequency_oracle.h"
 #include "felip/snapshot/pipeline_snapshot.h"
 #include "felip/svc/message.h"
-#include "felip/svc/simulator.h"
 #include "felip/svc/sink.h"
 #include "felip/wire/wire.h"
+#include "support/rounds.h"
 
 namespace felip::dist {
 namespace {
@@ -35,7 +35,8 @@ namespace {
 constexpr uint64_t kUsers = 1200;
 constexpr uint64_t kSeed = 11;
 
-using Batch = std::vector<wire::ReportMessage>;
+using test_support::Batch;
+using test_support::ExpectIdenticalEstimates;
 
 struct ProtocolCase {
   std::string name;
@@ -105,26 +106,8 @@ data::Dataset MakeData(uint64_t users) {
 std::vector<Batch> MakeBatches(const data::Dataset& dataset,
                                const core::FelipConfig& config,
                                uint64_t users) {
-  core::FelipPipeline pipeline(dataset.attributes(), users, config);
-  std::vector<wire::GridConfigMessage> grid_configs;
-  for (uint32_t g = 0; g < pipeline.num_groups(); ++g) {
-    grid_configs.push_back(wire::MakeGridConfig(
-        pipeline, pipeline.schema(), g, pipeline.per_grid_epsilon(),
-        config.protocol_options()));
-  }
-  svc::SimulatorOptions options;
-  options.seed = config.seed;
-  options.partitioning = config.partitioning;
-  options.batch_size = 64;
-  const svc::PopulationSimulator simulator(grid_configs, options);
-  std::vector<Batch> batches;
-  const auto sent =
-      simulator.Run(dataset, [&](const Batch& batch) {
-        batches.push_back(batch);
-        return true;
-      });
-  EXPECT_TRUE(sent.has_value());
-  return batches;
+  const core::FelipPipeline planned(dataset.attributes(), users, config);
+  return test_support::MakeBatches(dataset, planned, 64);
 }
 
 // Collects `batches` on one node, leaving the pipeline sealed.
@@ -160,20 +143,6 @@ core::FelipPipeline MergeShards(
   }
   merged.FinishIngest();
   return merged;
-}
-
-// Both pipelines must already be finalized.
-void ExpectIdenticalEstimates(const core::FelipPipeline& expected,
-                              const core::FelipPipeline& actual) {
-  const auto a = expected.ExportGridFrequencies();
-  const auto b = actual.ExportGridFrequencies();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t g = 0; g < a.size(); ++g) {
-    ASSERT_EQ(a[g].size(), b[g].size());
-    for (size_t c = 0; c < a[g].size(); ++c) {
-      EXPECT_EQ(a[g][c], b[g][c]) << "grid " << g << " cell " << c;
-    }
-  }
 }
 
 TEST(MergePropertyTest, ContiguousSplitsMergeToIdenticalBytes) {

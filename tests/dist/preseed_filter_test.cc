@@ -23,9 +23,9 @@
 #include "felip/svc/loopback.h"
 #include "felip/svc/message.h"
 #include "felip/svc/server.h"
-#include "felip/svc/simulator.h"
 #include "felip/svc/sink.h"
 #include "felip/wire/wire.h"
+#include "support/rounds.h"
 
 namespace felip::dist {
 namespace {
@@ -33,7 +33,7 @@ namespace {
 constexpr uint64_t kUsers = 600;
 constexpr uint64_t kSeed = 21;
 
-using Batch = std::vector<wire::ReportMessage>;
+using test_support::Batch;
 
 core::FelipConfig MakeConfig() {
   core::FelipConfig config;
@@ -48,25 +48,8 @@ data::Dataset MakeData() {
 
 std::vector<Batch> MakeBatches(const data::Dataset& dataset,
                                const core::FelipConfig& config) {
-  core::FelipPipeline pipeline(dataset.attributes(), kUsers, config);
-  std::vector<wire::GridConfigMessage> grid_configs;
-  for (uint32_t g = 0; g < pipeline.num_groups(); ++g) {
-    grid_configs.push_back(wire::MakeGridConfig(
-        pipeline, pipeline.schema(), g, pipeline.per_grid_epsilon(),
-        config.protocol_options()));
-  }
-  svc::SimulatorOptions options;
-  options.seed = config.seed;
-  options.partitioning = config.partitioning;
-  options.batch_size = 32;
-  const svc::PopulationSimulator simulator(grid_configs, options);
-  std::vector<Batch> batches;
-  const auto sent = simulator.Run(dataset, [&](const Batch& batch) {
-    batches.push_back(batch);
-    return true;
-  });
-  EXPECT_TRUE(sent.has_value());
-  return batches;
+  const core::FelipPipeline planned(dataset.attributes(), kUsers, config);
+  return test_support::MakeBatches(dataset, planned, 32);
 }
 
 uint64_t BatchKey(const Batch& batch) {

@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +22,7 @@
 
 #include "felip/core/felip.h"
 #include "felip/data/synthetic.h"
+#include "felip/node/node.h"
 #include "felip/post/norm_sub.h"
 #include "felip/replaylog/format.h"
 #include "felip/replaylog/store.h"
@@ -31,10 +31,7 @@
 #include "felip/svc/client.h"
 #include "felip/svc/fault_injection.h"
 #include "felip/svc/loopback.h"
-#include "felip/svc/server.h"
-#include "felip/svc/simulator.h"
-#include "felip/svc/sink.h"
-#include "felip/wire/wire.h"
+#include "support/rounds.h"
 
 namespace felip::replaylog {
 namespace {
@@ -75,30 +72,25 @@ struct LoggedRound {
   uint64_t reports = 0;
 };
 
-// A networked ingest round (mirroring tests/svc/loopback_e2e_test.cc)
-// with the report log hooked into the server's drain path — the exact
-// wiring tools/felip_server.cc uses.
+// A networked ingest round (mirroring tests/svc/loopback_e2e_test.cc) on
+// a node::Node with --report-log-dir set, so the log is written on the
+// server's drain path exactly as felip_server writes it.
 LoggedRound RunLoggedRound(const std::string& log_dir,
                            const core::FelipConfig& config,
                            const svc::FaultOptions* faults = nullptr) {
   const data::Dataset dataset = MakeData();
-  core::FelipPipeline pipeline(dataset.attributes(), kUsers, config);
-
-  StatusOr<LogWriter> log = LogWriter::Open(
-      log_dir, EncodePlan(config, kUsers, dataset.attributes()));
-  EXPECT_TRUE(log.ok()) << log.status().ToString();
-
-  svc::PipelineSink sink(&pipeline);
-  svc::IngestServerOptions server_options;
-  server_options.queue_capacity = 8;
-  server_options.worker_threads = 3;
-  server_options.report_log = [&log](uint64_t key,
-                                     std::span<const uint8_t> frame) {
-    return log->Append(RecordType::kBatch, key, frame);
-  };
+  node::NodeConfig node_config;
+  node_config.schema = dataset.attributes();
+  node_config.users = kUsers;
+  node_config.config = config;
+  node_config.host = "ingest";
+  node_config.queue_capacity = 8;
+  node_config.workers = 3;
+  node_config.timeout_ms = 30000;
+  node_config.report_log_dir = log_dir;
   svc::LoopbackTransport transport;
-  svc::IngestServer server(&transport, "ingest", &sink, server_options);
-  EXPECT_TRUE(server.Start());
+  node::Node node(node_config, &transport);
+  EXPECT_TRUE(node.Start().ok());
 
   std::unique_ptr<svc::FaultInjectingTransport> faulty;
   svc::Transport* client_transport = &transport;
@@ -111,37 +103,23 @@ LoggedRound RunLoggedRound(const std::string& log_dir,
   client_options.connect_timeout_ms = 500;
   client_options.response_timeout_ms = 250;
   client_options.max_attempts = 64;
-  svc::IngestClient client(client_transport, server.endpoint(),
+  svc::IngestClient client(client_transport, node.ingest()->endpoint(),
                            client_options);
-
-  std::vector<wire::GridConfigMessage> grid_configs;
-  for (uint32_t g = 0; g < pipeline.num_groups(); ++g) {
-    grid_configs.push_back(wire::MakeGridConfig(
-        pipeline, dataset.attributes(), g, pipeline.per_grid_epsilon(),
-        config.protocol_options()));
+  uint64_t sent = 0;
+  for (const test_support::Batch& batch :
+       test_support::MakeBatches(dataset, node.pipeline(), 128)) {
+    EXPECT_TRUE(client.SendBatch(batch).ok()) << "delivery failed";
+    sent += batch.size();
   }
-  svc::SimulatorOptions simulator_options;
-  simulator_options.seed = config.seed;
-  simulator_options.partitioning = config.partitioning;
-  simulator_options.batch_size = 128;
-  const svc::PopulationSimulator simulator(grid_configs, simulator_options);
-
-  const std::optional<uint64_t> sent = simulator.Run(
-      dataset, [&](const std::vector<wire::ReportMessage>& batch) {
-        return client.SendBatch(batch).ok();
-      });
-  EXPECT_TRUE(sent.has_value()) << "delivery failed after retries";
-  EXPECT_TRUE(server.WaitForReports(sent.value_or(0), 30000));
-  server.Stop();
-  sink.Finish();
-  EXPECT_EQ(server.log_failures(), 0u);
-  EXPECT_TRUE(log->Seal().ok());
-  pipeline.Finalize();
+  EXPECT_TRUE(node.AwaitRound().ok());
+  EXPECT_TRUE(node.Stop().ok());
+  EXPECT_EQ(node.ingest()->log_failures(), 0u);
+  EXPECT_TRUE(node.Finalize().ok());
 
   LoggedRound round;
-  round.digest = core::GridFrequencyDigest(pipeline);
-  round.batches_logged = server.batches_logged();
-  round.reports = sent.value_or(0);
+  round.digest = core::GridFrequencyDigest(node.pipeline());
+  round.batches_logged = node.ingest()->batches_logged();
+  round.reports = sent;
   if (faults != nullptr) {
     EXPECT_GT(faulty->faults_injected(), 0u);
   }

@@ -28,9 +28,9 @@
 #include "felip/query/query.h"
 #include "felip/snapshot/format.h"
 #include "felip/storage/storage.h"
-#include "felip/svc/simulator.h"
 #include "felip/svc/sink.h"
-#include "felip/wire/wire.h"
+#include "support/alloc_cap.h"
+#include "support/rounds.h"
 
 namespace felip::snapshot {
 namespace {
@@ -64,42 +64,15 @@ core::FelipConfig MakeConfig(bool grr = true, bool olh = true,
 
 // The device-side report stream, materialized so a test can replay a
 // prefix into one pipeline and the suffix into its snapshot-restored twin.
-std::vector<std::vector<wire::ReportMessage>> MakeBatches(
-    const data::Dataset& dataset, const core::FelipPipeline& pipeline,
-    const core::FelipConfig& config) {
-  std::vector<wire::GridConfigMessage> grid_configs;
-  for (uint32_t g = 0; g < pipeline.num_groups(); ++g) {
-    grid_configs.push_back(wire::MakeGridConfig(
-        pipeline, pipeline.schema(), g, pipeline.per_grid_epsilon(),
-        config.protocol_options()));
-  }
-  svc::SimulatorOptions options;
-  options.seed = config.seed;
-  options.partitioning = config.partitioning;
-  options.batch_size = 128;
-  const svc::PopulationSimulator simulator(grid_configs, options);
-  std::vector<std::vector<wire::ReportMessage>> batches;
-  const auto sent = simulator.Run(
-      dataset, [&](const std::vector<wire::ReportMessage>& batch) {
-        batches.push_back(batch);
-        return true;
-      });
-  EXPECT_TRUE(sent.has_value());
-  return batches;
+std::vector<test_support::Batch> MakeBatches(
+    const data::Dataset& dataset, const core::FelipPipeline& planned) {
+  return test_support::MakeBatches(dataset, planned, 128);
 }
 
+// Bit-identical estimates, plus identical answers to a query workload.
 void ExpectIdenticalEstimates(const core::FelipPipeline& expected,
                               const core::FelipPipeline& actual) {
-  const auto expected_grids = expected.ExportGridFrequencies();
-  const auto actual_grids = actual.ExportGridFrequencies();
-  ASSERT_EQ(expected_grids.size(), actual_grids.size());
-  for (size_t g = 0; g < expected_grids.size(); ++g) {
-    ASSERT_EQ(expected_grids[g].size(), actual_grids[g].size());
-    for (size_t c = 0; c < expected_grids[g].size(); ++c) {
-      EXPECT_EQ(expected_grids[g][c], actual_grids[g][c])
-          << "grid " << g << " cell " << c;
-    }
-  }
+  test_support::ExpectIdenticalEstimates(expected, actual);
   Rng rng(kSeed + 2);
   const data::Dataset shape = MakeData();
   const auto queries = query::GenerateQueries(
@@ -133,7 +106,7 @@ TEST(PipelineSnapshotTest, MidCollectionResumeIsBitIdenticalPerProtocol) {
         MakeConfig(pc.grr, pc.olh, pc.oue, pc.pgr, pc.fldp);
 
     core::FelipPipeline reference(dataset.attributes(), kUsers, config);
-    const auto batches = MakeBatches(dataset, reference, config);
+    const auto batches = MakeBatches(dataset, reference);
     ASSERT_GT(batches.size(), 2u);
 
     // Uninterrupted run.
@@ -416,12 +389,14 @@ TEST(PipelineSnapshotAdversarialTest, SectionByteFlipSweepNeverCrashes) {
   // accumulator/frequency/key data. Every mutant must decode to ok or a
   // clean Status — the assertion is the absence of aborts, OOMs, and
   // out-of-bounds reads (sanitizer CI runs this same sweep under
-  // ASan/UBSan via the `snapshot` label).
+  // ASan/UBSan via the `snapshot` label). Decoding runs under the
+  // allocation cap (support/alloc_cap.h), so a length read from a flipped
+  // byte that sizes a buffer fails here on every host.
   const data::Dataset dataset = MakeData();
   core::FelipPipeline pipeline(dataset.attributes(), kUsers, MakeConfig());
   {
     svc::PipelineSink sink(&pipeline);
-    const auto batches = MakeBatches(dataset, pipeline, MakeConfig());
+    const auto batches = MakeBatches(dataset, pipeline);
     for (size_t b = 0; b < 2 && b < batches.size(); ++b) {
       sink.IngestBatch(batches[b]);
     }
@@ -446,6 +421,7 @@ TEST(PipelineSnapshotAdversarialTest, SectionByteFlipSweepNeverCrashes) {
       const auto bit = static_cast<uint8_t>(1u << (rng.Next() % 8));
       mutated[s].payload[byte] ^= bit;
       const auto rebuilt = RebuildFile(state_byte, mutated);
+      const test_support::ScopedAllocationCap cap(rebuilt.size());
       const auto decoded = PipelineCodec::Decode(rebuilt);
       if (!decoded.ok()) {
         EXPECT_FALSE(decoded.status().message().empty());

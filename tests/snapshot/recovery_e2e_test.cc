@@ -2,10 +2,11 @@
 // and restarted from the newest snapshot must converge to estimates
 // BIT-IDENTICAL to a round that never crashed.
 //
-// "Killed" here means the first IngestServer is torn down after an
-// unpredictable prefix of the batches (some acked-but-undrained work is
-// simply lost, like a kill -9 would lose it), a second server adopts the
-// recovered pipeline + dedup keys, and the client resends the *entire*
+// "Killed" here means the first node::Node is dropped after an
+// unpredictable prefix of the batches and its newest snapshot deleted
+// (some acked-but-uncaptured work is lost, like a kill -9 would lose it),
+// a second Node on the same --snapshot-dir adopts the recovered pipeline
+// + dedup keys, and the client resends the *entire*
 // stream — the dedup window absorbs what the snapshot already counts and
 // admits the rest exactly once. The CI soak replays this same protocol
 // against the real felip_server binary over TCP.
@@ -20,21 +21,22 @@
 
 #include "felip/core/felip.h"
 #include "felip/data/synthetic.h"
+#include "felip/node/node.h"
 #include "felip/obs/metrics.h"
 #include "felip/snapshot/checkpoint.h"
 #include "felip/snapshot/store.h"
 #include "felip/storage/storage.h"
 #include "felip/svc/client.h"
 #include "felip/svc/loopback.h"
-#include "felip/svc/server.h"
-#include "felip/svc/simulator.h"
 #include "felip/svc/sink.h"
-#include "felip/wire/wire.h"
+#include "support/rounds.h"
 
 namespace felip::snapshot {
 namespace {
 
 namespace fs = std::filesystem;
+using test_support::Batch;
+using test_support::ExpectIdenticalEstimates;
 
 constexpr uint64_t kUsers = 2000;
 constexpr uint64_t kSeed = 13;
@@ -57,33 +59,9 @@ std::string FreshDir(const char* name) {
   return dir.string();
 }
 
-std::vector<std::vector<wire::ReportMessage>> MakeBatches(
-    const data::Dataset& dataset, const core::FelipPipeline& pipeline,
-    const core::FelipConfig& config) {
-  std::vector<wire::GridConfigMessage> grid_configs;
-  for (uint32_t g = 0; g < pipeline.num_groups(); ++g) {
-    grid_configs.push_back(wire::MakeGridConfig(
-        pipeline, pipeline.schema(), g, pipeline.per_grid_epsilon(),
-        config.protocol_options()));
-  }
-  svc::SimulatorOptions options;
-  options.seed = config.seed;
-  options.partitioning = config.partitioning;
-  options.batch_size = 64;
-  const svc::PopulationSimulator simulator(grid_configs, options);
-  std::vector<std::vector<wire::ReportMessage>> batches;
-  const auto sent = simulator.Run(
-      dataset, [&](const std::vector<wire::ReportMessage>& batch) {
-        batches.push_back(batch);
-        return true;
-      });
-  EXPECT_TRUE(sent.has_value());
-  return batches;
-}
-
 core::FelipPipeline RunUninterrupted(
     const data::Dataset& dataset, const core::FelipConfig& config,
-    const std::vector<std::vector<wire::ReportMessage>>& batches) {
+    const std::vector<Batch>& batches) {
   core::FelipPipeline pipeline(dataset.attributes(), kUsers, config);
   svc::PipelineSink sink(&pipeline);
   for (const auto& batch : batches) sink.IngestBatch(batch);
@@ -92,76 +70,56 @@ core::FelipPipeline RunUninterrupted(
   return pipeline;
 }
 
-void ExpectIdenticalEstimates(const core::FelipPipeline& expected,
-                              const core::FelipPipeline& actual) {
-  const auto a = expected.ExportGridFrequencies();
-  const auto b = actual.ExportGridFrequencies();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t g = 0; g < a.size(); ++g) {
-    ASSERT_EQ(a[g].size(), b[g].size());
-    for (size_t c = 0; c < a[g].size(); ++c) {
-      EXPECT_EQ(a[g][c], b[g][c]) << "grid " << g << " cell " << c;
-    }
-  }
+// A single node checkpointing into `snapshot_dir` every 2 drained batches.
+node::NodeConfig NodeConfigFor(const data::Dataset& dataset,
+                               const core::FelipConfig& config,
+                               const std::string& snapshot_dir) {
+  node::NodeConfig node_config;
+  node_config.schema = dataset.attributes();
+  node_config.users = kUsers;
+  node_config.config = config;
+  node_config.host = "ingest";
+  node_config.snapshot_dir = snapshot_dir;
+  node_config.snapshot_interval = 2;
+  return node_config;
 }
 
 // One ingest round that "crashes" after `crash_after_batches` deliveries,
-// recovers from `store`, resends everything, and finalizes.
-core::FelipPipeline RunWithCrash(
-    const data::Dataset& dataset, const core::FelipConfig& config,
-    const std::vector<std::vector<wire::ReportMessage>>& batches,
-    SnapshotStore* store, size_t crash_after_batches,
-    uint64_t* duplicates_out = nullptr) {
-  // --- Before the crash: a server checkpointing every 2 drained batches.
+// recovers from its snapshot directory, resends everything, and
+// finalizes.
+core::FelipPipeline RunWithCrash(const node::NodeConfig& node_config,
+                                 const std::vector<Batch>& batches,
+                                 size_t crash_after_batches,
+                                 uint64_t* duplicates_out) {
+  svc::LoopbackTransport transport;
   {
-    core::FelipPipeline pipeline(dataset.attributes(), kUsers, config);
-    svc::PipelineSink sink(&pipeline);
-    Checkpointer checkpointer(store, &pipeline);
-    svc::LoopbackTransport transport;
-    svc::IngestServerOptions options;
-    options.checkpoint_every_batches = 2;
-    options.checkpoint = [&](std::span<const uint64_t> keys) {
-      return checkpointer.Checkpoint(keys);
-    };
-    svc::IngestServer server(&transport, "ingest", &sink, options);
-    EXPECT_TRUE(server.Start()) << "loopback bind failed";
-
-    svc::IngestClient client(&transport, server.endpoint());
+    node::Node doomed(node_config, &transport);
+    EXPECT_TRUE(doomed.Start().ok()) << "loopback bind failed";
+    svc::IngestClient client(&transport, doomed.ingest()->endpoint());
     for (size_t b = 0; b < crash_after_batches && b < batches.size(); ++b) {
       EXPECT_TRUE(client.SendBatch(batches[b]).ok());
     }
-    // ~IngestServer runs Stop(), which persists a final complete cut —
+    // Dropping the node runs Stop(), which persists a final complete cut —
     // an orderly shutdown, not yet a crash.
   }
   // The kill -9: discard the final checkpoint so recovery lands on an
   // older periodic cut, exactly as if the process had died between two
   // checkpoints with acked-but-uncaptured batches in flight.
   {
-    const std::vector<std::string> files = store->ListNewestFirst();
+    const SnapshotStore store(node_config.snapshot_dir, 3);
+    const std::vector<std::string> files = store.ListNewestFirst();
     if (files.size() >= 2) fs::remove(files[0]);
   }
 
   // --- After the restart: recover, preseed, resend the full stream.
-  StatusOr<Recovered> recovered = RecoverFromStore(*store);
-  EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
-  core::FelipPipeline pipeline = std::move(recovered->state.pipeline);
-  EXPECT_LE(pipeline.reports_ingested(),
+  node::Node node(node_config, &transport);
+  EXPECT_TRUE(node.Start().ok());
+  EXPECT_TRUE(node.recovery().snapshot_adopted)
+      << node.recovery().snapshot_status.ToString();
+  const uint64_t recovered_reports = node.recovery().snapshot_reports;
+  EXPECT_LE(recovered_reports,
             static_cast<uint64_t>(crash_after_batches) * 64);
-
-  svc::PipelineSink sink(&pipeline);
-  Checkpointer checkpointer(store, &pipeline);
-  svc::LoopbackTransport transport;
-  svc::IngestServerOptions options;
-  options.checkpoint_every_batches = 4;
-  options.checkpoint = [&](std::span<const uint64_t> keys) {
-    return checkpointer.Checkpoint(keys);
-  };
-  svc::IngestServer server(&transport, "ingest", &sink, options);
-  server.PreseedDedup(recovered->state.dedup_keys);
-  EXPECT_TRUE(server.Start());
-
-  const uint64_t recovered_reports = pipeline.reports_ingested();
-  svc::IngestClient client(&transport, server.endpoint());
+  svc::IngestClient client(&transport, node.ingest()->endpoint());
   uint64_t duplicates = 0;
   for (const auto& batch : batches) {
     const svc::SendOutcome outcome = client.SendBatch(batch);
@@ -169,21 +127,20 @@ core::FelipPipeline RunWithCrash(
     if (outcome.duplicate) ++duplicates;
   }
   // Everything the snapshot does not already count must reach the sink.
-  EXPECT_TRUE(server.WaitForReports(kUsers - recovered_reports, 30000));
-  server.Stop();
-  sink.Finish();
-  pipeline.Finalize();
-  EXPECT_EQ(pipeline.reports_ingested(), kUsers)
+  EXPECT_TRUE(node.AwaitRound().ok());
+  EXPECT_TRUE(node.Stop().ok());
+  EXPECT_TRUE(node.Finalize().ok());
+  EXPECT_EQ(node.pipeline().reports_ingested(), kUsers)
       << "dedup let a batch double-count or drop";
-  if (duplicates_out != nullptr) *duplicates_out = duplicates;
-  return pipeline;
+  *duplicates_out = duplicates;
+  return std::move(node.pipeline());
 }
 
 TEST(RecoveryE2eTest, CrashResumeResendIsBitIdentical) {
   const data::Dataset dataset = MakeData();
   const core::FelipConfig config = MakeConfig();
   core::FelipPipeline planned(dataset.attributes(), kUsers, config);
-  const auto batches = MakeBatches(dataset, planned, config);
+  const auto batches = test_support::MakeBatches(dataset, planned, 64);
   ASSERT_GT(batches.size(), 8u);
   const core::FelipPipeline reference =
       RunUninterrupted(dataset, config, batches);
@@ -194,11 +151,12 @@ TEST(RecoveryE2eTest, CrashResumeResendIsBitIdentical) {
   int cut = 0;
   for (const size_t crash_after : crash_points) {
     SCOPED_TRACE("crash after " + std::to_string(crash_after) + " batches");
-    SnapshotStore store(
-        FreshDir(("felip_recovery_" + std::to_string(cut++)).c_str()), 3);
+    const std::string dir =
+        FreshDir(("felip_recovery_" + std::to_string(cut++)).c_str());
     uint64_t duplicates = 0;
     const core::FelipPipeline resumed = RunWithCrash(
-        dataset, config, batches, &store, crash_after, &duplicates);
+        NodeConfigFor(dataset, config, dir), batches, crash_after,
+        &duplicates);
     // The resend of already-drained batches must have hit the dedup
     // window, not the aggregators.
     EXPECT_GT(duplicates, 0u);
@@ -210,17 +168,19 @@ TEST(RecoveryE2eTest, CorruptNewestSnapshotFallsBackToPrevious) {
   const data::Dataset dataset = MakeData();
   const core::FelipConfig config = MakeConfig();
   core::FelipPipeline planned(dataset.attributes(), kUsers, config);
-  const auto batches = MakeBatches(dataset, planned, config);
+  const auto batches = test_support::MakeBatches(dataset, planned, 64);
   const core::FelipPipeline reference =
       RunUninterrupted(dataset, config, batches);
 
-  SnapshotStore store(FreshDir("felip_recovery_corrupt"), 3);
+  const std::string dir = FreshDir("felip_recovery_corrupt");
   {
     uint64_t duplicates = 0;
-    const core::FelipPipeline once = RunWithCrash(
-        dataset, config, batches, &store, batches.size() / 2, &duplicates);
+    const core::FelipPipeline once =
+        RunWithCrash(NodeConfigFor(dataset, config, dir), batches,
+                     batches.size() / 2, &duplicates);
     ExpectIdenticalEstimates(reference, once);
   }
+  const SnapshotStore store(dir, 3);
   // Damage the newest snapshot on disk; recovery must degrade to the
   // previous rotation instead of failing.
   const std::vector<std::string> files = store.ListNewestFirst();

@@ -96,6 +96,31 @@ TEST(QueryServiceTest, LoopbackAnswersBitIdenticalToInProcess) {
   server.Stop();
 }
 
+TEST(QueryServiceTest, BatchResentAfterALostResponseCountsOnce) {
+  // The client's retry of a batch whose response was dropped is answered
+  // again, but WaitForBatches(n) must count distinct batches: a server
+  // told to answer n batches may not stop before the client's n-th.
+  const Fixture& f = GetFixture();
+  LoopbackTransport transport;
+  QueryServer server(&transport, "queries", &f.pipeline);
+  ASSERT_TRUE(server.Start());
+  FaultOptions faults;
+  faults.drop_response_prob = 1.0;
+  FaultInjectingTransport lossy(&transport, faults);
+  QueryClientOptions once;
+  once.max_attempts = 1;
+  once.response_timeout_ms = 50;
+  EXPECT_FALSE(
+      QueryClient(&lossy, server.endpoint(), once).AnswerQueries(f.workload)
+          .ok());
+  QueryClient client(&transport, server.endpoint());
+  ExpectBitIdenticalAnswers(client.AnswerQueries(f.workload), f.expected);
+  EXPECT_EQ(server.batches_answered(), 1u);
+  EXPECT_EQ(server.queries_answered(), f.workload.size());
+  EXPECT_FALSE(server.WaitForBatches(2, 50));
+  server.Stop();
+}
+
 TEST(QueryServiceTest, TcpAnswersBitIdenticalToInProcess) {
   const Fixture& f = GetFixture();
   TcpTransport transport;

@@ -408,6 +408,43 @@ TEST(IngestServerTest, StopDrainsEverythingAlreadyAccepted) {
   EXPECT_EQ(sink.reports(), static_cast<uint64_t>(kBatches) * 16);
 }
 
+TEST(IngestServerTest, AfterDrainHookCopiesTheKeyWindowOnlyWhenAsked) {
+  // The rotation hook runs on every drained batch; the drained-key window
+  // (up to dedup_capacity keys) must be copied only when the hook reads
+  // it, as an epoch server does on a seal, never once per batch.
+  LoopbackTransport transport;
+  CountingSink sink;
+  IngestServerOptions options;
+  uint64_t hooks = 0;
+  std::vector<size_t> window_sizes;
+  options.after_drain = [&](const DrainCut& cut) {
+    if (++hooks % 10 == 0) window_sizes.push_back(cut.Keys().size());
+  };
+  IngestServer server(&transport, "ingest", &sink, options);
+  ASSERT_TRUE(server.Start());
+  IngestClient client(&transport, server.endpoint());
+  constexpr int kBatches = 25;
+  for (int b = 0; b < kBatches; ++b) {
+    ASSERT_TRUE(client.SendBatch(GrrBatch(b * 100, 4)).ok());
+    if (b == 8) {
+      ASSERT_TRUE(server.WaitForReports(36, 2000));
+      EXPECT_EQ(server.drained_key_copies(), 0u) << "no hook read yet";
+    }
+  }
+  ASSERT_TRUE(server.WaitForReports(kBatches * 4, 2000));
+  server.Stop();
+  EXPECT_EQ(hooks, static_cast<uint64_t>(kBatches));
+  EXPECT_EQ(server.drained_key_copies(), 2u);
+  EXPECT_EQ(window_sizes, (std::vector<size_t>{10, 20}));
+
+  // A cut taken between batches reads the same window on request only.
+  server.WithDrainCut([](const DrainCut&) {});
+  EXPECT_EQ(server.drained_key_copies(), 2u);
+  server.WithDrainCut(
+      [](const DrainCut& cut) { EXPECT_EQ(cut.Keys().size(), 25u); });
+  EXPECT_EQ(server.drained_key_copies(), 3u);
+}
+
 TEST(IngestClientTest, GivesUpAfterMaxAttemptsAgainstDeadEndpoint) {
   LoopbackTransport transport;  // nothing registered at "nowhere"
   IngestClientOptions options;

@@ -105,19 +105,7 @@ int main(int argc, char** argv) {
   const std::string csv_columns = flags.GetString("csv-columns", "");
   const double epsilon = flags.GetDouble("epsilon", 1.0);
 
-  bool usage_error = false;
-  for (const std::string& unknown : flags.UnconsumedFlags()) {
-    std::fprintf(stderr, "error: unknown flag: --%s\n", unknown.c_str());
-    usage_error = true;
-  }
-  for (const std::string& positional : flags.positional()) {
-    // Catches `-metrics` (single dash) and stray arguments, which the
-    // parser files as positionals; felip_cli takes none.
-    std::fprintf(stderr, "error: unexpected argument: %s\n",
-                 positional.c_str());
-    usage_error = true;
-  }
-  if (usage_error) {
+  if (!flags.CheckAllConsumed()) {
     std::fprintf(stderr, "\n");
     PrintUsage();
     return 2;

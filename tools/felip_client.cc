@@ -87,19 +87,6 @@ void PrintUsage() {
       "1.0)\n");
 }
 
-std::vector<std::string> SplitEndpoints(const std::string& list) {
-  std::vector<std::string> endpoints;
-  size_t begin = 0;
-  while (begin <= list.size()) {
-    const size_t comma = list.find(',', begin);
-    const size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > begin) endpoints.push_back(list.substr(begin, end - begin));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return endpoints;
-}
-
 struct EpochRunParams {
   dist::ShardedIngestClient* client;
   svc::Transport* transport;
@@ -326,17 +313,7 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(flags.GetUint("query-window", 0));
   const double query_decay = flags.GetDouble("query-decay", 1.0);
 
-  bool usage_error = false;
-  for (const std::string& unknown : flags.UnconsumedFlags()) {
-    std::fprintf(stderr, "error: unknown flag: --%s\n", unknown.c_str());
-    usage_error = true;
-  }
-  for (const std::string& positional : flags.positional()) {
-    std::fprintf(stderr, "error: unexpected argument: %s\n",
-                 positional.c_str());
-    usage_error = true;
-  }
-  if (usage_error) {
+  if (!flags.CheckAllConsumed()) {
     std::fprintf(stderr, "\n");
     PrintUsage();
     return 2;
@@ -377,7 +354,7 @@ int main(int argc, char** argv) {
     for (const fo::ProtocolTraits& traits : fo::AllProtocolTraits()) {
       config.SetProtocolAllowed(traits.protocol, false);
     }
-    for (const std::string& name : SplitEndpoints(protocols)) {
+    for (const std::string& name : FlagParser::SplitList(protocols)) {
       const StatusOr<fo::Protocol> p = fo::ProtocolFromName(name);
       if (!p.ok()) {
         std::fprintf(stderr, "error: unknown protocol in --protocols: %s\n",
@@ -388,7 +365,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::vector<std::string> endpoints = SplitEndpoints(endpoint);
+  const std::vector<std::string> endpoints = FlagParser::SplitList(endpoint);
   if (endpoints.empty()) {
     std::fprintf(stderr, "error: --endpoint must name at least one server\n");
     return 2;

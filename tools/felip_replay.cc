@@ -96,17 +96,7 @@ int main(int argc, char** argv) {
   const std::string pair_path_name = flags.GetString("pair-path", "exact");
   const bool dump_metrics = flags.GetBool("metrics", false);
 
-  bool usage_error = false;
-  for (const std::string& unknown : flags.UnconsumedFlags()) {
-    std::fprintf(stderr, "error: unknown flag: --%s\n", unknown.c_str());
-    usage_error = true;
-  }
-  for (const std::string& positional : flags.positional()) {
-    std::fprintf(stderr, "error: unexpected argument: %s\n",
-                 positional.c_str());
-    usage_error = true;
-  }
-  if (usage_error) {
+  if (!flags.CheckAllConsumed()) {
     std::fprintf(stderr, "\n");
     PrintUsage();
     return 2;
@@ -168,14 +158,8 @@ int main(int argc, char** argv) {
 
   // Byte-for-byte the felip_server epilogue, so live-vs-replay output
   // diffs clean.
-  const std::vector<double> marginal = pipeline.EstimateMarginal(0);
-  const size_t head = marginal.size() < 8 ? marginal.size() : 8;
-  std::printf("attr0 marginal head:");
-  for (size_t v = 0; v < head; ++v) std::printf(" %.17g", marginal[v]);
-  std::printf("\n");
+  core::PrintFingerprint(pipeline, stdout);
   const uint64_t digest = core::GridFrequencyDigest(pipeline);
-  std::printf("grid frequencies xxh64=%016llx\n",
-              static_cast<unsigned long long>(digest));
 
   if (probe_queries > 0) {
     const data::Dataset schema_only(pipeline.schema());
