@@ -178,6 +178,9 @@ struct LogWriter::Impl {
   bool OpenSegment() {
     const uint64_t seq = series.next_seq();
     const std::string path = series.PathOf(seq, kOpenSuffix);
+    // The series never creates its directory for a reader; the log
+    // writes segments past Commit, so it makes the directory itself.
+    if (!storage::CreateDirectories(series.dir()).ok()) return false;
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) return false;
     const std::vector<uint8_t> header = EncodeSegmentHeader(plan);
@@ -277,9 +280,9 @@ struct LogWriter::Impl {
 StatusOr<LogWriter> LogWriter::Open(const std::string& dir,
                                     std::vector<uint8_t> plan,
                                     LogWriterOptions options) {
-  // The series creates `dir` and resumes the sequence past every existing
-  // segment — sealed or a crashed writer's leftover .open — so a
-  // committed name is never reused.
+  // The series resumes the sequence past every existing segment — sealed
+  // or a crashed writer's leftover .open — so a committed name is never
+  // reused. OpenSegment creates `dir`.
   auto impl = std::make_unique<Impl>(dir, std::move(plan), options);
   if (impl->options.max_buffered_bytes == 0) {
     impl->options.max_buffered_bytes = impl->options.segment_bytes;

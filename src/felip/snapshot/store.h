@@ -25,7 +25,8 @@ namespace felip::snapshot {
 
 class SnapshotStore {
  public:
-  // `dir` is created if absent. `keep_last_n` >= 1 bounds how many
+  // `dir` is created by the first Write if absent; reading a missing
+  // directory creates nothing. `keep_last_n` >= 1 bounds how many
   // committed snapshots survive rotation.
   SnapshotStore(std::string dir, size_t keep_last_n = 3);
 

@@ -136,7 +136,6 @@ FileSeries::FileSeries(std::string dir, std::string prefix,
       suffixes_(std::move(suffixes)),
       keep_last_n_(keep_last_n) {
   FELIP_CHECK_MSG(!suffixes_.empty(), "a file series needs a suffix");
-  (void)CreateDirectories(dir_);
   const std::vector<SeriesFile> files = List();
   if (!files.empty()) Advance(files.back().seq);
 }
@@ -154,6 +153,7 @@ StatusOr<std::string> FileSeries::Commit(uint64_t seq,
   FELIP_CHECK_MSG(seq >= next_seq_,
                   "series files must commit in increasing sequence");
   const std::string path = PathOf(seq, suffixes_.front());
+  FELIP_RETURN_IF_ERROR(CreateDirectories(dir_));
   FELIP_RETURN_IF_ERROR(WriteFileAtomic(path, bytes));
   Advance(seq);
   Prune();

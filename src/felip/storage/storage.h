@@ -53,9 +53,11 @@ std::vector<SeriesFile> ListSeries(const std::string& dir,
 // one thread may seal while another takes the next sequence number.
 class FileSeries {
  public:
-  // Creates `dir` if absent (a failure surfaces at the first commit) and
-  // resumes past every file of the series. After each commit or seal, all
-  // but the newest `keep_last_n` committed files are deleted; 0 keeps all.
+  // Resumes past every file of the series. Only writing creates `dir`:
+  // Commit makes it, and a writer that opens files through PathOf makes
+  // it before its first write, so reading a missing series leaves
+  // nothing on disk. After each commit or seal, all but the newest
+  // `keep_last_n` committed files are deleted; 0 keeps all.
   FileSeries(std::string dir, std::string prefix,
              std::vector<std::string> suffixes, size_t keep_last_n);
 
@@ -64,8 +66,8 @@ class FileSeries {
   std::vector<SeriesFile> List() const;
 
   // Commits `bytes` as file `seq` (>= next_seq(), else a fatal check)
-  // through WriteFileAtomic, advances past it and prunes. Returns the
-  // committed path.
+  // through WriteFileAtomic, creating `dir` first if absent, advances past
+  // it and prunes. Returns the committed path.
   StatusOr<std::string> Commit(uint64_t seq,
                                const std::vector<uint8_t>& bytes);
 

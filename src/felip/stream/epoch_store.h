@@ -58,9 +58,11 @@ struct LoadedEpochs {
 
 class EpochStore {
  public:
-  // `dir` is created if absent. `keep_last_n` >= 1 bounds how many sealed
-  // segments survive compaction — it should be at least the query window,
-  // or windowed answers lose their oldest epochs to compaction.
+  // `dir` is created by the first Write if absent, so inspecting a
+  // missing directory (LoadAll) creates nothing. `keep_last_n` >= 1
+  // bounds how many sealed segments survive compaction — it should be at
+  // least the query window, or windowed answers lose their oldest epochs
+  // to compaction.
   explicit EpochStore(std::string dir, size_t keep_last_n = 8);
 
   // Commits `segment` and compacts segments beyond keep_last_n; returns

@@ -1,5 +1,6 @@
 #include "felip/svc/simulator.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "felip/common/check.h"
@@ -50,15 +51,6 @@ PopulationSimulator::PopulationSimulator(
   }
 }
 
-wire::ReportMessage PopulationSimulator::MakeReport(size_t grid, uint64_t cell,
-                                                    Rng& rng) const {
-  const Device& device = devices_[grid];
-  wire::ReportMessage m;
-  static_cast<fo::ReportData&>(m) = device.client->Perturb(cell, rng);
-  m.grid_index = static_cast<uint32_t>(grid);
-  return m;
-}
-
 std::optional<uint64_t> PopulationSimulator::Run(
     const data::Dataset& dataset, const BatchConsumer& consume) const {
   const size_t m = devices_.size();
@@ -70,35 +62,41 @@ std::optional<uint64_t> PopulationSimulator::Run(
     return device.projector.ProjectToCell(x, y);
   };
 
-  std::vector<wire::ReportMessage> batch;
-  batch.reserve(options_.batch_size);
+  // Every report is perturbed straight into its slot of one batch that
+  // lives across consume calls: a slot that already holds the report's
+  // alternative is only move-assigned, and no message is built, copied
+  // or destroyed per report.
+  std::vector<wire::ReportMessage> batch(
+      std::max<size_t>(options_.batch_size, 1));
+  size_t filled = 0;
   uint64_t emitted = 0;
-  const auto emit = [&](wire::ReportMessage&& report) -> bool {
-    batch.push_back(std::move(report));
-    ++emitted;
-    if (batch.size() < options_.batch_size) return true;
-    if (!consume(batch)) return false;
-    batch.clear();
-    return true;
-  };
 
   // The exact trajectory of FelipPipeline::Collect: one Rng, row order,
   // group draw then perturbation (kDivideUsers), or every grid per row
   // (kDivideBudget).
+  const bool divide_users =
+      options_.partitioning == core::PartitioningMode::kDivideUsers;
   Rng rng(options_.seed);
-  if (options_.partitioning == core::PartitioningMode::kDivideUsers) {
-    for (uint64_t row = 0; row < dataset.num_rows(); ++row) {
-      const size_t g = static_cast<size_t>(rng.UniformU64(m));
-      if (!emit(MakeReport(g, cell_of(g, row), rng))) return std::nullopt;
-    }
-  } else {
-    for (uint64_t row = 0; row < dataset.num_rows(); ++row) {
-      for (size_t g = 0; g < m; ++g) {
-        if (!emit(MakeReport(g, cell_of(g, row), rng))) return std::nullopt;
-      }
+  for (uint64_t row = 0; row < dataset.num_rows(); ++row) {
+    const size_t first =
+        divide_users ? static_cast<size_t>(rng.UniformU64(m)) : 0;
+    const size_t end = divide_users ? first + 1 : m;
+    for (size_t g = first; g < end; ++g) {
+      wire::ReportMessage& slot = batch[filled];
+      static_cast<fo::ReportData&>(slot) =
+          devices_[g].client->Perturb(cell_of(g, row), rng);
+      slot.grid_index = static_cast<uint32_t>(g);
+      ++emitted;
+      if (++filled < batch.size()) continue;
+      filled = 0;
+      if (!consume(batch)) return std::nullopt;
     }
   }
-  if (!batch.empty() && !consume(batch)) return std::nullopt;
+  // Only the final partial batch is trimmed to its filled count.
+  if (filled > 0) {
+    batch.resize(filled);
+    if (!consume(batch)) return std::nullopt;
+  }
   return emitted;
 }
 

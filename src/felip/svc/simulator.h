@@ -35,12 +35,14 @@ struct SimulatorOptions {
   // assignment/perturbation trajectory; partitioning selects it).
   uint64_t seed = 1;
   core::PartitioningMode partitioning = core::PartitioningMode::kDivideUsers;
-  // Reports per emitted batch. Batch boundaries cannot affect estimates —
-  // only the report multiset matters.
+  // Reports per emitted batch (0 acts as 1). Batch boundaries cannot
+  // affect estimates — only the report multiset matters.
   size_t batch_size = 1024;
 };
 
-// Receives each full batch; false aborts the run (delivery failed).
+// Receives each full batch; false aborts the run (delivery failed). The
+// batch's storage is reused for the next batch once the call returns, so
+// a consumer copies whatever it keeps.
 using BatchConsumer =
     std::function<bool(const std::vector<wire::ReportMessage>& batch)>;
 
@@ -66,8 +68,6 @@ class PopulationSimulator {
     core::FelipClient projector;
     std::unique_ptr<fo::ReportClient> client;
   };
-
-  wire::ReportMessage MakeReport(size_t grid, uint64_t cell, Rng& rng) const;
 
   std::vector<wire::GridConfigMessage> configs_;
   SimulatorOptions options_;

@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -90,17 +91,34 @@ class TcpConnection final : public FrameConnection {
   explicit TcpConnection(int fd) : fd_(fd) {}
   ~TcpConnection() override { Close(); }
 
+  // The length prefix and the payload leave in one sendmsg with two
+  // iovecs, so the payload is never copied into a prefixed buffer. A
+  // partial write advances through the iovecs and sends the rest.
   bool SendFrame(const std::vector<uint8_t>& payload) override {
     if (fd_ < 0 || payload.size() > kMaxFrameBytes) return false;
-    std::vector<uint8_t> bytes;
-    bytes.reserve(payload.size() + 4);
-    AppendFrame(&bytes, payload);
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = send(fd_, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
+    const auto len = static_cast<uint32_t>(payload.size());
+    uint8_t prefix[4];
+    std::memcpy(prefix, &len, sizeof(prefix));
+    iovec iov[2] = {
+        {prefix, sizeof(prefix)},
+        {const_cast<uint8_t*>(payload.data()), payload.size()}};
+    size_t first = 0;  // the first iovec with bytes left
+    while (first < 2) {
+      msghdr msg{};
+      msg.msg_iov = iov + first;
+      msg.msg_iovlen = 2 - first;
+      const ssize_t n = sendmsg(fd_, &msg, MSG_NOSIGNAL);
       if (n > 0) {
-        sent += static_cast<size_t>(n);
+        size_t sent = static_cast<size_t>(n);
+        while (first < 2 && sent >= iov[first].iov_len) {
+          sent -= iov[first].iov_len;
+          ++first;
+        }
+        if (first < 2) {
+          iov[first].iov_base = static_cast<uint8_t*>(iov[first].iov_base) +
+                                sent;
+          iov[first].iov_len -= sent;
+        }
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {

@@ -24,17 +24,28 @@
 
 namespace felip::wire {
 
-// Little-endian primitive writer over a byte vector.
+// Writes `value` little-endian at `at` and returns the byte after it.
+// Every encoder writes its primitives through here: Writer appends with
+// it, and an encoder that sizes its frame up front (the report frames in
+// wire.cc) writes the whole frame with it from one cursor that stays in a
+// register.
+template <typename T>
+uint8_t* PutAt(uint8_t* at, T value) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  std::memcpy(at, &value, sizeof(T));
+  return at + sizeof(T);
+}
+
+// Little-endian primitive writer that appends to a byte vector.
 class Writer {
  public:
   explicit Writer(std::vector<uint8_t>* out) : out_(out) {}
 
   template <typename T>
   void Put(T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
     const size_t offset = out_->size();
     out_->resize(offset + sizeof(T));
-    std::memcpy(out_->data() + offset, &value, sizeof(T));
+    PutAt(out_->data() + offset, value);
   }
 
   void PutBytes(const uint8_t* data, size_t len) {
@@ -114,12 +125,19 @@ class Reader {
   size_t pos_ = 0;
 };
 
+// Writes the salted xxHash64 of [begin, at) at `at`, the 8 bytes a frame
+// reserved for its trailer, and returns the byte after them.
+inline uint8_t* PutChecksumAt(const uint8_t* begin, uint8_t* at,
+                              uint64_t salt) {
+  return PutAt<uint64_t>(
+      at, XxHash64Bytes(begin, static_cast<size_t>(at - begin), salt));
+}
+
 // Appends the salted xxHash64 of everything in `buffer` so far.
 inline void SealChecksum(std::vector<uint8_t>* buffer, uint64_t salt) {
-  const uint64_t checksum =
-      XxHash64Bytes(buffer->data(), buffer->size(), salt);
-  Writer w(buffer);
-  w.Put<uint64_t>(checksum);
+  const size_t body = buffer->size();
+  buffer->resize(body + sizeof(uint64_t));
+  PutChecksumAt(buffer->data(), buffer->data() + body, salt);
 }
 
 // Verifies a SealChecksum trailer over `buffer`. False when the buffer is

@@ -85,6 +85,22 @@ TEST(FileSeriesTest, TmpDebrisOfACrashedCommitIsIgnored) {
   EXPECT_TRUE(fs::exists(fs::path(dir) / "snapshot-7.felip.tmp"));
 }
 
+TEST(FileSeriesTest, OnlyACommitCreatesTheDirectory) {
+  // Listing a series whose directory is missing reads nothing and
+  // writes nothing; the first commit creates the directory and its
+  // missing parents.
+  const std::string parent = FreshDir("missing_dir");
+  const std::string dir = (fs::path(parent) / "a" / "b").string();
+  FileSeries series(dir, "snapshot-", {".felip"}, 3);
+  EXPECT_TRUE(series.List().empty());
+  EXPECT_EQ(series.next_seq(), 1u);
+  EXPECT_FALSE(fs::exists(fs::path(parent) / "a"));
+  const StatusOr<std::string> path = series.Commit(1, {1});
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  EXPECT_EQ(Names(series.List()),
+            (std::vector<std::string>{"snapshot-1.felip"}));
+}
+
 TEST(FileSeriesTest, InterleavedOpenAndSealedFilesShareOneSequence) {
   // The report log's sealed .flog and open .open segments take numbers
   // from one sequence: a resumed writer must pass the highest of either.

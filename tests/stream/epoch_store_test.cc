@@ -194,6 +194,19 @@ TEST_F(EpochStoreTest, WriteCommitsAndLoadsBack) {
   EXPECT_EQ(loaded.segments[0].epsilon, 1.5);
 }
 
+TEST_F(EpochStoreTest, InspectingAMissingDirectoryCreatesNothing) {
+  ASSERT_FALSE(fs::exists(dir()));
+  EpochStore store(dir(), 4);
+  const LoadedEpochs loaded = store.LoadAll();
+  EXPECT_TRUE(loaded.segments.empty());
+  EXPECT_EQ(loaded.files_skipped, 0u);
+  EXPECT_EQ(store.next_seq(), 1u);
+  EXPECT_FALSE(fs::exists(dir()));
+  // Only the first seal creates it.
+  ASSERT_TRUE(store.Write(Segment(1)).ok());
+  EXPECT_EQ(store.LoadAll().segments.size(), 1u);
+}
+
 TEST_F(EpochStoreTest, LoadAllReturnsOldestFirst) {
   EpochStore store(dir(), 8);
   // Write out of arrival order is impossible (sequence check), so order
