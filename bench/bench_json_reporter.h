@@ -1,10 +1,13 @@
 // BENCH_*.json emission for the perf_* google-benchmark binaries.
 //
 // BenchJsonReporter wraps ConsoleReporter: the human-readable table still
-// prints, and every per-iteration run is also collected into a
-// felip::eval::BenchReport written to BENCH_<name>.json on Finalize().
-// The destination directory comes from $FELIP_BENCH_JSON_DIR (default:
-// the working directory); $FELIP_GIT_SHA stamps the sha field.
+// prints, and the repetition rows of every op are also collected. On
+// Finalize() each op becomes one felip::eval::BenchRecord — the median
+// real-time ns/op over its repetitions and their MAD — written to
+// BENCH_<name>.json. Repetitions come from google-benchmark's own
+// --benchmark_repetitions (one repetition gives MAD 0). The destination
+// directory comes from $FELIP_BENCH_JSON_DIR (default: the working
+// directory); $FELIP_GIT_SHA stamps the sha field.
 //
 // Usage, replacing benchmark::RunSpecifiedBenchmarks():
 //
@@ -17,10 +20,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "felip/eval/bench_json.h"
 
@@ -34,29 +40,30 @@ class BenchJsonReporter : public benchmark::ConsoleReporter {
   void ReportRuns(const std::vector<Run>& runs) override {
     ConsoleReporter::ReportRuns(runs);
     for (const Run& run : runs) {
-      // Aggregate rows (mean/median/stddev under --benchmark_repetitions)
-      // would double-count; the trajectory keeps raw iterations only.
+      // Aggregate rows (mean/median/stddev) are recomputed from the
+      // repetition rows below, so only those are kept.
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      eval::BenchRecord record;
-      record.op = run.benchmark_name();
-      record.workload = workload_;
-      record.ns_per_op = run.GetAdjustedRealTime() * TimeUnitToNs(run.time_unit);
-      record.iterations = static_cast<uint64_t>(run.iterations);
-      const double seconds_per_op = record.ns_per_op * 1e-9;
-      if (const auto it = run.counters.find("bytes_per_second");
-          it != run.counters.end()) {
-        record.bytes_per_op = it->second.value * seconds_per_op;
-      }
-      if (const auto it = run.counters.find("items_per_second");
-          it != run.counters.end()) {
-        record.items_per_second = it->second.value;
-      }
-      report_.records.push_back(std::move(record));
+      const std::string op = run.benchmark_name();
+      auto it = std::find_if(ops_.begin(), ops_.end(),
+                             [&op](const OpRows& o) { return o.op == op; });
+      if (it == ops_.end()) it = ops_.insert(ops_.end(), OpRows{op, {}, 0});
+      it->ns_per_op.push_back(run.GetAdjustedRealTime() *
+                              TimeUnitToNs(run.time_unit));
+      it->iterations += static_cast<uint64_t>(run.iterations);
     }
   }
 
   void Finalize() override {
     ConsoleReporter::Finalize();
+    for (const OpRows& o : ops_) {
+      const eval::MedianMad stats = eval::ComputeMedianMad(o.ns_per_op);
+      report_.records.push_back({.op = o.op,
+                                 .workload = workload_,
+                                 .ns_per_op = stats.median,
+                                 .ns_per_op_mad = stats.mad,
+                                 .repetitions = o.ns_per_op.size(),
+                                 .iterations = o.iterations});
+    }
     const char* dir = std::getenv("FELIP_BENCH_JSON_DIR");
     const std::string path = eval::BenchJsonPath(
         (dir != nullptr && dir[0] != '\0') ? dir : ".", report_.name);
@@ -84,8 +91,16 @@ class BenchJsonReporter : public benchmark::ConsoleReporter {
     return 1.0;
   }
 
+  // One op's repetition rows, in first-seen order.
+  struct OpRows {
+    std::string op;
+    std::vector<double> ns_per_op;
+    uint64_t iterations;
+  };
+
   eval::BenchReport report_;
   std::string workload_;
+  std::vector<OpRows> ops_;
 };
 
 }  // namespace felip::bench

@@ -9,9 +9,9 @@
 //
 // Record results with:
 //   FELIP_BENCH_JSON_DIR=results FELIP_GIT_SHA=$(git rev-parse --short HEAD) \
-//       ./bench/perf_fo_backends
+//       ./bench/perf_fo_backends --benchmark_repetitions=5
 // which writes the machine-readable results/BENCH_perf_fo_backends.json
-// (ns/op, workload, SIMD dispatch level, sha).
+// (median ns/op and its MAD, workload, SIMD dispatch level, sha).
 
 #include <benchmark/benchmark.h>
 

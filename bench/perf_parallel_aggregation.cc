@@ -7,13 +7,14 @@
 //
 // Record results with:
 //   FELIP_BENCH_JSON_DIR=results FELIP_GIT_SHA=$(git rev-parse --short HEAD) \
-//       ./bench/perf_parallel_aggregation
+//       ./bench/perf_parallel_aggregation --benchmark_repetitions=5
 // which writes the machine-readable results/BENCH_perf_parallel_aggregation.json
-// (ns/op, workload, SIMD dispatch level, sha); see docs/simd.md. The
-// committed results/parallel_aggregation.txt carries only seed-stable text.
+// (median ns/op and its MAD, workload, SIMD dispatch level, sha); see
+// docs/simd.md. The committed results/parallel_aggregation.txt carries
+// only seed-stable text.
 //
 // Parallel speedup only shows on multi-core hosts; on a single-core
-// container all thread counts collapse to serial throughput minus shard
+// host all thread counts collapse to serial throughput minus shard
 // overhead, while the bit-identical guarantee still holds.
 
 #include <benchmark/benchmark.h>

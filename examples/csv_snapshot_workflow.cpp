@@ -12,7 +12,6 @@
 #include "felip/core/felip.h"
 #include "felip/data/csv_loader.h"
 #include "felip/query/query.h"
-#include "felip/wire/wire.h"
 
 namespace {
 
@@ -63,20 +62,18 @@ int main() {
   const core::FelipPipeline pipeline = core::RunFelip(loaded->dataset,
                                                       config);
 
-  // 3. Persist the aggregator state.
+  // 3. Persist the aggregator state (the FSNP container: config, schema
+  //    and estimates, committed atomically).
   const std::string snapshot_path = "/tmp/felip_demo.snapshot";
-  if (!wire::SaveSnapshot(pipeline, loaded->dataset.attributes(),
-                          loaded->dataset.num_rows(), config,
-                          snapshot_path)
-           .ok()) {
+  if (!pipeline.SaveSnapshot(snapshot_path).ok()) {
     std::fprintf(stderr, "snapshot save failed\n");
     return 1;
   }
 
   // 4. Later (or elsewhere): reload and answer. The raw reports and the
   //    dataset are no longer needed.
-  const auto restored = wire::LoadSnapshot(snapshot_path);
-  if (!restored.has_value()) {
+  const auto restored = core::FelipPipeline::LoadSnapshot(snapshot_path);
+  if (!restored.ok()) {
     std::fprintf(stderr, "snapshot load failed\n");
     return 1;
   }

@@ -216,10 +216,11 @@ class FelipPipeline {
   FelipPipeline(std::vector<data::AttributeInfo> schema, uint64_t num_users,
                 FelipConfig config);
 
-  // Reconstructs a finalized pipeline from previously estimated,
-  // post-processed grid frequencies (e.g. a loaded snapshot). The grids
-  // must match this configuration's planned layout; response matrices are
-  // rebuilt. Used by wire::LoadSnapshot.
+  // Reconstructs a finalized pipeline from already estimated,
+  // post-processed grid frequencies, stored verbatim. The grids must match
+  // this configuration's planned layout; response matrices are rebuilt.
+  // Snapshots restore through FelipPipeline::LoadSnapshot (the FSNP
+  // container) instead, which also keeps the oracle state.
   static FelipPipeline FromEstimatedGrids(
       std::vector<data::AttributeInfo> schema, uint64_t num_users,
       FelipConfig config, std::vector<std::vector<double>> grid_frequencies);

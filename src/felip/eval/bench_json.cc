@@ -1,10 +1,10 @@
 #include "felip/eval/bench_json.h"
 
-#include <cctype>
+#include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "felip/simd/dispatch.h"
@@ -45,174 +45,36 @@ void AppendEscaped(std::string* out, std::string_view s) {
   out->push_back('"');
 }
 
-// Fixed number format: %.17g round-trips every double bit-exactly, so a
-// render -> parse -> render cycle is byte-stable.
+// Fixed number format: %.17g round-trips every double bit-exactly.
 void AppendDouble(std::string* out, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out->append(buf);
 }
 
-// --- Tiny recursive-descent parser for the documents we render. ---
-// Tolerates arbitrary whitespace and any key order; unknown keys are
-// skipped, so older binaries can read artifacts from newer ones as long
-// as the schema version matches.
+void AppendUint(std::string* out, uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
+  out->append(buf);
+}
 
-struct Parser {
-  std::string_view s;
-  size_t pos = 0;
-
-  void SkipWs() {
-    while (pos < s.size() &&
-           std::isspace(static_cast<unsigned char>(s[pos]))) {
-      ++pos;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos < s.size() && s[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-
-  bool Peek(char c) {
-    SkipWs();
-    return pos < s.size() && s[pos] == c;
-  }
-
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (pos >= s.size() || s[pos] != '"') return false;
-    ++pos;
-    out->clear();
-    while (pos < s.size() && s[pos] != '"') {
-      char c = s[pos];
-      if (c == '\\') {
-        if (pos + 1 >= s.size()) return false;
-        const char esc = s[pos + 1];
-        pos += 2;
-        switch (esc) {
-          case '"':
-            out->push_back('"');
-            break;
-          case '\\':
-            out->push_back('\\');
-            break;
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 't':
-            out->push_back('\t');
-            break;
-          case 'u': {
-            if (pos + 4 > s.size()) return false;
-            char hex[5] = {s[pos], s[pos + 1], s[pos + 2], s[pos + 3], 0};
-            out->push_back(
-                static_cast<char>(std::strtoul(hex, nullptr, 16)));
-            pos += 4;
-            break;
-          }
-          default:
-            return false;
-        }
-      } else {
-        out->push_back(c);
-        ++pos;
-      }
-    }
-    if (pos >= s.size()) return false;
-    ++pos;  // closing quote
-    return true;
-  }
-
-  bool ParseNumber(double* out) {
-    SkipWs();
-    const char* begin = s.data() + pos;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) return false;
-    pos += static_cast<size_t>(end - begin);
-    *out = v;
-    return true;
-  }
-
-  // Skips any JSON value (for unknown keys).
-  bool SkipValue() {
-    SkipWs();
-    if (pos >= s.size()) return false;
-    const char c = s[pos];
-    if (c == '"') {
-      std::string ignored;
-      return ParseString(&ignored);
-    }
-    if (c == '{' || c == '[') {
-      const char close = c == '{' ? '}' : ']';
-      ++pos;
-      int depth = 1;
-      bool in_string = false;
-      while (pos < s.size() && depth > 0) {
-        const char d = s[pos];
-        if (in_string) {
-          if (d == '\\') ++pos;
-          else if (d == '"') in_string = false;
-        } else if (d == '"') {
-          in_string = true;
-        } else if (d == c) {
-          ++depth;
-        } else if (d == close) {
-          --depth;
-        }
-        ++pos;
-      }
-      return depth == 0;
-    }
-    double ignored;
-    if (ParseNumber(&ignored)) return true;
-    // true/false/null
-    for (const char* lit : {"true", "false", "null"}) {
-      const size_t len = std::strlen(lit);
-      if (s.substr(pos, len) == lit) {
-        pos += len;
-        return true;
-      }
-    }
-    return false;
-  }
-};
-
-bool ParseRecord(Parser* p, BenchRecord* r) {
-  if (!p->Consume('{')) return false;
-  bool first = true;
-  while (!p->Peek('}')) {
-    if (!first && !p->Consume(',')) return false;
-    first = false;
-    std::string key;
-    if (!p->ParseString(&key) || !p->Consume(':')) return false;
-    if (key == "op") {
-      if (!p->ParseString(&r->op)) return false;
-    } else if (key == "workload") {
-      if (!p->ParseString(&r->workload)) return false;
-    } else if (key == "ns_per_op") {
-      if (!p->ParseNumber(&r->ns_per_op)) return false;
-    } else if (key == "bytes_per_op") {
-      if (!p->ParseNumber(&r->bytes_per_op)) return false;
-    } else if (key == "items_per_second") {
-      if (!p->ParseNumber(&r->items_per_second)) return false;
-    } else if (key == "iterations") {
-      double v;
-      if (!p->ParseNumber(&v)) return false;
-      r->iterations = static_cast<uint64_t>(v);
-    } else {
-      if (!p->SkipValue()) return false;
-    }
-  }
-  return p->Consume('}');
+double Median(std::vector<double>* values) {
+  std::sort(values->begin(), values->end());
+  const size_t n = values->size();
+  return n % 2 == 1 ? (*values)[n / 2]
+                    : ((*values)[n / 2 - 1] + (*values)[n / 2]) / 2.0;
 }
 
 }  // namespace
+
+MedianMad ComputeMedianMad(std::vector<double> values) {
+  if (values.empty()) return {};
+  MedianMad out;
+  out.median = Median(&values);
+  for (double& v : values) v = std::abs(v - out.median);
+  out.mad = Median(&values);
+  return out;
+}
 
 BenchReport MakeBenchReport(std::string_view name) {
   BenchReport report;
@@ -248,88 +110,17 @@ std::string RenderBenchJson(const BenchReport& report) {
     AppendEscaped(&out, r.workload);
     out.append(", \"ns_per_op\": ");
     AppendDouble(&out, r.ns_per_op);
-    out.append(", \"bytes_per_op\": ");
-    AppendDouble(&out, r.bytes_per_op);
-    out.append(", \"items_per_second\": ");
-    AppendDouble(&out, r.items_per_second);
+    out.append(", \"ns_per_op_mad\": ");
+    AppendDouble(&out, r.ns_per_op_mad);
+    out.append(", \"repetitions\": ");
+    AppendUint(&out, r.repetitions);
     out.append(", \"iterations\": ");
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, r.iterations);
-    out.append(buf);
+    AppendUint(&out, r.iterations);
     out.append("}");
   }
   out.append(report.records.empty() ? "]\n" : "\n  ]\n");
   out.append("}\n");
   return out;
-}
-
-bool ParseBenchJson(std::string_view json, BenchReport* out) {
-  return ParseBenchJsonDetailed(json, out) == BenchParseResult::kOk;
-}
-
-BenchParseResult ParseBenchJsonDetailed(std::string_view json,
-                                        BenchReport* out,
-                                        int* schema_version_seen) {
-  if (schema_version_seen != nullptr) *schema_version_seen = -1;
-  if (out == nullptr) return BenchParseResult::kMalformed;
-  Parser p{json};
-  BenchReport report;
-  int schema_version = -1;
-  if (!p.Consume('{')) return BenchParseResult::kMalformed;
-  bool first = true;
-  while (!p.Peek('}')) {
-    if (!first && !p.Consume(',')) return BenchParseResult::kMalformed;
-    first = false;
-    std::string key;
-    if (!p.ParseString(&key) || !p.Consume(':')) {
-      return BenchParseResult::kMalformed;
-    }
-    if (key == "schema_version") {
-      double v;
-      if (!p.ParseNumber(&v)) return BenchParseResult::kMalformed;
-      schema_version = static_cast<int>(v);
-    } else if (key == "name") {
-      if (!p.ParseString(&report.name)) return BenchParseResult::kMalformed;
-    } else if (key == "git_sha") {
-      if (!p.ParseString(&report.git_sha)) {
-        return BenchParseResult::kMalformed;
-      }
-    } else if (key == "dispatch") {
-      if (!p.ParseString(&report.dispatch)) {
-        return BenchParseResult::kMalformed;
-      }
-    } else if (key == "threads") {
-      double v;
-      if (!p.ParseNumber(&v)) return BenchParseResult::kMalformed;
-      report.threads = static_cast<unsigned>(v);
-    } else if (key == "records") {
-      if (!p.Consume('[')) return BenchParseResult::kMalformed;
-      while (!p.Peek(']')) {
-        if (!report.records.empty() && !p.Consume(',')) {
-          return BenchParseResult::kMalformed;
-        }
-        BenchRecord r;
-        if (!ParseRecord(&p, &r)) return BenchParseResult::kMalformed;
-        report.records.push_back(std::move(r));
-      }
-      if (!p.Consume(']')) return BenchParseResult::kMalformed;
-    } else {
-      if (!p.SkipValue()) return BenchParseResult::kMalformed;
-    }
-  }
-  if (!p.Consume('}')) return BenchParseResult::kMalformed;
-  // A missing schema_version is malformed (the renderer always writes
-  // one); a present-but-different version is the upgrade case callers
-  // want to surface precisely.
-  if (schema_version == -1) return BenchParseResult::kMalformed;
-  if (schema_version != kBenchJsonSchemaVersion) {
-    if (schema_version_seen != nullptr) {
-      *schema_version_seen = schema_version;
-    }
-    return BenchParseResult::kUnknownSchemaVersion;
-  }
-  *out = std::move(report);
-  return BenchParseResult::kOk;
 }
 
 std::string BenchJsonPath(std::string_view dir, std::string_view name) {
@@ -339,46 +130,6 @@ std::string BenchJsonPath(std::string_view dir, std::string_view name) {
   path.append(name);
   path.append(".json");
   return path;
-}
-
-BenchComparison CompareBenchReports(const BenchReport& baseline,
-                                    const BenchReport& current,
-                                    double threshold) {
-  BenchComparison cmp;
-  const auto find_current = [&current](const std::string& op) {
-    for (const BenchRecord& r : current.records) {
-      if (r.op == op) return &r;
-    }
-    return static_cast<const BenchRecord*>(nullptr);
-  };
-  for (const BenchRecord& base : baseline.records) {
-    const BenchRecord* cur = find_current(base.op);
-    if (cur == nullptr) {
-      cmp.only_in_baseline.push_back(base.op);
-      continue;
-    }
-    BenchDelta delta;
-    delta.op = base.op;
-    delta.baseline_ns = base.ns_per_op;
-    delta.current_ns = cur->ns_per_op;
-    delta.ratio = base.ns_per_op > 0.0 ? cur->ns_per_op / base.ns_per_op
-                                       : 0.0;
-    delta.regression =
-        base.ns_per_op > 0.0 && delta.ratio > 1.0 + threshold;
-    if (delta.regression) ++cmp.num_regressions;
-    cmp.deltas.push_back(std::move(delta));
-  }
-  for (const BenchRecord& cur : current.records) {
-    bool in_baseline = false;
-    for (const BenchRecord& base : baseline.records) {
-      if (base.op == cur.op) {
-        in_baseline = true;
-        break;
-      }
-    }
-    if (!in_baseline) cmp.only_in_current.push_back(cur.op);
-  }
-  return cmp;
 }
 
 bool WriteBenchJsonFile(const std::string& path, const BenchReport& report) {

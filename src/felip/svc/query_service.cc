@@ -172,17 +172,13 @@ std::vector<uint8_t> QueryServer::HandleFrame(
     }
   }
 
-  core::QueryBatchOptions batch_options;
-  batch_options.threads = options_.answer_threads;
-  batch_options.pair_path = options_.pair_path;
   const std::span<const query::Query> batch(queries);
   StatusOr<std::vector<double>> answers =
       windowed ? epochs_->AnswerWindowed(batch, request.window,
-                                         request.decay, batch_options)
+                                         request.decay)
       : pipeline != nullptr
-          ? StatusOr<std::vector<double>>(
-                pipeline->AnswerQueries(batch, batch_options))
-          : epochs_->AnswerLatest(batch, batch_options);
+          ? StatusOr<std::vector<double>>(pipeline->AnswerQueries(batch))
+          : epochs_->AnswerLatest(batch);
   if (!answers.ok()) {
     // Unreachable once sealed_epochs > 0 (the window only grows), but
     // degrade to retryable rather than crash on a contract drift.

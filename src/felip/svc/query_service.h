@@ -20,9 +20,10 @@
 //      request.
 //
 // Answering runs on the transport's IO thread: queries are pure reads of
-// immutable queryable-state, the batch engine parallelizes internally
-// via answer_threads, and one response per connection at a time matches
-// the request/response framing. A pipeline that is not queryable yet
+// immutable queryable-state, the batch engine answers each batch with
+// its defaults (the exact pair path, bit-identical to in-process
+// AnswerQuery, on one thread per core), and one response per connection
+// at a time matches the request/response framing. A pipeline that is not queryable yet
 // answers kFailedPrecondition, which clients treat as retryable (see
 // IsRetryable()).
 //
@@ -55,12 +56,6 @@
 namespace felip::svc {
 
 struct QueryServerOptions {
-  // Threads the batch engine uses per inbound batch (0 = hardware
-  // concurrency, 1 = serial). Answers are identical for every setting.
-  unsigned answer_threads = 0;
-  // How the engine answers pair selections; kExact is bit-identical to
-  // the in-process AnswerQuery path.
-  core::PairAnswerPath pair_path = core::PairAnswerPath::kExact;
   // Batches with more queries than this are rejected kInvalid — bounds
   // per-frame answer memory independently of the frame-size cap.
   size_t max_batch_queries = 1u << 20;

@@ -17,7 +17,6 @@
 #include "felip/fo/registry.h"
 #include "felip/obs/metrics.h"
 #include "felip/obs/trace.h"
-#include "felip/storage/storage.h"
 #include "felip/wire/framing.h"
 
 namespace felip::wire {
@@ -28,6 +27,8 @@ enum class MessageKind : uint8_t {
   kGridConfig = 1,
   kReport = 2,
   kReportBatch = 3,
+  // 4 was the single-frame snapshot, since replaced by the FSNP
+  // container (felip/snapshot); never reuse it for another kind.
   kSnapshot = 4,
   kQueryBatch = 5,
   kQueryResponse = 6,
@@ -833,197 +834,6 @@ StatusOr<AccumulatorFrameMessage> DecodeAccumulatorFrame(
   m.oracle_section.assign(buffer.begin() + static_cast<ptrdiff_t>(r.position()),
                           buffer.begin() + static_cast<ptrdiff_t>(*payload_end));
   return m;
-}
-
-std::vector<uint8_t> EncodeSnapshot(
-    const core::FelipPipeline& pipeline,
-    const std::vector<data::AttributeInfo>& schema, uint64_t num_users,
-    const core::FelipConfig& config) {
-  FELIP_CHECK_MSG(pipeline.finalized(), "snapshot requires Finalize()");
-  std::vector<uint8_t> buffer;
-  Writer w(&buffer);
-  WriteHeader(w, MessageKind::kSnapshot);
-
-  // Layout-affecting configuration.
-  w.Put<uint8_t>(static_cast<uint8_t>(config.strategy));
-  w.Put<uint8_t>(static_cast<uint8_t>(config.partitioning));
-  w.Put<double>(config.epsilon);
-  w.Put<double>(config.alpha1);
-  w.Put<double>(config.alpha2);
-  w.Put<double>(config.default_selectivity);
-  w.Put<uint32_t>(static_cast<uint32_t>(config.attribute_selectivity.size()));
-  for (const double s : config.attribute_selectivity) w.Put<double>(s);
-  w.Put<uint8_t>(config.allow_grr ? 1 : 0);
-  w.Put<uint8_t>(config.allow_olh ? 1 : 0);
-  w.Put<uint8_t>(config.allow_oue ? 1 : 0);
-  w.Put<uint8_t>(config.allow_pgr ? 1 : 0);
-  w.Put<uint8_t>(config.allow_fldp ? 1 : 0);
-  w.Put<uint64_t>(config.report_budget_bytes);
-  // FLDP options shift its variance model, so they affect the layout.
-  w.Put<uint32_t>(config.fldp_options.report_bits);
-  w.Put<uint32_t>(config.fldp_options.subset_pool_size);
-  w.Put<uint64_t>(config.fldp_options.pool_salt);
-  w.Put<uint8_t>(config.lambda_quadrant_fit ? 1 : 0);
-  w.Put<uint64_t>(num_users);
-
-  // Schema.
-  w.Put<uint32_t>(static_cast<uint32_t>(schema.size()));
-  for (const data::AttributeInfo& a : schema) {
-    w.Put<uint32_t>(static_cast<uint32_t>(a.name.size()));
-    w.PutBytes(reinterpret_cast<const uint8_t*>(a.name.data()),
-               a.name.size());
-    w.Put<uint32_t>(a.domain);
-    w.Put<uint8_t>(a.categorical ? 1 : 0);
-  }
-
-  // Estimated grid frequencies, assignment order.
-  const std::vector<std::vector<double>> grids =
-      pipeline.ExportGridFrequencies();
-  w.Put<uint32_t>(static_cast<uint32_t>(grids.size()));
-  for (const std::vector<double>& f : grids) {
-    w.Put<uint32_t>(static_cast<uint32_t>(f.size()));
-    for (const double v : f) w.Put<double>(v);
-  }
-  SealChecksum(&buffer, kChecksumSalt);
-  return buffer;
-}
-
-namespace {
-
-std::optional<core::FelipPipeline> DecodeSnapshotImpl(
-    const std::vector<uint8_t>& buffer) {
-  const auto payload_end = ValidateEnvelope(buffer, MessageKind::kSnapshot);
-  if (!payload_end.has_value()) return std::nullopt;
-  Reader r(buffer);
-  uint8_t skip[6];
-  if (!r.GetBytes(skip, sizeof(skip))) return std::nullopt;
-
-  core::FelipConfig config;
-  uint8_t strategy = 0;
-  uint8_t partitioning = 0;
-  uint32_t num_selectivities = 0;
-  uint8_t allow_grr = 0;
-  uint8_t allow_olh = 0;
-  uint8_t allow_oue = 0;
-  uint8_t allow_pgr = 0;
-  uint8_t allow_fldp = 0;
-  uint8_t quadrant = 0;
-  uint64_t num_users = 0;
-  if (!r.Get(&strategy) || !r.Get(&partitioning) || !r.Get(&config.epsilon) ||
-      !r.Get(&config.alpha1) || !r.Get(&config.alpha2) ||
-      !r.Get(&config.default_selectivity) || !r.Get(&num_selectivities)) {
-    return std::nullopt;
-  }
-  if (strategy > 1 || partitioning > 1) return std::nullopt;
-  if (!(config.epsilon > 0.0) || config.epsilon > 100.0) return std::nullopt;
-  if (num_selectivities > 4096) return std::nullopt;
-  config.strategy = static_cast<core::Strategy>(strategy);
-  config.partitioning = static_cast<core::PartitioningMode>(partitioning);
-  config.attribute_selectivity.resize(num_selectivities);
-  for (double& s : config.attribute_selectivity) {
-    if (!r.Get(&s)) return std::nullopt;
-  }
-  if (!r.Get(&allow_grr) || !r.Get(&allow_olh) || !r.Get(&allow_oue) ||
-      !r.Get(&allow_pgr) || !r.Get(&allow_fldp) ||
-      !r.Get(&config.report_budget_bytes) ||
-      !r.Get(&config.fldp_options.report_bits) ||
-      !r.Get(&config.fldp_options.subset_pool_size) ||
-      !r.Get(&config.fldp_options.pool_salt) || !r.Get(&quadrant) ||
-      !r.Get(&num_users)) {
-    return std::nullopt;
-  }
-  config.allow_grr = allow_grr != 0;
-  config.allow_olh = allow_olh != 0;
-  config.allow_oue = allow_oue != 0;
-  config.allow_pgr = allow_pgr != 0;
-  config.allow_fldp = allow_fldp != 0;
-  config.lambda_quadrant_fit = quadrant != 0;
-  if (!(config.allow_grr || config.allow_olh || config.allow_oue ||
-        config.allow_pgr || config.allow_fldp)) {
-    return std::nullopt;
-  }
-  if (config.allow_fldp &&
-      (config.fldp_options.report_bits == 0 ||
-       config.fldp_options.subset_pool_size == 0)) {
-    return std::nullopt;
-  }
-  if (num_users == 0) return std::nullopt;
-
-  uint32_t num_attributes = 0;
-  if (!r.Get(&num_attributes)) return std::nullopt;
-  if (num_attributes == 0 || num_attributes > 4096) return std::nullopt;
-  std::vector<data::AttributeInfo> schema(num_attributes);
-  for (data::AttributeInfo& a : schema) {
-    uint32_t name_len = 0;
-    if (!r.GetLength(&name_len, 1)) return std::nullopt;
-    a.name.resize(name_len);
-    if (!r.GetBytes(reinterpret_cast<uint8_t*>(a.name.data()), name_len)) {
-      return std::nullopt;
-    }
-    uint8_t categorical = 0;
-    if (!r.Get(&a.domain) || !r.Get(&categorical)) return std::nullopt;
-    if (a.domain == 0) return std::nullopt;
-    a.categorical = categorical != 0;
-  }
-
-  uint32_t num_grids = 0;
-  if (!r.Get(&num_grids)) return std::nullopt;
-  if (num_grids > 1u << 20) return std::nullopt;
-  std::vector<std::vector<double>> grids(num_grids);
-  for (std::vector<double>& f : grids) {
-    uint32_t cells = 0;
-    if (!r.GetLength(&cells, sizeof(double))) return std::nullopt;
-    f.resize(cells);
-    for (double& v : f) {
-      if (!r.Get(&v)) return std::nullopt;
-      if (!std::isfinite(v)) return std::nullopt;
-    }
-  }
-  if (r.position() != *payload_end) return std::nullopt;
-
-  // Re-plan and verify the persisted grids fit the layout. A mismatched
-  // grid count aborts inside FromEstimatedGrids; catch the cheap case
-  // here and let cell-count mismatches be caught by SetFrequencies.
-  core::FelipPipeline probe(schema, num_users, config);
-  if (probe.assignments().size() != num_grids) return std::nullopt;
-  const size_t n1 = probe.grids_1d().size();
-  for (size_t g = 0; g < num_grids; ++g) {
-    const size_t expected = g < n1
-                                ? probe.grids_1d()[g].num_cells()
-                                : probe.grids_2d()[g - n1].num_cells();
-    if (grids[g].size() != expected) return std::nullopt;
-  }
-  return core::FelipPipeline::FromEstimatedGrids(
-      std::move(schema), num_users, std::move(config), std::move(grids));
-}
-
-}  // namespace
-
-StatusOr<core::FelipPipeline> DecodeSnapshot(
-    const std::vector<uint8_t>& buffer) {
-  obs::ScopedTimer span("felip_wire_decode_snapshot");
-  DecodeCounters& counters = Counters();
-  counters.bytes.Increment(buffer.size());
-  std::optional<core::FelipPipeline> pipeline = DecodeSnapshotImpl(buffer);
-  if (!pipeline.has_value()) {
-    counters.malformed.Increment();
-    return Malformed("malformed snapshot frame");
-  }
-  return *std::move(pipeline);
-}
-
-Status SaveSnapshot(const core::FelipPipeline& pipeline,
-                    const std::vector<data::AttributeInfo>& schema,
-                    uint64_t num_users, const core::FelipConfig& config,
-                    const std::string& path) {
-  return storage::WriteFileAtomic(
-      path, EncodeSnapshot(pipeline, schema, num_users, config));
-}
-
-StatusOr<core::FelipPipeline> LoadSnapshot(const std::string& path) {
-  FELIP_ASSIGN_OR_RETURN(const std::vector<uint8_t> buffer,
-                         storage::ReadFile(path));
-  return DecodeSnapshot(buffer);
 }
 
 GridConfigMessage MakeGridConfig(

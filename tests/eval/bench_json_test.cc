@@ -1,6 +1,6 @@
-// Tests for the BENCH_*.json perf-trajectory artifacts: schema
-// round-trip, byte-stable rendering, path construction, and the
-// regression comparison tools/bench_diff is built on.
+// Tests for the BENCH_*.json kernel-bench artifacts: byte-stable
+// rendering, path construction, file output, and the median/MAD summary
+// every record carries.
 
 #include <cstdio>
 #include <fstream>
@@ -21,39 +21,32 @@ BenchReport SampleReport() {
   report.dispatch = "avx2";
   report.threads = 8;
   report.records.push_back({"BM_BatchScan", "users=1000000;queries=10000",
-                            1234.5, 1.5e6, 8.1e8, 42});
+                            1234.5, 12.25, 5, 42});
   report.records.push_back(
-      {"BM_Prefix", "users=1000000;queries=10000", 17.25, 0.0, 0.0, 100000});
+      {"BM_Prefix", "users=1000000;queries=10000", 17.25, 0.0, 1, 100000});
   return report;
 }
 
-TEST(BenchJsonTest, RoundTripsEveryField) {
-  const BenchReport report = SampleReport();
-  BenchReport parsed;
-  ASSERT_TRUE(ParseBenchJson(RenderBenchJson(report), &parsed));
-  EXPECT_EQ(parsed.name, report.name);
-  EXPECT_EQ(parsed.git_sha, report.git_sha);
-  EXPECT_EQ(parsed.dispatch, report.dispatch);
-  EXPECT_EQ(parsed.threads, report.threads);
-  ASSERT_EQ(parsed.records.size(), report.records.size());
-  for (size_t i = 0; i < parsed.records.size(); ++i) {
-    EXPECT_EQ(parsed.records[i].op, report.records[i].op);
-    EXPECT_EQ(parsed.records[i].workload, report.records[i].workload);
-    EXPECT_EQ(parsed.records[i].ns_per_op, report.records[i].ns_per_op);
-    EXPECT_EQ(parsed.records[i].bytes_per_op, report.records[i].bytes_per_op);
-    EXPECT_EQ(parsed.records[i].items_per_second,
-              report.records[i].items_per_second);
-    EXPECT_EQ(parsed.records[i].iterations, report.records[i].iterations);
-  }
-}
-
 TEST(BenchJsonTest, RenderingIsByteStable) {
-  // render -> parse -> render must reproduce the exact bytes: the
-  // committed artifacts under results/ only diff when the numbers do.
-  const std::string once = RenderBenchJson(SampleReport());
-  BenchReport parsed;
-  ASSERT_TRUE(ParseBenchJson(once, &parsed));
-  EXPECT_EQ(RenderBenchJson(parsed), once);
+  // The committed artifacts under results/ only diff when the numbers do:
+  // key order and number formatting are pinned byte for byte.
+  EXPECT_EQ(RenderBenchJson(SampleReport()),
+            R"({
+  "schema_version": 2,
+  "name": "perf_query_engine",
+  "git_sha": "0123abcd",
+  "dispatch": "avx2",
+  "threads": 8,
+  "records": [
+    {"op": "BM_BatchScan", "workload": "users=1000000;queries=10000", "ns_per_op": 1234.5, "ns_per_op_mad": 12.25, "repetitions": 5, "iterations": 42},
+    {"op": "BM_Prefix", "workload": "users=1000000;queries=10000", "ns_per_op": 17.25, "ns_per_op_mad": 0, "repetitions": 1, "iterations": 100000}
+  ]
+}
+)");
+  BenchReport empty = SampleReport();
+  empty.records.clear();
+  EXPECT_NE(RenderBenchJson(empty).find("\"records\": []\n}"),
+            std::string::npos);
 }
 
 TEST(BenchJsonTest, FieldOrderIsStable) {
@@ -75,100 +68,41 @@ TEST(BenchJsonTest, FieldOrderIsStable) {
   const size_t op = json.find("\"op\"", records);
   const size_t workload = json.find("\"workload\"", records);
   const size_t ns = json.find("\"ns_per_op\"", records);
-  const size_t bytes = json.find("\"bytes_per_op\"", records);
+  const size_t mad = json.find("\"ns_per_op_mad\"", records);
+  const size_t reps = json.find("\"repetitions\"", records);
+  const size_t iterations = json.find("\"iterations\"", records);
   ASSERT_NE(op, std::string::npos);
   EXPECT_LT(op, workload);
   EXPECT_LT(workload, ns);
-  EXPECT_LT(ns, bytes);
+  EXPECT_LT(ns, mad);
+  EXPECT_LT(mad, reps);
+  EXPECT_LT(reps, iterations);
 }
 
-TEST(BenchJsonTest, ParsesRegardlessOfKeyOrderAndUnknownKeys) {
-  // Hand-written artifact with shuffled keys, whitespace, an unknown
-  // field, and escaped characters — forward-compatible parsing.
-  const std::string json = R"({
-    "records": [
-      {"iterations": 7, "op": "BM_X", "future_field": {"a": [1, "x"]},
-       "ns_per_op": 2.5, "workload": "shape=\"odd\nthing\""}
-    ],
-    "threads": 4, "dispatch": "scalar", "git_sha": "deadbeef",
-    "name": "perf_x", "schema_version": 1, "extra": null
-  })";
-  BenchReport report;
-  ASSERT_TRUE(ParseBenchJson(json, &report));
-  EXPECT_EQ(report.name, "perf_x");
-  ASSERT_EQ(report.records.size(), 1u);
-  EXPECT_EQ(report.records[0].op, "BM_X");
-  EXPECT_EQ(report.records[0].workload, "shape=\"odd\nthing\"");
-  EXPECT_EQ(report.records[0].ns_per_op, 2.5);
-  EXPECT_EQ(report.records[0].iterations, 7u);
+TEST(BenchJsonTest, MedianMadOfOddAndEvenCounts) {
+  // Odd count: the middle value; deviations {2, 0, 1, 9, 1} -> MAD 1.
+  const MedianMad odd = ComputeMedianMad({12.0, 10.0, 11.0, 19.0, 9.0});
+  EXPECT_EQ(odd.median, 11.0);
+  EXPECT_EQ(odd.mad, 1.0);
+  // Even count: the mean of the middle pair; deviations {1.5, 0.5, 0.5,
+  // 1.5} -> MAD 1.
+  const MedianMad even = ComputeMedianMad({4.0, 1.0, 3.0, 2.0});
+  EXPECT_EQ(even.median, 2.5);
+  EXPECT_EQ(even.mad, 1.0);
+  // One outlier moves neither (the reason for median + MAD over
+  // mean + stddev on a shared host).
+  const MedianMad outlier = ComputeMedianMad({10.0, 10.0, 10.0, 1000.0, 10.0});
+  EXPECT_EQ(outlier.median, 10.0);
+  EXPECT_EQ(outlier.mad, 0.0);
 }
 
-TEST(BenchJsonTest, RejectsMalformedAndWrongSchema) {
-  BenchReport report;
-  EXPECT_FALSE(ParseBenchJson("", &report));
-  EXPECT_FALSE(ParseBenchJson("not json", &report));
-  EXPECT_FALSE(ParseBenchJson("{\"schema_version\": 1", &report));
-  // Valid JSON, wrong schema version.
-  EXPECT_FALSE(ParseBenchJson(
-      "{\"schema_version\": 999, \"name\": \"x\", \"records\": []}",
-      &report));
-  // Missing schema_version entirely.
-  EXPECT_FALSE(
-      ParseBenchJson("{\"name\": \"x\", \"records\": []}", &report));
-}
-
-TEST(BenchJsonTest, DetailedParseSeparatesMalformedFromUnknownSchema) {
-  BenchReport report;
-  int seen = 0;
-  // Structurally broken inputs classify as malformed, version untouched
-  // by anything but the -1 reset.
-  EXPECT_EQ(ParseBenchJsonDetailed("", &report, &seen),
-            BenchParseResult::kMalformed);
-  EXPECT_EQ(seen, -1);
-  EXPECT_EQ(ParseBenchJsonDetailed("not json", &report, &seen),
-            BenchParseResult::kMalformed);
-  EXPECT_EQ(ParseBenchJsonDetailed("{\"schema_version\": 1", &report, &seen),
-            BenchParseResult::kMalformed);
-  // Missing schema_version: the renderer always writes one, so its
-  // absence means "not our artifact", not "future version".
-  EXPECT_EQ(ParseBenchJsonDetailed("{\"name\": \"x\", \"records\": []}",
-                                   &report, &seen),
-            BenchParseResult::kMalformed);
-  EXPECT_EQ(seen, -1);
-}
-
-TEST(BenchJsonTest, DetailedParseReportsTheVersionItSaw) {
-  // Render a valid artifact, then bump its schema_version: well-formed
-  // but unreadable by this binary. The caller learns which version the
-  // document claimed so bench_diff can print seen-vs-understood.
-  std::string json = RenderBenchJson(SampleReport());
-  const std::string needle = "\"schema_version\": 1";
-  const size_t at = json.find(needle);
-  ASSERT_NE(at, std::string::npos);
-  json.replace(at, needle.size(), "\"schema_version\": 99");
-
-  BenchReport report;
-  report.name = "sentinel";
-  int seen = -1;
-  EXPECT_EQ(ParseBenchJsonDetailed(json, &report, &seen),
-            BenchParseResult::kUnknownSchemaVersion);
-  EXPECT_EQ(seen, 99);
-  EXPECT_EQ(report.name, "sentinel");  // *out untouched off the kOk path
-
-  // The null-version_seen overload stays usable.
-  EXPECT_EQ(ParseBenchJsonDetailed(json, &report),
-            BenchParseResult::kUnknownSchemaVersion);
-}
-
-TEST(BenchJsonTest, DetailedParseMatchesBoolParserOnSuccess) {
-  const std::string json = RenderBenchJson(SampleReport());
-  BenchReport report;
-  int seen = 7;
-  EXPECT_EQ(ParseBenchJsonDetailed(json, &report, &seen),
-            BenchParseResult::kOk);
-  EXPECT_EQ(seen, -1);
-  EXPECT_EQ(report.name, "perf_query_engine");
-  ASSERT_EQ(report.records.size(), 2u);
+TEST(BenchJsonTest, MedianMadOfOneRepetitionHasNoSpread) {
+  const MedianMad one = ComputeMedianMad({42.5});
+  EXPECT_EQ(one.median, 42.5);
+  EXPECT_EQ(one.mad, 0.0);
+  const MedianMad none = ComputeMedianMad({});
+  EXPECT_EQ(none.median, 0.0);
+  EXPECT_EQ(none.mad, 0.0);
 }
 
 TEST(BenchJsonTest, MakeBenchReportRecordsDispatchLevel) {
@@ -198,64 +132,8 @@ TEST(BenchJsonTest, WriteBenchJsonFileRoundTrips) {
   ASSERT_TRUE(in.good());
   std::ostringstream ss;
   ss << in.rdbuf();
-  BenchReport parsed;
-  ASSERT_TRUE(ParseBenchJson(ss.str(), &parsed));
-  EXPECT_EQ(parsed.name, "perf_query_engine");
+  EXPECT_EQ(ss.str(), RenderBenchJson(SampleReport()));
   std::remove(path.c_str());
-}
-
-// --- CompareBenchReports: the logic behind tools/bench_diff. ---
-
-TEST(BenchDiffTest, FlagsRegressionsBeyondThreshold) {
-  BenchReport baseline = SampleReport();
-  BenchReport current = SampleReport();
-  current.records[0].ns_per_op = baseline.records[0].ns_per_op * 1.25;
-  current.records[1].ns_per_op = baseline.records[1].ns_per_op * 1.05;
-
-  const BenchComparison cmp =
-      CompareBenchReports(baseline, current, /*threshold=*/0.10);
-  ASSERT_EQ(cmp.deltas.size(), 2u);
-  EXPECT_TRUE(cmp.deltas[0].regression);   // +25% > 10%
-  EXPECT_FALSE(cmp.deltas[1].regression);  // +5% <= 10%
-  EXPECT_EQ(cmp.num_regressions, 1);
-  EXPECT_NEAR(cmp.deltas[0].ratio, 1.25, 1e-12);
-}
-
-TEST(BenchDiffTest, ImprovementsAndBoundaryDoNotFlag) {
-  BenchReport baseline = SampleReport();
-  BenchReport current = SampleReport();
-  current.records[0].ns_per_op = baseline.records[0].ns_per_op * 0.5;
-  // Exactly at threshold: not a regression (strictly-greater comparison).
-  current.records[1].ns_per_op = baseline.records[1].ns_per_op * 1.10;
-  const BenchComparison cmp =
-      CompareBenchReports(baseline, current, /*threshold=*/0.10);
-  EXPECT_EQ(cmp.num_regressions, 0);
-}
-
-TEST(BenchDiffTest, ZeroBaselineNeverFlags) {
-  BenchReport baseline = SampleReport();
-  baseline.records[0].ns_per_op = 0.0;
-  BenchReport current = SampleReport();
-  current.records[0].ns_per_op = 1e9;
-  const BenchComparison cmp =
-      CompareBenchReports(baseline, current, /*threshold=*/0.10);
-  EXPECT_FALSE(cmp.deltas[0].regression);
-}
-
-TEST(BenchDiffTest, ReportsOpSetDifferences) {
-  BenchReport baseline = SampleReport();
-  BenchReport current = SampleReport();
-  current.records.erase(current.records.begin());  // BM_BatchScan gone
-  current.records.push_back(
-      {"BM_New", "shape", 1.0, 0.0, 0.0, 1});
-  const BenchComparison cmp =
-      CompareBenchReports(baseline, current, /*threshold=*/0.10);
-  ASSERT_EQ(cmp.only_in_baseline.size(), 1u);
-  EXPECT_EQ(cmp.only_in_baseline[0], "BM_BatchScan");
-  ASSERT_EQ(cmp.only_in_current.size(), 1u);
-  EXPECT_EQ(cmp.only_in_current[0], "BM_New");
-  ASSERT_EQ(cmp.deltas.size(), 1u);
-  EXPECT_EQ(cmp.deltas[0].op, "BM_Prefix");
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// End-to-end observability acceptance: after a full pipeline run, a wire
-// round-trip, a streaming ingest, and an eval-harness run, the default
-// registry's RenderText exposition must contain counters and spans from
-// every instrumented subsystem (core, fo, wire, stream, eval).
+// End-to-end observability acceptance: after a full pipeline run, a
+// snapshot and a wire round-trip, a streaming ingest, and an eval-harness
+// run, the default registry's RenderText exposition must contain counters
+// and spans from every instrumented subsystem (core, fo, wire, stream,
+// eval).
 
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "felip/obs/metrics.h"
 #include "felip/query/generator.h"
 #include "felip/query/query.h"
+#include "felip/snapshot/pipeline_snapshot.h"
 #include "felip/stream/streaming.h"
 #include "felip/wire/wire.h"
 
@@ -40,10 +42,13 @@ TEST(ObservabilityE2eTest, EverySubsystemReportsToTheDefaultRegistry) {
       dataset, 4, {.dimension = 2, .selectivity = 0.5}, qrng);
   for (const query::Query& q : queries) pipeline.AnswerQuery(q);
 
-  // wire: snapshot round-trip.
-  const std::vector<uint8_t> snapshot = wire::EncodeSnapshot(
-      pipeline, dataset.attributes(), dataset.num_rows(), config);
-  ASSERT_TRUE(wire::DecodeSnapshot(snapshot).has_value());
+  // snapshot: FSNP round-trip of the queryable pipeline.
+  const std::vector<uint8_t> snapshot =
+      snapshot::PipelineCodec::Encode(pipeline, {}, {});
+  ASSERT_TRUE(snapshot::PipelineCodec::Decode(snapshot).ok());
+
+  // wire: the query batch round-trip a query server decodes.
+  ASSERT_TRUE(wire::DecodeQueryBatch(wire::EncodeQueryBatch(queries)).ok());
 
   // stream: one epoch.
   stream::StreamConfig stream_config;

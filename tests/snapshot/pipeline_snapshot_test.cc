@@ -241,6 +241,31 @@ TEST(PipelineSnapshotTest, QueryableSnapshotAnswersBitIdentically) {
   }
 }
 
+TEST(PipelineSnapshotTest, QuadrantFlagSurvives) {
+  // lambda_quadrant_fit changes how λ >= 3 queries are answered, not the
+  // grid layout, so only an answer shows that the config section kept it.
+  const data::Dataset dataset = data::MakeNormal(15000, 3, 0, 16, 2, 3);
+  core::FelipConfig config;
+  config.epsilon = 2.0;
+  config.lambda_quadrant_fit = true;
+  config.seed = 4;
+  const core::FelipPipeline original = core::RunFelip(dataset, config);
+
+  auto recovered =
+      PipelineCodec::Decode(PipelineCodec::Encode(original, {}, {}));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const core::FelipPipeline& restored = recovered->pipeline;
+  EXPECT_TRUE(restored.config().lambda_quadrant_fit);
+  // A full-domain λ=3 query distinguishes the fits: quadrant ≈ 1.
+  const query::Query q({
+      {.attr = 0, .op = query::Op::kBetween, .lo = 0, .hi = 15},
+      {.attr = 1, .op = query::Op::kBetween, .lo = 0, .hi = 15},
+      {.attr = 2, .op = query::Op::kBetween, .lo = 0, .hi = 15},
+  });
+  EXPECT_EQ(restored.AnswerQuery(q), original.AnswerQuery(q));
+  EXPECT_NEAR(restored.AnswerQuery(q), 1.0, 0.05);
+}
+
 TEST(PipelineSnapshotTest, DedupKeysRoundTrip) {
   const data::Dataset dataset = MakeData();
   const core::FelipPipeline pipeline(dataset.attributes(), kUsers,

@@ -133,35 +133,6 @@ TEST(QueryServiceTest, TcpAnswersBitIdenticalToInProcess) {
   server.Stop();
 }
 
-TEST(QueryServiceTest, SerialAndPrefixServersAgree) {
-  // Server-side engine options must not change kOk semantics: a serial
-  // exact server is bit-identical, a prefix server is within the
-  // documented tolerance.
-  const Fixture& f = GetFixture();
-  LoopbackTransport transport;
-  QueryServerOptions serial;
-  serial.answer_threads = 1;
-  QueryServer exact_server(&transport, "exact", &f.pipeline, serial);
-  ASSERT_TRUE(exact_server.Start());
-  QueryClient exact_client(&transport, exact_server.endpoint());
-  ExpectBitIdenticalAnswers(exact_client.AnswerQueries(f.workload),
-                            f.expected);
-  exact_server.Stop();
-
-  QueryServerOptions prefix;
-  prefix.pair_path = core::PairAnswerPath::kPrefix;
-  QueryServer prefix_server(&transport, "prefix", &f.pipeline, prefix);
-  ASSERT_TRUE(prefix_server.Start());
-  QueryClient prefix_client(&transport, prefix_server.endpoint());
-  const QueryOutcome outcome = prefix_client.AnswerQueries(f.workload);
-  ASSERT_TRUE(outcome.ok());
-  ASSERT_EQ(outcome.answers.size(), f.expected.size());
-  for (size_t i = 0; i < f.expected.size(); ++i) {
-    EXPECT_NEAR(outcome.answers[i], f.expected[i], 1e-6) << "query " << i;
-  }
-  prefix_server.Stop();
-}
-
 TEST(QueryServiceTest, OutOfDomainQueryRejectedWithIndex) {
   const Fixture& f = GetFixture();
   LoopbackTransport transport;
