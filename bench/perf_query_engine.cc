@@ -28,7 +28,7 @@ namespace {
 
 // FELIP_BENCH_USERS / FELIP_BENCH_QUERIES shrink the fixture for smoke
 // runs (CI builds the bench and wants a fast emission, not a stable
-// number); the defaults reproduce the committed trajectory workload.
+// number); the defaults reproduce the committed artifact's workload.
 uint64_t FixtureUsers() { return eval::BenchUsers(1000000); }
 uint32_t FixtureQueriesPerShape() { return eval::BenchQueries(5000); }
 

@@ -6,8 +6,7 @@
 //
 //   * kConfig / kSchema — the full FelipConfig and attribute schema, so a
 //     loaded snapshot replans the exact same grid layout with no
-//     out-of-band context. (The legacy wire::EncodeSnapshot persisted only
-//     a config subset; this format has no such fidelity gap.)
+//     out-of-band context.
 //   * kState — lifecycle state + reports ingested so far.
 //   * kOracles (kCollecting / kSealed) — every grid's oracle accumulator
 //     (fo::OracleState: integer counts or raw OLH reports). Restoring and

@@ -23,9 +23,9 @@
 // immutable queryable-state, the batch engine answers each batch with
 // its defaults (the exact pair path, bit-identical to in-process
 // AnswerQuery, on one thread per core), and one response per connection
-// at a time matches the request/response framing. A pipeline that is not queryable yet
-// answers kFailedPrecondition, which clients treat as retryable (see
-// IsRetryable()).
+// at a time matches the request/response framing. A pipeline that is not
+// queryable yet answers kFailedPrecondition, which clients treat as
+// retryable (see IsRetryable()).
 //
 // QueryClient drives the same retry loop as IngestClient (queries are
 // idempotent reads, so resending is always safe): capped exponential

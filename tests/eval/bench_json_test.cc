@@ -111,8 +111,7 @@ TEST(BenchJsonTest, MakeBenchReportRecordsDispatchLevel) {
   EXPECT_EQ(report.dispatch, simd::LevelName(simd::ActiveLevel()));
   EXPECT_FALSE(report.git_sha.empty());
   // Pinning the dispatch level must be reflected in new reports — this is
-  // how CI's forced-scalar bench runs are distinguishable in the
-  // trajectory.
+  // how the forced-scalar artifacts under results/scalar/ are told apart.
   simd::ScopedLevelOverride pin(simd::Level::kScalar);
   EXPECT_EQ(MakeBenchReport("perf_test").dispatch, "scalar");
 }
