@@ -23,6 +23,7 @@
 #include "felip/common/rng.h"
 #include "felip/core/felip.h"
 #include "felip/data/synthetic.h"
+#include "felip/dist/accumulator.h"
 #include "felip/obs/metrics.h"
 #include "felip/query/generator.h"
 #include "felip/query/query.h"
@@ -264,6 +265,35 @@ TEST(PipelineSnapshotTest, QuadrantFlagSurvives) {
   });
   EXPECT_EQ(restored.AnswerQuery(q), original.AnswerQuery(q));
   EXPECT_NEAR(restored.AnswerQuery(q), 1.0, 0.05);
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const uint8_t b : bytes) {
+    hex.push_back(kDigits[b >> 4]);
+    hex.push_back(kDigits[b & 0xf]);
+  }
+  return hex;
+}
+
+// The kConfig bytes of a default config, and the distributed plan digest
+// hashed from them. Every FSNP, FRLG and FESG file embeds this section,
+// replay matches log segments by it and the root matches shards by the
+// digest, so neither may drift.
+constexpr char kDefaultConfigHex[] =
+    "d0070000000000000100000000000000f03f666666666666e63fb81e85eb51b8"
+    "9e3f000000000000e03f0000000001010000000000000000000000001000000d"
+    "f0ed5e0df0ed5e0800000000080000218e4c0a75b1d9f1030000000048afbc9a"
+    "f2d77a3ec800000048afbc9af2d77a3e00000000000100000000000000";
+constexpr uint64_t kDefaultPlanDigest = 0xf8b0cd45b538251eull;
+
+TEST(PipelineSnapshotTest, DefaultConfigSectionAndPlanDigestArePinned) {
+  const core::FelipConfig config;
+  EXPECT_EQ(Hex(EncodeConfigSection(config, kUsers)), kDefaultConfigHex);
+  const core::FelipPipeline pipeline(MakeData().attributes(), kUsers, config);
+  EXPECT_EQ(dist::PlanDigest(pipeline), kDefaultPlanDigest)
+      << std::hex << dist::PlanDigest(pipeline);
 }
 
 TEST(PipelineSnapshotTest, DedupKeysRoundTrip) {
