@@ -82,7 +82,7 @@ void Run() {
       for (const uint32_t v : dataset.Column(0)) {
         oracle->BufferUserValue(g.CellOf(v), rng);
       }
-      oracle->FlushReports(1);
+      oracle->FlushReports();
       std::vector<double> cell_freq = oracle->EstimateFrequencies().value();
       post::RemoveNegativity(&cell_freq);
       g.SetFrequencies(std::move(cell_freq));

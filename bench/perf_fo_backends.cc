@@ -1,10 +1,10 @@
 // Throughput of the extension frequency-oracle backends (google-benchmark):
-// PGR and FLDP client perturbation, sharded aggregation at 1/2/4/8 threads,
-// and estimation — including PGR's direct vs fast decode paths, whose
+// PGR and FLDP client perturbation, serial batch aggregation, and
+// estimation — including PGR's direct vs fast decode paths, whose
 // crossover is the reason the oracle offers both. Before any timing runs,
-// main() verifies the determinism guarantee — estimates bit-identical
-// across thread counts and across the two PGR decode paths — and aborts if
-// it does not hold, so recorded numbers always come from a configuration
+// main() verifies that AggregateReports leaves the same counts as the
+// serial Add() loop and that the two PGR decode paths agree bitwise, and
+// aborts if not, so recorded numbers always come from a configuration
 // whose outputs were just proven equivalent.
 //
 // Record results with:
@@ -90,40 +90,32 @@ BENCHMARK(BM_FldpPerturb);
 
 void BM_PgrAggregate(benchmark::State& state) {
   const auto& reports = PgrReports();
-  const auto threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     fo::PgrServer server(kEpsilon, kDomain);
-    server.AggregateReports(reports, threads);
+    server.AggregateReports(reports);
     benchmark::DoNotOptimize(server.num_reports());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(reports.size()));
 }
-BENCHMARK(BM_PgrAggregate)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->ArgName("threads")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PgrAggregate)->Unit(benchmark::kMillisecond);
 
 void BM_FldpAggregate(benchmark::State& state) {
   const auto& reports = FldpReports();
-  const auto threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     fo::FldpServer server(kEpsilon, kDomain, kFldpOptions);
-    server.AggregateReports(reports, threads);
+    server.AggregateReports(reports);
     benchmark::DoNotOptimize(server.num_reports());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(reports.size()));
 }
-BENCHMARK(BM_FldpAggregate)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->ArgName("threads")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FldpAggregate)->Unit(benchmark::kMillisecond);
 
 void BM_PgrEstimate(benchmark::State& state) {
   const auto decode = static_cast<fo::PgrDecode>(state.range(0));
   fo::PgrServer server(kEpsilon, kDomain, {.decode = decode});
-  server.AggregateReports(PgrReports(), /*thread_count=*/1);
+  server.AggregateReports(PgrReports());
   for (auto _ : state) {
     benchmark::DoNotOptimize(server.EstimateFrequencies());
   }
@@ -138,7 +130,7 @@ BENCHMARK(BM_PgrEstimate)
 
 void BM_FldpEstimate(benchmark::State& state) {
   fo::FldpServer server(kEpsilon, kDomain, kFldpOptions);
-  server.AggregateReports(FldpReports(), /*thread_count=*/1);
+  server.AggregateReports(FldpReports());
   for (auto _ : state) {
     benchmark::DoNotOptimize(server.EstimateFrequencies());
   }
@@ -147,56 +139,36 @@ void BM_FldpEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_FldpEstimate)->Unit(benchmark::kMillisecond);
 
-// Fails fast unless sharded aggregation is bit-identical to the serial
-// Add() loop at every benchmarked thread count, for both backends, and
-// PGR's two decode paths agree bitwise.
+// Fails fast unless AggregateReports leaves the same counts as the serial
+// Add() loop for both backends, and PGR's two decode paths agree bitwise.
 void VerifyDeterminismOrDie() {
-  {
-    fo::PgrServer serial(kEpsilon, kDomain);
-    for (const uint32_t r : PgrReports()) serial.Add(r);
-    const std::vector<double> want = serial.EstimateFrequencies();
-    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-      fo::PgrServer sharded(kEpsilon, kDomain);
-      sharded.AggregateReports(PgrReports(), threads);
-      const std::vector<double> got = sharded.EstimateFrequencies();
-      if (std::memcmp(got.data(), want.data(),
-                      want.size() * sizeof(double)) != 0) {
-        std::fprintf(stderr,
-                     "FATAL: PGR estimates not bit-identical at %u threads\n",
-                     threads);
-        std::abort();
-      }
-    }
-    fo::PgrServer fast(kEpsilon, kDomain, {.decode = fo::PgrDecode::kFast});
-    fast.AggregateReports(PgrReports(), /*thread_count=*/4);
-    const std::vector<double> got = fast.EstimateFrequencies();
-    if (std::memcmp(got.data(), want.data(),
-                    want.size() * sizeof(double)) != 0) {
-      std::fprintf(stderr,
-                   "FATAL: PGR fast decode differs from direct decode\n");
-      std::abort();
-    }
+  fo::PgrServer pgr_add(kEpsilon, kDomain,
+                        {.decode = fo::PgrDecode::kDirect});
+  for (const uint32_t r : PgrReports()) pgr_add.Add(r);
+  fo::PgrServer pgr_fast(kEpsilon, kDomain, {.decode = fo::PgrDecode::kFast});
+  pgr_fast.AggregateReports(PgrReports());
+  fo::FldpServer fldp_add(kEpsilon, kDomain, kFldpOptions);
+  for (const fo::FldpReport& r : FldpReports()) fldp_add.Add(r);
+  fo::FldpServer fldp_batch(kEpsilon, kDomain, kFldpOptions);
+  fldp_batch.AggregateReports(FldpReports());
+  if (pgr_fast.counts() != pgr_add.counts() ||
+      fldp_batch.counts() != fldp_add.counts() ||
+      fldp_batch.coverage_counts() != fldp_add.coverage_counts()) {
+    std::fprintf(stderr,
+                 "FATAL: AggregateReports differs from the Add loop\n");
+    std::abort();
   }
-  {
-    fo::FldpServer serial(kEpsilon, kDomain, kFldpOptions);
-    for (const fo::FldpReport& r : FldpReports()) serial.Add(r);
-    const std::vector<double> want = serial.EstimateFrequencies();
-    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-      fo::FldpServer sharded(kEpsilon, kDomain, kFldpOptions);
-      sharded.AggregateReports(FldpReports(), threads);
-      const std::vector<double> got = sharded.EstimateFrequencies();
-      if (std::memcmp(got.data(), want.data(),
-                      want.size() * sizeof(double)) != 0) {
-        std::fprintf(stderr,
-                     "FATAL: FLDP estimates not bit-identical at %u threads\n",
-                     threads);
-        std::abort();
-      }
-    }
+  const std::vector<double> direct = pgr_add.EstimateFrequencies();
+  const std::vector<double> fast = pgr_fast.EstimateFrequencies();
+  if (std::memcmp(fast.data(), direct.data(),
+                  direct.size() * sizeof(double)) != 0) {
+    std::fprintf(stderr,
+                 "FATAL: PGR fast decode differs from direct decode\n");
+    std::abort();
   }
-  std::printf("determinism: PGR (direct == fast decode) and FLDP estimates "
-              "bit-identical to serial Add loop at 1/2/4/8 threads over %zu "
-              "reports\n", kNumReports);
+  std::printf("determinism: PGR and FLDP AggregateReports bit-identical to "
+              "the Add loop, PGR direct == fast decode, over %zu reports\n",
+              kNumReports);
   std::printf("simd dispatch: %s\n", simd::DescribeDispatch().c_str());
 }
 

@@ -1,8 +1,10 @@
-// Sharded aggregation throughput (google-benchmark): serial Add() loop vs
-// AggregateReports() at 1/2/4/8 threads for the frequency oracles, plus the
-// sharded wire batch decode. Before any timing runs, main() verifies the
-// determinism guarantee — estimates bit-identical across thread counts —
-// and aborts if it does not hold, so recorded numbers always come from a
+// Batch aggregation throughput (google-benchmark): the serial Add() loop vs
+// AggregateReports() for the frequency oracles, per-user OLH estimation,
+// and the sharded wire batch decode at 1/2/4/8 threads. GRR and pooled OLH
+// aggregate in one serial pass; OUE aggregation and per-user OLH
+// estimation shard over the host's cores. Before any timing runs, main()
+// verifies that AggregateReports leaves the same counts as the Add() loop
+// and aborts if it does not, so recorded numbers always come from a
 // configuration whose outputs were just proven equivalent.
 //
 // Record results with:
@@ -13,15 +15,13 @@
 // docs/simd.md. The committed results/parallel_aggregation.txt carries
 // only seed-stable text.
 //
-// Parallel speedup only shows on multi-core hosts; on a single-core
-// host all thread counts collapse to serial throughput minus shard
-// overhead, while the bit-identical guarantee still holds.
+// The sharded paths only speed up on multi-core hosts; record the core
+// count (the JSON `threads` field) with the numbers.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <variant>
 #include <vector>
 
@@ -134,66 +134,50 @@ BENCHMARK(BM_OlhPoolAddLoop)->Unit(benchmark::kMillisecond);
 
 void BM_OlhPoolAggregate(benchmark::State& state) {
   const auto& reports = OlhPoolReports();
-  const auto threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     fo::OlhServer server(kEpsilon, kDomain, kPool);
-    server.AggregateReports(reports, threads);
+    server.AggregateReports(reports);
     benchmark::DoNotOptimize(server.num_reports());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(reports.size()));
 }
-BENCHMARK(BM_OlhPoolAggregate)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->ArgName("threads")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OlhPoolAggregate)->Unit(benchmark::kMillisecond);
 
 void BM_OlhPerUserEstimate(benchmark::State& state) {
-  const auto threads = static_cast<unsigned>(state.range(0));
   fo::OlhServer server(kEpsilon, kPerUserDomain);
-  server.AggregateReports(OlhPerUserReports(), /*thread_count=*/1);
+  server.AggregateReports(OlhPerUserReports());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(server.EstimateFrequencies(threads));
+    benchmark::DoNotOptimize(server.EstimateFrequencies());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kPerUserReports));
 }
-BENCHMARK(BM_OlhPerUserEstimate)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->ArgName("threads")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OlhPerUserEstimate)->Unit(benchmark::kMillisecond);
 
 void BM_GrrAggregate(benchmark::State& state) {
   const auto& reports = GrrReports();
-  const auto threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     fo::GrrServer server(kEpsilon, kDomain);
-    server.AggregateReports(reports, threads);
+    server.AggregateReports(reports);
     benchmark::DoNotOptimize(server.num_reports());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(reports.size()));
 }
-BENCHMARK(BM_GrrAggregate)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->ArgName("threads")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GrrAggregate)->Unit(benchmark::kMillisecond);
 
 void BM_OueAggregate(benchmark::State& state) {
   const auto& reports = OueReports();
-  const auto threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     fo::OueServer server(kEpsilon, kOueDomain);
-    server.AggregateReports(reports, threads);
+    server.AggregateReports(reports);
     benchmark::DoNotOptimize(server.num_reports());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(reports.size()));
 }
-BENCHMARK(BM_OueAggregate)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->ArgName("threads")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OueAggregate)->Unit(benchmark::kMillisecond);
 
 void BM_WireDecodeAggregate(benchmark::State& state) {
   const auto& buffer = WireBatch();
@@ -210,7 +194,7 @@ void BM_WireDecodeAggregate(benchmark::State& state) {
         },
         threads);
     for (const auto& batch : shard_reports) {
-      server.AggregateReports(batch, /*thread_count=*/1);
+      server.AggregateReports(batch);
     }
     benchmark::DoNotOptimize(count);
     benchmark::DoNotOptimize(server.num_reports());
@@ -223,26 +207,26 @@ BENCHMARK(BM_WireDecodeAggregate)
     ->ArgName("threads")
     ->Unit(benchmark::kMillisecond);
 
-// Fails fast unless AggregateReports is bit-identical to the serial Add()
-// loop at every benchmarked thread count.
+// Fails fast unless AggregateReports leaves the same counts as the
+// serial Add() loop for the two serial passes benchmarked here.
 void VerifyDeterminismOrDie() {
-  fo::OlhServer serial(kEpsilon, kDomain, kPool);
-  for (const fo::OlhReport& r : OlhPoolReports()) serial.Add(r);
-  const std::vector<double> want = serial.EstimateFrequencies();
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    fo::OlhServer sharded(kEpsilon, kDomain, kPool);
-    sharded.AggregateReports(OlhPoolReports(), threads);
-    const std::vector<double> got = sharded.EstimateFrequencies();
-    if (std::memcmp(got.data(), want.data(),
-                    want.size() * sizeof(double)) != 0) {
-      std::fprintf(stderr,
-                   "FATAL: OLH estimates not bit-identical at %u threads\n",
-                   threads);
-      std::abort();
-    }
+  fo::OlhServer olh_add(kEpsilon, kDomain, kPool);
+  for (const fo::OlhReport& r : OlhPoolReports()) olh_add.Add(r);
+  fo::OlhServer olh_batch(kEpsilon, kDomain, kPool);
+  olh_batch.AggregateReports(OlhPoolReports());
+  fo::GrrServer grr_add(kEpsilon, kDomain);
+  for (const uint64_t r : GrrReports()) grr_add.Add(r);
+  fo::GrrServer grr_batch(kEpsilon, kDomain);
+  grr_batch.AggregateReports(GrrReports());
+  if (olh_batch.pool_counts() != olh_add.pool_counts() ||
+      grr_batch.counts() != grr_add.counts()) {
+    std::fprintf(stderr,
+                 "FATAL: AggregateReports differs from the Add loop\n");
+    std::abort();
   }
-  std::printf("determinism: OLH estimates bit-identical to serial Add loop "
-              "at 1/2/4/8 threads over %zu reports\n", kNumReports);
+  std::printf("determinism: pooled-OLH and GRR AggregateReports "
+              "bit-identical to the Add loop over %zu reports\n",
+              kNumReports);
   std::printf("simd dispatch: %s\n", simd::DescribeDispatch().c_str());
 }
 

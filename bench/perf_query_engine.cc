@@ -78,7 +78,6 @@ void BM_PerQueryScan(benchmark::State& state) {
   const Fixture& fixture = GetFixture();
   core::QueryBatchOptions options;
   options.pair_path = core::PairAnswerPath::kScan;
-  options.threads = 1;
 
   uint64_t answered = 0;
   for (auto _ : state) {
@@ -95,12 +94,10 @@ void BM_PerQueryScan(benchmark::State& state) {
 }
 BENCHMARK(BM_PerQueryScan)->Unit(benchmark::kMillisecond);
 
-void RunBatchBench(benchmark::State& state, core::PairAnswerPath path,
-                   unsigned threads) {
+void RunBatchBench(benchmark::State& state, core::PairAnswerPath path) {
   const Fixture& fixture = GetFixture();
   core::QueryBatchOptions options;
   options.pair_path = path;
-  options.threads = threads;
   const std::span<const query::Query> workload(fixture.queries);
 
   uint64_t answered = 0;
@@ -116,30 +113,19 @@ void RunBatchBench(benchmark::State& state, core::PairAnswerPath path,
 }
 
 void BM_BatchScan(benchmark::State& state) {
-  RunBatchBench(state, core::PairAnswerPath::kScan, 1);
+  RunBatchBench(state, core::PairAnswerPath::kScan);
 }
 BENCHMARK(BM_BatchScan)->Unit(benchmark::kMillisecond);
 
 void BM_BatchExact(benchmark::State& state) {
-  RunBatchBench(state, core::PairAnswerPath::kExact, 1);
+  RunBatchBench(state, core::PairAnswerPath::kExact);
 }
 BENCHMARK(BM_BatchExact)->Unit(benchmark::kMillisecond);
 
 void BM_BatchPrefix(benchmark::State& state) {
-  RunBatchBench(state, core::PairAnswerPath::kPrefix, 1);
+  RunBatchBench(state, core::PairAnswerPath::kPrefix);
 }
 BENCHMARK(BM_BatchPrefix)->Unit(benchmark::kMillisecond);
-
-// Default configuration of the batch API: exact path, all cores.
-void BM_BatchExactAllCores(benchmark::State& state) {
-  RunBatchBench(state, core::PairAnswerPath::kExact, 0);
-}
-BENCHMARK(BM_BatchExactAllCores)->Unit(benchmark::kMillisecond);
-
-void BM_BatchPrefixAllCores(benchmark::State& state) {
-  RunBatchBench(state, core::PairAnswerPath::kPrefix, 0);
-}
-BENCHMARK(BM_BatchPrefixAllCores)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace felip

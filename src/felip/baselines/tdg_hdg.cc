@@ -126,7 +126,7 @@ void TdgHdgPipeline::Collect(const data::Dataset& dataset) {
     }
     oracles_[g]->BufferUserValue(cell, rng);
   }
-  for (auto& oracle : oracles_) oracle->FlushReports(1);
+  for (auto& oracle : oracles_) oracle->FlushReports();
   collected_ = true;
 }
 

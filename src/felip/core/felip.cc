@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <limits>
-#include <thread>
 
 #include "felip/common/check.h"
 #include "felip/common/hash.h"
@@ -294,7 +293,7 @@ void FelipPipeline::Collect(const data::Dataset& dataset) {
   {
     obs::ScopedTimer flush_span("felip_core_flush");
     for (auto& oracle : oracles_) {
-      oracle->FlushReports(config_.aggregation_threads);
+      oracle->FlushReports();
     }
   }
   obs::Registry::Default()
@@ -402,9 +401,7 @@ void FelipPipeline::Finalize() {
     for (size_t g = 0; g < assignments_.size(); ++g) {
       // The pipeline machine guarantees the oracles flushed before
       // kSealed, so an estimation failure here is programmer error.
-      std::vector<double> freq =
-          oracles_[g]->EstimateFrequencies(config_.aggregation_threads)
-              .value();
+      std::vector<double> freq = oracles_[g]->EstimateFrequencies().value();
       post::NormalizeFrequencies(&freq, config_.normalization);
       cells_estimated += freq.size();
       if (!assignments_[g].is_2d) {
@@ -590,28 +587,10 @@ std::vector<double> FelipPipeline::AnswerQueries(
   }
 
   std::vector<double> answers(queries.size());
-  if (queries.empty()) return answers;
-  unsigned threads = options.threads != 0
-                         ? options.threads
-                         : std::thread::hardware_concurrency();
-  threads = std::max(1u, threads);
-  // One contiguous shard per worker, one scratch per shard; every query's
-  // arithmetic is independent of the sharding, so answers never depend on
-  // the thread count.
-  const size_t num_shards =
-      std::min<size_t>(queries.size(), static_cast<size_t>(threads));
-  std::vector<QueryScratch> scratch(num_shards);
-  ParallelFor(
-      num_shards,
-      [&](size_t s) {
-        const auto [begin, end] =
-            SliceRange(queries.size(), s, num_shards);
-        for (size_t q = begin; q < end; ++q) {
-          answers[q] =
-              AnswerQueryImpl(queries[q], options.pair_path, &scratch[s]);
-        }
-      },
-      static_cast<unsigned>(num_shards));
+  QueryScratch scratch;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    answers[q] = AnswerQueryImpl(queries[q], options.pair_path, &scratch);
+  }
   return answers;
 }
 

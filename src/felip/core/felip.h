@@ -143,12 +143,6 @@ struct FelipConfig {
   // post::EstimateLambdaQueryQuadrants.
   bool lambda_quadrant_fit = false;
 
-  // Threads for the sharded report-aggregation and estimation paths
-  // (0 = hardware concurrency, 1 = serial). Shard boundaries are fixed and
-  // reductions ordered, so estimates are bit-identical for every setting;
-  // see docs/aggregation.md.
-  unsigned aggregation_threads = 0;
-
   uint64_t seed = 1;  // drives group assignment and perturbation
 };
 
@@ -166,10 +160,6 @@ enum class PairAnswerPath { kScan, kExact, kPrefix };
 
 struct QueryBatchOptions {
   PairAnswerPath pair_path = PairAnswerPath::kExact;
-  // Worker threads (0 = hardware concurrency, 1 = serial). Each query's
-  // arithmetic is independent of sharding, so answers are bit-identical
-  // for every setting.
-  unsigned threads = 0;
 };
 
 // One planned grid: which attributes it covers and the optimizer's output.
@@ -314,11 +304,10 @@ class FelipPipeline {
   // instead. Requires Finalize().
   double AnswerQuery(const query::Query& query) const;
 
-  // Batch variant: answers every query, sharding the batch over up to
-  // `options.threads` workers with one reusable scratch per worker (no
-  // per-query allocation). answers[i] is bit-identical to
-  // AnswerQuery(queries[i]) under the default kExact path. Requires
-  // Finalize().
+  // Batch variant: answers every query on the calling thread with one
+  // reusable scratch (no per-query allocation). answers[i] is
+  // bit-identical to AnswerQuery(queries[i]) under the default kExact
+  // path. Requires Finalize().
   std::vector<double> AnswerQueries(std::span<const query::Query> queries,
                                     const QueryBatchOptions& options = {})
       const;

@@ -5,11 +5,8 @@
 
 #include "felip/common/check.h"
 #include "felip/common/hash.h"
-#include "felip/common/parallel.h"
 #include "felip/obs/metrics.h"
 #include "felip/obs/trace.h"
-#include "felip/simd/dispatch.h"
-#include "felip/simd/kernels.h"
 
 namespace felip::fo {
 
@@ -113,74 +110,31 @@ void FldpServer::Add(const FldpReport& report) {
                   "FLDP subset index outside the pool");
   FELIP_CHECK_MSG(report.bits.size() == subset_size_,
                   "FLDP bit vector length != subset size");
-  const size_t base = static_cast<size_t>(report.subset_index) * subset_size_;
-  for (uint32_t j = 0; j < subset_size_; ++j) {
-    FELIP_CHECK(report.bits[j] <= 1);
-    counts_[base + j] += report.bits[j];
-  }
   FELIP_CHECK_MSG(coverage_counts_[report.subset_index] <
                       std::numeric_limits<uint32_t>::max(),
                   "FLDP pool coverage overflows uint32");
+  uint64_t* counts =
+      counts_.data() + static_cast<size_t>(report.subset_index) * subset_size_;
+  // Add first and check the bits after: a failed check aborts either way,
+  // and the loop stays free of branches.
+  const uint8_t* bits = report.bits.data();
+  uint8_t set = 0;
+  for (uint32_t j = 0; j < subset_size_; ++j) {
+    set |= bits[j];
+    counts[j] += bits[j];
+  }
+  FELIP_CHECK(set <= 1);
   ++coverage_counts_[report.subset_index];
   ++num_reports_;
 }
 
-void FldpServer::AggregateReports(std::span<const FldpReport> reports,
-                                  unsigned thread_count) {
+void FldpServer::AggregateReports(std::span<const FldpReport> reports) {
   if (reports.empty()) return;
   obs::ScopedTimer span("felip_fo_fldp_aggregate");
   static obs::Counter& reports_total =
       obs::Registry::Default().GetCounter("felip_fo_fldp_reports_total");
   reports_total.Increment(reports.size());
-  struct Acc {
-    std::vector<uint64_t> bits;
-    std::vector<uint64_t> covered;
-  };
-  const size_t bins = counts_.size();
-  const size_t pools = coverage_counts_.size();
-  const simd::Level level = simd::ActiveLevel();
-  Acc merged = ParallelReduce(
-      reports.size(),
-      [bins, pools] {
-        return Acc{std::vector<uint64_t>(bins, 0),
-                   std::vector<uint64_t>(pools, 0)};
-      },
-      [&](Acc& acc, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          const FldpReport& r = reports[i];
-          FELIP_CHECK_MSG(r.subset_index < options_.subset_pool_size,
-                          "FLDP subset index outside the pool");
-          FELIP_CHECK_MSG(r.bits.size() == subset_size_,
-                          "FLDP bit vector length != subset size");
-          const size_t base =
-              static_cast<size_t>(r.subset_index) * subset_size_;
-          for (uint32_t j = 0; j < subset_size_; ++j) {
-            FELIP_CHECK(r.bits[j] <= 1);
-            acc.bits[base + j] += r.bits[j];
-          }
-          ++acc.covered[r.subset_index];
-        }
-      },
-      [level](Acc& into, Acc&& from) {
-        simd::AddU64(level, into.bits.data(), from.bits.data(),
-                     into.bits.size());
-        simd::AddU64(level, into.covered.data(), from.covered.data(),
-                     into.covered.size());
-      },
-      thread_count);
-  // Screen the uint32 coverage fold for overflow before mutating any
-  // state, consistent with MergeOracleState's pool-count check.
-  for (size_t k = 0; k < pools; ++k) {
-    FELIP_CHECK_MSG(
-        static_cast<uint64_t>(coverage_counts_[k]) + merged.covered[k] <=
-            std::numeric_limits<uint32_t>::max(),
-        "FLDP pool coverage overflows uint32");
-  }
-  for (size_t b = 0; b < bins; ++b) counts_[b] += merged.bits[b];
-  for (size_t k = 0; k < pools; ++k) {
-    coverage_counts_[k] += static_cast<uint32_t>(merged.covered[k]);
-  }
-  num_reports_ += reports.size();
+  for (const FldpReport& r : reports) Add(r);
 }
 
 void FldpServer::RestoreState(std::vector<uint64_t> counts,

@@ -94,13 +94,9 @@ class FldpServer {
   // Accumulates one report (subset_index < K, bits.size() == s, 0/1).
   void Add(const FldpReport& report);
 
-  // Batch ingestion, equivalent to Add() on every report: the (pool, slot)
-  // set-bit histogram and per-pool coverage counts accumulate in fixed
-  // shards over up to `thread_count` threads (0 = hardware concurrency),
-  // reduced in shard order, so the counts are bit-identical to the serial
-  // path for every thread count.
-  void AggregateReports(std::span<const FldpReport> reports,
-                        unsigned thread_count = 0);
+  // Batch ingestion: Add() on every report, in order, on the calling
+  // thread.
+  void AggregateReports(std::span<const FldpReport> reports);
 
   // Unbiased frequency estimates for all domain values. A bucket no
   // user's subset covered estimates 0.

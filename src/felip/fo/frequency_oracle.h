@@ -16,10 +16,8 @@
 //     never fatal.
 //   * BufferUserValue + FlushReports — in-process simulation: perturb with
 //     the user's rng and park the report in a buffer; FlushReports hands
-//     the whole buffer to the server's sharded AggregateReports, which
-//     spreads the accumulation over threads with fixed shard boundaries
-//     and an ordered reduction, so estimates are bit-identical to the
-//     serial path for every thread count. See docs/aggregation.md.
+//     the whole buffer to the server's batch AggregateReports, whose
+//     counts are bit-identical to an Add() loop. See docs/aggregation.md.
 
 #ifndef FELIP_FO_FREQUENCY_ORACLE_H_
 #define FELIP_FO_FREQUENCY_ORACLE_H_
@@ -76,11 +74,9 @@ class FrequencyOracle {
   // in a buffer instead of aggregating it.
   virtual void BufferUserValue(uint64_t value, Rng& rng) = 0;
 
-  // Aggregates all buffered reports with the server's sharded parallel
-  // path over up to `thread_count` threads (0 = hardware concurrency, 1 =
-  // serial) and clears the buffer. Estimates are identical for every
-  // thread count.
-  virtual void FlushReports(unsigned thread_count = 0) = 0;
+  // Aggregates all buffered reports with the server's batch path and
+  // clears the buffer.
+  virtual void FlushReports() = 0;
 
   // Reports buffered but not yet flushed.
   virtual size_t buffered_reports() const = 0;
@@ -114,10 +110,8 @@ class FrequencyOracle {
 
   // Unbiased frequency estimates for all domain values (may be negative).
   // Returns kFailedPrecondition while reports are buffered but unflushed
-  // (call FlushReports first); `thread_count` bounds the threads used by
-  // protocols that parallelize estimation.
-  virtual StatusOr<std::vector<double>> EstimateFrequencies(
-      unsigned thread_count = 0) const = 0;
+  // (call FlushReports first).
+  virtual StatusOr<std::vector<double>> EstimateFrequencies() const = 0;
 
   virtual uint64_t domain() const = 0;
   virtual uint64_t num_reports() const = 0;

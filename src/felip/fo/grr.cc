@@ -3,11 +3,8 @@
 #include <cmath>
 
 #include "felip/common/check.h"
-#include "felip/common/parallel.h"
 #include "felip/obs/metrics.h"
 #include "felip/obs/trace.h"
-#include "felip/simd/dispatch.h"
-#include "felip/simd/kernels.h"
 
 namespace felip::fo {
 
@@ -48,35 +45,17 @@ GrrServer::GrrServer(double epsilon, uint64_t domain)
   ComputeGrrProbabilities(epsilon, domain, &p_, &q_);
 }
 
-void GrrServer::AggregateReports(std::span<const uint64_t> reports,
-                                 unsigned thread_count) {
+void GrrServer::AggregateReports(std::span<const uint64_t> reports) {
   if (reports.empty()) return;
   obs::ScopedTimer span("felip_fo_grr_aggregate");
   // Hot-path instruments are cached; GetCounter takes a registry lock.
   static obs::Counter& reports_total =
       obs::Registry::Default().GetCounter("felip_fo_grr_reports_total");
-  static obs::Gauge& shard_gauge =
-      obs::Registry::Default().GetGauge("felip_fo_grr_aggregate_shards");
   reports_total.Increment(reports.size());
-  shard_gauge.Set(static_cast<double>(ReduceShardCount(reports.size())));
-  const size_t domain = counts_.size();
-  const simd::Level level = simd::ActiveLevel();
-  const std::vector<uint64_t> merged = ParallelReduce(
-      reports.size(),
-      [domain] { return std::vector<uint64_t>(domain, 0); },
-      [&](std::vector<uint64_t>& acc, size_t begin, size_t end) {
-        // Validate first; the histogram kernel does not bounds-check.
-        for (size_t i = begin; i < end; ++i) {
-          FELIP_CHECK(reports[i] < acc.size());
-        }
-        simd::HistogramU64(level, reports.data() + begin, end - begin,
-                           acc.data(), acc.size());
-      },
-      [level](std::vector<uint64_t>& into, std::vector<uint64_t>&& from) {
-        simd::AddU64(level, into.data(), from.data(), into.size());
-      },
-      thread_count);
-  simd::AddU64(level, counts_.data(), merged.data(), domain);
+  for (const uint64_t r : reports) {
+    FELIP_CHECK(r < counts_.size());
+    ++counts_[r];
+  }
   num_reports_ += reports.size();
 }
 

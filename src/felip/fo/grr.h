@@ -52,13 +52,9 @@ class GrrServer {
     ++num_reports_;
   }
 
-  // Batch ingestion, equivalent to Add() on every report: the reports are
-  // histogrammed in fixed shards over up to `thread_count` threads (0 =
-  // hardware concurrency) and the shard histograms are reduced in shard
-  // order, so the resulting counts are bit-identical to the serial path
-  // for every thread count.
-  void AggregateReports(std::span<const uint64_t> reports,
-                        unsigned thread_count = 0);
+  // Batch ingestion, equivalent to Add() on every report, in one serial
+  // pass on the calling thread.
+  void AggregateReports(std::span<const uint64_t> reports);
 
   // Unbiased frequency estimates for all values (Eq. 1). Entries may be
   // negative; they sum to ~1 in expectation. Requires at least one report.

@@ -69,43 +69,19 @@ OlhServer::OlhServer(double epsilon, uint64_t domain, OlhOptions options)
   }
 }
 
-void OlhServer::AggregateReports(std::span<const OlhReport> reports,
-                                 unsigned thread_count) {
+void OlhServer::AggregateReports(std::span<const OlhReport> reports) {
   if (reports.empty()) return;
   obs::ScopedTimer span("felip_fo_olh_aggregate");
   static obs::Counter& reports_total =
       obs::Registry::Default().GetCounter("felip_fo_olh_reports_total");
-  static obs::Gauge& shard_gauge =
-      obs::Registry::Default().GetGauge("felip_fo_olh_aggregate_shards");
   reports_total.Increment(reports.size());
-  shard_gauge.Set(static_cast<double>(ReduceShardCount(reports.size())));
   if (options_.seed_pool_size > 0) {
-    const size_t bins = pool_counts_.size();
-    const simd::Level level = simd::ActiveLevel();
-    const std::vector<uint64_t> merged = ParallelReduce(
-        reports.size(),
-        [bins] { return std::vector<uint64_t>(bins, 0); },
-        [&](std::vector<uint64_t>& acc, size_t begin, size_t end) {
-          // Validate and flatten to histogram keys, then count via the
-          // dispatched kernel (lane-split for small K * g histograms).
-          std::vector<uint64_t> keys(end - begin);
-          for (size_t i = begin; i < end; ++i) {
-            const OlhReport& r = reports[i];
-            FELIP_CHECK(r.hashed_report < g_);
-            FELIP_CHECK_MSG(r.seed_index < options_.seed_pool_size,
-                            "report missing pool index in pooled OLH mode");
-            keys[i - begin] =
-                static_cast<uint64_t>(r.seed_index) * g_ + r.hashed_report;
-          }
-          simd::HistogramU64(level, keys.data(), keys.size(), acc.data(),
-                             acc.size());
-        },
-        [level](std::vector<uint64_t>& into, std::vector<uint64_t>&& from) {
-          simd::AddU64(level, into.data(), from.data(), into.size());
-        },
-        thread_count);
-    for (size_t b = 0; b < bins; ++b) {
-      pool_counts_[b] += static_cast<uint32_t>(merged[b]);
+    for (const OlhReport& r : reports) {
+      FELIP_CHECK(r.hashed_report < g_);
+      FELIP_CHECK_MSG(r.seed_index < options_.seed_pool_size,
+                      "report missing pool index in pooled OLH mode");
+      ++pool_counts_[static_cast<size_t>(r.seed_index) * g_ +
+                     r.hashed_report];
     }
   } else {
     for (const OlhReport& r : reports) {
@@ -154,13 +130,12 @@ double OlhServer::Debias(double support) const {
   return (support - n * inv_g) / (n * (p_ - inv_g));
 }
 
-std::vector<double> OlhServer::EstimateFrequencies(
-    unsigned thread_count) const {
+std::vector<double> OlhServer::EstimateFrequencies() const {
   FELIP_CHECK_MSG(num_reports_ > 0, "no OLH reports collected");
   std::vector<double> freq(domain_);
   if (options_.seed_pool_size == 0) {
     // Per-user mode: shard the O(n * |D|) support count over the reports.
-    // Integer shard supports reduce to thread-count-independent totals.
+    // Integer shard supports reduce to core-count-independent totals.
     const uint64_t domain = domain_;
     const simd::Level level = simd::ActiveLevel();
     const std::vector<uint64_t> support = ParallelReduce(
@@ -175,17 +150,14 @@ std::vector<double> OlhServer::EstimateFrequencies(
         },
         [level](std::vector<uint64_t>& into, std::vector<uint64_t>&& from) {
           simd::AddU64(level, into.data(), from.data(), into.size());
-        },
-        thread_count);
+        });
     for (uint64_t v = 0; v < domain_; ++v) {
       freq[v] = Debias(static_cast<double>(support[v]));
     }
     return freq;
   }
   // Pool mode: each value's O(K) support is independent of the others.
-  ParallelFor(
-      domain_, [&](size_t v) { freq[v] = Debias(SupportCount(v)); },
-      thread_count);
+  ParallelFor(domain_, [&](size_t v) { freq[v] = Debias(SupportCount(v)); });
   return freq;
 }
 

@@ -86,20 +86,16 @@ class OlhServer {
   }
 
   // Batch ingestion, equivalent to Add() on every report. In pool mode the
-  // (seed, y) histogram is accumulated in fixed shards over up to
-  // `thread_count` threads (0 = hardware concurrency) and reduced in shard
-  // order, so the counts are bit-identical to the serial path for every
-  // thread count. In per-user mode reports are validated and appended; the
-  // parallel work happens in EstimateFrequencies, which shards the
-  // O(n * |D|) support count.
-  void AggregateReports(std::span<const OlhReport> reports,
-                        unsigned thread_count = 0);
+  // (seed, y) histogram is counted in one serial pass; in per-user mode
+  // reports are validated and appended, and the parallel work happens in
+  // EstimateFrequencies.
+  void AggregateReports(std::span<const OlhReport> reports);
 
-  // Unbiased frequency estimates for all domain values. Support counting
-  // is sharded over up to `thread_count` threads (0 = hardware
-  // concurrency); supports are integers, so the estimates are identical
-  // for every thread count.
-  std::vector<double> EstimateFrequencies(unsigned thread_count = 0) const;
+  // Unbiased frequency estimates for all domain values. In per-user mode
+  // the O(n * |D|) support count is sharded over the host's cores with an
+  // ordered integer reduction, so the estimates do not depend on the core
+  // count; in pool mode each value's O(K) support runs on the same cores.
+  std::vector<double> EstimateFrequencies() const;
 
   // Unbiased frequency estimate of one value. In per-user mode this is
   // O(n); in pool mode O(K).

@@ -41,15 +41,12 @@ void OueServer::Add(const std::vector<uint8_t>& report) {
 }
 
 void OueServer::AggregateReports(
-    std::span<const std::vector<uint8_t>> reports, unsigned thread_count) {
+    std::span<const std::vector<uint8_t>> reports) {
   if (reports.empty()) return;
   obs::ScopedTimer span("felip_fo_oue_aggregate");
   static obs::Counter& reports_total =
       obs::Registry::Default().GetCounter("felip_fo_oue_reports_total");
-  static obs::Gauge& shard_gauge =
-      obs::Registry::Default().GetGauge("felip_fo_oue_aggregate_shards");
   reports_total.Increment(reports.size());
-  shard_gauge.Set(static_cast<double>(ReduceShardCount(reports.size())));
   const size_t domain = counts_.size();
   const simd::Level level = simd::ActiveLevel();
   const std::vector<uint64_t> merged = ParallelReduce(
@@ -65,8 +62,7 @@ void OueServer::AggregateReports(
       },
       [level](std::vector<uint64_t>& into, std::vector<uint64_t>&& from) {
         simd::AddU64(level, into.data(), from.data(), into.size());
-      },
-      thread_count);
+      });
   simd::AddU64(level, counts_.data(), merged.data(), domain);
   num_reports_ += reports.size();
 }

@@ -42,11 +42,10 @@ class OueServer {
   void Add(const std::vector<uint8_t>& report);
 
   // Batch ingestion, equivalent to Add() on every report: the O(n * |D|)
-  // bit summation runs in fixed shards over up to `thread_count` threads
-  // (0 = hardware concurrency), reduced in shard order, so the counts are
-  // bit-identical to the serial path for every thread count.
-  void AggregateReports(std::span<const std::vector<uint8_t>> reports,
-                        unsigned thread_count = 0);
+  // bit summation runs in fixed shards over the host's cores, reduced in
+  // shard order, so the counts are bit-identical to the serial path on
+  // every host.
+  void AggregateReports(std::span<const std::vector<uint8_t>> reports);
 
   std::vector<double> EstimateFrequencies() const;
   double EstimateValue(uint64_t value) const;

@@ -8,8 +8,6 @@
 #include "felip/fo/protocol.h"
 #include "felip/obs/metrics.h"
 #include "felip/obs/trace.h"
-#include "felip/simd/dispatch.h"
-#include "felip/simd/kernels.h"
 
 namespace felip::fo {
 
@@ -255,32 +253,16 @@ void PgrServer::Add(uint32_t report) {
   ++num_reports_;
 }
 
-void PgrServer::AggregateReports(std::span<const uint32_t> reports,
-                                 unsigned thread_count) {
+void PgrServer::AggregateReports(std::span<const uint32_t> reports) {
   if (reports.empty()) return;
   obs::ScopedTimer span("felip_fo_pgr_aggregate");
   static obs::Counter& reports_total =
       obs::Registry::Default().GetCounter("felip_fo_pgr_reports_total");
   reports_total.Increment(reports.size());
-  const size_t bins = counts_.size();
-  const simd::Level level = simd::ActiveLevel();
-  const std::vector<uint64_t> merged = ParallelReduce(
-      reports.size(),
-      [bins] { return std::vector<uint64_t>(bins, 0); },
-      [&](std::vector<uint64_t>& acc, size_t begin, size_t end) {
-        std::vector<uint64_t> keys(end - begin);
-        for (size_t i = begin; i < end; ++i) {
-          FELIP_CHECK(reports[i] < params_.num_points);
-          keys[i - begin] = reports[i];
-        }
-        simd::HistogramU64(level, keys.data(), keys.size(), acc.data(),
-                           acc.size());
-      },
-      [level](std::vector<uint64_t>& into, std::vector<uint64_t>&& from) {
-        simd::AddU64(level, into.data(), from.data(), into.size());
-      },
-      thread_count);
-  for (size_t b = 0; b < bins; ++b) counts_[b] += merged[b];
+  for (const uint32_t r : reports) {
+    FELIP_CHECK(r < params_.num_points);
+    ++counts_[r];
+  }
   num_reports_ += reports.size();
 }
 

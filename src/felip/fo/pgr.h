@@ -111,12 +111,9 @@ class PgrServer {
   // Accumulates one report in [0, num_points).
   void Add(uint32_t report);
 
-  // Batch ingestion, equivalent to Add() on every report: the reports are
-  // histogrammed in fixed shards over up to `thread_count` threads (0 =
-  // hardware concurrency) and reduced in shard order, so the counts are
-  // bit-identical to the serial path for every thread count.
-  void AggregateReports(std::span<const uint32_t> reports,
-                        unsigned thread_count = 0);
+  // Batch ingestion, equivalent to Add() on every report, in one serial
+  // pass on the calling thread.
+  void AggregateReports(std::span<const uint32_t> reports);
 
   // Unbiased frequency estimates for all domain values. Direct and fast
   // decode produce bit-identical results; kAuto picks by operation count.

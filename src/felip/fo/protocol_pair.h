@@ -315,8 +315,8 @@ class PairOracle final : public FrequencyOracle {
   void BufferUserValue(uint64_t value, Rng& rng) override {
     buffer_.push_back(client_.Perturb(value, rng));
   }
-  void FlushReports(unsigned thread_count) override {
-    server_.AggregateReports(buffer_, thread_count);
+  void FlushReports() override {
+    server_.AggregateReports(buffer_);
     buffer_.clear();
   }
   size_t buffered_reports() const override { return buffer_.size(); }
@@ -357,20 +357,12 @@ class PairOracle final : public FrequencyOracle {
     return Pair::Restore(client_, &server_, std::move(state));
   }
 
-  StatusOr<std::vector<double>> EstimateFrequencies(
-      unsigned thread_count) const override {
+  StatusOr<std::vector<double>> EstimateFrequencies() const override {
     if (!buffer_.empty()) {
       return Status::FailedPrecondition(
           "unflushed reports; call FlushReports");
     }
-    // Only protocols whose estimation parallelizes take a thread count.
-    if constexpr (requires(const typename Pair::Server& server) {
-                    server.EstimateFrequencies(thread_count);
-                  }) {
-      return server_.EstimateFrequencies(thread_count);
-    } else {
-      return server_.EstimateFrequencies();
-    }
+    return server_.EstimateFrequencies();
   }
 
   uint64_t domain() const override { return client_.domain(); }

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "felip/common/check.h"
-#include "felip/common/parallel.h"
 
 namespace felip::fo {
 
@@ -108,22 +107,8 @@ void SwServer::Add(double report) {
   ++num_reports_;
 }
 
-void SwServer::AggregateReports(std::span<const double> reports,
-                                unsigned thread_count) {
-  if (reports.empty()) return;
-  const size_t buckets = bucket_counts_.size();
-  const std::vector<uint64_t> merged = ParallelReduce(
-      reports.size(),
-      [buckets] { return std::vector<uint64_t>(buckets, 0); },
-      [&](std::vector<uint64_t>& acc, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) ++acc[BucketOf(reports[i])];
-      },
-      [](std::vector<uint64_t>& into, std::vector<uint64_t>&& from) {
-        for (size_t b = 0; b < into.size(); ++b) into[b] += from[b];
-      },
-      thread_count);
-  for (size_t b = 0; b < buckets; ++b) bucket_counts_[b] += merged[b];
-  num_reports_ += reports.size();
+void SwServer::AggregateReports(std::span<const double> reports) {
+  for (const double r : reports) Add(r);
 }
 
 std::vector<double> SwServer::EstimateFrequencies() const {

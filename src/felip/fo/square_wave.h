@@ -62,12 +62,9 @@ class SwServer {
   // hostile clients outside the support are clamped to the boundary).
   void Add(double report);
 
-  // Batch ingestion, equivalent to Add() on every report: bucketing is
-  // per-report and the bucket histogram is integer, so the sharded path
-  // (fixed shards over up to `thread_count` threads, reduced in shard
-  // order) is bit-identical to the serial path for every thread count.
-  void AggregateReports(std::span<const double> reports,
-                        unsigned thread_count = 0);
+  // Batch ingestion: Add() on every report, in order, on the calling
+  // thread.
+  void AggregateReports(std::span<const double> reports);
 
   // EM-reconstructed histogram over the `domain` input bins; non-negative,
   // sums to 1.
@@ -76,6 +73,9 @@ class SwServer {
   uint64_t num_reports() const { return num_reports_; }
   uint32_t num_buckets() const {
     return static_cast<uint32_t>(bucket_counts_.size());
+  }
+  const std::vector<uint64_t>& bucket_counts() const {
+    return bucket_counts_;
   }
 
  private:

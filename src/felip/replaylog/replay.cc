@@ -126,9 +126,6 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
       if (overrides.lambda_quadrant_fit.has_value()) {
         config.lambda_quadrant_fit = *overrides.lambda_quadrant_fit;
       }
-      if (overrides.aggregation_threads.has_value()) {
-        config.aggregation_threads = *overrides.aggregation_threads;
-      }
       pipeline.emplace(std::move(schema), num_users, std::move(config));
       pipeline->BeginIngest();
     } else if (parser->plan() != plan) {

@@ -65,7 +65,6 @@ struct ReplayOverrides {
   std::optional<int> consistency_rounds;
   std::optional<double> lambda_threshold;
   std::optional<bool> lambda_quadrant_fit;
-  std::optional<unsigned> aggregation_threads;
 };
 
 struct ReplayStats {

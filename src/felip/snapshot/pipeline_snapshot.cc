@@ -61,7 +61,9 @@ std::vector<uint8_t> EncodeConfigSection(const FelipConfig& config,
   w.Put<int32_t>(config.response_matrix_options.max_iterations);
   w.Put<double>(config.lambda_threshold);
   w.Put<uint8_t>(config.lambda_quadrant_fit ? 1 : 0);
-  w.Put<uint32_t>(config.aggregation_threads);
+  // Retired thread-count slot: always 0, kept so every FSNP, FRLG and
+  // FESG file and every plan digest keeps its layout.
+  w.Put<uint32_t>(0);
   w.Put<uint64_t>(config.seed);
   return payload;
 }
@@ -96,6 +98,7 @@ Status DecodeConfigSection(const std::vector<uint8_t>& payload,
   uint8_t allow_fldp = 0;
   uint8_t normalization = 0;
   uint8_t quadrant_fit = 0;
+  uint32_t retired_threads = 0;  // see EncodeConfigSection; value ignored
   if (!r.Get(&allow_grr) || !r.Get(&allow_olh) || !r.Get(&allow_oue) ||
       !r.Get(&allow_pgr) || !r.Get(&allow_fldp) ||
       !r.Get(&config->report_budget_bytes) ||
@@ -108,7 +111,7 @@ Status DecodeConfigSection(const std::vector<uint8_t>& payload,
       !r.Get(&config->response_matrix_options.threshold) ||
       !r.Get(&config->response_matrix_options.max_iterations) ||
       !r.Get(&config->lambda_threshold) || !r.Get(&quadrant_fit) ||
-      !r.Get(&config->aggregation_threads) || !r.Get(&config->seed)) {
+      !r.Get(&retired_threads) || !r.Get(&config->seed)) {
     return Malformed("snapshot config section is truncated");
   }
   if (r.remaining() != 0) {

@@ -68,12 +68,9 @@ void StreamingCollector::IngestEpoch(const data::Dataset& epoch) {
   for (uint32_t a = 0; a < epoch.num_attributes(); ++a) {
     FELIP_CHECK(epoch.attribute(a).domain == schema_[a].domain);
   }
-  core::FelipConfig felip = EpochConfig(config_.felip, epochs_ingested_);
-  if (config_.aggregation_threads != 0) {
-    felip.aggregation_threads = config_.aggregation_threads;
-  }
   auto pipeline = std::make_unique<core::FelipPipeline>(
-      schema_, epoch.num_rows(), felip);
+      schema_, epoch.num_rows(),
+      EpochConfig(config_.felip, epochs_ingested_));
   pipeline->Collect(epoch);
   pipeline->Finalize();
   history_.push_back(std::move(pipeline));

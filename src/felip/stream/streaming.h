@@ -37,11 +37,6 @@ struct StreamConfig {
   core::FelipConfig felip;   // per-epoch collection configuration
   double decay = 0.6;        // weight ratio between consecutive epochs, (0, 1]
   uint32_t max_epochs = 8;   // history window (older epochs are dropped)
-  // Overrides felip.aggregation_threads for epoch ingestion when nonzero:
-  // a streaming deployment typically wants the epoch's sharded aggregation
-  // to use all cores even if the embedded FELIP config is tuned for
-  // offline runs. Estimates are identical for every setting.
-  unsigned aggregation_threads = 0;
 };
 
 // The per-epoch collection config for epoch `epoch_index` (0-based): the

@@ -1,11 +1,11 @@
-// Determinism tests for the sharded AggregateReports path: for every
-// integer-count protocol the estimates must be BITWISE identical whether
-// reports are added one by one or aggregated with 1/2/4/8 threads — shard
-// boundaries are a function of the report count only and partials fold in
-// shard order. Also covers the facade buffer/flush path, the pipeline-level
-// aggregation_threads knob, and a TSan-friendly stress loop.
+// Batch aggregation must leave exactly the state an Add() loop leaves: for
+// every protocol, one batch handed to AggregateReports in uneven chunks
+// (test_support::AggregateUnevenly) is compared with a per-report Add loop,
+// field by field in the exported accumulator state (PGR and FLDP run the
+// same check in their own suites). Also covers the facade buffer/flush
+// path, and a TSan-friendly stress loop on OUE, whose aggregation still
+// shards over the host's cores.
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -13,25 +13,20 @@
 #include <gtest/gtest.h>
 
 #include "felip/common/rng.h"
-#include "felip/core/felip.h"
-#include "felip/data/synthetic.h"
 #include "felip/fo/frequency_oracle.h"
-#include "felip/fo/grr.h"
-#include "felip/fo/olh.h"
 #include "felip/fo/oue.h"
+#include "felip/fo/protocol_pair.h"
 #include "felip/fo/registry.h"
 #include "felip/fo/square_wave.h"
-#include "felip/query/query.h"
-#include "felip/stream/streaming.h"
+#include "support/uneven_split.h"
 
 namespace felip::fo {
 namespace {
 
 constexpr double kEpsilon = 1.2;
 constexpr uint64_t kDomain = 32;
-// Large enough for several shards (shards = count / 4096, capped at 64).
+// Longer than the uneven chunks, and several 16384-report blocks.
 constexpr size_t kNumReports = 50000;
-constexpr unsigned kThreadCounts[] = {1, 2, 4, 8};
 
 std::vector<uint64_t> TrueValues(uint64_t domain = kDomain) {
   std::vector<uint64_t> values;
@@ -51,69 +46,50 @@ void ExpectBitwiseEqual(const std::vector<double>& got,
       << label;
 }
 
-TEST(ParallelAggregationTest, GrrBitIdenticalAcrossThreadCounts) {
-  GrrClient client(kEpsilon, kDomain);
-  Rng rng(101);
-  std::vector<uint64_t> reports;
-  for (const uint64_t v : TrueValues()) reports.push_back(client.Perturb(v, rng));
-
-  GrrServer serial(kEpsilon, kDomain);
-  for (const uint64_t r : reports) serial.Add(r);
-  const std::vector<double> want = serial.EstimateFrequencies();
-
-  for (const unsigned threads : kThreadCounts) {
-    GrrServer sharded(kEpsilon, kDomain);
-    sharded.AggregateReports(reports, threads);
-    EXPECT_EQ(sharded.num_reports(), serial.num_reports());
-    ExpectBitwiseEqual(sharded.EstimateFrequencies(), want, "GRR");
+template <Protocol P>
+void ExpectUnevenBatchesMatchAddLoop(const ProtocolOptions& options,
+                                     uint64_t seed) {
+  using Pair = ProtocolPair<P>;
+  const auto client = Pair::MakeClient(kEpsilon, kDomain, options);
+  Rng rng(seed);
+  std::vector<ReportOf<P>> reports;
+  for (const uint64_t v : TrueValues()) {
+    reports.push_back(client.Perturb(v, rng));
   }
-}
 
-void RunOlhCase(OlhOptions options, const char* label) {
-  OlhClient client(kEpsilon, kDomain, options);
-  Rng rng(102);
-  std::vector<OlhReport> reports;
-  for (const uint64_t v : TrueValues()) reports.push_back(client.Perturb(v, rng));
-
-  OlhServer serial(kEpsilon, kDomain, options);
-  for (const OlhReport& r : reports) serial.Add(r);
-  const std::vector<double> want = serial.EstimateFrequencies();
-
-  for (const unsigned threads : kThreadCounts) {
-    OlhServer sharded(kEpsilon, kDomain, options);
-    sharded.AggregateReports(reports, threads);
-    EXPECT_EQ(sharded.num_reports(), serial.num_reports());
-    // Estimation is sharded too; sweep its thread count independently.
-    ExpectBitwiseEqual(sharded.EstimateFrequencies(threads), want, label);
-  }
-}
-
-TEST(ParallelAggregationTest, OlhPerUserBitIdenticalAcrossThreadCounts) {
-  RunOlhCase(OlhOptions{}, "OLH/per-user");
-}
-
-TEST(ParallelAggregationTest, OlhPoolBitIdenticalAcrossThreadCounts) {
-  RunOlhCase(OlhOptions{.seed_pool_size = 512}, "OLH/pool");
-}
-
-TEST(ParallelAggregationTest, OueBitIdenticalAcrossThreadCounts) {
-  OueClient client(kEpsilon, kDomain);
-  Rng rng(103);
-  std::vector<std::vector<uint8_t>> reports;
-  for (const uint64_t v : TrueValues()) reports.push_back(client.Perturb(v, rng));
-
-  OueServer serial(kEpsilon, kDomain);
+  auto serial = Pair::MakeServer(kEpsilon, kDomain, options);
   for (const auto& r : reports) serial.Add(r);
-  const std::vector<double> want = serial.EstimateFrequencies();
+  auto batched = Pair::MakeServer(kEpsilon, kDomain, options);
+  test_support::AggregateUnevenly(batched, reports);
 
-  for (const unsigned threads : kThreadCounts) {
-    OueServer sharded(kEpsilon, kDomain);
-    sharded.AggregateReports(reports, threads);
-    ExpectBitwiseEqual(sharded.EstimateFrequencies(), want, "OUE");
-  }
+  EXPECT_EQ(batched.num_reports(), serial.num_reports());
+  OracleState got;
+  OracleState want;
+  Pair::Export(batched, &got);
+  Pair::Export(serial, &want);
+  EXPECT_EQ(got.counts, want.counts);
+  EXPECT_EQ(got.pool_counts, want.pool_counts);
+  EXPECT_EQ(got.reports, want.reports);
 }
 
-TEST(ParallelAggregationTest, SquareWaveBitIdenticalAcrossThreadCounts) {
+TEST(BatchAggregationTest, GrrUnevenBatchesMatchAddLoop) {
+  ExpectUnevenBatchesMatchAddLoop<Protocol::kGrr>({}, 101);
+}
+
+TEST(BatchAggregationTest, OlhPerUserUnevenBatchesMatchAddLoop) {
+  ExpectUnevenBatchesMatchAddLoop<Protocol::kOlh>({}, 102);
+}
+
+TEST(BatchAggregationTest, OlhPoolUnevenBatchesMatchAddLoop) {
+  ExpectUnevenBatchesMatchAddLoop<Protocol::kOlh>(
+      {.olh = {.seed_pool_size = 512}}, 102);
+}
+
+TEST(BatchAggregationTest, OueUnevenBatchesMatchAddLoop) {
+  ExpectUnevenBatchesMatchAddLoop<Protocol::kOue>({}, 103);
+}
+
+TEST(BatchAggregationTest, SquareWaveUnevenBatchesMatchAddLoop) {
   SwClient client(kEpsilon, kDomain);
   Rng rng(105);
   std::vector<double> reports;
@@ -123,17 +99,15 @@ TEST(ParallelAggregationTest, SquareWaveBitIdenticalAcrossThreadCounts) {
 
   SwServer serial(kEpsilon, kDomain);
   for (const double r : reports) serial.Add(r);
-  const std::vector<double> want = serial.EstimateFrequencies();
+  SwServer batched(kEpsilon, kDomain);
+  test_support::AggregateUnevenly(batched, reports);
 
-  for (const unsigned threads : kThreadCounts) {
-    SwServer sharded(kEpsilon, kDomain);
-    sharded.AggregateReports(reports, threads);
-    ExpectBitwiseEqual(sharded.EstimateFrequencies(), want, "SW");
-  }
+  EXPECT_EQ(batched.num_reports(), serial.num_reports());
+  EXPECT_EQ(batched.bucket_counts(), serial.bucket_counts());
 }
 
 TEST(ParallelAggregationTest, FacadeBufferFlushMatchesIngest) {
-  // The simulation path (buffer + sharded flush) and the untrusted network
+  // The simulation path (buffer + batch flush) and the untrusted network
   // path (report client + IngestReport, one report at a time) must give
   // bit-identical estimates for the same rng trajectory.
   for (const Protocol protocol :
@@ -147,18 +121,16 @@ TEST(ParallelAggregationTest, FacadeBufferFlushMatchesIngest) {
       ASSERT_TRUE(ingested->IngestReport(client->Perturb(v, rng_a)).ok());
     }
 
-    for (const unsigned threads : kThreadCounts) {
-      auto buffered = MakeFrequencyOracle(protocol, kEpsilon, kDomain);
-      Rng rng_b(107);  // same seed => identical perturbation trajectory
-      for (const uint64_t v : values) buffered->BufferUserValue(v, rng_b);
-      EXPECT_EQ(buffered->buffered_reports(), values.size());
-      buffered->FlushReports(threads);
-      EXPECT_EQ(buffered->buffered_reports(), 0u);
-      EXPECT_EQ(buffered->num_reports(), values.size());
-      ExpectBitwiseEqual(buffered->EstimateFrequencies().value(),
-                         ingested->EstimateFrequencies().value(),
-                         ProtocolName(protocol).data());
-    }
+    auto buffered = MakeFrequencyOracle(protocol, kEpsilon, kDomain);
+    Rng rng_b(107);  // same seed => identical perturbation trajectory
+    for (const uint64_t v : values) buffered->BufferUserValue(v, rng_b);
+    EXPECT_EQ(buffered->buffered_reports(), values.size());
+    buffered->FlushReports();
+    EXPECT_EQ(buffered->buffered_reports(), 0u);
+    EXPECT_EQ(buffered->num_reports(), values.size());
+    ExpectBitwiseEqual(buffered->EstimateFrequencies().value(),
+                       ingested->EstimateFrequencies().value(),
+                       ProtocolName(protocol).data());
   }
 }
 
@@ -173,70 +145,26 @@ TEST(ParallelAggregationTest, EstimateFrequenciesRequiresFlush) {
   EXPECT_TRUE(oracle->EstimateFrequencies().ok());
 }
 
-TEST(ParallelAggregationTest, PipelineBitIdenticalAcrossAggregationThreads) {
-  const data::Dataset ds = data::MakeIpumsLike(20000, 4, 32, 6, 99);
-  std::vector<std::vector<std::vector<double>>> per_setting;
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    core::FelipConfig config;
-    config.epsilon = 1.0;
-    config.seed = 7;
-    config.aggregation_threads = threads;
-    core::FelipPipeline pipeline(ds.attributes(), ds.num_rows(), config);
-    pipeline.Collect(ds);
-    pipeline.Finalize();
-    per_setting.push_back(pipeline.ExportGridFrequencies());
-  }
-  for (size_t s = 1; s < per_setting.size(); ++s) {
-    ASSERT_EQ(per_setting[s].size(), per_setting[0].size());
-    for (size_t g = 0; g < per_setting[0].size(); ++g) {
-      ExpectBitwiseEqual(per_setting[s][g], per_setting[0][g], "pipeline");
-    }
-  }
-}
-
-TEST(ParallelAggregationTest, StreamingOverrideKeepsAnswersIdentical) {
-  const data::Dataset epoch = data::MakeIpumsLike(8000, 3, 16, 4, 31);
-  const query::Query q(
-      {{.attr = 0, .op = query::Op::kBetween, .lo = 1, .hi = 3}});
-  double baseline = 0.0;
-  for (const unsigned threads : {0u, 1u, 8u}) {
-    stream::StreamConfig config;
-    config.felip.epsilon = 1.0;
-    config.felip.seed = 11;
-    config.aggregation_threads = threads;
-    stream::StreamingCollector collector(epoch.attributes(), config);
-    collector.IngestEpoch(epoch);
-    const double answer = collector.AnswerQuery(q).value();
-    if (threads == 0) {
-      baseline = answer;
-    } else {
-      EXPECT_EQ(answer, baseline) << "threads " << threads;
-    }
-  }
-}
-
-// Stress for TSan: hammer one server with repeated max-width batches; any
-// cross-shard write overlap shows up as a race, and the final counts must
-// equal a serially built server's.
+// Stress for TSan: hammer one OUE server with repeated multi-shard
+// batches; any cross-shard write overlap shows up as a race, and the final
+// counts must equal a serially built server's.
 TEST(ParallelAggregationTest, RepeatedShardedBatchesStress) {
-  OlhOptions options{.seed_pool_size = 256};
-  OlhClient client(kEpsilon, kDomain, options);
+  OueClient client(kEpsilon, kDomain);
   Rng rng(109);
-  std::vector<OlhReport> batch;
+  std::vector<std::vector<uint8_t>> batch;
   for (size_t i = 0; i < 20000; ++i) {
     batch.push_back(client.Perturb(i % kDomain, rng));
   }
 
-  OlhServer sharded(kEpsilon, kDomain, options);
-  OlhServer serial(kEpsilon, kDomain, options);
+  OueServer sharded(kEpsilon, kDomain);
+  OueServer serial(kEpsilon, kDomain);
   constexpr int kRounds = 8;
   for (int round = 0; round < kRounds; ++round) {
-    sharded.AggregateReports(batch, 8);
-    for (const OlhReport& r : batch) serial.Add(r);
+    sharded.AggregateReports(batch);
+    for (const auto& r : batch) serial.Add(r);
   }
   EXPECT_EQ(sharded.num_reports(), batch.size() * kRounds);
-  ExpectBitwiseEqual(sharded.EstimateFrequencies(8),
-                     serial.EstimateFrequencies(), "stress");
+  EXPECT_EQ(sharded.counts(), serial.counts());
 }
 
 }  // namespace

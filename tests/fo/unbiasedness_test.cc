@@ -1,6 +1,6 @@
 // Statistical test harness for every frequency oracle: aggregate ~200k
-// perturbed reports at a fixed seed through the sharded AggregateReports
-// path (4 threads) and require every debiased cell to land within 4 sigma
+// perturbed reports at a fixed seed through the batch AggregateReports
+// path and require every debiased cell to land within 4 sigma
 // of the exact empirical truth, with sigma from the closed-form variance
 // of the protocol's estimator.
 //
@@ -38,7 +38,6 @@ namespace {
 constexpr double kEpsilon = 1.0;
 constexpr uint64_t kDomain = 64;
 constexpr size_t kNumReports = 200000;
-constexpr unsigned kThreads = 4;
 constexpr double kSigmas = 4.0;
 
 // Skewed deterministic population: a quarter of the users hold value 0,
@@ -95,7 +94,7 @@ TEST(UnbiasednessTest, GrrWithinFourSigma) {
   for (const uint64_t v : values) reports.push_back(client.Perturb(v, rng));
 
   GrrServer server(kEpsilon, kDomain);
-  server.AggregateReports(reports, kThreads);
+  server.AggregateReports(reports);
   ASSERT_EQ(server.num_reports(), kNumReports);
 
   const double e = std::exp(kEpsilon);
@@ -117,7 +116,7 @@ void RunOlhCase(OlhOptions options, uint64_t seed, const char* label) {
   for (const uint64_t v : values) reports.push_back(client.Perturb(v, rng));
 
   OlhServer server(kEpsilon, kDomain, options);
-  server.AggregateReports(reports, kThreads);
+  server.AggregateReports(reports);
   ASSERT_EQ(server.num_reports(), kNumReports);
 
   // Support probabilities: p for the true value; a non-true value is
@@ -129,7 +128,7 @@ void RunOlhCase(OlhOptions options, uint64_t seed, const char* label) {
   const double p = e / (e + g - 1.0);
   const double q = 1.0 / g;
   ExpectCellsWithinSigma(
-      server.EstimateFrequencies(kThreads), counts, kNumReports,
+      server.EstimateFrequencies(), counts, kNumReports,
       [&](uint64_t v) { return SupportVariance(counts[v], kNumReports, p, q); },
       label);
 }
@@ -152,7 +151,7 @@ TEST(UnbiasednessTest, OueWithinFourSigma) {
   for (const uint64_t v : values) reports.push_back(client.Perturb(v, rng));
 
   OueServer server(kEpsilon, kDomain);
-  server.AggregateReports(reports, kThreads);
+  server.AggregateReports(reports);
   ASSERT_EQ(server.num_reports(), kNumReports);
 
   const double p = 0.5;
@@ -177,7 +176,7 @@ TEST(UnbiasednessTest, PgrWithinFourSigma) {
   for (const uint64_t v : values) reports.push_back(client.Perturb(v, rng));
 
   PgrServer server(kEpsilon, kDomain);
-  server.AggregateReports(reports, kThreads);
+  server.AggregateReports(reports);
   ASSERT_EQ(server.num_reports(), kNumReports);
 
   const double p = client.params().p_star;
@@ -205,7 +204,7 @@ TEST(UnbiasednessTest, FldpWithinFourSigma) {
   for (const uint64_t v : values) reports.push_back(client.Perturb(v, rng));
 
   FldpServer server(kEpsilon, kDomain, options);
-  server.AggregateReports(reports, kThreads);
+  server.AggregateReports(reports);
   ASSERT_EQ(server.num_reports(), kNumReports);
 
   std::vector<uint64_t> coverage(kDomain, 0);
@@ -260,7 +259,7 @@ TEST(UnbiasednessTest, SquareWaveEmpiricalErrorBound) {
   }
 
   SwServer server(kEpsilon, kSwDomain);
-  server.AggregateReports(reports, kThreads);
+  server.AggregateReports(reports);
   ASSERT_EQ(server.num_reports(), kNumReports);
 
   const std::vector<double> estimates = server.EstimateFrequencies();

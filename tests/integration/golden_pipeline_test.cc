@@ -98,22 +98,5 @@ TEST(GoldenPipelineTest, Lambda3EstimatorAnswersMatchSnapshot) {
                  });
 }
 
-TEST(GoldenPipelineTest, AnswersIdenticalAcrossAggregationThreadCounts) {
-  // The sharded aggregation's determinism guarantee, end to end: the
-  // golden run must be bit-identical for every thread count.
-  const data::Dataset dataset = GoldenDataset();
-  core::FelipConfig serial = GoldenConfig();
-  serial.aggregation_threads = 1;
-  core::FelipConfig threaded = GoldenConfig();
-  threaded.aggregation_threads = 8;
-
-  const core::FelipPipeline a = core::RunFelip(dataset, serial);
-  const core::FelipPipeline b = core::RunFelip(dataset, threaded);
-  const std::vector<query::Query> queries = GoldenQueries(dataset, 2);
-  for (const query::Query& q : queries) {
-    EXPECT_DOUBLE_EQ(a.AnswerQuery(q), b.AnswerQuery(q));
-  }
-}
-
 }  // namespace
 }  // namespace felip

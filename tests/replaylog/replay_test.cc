@@ -1,11 +1,11 @@
 // Replay acceptance: a report log written on the live ingest drain path
 // must replay to estimates BIT-IDENTICAL to the live round — on a clean
-// transport, under injected faults, across SIMD dispatch levels and
-// aggregation thread counts, and for every normalization when the live
-// round used the same one. Plus the recovery-oriented reading contract:
-// torn tails replay their prefix, resealed-but-damaged payloads are
-// caught by the wire trailer, duplicate records fall to the idempotency
-// window, and mismatched plans refuse to mix.
+// transport, under injected faults, across SIMD dispatch levels, and for
+// every normalization when the live round used the same one. Plus the
+// recovery-oriented reading contract: torn tails replay their prefix,
+// resealed-but-damaged payloads are caught by the wire trailer,
+// duplicate records fall to the idempotency window, and mismatched plans
+// refuse to mix.
 
 #include "felip/replaylog/replay.h"
 
@@ -245,21 +245,17 @@ TEST_F(ReplayE2eTest, NormalizationOverridesMatchEquivalentLiveRounds) {
   }
 }
 
-TEST_F(ReplayE2eTest, ReplayIsInvariantAcrossSimdLevelsAndThreadCounts) {
+TEST_F(ReplayE2eTest, ReplayIsInvariantAcrossSimdLevels) {
   // The live round ran at the default dispatch level with the server's
-  // thread pool; every (level, threads) replay must land on the same
-  // digest — aggregation depends only on the accepted multiset.
+  // worker pool; every level's replay must land on the same digest —
+  // aggregation depends only on the accepted multiset.
   for (const simd::Level level : simd::CompiledLevels()) {
     if (!simd::LevelSupported(level)) continue;
     simd::ScopedLevelOverride pin(level);
-    for (const unsigned threads : {1u, 3u}) {
-      ReplayOverrides overrides;
-      overrides.aggregation_threads = threads;
-      StatusOr<ReplayResult> result = ReplayLog(*log_dir_, overrides);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_EQ(FinalizedReplayDigest(&*result), round_->digest)
-          << simd::LevelName(level) << " x " << threads << " threads";
-    }
+    StatusOr<ReplayResult> result = ReplayLog(*log_dir_, {});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(FinalizedReplayDigest(&*result), round_->digest)
+        << simd::LevelName(level);
   }
 }
 

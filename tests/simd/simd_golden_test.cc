@@ -1,6 +1,6 @@
 // End-to-end dispatch-equivalence tests: the SAME workload, re-run under
-// every compiled-and-supported SIMD dispatch level and several thread
-// counts, must produce BIT-IDENTICAL estimates — not "close", identical.
+// every compiled-and-supported SIMD dispatch level, must produce
+// BIT-IDENTICAL estimates — not "close", identical.
 // This is the golden gate for the kernel layer: if an AVX2/NEON kernel
 // deviates from the canonical scalar accumulation order anywhere in the
 // FO aggregation or query path, one of these EXPECT_EQs trips.
@@ -34,17 +34,13 @@ std::vector<simd::Level> RunnableLevels() {
 // Bitwise comparison of estimate vectors; EXPECT_EQ on doubles is exact.
 void ExpectIdentical(const std::vector<double>& got,
                      const std::vector<double>& want,
-                     const char* what, simd::Level level,
-                     unsigned threads) {
+                     const char* what, simd::Level level) {
   ASSERT_EQ(got.size(), want.size()) << what;
   for (size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i], want[i])
-        << what << " level=" << simd::LevelName(level)
-        << " threads=" << threads << " i=" << i;
+        << what << " level=" << simd::LevelName(level) << " i=" << i;
   }
 }
-
-constexpr unsigned kThreadCounts[] = {1, 2, 5};
 
 TEST(SimdGoldenTest, GrrEstimatesIdenticalAcrossLevels) {
   constexpr uint64_t kDomain = 97;
@@ -60,17 +56,14 @@ TEST(SimdGoldenTest, GrrEstimatesIdenticalAcrossLevels) {
   {
     simd::ScopedLevelOverride pin(simd::Level::kScalar);
     fo::GrrServer server(1.0, kDomain);
-    server.AggregateReports(reports, /*thread_count=*/1);
+    server.AggregateReports(reports);
     baseline = server.EstimateFrequencies();
   }
   for (const simd::Level level : RunnableLevels()) {
     simd::ScopedLevelOverride pin(level);
-    for (const unsigned threads : kThreadCounts) {
-      fo::GrrServer server(1.0, kDomain);
-      server.AggregateReports(reports, threads);
-      ExpectIdentical(server.EstimateFrequencies(), baseline, "grr", level,
-                      threads);
-    }
+    fo::GrrServer server(1.0, kDomain);
+    server.AggregateReports(reports);
+    ExpectIdentical(server.EstimateFrequencies(), baseline, "grr", level);
   }
 }
 
@@ -88,17 +81,14 @@ TEST(SimdGoldenTest, OueEstimatesIdenticalAcrossLevels) {
   {
     simd::ScopedLevelOverride pin(simd::Level::kScalar);
     fo::OueServer server(1.0, kDomain);
-    server.AggregateReports(reports, /*thread_count=*/1);
+    server.AggregateReports(reports);
     baseline = server.EstimateFrequencies();
   }
   for (const simd::Level level : RunnableLevels()) {
     simd::ScopedLevelOverride pin(level);
-    for (const unsigned threads : kThreadCounts) {
-      fo::OueServer server(1.0, kDomain);
-      server.AggregateReports(reports, threads);
-      ExpectIdentical(server.EstimateFrequencies(), baseline, "oue", level,
-                      threads);
-    }
+    fo::OueServer server(1.0, kDomain);
+    server.AggregateReports(reports);
+    ExpectIdentical(server.EstimateFrequencies(), baseline, "oue", level);
   }
 }
 
@@ -116,17 +106,15 @@ TEST(SimdGoldenTest, OlhPerUserEstimatesIdenticalAcrossLevels) {
   {
     simd::ScopedLevelOverride pin(simd::Level::kScalar);
     fo::OlhServer server(1.0, kDomain);
-    server.AggregateReports(reports, /*thread_count=*/1);
-    baseline = server.EstimateFrequencies(/*thread_count=*/1);
+    server.AggregateReports(reports);
+    baseline = server.EstimateFrequencies();
   }
   for (const simd::Level level : RunnableLevels()) {
     simd::ScopedLevelOverride pin(level);
-    for (const unsigned threads : kThreadCounts) {
-      fo::OlhServer server(1.0, kDomain);
-      server.AggregateReports(reports, threads);
-      ExpectIdentical(server.EstimateFrequencies(threads), baseline,
-                      "olh-per-user", level, threads);
-    }
+    fo::OlhServer server(1.0, kDomain);
+    server.AggregateReports(reports);
+    ExpectIdentical(server.EstimateFrequencies(), baseline, "olh-per-user",
+                    level);
   }
 }
 
@@ -145,17 +133,14 @@ TEST(SimdGoldenTest, OlhPoolEstimatesIdenticalAcrossLevels) {
   {
     simd::ScopedLevelOverride pin(simd::Level::kScalar);
     fo::OlhServer server(1.0, kDomain, options);
-    server.AggregateReports(reports, /*thread_count=*/1);
-    baseline = server.EstimateFrequencies(/*thread_count=*/1);
+    server.AggregateReports(reports);
+    baseline = server.EstimateFrequencies();
   }
   for (const simd::Level level : RunnableLevels()) {
     simd::ScopedLevelOverride pin(level);
-    for (const unsigned threads : kThreadCounts) {
-      fo::OlhServer server(1.0, kDomain, options);
-      server.AggregateReports(reports, threads);
-      ExpectIdentical(server.EstimateFrequencies(threads), baseline,
-                      "olh-pool", level, threads);
-    }
+    fo::OlhServer server(1.0, kDomain, options);
+    server.AggregateReports(reports);
+    ExpectIdentical(server.EstimateFrequencies(), baseline, "olh-pool", level);
   }
 }
 
@@ -181,11 +166,9 @@ TEST(SimdGoldenTest, PipelineAnswersIdenticalAcrossLevels) {
     queries.insert(queries.end(), batch.begin(), batch.end());
   }
 
-  const auto answers_at = [&](simd::Level level, unsigned threads) {
+  const auto answers_at = [&](simd::Level level) {
     simd::ScopedLevelOverride pin(level);
-    core::FelipConfig c = config;
-    c.aggregation_threads = threads;
-    const core::FelipPipeline pipeline = core::RunFelip(dataset, c);
+    const core::FelipPipeline pipeline = core::RunFelip(dataset, config);
     std::vector<double> answers;
     answers.reserve(queries.size());
     for (const query::Query& q : queries) {
@@ -194,14 +177,10 @@ TEST(SimdGoldenTest, PipelineAnswersIdenticalAcrossLevels) {
     return answers;
   };
 
-  const std::vector<double> baseline =
-      answers_at(simd::Level::kScalar, /*threads=*/1);
+  const std::vector<double> baseline = answers_at(simd::Level::kScalar);
   ASSERT_EQ(baseline.size(), queries.size());
   for (const simd::Level level : RunnableLevels()) {
-    for (const unsigned threads : {1u, 3u}) {
-      ExpectIdentical(answers_at(level, threads), baseline, "pipeline",
-                      level, threads);
-    }
+    ExpectIdentical(answers_at(level), baseline, "pipeline", level);
   }
 }
 

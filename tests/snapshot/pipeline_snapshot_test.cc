@@ -296,6 +296,29 @@ TEST(PipelineSnapshotTest, DefaultConfigSectionAndPlanDigestArePinned) {
       << std::hex << dist::PlanDigest(pipeline);
 }
 
+TEST(PipelineSnapshotTest, RetiredThreadSlotIsIgnoredOnDecode) {
+  // Files written while the config carried a thread count may hold any
+  // value in its slot (the u32 before the trailing u64 seed). It must
+  // decode, and must not reach the section bytes or the plan digest.
+  std::vector<uint8_t> section =
+      EncodeConfigSection(core::FelipConfig{}, kUsers);
+  const size_t slot = section.size() - sizeof(uint64_t) - sizeof(uint32_t);
+  for (size_t b = slot; b < slot + sizeof(uint32_t); ++b) {
+    ASSERT_EQ(section[b], 0) << "byte " << b;
+  }
+  section[slot] = 8;
+  section[slot + 3] = 0x80;
+
+  core::FelipConfig decoded;
+  uint64_t users = 0;
+  const Status status = DecodeConfigSection(section, &decoded, &users);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(users, kUsers);
+  EXPECT_EQ(Hex(EncodeConfigSection(decoded, users)), kDefaultConfigHex);
+  const core::FelipPipeline pipeline(MakeData().attributes(), users, decoded);
+  EXPECT_EQ(dist::PlanDigest(pipeline), kDefaultPlanDigest);
+}
+
 TEST(PipelineSnapshotTest, DedupKeysRoundTrip) {
   const data::Dataset dataset = MakeData();
   const core::FelipPipeline pipeline(dataset.attributes(), kUsers,

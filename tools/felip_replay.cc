@@ -58,7 +58,6 @@ void PrintUsage() {
       "count\n"
       "  --lambda-threshold=<float>   override Algorithm 4 convergence\n"
       "  --lambda-quadrant-fit[=0|1]  override the four-quadrant λ fit\n"
-      "  --threads=<int>         aggregation threads (0 = hardware)\n"
       "  --expect-digest=<hex>   exit 1 unless the grid digest matches\n"
       "  --expect-protocols=<p,p,...>  exit 1 unless the replayed plan's\n"
       "                          protocol set is exactly this subset of\n"
@@ -87,7 +86,6 @@ int main(int argc, char** argv) {
   const double lambda_threshold = flags.GetDouble("lambda-threshold", -1.0);
   const int64_t lambda_quadrant_fit =
       flags.GetInt("lambda-quadrant-fit", -1);
-  const int64_t threads = flags.GetInt("threads", -1);
   const std::string expect_digest = flags.GetString("expect-digest", "");
   const std::string expect_protocols =
       flags.GetString("expect-protocols", "");
@@ -132,9 +130,6 @@ int main(int argc, char** argv) {
   }
   if (lambda_quadrant_fit >= 0) {
     overrides.lambda_quadrant_fit = lambda_quadrant_fit != 0;
-  }
-  if (threads >= 0) {
-    overrides.aggregation_threads = static_cast<unsigned>(threads);
   }
 
   StatusOr<replaylog::ReplayResult> result =
