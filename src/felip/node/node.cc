@@ -105,7 +105,6 @@ std::vector<uint64_t> Node::AdoptSnapshot(std::optional<uint64_t> seed) {
 Status Node::StartIngest(svc::IngestServerOptions options,
                          const std::vector<uint64_t>& dedup_keys) {
   options.queue_capacity = static_cast<size_t>(config_.queue_capacity);
-  options.worker_threads = config_.workers;
   if (snapshots_ != nullptr) {
     checkpointer_ = std::make_unique<snapshot::Checkpointer>(snapshots_.get(),
                                                              pipeline_.get());

@@ -44,7 +44,6 @@ struct NodeConfig {
 
   std::string host = "127.0.0.1";
   uint64_t port = 7071;
-  unsigned workers = 2;           // IngestServerOptions::worker_threads
   uint64_t queue_capacity = 64;   // IngestServerOptions::queue_capacity
   int timeout_ms = 60000;
 

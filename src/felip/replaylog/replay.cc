@@ -136,7 +136,7 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
 
     LogRecord record;
     // Decode and grid-run buffers reused for every batch of this segment,
-    // like a server worker's; scoped to the segment so what they retain
+    // like the server's drain thread; scoped to the segment so what they retain
     // stays proportional to the segment bytes already in memory.
     std::vector<wire::ReportMessage> messages;
     svc::GridRunIngester grid_runs;
@@ -152,7 +152,7 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
 
       // Mirror the live server's gates: trailer verification
       // (HandleFrame), trailer-keyed dedup, then the structural decode
-      // (WorkerLoop).
+      // (DrainLoop).
       if (!svc::VerifyChecksumTrailer(record.payload) ||
           svc::ChecksumTrailer(record.payload).value_or(0) != record.key) {
         stats.batches_undecodable += 1;

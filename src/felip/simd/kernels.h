@@ -7,7 +7,7 @@
 // contract tests/simd/kernel_differential_test.cc enforces across all
 // remainder lengths, adversarial values, and random seeds:
 //
-//   * Integer kernels (byte counting, histograms, OLH support) are exact
+//   * Integer kernels (byte counting, folds, OLH support) are exact
 //     by nature — the vector variants merely reorganize commutative
 //     integer additions.
 //   * Floating-point kernels (Dot, Sum, ScaleAbsDelta) define ONE
@@ -41,14 +41,6 @@ void AccumulateNonzeroBytes(Level level, const uint8_t* bits, size_t n,
 
 // into[i] += from[i] for i in [0, n). (Accumulator folds.)
 void AddU64(Level level, uint64_t* into, const uint64_t* from, size_t n);
-
-// GRR / pooled-OLH support counting: ++acc[keys[i]] for i in [0, n).
-// Every key must be < bins (callers validate; the kernel does not).
-// Non-scalar levels split small histograms across conflict-free lane
-// copies (structure-of-arrays) to break store-to-load dependency chains,
-// then fold — integer adds, so counts are identical to the scalar loop.
-void HistogramU64(Level level, const uint64_t* keys, size_t n,
-                  uint64_t* acc, size_t bins);
 
 // Per-user OLH support counting over a contiguous value range:
 //   acc[i] += (XxHash64(first_value + i, seed) % g == target)

@@ -13,26 +13,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "felip/common/hash.h"
 #include "felip/simd/kernels.h"
 
 namespace felip::simd {
-
-// Largest histogram (in bins) that the lane-split cache layout applies
-// to: 4 lane copies of uint32_t counts (32 KiB at this bound) must stay
-// inside L1 for the scatter to win. Measured on the reference container,
-// the lane split is ~15-20% faster through 2048 bins (and ~3x on a
-// single hot bucket, where it breaks the serial same-bin dependency) but
-// LOSES above ~4096 bins, where quadrupling the resident counter bytes
-// costs more than the conflict-freedom buys. Above this the plain
-// scalar loop wins on memory footprint.
-inline constexpr size_t kLaneHistogramMaxBins = 2048;
-
-// Reports per lane-copy flush: uint32_t lane counters cannot overflow
-// within one chunk, so chunked callers can feed any n.
-inline constexpr size_t kLaneHistogramChunk = size_t{1} << 31;
 
 namespace scalar_impl {
 
@@ -45,10 +30,6 @@ inline void AccumulateNonzeroBytes(const uint8_t* bits, size_t n,
 
 inline void AddU64(uint64_t* into, const uint64_t* from, size_t n) {
   for (size_t i = 0; i < n; ++i) into[i] += from[i];
-}
-
-inline void HistogramU64(const uint64_t* keys, size_t n, uint64_t* acc) {
-  for (size_t i = 0; i < n; ++i) ++acc[keys[i]];
 }
 
 inline void OlhSupportRange(uint64_t seed, uint32_t g, uint32_t target,
@@ -128,14 +109,6 @@ inline double ScaleAbsDelta(double* p, size_t n, double scale) {
 
 }  // namespace scalar_impl
 
-// Shared by the vector levels: four conflict-free uint32_t lane
-// histograms (structure-of-arrays) folded into `acc`. Breaks the
-// store-to-load forwarding chain that serializes repeated increments of
-// one hot bucket. Callers guarantee bins <= kLaneHistogramMaxBins and
-// n < kLaneHistogramChunk (so no uint32_t lane counter can overflow).
-void LaneSplitHistogramU64(const uint64_t* keys, size_t n, uint64_t* acc,
-                           size_t bins);
-
 #if defined(FELIP_SIMD_HAS_AVX2)
 namespace avx2 {
 void AccumulateNonzeroBytes(const uint8_t* bits, size_t n, uint64_t* acc);
@@ -152,8 +125,7 @@ double ScaleAbsDelta(double* p, size_t n, double scale);
 }  // namespace avx2
 #endif
 
-// Vector-level histograms share LaneSplitHistogramU64 above, and the NEON
-// build inherits the scalar OLH hash kernels, so neither level declares
+// The NEON build inherits the scalar OLH hash kernels, so it declares no
 // per-level variants for those here.
 #if defined(FELIP_SIMD_HAS_NEON)
 namespace neon {

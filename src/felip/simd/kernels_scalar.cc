@@ -4,34 +4,10 @@
 // multiply-add here would change roundings and break bit-identity with
 // the vector variants.
 
-#include <algorithm>
-#include <vector>
-
 #include "felip/simd/kernels.h"
 #include "felip/simd/kernels_internal.h"
 
 namespace felip::simd {
-
-void LaneSplitHistogramU64(const uint64_t* keys, size_t n, uint64_t* acc,
-                           size_t bins) {
-  constexpr size_t kHistLanes = 4;
-  std::vector<uint32_t> lanes(kHistLanes * bins, 0);
-  uint32_t* l0 = lanes.data();
-  uint32_t* l1 = l0 + bins;
-  uint32_t* l2 = l1 + bins;
-  uint32_t* l3 = l2 + bins;
-  const size_t blocked = n - n % kHistLanes;
-  for (size_t i = 0; i < blocked; i += kHistLanes) {
-    ++l0[keys[i]];
-    ++l1[keys[i + 1]];
-    ++l2[keys[i + 2]];
-    ++l3[keys[i + 3]];
-  }
-  for (size_t i = blocked; i < n; ++i) ++l0[keys[i]];
-  for (size_t b = 0; b < bins; ++b) {
-    acc[b] += static_cast<uint64_t>(l0[b]) + l1[b] + l2[b] + l3[b];
-  }
-}
 
 namespace {
 
@@ -76,22 +52,6 @@ void AddU64(Level level, uint64_t* into, const uint64_t* from, size_t n) {
   if (UseNeon(level)) return neon::AddU64(into, from, n);
 #endif
   scalar_impl::AddU64(into, from, n);
-}
-
-void HistogramU64(Level level, const uint64_t* keys, size_t n,
-                  uint64_t* acc, size_t bins) {
-  const bool vector_level = UseAvx2(level) || UseNeon(level);
-  if (vector_level && bins <= kLaneHistogramMaxBins && bins > 0) {
-    // Chunk so uint32_t lane counters cannot overflow for any n.
-    size_t done = 0;
-    while (done < n) {
-      const size_t chunk = std::min(n - done, kLaneHistogramChunk - 1);
-      LaneSplitHistogramU64(keys + done, chunk, acc, bins);
-      done += chunk;
-    }
-    return;
-  }
-  scalar_impl::HistogramU64(keys, n, acc);
 }
 
 void OlhSupportRange(Level level, uint64_t seed, uint32_t g,

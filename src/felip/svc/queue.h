@@ -1,5 +1,5 @@
 // Bounded multi-producer multi-consumer queue: the ingest service's only
-// buffering point between transport IO and the aggregation workers.
+// buffering point between transport IO and the server's drain thread.
 //
 // The capacity bound is the backpressure mechanism, not an implementation
 // detail: TryPush never blocks and never grows the queue, so the IO thread
@@ -7,7 +7,7 @@
 // of letting a fast client run the server out of memory. Consumers block in
 // Pop until an item arrives or the queue is shut down; Shutdown wakes every
 // consumer and makes all further pushes fail, which is how the server
-// drains its worker pool on Stop.
+// ends its drain thread on Stop.
 
 #ifndef FELIP_SVC_QUEUE_H_
 #define FELIP_SVC_QUEUE_H_

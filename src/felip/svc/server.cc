@@ -48,11 +48,11 @@ struct ServerCounters {
   }
 };
 
-// A worker's decode buffer is reused across frames, so what it holds —
-// the report array and each report's bit vector — was sized by the frames
-// decoded into it since it was last released. Releasing it once it holds
-// more than kRetainedReports reports, or once those frames exceed
-// kRetainedFrameBytes, keeps what a worker pins between batches to a few
+// The drain thread's decode buffer is reused across frames, so what it
+// holds — the report array and each report's bit vector — was sized by the
+// frames decoded into it since it was last released. Releasing it once it
+// holds more than kRetainedReports reports, or once those frames exceed
+// kRetainedFrameBytes, keeps what the server pins between batches to a few
 // MiB whatever a client sends; one 64 MiB frame of 9-byte records alone
 // would otherwise pin ~360 MB for the server's lifetime.
 constexpr size_t kRetainedReports = size_t{1} << 16;
@@ -81,7 +81,6 @@ IngestServer::IngestServer(Transport* transport, const std::string& endpoint,
       drained_(options.dedup_capacity) {
   FELIP_CHECK(transport != nullptr);
   FELIP_CHECK(sink != nullptr);
-  FELIP_CHECK(options_.worker_threads > 0);
 }
 
 IngestServer::~IngestServer() { Stop(); }
@@ -112,10 +111,7 @@ bool IngestServer::Start() {
     return false;
   }
   last_checkpoint_ = std::chrono::steady_clock::now();
-  workers_.reserve(options_.worker_threads);
-  for (unsigned w = 0; w < options_.worker_threads; ++w) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
+  drainer_ = std::thread([this] { DrainLoop(); });
   started_ = true;
   return true;
 }
@@ -123,12 +119,12 @@ bool IngestServer::Start() {
 void IngestServer::Stop() {
   if (!started_) return;
   started_ = false;
-  // Order matters: no new frames first, then let the workers drain what
-  // was already accepted (acked batches must be aggregated exactly once).
+  // Order matters: no new frames first, then let the drain thread drain
+  // what was already accepted (acked batches must be aggregated exactly
+  // once).
   frame_server_->Stop();
   queue_.Shutdown();
-  for (std::thread& worker : workers_) worker.join();
-  workers_.clear();
+  drainer_.join();
   frame_server_.reset();
   // Final checkpoint: a clean shutdown leaves nothing unpersisted.
   if (options_.checkpoint) {
@@ -228,7 +224,7 @@ void IngestServer::CheckpointLocked() {
   last_checkpoint_ = std::chrono::steady_clock::now();
 }
 
-void IngestServer::WorkerLoop() {
+void IngestServer::DrainLoop() {
   ServerCounters& counters = ServerCounters::Get();
   // Every frame decodes into this one vector, which keeps its reports'
   // storage from frame to frame until ReleaseIfOversized drops it.

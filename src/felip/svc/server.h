@@ -1,4 +1,4 @@
-// Report-collection server: transport frames in, sharded aggregation out.
+// Report-collection server: transport frames in, aggregation out.
 //
 // An IngestServer listens on a Transport endpoint and handles each
 // inbound frame on the transport's IO thread:
@@ -15,13 +15,14 @@
 //      suggested retry_after_ms and NOT recorded as seen, so the client's
 //      resend is a fresh attempt.
 //
-// A pool of worker threads drains the queue. Each worker decodes a batch
-// in one validating pass (wire::DecodeReportBatch: no report reaches the
-// sink unless the whole batch is well-formed) into one report vector it
-// reuses across batches, and hands that vector to a ReportSink.
-// Aggregation is integer-count based, so estimates depend only on the
-// multiset of accepted batches — worker count, queue order, and batch
-// boundaries cannot change the result.
+// One drain thread empties the queue. It decodes each batch in one
+// validating pass (wire::DecodeReportBatch: no report reaches the sink
+// unless the whole batch is well-formed) into one report vector it reuses
+// across batches, and hands that vector to a ReportSink. Batches reach the
+// sink, the report log and every checkpoint cut in queue order, which is
+// the order their kOk acks were sent. Aggregation is integer-count based,
+// so estimates depend only on the multiset of accepted batches — queue
+// order and batch boundaries cannot change the result.
 //
 // --- Crash-safe checkpointing ---
 //
@@ -38,8 +39,8 @@
 // Start() so resends of already-drained batches ack kAlreadyExists.
 //
 // Stop() stops the transport first (no new frames), then shuts the queue
-// down and joins the workers after they drain every accepted batch, then
-// fires one final checkpoint so a clean shutdown persists everything.
+// down and joins the drain thread after it drains every accepted batch,
+// then fires one final checkpoint so a clean shutdown persists everything.
 
 #ifndef FELIP_SVC_SERVER_H_
 #define FELIP_SVC_SERVER_H_
@@ -99,11 +100,9 @@ class DrainCut {
 };
 
 struct IngestServerOptions {
-  // Batches buffered between the IO thread and the workers; a full queue
-  // acks kResourceExhausted (backpressure).
+  // Batches buffered between the IO thread and the drain thread; a full
+  // queue acks kResourceExhausted (backpressure).
   size_t queue_capacity = 64;
-  // Worker threads draining the queue into the sink.
-  unsigned worker_threads = 2;
   // Suggested client wait carried in kResourceExhausted acks.
   uint32_t retry_after_ms = 5;
   // Max keys remembered by each dedup window (admission and drained).
@@ -127,7 +126,7 @@ struct IngestServerOptions {
   // the callback sees the sink's state as a consistent cut and may swap
   // the sink's pipeline and seal the old one with cut.Keys()
   // (stream::EpochRotationService). Keep it fast when it does not rotate;
-  // it runs on the worker's drain path.
+  // it runs on the drain thread.
   std::function<void(const DrainCut& cut)> after_drain;
 };
 
@@ -149,12 +148,12 @@ class IngestServer {
   // shard's history. Must be called before Start().
   void PreseedDedup(std::span<const uint64_t> drained_keys);
 
-  // Binds the endpoint and spawns the worker pool. False if the transport
-  // could not bind.
+  // Binds the endpoint and starts the drain thread. False if the
+  // transport could not bind.
   bool Start();
 
-  // Stops accepting, drains every queued batch, joins workers, fires a
-  // final checkpoint when one is configured. Idempotent.
+  // Stops accepting, drains every queued batch, joins the drain thread,
+  // fires a final checkpoint when one is configured. Idempotent.
   void Stop();
 
   // Resolved endpoint (e.g. the actual TCP port when bound to port 0).
@@ -192,7 +191,7 @@ class IngestServer {
  private:
   std::vector<uint8_t> HandleFrame(uint64_t connection_id,
                                    std::vector<uint8_t>&& payload);
-  void WorkerLoop();
+  void DrainLoop();
   friend class DrainCut;
   // Runs the checkpoint callback; caller must hold drain_mutex_.
   void CheckpointLocked();
@@ -206,7 +205,7 @@ class IngestServer {
 
   std::unique_ptr<FrameServer> frame_server_;
   BoundedQueue<std::vector<uint8_t>> queue_;
-  std::vector<std::thread> workers_;
+  std::thread drainer_;
   bool started_ = false;
 
   // Idempotency: admission window of every batch accepted into the queue.

@@ -1,10 +1,10 @@
 // Where decoded reports go: the boundary between the ingest service and
 // the aggregation pipeline.
 //
-// IngestServer workers hand fully decoded, structurally valid batches to a
-// ReportSink. PipelineSink is the production sink: under a mutex it feeds
-// each batch to a planned FelipPipeline one grid run at a time
-// (GridRunIngester): a stable counting sort by grid index, then one
+// IngestServer's drain thread hands fully decoded, structurally valid
+// batches to a ReportSink. PipelineSink is the production sink: under a
+// mutex it feeds each batch to a planned FelipPipeline one grid run at a
+// time (GridRunIngester): a stable counting sort by grid index, then one
 // FelipPipeline::IngestReports call per grid the batch touches. Per-report
 // validation (grid index in range, protocol matching the grid's plan,
 // payload within the grid's domain) still happens report by report inside
@@ -13,8 +13,8 @@
 //
 // Aggregation counts are integers, so the final estimates depend only on
 // the multiset of accepted reports — never on batch arrival order or
-// which worker ingested what. That is what makes the networked path
-// bit-identical to the in-process pipeline. The one order that state does
+// batch boundaries. That is what makes the networked path bit-identical
+// to the in-process pipeline. The one order that state does
 // keep, OLH per-user raw report lists, is each grid's reports in frame
 // order, which the stable sort preserves.
 
@@ -37,7 +37,8 @@ class ReportSink {
   virtual ~ReportSink() = default;
 
   // Ingests one decoded batch; returns how many reports were accepted.
-  // Called concurrently by server workers; implementations synchronize.
+  // Called from the server's drain thread while other threads may read
+  // the sink (dist export, epoch rotation); implementations synchronize.
   virtual size_t IngestBatch(
       std::span<const wire::ReportMessage> reports) = 0;
 };

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstring>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <variant>
@@ -25,7 +24,8 @@ namespace {
 
 enum class MessageKind : uint8_t {
   kGridConfig = 1,
-  kReport = 2,
+  // 2 was the single-report frame, since replaced by one-record report
+  // batches; never reuse it for another kind.
   kReportBatch = 3,
   // 4 was the single-frame snapshot, since replaced by the FSNP
   // container (felip/snapshot); never reuse it for another kind.
@@ -225,28 +225,6 @@ uint8_t* PutReportRecord(uint8_t* at, const ReportMessage& m) {
   return std::visit(
       [at](const auto& payload) { return PutPayload(at, payload); },
       m.payload);
-}
-
-// The encoder of both report frame kinds: a Report frame is one record, a
-// ReportBatch frame a uint32 count and then its records. The frame is
-// sized first, trailer included, so it is allocated once with
-// capacity() == size(), written through one cursor and sealed in place.
-std::vector<uint8_t> EncodeReportFrame(MessageKind kind,
-                                       std::span<const ReportMessage> reports) {
-  const bool counted = kind == MessageKind::kReportBatch;
-  size_t size =
-      kHeaderBytes + (counted ? sizeof(uint32_t) : 0) + kTrailerBytes;
-  for (const ReportMessage& m : reports) size += ReportRecordBytes(m);
-  std::vector<uint8_t> buffer(size);
-  uint8_t* at = PutHeader(buffer.data(), kind);
-  if (counted) {
-    at = PutAt<uint32_t>(at, static_cast<uint32_t>(reports.size()));
-  }
-  for (const ReportMessage& m : reports) at = PutReportRecord(at, m);
-  at = PutChecksumAt(buffer.data(), at, kChecksumSalt);
-  FELIP_CHECK_MSG(at == buffer.data() + buffer.size(),
-                  "report frame size disagrees with its records");
-  return buffer;
 }
 
 // Per-protocol sums of received report body bytes, indexed by protocol
@@ -455,44 +433,21 @@ StatusOr<GridConfigMessage> DecodeGridConfig(
   return *std::move(m);
 }
 
-std::vector<uint8_t> EncodeReport(const ReportMessage& m) {
-  return EncodeReportFrame(MessageKind::kReport, {&m, 1});
-}
-
-namespace {
-
-std::optional<ReportMessage> DecodeReportImpl(
-    const std::vector<uint8_t>& buffer) {
-  const auto payload_end = ValidateEnvelope(buffer, MessageKind::kReport);
-  if (!payload_end.has_value()) return std::nullopt;
-  Reader r(buffer);
-  uint8_t skip[6];
-  if (!r.GetBytes(skip, sizeof(skip))) return std::nullopt;
-  ReportMessage m;
-  ReportBodyBytes body_bytes{};
-  if (!ReadReport(r, &m, &body_bytes)) return std::nullopt;
-  if (r.position() != *payload_end) return std::nullopt;
-  CountReportBytes(body_bytes);
-  return m;
-}
-
-}  // namespace
-
-StatusOr<ReportMessage> DecodeReport(const std::vector<uint8_t>& buffer) {
-  DecodeCounters& counters = Counters();
-  counters.bytes.Increment(buffer.size());
-  std::optional<ReportMessage> m = DecodeReportImpl(buffer);
-  if (!m.has_value()) {
-    counters.malformed.Increment();
-    return Malformed("malformed report frame");
-  }
-  counters.reports.Increment();
-  return *std::move(m);
-}
-
+// A ReportBatch frame is a uint32 count and then its records. The frame is
+// sized first, trailer included, so it is allocated once with
+// capacity() == size(), written through one cursor and sealed in place.
 std::vector<uint8_t> EncodeReportBatch(
     const std::vector<ReportMessage>& reports) {
-  return EncodeReportFrame(MessageKind::kReportBatch, reports);
+  size_t size = kHeaderBytes + sizeof(uint32_t) + kTrailerBytes;
+  for (const ReportMessage& m : reports) size += ReportRecordBytes(m);
+  std::vector<uint8_t> buffer(size);
+  uint8_t* at = PutHeader(buffer.data(), MessageKind::kReportBatch);
+  at = PutAt<uint32_t>(at, static_cast<uint32_t>(reports.size()));
+  for (const ReportMessage& m : reports) at = PutReportRecord(at, m);
+  at = PutChecksumAt(buffer.data(), at, kChecksumSalt);
+  FELIP_CHECK_MSG(at == buffer.data() + buffer.size(),
+                  "report frame size disagrees with its records");
+  return buffer;
 }
 
 StatusOr<std::vector<ReportMessage>> DecodeReportBatch(

@@ -1,11 +1,11 @@
 // Wire format for client↔aggregator messages.
 //
-// A real FELIP deployment ships three kinds of messages:
+// A real FELIP deployment ships two kinds of report-path messages:
 //   * GridConfig (aggregator -> client): which grid the client is assigned,
 //     its cell layout, the protocol and epsilon to perturb with.
-//   * Report (client -> aggregator): one perturbed cell report, an
-//     fo::ReportData whose payload is framed by its type.
-//   * ReportBatch: length-prefixed sequence of reports from a relay.
+//   * ReportBatch (client or relay -> aggregator): a counted sequence of
+//     perturbed cell reports, each an fo::ReportData whose payload is
+//     framed by its type. A single report travels as a one-record batch.
 //
 // Encoding is a compact little-endian binary format with a 4-byte magic, a
 // format version, and an xxHash64 trailer so truncation and corruption are
@@ -76,14 +76,12 @@ struct ReportMessage : public fo::ReportData {
 
 // --- Encoding (never fails) ---
 std::vector<uint8_t> EncodeGridConfig(const GridConfigMessage& message);
-std::vector<uint8_t> EncodeReport(const ReportMessage& message);
 std::vector<uint8_t> EncodeReportBatch(
     const std::vector<ReportMessage>& reports);
 
 // --- Decoding (kInvalidArgument on any malformed input) ---
 StatusOr<GridConfigMessage> DecodeGridConfig(
     const std::vector<uint8_t>& buffer);
-StatusOr<ReportMessage> DecodeReport(const std::vector<uint8_t>& buffer);
 StatusOr<std::vector<ReportMessage>> DecodeReportBatch(
     const std::vector<uint8_t>& buffer);
 

@@ -164,8 +164,9 @@ TEST(RegistryTest, ReportBytesReflectCommunicationRegimes) {
 }
 
 // report_bytes promises to match the wire codec's body framing; the wire
-// suite pins that equality against EncodeReport. Here, pin the FLDP
-// dependence on options: fewer report bits -> smaller report.
+// suite pins that equality against one-record EncodeReportBatch frames.
+// Here, pin the FLDP dependence on options: fewer report bits -> smaller
+// report.
 TEST(RegistryTest, FldpReportBytesTrackOptions) {
   ProtocolOptions narrow;
   narrow.fldp.report_bits = 4;

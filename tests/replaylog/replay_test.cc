@@ -85,7 +85,6 @@ LoggedRound RunLoggedRound(const std::string& log_dir,
   node_config.config = config;
   node_config.host = "ingest";
   node_config.queue_capacity = 8;
-  node_config.workers = 3;
   node_config.timeout_ms = 30000;
   node_config.report_log_dir = log_dir;
   svc::LoopbackTransport transport;
@@ -246,8 +245,8 @@ TEST_F(ReplayE2eTest, NormalizationOverridesMatchEquivalentLiveRounds) {
 }
 
 TEST_F(ReplayE2eTest, ReplayIsInvariantAcrossSimdLevels) {
-  // The live round ran at the default dispatch level with the server's
-  // worker pool; every level's replay must land on the same digest —
+  // The live round ran at the default dispatch level on the server's
+  // drain thread; every level's replay must land on the same digest —
   // aggregation depends only on the accepted multiset.
   for (const simd::Level level : simd::CompiledLevels()) {
     if (!simd::LevelSupported(level)) continue;

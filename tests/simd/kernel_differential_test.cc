@@ -81,42 +81,6 @@ TEST(KernelDifferentialTest, AddU64MatchesScalar) {
   }
 }
 
-TEST(KernelDifferentialTest, HistogramU64MatchesScalar) {
-  std::mt19937_64 rng(44);
-  // Bin counts straddling the lane-split layout's applicability boundary
-  // (kLaneHistogramMaxBins = 2048), plus large scalar-path domains.
-  for (const size_t bins : {1, 2, 7, 64, 2047, 2048, 2049, 100000}) {
-    for (const size_t n : InterestingSizes()) {
-      std::vector<uint64_t> keys(n);
-      for (auto& k : keys) k = rng() % bins;
-      std::vector<uint64_t> expected(bins, 5);
-      HistogramU64(Level::kScalar, keys.data(), n, expected.data(), bins);
-      for (const Level level : RunnableLevels()) {
-        std::vector<uint64_t> acc(bins, 5);
-        HistogramU64(level, keys.data(), n, acc.data(), bins);
-        EXPECT_EQ(acc, expected)
-            << "level=" << LevelName(level) << " n=" << n
-            << " bins=" << bins;
-      }
-    }
-  }
-}
-
-TEST(KernelDifferentialTest, HistogramHotBucketMatchesScalar) {
-  // All keys identical: the worst case for the lane-split layout's
-  // conflict-free claim and the fold arithmetic.
-  const size_t bins = 16;
-  std::vector<uint64_t> keys(1000, 9);
-  std::vector<uint64_t> expected(bins, 0);
-  HistogramU64(Level::kScalar, keys.data(), keys.size(), expected.data(),
-               bins);
-  for (const Level level : RunnableLevels()) {
-    std::vector<uint64_t> acc(bins, 0);
-    HistogramU64(level, keys.data(), keys.size(), acc.data(), bins);
-    EXPECT_EQ(acc, expected) << "level=" << LevelName(level);
-  }
-}
-
 TEST(KernelDifferentialTest, OlhSupportRangeMatchesScalar) {
   std::mt19937_64 rng(45);
   for (const size_t n : InterestingSizes()) {

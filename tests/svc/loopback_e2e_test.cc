@@ -79,7 +79,6 @@ NetworkedRun RunNetworked(const data::Dataset& dataset,
   PipelineSink sink(&run.pipeline);
   IngestServerOptions server_options;
   server_options.queue_capacity = 8;
-  server_options.worker_threads = 3;
   IngestServer server(transport, endpoint, &sink, server_options);
   EXPECT_TRUE(server.Start());
 

@@ -163,12 +163,11 @@ TEST(IngestServerTest, FullQueueAcksRetryLaterAndAcceptsTheResend) {
   CountingSink sink;
   IngestServerOptions options;
   options.queue_capacity = 1;
-  options.worker_threads = 1;
   options.retry_after_ms = 7;
   IngestServer server(&transport, "ingest", &sink, options);
   ASSERT_TRUE(server.Start());
 
-  // Hold the worker inside the sink so batch #1 occupies the worker and
+  // Hold the drain thread inside the sink so batch #1 occupies it and
   // batch #2 occupies the queue slot; batch #3 must be rejected.
   sink.Block();
   auto connection = transport.Connect(server.endpoint(), 1000);
@@ -177,8 +176,8 @@ TEST(IngestServerTest, FullQueueAcksRetryLaterAndAcceptsTheResend) {
       RoundTrip(connection.get(), wire::EncodeReportBatch(GrrBatch(0, 4)));
   ASSERT_TRUE(a1.has_value());
   EXPECT_EQ(a1->status, StatusCode::kOk);
-  // Wait until the worker has popped batch #1 (frees a queue slot and
-  // blocks in the sink), then fill the slot with batch #2.
+  // Wait until the drain thread has popped batch #1 (frees a queue slot
+  // and blocks in the sink), then fill the slot with batch #2.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(2);
   std::optional<Ack> a2;
@@ -195,9 +194,9 @@ TEST(IngestServerTest, FullQueueAcksRetryLaterAndAcceptsTheResend) {
   const std::vector<uint8_t> third =
       wire::EncodeReportBatch(GrrBatch(200, 4));
   std::optional<Ack> a3;
-  // The queue now holds batch #2 and the worker is stuck on #1; the third
-  // batch may need a few tries if the worker races us, but with the sink
-  // blocked it must eventually see backpressure.
+  // The queue now holds batch #2 and the drain thread is stuck on #1; the
+  // third batch may need a few tries if the drain thread races us, but
+  // with the sink blocked it must eventually see backpressure.
   for (int i = 0; i < 50; ++i) {
     a3 = RoundTrip(connection.get(), third);
     ASSERT_TRUE(a3.has_value());
@@ -261,7 +260,7 @@ TEST(IngestServerTest, ChecksumValidButUndecodableBatchIsCountedNotSunk) {
   ASSERT_TRUE(server.Start());
 
   // Corrupt the body, then reseal the trailer: passes the IO-thread
-  // integrity gate, fails structural decoding on the worker.
+  // integrity gate, fails structural decoding on the drain thread.
   std::vector<uint8_t> frame = wire::EncodeReportBatch(GrrBatch(0, 4));
   frame[0] ^= 0xFF;  // break the magic
   Reseal(&frame);
@@ -278,11 +277,11 @@ TEST(IngestServerTest, ChecksumValidButUndecodableBatchIsCountedNotSunk) {
   EXPECT_EQ(sink.reports(), 0u);
 }
 
-// A worker decodes every frame into one vector it keeps across frames. A
-// short batch after a long one, then an undecodable batch that fails
-// midway, must reach the sink with nothing left over from an earlier
-// frame: exactly the reports sent, aggregated as an in-process ingest of
-// them would be.
+// The drain thread decodes every frame into one vector it keeps across
+// frames. A short batch after a long one, then an undecodable batch that
+// fails midway, must reach the sink with nothing left over from an
+// earlier frame: exactly the reports sent, aggregated as an in-process
+// ingest of them would be.
 TEST(IngestServerTest, ReusedDecodeBufferNeverSinksAStaleTail) {
   constexpr uint64_t kUsers = 6000;
   const data::Dataset dataset = data::MakeIpumsLike(kUsers, 4, 30, 6, 7);
@@ -333,7 +332,8 @@ TEST(IngestServerTest, ReusedDecodeBufferNeverSinksAStaleTail) {
   std::vector<uint8_t> undecodable = wire::EncodeReportBatch(victim);
   size_t offset = 6 + 4;  // header + report count
   for (size_t i = 0; i < 3; ++i) {
-    offset += wire::EncodeReport(victim[i]).size() - 6 - 8;
+    // A one-record frame is header + count + the record + trailer.
+    offset += wire::EncodeReportBatch({victim[i]}).size() - 6 - 4 - 8;
   }
   undecodable[offset + 4] = 0x7f;
   Reseal(&undecodable);
@@ -341,9 +341,7 @@ TEST(IngestServerTest, ReusedDecodeBufferNeverSinksAStaleTail) {
   core::FelipPipeline served = new_pipeline();
   PipelineSink sink(&served);
   LoopbackTransport transport;
-  IngestServerOptions options;
-  options.worker_threads = 1;
-  IngestServer server(&transport, "ingest", &sink, options);
+  IngestServer server(&transport, "ingest", &sink);
   ASSERT_TRUE(server.Start());
   auto connection = transport.Connect(server.endpoint(), 1000);
   ASSERT_NE(connection, nullptr);
@@ -393,7 +391,6 @@ TEST(IngestServerTest, StopDrainsEverythingAlreadyAccepted) {
   CountingSink sink;
   IngestServerOptions options;
   options.queue_capacity = 64;
-  options.worker_threads = 4;
   IngestServer server(&transport, "ingest", &sink, options);
   ASSERT_TRUE(server.Start());
 
@@ -406,6 +403,67 @@ TEST(IngestServerTest, StopDrainsEverythingAlreadyAccepted) {
   server.Stop();
   EXPECT_EQ(server.batches_accepted(), static_cast<uint64_t>(kBatches));
   EXPECT_EQ(sink.reports(), static_cast<uint64_t>(kBatches) * 16);
+}
+
+// The IO thread queues a batch before it sends the kOk ack, and one drain
+// thread empties the queue in order, so the report log lists batch keys
+// in exactly the order the client received kOk acks. Frames are pipelined
+// on one connection, their sizes vary so they take different times to
+// decode, the small queue turns some away with kResourceExhausted (those
+// are resent), and a duplicate resend must not reach the log.
+TEST(IngestServerTest, ReportLogSeesBatchesInAckOrder) {
+  LoopbackTransport transport;
+  CountingSink sink;
+  IngestServerOptions options;
+  options.queue_capacity = 8;
+  std::vector<uint64_t> logged;  // written only by the drain thread
+  options.report_log = [&](uint64_t key, std::span<const uint8_t>) {
+    logged.push_back(key);
+    return Status::Ok();
+  };
+  IngestServer server(&transport, "ingest", &sink, options);
+  ASSERT_TRUE(server.Start());
+  auto connection = transport.Connect(server.endpoint(), 1000);
+  ASSERT_NE(connection, nullptr);
+
+  constexpr int kBatches = 200;
+  std::vector<std::vector<uint8_t>> pending;
+  uint64_t reports = 0;
+  for (int b = 0; b < kBatches; ++b) {
+    const size_t size = b % 3 == 0 ? 2000 : 1 + (b * 37) % 50;
+    pending.push_back(wire::EncodeReportBatch(GrrBatch(b * 10000, size)));
+    reports += size;
+  }
+  std::vector<uint64_t> acked;
+  while (!pending.empty()) {
+    for (const std::vector<uint8_t>& frame : pending) {
+      ASSERT_TRUE(connection->SendFrame(frame));
+    }
+    std::vector<std::vector<uint8_t>> refused;
+    for (const std::vector<uint8_t>& frame : pending) {
+      std::vector<uint8_t> response;
+      ASSERT_EQ(connection->RecvFrame(&response, 2000), RecvStatus::kOk);
+      const StatusOr<Ack> ack = DecodeAck(response);
+      ASSERT_TRUE(ack.ok());
+      ASSERT_EQ(ack->batch_checksum, ChecksumTrailer(frame).value_or(0));
+      if (ack->status == StatusCode::kResourceExhausted) {
+        refused.push_back(frame);
+      } else {
+        ASSERT_EQ(ack->status, StatusCode::kOk);
+        acked.push_back(ack->batch_checksum);
+      }
+    }
+    pending = std::move(refused);
+  }
+  const std::optional<Ack> duplicate = RoundTrip(
+      connection.get(), wire::EncodeReportBatch(GrrBatch(0, 2000)));
+  ASSERT_TRUE(duplicate.has_value());
+  EXPECT_EQ(duplicate->status, StatusCode::kAlreadyExists);
+
+  server.Stop();
+  EXPECT_EQ(sink.reports(), reports);
+  ASSERT_EQ(acked.size(), static_cast<size_t>(kBatches));
+  EXPECT_EQ(logged, acked);
 }
 
 TEST(IngestServerTest, AfterDrainHookCopiesTheKeyWindowOnlyWhenAsked) {

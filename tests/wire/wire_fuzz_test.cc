@@ -89,9 +89,9 @@ TEST(WireFuzzTest, AllThreeMessageTypesRoundTrip) {
 
   for (const fo::ProtocolTraits& traits : fo::AllProtocolTraits()) {
     const ReportMessage report = SampleReport(traits.protocol);
-    const auto report_rt = DecodeReport(EncodeReport(report));
+    const auto report_rt = DecodeReportBatch(EncodeReportBatch({report}));
     ASSERT_TRUE(report_rt.ok()) << report_rt.status().ToString();
-    EXPECT_EQ(*report_rt, report);
+    EXPECT_EQ(*report_rt, std::vector<ReportMessage>{report});
   }
 
   const std::vector<ReportMessage> batch = SampleBatch();
@@ -103,9 +103,9 @@ TEST(WireFuzzTest, AllThreeMessageTypesRoundTrip) {
 TEST(WireFuzzTest, TruncationAtEveryByteOffsetFails) {
   const std::vector<std::vector<uint8_t>> encodings = {
       EncodeGridConfig(SampleGridConfig()),
-      EncodeReport(SampleReport(fo::Protocol::kGrr)),
-      EncodeReport(SampleReport(fo::Protocol::kOlh)),
-      EncodeReport(SampleReport(fo::Protocol::kOue)),
+      EncodeReportBatch({SampleReport(fo::Protocol::kGrr)}),
+      EncodeReportBatch({SampleReport(fo::Protocol::kOlh)}),
+      EncodeReportBatch({SampleReport(fo::Protocol::kOue)}),
       EncodeReportBatch(SampleBatch()),
   };
   for (size_t e = 0; e < encodings.size(); ++e) {
@@ -114,8 +114,6 @@ TEST(WireFuzzTest, TruncationAtEveryByteOffsetFails) {
     for (size_t len = 0; len < full.size(); ++len) {
       const std::vector<uint8_t> prefix(full.begin(), full.begin() + len);
       EXPECT_FALSE(DecodeGridConfig(prefix).ok())
-          << "encoding " << e << " truncated to " << len;
-      EXPECT_FALSE(DecodeReport(prefix).ok())
           << "encoding " << e << " truncated to " << len;
       EXPECT_FALSE(DecodeReportBatch(prefix).ok())
           << "encoding " << e << " truncated to " << len;
@@ -141,9 +139,16 @@ TEST(WireFuzzTest, BadMagicVersionOrKindFailsEvenResealed) {
     EXPECT_FALSE(DecodeReportBatch(corrupt).ok()) << "header byte " << i;
   }
   // A valid message of one kind must not decode as another.
+  EXPECT_FALSE(DecodeReportBatch(EncodeGridConfig(SampleGridConfig())).ok());
   EXPECT_FALSE(
-      DecodeReportBatch(EncodeReport(SampleReport(fo::Protocol::kGrr))).ok());
-  EXPECT_FALSE(DecodeReport(EncodeGridConfig(SampleGridConfig())).ok());
+      DecodeGridConfig(EncodeReportBatch({SampleReport(fo::Protocol::kGrr)}))
+          .ok());
+  // Kind 2, the retired single-report frame, is no report kind any more.
+  std::vector<uint8_t> retired =
+      EncodeReportBatch({SampleReport(fo::Protocol::kGrr)});
+  retired[kHeaderSize - 1] = 2;
+  Reseal(&retired);
+  EXPECT_FALSE(DecodeReportBatch(retired).ok());
 }
 
 TEST(WireFuzzTest, OversizedBatchCountFailsEvenResealed) {
@@ -186,38 +191,38 @@ TEST(WireFuzzTest, CountJustOverRemainingBytesFailsBeforeAllocating) {
 }
 
 TEST(WireFuzzTest, OversizedOueLengthPrefixFailsEvenResealed) {
-  const ReportMessage report = SampleReport(fo::Protocol::kOue);
-  std::vector<uint8_t> corrupt = EncodeReport(report);
-  // OUE body layout: grid_index(4) + protocol(1) + bit count(4) + bits.
-  const size_t len_offset = kHeaderSize + 4 + 1;
+  std::vector<uint8_t> corrupt =
+      EncodeReportBatch({SampleReport(fo::Protocol::kOue)});
+  // One-record batch: count(4), then the OUE record grid_index(4) +
+  // protocol(1) + bit count(4) + bits.
+  const size_t len_offset = kHeaderSize + 4 + 4 + 1;
   const uint32_t absurd = 0xffffffffu;
   std::memcpy(corrupt.data() + len_offset, &absurd, sizeof(absurd));
   Reseal(&corrupt);
   const test_support::ScopedAllocationCap cap(corrupt.size());
-  EXPECT_FALSE(DecodeReport(corrupt).ok());
+  EXPECT_FALSE(DecodeReportBatch(corrupt).ok());
 }
 
 TEST(WireFuzzTest, NonBinaryOueBitFailsEvenResealed) {
-  const ReportMessage report = SampleReport(fo::Protocol::kOue);
-  std::vector<uint8_t> corrupt = EncodeReport(report);
-  const size_t first_bit = kHeaderSize + 4 + 1 + 4;
+  std::vector<uint8_t> corrupt =
+      EncodeReportBatch({SampleReport(fo::Protocol::kOue)});
+  // count(4), grid_index(4), protocol(1), bit count(4), then the bits.
+  const size_t first_bit = kHeaderSize + 4 + 4 + 1 + 4;
   corrupt[first_bit] = 2;
   Reseal(&corrupt);
-  EXPECT_FALSE(DecodeReport(corrupt).ok());
-
-  // Same corruption inside a batch must also fail the sharded decoder's
-  // validation pass.
-  std::vector<uint8_t> batch = EncodeReportBatch({report});
-  batch[kHeaderSize + 4 + 4 + 1 + 4] = 2;
-  Reseal(&batch);
-  EXPECT_FALSE(DecodeReportBatch(batch).ok());
+  EXPECT_FALSE(DecodeReportBatch(corrupt).ok());
+  // The sharded decoder's validation pass rejects it too.
+  EXPECT_FALSE(DecodeReportBatchSharded(
+                   corrupt, [](size_t, size_t, ReportMessage&&) {}, 1)
+                   .ok());
 }
 
 TEST(WireFuzzTest, InvalidProtocolByteFailsEvenResealed) {
-  std::vector<uint8_t> corrupt = EncodeReport(SampleReport(fo::Protocol::kGrr));
-  corrupt[kHeaderSize + 4] = 0x7f;  // protocol byte
+  std::vector<uint8_t> corrupt =
+      EncodeReportBatch({SampleReport(fo::Protocol::kGrr)});
+  corrupt[kHeaderSize + 4 + 4] = 0x7f;  // after count and grid index
   Reseal(&corrupt);
-  EXPECT_FALSE(DecodeReport(corrupt).ok());
+  EXPECT_FALSE(DecodeReportBatch(corrupt).ok());
 }
 
 TEST(WireFuzzTest, RandomSingleByteCorruptionNeverDecodes) {
@@ -244,7 +249,6 @@ TEST(WireFuzzTest, RandomGarbageBuffersNeverDecode) {
       b = static_cast<uint8_t>(rng.UniformU64(256));
     }
     EXPECT_FALSE(DecodeGridConfig(garbage).ok());
-    EXPECT_FALSE(DecodeReport(garbage).ok());
     EXPECT_FALSE(DecodeReportBatch(garbage).ok());
   }
 }

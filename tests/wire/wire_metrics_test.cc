@@ -25,7 +25,7 @@ namespace {
 #ifdef FELIP_OBS_NOOP
 
 TEST(WireMetricsTest, NoopBuildStillDecodes) {
-  EXPECT_FALSE(DecodeReport({}).has_value());
+  EXPECT_FALSE(DecodeReportBatch({}).has_value());
 }
 
 #else
@@ -138,15 +138,16 @@ TEST(WireMetricsTest, SingleReportDecodesAreCounted) {
   ReportMessage m;
   m.grid_index = 5;
   m.payload = uint64_t{2};
-  const std::vector<uint8_t> valid = EncodeReport(m);
+  const std::vector<uint8_t> valid = EncodeReportBatch({m});
   std::vector<uint8_t> corrupt = valid;
   corrupt[0] ^= 0xff;
   Reseal(&corrupt);
 
   const CounterSnapshot before = Snapshot();
-  ASSERT_TRUE(DecodeReport(valid).has_value());
-  EXPECT_FALSE(DecodeReport(corrupt).has_value());
+  ASSERT_TRUE(DecodeReportBatch(valid).has_value());
+  EXPECT_FALSE(DecodeReportBatch(corrupt).has_value());
   const CounterSnapshot after = Snapshot();
+  EXPECT_EQ(after.batches - before.batches, 1u);
   EXPECT_EQ(after.reports - before.reports, 1u);
   EXPECT_EQ(after.malformed - before.malformed, 1u);
   EXPECT_EQ(after.bytes - before.bytes, valid.size() + corrupt.size());
@@ -187,7 +188,7 @@ TEST(WireMetricsTest, PerProtocolReportByteCounterMatchesRegistryModel) {
   grr.payload = uint64_t{11};
   const uint64_t grr_before =
       registry.CounterValue("felip_fo_report_bytes_total_grr");
-  ASSERT_TRUE(DecodeReport(EncodeReport(grr)).has_value());
+  ASSERT_TRUE(DecodeReportBatch(EncodeReportBatch({grr})).has_value());
   const uint64_t grr_delta =
       registry.CounterValue("felip_fo_report_bytes_total_grr") - grr_before;
   EXPECT_EQ(grr_delta,
@@ -200,7 +201,7 @@ TEST(WireMetricsTest, PerProtocolReportByteCounterMatchesRegistryModel) {
   fldp_options.fldp.report_bits = 4;
   const uint64_t fldp_before =
       registry.CounterValue("felip_fo_report_bytes_total_fldp");
-  ASSERT_TRUE(DecodeReport(EncodeReport(fldp)).has_value());
+  ASSERT_TRUE(DecodeReportBatch(EncodeReportBatch({fldp})).has_value());
   const uint64_t fldp_delta =
       registry.CounterValue("felip_fo_report_bytes_total_fldp") - fldp_before;
   EXPECT_EQ(fldp_delta, fo::GetTraits(fo::Protocol::kFldp)
@@ -267,7 +268,8 @@ TEST(WireMetricsTest, ReusedBatchVectorMatchesFreshDecodes) {
   std::vector<uint8_t> bad = EncodeReportBatch(victim);
   size_t offset = 6 + 4;  // header + report count
   for (size_t i = 0; i < 2; ++i) {
-    offset += EncodeReport(victim[i]).size() - 6 - kTrailerSize;
+    // A one-record frame is header + count + the record + trailer.
+    offset += EncodeReportBatch({victim[i]}).size() - 6 - 4 - kTrailerSize;
   }
   bad[offset + 4] = 0x7f;  // after the grid index
   Reseal(&bad);

@@ -17,6 +17,7 @@
 
 #include "felip/common/hash.h"
 #include "felip/query/query.h"
+#include "support/alloc_cap.h"
 
 namespace felip::wire {
 namespace {
@@ -112,6 +113,7 @@ TEST(WireQueryBatchTest, RoundTripsEmptyBatch) {
 
 TEST(WireQueryBatchTest, DetectsBitFlips) {
   const std::vector<uint8_t> encoded = EncodeQueryBatch(SampleBatch());
+  const test_support::ScopedAllocationCap cap(encoded.size());
   for (size_t i = 0; i < encoded.size(); ++i) {
     std::vector<uint8_t> corrupted = encoded;
     corrupted[i] ^= 0x40;
@@ -122,6 +124,7 @@ TEST(WireQueryBatchTest, DetectsBitFlips) {
 
 TEST(WireQueryBatchTest, DetectsTruncation) {
   const std::vector<uint8_t> encoded = EncodeQueryBatch(SampleBatch());
+  const test_support::ScopedAllocationCap cap(encoded.size());
   for (size_t len = 0; len < encoded.size(); ++len) {
     const std::vector<uint8_t> truncated(encoded.begin(),
                                          encoded.begin() + len);
@@ -216,6 +219,7 @@ TEST(WireQueryBatchTest, RejectsTrailingGarbage) {
   frame.resize(frame.size() - sizeof(uint64_t));
   Put<uint8_t>(&frame, 0xab);
   Seal(&frame);
+  const test_support::ScopedAllocationCap cap(frame.size());
   EXPECT_FALSE(DecodeQueryBatch(frame).has_value());
 }
 
@@ -250,6 +254,7 @@ TEST(WireQueryResponseTest, DetectsBitFlipsAndTruncation) {
   m.status = StatusCode::kOk;
   m.answers = {0.5, 0.125};
   const std::vector<uint8_t> encoded = EncodeQueryResponse(m);
+  const test_support::ScopedAllocationCap cap(encoded.size());
   for (size_t i = 0; i < encoded.size(); ++i) {
     std::vector<uint8_t> corrupted = encoded;
     corrupted[i] ^= 0x04;
@@ -335,6 +340,7 @@ TEST(WireWindowedQueryTest, DetectsBitFlipsAndTruncation) {
   m.decay = 0.5;
   m.queries = SampleBatch();
   const std::vector<uint8_t> encoded = EncodeWindowedQuery(m);
+  const test_support::ScopedAllocationCap cap(encoded.size());
   for (size_t i = 0; i < encoded.size(); ++i) {
     std::vector<uint8_t> corrupted = encoded;
     corrupted[i] ^= 0x40;

@@ -10,6 +10,7 @@
 #include "felip/common/rng.h"
 #include "felip/data/synthetic.h"
 #include "felip/wire/framing.h"
+#include "support/alloc_cap.h"
 
 namespace felip::wire {
 namespace {
@@ -41,6 +42,7 @@ TEST(WireGridConfigTest, RoundTrips) {
 
 TEST(WireGridConfigTest, DetectsBitFlips) {
   const std::vector<uint8_t> encoded = EncodeGridConfig(SampleConfig());
+  const test_support::ScopedAllocationCap cap(encoded.size());
   // Flip every byte in turn; every corruption must be caught.
   for (size_t i = 0; i < encoded.size(); ++i) {
     std::vector<uint8_t> corrupted = encoded;
@@ -52,6 +54,7 @@ TEST(WireGridConfigTest, DetectsBitFlips) {
 
 TEST(WireGridConfigTest, DetectsTruncation) {
   const std::vector<uint8_t> encoded = EncodeGridConfig(SampleConfig());
+  const test_support::ScopedAllocationCap cap(encoded.size());
   for (size_t len = 0; len < encoded.size(); ++len) {
     const std::vector<uint8_t> truncated(encoded.begin(),
                                          encoded.begin() + len);
@@ -138,8 +141,9 @@ TEST(WireGridConfigTest, RejectsUnknownProtocolByte) {
 // The registry's report_bytes hook promises the wire-body size of one
 // report, which is what budget-aware AFO scores against. The framing
 // around the body (magic, version, kind, grid index, protocol byte,
-// checksum) is protocol-independent, so pin the hook by subtracting the
-// fixed overhead measured on GRR (whose body is exactly 8 bytes).
+// checksum, and the count of the one-record batch) is protocol-independent,
+// so pin the hook by subtracting the fixed overhead measured on GRR (whose
+// body is exactly 8 bytes).
 TEST(WireReportTest, RegistryReportBytesMatchCodecBodySize) {
   const fo::ProtocolOptions options;
   constexpr uint64_t kDomain = 6;
@@ -150,7 +154,7 @@ TEST(WireReportTest, RegistryReportBytesMatchCodecBodySize) {
     ReportMessage m;
     static_cast<fo::ReportData&>(m) = client->Perturb(3, rng);
     m.grid_index = 0;
-    return EncodeReport(m).size();
+    return EncodeReportBatch({m}).size();
   };
   const uint64_t fixed_overhead =
       encoded_size(fo::Protocol::kGrr) -
@@ -164,16 +168,17 @@ TEST(WireReportTest, RegistryReportBytesMatchCodecBodySize) {
 }
 
 TEST(WireGridConfigTest, RejectsWrongKind) {
-  EXPECT_FALSE(DecodeGridConfig(EncodeReport(ReportMessage{})).has_value());
+  EXPECT_FALSE(
+      DecodeGridConfig(EncodeReportBatch({ReportMessage{}})).has_value());
 }
 
 TEST(WireReportTest, GrrRoundTrip) {
   ReportMessage m;
   m.grid_index = 3;
   m.payload = uint64_t{42};
-  const auto decoded = DecodeReport(EncodeReport(m));
+  const auto decoded = DecodeReportBatch(EncodeReportBatch({m}));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, m);
+  EXPECT_EQ(*decoded, std::vector<ReportMessage>{m});
 }
 
 TEST(WireReportTest, OlhRoundTrip) {
@@ -181,18 +186,18 @@ TEST(WireReportTest, OlhRoundTrip) {
   m.grid_index = 9;
   m.payload =
       fo::OlhReport{.seed = 0xdeadbeef, .hashed_report = 2, .seed_index = 17};
-  const auto decoded = DecodeReport(EncodeReport(m));
+  const auto decoded = DecodeReportBatch(EncodeReportBatch({m}));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, m);
+  EXPECT_EQ(*decoded, std::vector<ReportMessage>{m});
 }
 
 TEST(WireReportTest, OueRoundTrip) {
   ReportMessage m;
   m.grid_index = 0;
   m.payload = std::vector<uint8_t>{1, 0, 0, 1, 1, 0};
-  const auto decoded = DecodeReport(EncodeReport(m));
+  const auto decoded = DecodeReportBatch(EncodeReportBatch({m}));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, m);
+  EXPECT_EQ(*decoded, std::vector<ReportMessage>{m});
 }
 
 // Zero-length reads must not reach memcpy: an empty vector's data() may
@@ -214,18 +219,18 @@ TEST(WireReportTest, EmptyOueBitVectorRoundTrips) {
   ReportMessage m;
   m.grid_index = 2;
   m.payload = std::vector<uint8_t>{};
-  const auto decoded = DecodeReport(EncodeReport(m));
+  const auto decoded = DecodeReportBatch(EncodeReportBatch({m}));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, m);
+  EXPECT_EQ(*decoded, std::vector<ReportMessage>{m});
 }
 
 TEST(WireReportTest, PgrRoundTrip) {
   ReportMessage m;
   m.grid_index = 5;
   m.payload = uint32_t{0xbeef};
-  const auto decoded = DecodeReport(EncodeReport(m));
+  const auto decoded = DecodeReportBatch(EncodeReportBatch({m}));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, m);
+  EXPECT_EQ(*decoded, std::vector<ReportMessage>{m});
 }
 
 TEST(WireReportTest, FldpRoundTrip) {
@@ -233,9 +238,9 @@ TEST(WireReportTest, FldpRoundTrip) {
   m.grid_index = 2;
   m.payload = fo::FldpReport{.subset_index = 321,
                               .bits = {1, 0, 1, 1, 0, 0, 0, 1}};
-  const auto decoded = DecodeReport(EncodeReport(m));
+  const auto decoded = DecodeReportBatch(EncodeReportBatch({m}));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, m);
+  EXPECT_EQ(*decoded, std::vector<ReportMessage>{m});
 }
 
 TEST(WireReportTest, NewShapesRejectTruncationAndBitFlips) {
@@ -247,17 +252,18 @@ TEST(WireReportTest, NewShapesRejectTruncationAndBitFlips) {
     m.grid_index = 11;
     m.payload = payload;
     const fo::Protocol protocol = m.protocol();
-    const std::vector<uint8_t> encoded = EncodeReport(m);
+    const std::vector<uint8_t> encoded = EncodeReportBatch({m});
+    const test_support::ScopedAllocationCap cap(encoded.size());
     for (size_t len = 0; len < encoded.size(); ++len) {
       const std::vector<uint8_t> truncated(encoded.begin(),
                                            encoded.begin() + len);
-      EXPECT_FALSE(DecodeReport(truncated).has_value())
+      EXPECT_FALSE(DecodeReportBatch(truncated).has_value())
           << "protocol " << static_cast<int>(protocol) << " len " << len;
     }
     for (size_t i = 0; i < encoded.size(); ++i) {
       std::vector<uint8_t> corrupted = encoded;
       corrupted[i] ^= 0x40;
-      EXPECT_FALSE(DecodeReport(corrupted).has_value())
+      EXPECT_FALSE(DecodeReportBatch(corrupted).has_value())
           << "protocol " << static_cast<int>(protocol) << " byte " << i;
     }
   }
@@ -266,18 +272,18 @@ TEST(WireReportTest, NewShapesRejectTruncationAndBitFlips) {
 TEST(WireReportTest, RejectsNonBinaryFldpBits) {
   ReportMessage m;
   m.payload = fo::FldpReport{.subset_index = 1, .bits = {1, 2, 0}};
-  EXPECT_FALSE(DecodeReport(EncodeReport(m)).has_value());
+  EXPECT_FALSE(DecodeReportBatch(EncodeReportBatch({m})).has_value());
 }
 
 TEST(WireReportTest, RejectsNonBinaryOueBits) {
   ReportMessage m;
   m.payload = std::vector<uint8_t>{1, 2, 0};
   // The encoder writes whatever it is given; the decoder must reject it.
-  EXPECT_FALSE(DecodeReport(EncodeReport(m)).has_value());
+  EXPECT_FALSE(DecodeReportBatch(EncodeReportBatch({m})).has_value());
 }
 
 TEST(WireReportTest, EmptyBufferFails) {
-  EXPECT_FALSE(DecodeReport({}).has_value());
+  EXPECT_FALSE(DecodeReportBatch({}).has_value());
 }
 
 TEST(WireBatchTest, RoundTripsMixedProtocols) {
@@ -305,6 +311,7 @@ TEST(WireBatchTest, CorruptedCountFails) {
   std::vector<ReportMessage> batch(2);
   std::vector<uint8_t> encoded = EncodeReportBatch(batch);
   encoded[6] = 200;  // claim 200 reports
+  const test_support::ScopedAllocationCap cap(encoded.size());
   EXPECT_FALSE(DecodeReportBatch(encoded).has_value());
 }
 
@@ -348,28 +355,36 @@ TEST(WireFormatStabilityTest, GoldenBytesForGrrReport) {
   // format, one row per protocol shape. If this test breaks, bump
   // kVersion instead of silently changing the encoding under deployed
   // clients. Rows are built through the registry's report clients, so
-  // they also pin each client's rng trajectory. Frame layout: magic
-  // "FELP" LE, version 1, kind 2, grid index LE, protocol byte, payload
-  // LE, then the 8-byte xxHash64 trailer.
+  // they also pin each client's rng trajectory. Each row is a one-record
+  // report batch: magic "FELP" LE, version 1, kind 3, report count 1 LE,
+  // then the record (grid index LE, protocol byte, payload LE), then the
+  // 8-byte xxHash64 trailer. The record bytes are the ones the retired
+  // single-report frame (kind 2) carried.
   const GoldenReport rows[] = {
       {"grr", fo::Protocol::kGrr, {}, 1.0, 1000000, 123456, 1,
-       "504c4546" "0102" "04030201" "00"
-       "60660b0000000000" "a5d685d6d52ceab7"},
+       "504c4546" "0103" "01000000"
+       "04030201" "00"
+       "60660b0000000000" "fa847aadc105c6d3"},
       {"olh_pooled", fo::Protocol::kOlh, PooledOlh(), 1.0, 64, 5, 2,
-       "504c4546" "0102" "04030201" "01"
-       "b23c12e56f2fd6340100000030000000" "3f9a500389b58ecd"},
+       "504c4546" "0103" "01000000"
+       "04030201" "01"
+       "b23c12e56f2fd6340100000030000000" "04ea89e6b7e17fef"},
       {"olh_per_user", fo::Protocol::kOlh, {}, 1.0, 64, 5, 3,
-       "504c4546" "0102" "04030201" "01"
-       "296919b991eb2b0d03000000ffffffff" "820c111114c31f7d"},
+       "504c4546" "0103" "01000000"
+       "04030201" "01"
+       "296919b991eb2b0d03000000ffffffff" "c8dc8f3f2d108c53"},
       {"oue", fo::Protocol::kOue, {}, 1.0, 12, 7, 4,
-       "504c4546" "0102" "04030201" "02"
-       "0c000000000001000100000000010100" "8fe8e87ed839c9e5"},
+       "504c4546" "0103" "01000000"
+       "04030201" "02"
+       "0c000000000001000100000000010100" "dcc586001a777a7b"},
       {"pgr", fo::Protocol::kPgr, {}, 1.0, 100, 42, 5,
-       "504c4546" "0102" "04030201" "03"
-       "03000000" "87a679bedc1d6c74"},
+       "504c4546" "0103" "01000000"
+       "04030201" "03"
+       "03000000" "21efb888cb8d8dbe"},
       {"fldp", fo::Protocol::kFldp, SmallFldpPool(), 1.0, 50, 9, 6,
-       "504c4546" "0102" "04030201" "04"
-       "0b000000080000000000010000010001" "bc92eb03a24f4b28"},
+       "504c4546" "0103" "01000000"
+       "04030201" "04"
+       "0b000000080000000000010000010001" "a0f98b9a5b1797ee"},
   };
   for (const GoldenReport& row : rows) {
     SCOPED_TRACE(row.name);
@@ -379,13 +394,13 @@ TEST(WireFormatStabilityTest, GoldenBytesForGrrReport) {
     ReportMessage m;
     static_cast<fo::ReportData&>(m) = client->Perturb(row.value, rng);
     m.grid_index = 0x01020304;
-    const std::vector<uint8_t> encoded = EncodeReport(m);
+    const std::vector<uint8_t> encoded = EncodeReportBatch({m});
     EXPECT_EQ(Hex(encoded), row.hex);
     EXPECT_EQ(encoded.capacity(), encoded.size());
-    const auto decoded = DecodeReport(encoded);
+    const auto decoded = DecodeReportBatch(encoded);
     ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(*decoded, m);
-    EXPECT_EQ(EncodeReport(*decoded), encoded);
+    EXPECT_EQ(*decoded, std::vector<ReportMessage>{m});
+    EXPECT_EQ(EncodeReportBatch(*decoded), encoded);
   }
 }
 
@@ -439,7 +454,6 @@ TEST(WireFuzzTest, RandomBuffersNeverDecode) {
     std::vector<uint8_t> buffer(rng.UniformU64(200));
     for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.UniformU64(256));
     EXPECT_FALSE(DecodeGridConfig(buffer).has_value());
-    EXPECT_FALSE(DecodeReport(buffer).has_value());
     EXPECT_FALSE(DecodeReportBatch(buffer).has_value());
   }
 }
@@ -447,9 +461,9 @@ TEST(WireFuzzTest, RandomBuffersNeverDecode) {
 TEST(WireFuzzTest, ValidPrefixWithGarbageTailFails) {
   ReportMessage m;
   m.payload = uint64_t{1};
-  std::vector<uint8_t> buffer = EncodeReport(m);
+  std::vector<uint8_t> buffer = EncodeReportBatch({m});
   buffer.push_back(0xab);
-  EXPECT_FALSE(DecodeReport(buffer).has_value());
+  EXPECT_FALSE(DecodeReportBatch(buffer).has_value());
 }
 
 TEST(WireDeviceIntegrationTest, DeviceSideRoundTripEstimates) {

@@ -58,8 +58,8 @@ void PrintUsage() {
   --report-budget-bytes=<int>  per-report wire budget AFO plans
                           under (default 0 = unconstrained)
   --seed=<int>            planning seed (default 1)
-  --workers=<int>         queue drain threads (default 2)
-  --queue-capacity=<int>  batches buffered before backpressure (default 64)
+  --queue-capacity=<int>  batches buffered for the one drain thread before
+                          backpressure (default 64)
   --timeout-ms=<int>      max wait for the population (default 60000)
   --serve-queries         serve query batches after finalizing
   --query-port=<int>      query listen port, 0 picks one (default 0)
@@ -370,7 +370,6 @@ int main(int argc, char** argv) {
   const std::string protocols = flags.GetString("protocols", "");
   config.config.report_budget_bytes = flags.GetUint("report-budget-bytes", 0);
   config.config.seed = flags.GetUint("seed", 1);
-  config.workers = static_cast<unsigned>(flags.GetUint("workers", 2));
   config.queue_capacity =
       flags.GetUint("queue-capacity", config.queue_capacity);
   config.timeout_ms = static_cast<int>(flags.GetInt("timeout-ms", 60000));
