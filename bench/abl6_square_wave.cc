@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "felip/common/check.h"
 #include "felip/fo/frequency_oracle.h"
 #include "felip/fo/registry.h"
 #include "felip/fo/square_wave.h"
@@ -79,11 +80,13 @@ void Run() {
       options.olh.seed_pool_size = 4096;
       auto oracle =
           fo::MakeFrequencyOracle(plan.protocol, eps, plan.lx, options);
+      const auto client =
+          fo::MakeReportClient(plan.protocol, eps, plan.lx, options);
       for (const uint32_t v : dataset.Column(0)) {
-        oracle->BufferUserValue(g.CellOf(v), rng);
+        FELIP_CHECK(oracle->IngestReport(client->Perturb(g.CellOf(v), rng))
+                        .ok());
       }
-      oracle->FlushReports();
-      std::vector<double> cell_freq = oracle->EstimateFrequencies().value();
+      std::vector<double> cell_freq = oracle->EstimateFrequencies();
       post::RemoveNegativity(&cell_freq);
       g.SetFrequencies(std::move(cell_freq));
       std::vector<double> grid_hist(kDomain);

@@ -1,11 +1,11 @@
 // Throughput of the extension frequency-oracle backends (google-benchmark):
-// PGR and FLDP client perturbation, serial batch aggregation, and
-// estimation — including PGR's direct vs fast decode paths, whose
-// crossover is the reason the oracle offers both. Before any timing runs,
-// main() verifies that AggregateReports leaves the same counts as the
-// serial Add() loop and that the two PGR decode paths agree bitwise, and
-// aborts if not, so recorded numbers always come from a configuration
-// whose outputs were just proven equivalent.
+// PGR and FLDP client perturbation, the server Add() loop (what every
+// oracle's IngestReports runs after its checks), and estimation —
+// including PGR's direct vs fast decode paths, whose crossover is the
+// reason the oracle offers both. Before any timing runs, main() verifies
+// that the two PGR decode paths agree bitwise and aborts if not, so
+// recorded numbers always come from a configuration whose outputs were
+// just proven equivalent.
 //
 // Record results with:
 //   FELIP_BENCH_JSON_DIR=results FELIP_GIT_SHA=$(git rev-parse --short HEAD) \
@@ -88,34 +88,34 @@ void BM_FldpPerturb(benchmark::State& state) {
 }
 BENCHMARK(BM_FldpPerturb);
 
-void BM_PgrAggregate(benchmark::State& state) {
+void BM_PgrAddLoop(benchmark::State& state) {
   const auto& reports = PgrReports();
   for (auto _ : state) {
     fo::PgrServer server(kEpsilon, kDomain);
-    server.AggregateReports(reports);
+    for (const uint32_t r : reports) server.Add(r);
     benchmark::DoNotOptimize(server.num_reports());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(reports.size()));
 }
-BENCHMARK(BM_PgrAggregate)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PgrAddLoop)->Unit(benchmark::kMillisecond);
 
-void BM_FldpAggregate(benchmark::State& state) {
+void BM_FldpAddLoop(benchmark::State& state) {
   const auto& reports = FldpReports();
   for (auto _ : state) {
     fo::FldpServer server(kEpsilon, kDomain, kFldpOptions);
-    server.AggregateReports(reports);
+    for (const fo::FldpReport& r : reports) server.Add(r);
     benchmark::DoNotOptimize(server.num_reports());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(reports.size()));
 }
-BENCHMARK(BM_FldpAggregate)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FldpAddLoop)->Unit(benchmark::kMillisecond);
 
 void BM_PgrEstimate(benchmark::State& state) {
   const auto decode = static_cast<fo::PgrDecode>(state.range(0));
   fo::PgrServer server(kEpsilon, kDomain, {.decode = decode});
-  server.AggregateReports(PgrReports());
+  for (const uint32_t r : PgrReports()) server.Add(r);
   for (auto _ : state) {
     benchmark::DoNotOptimize(server.EstimateFrequencies());
   }
@@ -130,7 +130,7 @@ BENCHMARK(BM_PgrEstimate)
 
 void BM_FldpEstimate(benchmark::State& state) {
   fo::FldpServer server(kEpsilon, kDomain, kFldpOptions);
-  server.AggregateReports(FldpReports());
+  for (const fo::FldpReport& r : FldpReports()) server.Add(r);
   for (auto _ : state) {
     benchmark::DoNotOptimize(server.EstimateFrequencies());
   }
@@ -139,26 +139,16 @@ void BM_FldpEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_FldpEstimate)->Unit(benchmark::kMillisecond);
 
-// Fails fast unless AggregateReports leaves the same counts as the serial
-// Add() loop for both backends, and PGR's two decode paths agree bitwise.
+// Fails fast unless PGR's two decode paths agree bitwise.
 void VerifyDeterminismOrDie() {
-  fo::PgrServer pgr_add(kEpsilon, kDomain,
-                        {.decode = fo::PgrDecode::kDirect});
-  for (const uint32_t r : PgrReports()) pgr_add.Add(r);
+  fo::PgrServer pgr_direct(kEpsilon, kDomain,
+                           {.decode = fo::PgrDecode::kDirect});
   fo::PgrServer pgr_fast(kEpsilon, kDomain, {.decode = fo::PgrDecode::kFast});
-  pgr_fast.AggregateReports(PgrReports());
-  fo::FldpServer fldp_add(kEpsilon, kDomain, kFldpOptions);
-  for (const fo::FldpReport& r : FldpReports()) fldp_add.Add(r);
-  fo::FldpServer fldp_batch(kEpsilon, kDomain, kFldpOptions);
-  fldp_batch.AggregateReports(FldpReports());
-  if (pgr_fast.counts() != pgr_add.counts() ||
-      fldp_batch.counts() != fldp_add.counts() ||
-      fldp_batch.coverage_counts() != fldp_add.coverage_counts()) {
-    std::fprintf(stderr,
-                 "FATAL: AggregateReports differs from the Add loop\n");
-    std::abort();
+  for (const uint32_t r : PgrReports()) {
+    pgr_direct.Add(r);
+    pgr_fast.Add(r);
   }
-  const std::vector<double> direct = pgr_add.EstimateFrequencies();
+  const std::vector<double> direct = pgr_direct.EstimateFrequencies();
   const std::vector<double> fast = pgr_fast.EstimateFrequencies();
   if (std::memcmp(fast.data(), direct.data(),
                   direct.size() * sizeof(double)) != 0) {
@@ -166,8 +156,7 @@ void VerifyDeterminismOrDie() {
                  "FATAL: PGR fast decode differs from direct decode\n");
     std::abort();
   }
-  std::printf("determinism: PGR and FLDP AggregateReports bit-identical to "
-              "the Add loop, PGR direct == fast decode, over %zu reports\n",
+  std::printf("determinism: PGR direct == fast decode over %zu reports\n",
               kNumReports);
   std::printf("simd dispatch: %s\n", simd::DescribeDispatch().c_str());
 }

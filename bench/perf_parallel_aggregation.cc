@@ -1,11 +1,8 @@
-// Batch aggregation throughput (google-benchmark): the serial Add() loop vs
-// AggregateReports() for the frequency oracles, per-user OLH estimation,
-// and the sharded wire batch decode at 1/2/4/8 threads. GRR and pooled OLH
-// aggregate in one serial pass; OUE aggregation and per-user OLH
-// estimation shard over the host's cores. Before any timing runs, main()
-// verifies that AggregateReports leaves the same counts as the Add() loop
-// and aborts if it does not, so recorded numbers always come from a
-// configuration whose outputs were just proven equivalent.
+// Aggregation throughput (google-benchmark): the server Add() loop of GRR,
+// pooled OLH and OUE (the loop every oracle's IngestReports runs after its
+// checks), per-user OLH estimation, and the sharded wire batch decode at
+// 1/2/4/8 threads feeding that Add() loop. Per-user OLH estimation shards
+// over the host's cores; everything else runs on the calling thread.
 //
 // Record results with:
 //   FELIP_BENCH_JSON_DIR=results FELIP_GIT_SHA=$(git rev-parse --short HEAD) \
@@ -21,7 +18,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <variant>
 #include <vector>
 
@@ -132,21 +128,9 @@ void BM_OlhPoolAddLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_OlhPoolAddLoop)->Unit(benchmark::kMillisecond);
 
-void BM_OlhPoolAggregate(benchmark::State& state) {
-  const auto& reports = OlhPoolReports();
-  for (auto _ : state) {
-    fo::OlhServer server(kEpsilon, kDomain, kPool);
-    server.AggregateReports(reports);
-    benchmark::DoNotOptimize(server.num_reports());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(reports.size()));
-}
-BENCHMARK(BM_OlhPoolAggregate)->Unit(benchmark::kMillisecond);
-
 void BM_OlhPerUserEstimate(benchmark::State& state) {
   fo::OlhServer server(kEpsilon, kPerUserDomain);
-  server.AggregateReports(OlhPerUserReports());
+  for (const fo::OlhReport& r : OlhPerUserReports()) server.Add(r);
   for (auto _ : state) {
     benchmark::DoNotOptimize(server.EstimateFrequencies());
   }
@@ -155,29 +139,29 @@ void BM_OlhPerUserEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_OlhPerUserEstimate)->Unit(benchmark::kMillisecond);
 
-void BM_GrrAggregate(benchmark::State& state) {
+void BM_GrrAddLoop(benchmark::State& state) {
   const auto& reports = GrrReports();
   for (auto _ : state) {
     fo::GrrServer server(kEpsilon, kDomain);
-    server.AggregateReports(reports);
+    for (const uint64_t r : reports) server.Add(r);
     benchmark::DoNotOptimize(server.num_reports());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(reports.size()));
 }
-BENCHMARK(BM_GrrAggregate)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GrrAddLoop)->Unit(benchmark::kMillisecond);
 
-void BM_OueAggregate(benchmark::State& state) {
+void BM_OueAddLoop(benchmark::State& state) {
   const auto& reports = OueReports();
   for (auto _ : state) {
     fo::OueServer server(kEpsilon, kOueDomain);
-    server.AggregateReports(reports);
+    for (const std::vector<uint8_t>& r : reports) server.Add(r);
     benchmark::DoNotOptimize(server.num_reports());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(reports.size()));
 }
-BENCHMARK(BM_OueAggregate)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OueAddLoop)->Unit(benchmark::kMillisecond);
 
 void BM_WireDecodeAggregate(benchmark::State& state) {
   const auto& buffer = WireBatch();
@@ -194,7 +178,7 @@ void BM_WireDecodeAggregate(benchmark::State& state) {
         },
         threads);
     for (const auto& batch : shard_reports) {
-      server.AggregateReports(batch);
+      for (const fo::OlhReport& r : batch) server.Add(r);
     }
     benchmark::DoNotOptimize(count);
     benchmark::DoNotOptimize(server.num_reports());
@@ -207,34 +191,11 @@ BENCHMARK(BM_WireDecodeAggregate)
     ->ArgName("threads")
     ->Unit(benchmark::kMillisecond);
 
-// Fails fast unless AggregateReports leaves the same counts as the
-// serial Add() loop for the two serial passes benchmarked here.
-void VerifyDeterminismOrDie() {
-  fo::OlhServer olh_add(kEpsilon, kDomain, kPool);
-  for (const fo::OlhReport& r : OlhPoolReports()) olh_add.Add(r);
-  fo::OlhServer olh_batch(kEpsilon, kDomain, kPool);
-  olh_batch.AggregateReports(OlhPoolReports());
-  fo::GrrServer grr_add(kEpsilon, kDomain);
-  for (const uint64_t r : GrrReports()) grr_add.Add(r);
-  fo::GrrServer grr_batch(kEpsilon, kDomain);
-  grr_batch.AggregateReports(GrrReports());
-  if (olh_batch.pool_counts() != olh_add.pool_counts() ||
-      grr_batch.counts() != grr_add.counts()) {
-    std::fprintf(stderr,
-                 "FATAL: AggregateReports differs from the Add loop\n");
-    std::abort();
-  }
-  std::printf("determinism: pooled-OLH and GRR AggregateReports "
-              "bit-identical to the Add loop over %zu reports\n",
-              kNumReports);
-  std::printf("simd dispatch: %s\n", simd::DescribeDispatch().c_str());
-}
-
 }  // namespace
 }  // namespace felip
 
 int main(int argc, char** argv) {
-  felip::VerifyDeterminismOrDie();
+  std::printf("simd dispatch: %s\n", felip::simd::DescribeDispatch().c_str());
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   felip::bench::BenchJsonReporter reporter(

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "felip/common/check.h"
 #include "felip/common/numeric.h"
@@ -105,11 +107,14 @@ void TdgHdgPipeline::Collect(const data::Dataset& dataset) {
   oracles_.clear();
   fo::ProtocolOptions options;
   options.olh = config_.olh_options;
+  std::vector<std::unique_ptr<fo::ReportClient>> clients;
   for (size_t g = 0; g < m; ++g) {
     const uint64_t domain = g < n1 ? grids_1d_[g].num_cells()
                                    : grids_2d_[g - n1].num_cells();
     oracles_.push_back(fo::MakeFrequencyOracle(
         fo::Protocol::kOlh, config_.epsilon, domain, options));
+    clients.push_back(fo::MakeReportClient(fo::Protocol::kOlh,
+                                           config_.epsilon, domain, options));
   }
 
   Rng rng(config_.seed);
@@ -124,9 +129,9 @@ void TdgHdgPipeline::Collect(const data::Dataset& dataset) {
       cell = grid.CellOf(dataset.Value(row, grid.attr_x()),
                          dataset.Value(row, grid.attr_y()));
     }
-    oracles_[g]->BufferUserValue(cell, rng);
+    FELIP_CHECK(
+        oracles_[g]->IngestReport(clients[g]->Perturb(cell, rng)).ok());
   }
-  for (auto& oracle : oracles_) oracle->FlushReports();
   collected_ = true;
 }
 
@@ -135,8 +140,7 @@ void TdgHdgPipeline::Finalize() {
   FELIP_CHECK_MSG(!finalized_, "Finalize() called twice");
   const size_t n1 = grids_1d_.size();
   for (size_t g = 0; g < oracles_.size(); ++g) {
-    // Collect() flushed every oracle, so no reports are buffered.
-    std::vector<double> freq = oracles_[g]->EstimateFrequencies().value();
+    std::vector<double> freq = oracles_[g]->EstimateFrequencies();
     post::RemoveNegativity(&freq);
     if (g < n1) {
       grids_1d_[g].SetFrequencies(std::move(freq));

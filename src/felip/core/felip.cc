@@ -246,16 +246,7 @@ void FelipPipeline::Collect(const data::Dataset& dataset) {
   for (uint32_t a = 0; a < dataset.num_attributes(); ++a) {
     FELIP_CHECK(dataset.attribute(a).domain == schema_[a].domain);
   }
-
-  // One frequency oracle per grid, at the per-grid budget.
-  oracles_.clear();
-  for (const GridAssignment& assignment : assignments_) {
-    const uint64_t domain =
-        static_cast<uint64_t>(assignment.plan.lx) * assignment.plan.ly;
-    oracles_.push_back(fo::MakeFrequencyOracle(assignment.plan.protocol,
-                                               per_grid_epsilon_, domain,
-                                               config_.protocol_options()));
-  }
+  BeginIngest();
 
   const size_t n1 = grids_1d_.size();
   const auto cell_of = [&](size_t g, uint64_t row) -> uint64_t {
@@ -268,46 +259,59 @@ void FelipPipeline::Collect(const data::Dataset& dataset) {
                        dataset.Value(row, assignment.attr_y));
   };
 
-  // Perturbation stays a single serial pass (the rng trajectory defines
-  // the simulated population and must not depend on thread count); the
-  // perturbed reports are buffered per grid and aggregated afterwards via
-  // each oracle's sharded parallel path.
-  Rng rng(config_.seed);
+  // Each user's device is the grid's report client; its reports reach
+  // the oracles through IngestReports, exactly like reports off the wire.
+  // Every grid perturbs into its own chunk of report slots that lives for
+  // the whole round, so a slot that already holds the report's alternative
+  // is only move-assigned.
+  constexpr size_t kChunkReports = 1024;
   const size_t m = assignments_.size();
-  uint64_t reports_in = 0;
+  const fo::ProtocolOptions options = config_.protocol_options();
+  std::vector<std::unique_ptr<fo::ReportClient>> clients;
+  std::vector<std::vector<fo::ReportData>> chunks(m);
+  std::vector<std::vector<const fo::ReportData*>> runs(m);
+  std::vector<size_t> filled(m, 0);
+  clients.reserve(m);
+  for (size_t g = 0; g < m; ++g) {
+    const grid::GridPlan& plan = assignments_[g].plan;
+    clients.push_back(fo::MakeReportClient(
+        plan.protocol, per_grid_epsilon_,
+        static_cast<uint64_t>(plan.lx) * plan.ly, options));
+    chunks[g].resize(kChunkReports);
+    for (const fo::ReportData& slot : chunks[g]) runs[g].push_back(&slot);
+  }
+  const auto flush = [&](size_t g) {
+    const std::span<const fo::ReportData* const> run(runs[g].data(),
+                                                     filled[g]);
+    FELIP_CHECK_MSG(IngestReports(static_cast<uint32_t>(g), run) == run.size(),
+                    "an oracle rejected a report its own client perturbed");
+    filled[g] = 0;
+  };
+  const auto report = [&](size_t g, uint64_t row, Rng& rng) {
+    chunks[g][filled[g]] = clients[g]->Perturb(cell_of(g, row), rng);
+    if (++filled[g] == kChunkReports) flush(g);
+  };
+
+  // Perturbation stays a single serial pass: the rng trajectory defines
+  // the simulated population and must not depend on thread count.
+  Rng rng(config_.seed);
   if (config_.partitioning == PartitioningMode::kDivideUsers) {
     for (uint64_t row = 0; row < dataset.num_rows(); ++row) {
-      const size_t g = static_cast<size_t>(rng.UniformU64(m));
-      oracles_[g]->BufferUserValue(cell_of(g, row), rng);
+      report(static_cast<size_t>(rng.UniformU64(m)), row, rng);
     }
-    reports_in = dataset.num_rows();
   } else {
     // Sequential composition: every user reports every grid at eps/m.
     for (uint64_t row = 0; row < dataset.num_rows(); ++row) {
-      for (size_t g = 0; g < m; ++g) {
-        oracles_[g]->BufferUserValue(cell_of(g, row), rng);
-      }
-    }
-    reports_in = dataset.num_rows() * m;
-  }
-  {
-    obs::ScopedTimer flush_span("felip_core_flush");
-    for (auto& oracle : oracles_) {
-      oracle->FlushReports();
+      for (size_t g = 0; g < m; ++g) report(g, row, rng);
     }
   }
-  obs::Registry::Default()
-      .GetCounter("felip_core_reports_total")
-      .Increment(reports_in);
-  // Collect() runs an entire round in one call, so it lands directly on
-  // kSealed (conceptually passing through kCollecting).
-  state_ = PipelineState::kSealed;
+  for (size_t g = 0; g < m; ++g) flush(g);
+  FinishIngest();
 }
 
 void FelipPipeline::BeginIngest() {
   ExpectState(PipelineState::kConfigured, "BeginIngest()");
-  // Same oracle construction as Collect(): one per grid, at the per-grid
-  // budget, so a networked round aggregates into identical state.
+  // One oracle per grid, at the per-grid budget.
   oracles_.clear();
   for (const GridAssignment& assignment : assignments_) {
     const uint64_t domain =
@@ -399,9 +403,7 @@ void FelipPipeline::Finalize() {
   {
     obs::ScopedTimer estimate_span("felip_core_estimate");
     for (size_t g = 0; g < assignments_.size(); ++g) {
-      // The pipeline machine guarantees the oracles flushed before
-      // kSealed, so an estimation failure here is programmer error.
-      std::vector<double> freq = oracles_[g]->EstimateFrequencies().value();
+      std::vector<double> freq = oracles_[g]->EstimateFrequencies();
       post::NormalizeFrequencies(&freq, config_.normalization);
       cells_estimated += freq.size();
       if (!assignments_[g].is_2d) {

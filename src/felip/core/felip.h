@@ -44,15 +44,14 @@ namespace felip::core {
 // Lifecycle of a FelipPipeline (see DESIGN.md). Exactly one state machine
 // covers both collection paths:
 //
-//   kConfigured --Collect()-----------------------------+
-//        |                                              |
-//        +--BeginIngest()--> kCollecting --FinishIngest()--> kSealed
-//                                                            |
-//                                          Finalize()        v
-//                                                        kQueryable
+//   kConfigured --BeginIngest()--> kCollecting --FinishIngest()--> kSealed
+//                                                                    |
+//                                                  Finalize()        v
+//                                                                kQueryable
 //
-// Collect() simulates an entire round in one call, so it moves straight
-// from kConfigured to kSealed. FromEstimatedGrids and snapshot loads enter
+// Collect() simulates an entire round in one call: it runs BeginIngest(),
+// hands every simulated user's report to IngestReports() and ends with
+// FinishIngest(). FromEstimatedGrids and snapshot loads enter
 // mid-machine: a finalized snapshot restores kQueryable, a mid-round one
 // restores kCollecting. Transitions are enforced with FELIP_CHECK — a
 // caller driving the machine out of order is programmer error, not a
@@ -219,8 +218,11 @@ class FelipPipeline {
   // Requires Finalize(); this is what a snapshot persists.
   std::vector<std::vector<double>> ExportGridFrequencies() const;
 
-  // Simulates the LDP collection round: every dataset row is one user.
-  // The dataset must match the schema and have exactly `num_users` rows.
+  // Simulates the LDP collection round: every dataset row is one user,
+  // perturbed with its grid's fo::ReportClient and ingested through
+  // IngestReports(), so the round ends kSealed with reports_ingested()
+  // set. The dataset must match the schema and have exactly `num_users`
+  // rows.
   void Collect(const data::Dataset& dataset);
 
   // Estimation + post-processing + response matrices. Requires Collect().
@@ -249,6 +251,9 @@ class FelipPipeline {
   // One report, with the reason when it is rejected (kInvalidArgument).
   Status IngestReport(uint32_t grid_index, const fo::ReportData& report);
   void FinishIngest();
+  // Reports accepted since BeginIngest() (Collect() included), plus the
+  // report totals of merged shards; equals the summed num_reports of the
+  // oracles in kCollecting and kSealed.
   uint64_t reports_ingested() const { return reports_ingested_; }
 
   // Smallest per-grid report count across the live oracles, or 0 before
@@ -379,7 +384,7 @@ class FelipPipeline {
   std::vector<GridAssignment> assignments_;
   std::vector<grid::Grid1D> grids_1d_;
   std::vector<grid::Grid2D> grids_2d_;
-  // grid index (into assignments_) -> oracle; built lazily at Collect.
+  // grid index (into assignments_) -> oracle; built at BeginIngest.
   std::vector<std::unique_ptr<fo::FrequencyOracle>> oracles_;
   // attr -> index into grids_1d_, or -1.
   std::vector<int> one_dim_index_;

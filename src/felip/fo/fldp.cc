@@ -5,8 +5,6 @@
 
 #include "felip/common/check.h"
 #include "felip/common/hash.h"
-#include "felip/obs/metrics.h"
-#include "felip/obs/trace.h"
 
 namespace felip::fo {
 
@@ -126,15 +124,6 @@ void FldpServer::Add(const FldpReport& report) {
   FELIP_CHECK(set <= 1);
   ++coverage_counts_[report.subset_index];
   ++num_reports_;
-}
-
-void FldpServer::AggregateReports(std::span<const FldpReport> reports) {
-  if (reports.empty()) return;
-  obs::ScopedTimer span("felip_fo_fldp_aggregate");
-  static obs::Counter& reports_total =
-      obs::Registry::Default().GetCounter("felip_fo_fldp_reports_total");
-  reports_total.Increment(reports.size());
-  for (const FldpReport& r : reports) Add(r);
 }
 
 void FldpServer::RestoreState(std::vector<uint64_t> counts,

@@ -28,7 +28,6 @@
 #define FELIP_FO_FLDP_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "felip/common/rng.h"
@@ -93,10 +92,6 @@ class FldpServer {
 
   // Accumulates one report (subset_index < K, bits.size() == s, 0/1).
   void Add(const FldpReport& report);
-
-  // Batch ingestion: Add() on every report, in order, on the calling
-  // thread.
-  void AggregateReports(std::span<const FldpReport> reports);
 
   // Unbiased frequency estimates for all domain values. A bucket no
   // user's subset covered estimates 0.

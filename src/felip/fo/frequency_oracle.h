@@ -7,17 +7,15 @@
 // client/server classes remain public API for deployments that separate
 // the two sides. Create oracles with MakeFrequencyOracle (fo/registry.h).
 //
-// Two ingestion paths exist:
-//   * IngestReports / IngestReport — already-perturbed, untrusted reports
-//     (the network and replay paths). Service sinks sort each decoded
-//     frame by grid and hand every grid's oracle its run of reports in one
-//     IngestReports call, a tight check-then-Add loop; IngestReport is the
-//     one-report form with the same checks. Invalid input is rejected,
-//     never fatal.
-//   * BufferUserValue + FlushReports — in-process simulation: perturb with
-//     the user's rng and park the report in a buffer; FlushReports hands
-//     the whole buffer to the server's batch AggregateReports, whose
-//     counts are bit-identical to an Add() loop. See docs/aggregation.md.
+// One ingestion path exists: IngestReports / IngestReport take
+// already-perturbed, untrusted reports and run the protocol's checks
+// before the server's Add(). Reports come from the network, the replay
+// log or an in-process simulation (FelipPipeline::Collect perturbs with a
+// ReportClient, fo/report.h), and all of them take this path. Service
+// sinks sort each decoded frame by grid and hand every grid's oracle its
+// run of reports in one IngestReports call, a tight check-then-Add loop;
+// IngestReport is the one-report form with the same checks. Invalid input
+// is rejected, never fatal. See docs/aggregation.md.
 
 #ifndef FELIP_FO_FREQUENCY_ORACLE_H_
 #define FELIP_FO_FREQUENCY_ORACLE_H_
@@ -27,7 +25,6 @@
 #include <span>
 #include <vector>
 
-#include "felip/common/rng.h"
 #include "felip/common/status.h"
 #include "felip/fo/protocol.h"
 #include "felip/fo/report.h"
@@ -70,18 +67,7 @@ class FrequencyOracle {
  public:
   virtual ~FrequencyOracle() = default;
 
-  // Perturbs `value` with the user's `rng` and parks the perturbed report
-  // in a buffer instead of aggregating it.
-  virtual void BufferUserValue(uint64_t value, Rng& rng) = 0;
-
-  // Aggregates all buffered reports with the server's batch path and
-  // clears the buffer.
-  virtual void FlushReports() = 0;
-
-  // Reports buffered but not yet flushed.
-  virtual size_t buffered_reports() const = 0;
-
-  // --- Untrusted-report ingestion (network path) ---
+  // --- Untrusted-report ingestion ---
   //
   // Aggregates one already-perturbed report after validating it against
   // this oracle's protocol and domain. Unlike the server Add() methods
@@ -103,15 +89,13 @@ class FrequencyOracle {
   // checksums pass (a snapshot from a different config can be internally
   // consistent but wrong for *this* oracle), so RestoreState validates
   // protocol, shapes, and report ranges and returns kInvalidArgument
-  // rather than aborting. Restoring over unflushed buffered reports
-  // returns kFailedPrecondition.
+  // rather than aborting.
   virtual OracleState ExportState() const = 0;
   virtual Status RestoreState(OracleState state) = 0;
 
   // Unbiased frequency estimates for all domain values (may be negative).
-  // Returns kFailedPrecondition while reports are buffered but unflushed
-  // (call FlushReports first).
-  virtual StatusOr<std::vector<double>> EstimateFrequencies() const = 0;
+  // Requires at least one report.
+  virtual std::vector<double> EstimateFrequencies() const = 0;
 
   virtual uint64_t domain() const = 0;
   virtual uint64_t num_reports() const = 0;

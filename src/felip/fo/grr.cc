@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "felip/common/check.h"
-#include "felip/obs/metrics.h"
-#include "felip/obs/trace.h"
 
 namespace felip::fo {
 
@@ -43,20 +41,6 @@ uint64_t GrrClient::Perturb(uint64_t value, Rng& rng) const {
 GrrServer::GrrServer(double epsilon, uint64_t domain)
     : counts_(domain, 0) {
   ComputeGrrProbabilities(epsilon, domain, &p_, &q_);
-}
-
-void GrrServer::AggregateReports(std::span<const uint64_t> reports) {
-  if (reports.empty()) return;
-  obs::ScopedTimer span("felip_fo_grr_aggregate");
-  // Hot-path instruments are cached; GetCounter takes a registry lock.
-  static obs::Counter& reports_total =
-      obs::Registry::Default().GetCounter("felip_fo_grr_reports_total");
-  reports_total.Increment(reports.size());
-  for (const uint64_t r : reports) {
-    FELIP_CHECK(r < counts_.size());
-    ++counts_[r];
-  }
-  num_reports_ += reports.size();
 }
 
 void GrrServer::RestoreState(std::vector<uint64_t> counts,

@@ -10,7 +10,6 @@
 #define FELIP_FO_GRR_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "felip/common/check.h"
@@ -51,10 +50,6 @@ class GrrServer {
     ++counts_[report];
     ++num_reports_;
   }
-
-  // Batch ingestion, equivalent to Add() on every report, in one serial
-  // pass on the calling thread.
-  void AggregateReports(std::span<const uint64_t> reports);
 
   // Unbiased frequency estimates for all values (Eq. 1). Entries may be
   // negative; they sum to ~1 in expectation. Requires at least one report.

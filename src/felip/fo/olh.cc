@@ -6,8 +6,6 @@
 #include "felip/common/hash.h"
 #include "felip/common/parallel.h"
 #include "felip/fo/protocol.h"
-#include "felip/obs/metrics.h"
-#include "felip/obs/trace.h"
 #include "felip/simd/dispatch.h"
 #include "felip/simd/kernels.h"
 
@@ -67,29 +65,6 @@ OlhServer::OlhServer(double epsilon, uint64_t domain, OlhOptions options)
       pool_seeds_[i] = PoolSeed(options_.pool_salt, i);
     }
   }
-}
-
-void OlhServer::AggregateReports(std::span<const OlhReport> reports) {
-  if (reports.empty()) return;
-  obs::ScopedTimer span("felip_fo_olh_aggregate");
-  static obs::Counter& reports_total =
-      obs::Registry::Default().GetCounter("felip_fo_olh_reports_total");
-  reports_total.Increment(reports.size());
-  if (options_.seed_pool_size > 0) {
-    for (const OlhReport& r : reports) {
-      FELIP_CHECK(r.hashed_report < g_);
-      FELIP_CHECK_MSG(r.seed_index < options_.seed_pool_size,
-                      "report missing pool index in pooled OLH mode");
-      ++pool_counts_[static_cast<size_t>(r.seed_index) * g_ +
-                     r.hashed_report];
-    }
-  } else {
-    for (const OlhReport& r : reports) {
-      FELIP_CHECK(r.hashed_report < g_);
-    }
-    reports_.insert(reports_.end(), reports.begin(), reports.end());
-  }
-  num_reports_ += reports.size();
 }
 
 void OlhServer::RestorePoolState(std::vector<uint32_t> pool_counts,

@@ -16,7 +16,6 @@
 #define FELIP_FO_OLH_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "felip/common/check.h"
@@ -84,12 +83,6 @@ class OlhServer {
     }
     ++num_reports_;
   }
-
-  // Batch ingestion, equivalent to Add() on every report. In pool mode the
-  // (seed, y) histogram is counted in one serial pass; in per-user mode
-  // reports are validated and appended, and the parallel work happens in
-  // EstimateFrequencies.
-  void AggregateReports(std::span<const OlhReport> reports);
 
   // Unbiased frequency estimates for all domain values. In per-user mode
   // the O(n * |D|) support count is sharded over the host's cores with an

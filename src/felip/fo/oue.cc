@@ -3,9 +3,6 @@
 #include <cmath>
 
 #include "felip/common/check.h"
-#include "felip/common/parallel.h"
-#include "felip/obs/metrics.h"
-#include "felip/obs/trace.h"
 #include "felip/simd/dispatch.h"
 #include "felip/simd/kernels.h"
 
@@ -38,33 +35,6 @@ void OueServer::Add(const std::vector<uint8_t>& report) {
   simd::AccumulateNonzeroBytes(simd::ActiveLevel(), report.data(),
                                report.size(), counts_.data());
   ++num_reports_;
-}
-
-void OueServer::AggregateReports(
-    std::span<const std::vector<uint8_t>> reports) {
-  if (reports.empty()) return;
-  obs::ScopedTimer span("felip_fo_oue_aggregate");
-  static obs::Counter& reports_total =
-      obs::Registry::Default().GetCounter("felip_fo_oue_reports_total");
-  reports_total.Increment(reports.size());
-  const size_t domain = counts_.size();
-  const simd::Level level = simd::ActiveLevel();
-  const std::vector<uint64_t> merged = ParallelReduce(
-      reports.size(),
-      [domain] { return std::vector<uint64_t>(domain, 0); },
-      [&](std::vector<uint64_t>& acc, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          const std::vector<uint8_t>& bits = reports[i];
-          FELIP_CHECK(bits.size() == acc.size());
-          simd::AccumulateNonzeroBytes(level, bits.data(), bits.size(),
-                                       acc.data());
-        }
-      },
-      [level](std::vector<uint64_t>& into, std::vector<uint64_t>&& from) {
-        simd::AddU64(level, into.data(), from.data(), into.size());
-      });
-  simd::AddU64(level, counts_.data(), merged.data(), domain);
-  num_reports_ += reports.size();
 }
 
 void OueServer::RestoreState(std::vector<uint64_t> counts,

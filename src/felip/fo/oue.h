@@ -11,7 +11,6 @@
 #define FELIP_FO_OUE_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "felip/common/rng.h"
@@ -40,12 +39,6 @@ class OueServer {
 
   // Accumulates one perturbed bit vector (length must equal |D|).
   void Add(const std::vector<uint8_t>& report);
-
-  // Batch ingestion, equivalent to Add() on every report: the O(n * |D|)
-  // bit summation runs in fixed shards over the host's cores, reduced in
-  // shard order, so the counts are bit-identical to the serial path on
-  // every host.
-  void AggregateReports(std::span<const std::vector<uint8_t>> reports);
 
   std::vector<double> EstimateFrequencies() const;
   double EstimateValue(uint64_t value) const;

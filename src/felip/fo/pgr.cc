@@ -6,8 +6,6 @@
 #include "felip/common/check.h"
 #include "felip/common/parallel.h"
 #include "felip/fo/protocol.h"
-#include "felip/obs/metrics.h"
-#include "felip/obs/trace.h"
 
 namespace felip::fo {
 
@@ -251,19 +249,6 @@ void PgrServer::Add(uint32_t report) {
   FELIP_CHECK(report < params_.num_points);
   ++counts_[report];
   ++num_reports_;
-}
-
-void PgrServer::AggregateReports(std::span<const uint32_t> reports) {
-  if (reports.empty()) return;
-  obs::ScopedTimer span("felip_fo_pgr_aggregate");
-  static obs::Counter& reports_total =
-      obs::Registry::Default().GetCounter("felip_fo_pgr_reports_total");
-  reports_total.Increment(reports.size());
-  for (const uint32_t r : reports) {
-    FELIP_CHECK(r < params_.num_points);
-    ++counts_[r];
-  }
-  num_reports_ += reports.size();
 }
 
 void PgrServer::RestoreState(std::vector<uint64_t> counts,

@@ -35,7 +35,6 @@
 #define FELIP_FO_PGR_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "felip/common/rng.h"
@@ -110,10 +109,6 @@ class PgrServer {
 
   // Accumulates one report in [0, num_points).
   void Add(uint32_t report);
-
-  // Batch ingestion, equivalent to Add() on every report, in one serial
-  // pass on the calling thread.
-  void AggregateReports(std::span<const uint32_t> reports);
 
   // Unbiased frequency estimates for all domain values. Direct and fast
   // decode produce bit-identical results; kAuto picks by operation count.

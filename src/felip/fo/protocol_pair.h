@@ -9,8 +9,8 @@
 //     Server::Add (which FELIP_CHECKs instead of returning a Status),
 //   * Export / Restore — which OracleState fields carry the accumulator,
 //     and the checks that make restoring untrusted state safe.
-// Everything else (buffering, flushing, tag checks, estimation) is shared
-// by PairOracle and PairReportClient.
+// Everything else (tag checks, ingestion, estimation) is shared by
+// PairOracle and PairReportClient.
 
 #ifndef FELIP_FO_PROTOCOL_PAIR_H_
 #define FELIP_FO_PROTOCOL_PAIR_H_
@@ -298,8 +298,8 @@ template <typename Client>
 using PerturbResult = decltype(std::declval<const Client&>().Perturb(
     uint64_t{0}, std::declval<Rng&>()));
 
-// The FrequencyOracle of protocol `P`: a client for buffered simulation,
-// a server for aggregation, and a buffer of reports awaiting FlushReports.
+// The FrequencyOracle of protocol `P`: a server for aggregation, and the
+// protocol's client for the parameters the report checks read.
 template <Protocol P>
 class PairOracle final : public FrequencyOracle {
   using Pair = ProtocolPair<P>;
@@ -311,15 +311,6 @@ class PairOracle final : public FrequencyOracle {
   PairOracle(double epsilon, uint64_t domain, const ProtocolOptions& options)
       : client_(Pair::MakeClient(epsilon, domain, options)),
         server_(Pair::MakeServer(epsilon, domain, options)) {}
-
-  void BufferUserValue(uint64_t value, Rng& rng) override {
-    buffer_.push_back(client_.Perturb(value, rng));
-  }
-  void FlushReports() override {
-    server_.AggregateReports(buffer_);
-    buffer_.clear();
-  }
-  size_t buffered_reports() const override { return buffer_.size(); }
 
   Status IngestReport(const ReportData& report) override {
     const Report* payload = nullptr;
@@ -346,10 +337,6 @@ class PairOracle final : public FrequencyOracle {
     return state;
   }
   Status RestoreState(OracleState state) override {
-    if (!buffer_.empty()) {
-      return Status::FailedPrecondition(
-          "unflushed reports; call FlushReports");
-    }
     if (state.protocol != P) {
       return Status::InvalidArgument("oracle state protocol is not " +
                                      std::string(ProtocolName(P)));
@@ -357,11 +344,7 @@ class PairOracle final : public FrequencyOracle {
     return Pair::Restore(client_, &server_, std::move(state));
   }
 
-  StatusOr<std::vector<double>> EstimateFrequencies() const override {
-    if (!buffer_.empty()) {
-      return Status::FailedPrecondition(
-          "unflushed reports; call FlushReports");
-    }
+  std::vector<double> EstimateFrequencies() const override {
     return server_.EstimateFrequencies();
   }
 
@@ -385,7 +368,6 @@ class PairOracle final : public FrequencyOracle {
 
   typename Pair::Client client_;
   typename Pair::Server server_;
-  std::vector<Report> buffer_;
 };
 
 // The ReportClient of protocol `P`: the protocol client's report, wrapped

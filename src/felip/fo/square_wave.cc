@@ -107,10 +107,6 @@ void SwServer::Add(double report) {
   ++num_reports_;
 }
 
-void SwServer::AggregateReports(std::span<const double> reports) {
-  for (const double r : reports) Add(r);
-}
-
 std::vector<double> SwServer::EstimateFrequencies() const {
   FELIP_CHECK_MSG(num_reports_ > 0, "no SW reports collected");
   const auto buckets = static_cast<uint32_t>(bucket_counts_.size());

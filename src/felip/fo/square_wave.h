@@ -17,7 +17,6 @@
 #define FELIP_FO_SQUARE_WAVE_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "felip/common/rng.h"
@@ -61,10 +60,6 @@ class SwServer {
   // Accumulates one perturbed report (must lie in [-b, 1+b]; reports from
   // hostile clients outside the support are clamped to the boundary).
   void Add(double report);
-
-  // Batch ingestion: Add() on every report, in order, on the calling
-  // thread.
-  void AggregateReports(std::span<const double> reports);
 
   // EM-reconstructed histogram over the `domain` input bins; non-negative,
   // sums to 1.

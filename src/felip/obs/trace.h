@@ -2,13 +2,13 @@
 //
 // A ScopedTimer marks one pipeline stage. Spans nest per thread: a timer
 // opened while another is active becomes its child, and the full path
-// ("felip_core_collect/felip_core_flush") is what the registry
+// ("felip_core_finalize/felip_core_estimate") is what the registry
 // accumulates, so RenderText/RenderJson show both how long a stage took
 // and under which parent it ran. Each span also feeds a latency histogram
 // under its own (unnested) name + "_seconds", giving p50/p95/p99 per
 // stage regardless of call site.
 //
-// Spans are meant for stage-level granularity (collection rounds, flushes,
+// Spans are meant for stage-level granularity (collection rounds,
 // estimation passes), not per-report events — ending a span takes a
 // registry lookup under a mutex. Per-event hot paths should cache a
 // Counter/Histogram reference instead (see docs/observability.md).

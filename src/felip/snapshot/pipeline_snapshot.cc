@@ -571,11 +571,9 @@ StatusOr<RecoveredPipeline> PipelineCodec::Decode(
         FELIP_RETURN_IF_ERROR(
             pipeline.oracles_[g]->RestoreState(std::move(states[g])));
       }
-      // Collect() seals without touching reports_ingested_ (it counts
-      // only networked ingestion), so the cross-check is meaningful for
-      // kCollecting alone.
-      if (state == PipelineState::kCollecting &&
-          total_reports != reports_ingested) {
+      // Every report an oracle holds was counted on its way in, by
+      // IngestReports, IngestReport, MergeAccumulators or Collect().
+      if (total_reports != reports_ingested) {
         return Malformed("snapshot report counts are inconsistent");
       }
       pipeline.reports_ingested_ = reports_ingested;

@@ -9,7 +9,6 @@
 
 #include "felip/common/rng.h"
 #include "felip/fo/oue.h"
-#include "support/uneven_split.h"
 
 namespace felip::fo {
 namespace {
@@ -91,24 +90,6 @@ std::vector<FldpReport> MakeReports(const FldpClient& client,
   return reports;
 }
 
-// One batch aggregated in uneven shards (chunks of 1, 4095, 4096, 4097
-// and the rest) leaves the set-bit and coverage counts an Add() loop
-// leaves.
-TEST(FldpServerTest, ShardedAggregationMatchesSerialBitwise) {
-  constexpr uint64_t kDomain = 60;
-  const FldpOptions options{.report_bits = 8, .subset_pool_size = 128};
-  FldpClient client(1.0, kDomain, options);
-  const std::vector<FldpReport> reports =
-      MakeReports(client, kDomain, 20000, 5);
-  FldpServer serial(1.0, kDomain, options);
-  for (const FldpReport& r : reports) serial.Add(r);
-  FldpServer sharded(1.0, kDomain, options);
-  test_support::AggregateUnevenly(sharded, reports);
-  EXPECT_EQ(sharded.num_reports(), serial.num_reports());
-  EXPECT_EQ(sharded.counts(), serial.counts());
-  EXPECT_EQ(sharded.coverage_counts(), serial.coverage_counts());
-}
-
 TEST(FldpServerTest, RestoreStateContinuesBitIdentically) {
   constexpr uint64_t kDomain = 40;
   const FldpOptions options{.report_bits = 8, .subset_pool_size = 64};
@@ -116,7 +97,7 @@ TEST(FldpServerTest, RestoreStateContinuesBitIdentically) {
   const std::vector<FldpReport> reports =
       MakeReports(client, kDomain, 8000, 9);
   FldpServer reference(1.0, kDomain, options);
-  reference.AggregateReports(reports);
+  for (const FldpReport& r : reports) reference.Add(r);
 
   FldpServer first_half(1.0, kDomain, options);
   for (size_t i = 0; i < reports.size() / 2; ++i) {

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "felip/common/rng.h"
-#include "support/uneven_split.h"
 
 namespace felip::fo {
 namespace {
@@ -117,8 +116,10 @@ TEST(PgrServerTest, DirectAndFastDecodeAreBitIdentical) {
         MakeReports(client, domain, 20000, 13);
     PgrServer direct(1.0, domain, {.decode = PgrDecode::kDirect});
     PgrServer fast(1.0, domain, {.decode = PgrDecode::kFast});
-    direct.AggregateReports(reports);
-    fast.AggregateReports(reports);
+    for (const uint32_t r : reports) {
+      direct.Add(r);
+      fast.Add(r);
+    }
     const std::vector<double> a = direct.EstimateFrequencies();
     const std::vector<double> b = fast.EstimateFrequencies();
     ASSERT_EQ(a.size(), b.size());
@@ -128,28 +129,13 @@ TEST(PgrServerTest, DirectAndFastDecodeAreBitIdentical) {
   }
 }
 
-// One batch aggregated in uneven shards (chunks of 1, 4095, 4096, 4097
-// and the rest) leaves the histogram an Add() loop leaves.
-TEST(PgrServerTest, ShardedAggregationMatchesSerialBitwise) {
-  constexpr uint64_t kDomain = 64;
-  PgrClient client(1.0, kDomain);
-  const std::vector<uint32_t> reports =
-      MakeReports(client, kDomain, 30000, 17);
-  PgrServer serial(1.0, kDomain);
-  for (const uint32_t r : reports) serial.Add(r);
-  PgrServer sharded(1.0, kDomain);
-  test_support::AggregateUnevenly(sharded, reports);
-  EXPECT_EQ(sharded.num_reports(), serial.num_reports());
-  EXPECT_EQ(sharded.counts(), serial.counts());
-}
-
 TEST(PgrServerTest, RestoreStateContinuesBitIdentically) {
   constexpr uint64_t kDomain = 32;
   PgrClient client(1.0, kDomain);
   const std::vector<uint32_t> reports =
       MakeReports(client, kDomain, 10000, 19);
   PgrServer reference(1.0, kDomain);
-  reference.AggregateReports(reports);
+  for (const uint32_t r : reports) reference.Add(r);
 
   PgrServer first_half(1.0, kDomain);
   for (size_t i = 0; i < reports.size() / 2; ++i) {

@@ -1,6 +1,6 @@
 // Statistical test harness for every frequency oracle: aggregate ~200k
-// perturbed reports at a fixed seed through the batch AggregateReports
-// path and require every debiased cell to land within 4 sigma
+// perturbed reports at a fixed seed through the server's Add() and
+// require every debiased cell to land within 4 sigma
 // of the exact empirical truth, with sigma from the closed-form variance
 // of the protocol's estimator.
 //
@@ -94,7 +94,7 @@ TEST(UnbiasednessTest, GrrWithinFourSigma) {
   for (const uint64_t v : values) reports.push_back(client.Perturb(v, rng));
 
   GrrServer server(kEpsilon, kDomain);
-  server.AggregateReports(reports);
+  for (const auto& r : reports) server.Add(r);
   ASSERT_EQ(server.num_reports(), kNumReports);
 
   const double e = std::exp(kEpsilon);
@@ -116,7 +116,7 @@ void RunOlhCase(OlhOptions options, uint64_t seed, const char* label) {
   for (const uint64_t v : values) reports.push_back(client.Perturb(v, rng));
 
   OlhServer server(kEpsilon, kDomain, options);
-  server.AggregateReports(reports);
+  for (const auto& r : reports) server.Add(r);
   ASSERT_EQ(server.num_reports(), kNumReports);
 
   // Support probabilities: p for the true value; a non-true value is
@@ -151,7 +151,7 @@ TEST(UnbiasednessTest, OueWithinFourSigma) {
   for (const uint64_t v : values) reports.push_back(client.Perturb(v, rng));
 
   OueServer server(kEpsilon, kDomain);
-  server.AggregateReports(reports);
+  for (const auto& r : reports) server.Add(r);
   ASSERT_EQ(server.num_reports(), kNumReports);
 
   const double p = 0.5;
@@ -176,7 +176,7 @@ TEST(UnbiasednessTest, PgrWithinFourSigma) {
   for (const uint64_t v : values) reports.push_back(client.Perturb(v, rng));
 
   PgrServer server(kEpsilon, kDomain);
-  server.AggregateReports(reports);
+  for (const auto& r : reports) server.Add(r);
   ASSERT_EQ(server.num_reports(), kNumReports);
 
   const double p = client.params().p_star;
@@ -204,7 +204,7 @@ TEST(UnbiasednessTest, FldpWithinFourSigma) {
   for (const uint64_t v : values) reports.push_back(client.Perturb(v, rng));
 
   FldpServer server(kEpsilon, kDomain, options);
-  server.AggregateReports(reports);
+  for (const auto& r : reports) server.Add(r);
   ASSERT_EQ(server.num_reports(), kNumReports);
 
   std::vector<uint64_t> coverage(kDomain, 0);
@@ -259,7 +259,7 @@ TEST(UnbiasednessTest, SquareWaveEmpiricalErrorBound) {
   }
 
   SwServer server(kEpsilon, kSwDomain);
-  server.AggregateReports(reports);
+  for (const auto& r : reports) server.Add(r);
   ASSERT_EQ(server.num_reports(), kNumReports);
 
   const std::vector<double> estimates = server.EstimateFrequencies();

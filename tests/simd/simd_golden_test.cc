@@ -56,13 +56,13 @@ TEST(SimdGoldenTest, GrrEstimatesIdenticalAcrossLevels) {
   {
     simd::ScopedLevelOverride pin(simd::Level::kScalar);
     fo::GrrServer server(1.0, kDomain);
-    server.AggregateReports(reports);
+    for (const auto& r : reports) server.Add(r);
     baseline = server.EstimateFrequencies();
   }
   for (const simd::Level level : RunnableLevels()) {
     simd::ScopedLevelOverride pin(level);
     fo::GrrServer server(1.0, kDomain);
-    server.AggregateReports(reports);
+    for (const auto& r : reports) server.Add(r);
     ExpectIdentical(server.EstimateFrequencies(), baseline, "grr", level);
   }
 }
@@ -81,13 +81,13 @@ TEST(SimdGoldenTest, OueEstimatesIdenticalAcrossLevels) {
   {
     simd::ScopedLevelOverride pin(simd::Level::kScalar);
     fo::OueServer server(1.0, kDomain);
-    server.AggregateReports(reports);
+    for (const auto& r : reports) server.Add(r);
     baseline = server.EstimateFrequencies();
   }
   for (const simd::Level level : RunnableLevels()) {
     simd::ScopedLevelOverride pin(level);
     fo::OueServer server(1.0, kDomain);
-    server.AggregateReports(reports);
+    for (const auto& r : reports) server.Add(r);
     ExpectIdentical(server.EstimateFrequencies(), baseline, "oue", level);
   }
 }
@@ -106,13 +106,13 @@ TEST(SimdGoldenTest, OlhPerUserEstimatesIdenticalAcrossLevels) {
   {
     simd::ScopedLevelOverride pin(simd::Level::kScalar);
     fo::OlhServer server(1.0, kDomain);
-    server.AggregateReports(reports);
+    for (const auto& r : reports) server.Add(r);
     baseline = server.EstimateFrequencies();
   }
   for (const simd::Level level : RunnableLevels()) {
     simd::ScopedLevelOverride pin(level);
     fo::OlhServer server(1.0, kDomain);
-    server.AggregateReports(reports);
+    for (const auto& r : reports) server.Add(r);
     ExpectIdentical(server.EstimateFrequencies(), baseline, "olh-per-user",
                     level);
   }
@@ -133,13 +133,13 @@ TEST(SimdGoldenTest, OlhPoolEstimatesIdenticalAcrossLevels) {
   {
     simd::ScopedLevelOverride pin(simd::Level::kScalar);
     fo::OlhServer server(1.0, kDomain, options);
-    server.AggregateReports(reports);
+    for (const auto& r : reports) server.Add(r);
     baseline = server.EstimateFrequencies();
   }
   for (const simd::Level level : RunnableLevels()) {
     simd::ScopedLevelOverride pin(level);
     fo::OlhServer server(1.0, kDomain, options);
-    server.AggregateReports(reports);
+    for (const auto& r : reports) server.Add(r);
     ExpectIdentical(server.EstimateFrequencies(), baseline, "olh-pool", level);
   }
 }

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -428,6 +429,37 @@ TEST(PipelineSnapshotAdversarialTest, HeaderStateDisagreementRejected) {
   const auto rebuilt = RebuildFile(
       static_cast<uint8_t>(core::PipelineState::kQueryable), sections);
   EXPECT_FALSE(PipelineCodec::Decode(rebuilt).ok());
+}
+
+TEST(PipelineSnapshotAdversarialTest, SealedReportCountDisagreementRejected) {
+  // Collect() counts its reports like any ingest, so a sealed snapshot's
+  // kState total must equal the oracles' summed report counts.
+  const data::Dataset dataset = MakeData();
+  core::FelipPipeline pipeline(dataset.attributes(), kUsers, MakeConfig());
+  pipeline.Collect(dataset);
+  ASSERT_EQ(pipeline.reports_ingested(), kUsers);
+  const auto bytes = PipelineCodec::Encode(pipeline, {}, {});
+  auto recovered = PipelineCodec::Decode(bytes);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->pipeline.reports_ingested(), kUsers);
+
+  uint8_t state_byte = 0;
+  const auto sections = OpenSections(bytes, &state_byte);
+  ASSERT_EQ(state_byte, static_cast<uint8_t>(core::PipelineState::kSealed));
+  for (const uint64_t wrong : {uint64_t{0}, kUsers - 1, kUsers + 1}) {
+    SCOPED_TRACE(wrong);
+    auto mutated = sections;
+    bool found = false;
+    for (auto& section : mutated) {
+      if (section.id != SectionId::kState) continue;
+      // One state byte, then the little-endian report count.
+      ASSERT_EQ(section.payload.size(), 1u + sizeof(uint64_t));
+      std::memcpy(section.payload.data() + 1, &wrong, sizeof(wrong));
+      found = true;
+    }
+    ASSERT_TRUE(found);
+    EXPECT_FALSE(PipelineCodec::Decode(RebuildFile(state_byte, mutated)).ok());
+  }
 }
 
 TEST(PipelineSnapshotAdversarialTest, CrossBredSnapshotsRejected) {

@@ -8,13 +8,20 @@
 // rejected-reports counter, on reports_ingested(), and on every oracle's
 // exported state field by field — including the order of OLH per-user raw
 // reports, which only a stable sort preserves.
+//
+// The same scenarios pin FelipPipeline::Collect to a networked round of
+// the same population: PopulationSimulator batches through PipelineSink
+// must leave every oracle exactly as Collect leaves it.
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -28,6 +35,7 @@
 #include "felip/fo/registry.h"
 #include "felip/obs/metrics.h"
 #include "felip/snapshot/pipeline_snapshot.h"
+#include "felip/svc/simulator.h"
 #include "felip/svc/sink.h"
 #include "felip/wire/wire.h"
 
@@ -98,6 +106,23 @@ std::vector<Scenario> Scenarios() {
   pgr_fldp->fldp_options.report_bits = 32;
   pgr_fldp->report_budget_bytes = 20;
   return scenarios;
+}
+
+// `num_users` rows over MixedSchema(), skewed towards small values so no
+// grid sees a uniform population.
+data::Dataset MixedData(uint64_t num_users, uint64_t seed) {
+  const std::vector<data::AttributeInfo> schema = MixedSchema();
+  Rng rng(seed);
+  std::vector<std::vector<uint32_t>> columns(schema.size());
+  for (size_t a = 0; a < schema.size(); ++a) {
+    columns[a].reserve(num_users);
+    for (uint64_t row = 0; row < num_users; ++row) {
+      columns[a].push_back(static_cast<uint32_t>(
+          std::min(rng.UniformU64(schema[a].domain),
+                   rng.UniformU64(schema[a].domain))));
+    }
+  }
+  return data::Dataset::FromColumns(schema, std::move(columns));
 }
 
 core::FelipPipeline NewPipeline(const Scenario& s) {
@@ -277,6 +302,57 @@ TEST(SinkDifferentialTest, GridRunIngestMatchesReportByReportIngest) {
     EXPECT_GT(total_accepted, 0u);
     EXPECT_GT(total_rejected, 0u);
     ExpectSameOracleStates(batched, reference);
+  }
+  EXPECT_EQ(kinds_covered,
+            (std::set<GridKind>{GridKind::kGrr, GridKind::kPooledOlh,
+                                GridKind::kPerUserOlh, GridKind::kOue,
+                                GridKind::kPgr, GridKind::kFldp}));
+}
+
+TEST(SinkDifferentialTest, CollectMatchesSimulatedIngest) {
+  std::set<GridKind> kinds_covered;
+  for (const Scenario& base : Scenarios()) {
+    for (const core::PartitioningMode mode :
+         {core::PartitioningMode::kDivideUsers,
+          core::PartitioningMode::kDivideBudget}) {
+      Scenario scenario = base;
+      scenario.config.partitioning = mode;
+      SCOPED_TRACE(scenario.name + (mode == core::PartitioningMode::kDivideUsers
+                                        ? " / divide users"
+                                        : " / divide budget"));
+      const data::Dataset dataset = MixedData(scenario.num_users, 20261019);
+
+      core::FelipPipeline collected = NewPipeline(scenario);
+      collected.Collect(dataset);
+      ASSERT_EQ(collected.state(), core::PipelineState::kSealed);
+
+      core::FelipPipeline ingested = NewPipeline(scenario);
+      std::vector<wire::GridConfigMessage> grid_configs;
+      for (uint32_t g = 0; g < ingested.num_groups(); ++g) {
+        grid_configs.push_back(wire::MakeGridConfig(
+            ingested, scenario.schema, g, ingested.per_grid_epsilon(),
+            scenario.config.protocol_options()));
+        kinds_covered.insert(KindOf(ingested.assignments()[g].plan.protocol,
+                                    scenario.config));
+      }
+      SimulatorOptions options;
+      options.seed = scenario.config.seed;
+      options.partitioning = mode;
+      PipelineSink sink(&ingested);
+      const std::optional<uint64_t> emitted =
+          PopulationSimulator(std::move(grid_configs), options)
+              .Run(dataset, [&](const std::vector<wire::ReportMessage>& b) {
+                return sink.IngestBatch(b) == b.size();
+              });
+      ASSERT_TRUE(emitted.has_value());
+      sink.Finish();
+      const uint64_t reports_per_user =
+          mode == core::PartitioningMode::kDivideUsers ? 1
+                                                       : ingested.num_groups();
+      EXPECT_EQ(*emitted, scenario.num_users * reports_per_user);
+      EXPECT_EQ(ingested.reports_ingested(), *emitted);
+      ExpectSameOracleStates(collected, ingested);
+    }
   }
   EXPECT_EQ(kinds_covered,
             (std::set<GridKind>{GridKind::kGrr, GridKind::kPooledOlh,
