@@ -1,8 +1,9 @@
 // Aggregation throughput (google-benchmark): the server Add() loop of GRR,
 // pooled OLH and OUE (the loop every oracle's IngestReports runs after its
-// checks), per-user OLH estimation, and the sharded wire batch decode at
-// 1/2/4/8 threads feeding that Add() loop. Per-user OLH estimation shards
-// over the host's cores; everything else runs on the calling thread.
+// checks), per-user OLH estimation, and the ingest server's drain of one
+// round of 1,024-report pooled-OLH frames through the verified-frame
+// chunk decoder into a PipelineSink. Per-user OLH estimation shards over
+// the host's cores; everything else runs on the calling thread.
 //
 // Record results with:
 //   FELIP_BENCH_JSON_DIR=results FELIP_GIT_SHA=$(git rev-parse --short HEAD) \
@@ -12,22 +13,26 @@
 // docs/simd.md. The committed results/parallel_aggregation.txt carries
 // only seed-stable text.
 //
-// The sharded paths only speed up on multi-core hosts; record the core
-// count (the JSON `threads` field) with the numbers.
+// Per-user OLH estimation only speeds up on multi-core hosts; record the
+// core count (the JSON `threads` field) with the numbers.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <variant>
+#include <span>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "bench/bench_json_reporter.h"
 #include "felip/common/rng.h"
+#include "felip/core/felip.h"
+#include "felip/data/synthetic.h"
 #include "felip/simd/dispatch.h"
 #include "felip/fo/grr.h"
 #include "felip/fo/olh.h"
 #include "felip/fo/oue.h"
+#include "felip/svc/simulator.h"
+#include "felip/svc/sink.h"
 #include "felip/wire/wire.h"
 
 namespace felip {
@@ -104,16 +109,40 @@ const std::vector<fo::OlhReport>& OlhPerUserReports() {
   return *reports;
 }
 
-const std::vector<uint8_t>& WireBatch() {
-  static const std::vector<uint8_t>* buffer = [] {
-    const auto& reports = OlhPoolReports();
-    std::vector<wire::ReportMessage> messages(reports.size());
-    for (size_t i = 0; i < reports.size(); ++i) {
-      messages[i].payload = reports[i];
+// One simulated round of kNumReports users over two numerical attributes
+// of domain kDomain, every grid planned as pooled OLH (kPool), shipped as
+// the 1,024-report frames devices send to the ingest server.
+struct DrainInput {
+  data::Dataset dataset;
+  core::FelipConfig config;
+  std::vector<std::vector<uint8_t>> frames;
+};
+
+const DrainInput& DrainFrames() {
+  static const DrainInput* input = [] {
+    auto* in = new DrainInput{
+        data::MakeUniform(kNumReports, 2, 0, kDomain, 2, 4321), {}, {}};
+    in->config.allow_grr = false;
+    in->config.olh_options = kPool;
+    const core::FelipPipeline planned(in->dataset.attributes(), kNumReports,
+                                      in->config);
+    std::vector<wire::GridConfigMessage> grids;
+    for (uint32_t g = 0; g < planned.num_groups(); ++g) {
+      grids.push_back(wire::MakeGridConfig(
+          planned, in->dataset.attributes(), g, planned.per_grid_epsilon(),
+          in->config.protocol_options()));
     }
-    return new std::vector<uint8_t>(wire::EncodeReportBatch(messages));
+    svc::SimulatorOptions options;
+    options.seed = in->config.seed;
+    options.batch_size = 1024;
+    svc::PopulationSimulator(grids, options)
+        .Run(in->dataset, [in](const std::vector<wire::ReportMessage>& batch) {
+          in->frames.push_back(wire::EncodeReportBatch(batch));
+          return true;
+        });
+    return in;
   }();
-  return *buffer;
+  return *input;
 }
 
 void BM_OlhPoolAddLoop(benchmark::State& state) {
@@ -163,33 +192,37 @@ void BM_OueAddLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_OueAddLoop)->Unit(benchmark::kMillisecond);
 
-void BM_WireDecodeAggregate(benchmark::State& state) {
-  const auto& buffer = WireBatch();
-  const auto threads = static_cast<unsigned>(state.range(0));
-  const size_t shards = wire::ReportBatchShardCount(kNumReports);
+// The ingest server's drain thread over one round: every frame validated
+// (its checksum already verified on the IO thread), decoded in chunks and
+// fed to a PipelineSink. A fresh pipeline per iteration, planned outside
+// the timed region.
+void BM_DrainFrames(benchmark::State& state) {
+  const DrainInput& in = DrainFrames();
+  wire::ReportChunkDecoder decoder;
   for (auto _ : state) {
-    fo::OlhServer server(kEpsilon, kDomain, kPool);
-    std::vector<std::vector<fo::OlhReport>> shard_reports(shards);
-    const auto count = wire::DecodeReportBatchSharded(
-        buffer,
-        [&shard_reports](size_t shard, size_t /*index*/,
-                         wire::ReportMessage&& m) {
-          shard_reports[shard].push_back(std::get<fo::OlhReport>(m.payload));
-        },
-        threads);
-    for (const auto& batch : shard_reports) {
-      for (const fo::OlhReport& r : batch) server.Add(r);
+    state.PauseTiming();
+    core::FelipPipeline pipeline(in.dataset.attributes(), kNumReports,
+                                 in.config);
+    svc::PipelineSink sink(&pipeline);
+    state.ResumeTiming();
+    for (const std::vector<uint8_t>& frame : in.frames) {
+      if (!decoder.Validate(frame).ok()) {
+        state.SkipWithError("a simulated frame failed validation");
+        return;
+      }
+      decoder.Decode([&sink](std::span<const wire::ReportMessage> chunk) {
+        sink.IngestBatch(chunk);
+      });
     }
-    benchmark::DoNotOptimize(count);
-    benchmark::DoNotOptimize(server.num_reports());
+    if (sink.accepted() != kNumReports) {
+      state.SkipWithError("the sink rejected a simulated report");
+      return;
+    }
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kNumReports));
 }
-BENCHMARK(BM_WireDecodeAggregate)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->ArgName("threads")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DrainFrames)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace felip

@@ -1,6 +1,7 @@
 #include "felip/fo/grr.h"
 
 #include <cmath>
+#include <numeric>
 
 #include "felip/common/check.h"
 
@@ -43,18 +44,24 @@ GrrServer::GrrServer(double epsilon, uint64_t domain)
   ComputeGrrProbabilities(epsilon, domain, &p_, &q_);
 }
 
+uint64_t GrrServer::num_reports() const {
+  return std::accumulate(counts_.begin(), counts_.end(), uint64_t{0});
+}
+
 void GrrServer::RestoreState(std::vector<uint64_t> counts,
                              uint64_t num_reports) {
   FELIP_CHECK_MSG(counts.size() == counts_.size(),
                   "restored GRR counts do not match the domain");
   counts_ = std::move(counts);
-  num_reports_ = num_reports;
+  FELIP_CHECK_MSG(this->num_reports() == num_reports,
+                  "restored GRR counts do not sum to num_reports");
 }
 
 std::vector<double> GrrServer::EstimateFrequencies() const {
-  FELIP_CHECK_MSG(num_reports_ > 0, "no GRR reports collected");
+  const uint64_t num_reports = this->num_reports();
+  FELIP_CHECK_MSG(num_reports > 0, "no GRR reports collected");
   std::vector<double> freq(counts_.size());
-  const double n = static_cast<double>(num_reports_);
+  const double n = static_cast<double>(num_reports);
   const double denom = p_ - q_;
   for (size_t v = 0; v < counts_.size(); ++v) {
     if (counts_.size() == 1) {
@@ -68,9 +75,10 @@ std::vector<double> GrrServer::EstimateFrequencies() const {
 
 double GrrServer::EstimateValue(uint64_t value) const {
   FELIP_CHECK(value < counts_.size());
-  FELIP_CHECK_MSG(num_reports_ > 0, "no GRR reports collected");
+  const uint64_t num_reports = this->num_reports();
+  FELIP_CHECK_MSG(num_reports > 0, "no GRR reports collected");
   if (counts_.size() == 1) return 1.0;
-  const double n = static_cast<double>(num_reports_);
+  const double n = static_cast<double>(num_reports);
   return (static_cast<double>(counts_[value]) / n - q_) / (p_ - q_);
 }
 

@@ -45,10 +45,13 @@ class GrrServer {
 
   // Accumulates one perturbed report in [0, domain). Inline so the
   // oracle's grid-run ingest loop compiles to a check and an increment.
+  // The report count is the counts' sum, not a second counter: the
+  // compiler cannot prove a uint64_t counter is not one of the counts, so
+  // bumping it made every Add() reload and store it, about twice the cost
+  // of the increment alone (BM_GrrAddLoop, docs/aggregation.md).
   void Add(uint64_t report) {
     FELIP_CHECK(report < counts_.size());
     ++counts_[report];
-    ++num_reports_;
   }
 
   // Unbiased frequency estimates for all values (Eq. 1). Entries may be
@@ -58,7 +61,8 @@ class GrrServer {
   // Unbiased frequency estimate for a single value.
   double EstimateValue(uint64_t value) const;
 
-  uint64_t num_reports() const { return num_reports_; }
+  // O(domain): the sum of the counts.
+  uint64_t num_reports() const;
   uint64_t domain() const { return static_cast<uint64_t>(counts_.size()); }
 
   // --- Accumulator persistence (snapshot path) ---
@@ -67,12 +71,12 @@ class GrrServer {
   const std::vector<uint64_t>& counts() const { return counts_; }
 
   // Replaces the accumulator with previously exported state. Callers must
-  // validate untrusted input first; size mismatches abort.
+  // validate untrusted input first; a size mismatch or counts that do not
+  // sum to `num_reports` abort.
   void RestoreState(std::vector<uint64_t> counts, uint64_t num_reports);
 
  private:
   std::vector<uint64_t> counts_;
-  uint64_t num_reports_ = 0;
   double p_;
   double q_;
 };

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "felip/common/check.h"
 #include "felip/common/parallel.h"
@@ -248,7 +249,10 @@ PgrServer::PgrServer(double epsilon, uint64_t domain, PgrOptions options)
 void PgrServer::Add(uint32_t report) {
   FELIP_CHECK(report < params_.num_points);
   ++counts_[report];
-  ++num_reports_;
+}
+
+uint64_t PgrServer::num_reports() const {
+  return std::accumulate(counts_.begin(), counts_.end(), uint64_t{0});
 }
 
 void PgrServer::RestoreState(std::vector<uint64_t> counts,
@@ -256,7 +260,8 @@ void PgrServer::RestoreState(std::vector<uint64_t> counts,
   FELIP_CHECK_MSG(counts.size() == counts_.size(),
                   "restored PGR histogram does not match the point count");
   counts_ = std::move(counts);
-  num_reports_ = num_reports;
+  FELIP_CHECK_MSG(this->num_reports() == num_reports,
+                  "restored PGR counts do not sum to num_reports");
 }
 
 std::vector<uint64_t> PgrServer::OrthogonalCountsDirect() const {
@@ -347,27 +352,31 @@ std::vector<uint64_t> PgrServer::OrthogonalCountsFast() const {
   return orthogonal;
 }
 
-double PgrServer::Debias(uint64_t orthogonal) const {
-  const double n = static_cast<double>(num_reports_);
+double PgrServer::Debias(uint64_t orthogonal, uint64_t num_reports) const {
+  const double n = static_cast<double>(num_reports);
   const double support = n - static_cast<double>(orthogonal);
   return (support / n - params_.q_star) / (params_.p_star - params_.q_star);
 }
 
 std::vector<double> PgrServer::EstimateFrequencies() const {
-  FELIP_CHECK_MSG(num_reports_ > 0, "no PGR reports collected");
+  const uint64_t num_reports = this->num_reports();
+  FELIP_CHECK_MSG(num_reports > 0, "no PGR reports collected");
   const PgrDecode decode =
       ResolvePgrDecode(params_, domain_, options_.decode);
   const std::vector<uint64_t> orthogonal = decode == PgrDecode::kFast
                                                ? OrthogonalCountsFast()
                                                : OrthogonalCountsDirect();
   std::vector<double> freq(domain_);
-  for (uint64_t v = 0; v < domain_; ++v) freq[v] = Debias(orthogonal[v]);
+  for (uint64_t v = 0; v < domain_; ++v) {
+    freq[v] = Debias(orthogonal[v], num_reports);
+  }
   return freq;
 }
 
 double PgrServer::EstimateValue(uint64_t value) const {
   FELIP_CHECK(value < domain_);
-  FELIP_CHECK_MSG(num_reports_ > 0, "no PGR reports collected");
+  const uint64_t num_reports = this->num_reports();
+  FELIP_CHECK_MSG(num_reports > 0, "no PGR reports collected");
   const uint32_t q = params_.q;
   const uint32_t t = params_.t;
   uint32_t x[kMaxDimension];
@@ -381,7 +390,7 @@ double PgrServer::EstimateValue(uint64_t value) const {
     for (uint32_t i = 0; i < t; ++i) dot += x[i] * z[i];
     if (dot % q == 0) on += counts_[p];
   }
-  return Debias(on);
+  return Debias(on, num_reports);
 }
 
 }  // namespace felip::fo

@@ -107,7 +107,8 @@ class PgrServer {
  public:
   PgrServer(double epsilon, uint64_t domain, PgrOptions options = {});
 
-  // Accumulates one report in [0, num_points).
+  // Accumulates one report in [0, num_points). The report count is the
+  // counts' sum, not a second counter bumped here (see GrrServer::Add).
   void Add(uint32_t report);
 
   // Unbiased frequency estimates for all domain values. Direct and fast
@@ -115,7 +116,8 @@ class PgrServer {
   std::vector<double> EstimateFrequencies() const;
   double EstimateValue(uint64_t value) const;
 
-  uint64_t num_reports() const { return num_reports_; }
+  // O(num_points): the sum of the counts.
+  uint64_t num_reports() const;
   uint64_t domain() const { return domain_; }
   const PgrParams& params() const { return params_; }
 
@@ -125,20 +127,20 @@ class PgrServer {
   const std::vector<uint64_t>& counts() const { return counts_; }
 
   // Replaces the accumulator with previously exported state. Callers must
-  // validate untrusted input first; size mismatches abort.
+  // validate untrusted input first; a size mismatch or counts that do not
+  // sum to `num_reports` abort.
   void RestoreState(std::vector<uint64_t> counts, uint64_t num_reports);
 
  private:
   // #reports orthogonal to each value's point, one entry per domain value.
   std::vector<uint64_t> OrthogonalCountsDirect() const;
   std::vector<uint64_t> OrthogonalCountsFast() const;
-  double Debias(uint64_t orthogonal) const;
+  double Debias(uint64_t orthogonal, uint64_t num_reports) const;
 
   uint64_t domain_;
   PgrOptions options_;
   PgrParams params_;
   std::vector<uint64_t> counts_;  // histogram over point indices
-  uint64_t num_reports_ = 0;
 };
 
 }  // namespace felip::fo

@@ -127,7 +127,8 @@ double FldpVarianceHook(double epsilon, uint64_t domain, uint64_t n,
   return FldpVariance(epsilon, domain, opts.fldp.report_bits, n);
 }
 
-// --- Report-size hooks (wire body bytes; must match felip/wire's codec) ---
+// --- Report-size hooks (wire body bytes; an upper bound on the record
+// bytes felip/wire's grid-run frame spends per report) ---
 
 uint64_t GrrReportBytes(double, uint64_t, const ProtocolOptions&) {
   return 8;  // one uint64 value

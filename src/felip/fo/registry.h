@@ -81,7 +81,9 @@ struct ProtocolTraits {
 
   // Wire-body bytes of one report for a grid with `domain` cells — the
   // communication cost AFO scores against OptimizeParams::
-  // report_budget_bytes. Matches the report codec in felip/wire.
+  // report_budget_bytes. An upper bound on the record bytes the grid-run
+  // report frame (felip/wire) spends on one report, which writes each
+  // field in the narrowest width its run's values need.
   uint64_t (*report_bytes)(double epsilon, uint64_t domain,
                            const ProtocolOptions&);
 };

@@ -39,7 +39,11 @@
 namespace felip::replaylog {
 
 inline constexpr uint32_t kMagic = 0x46524c47;  // "FRLG"
-inline constexpr uint8_t kFormatVersion = 1;
+// Version 2: kBatch payloads are grid-run report frames (wire.h). A
+// version-1 segment, whose payloads are the retired record-per-report
+// frames, fails at its header instead of replaying every batch as
+// undecodable.
+inline constexpr uint8_t kFormatVersion = 2;
 // Salt of every xxHash64 seal in this format ("rlogcsum"). Distinct from
 // the wire and snapshot salts, so bytes can never verify as the wrong
 // kind of artifact.

@@ -93,6 +93,10 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
   std::optional<core::FelipPipeline> pipeline;
   std::vector<uint8_t> plan;
   svc::DedupWindow dedup;
+  // The drain thread's decoder and grid-run path, reused for every batch
+  // of the log; the decoder bounds what it retains between batches.
+  wire::ReportChunkDecoder decoder;
+  svc::GridRunIngester grid_runs;
 
   for (const std::string& path : segments) {
     StatusOr<std::vector<uint8_t>> bytes = storage::ReadFile(path);
@@ -135,11 +139,6 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
     stats.segments_read += 1;
 
     LogRecord record;
-    // Decode and grid-run buffers reused for every batch of this segment,
-    // like the server's drain thread; scoped to the segment so what they retain
-    // stays proportional to the segment bytes already in memory.
-    std::vector<wire::ReportMessage> messages;
-    svc::GridRunIngester grid_runs;
     while (true) {
       StatusOr<bool> next = parser->Next(&record);
       if (!next.ok()) {
@@ -151,8 +150,9 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
       if (!*next) break;
 
       // Mirror the live server's gates: trailer verification
-      // (HandleFrame), trailer-keyed dedup, then the structural decode
-      // (DrainLoop).
+      // (HandleFrame), trailer-keyed dedup, then the structural validation
+      // and chunked decode of the verified frame (DrainLoop), so replay
+      // validates and orders reports exactly as the server did.
       if (!svc::VerifyChecksumTrailer(record.payload) ||
           svc::ChecksumTrailer(record.payload).value_or(0) != record.key) {
         stats.batches_undecodable += 1;
@@ -162,15 +162,16 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
         stats.batches_duplicate += 1;
         continue;
       }
-      if (!wire::DecodeReportBatch(record.payload, &messages).ok()) {
+      if (!decoder.Validate(record.payload).ok()) {
         stats.batches_undecodable += 1;
         continue;
       }
-      // The live sink's grid-run path, so replay validates and orders
-      // reports exactly as the server did.
-      const size_t accepted = grid_runs.Ingest(*pipeline, messages);
+      size_t accepted = 0;
+      decoder.Decode([&](std::span<const wire::ReportMessage> chunk) {
+        accepted += grid_runs.Ingest(*pipeline, chunk);
+      });
       stats.reports_accepted += accepted;
-      stats.reports_rejected += messages.size() - accepted;
+      stats.reports_rejected += decoder.report_count() - accepted;
       stats.batches_replayed += 1;
       replayed_total.Increment();
     }

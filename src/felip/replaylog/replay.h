@@ -3,11 +3,12 @@
 // ReplayLog walks every segment of a report log (oldest first),
 // reconstructs the pipeline the log's plan describes, and re-ingests
 // every logged batch through the exact server path — checksum-trailer
-// verification, trailer-keyed idempotency window, sharded structural
-// decode, per-report oracle validation — so the replayed pipeline is
-// bit-identical to the live one that wrote the log: aggregation is
-// integer-count based and depends only on the multiset of accepted
-// reports, never on order, batching, threads, or SIMD dispatch.
+// verification, trailer-keyed idempotency window, the drain thread's
+// structural validation and chunked decode (wire::ReportChunkDecoder),
+// the grid-run sink path, per-report oracle validation — so the replayed
+// pipeline is bit-identical to the live one that wrote the log:
+// aggregation is integer-count based and depends only on the multiset of
+// accepted reports, never on order, batching, threads, or SIMD dispatch.
 //
 // The dedup window matters beyond tidiness: with checkpointing enabled, a
 // SIGKILLed server re-drains (and re-logs) every batch its clients resend

@@ -48,26 +48,6 @@ struct ServerCounters {
   }
 };
 
-// The drain thread's decode buffer is reused across frames, so what it
-// holds — the report array and each report's bit vector — was sized by the
-// frames decoded into it since it was last released. Releasing it once it
-// holds more than kRetainedReports reports, or once those frames exceed
-// kRetainedFrameBytes, keeps what the server pins between batches to a few
-// MiB whatever a client sends; one 64 MiB frame of 9-byte records alone
-// would otherwise pin ~360 MB for the server's lifetime.
-constexpr size_t kRetainedReports = size_t{1} << 16;
-constexpr size_t kRetainedFrameBytes = size_t{4} << 20;
-
-void ReleaseIfOversized(std::vector<wire::ReportMessage>* messages,
-                        size_t* retained_frame_bytes, size_t frame_bytes) {
-  *retained_frame_bytes += frame_bytes;
-  if (messages->capacity() > kRetainedReports ||
-      *retained_frame_bytes > kRetainedFrameBytes) {
-    std::vector<wire::ReportMessage>().swap(*messages);
-    *retained_frame_bytes = 0;
-  }
-}
-
 }  // namespace
 
 IngestServer::IngestServer(Transport* transport, const std::string& endpoint,
@@ -226,31 +206,35 @@ void IngestServer::CheckpointLocked() {
 
 void IngestServer::DrainLoop() {
   ServerCounters& counters = ServerCounters::Get();
-  // Every frame decodes into this one vector, which keeps its reports'
-  // storage from frame to frame until ReleaseIfOversized drops it.
-  std::vector<wire::ReportMessage> messages;
-  size_t retained_frame_bytes = 0;
+  // Built once, before any frame is read: every frame decodes through its
+  // fixed-capacity chunk buffer, so nothing here is sized by a frame.
+  wire::ReportChunkDecoder decoder;
   while (true) {
     std::optional<std::vector<uint8_t>> frame = queue_.Pop();
     if (!frame.has_value()) return;
     counters.queue_depth.Set(static_cast<double>(queue_.size()));
 
     obs::ScopedTimer span("felip_svc_drain");
-    // The decoder validates every record before the first sink call, so
-    // structurally bad batches (checksum-valid garbage from an adversarial
-    // client — honest retries can't produce them) are dropped whole.
-    if (!wire::DecodeReportBatch(*frame, &messages).ok()) {
+    // HandleFrame verified the checksum trailer, so the frame is validated
+    // structurally without a second hashing pass, and in full before the
+    // first sink call: structurally bad batches (checksum-valid garbage
+    // from an adversarial client — honest retries can't produce them)
+    // are dropped whole.
+    if (!decoder.Validate(*frame).ok()) {
       batches_undecodable_.fetch_add(1);
-      ReleaseIfOversized(&messages, &retained_frame_bytes, frame->size());
       continue;
     }
+    const size_t count = decoder.report_count();
     {
       // Sink mutation, drained-key append, and any checkpoint form one
       // critical section: a checkpoint can never see the batch's reports
-      // without its key or vice versa.
+      // without its key or vice versa. Every chunk of the frame reaches
+      // the sink under this one hold.
       std::lock_guard<std::mutex> lock(drain_mutex_);
       const uint64_t key = ChecksumTrailer(*frame).value_or(0);
-      sink_->IngestBatch(messages);
+      decoder.Decode([this](std::span<const wire::ReportMessage> chunk) {
+        sink_->IngestBatch(chunk);
+      });
       drained_.Insert(key);
       // Log before any checkpoint trigger: a checkpoint cut must never
       // include a batch the report log is missing (docs/replay.md).
@@ -279,8 +263,6 @@ void IngestServer::DrainLoop() {
       // epoch being sealed.
       if (options_.after_drain) options_.after_drain(DrainCut(this));
     }
-    const size_t count = messages.size();
-    ReleaseIfOversized(&messages, &retained_frame_bytes, frame->size());
     counters.reports.Increment(count);
     {
       std::lock_guard<std::mutex> lock(reports_mutex_);

@@ -15,10 +15,13 @@
 //      suggested retry_after_ms and NOT recorded as seen, so the client's
 //      resend is a fresh attempt.
 //
-// One drain thread empties the queue. It decodes each batch in one
-// validating pass (wire::DecodeReportBatch: no report reaches the sink
-// unless the whole batch is well-formed) into one report vector it reuses
-// across batches, and hands that vector to a ReportSink. Batches reach the
+// One drain thread empties the queue through one wire::ReportChunkDecoder
+// built before the first frame. The trailer was verified in step 1, so
+// the drain thread only validates each batch's structure (no report
+// reaches the sink unless the whole batch is well-formed), then decodes
+// it in chunks of at most wire::kReportChunkSize reports into the
+// decoder's fixed buffer and hands each chunk to a ReportSink, every chunk
+// of a batch under one hold of the drain lock. Batches reach the
 // sink, the report log and every checkpoint cut in queue order, which is
 // the order their kOk acks were sent. Aggregation is integer-count based,
 // so estimates depend only on the multiset of accepted batches — queue

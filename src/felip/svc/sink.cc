@@ -18,31 +18,15 @@ PipelineSink::PipelineSink(core::FelipPipeline* pipeline)
 
 size_t GridRunIngester::Ingest(core::FelipPipeline& pipeline,
                                std::span<const wire::ReportMessage> reports) {
-  const size_t num_grids = pipeline.num_groups();
-  run_ends_.assign(num_grids, 0);
-  for (const wire::ReportMessage& m : reports) {
-    if (m.grid_index < num_grids) ++run_ends_[m.grid_index];
-  }
-  size_t placed = 0;
-  for (size_t& run : run_ends_) {
-    const size_t count = run;
-    run = placed;
-    placed += count;
-  }
-  sorted_.resize(placed);
-  // In batch order, so each run keeps its reports' relative order.
-  for (const wire::ReportMessage& m : reports) {
-    if (m.grid_index < num_grids) sorted_[run_ends_[m.grid_index]++] = &m;
-  }
-  const std::span<const fo::ReportData* const> sorted(sorted_);
+  reports_.resize(reports.size());
+  for (size_t i = 0; i < reports.size(); ++i) reports_[i] = &reports[i];
+  const std::span<const fo::ReportData* const> all(reports_);
   size_t accepted = 0;
-  size_t begin = 0;
-  for (size_t g = 0; g < num_grids; ++g) {
-    const size_t end = run_ends_[g];
-    if (end > begin) {
-      accepted += pipeline.IngestReports(static_cast<uint32_t>(g),
-                                         sorted.subspan(begin, end - begin));
-    }
+  for (size_t begin = 0; begin < reports.size();) {
+    const uint32_t grid = reports[begin].grid_index;
+    size_t end = begin + 1;
+    while (end < reports.size() && reports[end].grid_index == grid) ++end;
+    accepted += pipeline.IngestReports(grid, all.subspan(begin, end - begin));
     begin = end;
   }
   return accepted;

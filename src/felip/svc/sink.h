@@ -1,11 +1,12 @@
 // Where decoded reports go: the boundary between the ingest service and
 // the aggregation pipeline.
 //
-// IngestServer's drain thread hands fully decoded, structurally valid
-// batches to a ReportSink. PipelineSink is the production sink: under a
-// mutex it feeds each batch to a planned FelipPipeline one grid run at a
-// time (GridRunIngester): a stable counting sort by grid index, then one
-// FelipPipeline::IngestReports call per grid the batch touches. Per-report
+// IngestServer's drain thread hands decoded chunks of structurally valid
+// batches (at most wire::kReportChunkSize reports, grouped by grid as the
+// grid-run frame carries them) to a ReportSink. PipelineSink is the
+// production sink: under a mutex it feeds each chunk to a planned
+// FelipPipeline one grid run at a time (GridRunIngester): one
+// FelipPipeline::IngestReports call per maximal same-grid run. Per-report
 // validation (grid index in range, protocol matching the grid's plan,
 // payload within the grid's domain) still happens report by report inside
 // the pipeline's oracles, and rejected reports are counted, never fatal —
@@ -15,8 +16,8 @@
 // the multiset of accepted reports — never on batch arrival order or
 // batch boundaries. That is what makes the networked path bit-identical
 // to the in-process pipeline. The one order that state does
-// keep, OLH per-user raw report lists, is each grid's reports in frame
-// order, which the stable sort preserves.
+// keep, OLH per-user raw report lists, is each grid's reports in batch
+// order, which the encoder's stable grouping by grid preserves.
 
 #ifndef FELIP_SVC_SINK_H_
 #define FELIP_SVC_SINK_H_
@@ -36,18 +37,23 @@ class ReportSink {
  public:
   virtual ~ReportSink() = default;
 
-  // Ingests one decoded batch; returns how many reports were accepted.
+  // Ingests decoded reports — one chunk of a batch on the drain path, or a
+  // whole batch — and returns how many were accepted.
   // Called from the server's drain thread while other threads may read
   // the sink (dist export, epoch rotation); implementations synchronize.
   virtual size_t IngestBatch(
       std::span<const wire::ReportMessage> reports) = 0;
 };
 
-// The grid-run ingest path PipelineSink and the replay engine share. It
-// reuses its partition buffers across batches and is not thread-safe. A
-// report naming an unplanned grid is rejected. The result equals
-// FelipPipeline::IngestReport on every report in batch order: the same
-// accepted reports and the same oracle states.
+// The grid-run ingest path PipelineSink and the replay engine share: one
+// FelipPipeline::IngestReports call per maximal run of same-grid reports,
+// in batch order. A decoded frame is grouped by grid already (the grid-run
+// frame, wire/wire.h), so that is one call per grid per chunk; an
+// interleaved batch takes more calls and the same result. It reuses its
+// pointer buffer across batches and is not thread-safe. A report naming an
+// unplanned grid is rejected. The result equals FelipPipeline::IngestReport
+// on every report in batch order: the same accepted reports and the same
+// oracle states.
 class GridRunIngester {
  public:
   // Ingests `reports` into `pipeline` (kCollecting) and returns how many
@@ -56,10 +62,8 @@ class GridRunIngester {
                 std::span<const wire::ReportMessage> reports);
 
  private:
-  // Per grid: the start of its run, then, once placed, its end.
-  std::vector<size_t> run_ends_;
-  // The batch's in-range reports, grouped by grid.
-  std::vector<const fo::ReportData*> sorted_;
+  // The batch's reports as the span IngestReports takes.
+  std::vector<const fo::ReportData*> reports_;
 };
 
 // Thread-safe sink over a planned (not yet collected) FelipPipeline.

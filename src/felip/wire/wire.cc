@@ -5,8 +5,10 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -25,8 +27,8 @@ namespace {
 enum class MessageKind : uint8_t {
   kGridConfig = 1,
   // 2 was the single-report frame, since replaced by one-record report
-  // batches; never reuse it for another kind.
-  kReportBatch = 3,
+  // batches, and 3 the record-per-report batch frame, since replaced by
+  // the grid-run frame (kReportRuns); never reuse either for another kind.
   // 4 was the single-frame snapshot, since replaced by the FSNP
   // container (felip/snapshot); never reuse it for another kind.
   kSnapshot = 4,
@@ -35,6 +37,7 @@ enum class MessageKind : uint8_t {
   kAccumulatorPull = 7,
   kAccumulatorFrame = 8,
   kWindowedQuery = 9,
+  kReportRuns = 10,
 };
 
 // Every frame is magic(4) + version(1) + kind(1), its payload, then the
@@ -54,29 +57,34 @@ void WriteHeader(Writer& w, MessageKind kind) {
   w.PutBytes(header, sizeof(header));
 }
 
-// Verifies magic/version/kind and the trailing checksum; on success returns
-// the payload end (the checksum trailer stripped from the logical payload
-// length).
-std::optional<size_t> ValidateEnvelope(const std::vector<uint8_t>& buffer,
-                                       MessageKind expected_kind) {
+// Verifies magic/version/kind and the frame's minimum size, not the
+// checksum; on success returns the payload end (the checksum trailer
+// stripped from the logical payload length).
+std::optional<size_t> CheckHeader(const std::vector<uint8_t>& buffer,
+                                  MessageKind expected_kind) {
   if (buffer.size() < kHeaderBytes + kTrailerBytes) return std::nullopt;
-  if (!CheckSealedChecksum(buffer, kChecksumSalt)) return std::nullopt;
-  const size_t payload_end = buffer.size() - kTrailerBytes;
   uint32_t magic = 0;
   std::memcpy(&magic, buffer.data(), sizeof(magic));
   if (magic != kMagic) return std::nullopt;
   if (buffer[4] != kVersion) return std::nullopt;
   if (buffer[5] != static_cast<uint8_t>(expected_kind)) return std::nullopt;
-  return payload_end;
+  return buffer.size() - kTrailerBytes;
+}
+
+// CheckHeader plus the trailing checksum.
+std::optional<size_t> ValidateEnvelope(const std::vector<uint8_t>& buffer,
+                                       MessageKind expected_kind) {
+  if (!CheckSealedChecksum(buffer, kChecksumSalt)) return std::nullopt;
+  return CheckHeader(buffer, expected_kind);
 }
 
 // Per-protocol received-report byte counters
 // (felip_fo_report_bytes_total_<protocol>), indexed by protocol byte and
-// cached once per process. Incremented only for frames that decoded
+// cached once per process. Incremented only for frames that validated
 // whole, so every accepted report is counted exactly once. The measured
-// span is the protocol body after the grid-index/protocol header, so the
-// counter agrees with ProtocolTraits::report_bytes — the per-report cost
-// AFO budgets against.
+// bytes are a run's records, not its header, so per report the counter
+// stays at or below ProtocolTraits::report_bytes — the upper bound AFO
+// budgets against.
 obs::Counter& ReportBytesCounter(fo::Protocol protocol) {
   static std::array<obs::Counter*, fo::kNumProtocols> counters = [] {
     std::array<obs::Counter*, fo::kNumProtocols> c{};
@@ -128,131 +136,6 @@ std::optional<StatusCode> QueryStatusFromWire(uint8_t byte) {
   }
 }
 
-// The report codec frames each payload by its type: one PayloadBytes,
-// PutPayload and ReadPayload overload per fo::ReportPayload alternative,
-// so nothing in this file enumerates protocols. The protocol byte is the
-// payload's alternative index. PayloadBytes is exactly what PutPayload
-// writes; PutPayload writes at `at` and returns the byte after it.
-size_t PayloadBytes(uint64_t) { return sizeof(uint64_t); }
-size_t PayloadBytes(uint32_t) { return sizeof(uint32_t); }
-size_t PayloadBytes(const fo::OlhReport&) {
-  return sizeof(uint64_t) + sizeof(uint32_t) + sizeof(uint32_t);
-}
-size_t PayloadBytes(const std::vector<uint8_t>& bits) {
-  return sizeof(uint32_t) + bits.size();
-}
-size_t PayloadBytes(const fo::FldpReport& report) {
-  return sizeof(uint32_t) + PayloadBytes(report.bits);
-}
-
-uint8_t* PutPayload(uint8_t* at, uint64_t value) {
-  return PutAt<uint64_t>(at, value);
-}
-uint8_t* PutPayload(uint8_t* at, uint32_t value) {
-  return PutAt<uint32_t>(at, value);
-}
-uint8_t* PutPayload(uint8_t* at, const fo::OlhReport& report) {
-  at = PutAt<uint64_t>(at, report.seed);
-  at = PutAt<uint32_t>(at, report.hashed_report);
-  return PutAt<uint32_t>(at, report.seed_index);
-}
-uint8_t* PutPayload(uint8_t* at, const std::vector<uint8_t>& bits) {
-  at = PutAt<uint32_t>(at, static_cast<uint32_t>(bits.size()));
-  // An empty vector's data() may be null, and memcpy from null is
-  // undefined even for zero bytes.
-  if (!bits.empty()) std::memcpy(at, bits.data(), bits.size());
-  return at + bits.size();
-}
-uint8_t* PutPayload(uint8_t* at, const fo::FldpReport& report) {
-  return PutPayload(PutAt<uint32_t>(at, report.subset_index), report.bits);
-}
-
-bool ReadPayload(Reader& r, uint64_t* value) { return r.Get(value); }
-bool ReadPayload(Reader& r, uint32_t* value) { return r.Get(value); }
-bool ReadPayload(Reader& r, fo::OlhReport* report) {
-  return r.Get(&report->seed) && r.Get(&report->hashed_report) &&
-         r.Get(&report->seed_index);
-}
-// A length-prefixed bit vector, rejecting absurd lengths and non-bit
-// bytes.
-bool ReadPayload(Reader& r, std::vector<uint8_t>* bits) {
-  uint32_t len = 0;
-  if (!r.GetLength(&len, 1)) return false;  // reject absurd lengths early
-  bits->resize(len);
-  if (!r.GetBytes(bits->data(), len)) return false;
-  for (const uint8_t b : *bits) {
-    if (b > 1) return false;
-  }
-  return true;
-}
-bool ReadPayload(Reader& r, fo::FldpReport* report) {
-  return r.Get(&report->subset_index) && ReadPayload(r, &report->bits);
-}
-
-// Reads alternative I of the payload in place, reusing the storage of a
-// payload that already holds it (a batch decoded into a reused vector).
-template <size_t I>
-bool ReadAlternative(Reader& r, fo::ReportPayload* payload) {
-  if (payload->index() != I) payload->emplace<I>();
-  return ReadPayload(r, &std::get<I>(*payload));
-}
-
-using PayloadReader = bool (*)(Reader&, fo::ReportPayload*);
-
-template <size_t... I>
-constexpr std::array<PayloadReader, sizeof...(I)> PayloadReaders(
-    std::index_sequence<I...>) {
-  return {&ReadAlternative<I>...};
-}
-
-// Indexed by protocol byte.
-constexpr std::array<PayloadReader, fo::kNumProtocols> kPayloadReaders =
-    PayloadReaders(std::make_index_sequence<fo::kNumProtocols>());
-
-// One report record: grid index, protocol byte, payload.
-size_t ReportRecordBytes(const ReportMessage& m) {
-  return sizeof(uint32_t) + sizeof(uint8_t) +
-         std::visit([](const auto& payload) { return PayloadBytes(payload); },
-                    m.payload);
-}
-
-// Writes one record of ReportRecordBytes(m) bytes at `at`.
-uint8_t* PutReportRecord(uint8_t* at, const ReportMessage& m) {
-  at = PutAt<uint32_t>(at, m.grid_index);
-  at = PutAt<uint8_t>(at, static_cast<uint8_t>(m.protocol()));
-  // The cursor goes in and comes back by value, so it stays in a
-  // register across the records.
-  return std::visit(
-      [at](const auto& payload) { return PutPayload(at, payload); },
-      m.payload);
-}
-
-// Per-protocol sums of received report body bytes, indexed by protocol
-// byte. A decoder adds each record's body here and hands the sums to
-// CountReportBytes only once its whole frame has validated, so a rejected
-// frame counts nothing.
-using ReportBodyBytes = std::array<uint64_t, fo::kNumProtocols>;
-
-// Reads one report record into `m`, reusing the storage of its payload.
-bool ReadReport(Reader& r, ReportMessage* m, ReportBodyBytes* body_bytes) {
-  uint8_t protocol = 0;
-  if (!r.Get(&m->grid_index) || !r.Get(&protocol)) return false;
-  if (!fo::KnownProtocolByte(protocol)) return false;
-  const size_t body_start = r.position();
-  if (!kPayloadReaders[protocol](r, &m->payload)) return false;
-  (*body_bytes)[protocol] += r.position() - body_start;
-  return true;
-}
-
-void CountReportBytes(const ReportBodyBytes& body_bytes) {
-  for (size_t p = 0; p < body_bytes.size(); ++p) {
-    if (body_bytes[p] != 0) {
-      ReportBytesCounter(static_cast<fo::Protocol>(p))
-          .Increment(body_bytes[p]);
-    }
-  }
-}
-
 // Decode-path instruments, cached once per process. Every public decoder
 // counts the bytes it inspected; malformed inputs are counted rather than
 // being fatal, so untrusted-input rejection stays observable.
@@ -282,46 +165,663 @@ DecodeCounters& Counters() {
 // names the frame kind so service logs stay diagnosable.
 Status Malformed(const char* what) { return Status::InvalidArgument(what); }
 
-// One validating pass over a ReportBatch frame: record i is read straight
-// into (*out)[i], and the pass must end exactly at the checksum trailer.
-bool DecodeReportBatchImpl(const std::vector<uint8_t>& buffer,
-                           std::vector<ReportMessage>* out) {
-  const auto payload_end =
-      ValidateEnvelope(buffer, MessageKind::kReportBatch);
-  if (!payload_end.has_value()) return false;
-  Reader r(buffer);
-  if (!r.Skip(6)) return false;
-  // Every record is at least grid(4) + protocol(1) + a 4-byte payload
-  // (PGR point or empty-OUE length), so an adversarial count is rejected
-  // before anything proportional to it is allocated.
-  constexpr size_t kMinReportBytes = 4 + 1 + 4;
-  uint32_t count = 0;
-  if (!r.GetCount(&count, kMinReportBytes, *payload_end)) return false;
-  out->resize(count);
-  ReportBodyBytes body_bytes{};
-  for (ReportMessage& m : *out) {
-    if (!ReadReport(r, &m, &body_bytes)) return false;
+// --- Report-batch frames: grid runs (layout in wire.h) ---
+
+// Per-protocol sums of received record bytes, indexed by protocol byte.
+// A validator adds each run's records here and hands the sums to
+// CountReportBytes only once its whole frame has validated, so a rejected
+// frame counts nothing.
+using ReportBodyBytes = std::array<uint64_t, fo::kNumProtocols>;
+
+void CountReportBytes(const ReportBodyBytes& body_bytes) {
+  for (size_t p = 0; p < body_bytes.size(); ++p) {
+    if (body_bytes[p] != 0) {
+      ReportBytesCounter(static_cast<fo::Protocol>(p))
+          .Increment(body_bytes[p]);
+    }
   }
-  if (r.position() != *payload_end) return false;
-  CountReportBytes(body_bytes);
-  return true;
 }
+
+// Everything a run header says about its records: the protocol byte (the
+// payload's alternative index), whether an OLH run is pooled, each
+// fixed-width field's byte width in record order, and the bit length of
+// bit-vector payloads.
+struct RunShape {
+  uint8_t protocol = 0;
+  bool pooled = false;
+  std::array<uint8_t, 2> widths{};
+  uint32_t bits = 0;
+
+  // Spelled out: the defaulted comparison compares `widths` through a
+  // memcmp call, which the encoder's per-report shape check pays for.
+  friend bool operator==(const RunShape& a, const RunShape& b) {
+    return a.protocol == b.protocol && a.pooled == b.pooled &&
+           a.widths[0] == b.widths[0] && a.widths[1] == b.widths[1] &&
+           a.bits == b.bits;
+  }
+};
+
+// A payload type's record layout: how many fixed-width fields a record
+// has, the widest each may be (the size of the member it decodes into),
+// whether a packed bit vector follows them, and whether the run header
+// carries a pooled byte.
+struct RecordLayout {
+  size_t fields = 0;
+  std::array<uint8_t, 2> max_width{};
+  bool bits = false;
+  bool pooled_byte = false;
+};
+
+bool ValidWidth(uint8_t width, uint8_t max_width) {
+  return (width == 1 || width == 2 || width == 4 || width == 8) &&
+         width <= max_width;
+}
+
+// Smallest field width that holds `value`.
+uint8_t WidthOf(uint64_t value) {
+  if (value <= 0xff) return 1;
+  if (value <= 0xffff) return 2;
+  if (value <= 0xffffffffu) return 4;
+  return 8;
+}
+
+// Bytes a packed bit vector of `bits` bits takes: at least one, so no
+// record is ever zero bytes and every run count is bounded by the bytes
+// present.
+size_t PackedBytes(uint32_t bits) {
+  return bits == 0 ? 1 : (static_cast<size_t>(bits) + 7) / 8;
+}
+
+uint8_t* PutField(uint8_t* at, uint64_t value, uint8_t width) {
+  switch (width) {
+    case 1:
+      return PutAt<uint8_t>(at, static_cast<uint8_t>(value));
+    case 2:
+      return PutAt<uint16_t>(at, static_cast<uint16_t>(value));
+    case 4:
+      return PutAt<uint32_t>(at, static_cast<uint32_t>(value));
+    default:
+      return PutAt<uint64_t>(at, value);
+  }
+}
+
+uint64_t LoadField(const uint8_t* at, uint8_t width) {
+  switch (width) {
+    case 1:
+      return at[0];
+    case 2: {
+      uint16_t value = 0;
+      std::memcpy(&value, at, sizeof(value));
+      return value;
+    }
+    case 4: {
+      uint32_t value = 0;
+      std::memcpy(&value, at, sizeof(value));
+      return value;
+    }
+    default: {
+      uint64_t value = 0;
+      std::memcpy(&value, at, sizeof(value));
+      return value;
+    }
+  }
+}
+
+uint32_t BitCount(const std::vector<uint8_t>& bits) {
+  FELIP_CHECK_MSG(bits.size() <= UINT32_MAX, "bit vector too long to frame");
+  return static_cast<uint32_t>(bits.size());
+}
+
+uint8_t* PutBits(uint8_t* at, const std::vector<uint8_t>& bits) {
+  const size_t bytes = PackedBytes(BitCount(bits));
+  std::memset(at, 0, bytes);
+  for (size_t j = 0; j < bits.size(); ++j) {
+    at[j >> 3] |= static_cast<uint8_t>((bits[j] != 0 ? 1 : 0) << (j & 7));
+  }
+  return at + bytes;
+}
+
+const uint8_t* LoadBits(const uint8_t* at, uint32_t count,
+                        std::vector<uint8_t>* bits) {
+  bits->resize(count);
+  uint8_t* out = bits->data();
+  for (uint32_t j = 0; j < count; ++j) {
+    out[j] = static_cast<uint8_t>((at[j >> 3] >> (j & 7)) & 1);
+  }
+  return at + PackedBytes(count);
+}
+
+// True when the pad bits of the packed vector at `at` are zero: the bits
+// of its last byte past its length, all eight for the one byte an empty
+// vector takes.
+bool PadBitsClear(const uint8_t* at, uint32_t bits) {
+  const unsigned used = bits % 8;
+  const uint8_t last = at[PackedBytes(bits) - 1];
+  if (bits == 0) return last == 0;
+  return used == 0 || (last >> used) == 0;
+}
+
+// The record codec of each fo::ReportPayload alternative, chosen by the
+// payload's type, so nothing in this file enumerates protocols: the
+// protocol byte indexes tables built from these. Each has
+//   Layout(pooled)        its RecordLayout;
+//   Shape(payload, f)     the payload's run shape (widths unset), its
+//                         field values stored in f in record order;
+//   Put(at, payload, s)   writes one record of shape s;
+//   Load(at, s, payload)  reads one;
+//   Valid(at, s)          the checks one record's widths cannot express.
+template <typename T>
+struct RecordCodec;
+
+using Fields = std::array<uint64_t, 2>;
+
+// A GRR value (uint64_t) or a PGR point (uint32_t): one field, at most as
+// wide as the type.
+template <typename T>
+  requires std::is_unsigned_v<T>
+struct RecordCodec<T> {
+  static constexpr RecordLayout Layout(bool) { return {1, {sizeof(T), 0}}; }
+  static RunShape Shape(T value, Fields* f) {
+    (*f)[0] = value;
+    return {};
+  }
+  static uint8_t* Put(uint8_t* at, T value, const RunShape& s) {
+    return PutField(at, value, s.widths[0]);
+  }
+  static const uint8_t* Load(const uint8_t* at, const RunShape& s, T* value) {
+    *value = static_cast<T>(LoadField(at, s.widths[0]));
+    return at + s.widths[0];
+  }
+  static bool Valid(const uint8_t*, const RunShape&) { return true; }
+};
+
+// Pool index (pooled) or seed (per-user), then the hashed report. A
+// pooled seed is PoolSeed(pool index), which the server derives itself,
+// so it is not sent and decodes as 0.
+template <>
+struct RecordCodec<fo::OlhReport> {
+  static constexpr RecordLayout Layout(bool pooled) {
+    return {2, {static_cast<uint8_t>(pooled ? 4 : 8), 4}, false, true};
+  }
+  static RunShape Shape(const fo::OlhReport& r, Fields* f) {
+    RunShape shape;
+    shape.pooled = r.seed_index != fo::OlhReport::kNoPool;
+    (*f)[0] = shape.pooled ? r.seed_index : r.seed;
+    (*f)[1] = r.hashed_report;
+    return shape;
+  }
+  static uint8_t* Put(uint8_t* at, const fo::OlhReport& r,
+                      const RunShape& s) {
+    at = PutField(at, s.pooled ? r.seed_index : r.seed, s.widths[0]);
+    return PutField(at, r.hashed_report, s.widths[1]);
+  }
+  static const uint8_t* Load(const uint8_t* at, const RunShape& s,
+                             fo::OlhReport* r) {
+    const uint64_t key = LoadField(at, s.widths[0]);
+    r->hashed_report =
+        static_cast<uint32_t>(LoadField(at + s.widths[0], s.widths[1]));
+    r->seed = s.pooled ? 0 : key;
+    r->seed_index =
+        s.pooled ? static_cast<uint32_t>(key) : fo::OlhReport::kNoPool;
+    return at + s.widths[0] + s.widths[1];
+  }
+  // A pooled index of kNoPool would decode as a per-user report.
+  static bool Valid(const uint8_t* at, const RunShape& s) {
+    return !s.pooled || s.widths[0] < 4 ||
+           LoadField(at, 4) != fo::OlhReport::kNoPool;
+  }
+};
+
+template <>
+struct RecordCodec<std::vector<uint8_t>> {  // packed bits
+  static constexpr RecordLayout Layout(bool) { return {0, {0, 0}, true}; }
+  static RunShape Shape(const std::vector<uint8_t>& bits, Fields*) {
+    RunShape shape;
+    shape.bits = BitCount(bits);
+    return shape;
+  }
+  static uint8_t* Put(uint8_t* at, const std::vector<uint8_t>& bits,
+                      const RunShape&) {
+    return PutBits(at, bits);
+  }
+  static const uint8_t* Load(const uint8_t* at, const RunShape& s,
+                             std::vector<uint8_t>* bits) {
+    return LoadBits(at, s.bits, bits);
+  }
+  static bool Valid(const uint8_t* at, const RunShape& s) {
+    return PadBitsClear(at, s.bits);
+  }
+};
+
+template <>
+struct RecordCodec<fo::FldpReport> {  // subset index, then packed bits
+  static constexpr RecordLayout Layout(bool) { return {1, {4, 0}, true}; }
+  static RunShape Shape(const fo::FldpReport& r, Fields* f) {
+    RunShape shape;
+    (*f)[0] = r.subset_index;
+    shape.bits = BitCount(r.bits);
+    return shape;
+  }
+  static uint8_t* Put(uint8_t* at, const fo::FldpReport& r,
+                      const RunShape& s) {
+    return PutBits(PutField(at, r.subset_index, s.widths[0]), r.bits);
+  }
+  static const uint8_t* Load(const uint8_t* at, const RunShape& s,
+                             fo::FldpReport* r) {
+    r->subset_index = static_cast<uint32_t>(LoadField(at, s.widths[0]));
+    return LoadBits(at + s.widths[0], s.bits, &r->bits);
+  }
+  static bool Valid(const uint8_t* at, const RunShape& s) {
+    return PadBitsClear(at + s.widths[0], s.bits);
+  }
+};
+
+template <size_t I>
+using Codec = RecordCodec<std::variant_alternative_t<I, fo::ReportPayload>>;
+
+struct RunHeader {
+  uint32_t grid = 0;
+  uint32_t count = 0;
+  RunShape shape;
+};
+
+// One run the encoder writes: its grid and shape, and its reports,
+// order[begin, begin + count) of the batch's grid order.
+struct EncodedRun {
+  uint32_t grid = 0;
+  size_t begin = 0;
+  size_t count = 0;
+  RunShape shape;
+};
+
+// The per-alternative steps the frame code dispatches to by protocol
+// byte: the encoder's, per report, and the decoder's, over a whole run, so
+// the decode loops over records are specialized per payload type.
+// The per-alternative steps the frame code dispatches to by protocol
+// byte. Each loops over a whole run, so the loops over records are
+// specialized per payload type.
+template <size_t I>
+struct RunOps {
+  // Extends `run`, which starts at order[run->begin] and holds that
+  // report's shape, over the reports of order[run->begin, end) that share
+  // its shape, and sizes its fields' widths: each the width of the OR of
+  // the field's values, which is the width of their maximum.
+  static void Scan(const std::vector<ReportMessage>& reports,
+                   const uint32_t* order, size_t end, EncodedRun* run) {
+    Fields field_bits{};
+    size_t k = run->begin;
+    for (; k < end; ++k) {
+      const auto* payload = std::get_if<I>(&reports[order[k]].payload);
+      if (payload == nullptr) break;
+      Fields fields{};
+      RunShape shape = Codec<I>::Shape(*payload, &fields);
+      shape.protocol = static_cast<uint8_t>(I);
+      if (!(shape == run->shape)) break;
+      field_bits[0] |= fields[0];
+      field_bits[1] |= fields[1];
+    }
+    run->count = k - run->begin;
+    const RecordLayout layout = Codec<I>::Layout(run->shape.pooled);
+    for (size_t f = 0; f < layout.fields; ++f) {
+      run->shape.widths[f] = WidthOf(field_bits[f]);
+    }
+  }
+  static uint8_t* Put(uint8_t* at, const EncodedRun& run,
+                      const std::vector<ReportMessage>& reports,
+                      const uint32_t* order) {
+    for (size_t k = run.begin; k < run.begin + run.count; ++k) {
+      at = Codec<I>::Put(at, *std::get_if<I>(&reports[order[k]].payload),
+                         run.shape);
+    }
+    return at;
+  }
+  static RunShape Shape(const ReportMessage& m) {
+    Fields fields{};
+    RunShape shape = Codec<I>::Shape(*std::get_if<I>(&m.payload), &fields);
+    shape.protocol = static_cast<uint8_t>(I);
+    return shape;
+  }
+  static bool Valid(const uint8_t* at, const RunHeader& header,
+                    size_t record_bytes) {
+    for (uint32_t k = 0; k < header.count; ++k, at += record_bytes) {
+      if (!Codec<I>::Valid(at, header.shape)) return false;
+    }
+    return true;
+  }
+  // Decodes `n` records at `at` into out[0, n), keeping the storage of a
+  // payload that already holds the alternative (a reused chunk buffer).
+  static const uint8_t* Load(const uint8_t* at, const RunHeader& header,
+                             size_t n, ReportMessage* out) {
+    for (size_t k = 0; k < n; ++k) {
+      ReportMessage& m = out[k];
+      m.grid_index = header.grid;
+      auto* held = std::get_if<I>(&m.payload);
+      at = Codec<I>::Load(at, header.shape,
+                          held != nullptr ? held : &m.payload.emplace<I>());
+    }
+    return at;
+  }
+};
+
+struct RunOpsRow {
+  std::array<RecordLayout, 2> layout;  // indexed by the pooled flag
+  RunShape (*shape)(const ReportMessage&);
+  void (*scan)(const std::vector<ReportMessage>&, const uint32_t*, size_t,
+               EncodedRun*);
+  uint8_t* (*put)(uint8_t*, const EncodedRun&,
+                  const std::vector<ReportMessage>&, const uint32_t*);
+  bool (*valid)(const uint8_t*, const RunHeader&, size_t);
+  const uint8_t* (*load)(const uint8_t*, const RunHeader&, size_t,
+                         ReportMessage*);
+};
+
+template <size_t... I>
+constexpr std::array<RunOpsRow, sizeof...(I)> MakeRunOps(
+    std::index_sequence<I...>) {
+  return {RunOpsRow{{Codec<I>::Layout(false), Codec<I>::Layout(true)},
+                    &RunOps<I>::Shape, &RunOps<I>::Scan, &RunOps<I>::Put,
+                    &RunOps<I>::Valid, &RunOps<I>::Load}...};
+}
+
+// Indexed by protocol byte.
+constexpr std::array<RunOpsRow, fo::kNumProtocols> kRunOps =
+    MakeRunOps(std::make_index_sequence<fo::kNumProtocols>());
+
+const RecordLayout& LayoutOf(const RunShape& shape) {
+  return kRunOps[shape.protocol].layout[shape.pooled ? 1 : 0];
+}
+
+size_t RecordBytes(const RunShape& shape) {
+  const RecordLayout& layout = LayoutOf(shape);
+  size_t bytes = 0;
+  for (size_t f = 0; f < layout.fields; ++f) bytes += shape.widths[f];
+  return layout.bits ? bytes + PackedBytes(shape.bits) : bytes;
+}
+
+// grid u32, protocol u8, count u32, the pooled byte, one byte per field
+// width, the bit length u32.
+size_t RunHeaderBytes(const RunShape& shape) {
+  const RecordLayout& layout = LayoutOf(shape);
+  return 4 + 1 + 4 + (layout.pooled_byte ? 1 : 0) + layout.fields +
+         (layout.bits ? 4 : 0);
+}
+
+// The smallest run: its header with one width byte, and one 1-byte
+// record.
+constexpr size_t kMinRunBytes = 4 + 1 + 4 + 1 + 1;
+
+// Maps each grid index of a batch to a dense slot: the index itself while
+// the indices stay below a bound proportional to the batch, else its rank
+// among the batch's distinct indices.
+class GridSlots {
+ public:
+  explicit GridSlots(const std::vector<ReportMessage>& reports) {
+    uint32_t max_grid = 0;
+    for (const ReportMessage& m : reports) {
+      max_grid = std::max(max_grid, m.grid_index);
+    }
+    if (max_grid <= 2 * reports.size() + 256) {
+      size_ = size_t{max_grid} + 1;
+      return;
+    }
+    for (const ReportMessage& m : reports) sparse_.push_back(m.grid_index);
+    std::sort(sparse_.begin(), sparse_.end());
+    sparse_.erase(std::unique(sparse_.begin(), sparse_.end()), sparse_.end());
+    size_ = sparse_.size();
+  }
+
+  size_t size() const { return size_; }
+  size_t operator()(uint32_t grid) const {
+    if (sparse_.empty()) return grid;
+    return static_cast<size_t>(
+        std::lower_bound(sparse_.begin(), sparse_.end(), grid) -
+        sparse_.begin());
+  }
+
+ private:
+  std::vector<uint32_t> sparse_;
+  size_t size_ = 0;
+};
+
+uint8_t* PutRunHeader(uint8_t* at, const EncodedRun& run) {
+  const RunShape& shape = run.shape;
+  const RecordLayout& layout = LayoutOf(shape);
+  at = PutAt<uint32_t>(at, run.grid);
+  at = PutAt<uint8_t>(at, shape.protocol);
+  at = PutAt<uint32_t>(at, static_cast<uint32_t>(run.count));
+  if (layout.pooled_byte) at = PutAt<uint8_t>(at, shape.pooled ? 1 : 0);
+  for (size_t f = 0; f < layout.fields; ++f) {
+    at = PutAt<uint8_t>(at, shape.widths[f]);
+  }
+  return layout.bits ? PutAt<uint32_t>(at, shape.bits) : at;
+}
+
+// Bounds-checked little-endian reads over [at, end).
+struct ByteCursor {
+  const uint8_t* at = nullptr;
+  const uint8_t* end = nullptr;
+
+  template <typename T>
+  bool Get(T* value) {
+    if (remaining() < sizeof(T)) return false;
+    std::memcpy(value, at, sizeof(T));
+    at += sizeof(T);
+    return true;
+  }
+  size_t remaining() const { return static_cast<size_t>(end - at); }
+};
+
+// Reads one run header: a known protocol, a nonzero count, a pooled byte
+// of 0 or 1, and every width in {1, 2, 4, 8} and no wider than its field.
+bool ReadRunHeader(ByteCursor& c, RunHeader* header) {
+  RunShape& shape = header->shape;
+  shape = RunShape{};
+  if (!c.Get(&header->grid) || !c.Get(&shape.protocol) ||
+      !c.Get(&header->count)) {
+    return false;
+  }
+  if (!fo::KnownProtocolByte(shape.protocol) || header->count == 0) {
+    return false;
+  }
+  if (kRunOps[shape.protocol].layout[0].pooled_byte) {
+    uint8_t pooled = 0;
+    if (!c.Get(&pooled) || pooled > 1) return false;
+    shape.pooled = pooled == 1;
+  }
+  const RecordLayout& layout = LayoutOf(shape);
+  for (size_t f = 0; f < layout.fields; ++f) {
+    if (!c.Get(&shape.widths[f]) ||
+        !ValidWidth(shape.widths[f], layout.max_width[f])) {
+      return false;
+    }
+  }
+  return !layout.bits || c.Get(&shape.bits);
+}
+
+// A report-batch frame's run section, structurally validated.
+struct ValidatedRuns {
+  ByteCursor runs;
+  size_t reports = 0;
+};
+
+// Validates a report-batch frame: its header (and its checksum when
+// `verify_checksum`), the run count against the bytes present, every run
+// header, each run's records against the bytes left, each record's
+// checks, and an exact end at the trailer. Nothing is allocated. The
+// per-protocol byte counters move only for a frame that validates.
+std::optional<ValidatedRuns> ValidateReportBatch(
+    const std::vector<uint8_t>& buffer, bool verify_checksum) {
+  const std::optional<size_t> payload_end =
+      verify_checksum ? ValidateEnvelope(buffer, MessageKind::kReportRuns)
+                      : CheckHeader(buffer, MessageKind::kReportRuns);
+  if (!payload_end.has_value()) return std::nullopt;
+  ByteCursor c{buffer.data() + kHeaderBytes, buffer.data() + *payload_end};
+  const ByteCursor runs = c;
+  uint32_t run_count = 0;
+  if (!c.Get(&run_count) ||
+      static_cast<uint64_t>(run_count) * kMinRunBytes > c.remaining()) {
+    return std::nullopt;
+  }
+  ReportBodyBytes body_bytes{};
+  size_t reports = 0;
+  for (uint32_t r = 0; r < run_count; ++r) {
+    RunHeader header;
+    if (!ReadRunHeader(c, &header)) return std::nullopt;
+    const size_t record_bytes = RecordBytes(header.shape);
+    const uint64_t bytes = static_cast<uint64_t>(header.count) * record_bytes;
+    if (bytes > c.remaining() ||
+        !kRunOps[header.shape.protocol].valid(c.at, header, record_bytes)) {
+      return std::nullopt;
+    }
+    body_bytes[header.shape.protocol] += bytes;
+    c.at += bytes;
+    reports += header.count;
+  }
+  if (c.remaining() != 0) return std::nullopt;
+  CountReportBytes(body_bytes);
+  return ValidatedRuns{runs, reports};
+}
+
+// Decodes a validated run section in frame order, any number of reports
+// at a time.
+class RunReader {
+ public:
+  explicit RunReader(ByteCursor runs) : c_(runs) {
+    FELIP_CHECK(c_.Get(&runs_left_));
+  }
+
+  // Decodes up to `capacity` next reports into out[0, capacity) and
+  // returns how many (0 once the section is done). Adds the bits decoded
+  // to *bits.
+  size_t Next(ReportMessage* out, size_t capacity, size_t* bits) {
+    size_t filled = 0;
+    while (filled < capacity) {
+      if (left_in_run_ == 0) {
+        if (runs_left_ == 0) break;
+        FELIP_CHECK(ReadRunHeader(c_, &header_));
+        --runs_left_;
+        left_in_run_ = header_.count;
+      }
+      const size_t take = std::min<size_t>(left_in_run_, capacity - filled);
+      c_.at = kRunOps[header_.shape.protocol].load(c_.at, header_, take,
+                                                   out + filled);
+      *bits += take * header_.shape.bits;
+      filled += take;
+      left_in_run_ -= static_cast<uint32_t>(take);
+    }
+    return filled;
+  }
+
+ private:
+  ByteCursor c_;
+  uint32_t runs_left_ = 0;
+  uint32_t left_in_run_ = 0;
+  RunHeader header_;
+};
 
 }  // namespace
 
-Status DecodeReportBatch(const std::vector<uint8_t>& buffer,
-                         std::vector<ReportMessage>* out) {
+// A ReportBatch frame is a run count and then its runs. The batch is
+// stably grouped by grid (a counting sort over dense grid slots, ascending
+// grid index), each grid's reports are cut into runs of one shape, and the
+// runs are sized first, trailer included, so the frame is allocated once
+// with capacity() == size() and written through one cursor.
+std::vector<uint8_t> EncodeReportBatch(
+    const std::vector<ReportMessage>& reports) {
+  const size_t n = reports.size();
+  FELIP_CHECK_MSG(n <= UINT32_MAX, "report batch too large to frame");
+  const GridSlots slots(reports);
+  std::vector<uint32_t> ends(slots.size() + 1, 0);
+  for (const ReportMessage& m : reports) ++ends[slots(m.grid_index) + 1];
+  for (size_t g = 1; g < ends.size(); ++g) ends[g] += ends[g - 1];
+  std::vector<uint32_t> order(n);
+  for (size_t i = 0; i < n; ++i) {
+    order[ends[slots(reports[i].grid_index)]++] = static_cast<uint32_t>(i);
+  }
+  // ends[g] is now the end of slot g's reports, and ends[g - 1] its start.
+
+  std::vector<EncodedRun> runs;
+  size_t size = kHeaderBytes + sizeof(uint32_t) + kTrailerBytes;
+  for (size_t k = 0; k < n;) {
+    const ReportMessage& first = reports[order[k]];
+    const RunOpsRow& ops = kRunOps[first.payload.index()];
+    EncodedRun run{first.grid_index, k, 0, ops.shape(first)};
+    ops.scan(reports, order.data(), ends[slots(first.grid_index)], &run);
+    size += RunHeaderBytes(run.shape) + run.count * RecordBytes(run.shape);
+    k += run.count;
+    runs.push_back(run);
+  }
+
+  std::vector<uint8_t> buffer(size);
+  uint8_t* at = PutHeader(buffer.data(), MessageKind::kReportRuns);
+  at = PutAt<uint32_t>(at, static_cast<uint32_t>(runs.size()));
+  for (const EncodedRun& run : runs) {
+    at = PutRunHeader(at, run);
+    at = kRunOps[run.shape.protocol].put(at, run, reports, order.data());
+  }
+  at = PutChecksumAt(buffer.data(), at, kChecksumSalt);
+  FELIP_CHECK_MSG(at == buffer.data() + buffer.size(),
+                  "report frame size disagrees with its runs");
+  return buffer;
+}
+
+StatusOr<std::vector<ReportMessage>> DecodeReportBatch(
+    const std::vector<uint8_t>& buffer) {
   obs::ScopedTimer span("felip_wire_decode_batch");
   DecodeCounters& counters = Counters();
   counters.bytes.Increment(buffer.size());
-  if (!DecodeReportBatchImpl(buffer, out)) {
-    out->clear();
+  const std::optional<ValidatedRuns> valid =
+      ValidateReportBatch(buffer, /*verify_checksum=*/true);
+  if (!valid.has_value()) {
     counters.malformed.Increment();
     return Malformed("malformed report-batch frame");
   }
+  std::vector<ReportMessage> reports(valid->reports);
+  size_t bits = 0;
+  RunReader(valid->runs).Next(reports.data(), reports.size(), &bits);
   counters.batches.Increment();
-  counters.reports.Increment(out->size());
+  counters.reports.Increment(reports.size());
+  return reports;
+}
+
+ReportChunkDecoder::ReportChunkDecoder() : chunk_(kReportChunkSize) {}
+
+Status ReportChunkDecoder::Validate(const std::vector<uint8_t>& frame) {
+  DecodeCounters& counters = Counters();
+  counters.bytes.Increment(frame.size());
+  runs_ = nullptr;
+  report_count_ = 0;
+  const std::optional<ValidatedRuns> valid =
+      ValidateReportBatch(frame, /*verify_checksum=*/false);
+  if (!valid.has_value()) {
+    counters.malformed.Increment();
+    return Malformed("malformed report-batch frame");
+  }
+  runs_ = valid->runs.at;
+  runs_end_ = valid->runs.end;
+  report_count_ = valid->reports;
+  counters.batches.Increment();
+  counters.reports.Increment(report_count_);
   return Status::Ok();
+}
+
+void ReportChunkDecoder::Decode(
+    const std::function<void(std::span<const ReportMessage>)>& fn) {
+  FELIP_CHECK_MSG(runs_ != nullptr, "Decode() without a validated frame");
+  RunReader reader(ByteCursor{runs_, runs_end_});
+  runs_ = nullptr;
+  while (true) {
+    const size_t filled =
+        reader.Next(chunk_.data(), chunk_.size(), &retained_bit_bytes_);
+    if (filled == 0) break;
+    fn(std::span<const ReportMessage>(chunk_.data(), filled));
+  }
+  // One byte per decoded bit is what the chunk's bit vectors can hold on
+  // to; past the cap, drop them.
+  if (retained_bit_bytes_ > kRetainedBitBytes) {
+    for (ReportMessage& m : chunk_) m.payload = uint64_t{0};
+    retained_bit_bytes_ = 0;
+  }
 }
 
 size_t ReportBatchShardCount(size_t count) { return ReduceShardCount(count); }
@@ -331,8 +831,9 @@ StatusOr<size_t> DecodeReportBatchSharded(
     const std::function<void(size_t shard_index, size_t report_index,
                              ReportMessage&& message)>& sink,
     unsigned thread_count) {
-  std::vector<ReportMessage> reports;
-  FELIP_RETURN_IF_ERROR(DecodeReportBatch(buffer, &reports));
+  StatusOr<std::vector<ReportMessage>> decoded = DecodeReportBatch(buffer);
+  FELIP_RETURN_IF_ERROR(decoded.status());
+  std::vector<ReportMessage>& reports = *decoded;
   const size_t count = reports.size();
   const size_t num_shards = ReportBatchShardCount(count);
   ParallelFor(
@@ -431,30 +932,6 @@ StatusOr<GridConfigMessage> DecodeGridConfig(
     return Malformed("malformed grid-config frame");
   }
   return *std::move(m);
-}
-
-// A ReportBatch frame is a uint32 count and then its records. The frame is
-// sized first, trailer included, so it is allocated once with
-// capacity() == size(), written through one cursor and sealed in place.
-std::vector<uint8_t> EncodeReportBatch(
-    const std::vector<ReportMessage>& reports) {
-  size_t size = kHeaderBytes + sizeof(uint32_t) + kTrailerBytes;
-  for (const ReportMessage& m : reports) size += ReportRecordBytes(m);
-  std::vector<uint8_t> buffer(size);
-  uint8_t* at = PutHeader(buffer.data(), MessageKind::kReportBatch);
-  at = PutAt<uint32_t>(at, static_cast<uint32_t>(reports.size()));
-  for (const ReportMessage& m : reports) at = PutReportRecord(at, m);
-  at = PutChecksumAt(buffer.data(), at, kChecksumSalt);
-  FELIP_CHECK_MSG(at == buffer.data() + buffer.size(),
-                  "report frame size disagrees with its records");
-  return buffer;
-}
-
-StatusOr<std::vector<ReportMessage>> DecodeReportBatch(
-    const std::vector<uint8_t>& buffer) {
-  std::vector<ReportMessage> reports;
-  FELIP_RETURN_IF_ERROR(DecodeReportBatch(buffer, &reports));
-  return reports;
 }
 
 namespace {

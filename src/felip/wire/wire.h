@@ -3,9 +3,10 @@
 // A real FELIP deployment ships two kinds of report-path messages:
 //   * GridConfig (aggregator -> client): which grid the client is assigned,
 //     its cell layout, the protocol and epsilon to perturb with.
-//   * ReportBatch (client or relay -> aggregator): a counted sequence of
-//     perturbed cell reports, each an fo::ReportData whose payload is
-//     framed by its type. A single report travels as a one-record batch.
+//   * ReportBatch (client or relay -> aggregator): perturbed cell reports,
+//     each an fo::ReportData addressed to a grid, written as grid runs: one
+//     run header per grid and shape, then fixed-width fields (see
+//     ReportMessage below). A single report travels as a one-record batch.
 //
 // Encoding is a compact little-endian binary format with a 4-byte magic, a
 // format version, and an xxHash64 trailer so truncation and corruption are
@@ -19,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,11 +65,29 @@ struct GridConfigMessage {
 };
 
 // Client -> aggregator: one perturbed report — an fo::ReportData
-// addressed to a grid. On the wire a report is its grid index, its
-// protocol byte (the payload's alternative index, see fo/report.h), and
-// the payload framed by its type: a uint64 or uint32 value as is, an OLH
-// report as seed/hashed report/seed index, and a bit vector as a uint32
-// length plus one byte per bit (FLDP prefixes its uint32 subset index).
+// addressed to a grid.
+//
+// On the wire a batch is a run count and then grid runs (docs/service.md
+// has the layout). EncodeReportBatch stably groups the batch by grid
+// index, ascending, and writes one run per grid; a new run of the same
+// grid starts only where the report shape changes (protocol, pooled or
+// per-user OLH, bit-vector length), which honest clients never do within
+// a grid. A run header carries the grid index, the protocol byte (the
+// payload's alternative index, see fo/report.h), the report count (at
+// least 1), an OLH run's pooled byte, the byte width (1, 2, 4 or 8) of
+// each field, and the bit length of OUE and FLDP runs. Its records follow
+// as fixed-width fields:
+//   GRR            value
+//   OLH, pooled    pool index, hashed report
+//   OLH, per-user  seed, hashed report
+//   OUE            packed bits
+//   PGR            point
+//   FLDP           subset index, packed bits
+// Each field takes the smallest width that holds the run's largest
+// value. Bits are packed LSB-first into max(1, ceil(bits / 8)) bytes with
+// zero pad bits; a nonzero bit byte encodes as 1. A pooled OLH seed is
+// PoolSeed(pool index), which the server derives itself, so it is not
+// sent and decodes as 0.
 struct ReportMessage : public fo::ReportData {
   uint32_t grid_index = 0;
 
@@ -82,20 +102,59 @@ std::vector<uint8_t> EncodeReportBatch(
 // --- Decoding (kInvalidArgument on any malformed input) ---
 StatusOr<GridConfigMessage> DecodeGridConfig(
     const std::vector<uint8_t>& buffer);
+
+// Whole-frame convenience: verifies the checksum trailer, validates every
+// run before anything is allocated, then decodes the batch in frame order
+// (grouped by grid). The ingest server and the replay engine decode
+// through ReportChunkDecoder instead.
 StatusOr<std::vector<ReportMessage>> DecodeReportBatch(
     const std::vector<uint8_t>& buffer);
 
-// The report-batch decoder every other one wraps: one validating pass
-// (envelope, checksum, a count bounded by the bytes present, every record,
-// no trailing bytes) that reads record i straight into (*out)[i]. `out` is
-// resized to the batch's report count, and an element whose payload
-// already holds the record's alternative keeps its storage, so a caller
-// that reuses one vector across frames allocates only when a batch
-// outgrows it. On error `out` is left empty. The per-protocol
-// felip_fo_report_bytes_total_* counters move only for a batch that
-// decoded whole.
-Status DecodeReportBatch(const std::vector<uint8_t>& buffer,
-                         std::vector<ReportMessage>* out);
+// Most reports ReportChunkDecoder hands over in one chunk.
+inline constexpr size_t kReportChunkSize = 1024;
+
+// The drain path's report-batch decoder, for frames whose checksum trailer
+// the caller has already verified (svc::VerifyChecksumTrailer on the
+// ingest server's IO thread, or the replay engine's trailer check).
+// Validate() checks the frame's structure — envelope, every run header
+// and width, counts against the bytes present, pad bits, exact end —
+// without hashing or allocating. Decode() then hands the validated frame
+// to `fn` in frame order, in chunks of at most kReportChunkSize reports,
+// decoded into one buffer allocated by the constructor and reused for
+// every chunk and frame, so nothing is sized by a frame's report count.
+// Bit vectors reuse their storage too; once the bits decoded since the
+// last release pass kRetainedBitBytes, Decode() releases them, so what a
+// decoder pins between frames stays bounded whatever a client sends.
+// Not thread-safe.
+class ReportChunkDecoder {
+ public:
+  static constexpr size_t kRetainedBitBytes = size_t{4} << 20;
+
+  ReportChunkDecoder();
+
+  // Validates `frame` and counts it in the decode metrics (the
+  // felip_fo_report_bytes_total_* counters move only here). On success
+  // the decoder holds a view of `frame` until Decode(), so `frame` must
+  // stay alive and unchanged until then.
+  Status Validate(const std::vector<uint8_t>& frame);
+
+  // Reports in the frame the last successful Validate() accepted.
+  size_t report_count() const { return report_count_; }
+
+  // Decodes the frame the last Validate() accepted, calling `fn` once per
+  // chunk in frame order (not at all for an empty batch). Aborts unless
+  // Validate() succeeded since the last Decode(). A chunk's storage is
+  // reused once `fn` returns.
+  void Decode(
+      const std::function<void(std::span<const ReportMessage>)>& fn);
+
+ private:
+  std::vector<ReportMessage> chunk_;
+  const uint8_t* runs_ = nullptr;  // validated run section, or null
+  const uint8_t* runs_end_ = nullptr;
+  size_t report_count_ = 0;
+  size_t retained_bit_bytes_ = 0;
+};
 
 // --- Query frames (the networked query service, felip/svc) ---
 //

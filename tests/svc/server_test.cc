@@ -277,11 +277,11 @@ TEST(IngestServerTest, ChecksumValidButUndecodableBatchIsCountedNotSunk) {
   EXPECT_EQ(sink.reports(), 0u);
 }
 
-// The drain thread decodes every frame into one vector it keeps across
-// frames. A short batch after a long one, then an undecodable batch that
-// fails midway, must reach the sink with nothing left over from an
-// earlier frame: exactly the reports sent, aggregated as an in-process
-// ingest of them would be.
+// The drain thread decodes every frame through one chunk buffer it keeps
+// across frames. A long batch that spans two chunks, then a short batch,
+// then a checksum-valid batch whose second run is undecodable, must reach
+// the sink with nothing left over from an earlier frame or chunk: exactly
+// the reports sent, aggregated as an in-process ingest of them would be.
 TEST(IngestServerTest, ReusedDecodeBufferNeverSinksAStaleTail) {
   constexpr uint64_t kUsers = 6000;
   const data::Dataset dataset = data::MakeIpumsLike(kUsers, 4, 30, 6, 7);
@@ -326,17 +326,24 @@ TEST(IngestServerTest, ReusedDecodeBufferNeverSinksAStaleTail) {
       most->second.begin(), most->second.begin() + 2000);
   const std::vector<wire::ReportMessage> short_batch(
       other->second.begin(), other->second.begin() + 3);
-  // Checksum-valid, but record 3 carries an unknown protocol byte.
-  const std::vector<wire::ReportMessage> victim(
-      most->second.begin() + 2000, most->second.begin() + 2005);
-  std::vector<uint8_t> undecodable = wire::EncodeReportBatch(victim);
-  size_t offset = 6 + 4;  // header + report count
-  for (size_t i = 0; i < 3; ++i) {
-    // A one-record frame is header + count + the record + trailer.
-    offset += wire::EncodeReportBatch({victim[i]}).size() - 6 - 4 - 8;
+  // Checksum-valid, but the second grid run carries an unknown protocol
+  // byte: two grids' reports, the second run starting after the header,
+  // the run count and the first run (what a frame of the first grid's
+  // reports alone holds between its run count and its trailer).
+  std::vector<wire::ReportMessage> victim(most->second.begin() + 2000,
+                                          most->second.begin() + 2005);
+  for (size_t i = 0; i < victim.size(); ++i) {
+    victim[i].grid_index = i < 3 ? 0 : 1;
   }
-  undecodable[offset + 4] = 0x7f;
+  std::vector<uint8_t> undecodable = wire::EncodeReportBatch(victim);
+  const size_t first_run =
+      wire::EncodeReportBatch(std::vector<wire::ReportMessage>(
+                                  victim.begin(), victim.begin() + 3))
+          .size() -
+      6 - 4 - 8;
+  undecodable[6 + 4 + first_run + 4] = 0x7f;  // after the grid index
   Reseal(&undecodable);
+  ASSERT_FALSE(wire::DecodeReportBatch(undecodable).ok());
 
   core::FelipPipeline served = new_pipeline();
   PipelineSink sink(&served);

@@ -64,7 +64,9 @@ ReportMessage SampleReport(fo::Protocol protocol) {
   // Indexed by protocol.
   const fo::ReportPayload payloads[] = {
       uint64_t{42},
-      fo::OlhReport{.seed = 0x1234, .hashed_report = 3, .seed_index = 9},
+      // Pooled: the seed does not travel and decodes as 0, so the sample
+      // carries 0 to round-trip exactly.
+      fo::OlhReport{.seed = 0, .hashed_report = 3, .seed_index = 9},
       std::vector<uint8_t>{1, 0, 0, 1, 0, 1, 1, 0},
       uint32_t{5},
       fo::FldpReport{.subset_index = 2, .bits = {0, 1, 1, 0}},
@@ -143,17 +145,20 @@ TEST(WireFuzzTest, BadMagicVersionOrKindFailsEvenResealed) {
   EXPECT_FALSE(
       DecodeGridConfig(EncodeReportBatch({SampleReport(fo::Protocol::kGrr)}))
           .ok());
-  // Kind 2, the retired single-report frame, is no report kind any more.
-  std::vector<uint8_t> retired =
-      EncodeReportBatch({SampleReport(fo::Protocol::kGrr)});
-  retired[kHeaderSize - 1] = 2;
-  Reseal(&retired);
-  EXPECT_FALSE(DecodeReportBatch(retired).ok());
+  // Kinds 2 and 3, the retired single-report and record-per-report batch
+  // frames, are no report kind any more.
+  for (const uint8_t retired_kind : {2, 3}) {
+    std::vector<uint8_t> retired =
+        EncodeReportBatch({SampleReport(fo::Protocol::kGrr)});
+    retired[kHeaderSize - 1] = retired_kind;
+    Reseal(&retired);
+    EXPECT_FALSE(DecodeReportBatch(retired).ok()) << int{retired_kind};
+  }
 }
 
 TEST(WireFuzzTest, OversizedBatchCountFailsEvenResealed) {
   std::vector<uint8_t> corrupt = EncodeReportBatch(SampleBatch());
-  // Batch count lives right after the header; claim 2^31 reports.
+  // The run count lives right after the header; claim 2^31 runs.
   const uint32_t absurd = 1u << 31;
   std::memcpy(corrupt.data() + kHeaderSize, &absurd, sizeof(absurd));
   Reseal(&corrupt);
@@ -162,40 +167,51 @@ TEST(WireFuzzTest, OversizedBatchCountFailsEvenResealed) {
 }
 
 TEST(WireFuzzTest, CountJustOverRemainingBytesFailsBeforeAllocating) {
-  // The declared count is capped against the bytes actually present
-  // (min report record = grid(4) + protocol(1) + oue-len(4) = 9 bytes)
-  // BEFORE any allocation sized by it. A count of remaining/9 + 1 is the
-  // smallest adversarial value: plausible enough to pass a naive sanity
-  // cap, impossible to satisfy with the buffer at hand.
-  std::vector<uint8_t> corrupt = EncodeReportBatch(SampleBatch());
-  const size_t remaining =
-      corrupt.size() - kTrailerSize - kHeaderSize - sizeof(uint32_t);
-  const uint32_t just_over = static_cast<uint32_t>(remaining / 9 + 1);
-  std::memcpy(corrupt.data() + kHeaderSize, &just_over, sizeof(just_over));
+  // A run's report count is capped against the bytes actually present
+  // (count x record width) BEFORE any allocation sized by it. One more
+  // than the records present is the smallest adversarial value:
+  // plausible enough to pass a naive sanity cap, impossible to satisfy
+  // with the buffer at hand.
+  std::vector<ReportMessage> batch;
+  for (uint64_t v = 0; v < 40; ++v) {
+    ReportMessage m = SampleReport(fo::Protocol::kGrr);
+    m.payload = uint64_t{1000 + v};  // 2-byte values
+    batch.push_back(std::move(m));
+  }
+  std::vector<uint8_t> corrupt = EncodeReportBatch(batch);
+  // Header, run count, then the run: grid(4), protocol(1), count(4).
+  const size_t count_offset = kHeaderSize + 4 + 4 + 1;
+  const uint32_t just_over = 41;
+  std::memcpy(corrupt.data() + count_offset, &just_over, sizeof(just_over));
   Reseal(&corrupt);
 
+  ReportChunkDecoder chunks;  // built before the cap: its buffer is fixed
   const uint64_t malformed_before =
       obs::Registry::Default().CounterValue("felip_wire_malformed_total");
-  const test_support::ScopedAllocationCap cap(corrupt.size());
-  EXPECT_FALSE(DecodeReportBatch(corrupt).ok());
-  EXPECT_FALSE(DecodeReportBatchSharded(
-                   corrupt, [](size_t, size_t, ReportMessage&&) {}, 1)
-                   .ok());
+  {
+    const test_support::ScopedAllocationCap cap(corrupt.size());
+    EXPECT_FALSE(DecodeReportBatch(corrupt).ok());
+    EXPECT_FALSE(DecodeReportBatchSharded(
+                     corrupt, [](size_t, size_t, ReportMessage&&) {}, 1)
+                     .ok());
+    EXPECT_FALSE(chunks.Validate(corrupt).ok());
+  }
   EXPECT_EQ(
       obs::Registry::Default().CounterValue("felip_wire_malformed_total"),
-      malformed_before + 2);
+      malformed_before + 3);
 
-  // The exact declared count must still decode — the cap is tight.
-  std::vector<uint8_t> intact = EncodeReportBatch(SampleBatch());
-  EXPECT_TRUE(DecodeReportBatch(intact).ok());
+  // The exact declared count must still decode — the cap is tight. (The
+  // whole-frame decode holds 48 bytes per 2-byte record, past the
+  // allocation cap, so it runs outside it.)
+  EXPECT_TRUE(DecodeReportBatch(EncodeReportBatch(batch)).ok());
 }
 
 TEST(WireFuzzTest, OversizedOueLengthPrefixFailsEvenResealed) {
   std::vector<uint8_t> corrupt =
       EncodeReportBatch({SampleReport(fo::Protocol::kOue)});
-  // One-record batch: count(4), then the OUE record grid_index(4) +
-  // protocol(1) + bit count(4) + bits.
-  const size_t len_offset = kHeaderSize + 4 + 4 + 1;
+  // Run count(4), then the OUE run header grid(4) + protocol(1) +
+  // count(4) + bit length(4), then the packed bits.
+  const size_t len_offset = kHeaderSize + 4 + 4 + 1 + 4;
   const uint32_t absurd = 0xffffffffu;
   std::memcpy(corrupt.data() + len_offset, &absurd, sizeof(absurd));
   Reseal(&corrupt);
@@ -203,18 +219,32 @@ TEST(WireFuzzTest, OversizedOueLengthPrefixFailsEvenResealed) {
   EXPECT_FALSE(DecodeReportBatch(corrupt).ok());
 }
 
-TEST(WireFuzzTest, NonBinaryOueBitFailsEvenResealed) {
-  std::vector<uint8_t> corrupt =
-      EncodeReportBatch({SampleReport(fo::Protocol::kOue)});
-  // count(4), grid_index(4), protocol(1), bit count(4), then the bits.
-  const size_t first_bit = kHeaderSize + 4 + 4 + 1 + 4;
-  corrupt[first_bit] = 2;
-  Reseal(&corrupt);
-  EXPECT_FALSE(DecodeReportBatch(corrupt).ok());
-  // The sharded decoder's validation pass rejects it too.
-  EXPECT_FALSE(DecodeReportBatchSharded(
-                   corrupt, [](size_t, size_t, ReportMessage&&) {}, 1)
-                   .ok());
+TEST(WireFuzzTest, NonzeroPadBitFailsEvenResealed) {
+  // Five bits pack into one byte whose top three bits are padding; each
+  // set pad bit fails, in OUE and FLDP records, on both decoders.
+  ReportMessage oue = SampleReport(fo::Protocol::kOue);
+  oue.payload = std::vector<uint8_t>{1, 0, 1, 1, 0};
+  ReportMessage fldp = SampleReport(fo::Protocol::kFldp);
+  std::get<fo::FldpReport>(fldp.payload).bits = {0, 1, 1, 0, 1};
+  ReportChunkDecoder chunks;  // built before the cap: its buffer is fixed
+  for (const ReportMessage& m : {oue, fldp}) {
+    const std::vector<uint8_t> valid = EncodeReportBatch({m});
+    ASSERT_TRUE(DecodeReportBatch(valid).ok());
+    const test_support::ScopedAllocationCap cap(valid.size());
+    for (int bit = 5; bit < 8; ++bit) {
+      std::vector<uint8_t> corrupt = valid;
+      // The packed bits end the record, just before the trailer.
+      corrupt[corrupt.size() - kTrailerSize - 1] |=
+          static_cast<uint8_t>(1 << bit);
+      Reseal(&corrupt);
+      EXPECT_FALSE(DecodeReportBatch(corrupt).ok()) << "bit " << bit;
+      EXPECT_FALSE(chunks.Validate(corrupt).ok()) << "bit " << bit;
+      // The sharded decoder's validation pass rejects it too.
+      EXPECT_FALSE(DecodeReportBatchSharded(
+                       corrupt, [](size_t, size_t, ReportMessage&&) {}, 1)
+                       .ok());
+    }
+  }
 }
 
 TEST(WireFuzzTest, InvalidProtocolByteFailsEvenResealed) {
@@ -348,10 +378,13 @@ TEST(WireShardedDecodeTest, SinkNeverRunsOnMalformedInput) {
     const std::vector<uint8_t> prefix(valid.begin(), valid.begin() + len);
     EXPECT_FALSE(DecodeReportBatchSharded(prefix, counting_sink, 1).ok());
   }
-  // A structurally broken record behind a valid checksum: protocol byte of
-  // the second report (after GRR record: grid 4 + proto 1 + value 8).
+  // A structurally broken run behind a valid checksum: the protocol byte
+  // of the second run, after the first run (the GRR report alone) and the
+  // second run's grid index.
+  const size_t first_run =
+      EncodeReportBatch({batch[0]}).size() - kHeaderSize - 4 - kTrailerSize;
   std::vector<uint8_t> corrupt = valid;
-  corrupt[kHeaderSize + 4 + 4 + 1 + 8 + 4] = 0x7f;
+  corrupt[kHeaderSize + 4 + first_run + 4] = 0x7f;
   Reseal(&corrupt);
   EXPECT_FALSE(DecodeReportBatchSharded(corrupt, counting_sink, 1).ok());
   EXPECT_EQ(sink_calls, 0u);

@@ -176,36 +176,70 @@ TEST(WireMetricsTest, GridConfigDecodesAreCounted) {
   EXPECT_EQ(after.bytes - before.bytes, valid.size() + truncated.size());
 }
 
-// The per-protocol byte counter must measure the protocol body only —
-// excluding the 5-byte grid-index/protocol header — so its deltas agree
-// with the registry's report_bytes model that AFO budgets against.
-TEST(WireMetricsTest, PerProtocolReportByteCounterMatchesRegistryModel) {
+// felip_fo_report_bytes_total_<protocol> counts the record bytes a run
+// carries — its fields in their encoded widths and its packed bits, not
+// the run header — whichever decoder validates the frame. Per report that
+// stays at or below the registry's report_bytes, the upper bound AFO
+// budgets against.
+TEST(WireMetricsTest, PerProtocolReportByteCounterCountsRecordBytes) {
   const obs::Registry& registry = obs::Registry::Default();
-  const fo::ProtocolOptions options;
-
-  ReportMessage grr;
-  grr.grid_index = 3;
-  grr.payload = uint64_t{11};
-  const uint64_t grr_before =
-      registry.CounterValue("felip_fo_report_bytes_total_grr");
-  ASSERT_TRUE(DecodeReportBatch(EncodeReportBatch({grr})).has_value());
-  const uint64_t grr_delta =
-      registry.CounterValue("felip_fo_report_bytes_total_grr") - grr_before;
-  EXPECT_EQ(grr_delta,
-            fo::GetTraits(fo::Protocol::kGrr).report_bytes(1.0, 10, options));
-
-  ReportMessage fldp;
-  fldp.grid_index = 4;
-  fldp.payload = fo::FldpReport{.subset_index = 2, .bits = {1, 0, 1, 1}};
+  const auto reports = [](std::vector<fo::ReportPayload> payloads) {
+    std::vector<ReportMessage> batch(payloads.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch[i].grid_index = 3;
+      batch[i].payload = std::move(payloads[i]);
+    }
+    return batch;
+  };
   fo::ProtocolOptions fldp_options;
   fldp_options.fldp.report_bits = 4;
-  const uint64_t fldp_before =
-      registry.CounterValue("felip_fo_report_bytes_total_fldp");
-  ASSERT_TRUE(DecodeReportBatch(EncodeReportBatch({fldp})).has_value());
-  const uint64_t fldp_delta =
-      registry.CounterValue("felip_fo_report_bytes_total_fldp") - fldp_before;
-  EXPECT_EQ(fldp_delta, fo::GetTraits(fo::Protocol::kFldp)
-                            .report_bytes(1.0, 10, fldp_options));
+  struct Case {
+    const char* counter;
+    fo::Protocol protocol;
+    std::vector<ReportMessage> batch;
+    uint64_t record_bytes;
+    fo::ProtocolOptions options;
+  };
+  const Case cases[] = {
+      // Values up to 300 take 2-byte fields.
+      {"felip_fo_report_bytes_total_grr", fo::Protocol::kGrr,
+       reports({uint64_t{11}, uint64_t{300}, uint64_t{2}}), 3 * 2, {}},
+      // Pool index (2 bytes) and hashed report (1 byte); no seed.
+      {"felip_fo_report_bytes_total_olh", fo::Protocol::kOlh,
+       reports({fo::OlhReport{.seed = 0x1234, .hashed_report = 3,
+                              .seed_index = 7},
+                fo::OlhReport{.seed = 0x5678, .hashed_report = 1,
+                              .seed_index = 300}}),
+       2 * 3, {}},
+      // Per-user: an 8-byte seed and the hashed report.
+      {"felip_fo_report_bytes_total_olh", fo::Protocol::kOlh,
+       reports({fo::OlhReport{.seed = 0x0123456789abcdefull,
+                              .hashed_report = 2}}),
+       8 + 1, {}},
+      // Ten bits pack into two bytes.
+      {"felip_fo_report_bytes_total_oue", fo::Protocol::kOue,
+       reports({std::vector<uint8_t>(10, 1), std::vector<uint8_t>(10, 0)}),
+       2 * 2, {}},
+      {"felip_fo_report_bytes_total_pgr", fo::Protocol::kPgr,
+       reports({uint32_t{5}}), 1, {}},
+      // Subset index (1 byte) and four bits (1 byte).
+      {"felip_fo_report_bytes_total_fldp", fo::Protocol::kFldp,
+       reports({fo::FldpReport{.subset_index = 2, .bits = {1, 0, 1, 1}}}),
+       1 + 1, fldp_options},
+  };
+  ReportChunkDecoder chunks;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.counter);
+    const std::vector<uint8_t> frame = EncodeReportBatch(c.batch);
+    const uint64_t before = registry.CounterValue(c.counter);
+    ASSERT_TRUE(DecodeReportBatch(frame).has_value());
+    const uint64_t delta = registry.CounterValue(c.counter) - before;
+    EXPECT_EQ(delta, c.record_bytes);
+    EXPECT_LE(delta, c.batch.size() * fo::GetTraits(c.protocol).report_bytes(
+                                          1.0, 10, c.options));
+    ASSERT_TRUE(chunks.Validate(frame).ok());
+    EXPECT_EQ(registry.CounterValue(c.counter) - before, 2 * c.record_bytes);
+  }
 }
 
 TEST(WireMetricsTest, ShardedDecodeCountsOncePerCall) {
@@ -226,16 +260,18 @@ TEST(WireMetricsTest, ShardedDecodeCountsOncePerCall) {
   EXPECT_EQ(after.malformed, before.malformed);
 }
 
-// The batch decoder reads each frame into the caller's vector, reusing
-// the storage of every element whose payload already holds the record's
-// alternative. Decoding a run of frames into one vector — growing,
-// shrinking, switching alternatives, changing bit-vector lengths, and
-// failing midway — must give exactly what a fresh decode gives.
+// The drain path decodes every frame through one ReportChunkDecoder,
+// whose chunk buffer keeps the storage of each report whose payload
+// already holds the record's alternative. Decoding a run of frames
+// through it — spanning several chunks, shrinking, switching
+// alternatives, changing bit-vector lengths, with a rejected frame in
+// between — must give exactly what a fresh whole-frame decode gives, in
+// chunks of at most kReportChunkSize reports, all full but the last.
 TEST(WireMetricsTest, ReusedBatchVectorMatchesFreshDecodes) {
   const auto bits_batch = [](size_t count, size_t bits) {
     std::vector<ReportMessage> batch(count);
     for (size_t i = 0; i < count; ++i) {
-      batch[i].grid_index = static_cast<uint32_t>(i);
+      batch[i].grid_index = static_cast<uint32_t>(i % 5);
       std::vector<uint8_t> vector(bits);
       for (size_t b = 0; b < bits; ++b) vector[b] = (i + b) % 3 == 0;
       batch[i].payload = std::move(vector);
@@ -254,24 +290,18 @@ TEST(WireMetricsTest, ReusedBatchVectorMatchesFreshDecodes) {
         .subset_index = static_cast<uint32_t>(i),
         .bits = std::vector<uint8_t>(1 + i % 4, i % 2)};
   }
-  std::vector<ReportMessage> olh(4);
+  std::vector<ReportMessage> olh(2500);
   for (size_t i = 0; i < olh.size(); ++i) {
-    olh[i].grid_index = 1;
+    olh[i].grid_index = static_cast<uint32_t>(i % 3);
     olh[i].payload = fo::OlhReport{.seed = 0x1234 + i,
                                    .hashed_report = static_cast<uint32_t>(i),
-                                   .seed_index = 9};
+                                   .seed_index = fo::OlhReport::kNoPool};
   }
 
-  // Checksum-valid, with an unknown protocol byte in record 2 (0-based):
-  // records 0 and 1 decode before the failure.
-  const std::vector<ReportMessage> victim = bits_batch(4, 4);
-  std::vector<uint8_t> bad = EncodeReportBatch(victim);
-  size_t offset = 6 + 4;  // header + report count
-  for (size_t i = 0; i < 2; ++i) {
-    // A one-record frame is header + count + the record + trailer.
-    offset += EncodeReportBatch({victim[i]}).size() - 6 - 4 - kTrailerSize;
-  }
-  bad[offset + 4] = 0x7f;  // after the grid index
+  // Checksum-valid, with an unknown protocol byte in its first run (after
+  // the header, the run count and the grid index).
+  std::vector<uint8_t> bad = EncodeReportBatch(bits_batch(4, 4));
+  bad[6 + 4 + 4] = 0x7f;
   Reseal(&bad);
 
   std::vector<std::string> byte_counters;
@@ -285,16 +315,28 @@ TEST(WireMetricsTest, ReusedBatchVectorMatchesFreshDecodes) {
   }
   const obs::Registry& registry = obs::Registry::Default();
 
-  std::vector<ReportMessage> reused;
-  const auto decode_valid = [&reused](const std::vector<ReportMessage>& batch) {
+  ReportChunkDecoder chunks;
+  const auto decode_valid = [&chunks](const std::vector<ReportMessage>& batch) {
     const std::vector<uint8_t> frame = EncodeReportBatch(batch);
-    ASSERT_TRUE(DecodeReportBatch(frame, &reused).ok());
+    ASSERT_TRUE(chunks.Validate(frame).ok());
+    EXPECT_EQ(chunks.report_count(), batch.size());
+    std::vector<ReportMessage> reused;
+    std::vector<size_t> sizes;
+    chunks.Decode([&](std::span<const ReportMessage> chunk) {
+      sizes.push_back(chunk.size());
+      reused.insert(reused.end(), chunk.begin(), chunk.end());
+    });
+    for (size_t c = 0; c < sizes.size(); ++c) {
+      EXPECT_GT(sizes[c], 0u);
+      EXPECT_LE(sizes[c], kReportChunkSize);
+      if (c + 1 < sizes.size()) EXPECT_EQ(sizes[c], kReportChunkSize);
+    }
     const auto fresh = DecodeReportBatch(frame);
     ASSERT_TRUE(fresh.ok());
     EXPECT_EQ(reused, *fresh);
-    EXPECT_EQ(reused, batch);
+    EXPECT_EQ(reused.size(), batch.size());
   };
-  decode_valid(bits_batch(5, 8));
+  decode_valid(bits_batch(1500, 8));
   decode_valid(grr);
   decode_valid(fldp);
   decode_valid(bits_batch(6, 4));
@@ -304,9 +346,8 @@ TEST(WireMetricsTest, ReusedBatchVectorMatchesFreshDecodes) {
     bytes_before.push_back(registry.CounterValue(name));
   }
   const CounterSnapshot before = Snapshot();
-  EXPECT_EQ(DecodeReportBatch(bad, &reused).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_TRUE(reused.empty());
+  EXPECT_EQ(chunks.Validate(bad).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(chunks.report_count(), 0u);
   EXPECT_EQ(Snapshot().malformed - before.malformed, 1u);
   for (size_t p = 0; p < byte_counters.size(); ++p) {
     EXPECT_EQ(registry.CounterValue(byte_counters[p]), bytes_before[p])
@@ -314,6 +355,7 @@ TEST(WireMetricsTest, ReusedBatchVectorMatchesFreshDecodes) {
   }
 
   decode_valid(olh);
+  decode_valid({});
 }
 
 #endif  // FELIP_OBS_NOOP

@@ -1,5 +1,6 @@
 #include "felip/wire/wire.h"
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <variant>
@@ -7,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "felip/common/hash.h"
 #include "felip/common/rng.h"
 #include "felip/data/synthetic.h"
 #include "felip/wire/framing.h"
@@ -138,32 +140,35 @@ TEST(WireGridConfigTest, RejectsUnknownProtocolByte) {
   EXPECT_FALSE(DecodeGridConfig(EncodeGridConfig(m)).has_value());
 }
 
-// The registry's report_bytes hook promises the wire-body size of one
-// report, which is what budget-aware AFO scores against. The framing
-// around the body (magic, version, kind, grid index, protocol byte,
-// checksum, and the count of the one-record batch) is protocol-independent,
-// so pin the hook by subtracting the fixed overhead measured on GRR (whose
-// body is exactly 8 bytes).
-TEST(WireReportTest, RegistryReportBytesMatchCodecBodySize) {
-  const fo::ProtocolOptions options;
-  constexpr uint64_t kDomain = 6;
-  const auto encoded_size = [&](fo::Protocol protocol) -> uint64_t {
-    const std::unique_ptr<fo::ReportClient> client =
-        fo::MakeReportClient(protocol, 1.0, kDomain, options);
-    Rng rng(1);
-    ReportMessage m;
-    static_cast<fo::ReportData&>(m) = client->Perturb(3, rng);
-    m.grid_index = 0;
-    return EncodeReportBatch({m}).size();
-  };
-  const uint64_t fixed_overhead =
-      encoded_size(fo::Protocol::kGrr) -
-      fo::GetTraits(fo::Protocol::kGrr).report_bytes(1.0, kDomain, options);
-  ASSERT_GT(fixed_overhead, 0u);
-  for (const fo::ProtocolTraits& traits : fo::AllProtocolTraits()) {
-    EXPECT_EQ(encoded_size(traits.protocol) - fixed_overhead,
-              traits.report_bytes(1.0, kDomain, options))
-        << "protocol " << static_cast<int>(traits.protocol);
+// The registry's report_bytes hook is the per-report wire cost
+// budget-aware AFO scores against. The grid-run frame writes each field in
+// the narrowest width that holds the run's values, so the hook is an upper
+// bound on a report's record bytes: a one-record frame minus its framing
+// (header, run count, run header, trailer) never exceeds it.
+TEST(WireReportTest, RegistryReportBytesBoundRecordBytes) {
+  fo::ProtocolOptions pooled;
+  pooled.olh.seed_pool_size = 4096;
+  for (const fo::ProtocolOptions& options : {fo::ProtocolOptions{}, pooled}) {
+    for (const uint64_t domain : {uint64_t{6}, uint64_t{300}, uint64_t{5000}}) {
+      for (const fo::ProtocolTraits& traits : fo::AllProtocolTraits()) {
+        const std::unique_ptr<fo::ReportClient> client =
+            fo::MakeReportClient(traits.protocol, 1.0, domain, options);
+        // grid(4) + protocol(1) + count(4), OLH's pooled byte, one width
+        // byte per field, the OUE/FLDP bit length(4); indexed by protocol.
+        constexpr size_t kRunHeaderBytes[] = {10, 12, 13, 10, 14};
+        const size_t framing = 6 + 4 + 8 +
+            kRunHeaderBytes[static_cast<size_t>(traits.protocol)];
+        Rng rng(domain);
+        for (uint64_t value = 0; value < domain; value += 1 + domain / 8) {
+          ReportMessage m;
+          static_cast<fo::ReportData&>(m) = client->Perturb(value, rng);
+          EXPECT_LE(EncodeReportBatch({m}).size() - framing,
+                    traits.report_bytes(1.0, domain, options))
+              << "protocol " << static_cast<int>(traits.protocol)
+              << " domain " << domain;
+        }
+      }
+    }
   }
 }
 
@@ -182,13 +187,25 @@ TEST(WireReportTest, GrrRoundTrip) {
 }
 
 TEST(WireReportTest, OlhRoundTrip) {
+  // Per-user OLH ships its seed.
   ReportMessage m;
   m.grid_index = 9;
-  m.payload =
-      fo::OlhReport{.seed = 0xdeadbeef, .hashed_report = 2, .seed_index = 17};
+  m.payload = fo::OlhReport{.seed = 0xdeadbeef, .hashed_report = 2};
   const auto decoded = DecodeReportBatch(EncodeReportBatch({m}));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, std::vector<ReportMessage>{m});
+
+  // Pooled OLH ships its pool index instead: the seed is the pool's
+  // PoolSeed(index), which the server derives itself, so it decodes as 0.
+  ReportMessage pooled;
+  pooled.grid_index = 9;
+  pooled.payload =
+      fo::OlhReport{.seed = 0xdeadbeef, .hashed_report = 2, .seed_index = 17};
+  const auto decoded_pooled = DecodeReportBatch(EncodeReportBatch({pooled}));
+  ASSERT_TRUE(decoded_pooled.has_value());
+  ReportMessage expected = pooled;
+  std::get<fo::OlhReport>(expected.payload).seed = 0;
+  EXPECT_EQ(*decoded_pooled, std::vector<ReportMessage>{expected});
 }
 
 TEST(WireReportTest, OueRoundTrip) {
@@ -269,17 +286,39 @@ TEST(WireReportTest, NewShapesRejectTruncationAndBitFlips) {
   }
 }
 
-TEST(WireReportTest, RejectsNonBinaryFldpBits) {
+// Bits travel packed, so a bit vector carries no byte but 0 or 1: the
+// encoder writes any nonzero byte as 1. What a frame can still carry
+// beyond the vector is a set pad bit past its length, and the decoder
+// rejects it.
+void ExpectPadBitRejected(const fo::ReportPayload& payload,
+                          const std::vector<uint8_t>& decoded_bits) {
   ReportMessage m;
-  m.payload = fo::FldpReport{.subset_index = 1, .bits = {1, 2, 0}};
-  EXPECT_FALSE(DecodeReportBatch(EncodeReportBatch({m})).has_value());
+  m.payload = payload;
+  std::vector<uint8_t> frame = EncodeReportBatch({m});
+  const auto decoded = DecodeReportBatch(frame);
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_EQ(decoded->size(), 1u);
+  const fo::ReportPayload& got = (*decoded)[0].payload;
+  EXPECT_EQ(std::holds_alternative<fo::FldpReport>(got)
+                ? std::get<fo::FldpReport>(got).bits
+                : std::get<std::vector<uint8_t>>(got),
+            decoded_bits);
+  // The packed bits are the record's last byte, just before the trailer;
+  // three bits are used, so bit 3 is padding.
+  frame[frame.size() - 9] |= 0x08;
+  const uint64_t checksum =
+      XxHash64Bytes(frame.data(), frame.size() - 8, kChecksumSalt);
+  std::memcpy(frame.data() + frame.size() - 8, &checksum, sizeof(checksum));
+  EXPECT_FALSE(DecodeReportBatch(frame).has_value());
+}
+
+TEST(WireReportTest, RejectsNonBinaryFldpBits) {
+  ExpectPadBitRejected(fo::FldpReport{.subset_index = 1, .bits = {1, 2, 0}},
+                       {1, 1, 0});
 }
 
 TEST(WireReportTest, RejectsNonBinaryOueBits) {
-  ReportMessage m;
-  m.payload = std::vector<uint8_t>{1, 2, 0};
-  // The encoder writes whatever it is given; the decoder must reject it.
-  EXPECT_FALSE(DecodeReportBatch(EncodeReportBatch({m})).has_value());
+  ExpectPadBitRejected(std::vector<uint8_t>{1, 2, 0}, {1, 1, 0});
 }
 
 TEST(WireReportTest, EmptyBufferFails) {
@@ -350,41 +389,52 @@ fo::ProtocolOptions SmallFldpPool() {
   return options;
 }
 
+// What decoding `m` gives back: itself, except that a pooled OLH seed
+// does not travel and decodes as 0.
+ReportMessage AsDecoded(ReportMessage m) {
+  if (auto* olh = std::get_if<fo::OlhReport>(&m.payload);
+      olh != nullptr && olh->seed_index != fo::OlhReport::kNoPool) {
+    olh->seed = 0;
+  }
+  return m;
+}
+
 TEST(WireFormatStabilityTest, GoldenBytesForGrrReport) {
-  // Wire-format regression guard: these exact bytes are version 1 of the
-  // format, one row per protocol shape. If this test breaks, bump
-  // kVersion instead of silently changing the encoding under deployed
-  // clients. Rows are built through the registry's report clients, so
-  // they also pin each client's rng trajectory. Each row is a one-record
-  // report batch: magic "FELP" LE, version 1, kind 3, report count 1 LE,
-  // then the record (grid index LE, protocol byte, payload LE), then the
-  // 8-byte xxHash64 trailer. The record bytes are the ones the retired
-  // single-report frame (kind 2) carried.
+  // Wire-format regression guard: these exact bytes are the grid-run
+  // report frame, one row per protocol shape. If this test breaks, add a
+  // new frame kind instead of silently changing the encoding under
+  // deployed clients. Rows are built through the registry's report
+  // clients, so they also pin each client's rng trajectory. Each row is a
+  // one-record batch: magic "FELP" LE, version 1, kind 10, run count 1
+  // LE, then the run header (grid index LE, protocol byte, report count
+  // LE, OLH's pooled byte, one width byte per field, the OUE/FLDP bit
+  // length LE), the record (fields LE in their widths, bits packed
+  // LSB-first), then the 8-byte xxHash64 trailer.
   const GoldenReport rows[] = {
       {"grr", fo::Protocol::kGrr, {}, 1.0, 1000000, 123456, 1,
-       "504c4546" "0103" "01000000"
-       "04030201" "00"
-       "60660b0000000000" "fa847aadc105c6d3"},
+       "504c4546" "010a" "01000000"
+       "04030201" "00" "01000000" "04"
+       "60660b00" "2a6a5c35752cd29c"},
       {"olh_pooled", fo::Protocol::kOlh, PooledOlh(), 1.0, 64, 5, 2,
-       "504c4546" "0103" "01000000"
-       "04030201" "01"
-       "b23c12e56f2fd6340100000030000000" "04ea89e6b7e17fef"},
+       "504c4546" "010a" "01000000"
+       "04030201" "01" "01000000" "01" "01" "01"
+       "30" "01" "32b2326e6c76fd56"},
       {"olh_per_user", fo::Protocol::kOlh, {}, 1.0, 64, 5, 3,
-       "504c4546" "0103" "01000000"
-       "04030201" "01"
-       "296919b991eb2b0d03000000ffffffff" "c8dc8f3f2d108c53"},
+       "504c4546" "010a" "01000000"
+       "04030201" "01" "01000000" "00" "08" "01"
+       "296919b991eb2b0d" "03" "bb3ebd257d25cd1b"},
       {"oue", fo::Protocol::kOue, {}, 1.0, 12, 7, 4,
-       "504c4546" "0103" "01000000"
-       "04030201" "02"
-       "0c000000000001000100000000010100" "dcc586001a777a7b"},
+       "504c4546" "010a" "01000000"
+       "04030201" "02" "01000000" "0c000000"
+       "1406" "25f5697c0f6619e0"},
       {"pgr", fo::Protocol::kPgr, {}, 1.0, 100, 42, 5,
-       "504c4546" "0103" "01000000"
-       "04030201" "03"
-       "03000000" "21efb888cb8d8dbe"},
+       "504c4546" "010a" "01000000"
+       "04030201" "03" "01000000" "01"
+       "03" "f4cacd9c1eaf5be5"},
       {"fldp", fo::Protocol::kFldp, SmallFldpPool(), 1.0, 50, 9, 6,
-       "504c4546" "0103" "01000000"
-       "04030201" "04"
-       "0b000000080000000000010000010001" "a0f98b9a5b1797ee"},
+       "504c4546" "010a" "01000000"
+       "04030201" "04" "01000000" "01" "08000000"
+       "0b" "a4" "7c209fbf3dad135e"},
   };
   for (const GoldenReport& row : rows) {
     SCOPED_TRACE(row.name);
@@ -399,17 +449,17 @@ TEST(WireFormatStabilityTest, GoldenBytesForGrrReport) {
     EXPECT_EQ(encoded.capacity(), encoded.size());
     const auto decoded = DecodeReportBatch(encoded);
     ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(*decoded, std::vector<ReportMessage>{m});
+    EXPECT_EQ(*decoded, std::vector<ReportMessage>{AsDecoded(m)});
     EXPECT_EQ(EncodeReportBatch(*decoded), encoded);
   }
 }
 
 TEST(WireFormatStabilityTest, GoldenBytesForReportBatch) {
-  // The batch frame every device ships, pinned like the single-report
-  // rows above: one record of every payload shape, an empty OUE bit
-  // vector included. Frame layout: magic "FELP" LE, version 1, kind 3,
-  // report count LE, then each record as in a kind-2 frame (grid index
-  // LE, protocol byte, payload LE), then the 8-byte xxHash64 trailer.
+  // The batch frame every device ships, pinned like the one-record rows
+  // above: one record of every payload shape, an empty OUE bit vector
+  // included, out of grid order. The frame holds one run per grid in
+  // ascending grid order, each grid's reports in batch order: grid 1's
+  // two GRR reports share a run whose value width (4) fits 123456.
   const auto report = [](uint32_t grid_index, fo::ReportPayload payload) {
     ReportMessage m;
     m.payload = std::move(payload);
@@ -417,32 +467,37 @@ TEST(WireFormatStabilityTest, GoldenBytesForReportBatch) {
     return m;
   };
   const std::vector<ReportMessage> batch = {
+      report(6, uint32_t{42}),
       report(1, uint64_t{123456}),
       report(2, fo::OlhReport{0x0123456789abcdefull, 17, 5}),
       report(3, fo::OlhReport{0xfedcba9876543210ull, 3,
                               fo::OlhReport::kNoPool}),
       report(4, std::vector<uint8_t>{0, 1, 1, 0, 1}),
       report(5, std::vector<uint8_t>{}),
-      report(6, uint32_t{42}),
       report(0x01020304, fo::FldpReport{11, {1, 0, 0, 1}}),
+      report(1, uint64_t{7}),
   };
   const std::string hex =
-      "504c4546" "0103" "07000000"
-      "01000000" "00" "40e2010000000000"
-      "02000000" "01" "efcdab8967452301" "11000000" "05000000"
-      "03000000" "01" "1032547698badcfe" "03000000" "ffffffff"
-      "04000000" "02" "05000000" "0001010001"
-      "05000000" "02" "00000000"
-      "06000000" "03" "2a000000"
-      "04030201" "04" "0b000000" "04000000" "01000001"
-      "5cc229a0e1d3a9b9";
+      "504c4546" "010a" "07000000"
+      "01000000" "00" "02000000" "04" "40e20100" "07000000"
+      "02000000" "01" "01000000" "01" "01" "01" "05" "11"
+      "03000000" "01" "01000000" "00" "08" "01" "1032547698badcfe" "03"
+      "04000000" "02" "01000000" "05000000" "16"
+      "05000000" "02" "01000000" "00000000" "00"
+      "06000000" "03" "01000000" "01" "2a"
+      "04030201" "04" "01000000" "01" "04000000" "0b" "09"
+      "ddcf85ef412e5b6d";
   const std::vector<uint8_t> encoded = EncodeReportBatch(batch);
   EXPECT_EQ(Hex(encoded), hex);
   // The frame is sized once, checksum trailer included.
   EXPECT_EQ(encoded.capacity(), encoded.size());
+  std::vector<ReportMessage> grouped = {batch[1], batch[7], batch[2],
+                                        batch[3], batch[4], batch[5],
+                                        batch[0], batch[6]};
+  for (ReportMessage& m : grouped) m = AsDecoded(std::move(m));
   const auto decoded = DecodeReportBatch(encoded);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, batch);
+  EXPECT_EQ(*decoded, grouped);
   EXPECT_EQ(EncodeReportBatch(*decoded), encoded);
 }
 
