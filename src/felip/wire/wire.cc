@@ -435,17 +435,14 @@ struct EncodedRun {
 };
 
 // The per-alternative steps the frame code dispatches to by protocol
-// byte: the encoder's, per report, and the decoder's, over a whole run, so
-// the decode loops over records are specialized per payload type.
-// The per-alternative steps the frame code dispatches to by protocol
 // byte. Each loops over a whole run, so the loops over records are
 // specialized per payload type.
 template <size_t I>
 struct RunOps {
-  // Extends `run`, which starts at order[run->begin] and holds that
-  // report's shape, over the reports of order[run->begin, end) that share
-  // its shape, and sizes its fields' widths: each the width of the OR of
-  // the field's values, which is the width of their maximum.
+  // Cuts the run that starts at order[run->begin]: the reports of
+  // order[run->begin, end) that share the first one's shape. Sets the
+  // run's shape and count, and sizes its fields' widths: each the width of
+  // the OR of the field's values, which is the width of their maximum.
   static void Scan(const std::vector<ReportMessage>& reports,
                    const uint32_t* order, size_t end, EncodedRun* run) {
     Fields field_bits{};
@@ -456,7 +453,11 @@ struct RunOps {
       Fields fields{};
       RunShape shape = Codec<I>::Shape(*payload, &fields);
       shape.protocol = static_cast<uint8_t>(I);
-      if (!(shape == run->shape)) break;
+      if (k == run->begin) {
+        run->shape = shape;
+      } else if (!(shape == run->shape)) {
+        break;
+      }
       field_bits[0] |= fields[0];
       field_bits[1] |= fields[1];
     }
@@ -474,12 +475,6 @@ struct RunOps {
                          run.shape);
     }
     return at;
-  }
-  static RunShape Shape(const ReportMessage& m) {
-    Fields fields{};
-    RunShape shape = Codec<I>::Shape(*std::get_if<I>(&m.payload), &fields);
-    shape.protocol = static_cast<uint8_t>(I);
-    return shape;
   }
   static bool Valid(const uint8_t* at, const RunHeader& header,
                     size_t record_bytes) {
@@ -505,7 +500,6 @@ struct RunOps {
 
 struct RunOpsRow {
   std::array<RecordLayout, 2> layout;  // indexed by the pooled flag
-  RunShape (*shape)(const ReportMessage&);
   void (*scan)(const std::vector<ReportMessage>&, const uint32_t*, size_t,
                EncodedRun*);
   uint8_t* (*put)(uint8_t*, const EncodedRun&,
@@ -519,8 +513,8 @@ template <size_t... I>
 constexpr std::array<RunOpsRow, sizeof...(I)> MakeRunOps(
     std::index_sequence<I...>) {
   return {RunOpsRow{{Codec<I>::Layout(false), Codec<I>::Layout(true)},
-                    &RunOps<I>::Shape, &RunOps<I>::Scan, &RunOps<I>::Put,
-                    &RunOps<I>::Valid, &RunOps<I>::Load}...};
+                    &RunOps<I>::Scan, &RunOps<I>::Put, &RunOps<I>::Valid,
+                    &RunOps<I>::Load}...};
 }
 
 // Indexed by protocol byte.
@@ -731,12 +725,16 @@ std::vector<uint8_t> EncodeReportBatch(
   const size_t n = reports.size();
   FELIP_CHECK_MSG(n <= UINT32_MAX, "report batch too large to frame");
   const GridSlots slots(reports);
+  std::vector<uint32_t> slot_of(n);
   std::vector<uint32_t> ends(slots.size() + 1, 0);
-  for (const ReportMessage& m : reports) ++ends[slots(m.grid_index) + 1];
+  for (size_t i = 0; i < n; ++i) {
+    slot_of[i] = static_cast<uint32_t>(slots(reports[i].grid_index));
+    ++ends[slot_of[i] + 1];
+  }
   for (size_t g = 1; g < ends.size(); ++g) ends[g] += ends[g - 1];
   std::vector<uint32_t> order(n);
   for (size_t i = 0; i < n; ++i) {
-    order[ends[slots(reports[i].grid_index)]++] = static_cast<uint32_t>(i);
+    order[ends[slot_of[i]]++] = static_cast<uint32_t>(i);
   }
   // ends[g] is now the end of slot g's reports, and ends[g - 1] its start.
 
@@ -744,9 +742,9 @@ std::vector<uint8_t> EncodeReportBatch(
   size_t size = kHeaderBytes + sizeof(uint32_t) + kTrailerBytes;
   for (size_t k = 0; k < n;) {
     const ReportMessage& first = reports[order[k]];
-    const RunOpsRow& ops = kRunOps[first.payload.index()];
-    EncodedRun run{first.grid_index, k, 0, ops.shape(first)};
-    ops.scan(reports, order.data(), ends[slots(first.grid_index)], &run);
+    EncodedRun run{first.grid_index, k};
+    kRunOps[first.payload.index()].scan(reports, order.data(),
+                                        ends[slot_of[order[k]]], &run);
     size += RunHeaderBytes(run.shape) + run.count * RecordBytes(run.shape);
     k += run.count;
     runs.push_back(run);

@@ -132,10 +132,11 @@ class ReportChunkDecoder {
 
   ReportChunkDecoder();
 
-  // Validates `frame` and counts it in the decode metrics (the
-  // felip_fo_report_bytes_total_* counters move only here). On success
-  // the decoder holds a view of `frame` until Decode(), so `frame` must
-  // stay alive and unchanged until then.
+  // Validates `frame` and counts it in the decode metrics, the
+  // felip_fo_report_bytes_total_* counters included, which move only for
+  // a frame that validates. On success the decoder holds a view of
+  // `frame` until Decode(), so `frame` must stay alive and unchanged
+  // until then.
   Status Validate(const std::vector<uint8_t>& frame);
 
   // Reports in the frame the last successful Validate() accepted.

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -134,6 +135,24 @@ TEST(ReplayLogFormatTest, FutureVersionRejected) {
   const auto parser = SegmentParser::Open(fixture.bytes);
   ASSERT_FALSE(parser.ok());
   EXPECT_EQ(parser.status().code(), StatusCode::kDataLoss);
+}
+
+// Version 2 segments carry grid-run report frames. A version-1 segment,
+// whose batches are the retired record-per-report frames, fails at its
+// header even with a valid seal, instead of replaying every batch as
+// undecodable.
+TEST(ReplayLogFormatTest, RecordPerReportVersionRejectedAtTheHeader) {
+  ASSERT_EQ(kFormatVersion, 2);
+  SegmentFixture fixture = MakeValidSegment();
+  fixture.bytes[4] = 1;  // [magic u32][version u8]
+  const size_t sealed = 4 + 1 + 4 + MakePlan().size();
+  const uint64_t seal =
+      XxHash64Bytes(fixture.bytes.data(), sealed, kChecksumSalt);
+  std::memcpy(fixture.bytes.data() + sealed, &seal, sizeof(seal));
+  const auto parser = SegmentParser::Open(fixture.bytes);
+  ASSERT_FALSE(parser.ok());
+  EXPECT_EQ(parser.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(parser.status().ToString().find("version"), std::string::npos);
 }
 
 TEST(ReplayLogFormatTest, OversizedPlanLengthRejected) {

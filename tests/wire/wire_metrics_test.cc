@@ -329,7 +329,9 @@ TEST(WireMetricsTest, ReusedBatchVectorMatchesFreshDecodes) {
     for (size_t c = 0; c < sizes.size(); ++c) {
       EXPECT_GT(sizes[c], 0u);
       EXPECT_LE(sizes[c], kReportChunkSize);
-      if (c + 1 < sizes.size()) EXPECT_EQ(sizes[c], kReportChunkSize);
+      if (c + 1 < sizes.size()) {
+        EXPECT_EQ(sizes[c], kReportChunkSize);
+      }
     }
     const auto fresh = DecodeReportBatch(frame);
     ASSERT_TRUE(fresh.ok());
