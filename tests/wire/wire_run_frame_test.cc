@@ -334,11 +334,19 @@ std::vector<ReportMessage> RandomBatch(Rng& rng, size_t size) {
 // What the decoders must give back for `batch`: stably grouped by grid
 // index, ascending, with pooled OLH seeds decoded as 0.
 std::vector<ReportMessage> StableGridGrouping(
-    std::vector<ReportMessage> batch) {
-  std::stable_sort(batch.begin(), batch.end(),
-                   [](const ReportMessage& a, const ReportMessage& b) {
-                     return a.grid_index < b.grid_index;
-                   });
+    const std::vector<ReportMessage>& input) {
+  // A sort by (grid, position) rather than std::stable_sort, whose
+  // temporary buffer comes from the nothrow operator new, which
+  // support/alloc_cap.cc does not replace.
+  std::vector<size_t> order(input.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&input](size_t a, size_t b) {
+    return input[a].grid_index != input[b].grid_index
+               ? input[a].grid_index < input[b].grid_index
+               : a < b;
+  });
+  std::vector<ReportMessage> batch;
+  for (const size_t i : order) batch.push_back(input[i]);
   for (ReportMessage& m : batch) {
     if (auto* olh = std::get_if<fo::OlhReport>(&m.payload);
         olh != nullptr && olh->seed_index != fo::OlhReport::kNoPool) {
