@@ -495,62 +495,78 @@ double FelipPipeline::AnswerMarginal(uint32_t attr, const AxisSelection& sel,
                         : AnswerPair(i, j, all, sel, path, rm_scratch);
 }
 
-double FelipPipeline::AnswerQueryImpl(const query::Query& query,
-                                      PairAnswerPath path,
-                                      QueryScratch* scratch) const {
-  const uint32_t lambda = query.dimension();
-  if (lambda == 1) {
-    const query::Predicate& p = query.predicates()[0];
-    return std::clamp(
-        AnswerMarginal(p.attr, p.ToSelection(), path, &scratch->rm), 0.0,
-        1.0);
-  }
-
-  // Per-query-attribute selections (predicates are sorted by attribute).
-  std::vector<uint32_t>& attrs = scratch->attrs;
-  std::vector<AxisSelection>& selections = scratch->selections;
-  attrs.clear();
-  selections.clear();
-  for (const query::Predicate& p : query.predicates()) {
-    attrs.push_back(p.attr);
-    selections.push_back(p.ToSelection());
-  }
-
-  if (lambda == 2) {
-    return std::clamp(AnswerPair(attrs[0], attrs[1], selections[0],
-                                 selections[1], path, &scratch->rm),
-                      0.0, 1.0);
-  }
-
-  // λ >= 3: Algorithm 4 over the associated 2-D answers. The estimator's
-  // proportional fit can overshoot [0, 1] by floating-point rounding, so
-  // this path clamps like the λ = 1 and λ = 2 paths do.
-  std::vector<double>& pair_answers = scratch->pair_answers;
-  pair_answers.assign(Choose2(lambda), 0.0);
-  for (uint32_t a = 0; a < lambda; ++a) {
-    for (uint32_t b = a + 1; b < lambda; ++b) {
-      pair_answers[post::PairIndex(a, b, lambda)] = AnswerPair(
-          attrs[a], attrs[b], selections[a], selections[b], path,
-          &scratch->rm);
+void FelipPipeline::AnswerBatch(std::span<const query::Query> queries,
+                                PairAnswerPath path,
+                                std::span<double> answers) const {
+  // Step 1: answer λ <= 2 queries directly, and write the pair answers
+  // (and marginals, under quadrant fit) of every λ >= 3 query into its
+  // λ's group.
+  struct LambdaGroup {
+    std::vector<size_t> queries;       // positions in the batch
+    std::vector<double> pair_answers;  // C(λ,2) per query, PairIndex order
+    std::vector<double> marginals;     // λ per query, quadrant fit only
+  };
+  std::vector<LambdaGroup> groups;
+  post::QueryScratch rm_scratch;
+  std::vector<uint32_t> attrs;
+  std::vector<AxisSelection> selections;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const query::Query& query = queries[q];
+    const uint32_t lambda = query.dimension();
+    if (lambda == 1) {
+      const query::Predicate& p = query.predicates()[0];
+      answers[q] = std::clamp(
+          AnswerMarginal(p.attr, p.ToSelection(), path, &rm_scratch), 0.0,
+          1.0);
+      continue;
+    }
+    // Per-query-attribute selections (predicates are sorted by attribute).
+    attrs.clear();
+    selections.clear();
+    for (const query::Predicate& p : query.predicates()) {
+      attrs.push_back(p.attr);
+      selections.push_back(p.ToSelection());
+    }
+    if (lambda == 2) {
+      answers[q] = std::clamp(AnswerPair(attrs[0], attrs[1], selections[0],
+                                         selections[1], path, &rm_scratch),
+                              0.0, 1.0);
+      continue;
+    }
+    if (groups.size() <= lambda) groups.resize(lambda + 1);
+    LambdaGroup& group = groups[lambda];
+    group.queries.push_back(q);
+    for (uint32_t a = 0; a < lambda; ++a) {
+      for (uint32_t b = a + 1; b < lambda; ++b) {
+        group.pair_answers.push_back(AnswerPair(attrs[a], attrs[b],
+                                                selections[a], selections[b],
+                                                path, &rm_scratch));
+      }
+    }
+    if (config_.lambda_quadrant_fit) {
+      for (uint32_t a = 0; a < lambda; ++a) {
+        group.marginals.push_back(std::clamp(
+            AnswerMarginal(attrs[a], selections[a], path, &rm_scratch), 0.0,
+            1.0));
+      }
     }
   }
+
+  // Step 2: one Algorithm 4 kernel call per λ. Step 3: the proportional
+  // fit can overshoot [0, 1] by floating-point rounding, so its answers
+  // are clamped like the λ = 1 and λ = 2 paths.
   post::LambdaEstimatorOptions options;
   options.threshold = std::min(config_.lambda_threshold,
                                1.0 / static_cast<double>(num_users_));
-  if (config_.lambda_quadrant_fit) {
-    std::vector<double>& marginals = scratch->marginals;
-    marginals.assign(lambda, 0.0);
-    for (uint32_t a = 0; a < lambda; ++a) {
-      marginals[a] = std::clamp(
-          AnswerMarginal(attrs[a], selections[a], path, &scratch->rm), 0.0,
-          1.0);
+  for (uint32_t lambda = 3; lambda < groups.size(); ++lambda) {
+    const LambdaGroup& group = groups[lambda];
+    if (group.queries.empty()) continue;
+    const std::vector<double> estimates = post::EstimateLambdaQueries(
+        lambda, group.pair_answers, group.marginals, options);
+    for (size_t i = 0; i < group.queries.size(); ++i) {
+      answers[group.queries[i]] = std::clamp(estimates[i], 0.0, 1.0);
     }
-    return std::clamp(post::EstimateLambdaQueryQuadrants(
-                          lambda, pair_answers, marginals, options),
-                      0.0, 1.0);
   }
-  return std::clamp(post::EstimateLambdaQuery(lambda, pair_answers, options),
-                    0.0, 1.0);
 }
 
 double FelipPipeline::AnswerQuery(const query::Query& query) const {
@@ -562,8 +578,10 @@ double FelipPipeline::AnswerQuery(const query::Query& query) const {
   if (const auto error = query::ValidateQuery(query, schema_)) {
     FELIP_CHECK_MSG(false, error->c_str());
   }
-  QueryScratch scratch;
-  return AnswerQueryImpl(query, PairAnswerPath::kExact, &scratch);
+  double answer = 0.0;
+  AnswerBatch(std::span<const query::Query>(&query, 1),
+              PairAnswerPath::kExact, std::span<double>(&answer, 1));
+  return answer;
 }
 
 std::vector<double> FelipPipeline::AnswerQueries(
@@ -589,10 +607,7 @@ std::vector<double> FelipPipeline::AnswerQueries(
   }
 
   std::vector<double> answers(queries.size());
-  QueryScratch scratch;
-  for (size_t q = 0; q < queries.size(); ++q) {
-    answers[q] = AnswerQueryImpl(queries[q], options.pair_path, &scratch);
-  }
+  AnswerBatch(queries, options.pair_path, answers);
   return answers;
 }
 

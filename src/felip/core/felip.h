@@ -150,7 +150,7 @@ struct FelipConfig {
 //   * kScan — the reference per-query scan over every refined block,
 //     allocating per call. Kept as the baseline the fast paths are pinned
 //     against (tests) and measured against (perf_query_engine).
-//   * kExact — covered-rectangle scan with per-thread scratch; identical
+//   * kExact — covered-rectangle scan with per-batch scratch; identical
 //     floating-point operation sequence to kScan, so answers are
 //     bit-identical for every selection type. The default.
 //   * kPrefix — summed-area-table corner lookups for range x range pairs
@@ -310,7 +310,8 @@ class FelipPipeline {
   double AnswerQuery(const query::Query& query) const;
 
   // Batch variant: answers every query on the calling thread with one
-  // reusable scratch (no per-query allocation). answers[i] is
+  // reusable scratch, fitting the λ >= 3 queries of each λ in one
+  // Algorithm 4 kernel call (docs/query_engine.md). answers[i] is
   // bit-identical to AnswerQuery(queries[i]) under the default kExact
   // path. Requires Finalize().
   std::vector<double> AnswerQueries(std::span<const query::Query> queries,
@@ -346,17 +347,6 @@ class FelipPipeline {
 
   // Asserts the machine is in `expected` before an operation named `op`.
   void ExpectState(PipelineState expected, const char* op) const;
-  // Per-worker workspace of the query engine: the response-matrix
-  // coverage buffers plus the per-query decomposition vectors, all reused
-  // across every query a worker answers.
-  struct QueryScratch {
-    post::QueryScratch rm;
-    std::vector<uint32_t> attrs;
-    std::vector<grid::AxisSelection> selections;
-    std::vector<double> pair_answers;
-    std::vector<double> marginals;
-  };
-
   // Index of the 2-D grid for pair (i, j), i < j.
   size_t PairGridIndex(uint32_t i, uint32_t j) const;
   // Pointer to the 1-D grid of `attr`, or nullptr.
@@ -371,10 +361,11 @@ class FelipPipeline {
   double AnswerMarginal(uint32_t attr, const grid::AxisSelection& sel,
                         PairAnswerPath path,
                         post::QueryScratch* rm_scratch) const;
-  // Shared answering core of AnswerQuery and AnswerQueries; validation
-  // and obs accounting happen in the public entry points.
-  double AnswerQueryImpl(const query::Query& query, PairAnswerPath path,
-                         QueryScratch* scratch) const;
+  // Shared answering core of AnswerQuery and AnswerQueries: writes
+  // answers[i] for queries[i]. Validation and obs accounting happen in
+  // the public entry points.
+  void AnswerBatch(std::span<const query::Query> queries,
+                   PairAnswerPath path, std::span<double> answers) const;
 
   std::vector<data::AttributeInfo> schema_;
   uint64_t num_users_;

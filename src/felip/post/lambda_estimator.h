@@ -6,11 +6,16 @@
 // clear = its complement holds). Each 2-D answer f^(i,j) constrains the
 // 2^(λ-2) entries with bits i and j set; iterating the proportional rescale
 // from the uniform start converges, and z[all bits set] is the estimate.
+//
+// Every entry point fits through one kernel, simd::FitIpf, which fits the
+// queries of one λ side by side in SIMD lanes; a query's answer is
+// bit-identical whether it is fitted alone or in any batch.
 
 #ifndef FELIP_POST_LAMBDA_ESTIMATOR_H_
 #define FELIP_POST_LAMBDA_ESTIMATOR_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace felip::post {
@@ -51,6 +56,17 @@ std::vector<double> FitSignCombinations(
 double EstimateLambdaQueryQuadrants(
     uint32_t lambda, const std::vector<double>& pair_answers,
     const std::vector<double>& marginal_answers,
+    const LambdaEstimatorOptions& options = {});
+
+// Batch form of EstimateLambdaQuery and EstimateLambdaQueryQuadrants for
+// n queries of one λ (2 <= λ <= 20), fitted in one kernel call.
+// `pair_answers` holds n * C(λ,2) answers, query-major in PairIndex order.
+// `marginal_answers` is empty for the paper's fit, or holds n * λ
+// per-attribute answers for the quadrant fit. estimates[q] is
+// bit-identical to the single-query call on query q's answers.
+std::vector<double> EstimateLambdaQueries(
+    uint32_t lambda, std::span<const double> pair_answers,
+    std::span<const double> marginal_answers,
     const LambdaEstimatorOptions& options = {});
 
 }  // namespace felip::post

@@ -10,13 +10,15 @@
 //   * Integer kernels (byte counting, folds, OLH support) are exact
 //     by nature — the vector variants merely reorganize commutative
 //     integer additions.
-//   * Floating-point kernels (Dot, Sum, ScaleAbsDelta) define ONE
+//   * Floating-point reductions (Dot, Sum, ScaleAbsDelta) define ONE
 //     canonical accumulation order — kLanes independent lane accumulators
 //     folded as (l0 + l1) + (l2 + l3), then a sequential tail — which the
 //     scalar baseline implements literally and the vector variants map
 //     onto their registers. All kernel translation units are compiled
 //     with -ffp-contract=off so no variant (including scalar) silently
 //     fuses a multiply-add. See docs/simd.md.
+//   * FitIpf runs one independent problem per lane, so each lane
+//     repeats the serial loop's operations in the serial order.
 
 #ifndef FELIP_SIMD_KERNELS_H_
 #define FELIP_SIMD_KERNELS_H_
@@ -73,6 +75,44 @@ double Sum(Level level, const double* p, size_t n);
 // p[i] *= scale for i in [0, n); returns the canonical lane-folded sum of
 // |p_after - p_before|. (Weighted-update rescale + convergence residual.)
 double ScaleAbsDelta(Level level, double* p, size_t n, double scale);
+
+// --- Lane-batched iterative proportional fitting (Algorithm 4) ---
+
+// The constraints shared by a batch of fits over vectors of `size`
+// entries: constraint c rescales the entries listed, ascending, at
+// masks[c * per_constraint .. (c + 1) * per_constraint).
+struct IpfLayout {
+  uint32_t size = 0;
+  uint32_t num_constraints = 0;
+  uint32_t per_constraint = 0;
+  const uint32_t* masks = nullptr;
+};
+
+// Fits n problems that share `layout`; problem q's target for constraint
+// c is targets[q * num_constraints + c]. Every problem runs exactly this
+// serial loop:
+//
+//   z[e] = 1 / size for every entry e
+//   repeat at most max_iterations times:
+//     change = 0
+//     for each constraint c, in order:
+//       sum = 0; for each entry e of c, ascending: sum += z[e]
+//       if sum <= 0: next constraint
+//       scale = target[c] / sum
+//       if scale == 1: next constraint
+//       for each entry e of c, ascending:
+//         after = z[e] * scale; change += |after - z[e]|; z[e] = after
+//     stop if change < threshold
+//
+// The variants fit one problem per lane, and a lane whose problem stops
+// takes the next one, so no lane waits for the slowest problem. Lanes
+// never mix, so every result is bit-identical to the loop above whatever
+// the level, the lane width, or the other problems in the call.
+// `fitted` receives entries [first_kept, size) of every problem's final
+// z, problem-major: n * (size - first_kept) values.
+void FitIpf(Level level, const IpfLayout& layout, const double* targets,
+            size_t n, double threshold, int max_iterations,
+            uint32_t first_kept, double* fitted);
 
 }  // namespace felip::simd
 

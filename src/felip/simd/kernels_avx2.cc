@@ -12,6 +12,9 @@
 //     k receives exactly the terms of scalar lane accumulator k, folded
 //     (l0 + l1) + (l2 + l3) like the scalar baseline, with the identical
 //     sequential tail.
+//   * FitIpf fits eight problems in two __m256d per step; each lane runs
+//     its own problem's serial operations (no horizontal op touches a
+//     fitted value).
 
 #if defined(FELIP_SIMD_HAS_AVX2)
 
@@ -282,6 +285,120 @@ double ScaleAbsDelta(double* p, size_t n, double scale) {
     p[i] = after;
   }
   return total;
+}
+
+namespace {
+
+// FitIpf's lanes: kRegs registers of four problems each, so kRegs
+// independent add chains are in flight per step. Four registers measured
+// much slower than two: the step's live values then exceed the sixteen
+// ymm registers and spill.
+struct Avx2IpfLanes {
+  static constexpr size_t kRegs = 2;
+  static constexpr size_t kWidth = 4 * kRegs;
+  struct Vec {
+    __m256d r[kRegs];
+  };
+  using Mask = Vec;
+
+  static Vec Zero() {
+    Vec v;
+    for (size_t i = 0; i < kRegs; ++i) v.r[i] = _mm256_setzero_pd();
+    return v;
+  }
+  static Vec Load(const double* p) {
+    Vec v;
+    for (size_t i = 0; i < kRegs; ++i) v.r[i] = _mm256_loadu_pd(p + 4 * i);
+    return v;
+  }
+  static void Store(double* p, const Vec& v) {
+    for (size_t i = 0; i < kRegs; ++i) _mm256_storeu_pd(p + 4 * i, v.r[i]);
+  }
+  static Vec Add(const Vec& a, const Vec& b) {
+    Vec v;
+    for (size_t i = 0; i < kRegs; ++i) v.r[i] = _mm256_add_pd(a.r[i], b.r[i]);
+    return v;
+  }
+  static Vec Sub(const Vec& a, const Vec& b) {
+    Vec v;
+    for (size_t i = 0; i < kRegs; ++i) v.r[i] = _mm256_sub_pd(a.r[i], b.r[i]);
+    return v;
+  }
+  static Vec Mul(const Vec& a, const Vec& b) {
+    Vec v;
+    for (size_t i = 0; i < kRegs; ++i) v.r[i] = _mm256_mul_pd(a.r[i], b.r[i]);
+    return v;
+  }
+  static Vec Div(const Vec& a, const Vec& b) {
+    Vec v;
+    for (size_t i = 0; i < kRegs; ++i) v.r[i] = _mm256_div_pd(a.r[i], b.r[i]);
+    return v;
+  }
+  // !(sum <= 0) && !(scale == 1): the unordered predicates keep NaN lanes
+  // rescaling, as the serial loop does.
+  static Mask Rescales(const Vec& sum, const Vec& scale) {
+    const __m256d zero = _mm256_setzero_pd();
+    const __m256d one = _mm256_set1_pd(1.0);
+    Mask m;
+    for (size_t i = 0; i < kRegs; ++i) {
+      m.r[i] = _mm256_and_pd(_mm256_cmp_pd(sum.r[i], zero, _CMP_NLE_UQ),
+                             _mm256_cmp_pd(scale.r[i], one, _CMP_NEQ_UQ));
+    }
+    return m;
+  }
+  static bool Any(const Mask& m) {
+    __m256d any = m.r[0];
+    for (size_t i = 1; i < kRegs; ++i) any = _mm256_or_pd(any, m.r[i]);
+    return _mm256_movemask_pd(any) != 0;
+  }
+  static bool All(const Mask& m) {
+    __m256d all = m.r[0];
+    for (size_t i = 1; i < kRegs; ++i) all = _mm256_and_pd(all, m.r[i]);
+    return _mm256_movemask_pd(all) == 0xF;
+  }
+  static Vec Abs(const Vec& x) {
+    const __m256d abs_mask =
+        _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL));
+    Vec v;
+    for (size_t i = 0; i < kRegs; ++i) v.r[i] = _mm256_and_pd(x.r[i], abs_mask);
+    return v;
+  }
+  static Vec Select(const Mask& m, const Vec& a, const Vec& b) {
+    Vec v;
+    for (size_t i = 0; i < kRegs; ++i) {
+      v.r[i] = _mm256_blendv_pd(b.r[i], a.r[i], m.r[i]);
+    }
+    return v;
+  }
+  // fabs == clear the sign bit; masked-off lanes read +0.0.
+  static Vec AbsOrZero(const Mask& m, const Vec& x) {
+    const __m256d abs_mask =
+        _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL));
+    Vec v;
+    for (size_t i = 0; i < kRegs; ++i) {
+      v.r[i] = _mm256_and_pd(_mm256_and_pd(x.r[i], abs_mask), m.r[i]);
+    }
+    return v;
+  }
+  static uint32_t Below(const Vec& v, double t) {
+    const __m256d limit = _mm256_set1_pd(t);
+    uint32_t bits = 0;
+    for (size_t i = 0; i < kRegs; ++i) {
+      const int lanes =
+          _mm256_movemask_pd(_mm256_cmp_pd(v.r[i], limit, _CMP_LT_OQ));
+      bits |= static_cast<uint32_t>(lanes) << (4 * i);
+    }
+    return bits;
+  }
+};
+
+}  // namespace
+
+void FitIpf(const IpfLayout& layout, const double* targets, size_t n,
+            double threshold, int max_iterations, uint32_t first_kept,
+            double* fitted, double* z, double* lane_targets) {
+  FitIpfLanes<Avx2IpfLanes>(layout, targets, n, threshold, max_iterations,
+                            first_kept, fitted, z, lane_targets);
 }
 
 }  // namespace felip::simd::avx2

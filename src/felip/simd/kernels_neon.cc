@@ -6,7 +6,8 @@
 // NEON double vectors are 2 lanes wide, so the canonical 4-lane
 // accumulation order is carried in two float64x2_t registers: acc01
 // holds scalar lanes {0,1}, acc23 holds {2,3}. The fold
-// (l0 + l1) + (l2 + l3) then maps onto one vpaddd per pair.
+// (l0 + l1) + (l2 + l3) then maps onto one vpaddd per pair. FitIpf
+// fits four problems in two registers, one problem per lane.
 
 #if defined(FELIP_SIMD_HAS_NEON)
 
@@ -125,6 +126,85 @@ double ScaleAbsDelta(double* p, size_t n, double scale) {
     p[i] = after;
   }
   return total;
+}
+
+namespace {
+
+// FitIpf's lanes: four problems in two float64x2_t.
+struct NeonIpfLanes {
+  static constexpr size_t kWidth = 4;
+  struct Vec {
+    float64x2_t lo, hi;
+  };
+  struct Mask {
+    uint64x2_t lo, hi;
+  };
+
+  static Vec Zero() { return {vdupq_n_f64(0.0), vdupq_n_f64(0.0)}; }
+  static Vec Load(const double* p) { return {vld1q_f64(p), vld1q_f64(p + 2)}; }
+  static void Store(double* p, Vec v) {
+    vst1q_f64(p, v.lo);
+    vst1q_f64(p + 2, v.hi);
+  }
+  static Vec Add(Vec a, Vec b) {
+    return {vaddq_f64(a.lo, b.lo), vaddq_f64(a.hi, b.hi)};
+  }
+  static Vec Sub(Vec a, Vec b) {
+    return {vsubq_f64(a.lo, b.lo), vsubq_f64(a.hi, b.hi)};
+  }
+  static Vec Mul(Vec a, Vec b) {
+    return {vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)};
+  }
+  static Vec Div(Vec a, Vec b) {
+    return {vdivq_f64(a.lo, b.lo), vdivq_f64(a.hi, b.hi)};
+  }
+  // Not (sum <= 0 or scale == 1); both compares are false on NaN, so NaN
+  // lanes keep rescaling, as the serial loop does.
+  static uint64x2_t Rescales(float64x2_t sum, float64x2_t scale) {
+    const uint64x2_t skip = vorrq_u64(vcleq_f64(sum, vdupq_n_f64(0.0)),
+                                      vceqq_f64(scale, vdupq_n_f64(1.0)));
+    return veorq_u64(skip, vdupq_n_u64(~uint64_t{0}));
+  }
+  static Mask Rescales(Vec sum, Vec scale) {
+    return {Rescales(sum.lo, scale.lo), Rescales(sum.hi, scale.hi)};
+  }
+  static bool Any(Mask m) {
+    const uint64x2_t any = vorrq_u64(m.lo, m.hi);
+    return (vgetq_lane_u64(any, 0) | vgetq_lane_u64(any, 1)) != 0;
+  }
+  static bool All(Mask m) {
+    const uint64x2_t all = vandq_u64(m.lo, m.hi);
+    return (vgetq_lane_u64(all, 0) & vgetq_lane_u64(all, 1)) != 0;
+  }
+  static Vec Abs(Vec x) { return {vabsq_f64(x.lo), vabsq_f64(x.hi)}; }
+  static Vec Select(Mask m, Vec a, Vec b) {
+    return {vbslq_f64(m.lo, a.lo, b.lo), vbslq_f64(m.hi, a.hi, b.hi)};
+  }
+  static float64x2_t AbsOrZero(uint64x2_t m, float64x2_t x) {
+    return vreinterpretq_f64_u64(
+        vandq_u64(vreinterpretq_u64_f64(vabsq_f64(x)), m));
+  }
+  static Vec AbsOrZero(Mask m, Vec x) {
+    return {AbsOrZero(m.lo, x.lo), AbsOrZero(m.hi, x.hi)};
+  }
+  static uint32_t Below(Vec v, double t) {
+    const float64x2_t limit = vdupq_n_f64(t);
+    const uint64x2_t lo = vcltq_f64(v.lo, limit);
+    const uint64x2_t hi = vcltq_f64(v.hi, limit);
+    return static_cast<uint32_t>((vgetq_lane_u64(lo, 0) & 1u) |
+                                 ((vgetq_lane_u64(lo, 1) & 1u) << 1) |
+                                 ((vgetq_lane_u64(hi, 0) & 1u) << 2) |
+                                 ((vgetq_lane_u64(hi, 1) & 1u) << 3));
+  }
+};
+
+}  // namespace
+
+void FitIpf(const IpfLayout& layout, const double* targets, size_t n,
+            double threshold, int max_iterations, uint32_t first_kept,
+            double* fitted, double* z, double* lane_targets) {
+  FitIpfLanes<NeonIpfLanes>(layout, targets, n, threshold, max_iterations,
+                            first_kept, fitted, z, lane_targets);
 }
 
 }  // namespace felip::simd::neon

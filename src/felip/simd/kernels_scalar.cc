@@ -4,6 +4,9 @@
 // multiply-add here would change roundings and break bit-identity with
 // the vector variants.
 
+#include <cmath>
+#include <vector>
+
 #include "felip/simd/kernels.h"
 #include "felip/simd/kernels_internal.h"
 
@@ -30,6 +33,92 @@ inline bool UseNeon(Level level) {
   return false;
 #endif
 }
+
+// FitIpf's baseline lanes: two plain doubles, so two independent
+// dependency chains overlap even without vector registers (four lanes
+// measured slower on x86-64).
+struct ScalarIpfLanes {
+  static constexpr size_t kWidth = 2;
+  struct Vec {
+    double lane[kWidth];
+  };
+  struct Mask {
+    bool lane[kWidth];
+  };
+
+  static Vec Zero() { return Vec{}; }
+  static Vec Load(const double* p) {
+    Vec v;
+    for (size_t k = 0; k < kWidth; ++k) v.lane[k] = p[k];
+    return v;
+  }
+  static void Store(double* p, const Vec& v) {
+    for (size_t k = 0; k < kWidth; ++k) p[k] = v.lane[k];
+  }
+  static Vec Add(const Vec& a, const Vec& b) {
+    Vec v;
+    for (size_t k = 0; k < kWidth; ++k) v.lane[k] = a.lane[k] + b.lane[k];
+    return v;
+  }
+  static Vec Sub(const Vec& a, const Vec& b) {
+    Vec v;
+    for (size_t k = 0; k < kWidth; ++k) v.lane[k] = a.lane[k] - b.lane[k];
+    return v;
+  }
+  static Vec Mul(const Vec& a, const Vec& b) {
+    Vec v;
+    for (size_t k = 0; k < kWidth; ++k) v.lane[k] = a.lane[k] * b.lane[k];
+    return v;
+  }
+  static Vec Div(const Vec& a, const Vec& b) {
+    Vec v;
+    for (size_t k = 0; k < kWidth; ++k) v.lane[k] = a.lane[k] / b.lane[k];
+    return v;
+  }
+  static Mask Rescales(const Vec& sum, const Vec& scale) {
+    Mask m;
+    for (size_t k = 0; k < kWidth; ++k) {
+      m.lane[k] = !(sum.lane[k] <= 0.0) && !(scale.lane[k] == 1.0);
+    }
+    return m;
+  }
+  static bool Any(const Mask& m) {
+    bool any = false;
+    for (size_t k = 0; k < kWidth; ++k) any = any || m.lane[k];
+    return any;
+  }
+  static bool All(const Mask& m) {
+    bool all = true;
+    for (size_t k = 0; k < kWidth; ++k) all = all && m.lane[k];
+    return all;
+  }
+  static Vec Abs(const Vec& x) {
+    Vec v;
+    for (size_t k = 0; k < kWidth; ++k) v.lane[k] = std::fabs(x.lane[k]);
+    return v;
+  }
+  static Vec Select(const Mask& m, const Vec& a, const Vec& b) {
+    Vec v;
+    for (size_t k = 0; k < kWidth; ++k) {
+      v.lane[k] = m.lane[k] ? a.lane[k] : b.lane[k];
+    }
+    return v;
+  }
+  static Vec AbsOrZero(const Mask& m, const Vec& x) {
+    Vec v;
+    for (size_t k = 0; k < kWidth; ++k) {
+      v.lane[k] = m.lane[k] ? std::fabs(x.lane[k]) : 0.0;
+    }
+    return v;
+  }
+  static uint32_t Below(const Vec& v, double t) {
+    uint32_t bits = 0;
+    for (size_t k = 0; k < kWidth; ++k) {
+      if (v.lane[k] < t) bits |= 1u << k;
+    }
+    return bits;
+  }
+};
 
 }  // namespace
 
@@ -117,6 +206,31 @@ double ScaleAbsDelta(Level level, double* p, size_t n, double scale) {
   if (UseNeon(level)) return neon::ScaleAbsDelta(p, n, scale);
 #endif
   return scalar_impl::ScaleAbsDelta(p, n, scale);
+}
+
+void FitIpf(Level level, const IpfLayout& layout, const double* targets,
+            size_t n, double threshold, int max_iterations,
+            uint32_t first_kept, double* fitted) {
+  // The interleaved lane scratch is allocated here, in the baseline TU,
+  // so the vector variants instantiate no library code.
+  std::vector<double> z(static_cast<size_t>(layout.size) * kMaxIpfLanes);
+  std::vector<double> lane_targets(
+      static_cast<size_t>(layout.num_constraints) * kMaxIpfLanes);
+#if defined(FELIP_SIMD_HAS_AVX2)
+  if (UseAvx2(level)) {
+    return avx2::FitIpf(layout, targets, n, threshold, max_iterations,
+                        first_kept, fitted, z.data(), lane_targets.data());
+  }
+#endif
+#if defined(FELIP_SIMD_HAS_NEON)
+  if (UseNeon(level)) {
+    return neon::FitIpf(layout, targets, n, threshold, max_iterations,
+                        first_kept, fitted, z.data(), lane_targets.data());
+  }
+#endif
+  FitIpfLanes<ScalarIpfLanes>(layout, targets, n, threshold, max_iterations,
+                              first_kept, fitted, z.data(),
+                              lane_targets.data());
 }
 
 }  // namespace felip::simd

@@ -22,7 +22,7 @@
 // Answering runs on the transport's IO thread: queries are pure reads of
 // immutable queryable-state, the batch engine answers each batch with
 // its defaults (the exact pair path, bit-identical to in-process
-// AnswerQuery, on one thread per core), and one response per connection
+// AnswerQuery, on the calling thread), and one response per connection
 // at a time matches the request/response framing. A pipeline that is not
 // queryable yet answers kFailedPrecondition, which clients treat as
 // retryable (see IsRetryable()).

@@ -2,10 +2,15 @@
 // AnswerQueries is bit-identical to per-query AnswerQuery under the
 // default exact path and under the reference scan path; the prefix path
 // agrees closely; out-of-domain predicates are fatal in-process; λ answers
-// stay in [0, 1] even from adversarially inflated grid frequencies.
+// stay in [0, 1] even from adversarially inflated grid frequencies; and
+// on shuffled mixed-λ batches the lane-batched Algorithm 4 kernel gives
+// every query the bits of the serial fit it replaced.
 
 #include "felip/core/felip.h"
 
+#include <algorithm>
+#include <bit>
+#include <random>
 #include <span>
 #include <vector>
 
@@ -15,6 +20,7 @@
 #include "felip/data/synthetic.h"
 #include "felip/query/generator.h"
 #include "felip/query/query.h"
+#include "support/lambda_reference.h"
 
 namespace felip::core {
 namespace {
@@ -172,6 +178,99 @@ TEST(QueryBatchTest, LambdaClampHoldsForInflatedGridFrequencies) {
     // The x3 inflation must actually have pushed something against the
     // clamp, or this test exercises nothing.
     EXPECT_TRUE(saw_saturated);
+  }
+}
+
+// Expected answer of `query` from the serial Algorithm 4 loop
+// (support/lambda_reference.h), fed by the pipeline's own 2-D and 1-D
+// answers — which AnswerQuery clamps, as the fit clamps its inputs.
+double ReferenceAnswer(const FelipPipeline& pipeline,
+                       const query::Query& query) {
+  const std::vector<query::Predicate>& predicates = query.predicates();
+  const auto lambda = static_cast<uint32_t>(predicates.size());
+  if (lambda <= 2) return pipeline.AnswerQuery(query);
+  std::vector<double> pairs;
+  std::vector<double> marginals;
+  for (uint32_t a = 0; a < lambda; ++a) {
+    for (uint32_t b = a + 1; b < lambda; ++b) {
+      pairs.push_back(
+          pipeline.AnswerQuery(query::Query({predicates[a], predicates[b]})));
+    }
+    marginals.push_back(pipeline.AnswerQuery(query::Query({predicates[a]})));
+  }
+  post::LambdaEstimatorOptions options;
+  options.threshold =
+      std::min(pipeline.config().lambda_threshold,
+               1.0 / static_cast<double>(pipeline.num_users()));
+  const double estimate =
+      pipeline.config().lambda_quadrant_fit
+          ? test_support::ReferenceEstimateLambdaQueryQuadrants(
+                lambda, pairs, marginals, options)
+          : test_support::ReferenceEstimateLambdaQuery(lambda, pairs,
+                                                       options);
+  return std::clamp(estimate, 0.0, 1.0);
+}
+
+// λ = 1..7 over eight attributes (IN on categorical, BETWEEN on numerical
+// ones), shuffled, under both fits: every batch split — the whole
+// workload and random chunks of it — carries the same bits per query as
+// AnswerQuery and as the serial reference.
+TEST(QueryBatchPropertyTest, ShuffledMixedLambdaBatchesMatchSerialFit) {
+  constexpr uint32_t kWideAttributes = 8;
+  const data::Dataset dataset = data::MakeIpumsLike(
+      kUsers, kWideAttributes, kNumDomain, kCatDomain, kSeed);
+  std::vector<query::Query> workload;
+  Rng rng(kSeed + 3);
+  for (uint32_t dimension = 1; dimension <= 7; ++dimension) {
+    for (const double selectivity : {0.5, 0.1}) {
+      const auto generated = query::GenerateQueries(
+          dataset, 6, {.dimension = dimension, .selectivity = selectivity},
+          rng);
+      workload.insert(workload.end(), generated.begin(), generated.end());
+    }
+  }
+  bool saw_in = false;
+  bool saw_between = false;
+  for (const query::Query& q : workload) {
+    for (const query::Predicate& p : q.predicates()) {
+      saw_in = saw_in || p.op == query::Op::kIn;
+      saw_between = saw_between || p.op == query::Op::kBetween;
+    }
+  }
+  ASSERT_TRUE(saw_in && saw_between);
+
+  std::mt19937_64 shuffle(kSeed + 4);
+  for (const bool quadrant_fit : {false, true}) {
+    FelipConfig config = MakeConfig();
+    config.lambda_quadrant_fit = quadrant_fit;
+    const FelipPipeline pipeline = RunFelip(dataset, config);
+    for (int round = 0; round < 3; ++round) {
+      std::shuffle(workload.begin(), workload.end(), shuffle);
+      const std::vector<double> whole =
+          pipeline.AnswerQueries(std::span<const query::Query>(workload));
+      ASSERT_EQ(whole.size(), workload.size());
+      std::vector<double> chunked;
+      for (size_t begin = 0; begin < workload.size();) {
+        const size_t len = std::min<size_t>(1 + shuffle() % 11,
+                                            workload.size() - begin);
+        const std::vector<double> part = pipeline.AnswerQueries(
+            std::span<const query::Query>(workload).subspan(begin, len));
+        chunked.insert(chunked.end(), part.begin(), part.end());
+        begin += len;
+      }
+      for (size_t i = 0; i < workload.size(); ++i) {
+        const uint64_t bits = std::bit_cast<uint64_t>(whole[i]);
+        EXPECT_EQ(bits, std::bit_cast<uint64_t>(chunked[i]))
+            << "quadrant_fit=" << quadrant_fit << " query " << i;
+        EXPECT_EQ(bits,
+                  std::bit_cast<uint64_t>(pipeline.AnswerQuery(workload[i])))
+            << "quadrant_fit=" << quadrant_fit << " query " << i;
+        EXPECT_EQ(bits, std::bit_cast<uint64_t>(
+                            ReferenceAnswer(pipeline, workload[i])))
+            << "quadrant_fit=" << quadrant_fit << " query " << i
+            << " lambda=" << workload[i].dimension();
+      }
+    }
   }
 }
 

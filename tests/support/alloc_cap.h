@@ -3,9 +3,10 @@
 // and over wire report frames).
 //
 // Linking alloc_cap.cc into a test binary replaces the global operator
-// new. While a ScopedAllocationCap is alive on a thread, any single
-// allocation that thread makes above the cap prints its size and throws
-// std::bad_alloc. A decoder that sizes a buffer from a corrupted length
+// new, the nothrow forms included. While a ScopedAllocationCap is alive
+// on a thread, any single allocation that thread makes above the cap
+// prints its size and throws std::bad_alloc (nothrow new returns nullptr
+// instead). A decoder that sizes a buffer from a corrupted length
 // field therefore fails its sweep on every host, instead of passing where
 // the kernel overcommits memory and failing where it does not.
 
