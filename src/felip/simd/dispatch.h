@@ -14,9 +14,10 @@
 // Dispatch never affects results: every vector kernel is required — and
 // differentially tested (tests/simd/) — to be BIT-IDENTICAL to the scalar
 // baseline for any input, including all remainder/tail lengths. Floating
-// point kernels achieve this by defining one canonical lane-folded
-// accumulation order that the scalar baseline implements literally (see
-// docs/simd.md); integer kernels are exact by nature.
+// point reductions achieve this by defining one canonical lane-folded
+// accumulation order that the scalar baseline implements literally, and
+// FitIpf by never mixing its lanes (see docs/simd.md); integer kernels
+// are exact by nature.
 
 #ifndef FELIP_SIMD_DISPATCH_H_
 #define FELIP_SIMD_DISPATCH_H_
