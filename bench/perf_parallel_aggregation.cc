@@ -1,9 +1,11 @@
 // Aggregation throughput (google-benchmark): the server Add() loop of GRR,
 // pooled OLH and OUE (the loop every oracle's IngestReports runs after its
-// checks), per-user OLH estimation, and the ingest server's drain of one
+// checks), per-user OLH estimation, the ingest server's drain of one
 // round of 1,024-report pooled-OLH frames through the verified-frame
-// chunk decoder into a PipelineSink. Per-user OLH estimation shards over
-// the host's cores; everything else runs on the calling thread.
+// chunk decoder into a PipelineSink, and the device side that makes such
+// frames (simulator plus EncodeReportBatch). Per-user OLH estimation
+// shards over the host's cores; everything else runs on the calling
+// thread.
 //
 // Record results with:
 //   FELIP_BENCH_JSON_DIR=results FELIP_GIT_SHA=$(git rev-parse --short HEAD) \
@@ -19,6 +21,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -223,6 +226,51 @@ void BM_DrainFrames(benchmark::State& state) {
                           static_cast<int64_t>(kNumReports));
 }
 BENCHMARK(BM_DrainFrames)->Unit(benchmark::kMillisecond);
+
+// The device side of one round on a paper_round-shaped plan (OHG, eps 1,
+// AFO over GRR and OLH with the 4096-seed pool, 6 ipums-like attributes):
+// the simulator's device loop perturbs every user's report into its
+// grid's run and each 1,024-report batch is framed by EncodeReportBatch.
+// The simulator and its grid configs are built outside the timed region.
+void BM_SimulateEncode(benchmark::State& state) {
+  static const data::Dataset* dataset = new data::Dataset(
+      data::MakeIpumsLike(kNumReports, 6, 100, 8, /*seed=*/8765));
+  core::FelipConfig config;
+  config.strategy = core::Strategy::kOhg;
+  config.epsilon = kEpsilon;
+  const core::FelipPipeline planned(dataset->attributes(), kNumReports,
+                                    config);
+  std::vector<wire::GridConfigMessage> grids;
+  for (uint32_t g = 0; g < planned.num_groups(); ++g) {
+    grids.push_back(wire::MakeGridConfig(
+        planned, dataset->attributes(), g, planned.per_grid_epsilon(),
+        config.protocol_options()));
+  }
+  svc::SimulatorOptions options;
+  options.seed = config.seed;
+  options.batch_size = 1024;
+  const svc::PopulationSimulator simulator(grids, options);
+  size_t bytes = 0;
+  for (auto _ : state) {
+    bytes = 0;
+    const std::optional<uint64_t> emitted = simulator.Run(
+        *dataset, [&bytes](const std::vector<wire::ReportMessage>& batch) {
+          const std::vector<uint8_t> frame = wire::EncodeReportBatch(batch);
+          benchmark::DoNotOptimize(frame.data());
+          bytes += frame.size();
+          return true;
+        });
+    if (emitted != kNumReports) {
+      state.SkipWithError("the simulator emitted the wrong report count");
+      return;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kNumReports));
+  state.counters["bytes_per_report"] =
+      static_cast<double>(bytes) / static_cast<double>(kNumReports);
+}
+BENCHMARK(BM_SimulateEncode)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace felip

@@ -7,7 +7,7 @@
 
 #include "felip/common/check.h"
 #include "felip/common/numeric.h"
-#include "felip/common/rng.h"
+#include "felip/fo/collection_round.h"
 #include "felip/fo/registry.h"
 #include "felip/post/consistency.h"
 #include "felip/post/lambda_estimator.h"
@@ -117,21 +117,28 @@ void TdgHdgPipeline::Collect(const data::Dataset& dataset) {
                                            config_.epsilon, domain, options));
   }
 
-  Rng rng(config_.seed);
-  for (uint64_t row = 0; row < dataset.num_rows(); ++row) {
-    const size_t g = static_cast<size_t>(rng.UniformU64(m));
-    uint64_t cell;
+  const auto cell_of = [&](size_t g, uint64_t row) -> uint64_t {
     if (g < n1) {
       const Grid1D& grid = grids_1d_[g];
-      cell = grid.CellOf(dataset.Value(row, grid.attr()));
-    } else {
-      const Grid2D& grid = grids_2d_[g - n1];
-      cell = grid.CellOf(dataset.Value(row, grid.attr_x()),
-                         dataset.Value(row, grid.attr_y()));
+      return grid.CellOf(dataset.Value(row, grid.attr()));
     }
-    FELIP_CHECK(
-        oracles_[g]->IngestReport(clients[g]->Perturb(cell, rng)).ok());
-  }
+    const Grid2D& grid = grids_2d_[g - n1];
+    return grid.CellOf(dataset.Value(row, grid.attr_x()),
+                       dataset.Value(row, grid.attr_y()));
+  };
+  // User division: each user draws one grid (fo/collection_round.h).
+  std::vector<const fo::ReportData*> run;
+  fo::RunCollectionRound(
+      config_.seed, dataset.num_rows(), /*every_grid=*/false, clients,
+      /*batch_size=*/1024, cell_of,
+      [&](const std::vector<std::vector<fo::ReportData>>& runs) {
+        for (size_t g = 0; g < runs.size(); ++g) {
+          run.clear();
+          for (const fo::ReportData& report : runs[g]) run.push_back(&report);
+          FELIP_CHECK(oracles_[g]->IngestReports(run) == run.size());
+        }
+        return true;
+      });
   collected_ = true;
 }
 

@@ -9,6 +9,7 @@
 #include "felip/common/hash.h"
 #include "felip/common/numeric.h"
 #include "felip/common/parallel.h"
+#include "felip/fo/collection_round.h"
 #include "felip/obs/metrics.h"
 #include "felip/obs/trace.h"
 #include "felip/post/consistency.h"
@@ -260,52 +261,35 @@ void FelipPipeline::Collect(const data::Dataset& dataset) {
   };
 
   // Each user's device is the grid's report client; its reports reach
-  // the oracles through IngestReports, exactly like reports off the wire.
-  // Every grid perturbs into its own chunk of report slots that lives for
-  // the whole round, so a slot that already holds the report's alternative
-  // is only move-assigned.
-  constexpr size_t kChunkReports = 1024;
+  // the oracles through IngestReports, one grid run of each batch at a
+  // time, exactly like reports off the wire. The round is one serial pass
+  // (fo/collection_round.h): the rng trajectory defines the simulated
+  // population and must not depend on thread count.
   const size_t m = assignments_.size();
   const fo::ProtocolOptions options = config_.protocol_options();
   std::vector<std::unique_ptr<fo::ReportClient>> clients;
-  std::vector<std::vector<fo::ReportData>> chunks(m);
-  std::vector<std::vector<const fo::ReportData*>> runs(m);
-  std::vector<size_t> filled(m, 0);
   clients.reserve(m);
   for (size_t g = 0; g < m; ++g) {
     const grid::GridPlan& plan = assignments_[g].plan;
     clients.push_back(fo::MakeReportClient(
         plan.protocol, per_grid_epsilon_,
         static_cast<uint64_t>(plan.lx) * plan.ly, options));
-    chunks[g].resize(kChunkReports);
-    for (const fo::ReportData& slot : chunks[g]) runs[g].push_back(&slot);
   }
-  const auto flush = [&](size_t g) {
-    const std::span<const fo::ReportData* const> run(runs[g].data(),
-                                                     filled[g]);
-    FELIP_CHECK_MSG(IngestReports(static_cast<uint32_t>(g), run) == run.size(),
-                    "an oracle rejected a report its own client perturbed");
-    filled[g] = 0;
-  };
-  const auto report = [&](size_t g, uint64_t row, Rng& rng) {
-    chunks[g][filled[g]] = clients[g]->Perturb(cell_of(g, row), rng);
-    if (++filled[g] == kChunkReports) flush(g);
-  };
-
-  // Perturbation stays a single serial pass: the rng trajectory defines
-  // the simulated population and must not depend on thread count.
-  Rng rng(config_.seed);
-  if (config_.partitioning == PartitioningMode::kDivideUsers) {
-    for (uint64_t row = 0; row < dataset.num_rows(); ++row) {
-      report(static_cast<size_t>(rng.UniformU64(m)), row, rng);
-    }
-  } else {
-    // Sequential composition: every user reports every grid at eps/m.
-    for (uint64_t row = 0; row < dataset.num_rows(); ++row) {
-      for (size_t g = 0; g < m; ++g) report(g, row, rng);
-    }
-  }
-  for (size_t g = 0; g < m; ++g) flush(g);
+  std::vector<const fo::ReportData*> run;
+  fo::RunCollectionRound(
+      config_.seed, dataset.num_rows(),
+      config_.partitioning == PartitioningMode::kDivideBudget, clients,
+      /*batch_size=*/1024, cell_of,
+      [&](const std::vector<std::vector<fo::ReportData>>& runs) {
+        for (uint32_t g = 0; g < runs.size(); ++g) {
+          run.clear();
+          for (const fo::ReportData& report : runs[g]) run.push_back(&report);
+          FELIP_CHECK_MSG(IngestReports(g, run) == run.size(),
+                          "an oracle rejected a report its own client "
+                          "perturbed");
+        }
+        return true;
+      });
   FinishIngest();
 }
 

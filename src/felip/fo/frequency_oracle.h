@@ -10,12 +10,13 @@
 // One ingestion path exists: IngestReports / IngestReport take
 // already-perturbed, untrusted reports and run the protocol's checks
 // before the server's Add(). Reports come from the network, the replay
-// log or an in-process simulation (FelipPipeline::Collect perturbs with a
-// ReportClient, fo/report.h), and all of them take this path. Service
-// sinks sort each decoded frame by grid and hand every grid's oracle its
-// run of reports in one IngestReports call, a tight check-then-Add loop;
-// IngestReport is the one-report form with the same checks. Invalid input
-// is rejected, never fatal. See docs/aggregation.md.
+// log or an in-process simulation (the device loop of
+// fo/collection_round.h), and all of them take this path. Grouping by
+// grid is decided once, in that loop, and the encoder keeps batch order,
+// so a decoded frame is already grouped: service sinks hand every grid's
+// oracle its run of reports in one IngestReports call, a tight
+// check-then-Add loop; IngestReport is the one-report form with the same
+// checks. Invalid input is rejected, never fatal. See docs/aggregation.md.
 
 #ifndef FELIP_FO_FREQUENCY_ORACLE_H_
 #define FELIP_FO_FREQUENCY_ORACLE_H_

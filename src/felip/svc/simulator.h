@@ -1,13 +1,15 @@
 // Device-population simulator for the networked ingest path.
 //
-// FelipPipeline::Collect simulates users in-process: one Rng seeded with
-// FelipConfig::seed drives group assignment and perturbation for every
-// row, in row order. PopulationSimulator replays that exact trajectory on
-// the *client side of the wire*: it rebuilds each grid's device
-// (FelipClient projection + the grid's frequency-oracle client) from the
-// public GridConfigMessages, draws from an identically seeded Rng, and
-// emits the perturbed reports as wire batches instead of aggregating them
-// locally.
+// FelipPipeline::Collect simulates users in-process. PopulationSimulator
+// runs the same device loop, fo::RunCollectionRound (one Rng seeded with
+// FelipConfig::seed, rows in order, the group draw or every grid), on the
+// *client side of the wire*: it rebuilds each grid's device (FelipClient
+// projection + the grid's frequency-oracle client) from the public
+// GridConfigMessages and emits the perturbed reports as wire batches
+// instead of aggregating them locally. Grouping is decided once, in that
+// loop: a batch is the next batch_size reports of the round, grouped by
+// grid in ascending grid order, each grid's reports in row order, and
+// wire::EncodeReportBatch frames it as one run per grid without sorting.
 //
 // Because the aggregator counts integers, a server that accepts this
 // report multiset — in any order, over any number of connections —
@@ -35,12 +37,13 @@ struct SimulatorOptions {
   // assignment/perturbation trajectory; partitioning selects it).
   uint64_t seed = 1;
   core::PartitioningMode partitioning = core::PartitioningMode::kDivideUsers;
-  // Reports per emitted batch (0 acts as 1). Batch boundaries cannot
-  // affect estimates — only the report multiset matters.
+  // Reports per emitted batch (0 acts as 1); the last batch may be
+  // shorter. Batch boundaries cannot affect estimates — only the report
+  // multiset matters.
   size_t batch_size = 1024;
 };
 
-// Receives each full batch; false aborts the run (delivery failed). The
+// Receives each batch; false aborts the run (delivery failed). The
 // batch's storage is reused for the next batch once the call returns, so
 // a consumer copies whatever it keeps.
 using BatchConsumer =
@@ -60,18 +63,14 @@ class PopulationSimulator {
                               const BatchConsumer& consume) const;
 
  private:
-  // One grid's device-side state, rebuilt from its public config. The
+  std::vector<wire::GridConfigMessage> configs_;
+  SimulatorOptions options_;
+  // Each grid's device-side state, rebuilt from its public config. The
   // registry's ReportClient wraps the grid's protocol client with an
   // identical rng trajectory, so the simulator needs no per-protocol
   // branches (fo/registry.h).
-  struct Device {
-    core::FelipClient projector;
-    std::unique_ptr<fo::ReportClient> client;
-  };
-
-  std::vector<wire::GridConfigMessage> configs_;
-  SimulatorOptions options_;
-  std::vector<Device> devices_;
+  std::vector<core::FelipClient> projectors_;
+  std::vector<std::unique_ptr<fo::ReportClient>> clients_;
 };
 
 }  // namespace felip::svc

@@ -2,8 +2,8 @@
 // the aggregation pipeline.
 //
 // IngestServer's drain thread hands decoded chunks of structurally valid
-// batches (at most wire::kReportChunkSize reports, grouped by grid as the
-// grid-run frame carries them) to a ReportSink. PipelineSink is the
+// batches (at most wire::kReportChunkSize reports, in the grid runs the
+// frame carries) to a ReportSink. PipelineSink is the
 // production sink: under a mutex it feeds each chunk to a planned
 // FelipPipeline one grid run at a time (GridRunIngester): one
 // FelipPipeline::IngestReports call per maximal same-grid run. Per-report
@@ -17,7 +17,8 @@
 // batch boundaries. That is what makes the networked path bit-identical
 // to the in-process pipeline. The one order that state does
 // keep, OLH per-user raw report lists, is each grid's reports in batch
-// order, which the encoder's stable grouping by grid preserves.
+// order, which the encoder keeps: the device loop groups a batch by grid
+// where it is made, each grid's reports in row order.
 
 #ifndef FELIP_SVC_SINK_H_
 #define FELIP_SVC_SINK_H_
@@ -47,8 +48,8 @@ class ReportSink {
 
 // The grid-run ingest path PipelineSink and the replay engine share: one
 // FelipPipeline::IngestReports call per maximal run of same-grid reports,
-// in batch order. A decoded frame is grouped by grid already (the grid-run
-// frame, wire/wire.h), so that is one call per grid per chunk; an
+// in batch order. A device frame is grouped by grid already (the device
+// loop, fo/collection_round.h), so that is one call per grid per chunk; an
 // interleaved batch takes more calls and the same result. It reuses its
 // pointer buffer across batches and is not thread-safe. A report naming an
 // unplanned grid is rejected. The result equals FelipPipeline::IngestReport

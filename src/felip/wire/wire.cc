@@ -426,7 +426,7 @@ struct RunHeader {
 };
 
 // One run the encoder writes: its grid and shape, and its reports,
-// order[begin, begin + count) of the batch's grid order.
+// the batch's [begin, begin + count).
 struct EncodedRun {
   uint32_t grid = 0;
   size_t begin = 0;
@@ -439,17 +439,18 @@ struct EncodedRun {
 // specialized per payload type.
 template <size_t I>
 struct RunOps {
-  // Cuts the run that starts at order[run->begin]: the reports of
-  // order[run->begin, end) that share the first one's shape. Sets the
-  // run's shape and count, and sizes its fields' widths: each the width of
-  // the OR of the field's values, which is the width of their maximum.
+  // Cuts the run that starts at reports[run->begin]: the reports from
+  // there on that share the first one's grid and shape. Sets the run's
+  // shape and count, and sizes its fields' widths: each the width of the
+  // OR of the field's values, which is the width of their maximum.
   static void Scan(const std::vector<ReportMessage>& reports,
-                   const uint32_t* order, size_t end, EncodedRun* run) {
+                   EncodedRun* run) {
     Fields field_bits{};
     size_t k = run->begin;
-    for (; k < end; ++k) {
-      const auto* payload = std::get_if<I>(&reports[order[k]].payload);
-      if (payload == nullptr) break;
+    for (; k < reports.size(); ++k) {
+      const ReportMessage& m = reports[k];
+      const auto* payload = std::get_if<I>(&m.payload);
+      if (payload == nullptr || m.grid_index != run->grid) break;
       Fields fields{};
       RunShape shape = Codec<I>::Shape(*payload, &fields);
       shape.protocol = static_cast<uint8_t>(I);
@@ -468,10 +469,9 @@ struct RunOps {
     }
   }
   static uint8_t* Put(uint8_t* at, const EncodedRun& run,
-                      const std::vector<ReportMessage>& reports,
-                      const uint32_t* order) {
+                      const std::vector<ReportMessage>& reports) {
     for (size_t k = run.begin; k < run.begin + run.count; ++k) {
-      at = Codec<I>::Put(at, *std::get_if<I>(&reports[order[k]].payload),
+      at = Codec<I>::Put(at, *std::get_if<I>(&reports[k].payload),
                          run.shape);
     }
     return at;
@@ -500,10 +500,9 @@ struct RunOps {
 
 struct RunOpsRow {
   std::array<RecordLayout, 2> layout;  // indexed by the pooled flag
-  void (*scan)(const std::vector<ReportMessage>&, const uint32_t*, size_t,
-               EncodedRun*);
+  void (*scan)(const std::vector<ReportMessage>&, EncodedRun*);
   uint8_t* (*put)(uint8_t*, const EncodedRun&,
-                  const std::vector<ReportMessage>&, const uint32_t*);
+                  const std::vector<ReportMessage>&);
   bool (*valid)(const uint8_t*, const RunHeader&, size_t);
   const uint8_t* (*load)(const uint8_t*, const RunHeader&, size_t,
                          ReportMessage*);
@@ -543,39 +542,6 @@ size_t RunHeaderBytes(const RunShape& shape) {
 // The smallest run: its header with one width byte, and one 1-byte
 // record.
 constexpr size_t kMinRunBytes = 4 + 1 + 4 + 1 + 1;
-
-// Maps each grid index of a batch to a dense slot: the index itself while
-// the indices stay below a bound proportional to the batch, else its rank
-// among the batch's distinct indices.
-class GridSlots {
- public:
-  explicit GridSlots(const std::vector<ReportMessage>& reports) {
-    uint32_t max_grid = 0;
-    for (const ReportMessage& m : reports) {
-      max_grid = std::max(max_grid, m.grid_index);
-    }
-    if (max_grid <= 2 * reports.size() + 256) {
-      size_ = size_t{max_grid} + 1;
-      return;
-    }
-    for (const ReportMessage& m : reports) sparse_.push_back(m.grid_index);
-    std::sort(sparse_.begin(), sparse_.end());
-    sparse_.erase(std::unique(sparse_.begin(), sparse_.end()), sparse_.end());
-    size_ = sparse_.size();
-  }
-
-  size_t size() const { return size_; }
-  size_t operator()(uint32_t grid) const {
-    if (sparse_.empty()) return grid;
-    return static_cast<size_t>(
-        std::lower_bound(sparse_.begin(), sparse_.end(), grid) -
-        sparse_.begin());
-  }
-
- private:
-  std::vector<uint32_t> sparse_;
-  size_t size_ = 0;
-};
 
 uint8_t* PutRunHeader(uint8_t* at, const EncodedRun& run) {
   const RunShape& shape = run.shape;
@@ -715,36 +681,21 @@ class RunReader {
 
 }  // namespace
 
-// A ReportBatch frame is a run count and then its runs. The batch is
-// stably grouped by grid (a counting sort over dense grid slots, ascending
-// grid index), each grid's reports are cut into runs of one shape, and the
-// runs are sized first, trailer included, so the frame is allocated once
-// with capacity() == size() and written through one cursor.
+// A ReportBatch frame is a run count and then its runs. The batch is cut
+// into runs in its own order, a new run wherever the grid or the report
+// shape changes, and the runs are sized first, trailer included, so the
+// frame is allocated once with capacity() == size() and written through
+// one cursor.
 std::vector<uint8_t> EncodeReportBatch(
     const std::vector<ReportMessage>& reports) {
-  const size_t n = reports.size();
-  FELIP_CHECK_MSG(n <= UINT32_MAX, "report batch too large to frame");
-  const GridSlots slots(reports);
-  std::vector<uint32_t> slot_of(n);
-  std::vector<uint32_t> ends(slots.size() + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    slot_of[i] = static_cast<uint32_t>(slots(reports[i].grid_index));
-    ++ends[slot_of[i] + 1];
-  }
-  for (size_t g = 1; g < ends.size(); ++g) ends[g] += ends[g - 1];
-  std::vector<uint32_t> order(n);
-  for (size_t i = 0; i < n; ++i) {
-    order[ends[slot_of[i]]++] = static_cast<uint32_t>(i);
-  }
-  // ends[g] is now the end of slot g's reports, and ends[g - 1] its start.
-
+  FELIP_CHECK_MSG(reports.size() <= UINT32_MAX,
+                  "report batch too large to frame");
   std::vector<EncodedRun> runs;
   size_t size = kHeaderBytes + sizeof(uint32_t) + kTrailerBytes;
-  for (size_t k = 0; k < n;) {
-    const ReportMessage& first = reports[order[k]];
-    EncodedRun run{first.grid_index, k};
-    kRunOps[first.payload.index()].scan(reports, order.data(),
-                                        ends[slot_of[order[k]]], &run);
+  for (size_t k = 0; k < reports.size();) {
+    const ReportMessage& first = reports[k];
+    EncodedRun run{.grid = first.grid_index, .begin = k};
+    kRunOps[first.payload.index()].scan(reports, &run);
     size += RunHeaderBytes(run.shape) + run.count * RecordBytes(run.shape);
     k += run.count;
     runs.push_back(run);
@@ -755,7 +706,7 @@ std::vector<uint8_t> EncodeReportBatch(
   at = PutAt<uint32_t>(at, static_cast<uint32_t>(runs.size()));
   for (const EncodedRun& run : runs) {
     at = PutRunHeader(at, run);
-    at = kRunOps[run.shape.protocol].put(at, run, reports, order.data());
+    at = kRunOps[run.shape.protocol].put(at, run, reports);
   }
   at = PutChecksumAt(buffer.data(), at, kChecksumSalt);
   FELIP_CHECK_MSG(at == buffer.data() + buffer.size(),

@@ -68,11 +68,12 @@ struct GridConfigMessage {
 // addressed to a grid.
 //
 // On the wire a batch is a run count and then grid runs (docs/service.md
-// has the layout). EncodeReportBatch stably groups the batch by grid
-// index, ascending, and writes one run per grid; a new run of the same
-// grid starts only where the report shape changes (protocol, pooled or
-// per-user OLH, bit-vector length), which honest clients never do within
-// a grid. A run header carries the grid index, the protocol byte (the
+// has the layout). Grouping is decided once, by the device loop
+// (fo/collection_round.h), whose every batch is one grid's run:
+// EncodeReportBatch frames the batch in its own order and starts a new
+// run wherever the grid or the report shape (protocol, pooled or per-user
+// OLH, bit-vector length) changes, so a one-grid batch is one run and an
+// interleaved batch is still framed, one run per change. A run header carries the grid index, the protocol byte (the
 // payload's alternative index, see fo/report.h), the report count (at
 // least 1), an OLH run's pooled byte, the byte width (1, 2, 4 or 8) of
 // each field, and the bit length of OUE and FLDP runs. Its records follow
@@ -104,8 +105,8 @@ StatusOr<GridConfigMessage> DecodeGridConfig(
     const std::vector<uint8_t>& buffer);
 
 // Whole-frame convenience: verifies the checksum trailer, validates every
-// run before anything is allocated, then decodes the batch in frame order
-// (grouped by grid). The ingest server and the replay engine decode
+// run before anything is allocated, then decodes the batch in frame order,
+// which is the encoded batch's order. The ingest server and the replay engine decode
 // through ReportChunkDecoder instead.
 StatusOr<std::vector<ReportMessage>> DecodeReportBatch(
     const std::vector<uint8_t>& buffer);

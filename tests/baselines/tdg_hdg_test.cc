@@ -1,10 +1,12 @@
 #include "felip/baselines/tdg_hdg.h"
 
 #include <cmath>
+#include <iomanip>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "felip/common/hash.h"
 #include "felip/data/synthetic.h"
 #include "felip/query/generator.h"
 
@@ -152,6 +154,55 @@ TEST(TdgHdgPipelineTest, HdgBeatsTdgOnSkewedData) {
     return total / static_cast<double>(queries.size());
   };
   EXPECT_LT(mae(YangStrategy::kHdg), mae(YangStrategy::kTdg));
+}
+
+// Fixed-seed pin of the collected estimates: the xxHash64 of every 2-D
+// grid's finalized frequencies (HDG's consistency step folds its 1-D
+// grids into them) and one HDG marginal answer from the 1-D grids. Any
+// change to the collection round's rng trajectory, to a grid's report
+// order (per-user OLH keeps its reports as a list) or to estimation moves
+// them.
+uint64_t PairGridDigest(const TdgHdgPipeline& pipeline) {
+  uint64_t digest = 0;
+  for (const grid::Grid2D& g : pipeline.grids_2d()) {
+    const std::vector<double>& f = g.frequencies();
+    digest = XxHash64Bytes(f.data(), f.size() * sizeof(double), digest);
+  }
+  return digest;
+}
+
+TEST(TdgHdgPipelineTest, FixedSeedEstimatesArePinned) {
+  const data::Dataset ds = data::MakeNormal(20000, 4, 0, 32, 2, 12);
+  const query::Query marginal(
+      {{.attr = 1, .op = query::Op::kBetween, .lo = 4, .hi = 19}});
+  struct Row {
+    const char* name;
+    YangStrategy strategy;
+    uint32_t seed_pool_size;  // 0: per-user OLH
+    uint64_t digest;
+    double marginal;
+  };
+  const Row rows[] = {
+      {"tdg_pooled", YangStrategy::kTdg, 1024, 0xc4ffc21ace8cc06dull,
+       0.49054763733319484},
+      {"hdg_pooled", YangStrategy::kHdg, 1024, 0x3fcf00f757e1a8c5ull,
+       0.77496789798886057},
+      {"hdg_per_user", YangStrategy::kHdg, 0, 0xfcca9b57a427db98ull,
+       0.77133073563411991},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    TdgHdgConfig config = FastConfig(row.strategy);
+    config.olh_options.seed_pool_size = row.seed_pool_size;
+    TdgHdgPipeline pipeline(ds.attributes(), ds.num_rows(), config);
+    pipeline.Collect(ds);
+    pipeline.Finalize();
+    const uint64_t digest = PairGridDigest(pipeline);
+    const double answer = pipeline.AnswerQuery(marginal);
+    EXPECT_EQ(digest, row.digest) << std::hex << "0x" << digest;
+    EXPECT_NEAR(answer, row.marginal, 1e-12) << std::setprecision(17)
+                                             << answer;
+  }
 }
 
 TEST(TdgHdgPipelineDeathTest, RequiresTwoAttributes) {

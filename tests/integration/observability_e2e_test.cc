@@ -2,8 +2,14 @@
 // snapshot and a wire round-trip, a streaming ingest, and an eval-harness
 // run, the default registry's RenderText exposition must contain counters
 // and spans from every instrumented subsystem (core, fo, wire, stream,
-// eval).
+// eval). After a served round on top, every name it renders must have a
+// row in docs/observability.md.
 
+#include <algorithm>
+#include <fstream>
+#include <set>
+#include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,7 +24,13 @@
 #include "felip/query/query.h"
 #include "felip/snapshot/pipeline_snapshot.h"
 #include "felip/stream/streaming.h"
+#include "felip/svc/client.h"
+#include "felip/svc/loopback.h"
+#include "felip/svc/query_service.h"
+#include "felip/svc/server.h"
+#include "felip/svc/sink.h"
 #include "felip/wire/wire.h"
+#include "support/rounds.h"
 
 namespace felip {
 namespace {
@@ -99,6 +111,98 @@ TEST(ObservabilityE2eTest, EverySubsystemReportsToTheDefaultRegistry) {
     }
   }
   EXPECT_TRUE(nested_estimate);
+}
+
+// The metric names of a RenderText exposition: one per "# TYPE" line,
+// so a histogram's _bucket/_sum/_count samples count as its one name.
+std::set<std::string> RenderedNames(const std::string& text) {
+  std::set<std::string> names;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::string hash, type, name;
+    if (fields >> hash >> type >> name && hash == "#" && type == "TYPE") {
+      names.insert(name);
+    }
+  }
+  return names;
+}
+
+TEST(ObservabilityE2eTest, EveryRenderedMetricHasADocRow) {
+  obs::Registry& registry = obs::Registry::Default();
+  registry.Reset();
+  const data::Dataset dataset =
+      data::MakeIpumsLike(800, 4, 20, 6, /*seed=*/9);
+  core::FelipConfig config;
+  config.epsilon = 1.0;
+  config.seed = 3;
+
+  // In process: collection, estimation, queries, a snapshot codec round
+  // trip, one streaming epoch and one harness run.
+  const core::FelipPipeline reference = core::RunFelip(dataset, config);
+  Rng qrng(11);
+  const std::vector<query::Query> queries = query::GenerateQueries(
+      dataset, 4, {.dimension = 2, .selectivity = 0.5}, qrng);
+  reference.AnswerQueries(std::span<const query::Query>(queries));
+  ASSERT_TRUE(snapshot::PipelineCodec::Decode(
+                  snapshot::PipelineCodec::Encode(reference, {}, {}))
+                  .ok());
+  stream::StreamConfig stream_config;
+  stream_config.felip = config;
+  stream::StreamingCollector(dataset.attributes(), stream_config)
+      .IngestEpoch(dataset);
+  eval::ExperimentParams params;
+  params.epsilon = 1.0;
+  params.seed = 3;
+  eval::RunMethodMae("OHG", dataset, queries,
+                     std::vector<double>(queries.size(), 0.5), params);
+
+  // Served: the device batches over loopback into an ingest server, then
+  // the queries through a query server.
+  core::FelipPipeline served(dataset.attributes(), dataset.num_rows(),
+                             config);
+  svc::LoopbackTransport transport;
+  {
+    svc::PipelineSink sink(&served);
+    svc::IngestServer server(&transport, "obs-ingest", &sink);
+    ASSERT_TRUE(server.Start());
+    svc::IngestClient client(&transport, server.endpoint());
+    for (const test_support::Batch& batch :
+         test_support::MakeBatches(dataset, served, 128)) {
+      ASSERT_TRUE(client.SendBatch(batch).ok());
+    }
+    ASSERT_TRUE(server.WaitForReports(dataset.num_rows(), 30000));
+    server.Stop();
+    sink.Finish();
+  }
+  served.Finalize();
+  svc::QueryServer query_server(&transport, "obs-query", &served);
+  ASSERT_TRUE(query_server.Start());
+  ASSERT_TRUE(svc::QueryClient(&transport, query_server.endpoint())
+                  .AnswerQueries(queries)
+                  .ok());
+  query_server.Stop();
+
+  std::ifstream doc_file(std::string(FELIP_SOURCE_DIR) +
+                         "/docs/observability.md");
+  ASSERT_TRUE(doc_file.good());
+  std::stringstream doc;
+  doc << doc_file.rdbuf();
+  const std::set<std::string> names = RenderedNames(registry.RenderText());
+  for (const char* subsystem :
+       {"felip_core_", "felip_wire_", "felip_svc_", "felip_fo_",
+        "felip_stream_", "felip_eval_", "felip_span_"}) {
+    EXPECT_TRUE(std::any_of(names.begin(), names.end(),
+                            [subsystem](const std::string& name) {
+                              return name.rfind(subsystem, 0) == 0;
+                            }))
+        << "nothing rendered under " << subsystem;
+  }
+  for (const std::string& name : names) {
+    EXPECT_NE(doc.str().find("| `" + name + "` |"), std::string::npos)
+        << name << " has no row in docs/observability.md";
+  }
 }
 
 #else

@@ -1,11 +1,11 @@
-// Differential test of PopulationSimulator's batch: every report is
-// perturbed straight into a slot of one batch that is reused across
-// consume calls, so a slot switches between scalar payloads (GRR, PGR),
-// the OLH struct and bit vectors (OUE, FLDP) as grids interleave. Each
-// emitted batch must equal the same span of a report-by-report reference
-// built from fo::MakeReportClient with an identically seeded Rng, for
-// both partitioning modes and for batch sizes that do not divide the
-// report count.
+// Differential test of PopulationSimulator's batches: every report goes
+// to its grid's run, and each batch is moved out of those runs, grid by
+// grid, into one vector reused across consume calls, so a batch slot
+// switches between scalar payloads (GRR, PGR), the OLH struct and bit
+// vectors (OUE, FLDP). Each emitted batch must be the same span of a
+// report-by-report reference built from fo::MakeReportClient with an
+// identically seeded Rng, stably grouped by grid, for both partitioning
+// modes and for batch sizes that do not divide the report count.
 
 #include "felip/svc/simulator.h"
 
@@ -114,6 +114,19 @@ std::vector<wire::ReportMessage> ReferenceReports(
   return reports;
 }
 
+// The reports of [first, last), stably grouped by grid index, ascending.
+std::vector<wire::ReportMessage> StableGridGrouping(
+    std::vector<wire::ReportMessage>::const_iterator first,
+    std::vector<wire::ReportMessage>::const_iterator last) {
+  std::vector<wire::ReportMessage> grouped(first, last);
+  std::stable_sort(grouped.begin(), grouped.end(),
+                   [](const wire::ReportMessage& a,
+                      const wire::ReportMessage& b) {
+                     return a.grid_index < b.grid_index;
+                   });
+  return grouped;
+}
+
 TEST(PopulationSimulatorTest, ReusedBatchSlotsMatchReportByReportReference) {
   const data::Dataset dataset = data::MakeUniform(kRows, 2, 2, 64, 6, 3);
   const std::vector<wire::GridConfigMessage> grids = MixedGrids(dataset);
@@ -143,11 +156,15 @@ TEST(PopulationSimulatorTest, ReusedBatchSlotsMatchReportByReportReference) {
                      ++batches;
                      const size_t left = expected.size() - offset;
                      EXPECT_EQ(batch.size(), std::min(batch_size, left));
-                     for (size_t i = 0;
-                          i < batch.size() && offset + i < expected.size();
-                          ++i) {
-                       EXPECT_EQ(batch[i], expected[offset + i])
-                           << "report " << offset + i;
+                     const size_t end =
+                         offset + std::min(batch.size(), left);
+                     const std::vector<wire::ReportMessage> grouped =
+                         StableGridGrouping(expected.begin() + offset,
+                                            expected.begin() + end);
+                     for (size_t i = 0; i < grouped.size(); ++i) {
+                       EXPECT_EQ(batch[i], grouped[i])
+                           << "report " << i << " of the batch at "
+                           << offset;
                      }
                      offset += batch.size();
                      return true;

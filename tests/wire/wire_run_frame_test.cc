@@ -4,9 +4,9 @@
 // its field, a count or run count past the bytes present, set pad bits,
 // an unknown protocol or pooled byte, trailing bytes — must fail both the
 // whole-frame DecodeReportBatch and the drain path's
-// ReportChunkDecoder::Validate. A seeded property pins the decoded order
-// to the stable grid grouping of the encoded batch, and sweeps pin the
-// two decoders to each other on every truncation and resealed bit flip.
+// ReportChunkDecoder::Validate. A seeded property pins both decoders to
+// the encoded batch, in batch order, and sweeps pin the two decoders to
+// each other on every truncation and resealed bit flip.
 //
 // Everything runs under the allocation cap (support/alloc_cap.h). Each
 // test builds its ReportChunkDecoder before arming the cap: the chunk
@@ -331,22 +331,9 @@ std::vector<ReportMessage> RandomBatch(Rng& rng, size_t size) {
   return batch;
 }
 
-// What the decoders must give back for `batch`: stably grouped by grid
-// index, ascending, with pooled OLH seeds decoded as 0.
-std::vector<ReportMessage> StableGridGrouping(
-    const std::vector<ReportMessage>& input) {
-  // A sort by (grid, position) rather than std::stable_sort, whose
-  // temporary buffer comes from the nothrow operator new, which
-  // support/alloc_cap.cc does not replace.
-  std::vector<size_t> order(input.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&input](size_t a, size_t b) {
-    return input[a].grid_index != input[b].grid_index
-               ? input[a].grid_index < input[b].grid_index
-               : a < b;
-  });
-  std::vector<ReportMessage> batch;
-  for (const size_t i : order) batch.push_back(input[i]);
+// What the decoders must give back for `batch`: the batch in its own
+// order, with pooled OLH seeds decoded as 0.
+std::vector<ReportMessage> AsDecoded(std::vector<ReportMessage> batch) {
   for (ReportMessage& m : batch) {
     if (auto* olh = std::get_if<fo::OlhReport>(&m.payload);
         olh != nullptr && olh->seed_index != fo::OlhReport::kNoPool) {
@@ -356,7 +343,14 @@ std::vector<ReportMessage> StableGridGrouping(
   return batch;
 }
 
-TEST(WireRunFrameTest, SeededRoundTripIsTheStableGridGrouping) {
+// The run count a frame declares.
+uint32_t RunCount(const std::vector<uint8_t>& frame) {
+  uint32_t runs = 0;
+  std::memcpy(&runs, frame.data() + kHeaderSize, sizeof(runs));
+  return runs;
+}
+
+TEST(WireRunFrameTest, SeededRoundTripKeepsBatchOrder) {
   ReportChunkDecoder decoder;
   Rng rng(20261019);
   for (int trial = 0; trial < 60; ++trial) {
@@ -364,7 +358,7 @@ TEST(WireRunFrameTest, SeededRoundTripIsTheStableGridGrouping) {
                                   : 1 + rng.UniformU64(3000);
     const std::vector<ReportMessage> batch = RandomBatch(rng, size);
     const std::vector<uint8_t> frame = EncodeReportBatch(batch);
-    const std::vector<ReportMessage> expected = StableGridGrouping(batch);
+    const std::vector<ReportMessage> expected = AsDecoded(batch);
 
     // The whole-frame convenience holds a 48-byte ReportMessage per report,
     // more than 16x a frame of 1-byte records; the drain path never builds
@@ -390,6 +384,41 @@ TEST(WireRunFrameTest, SeededRoundTripIsTheStableGridGrouping) {
     EXPECT_TRUE(same) << "trial " << trial;
     EXPECT_EQ(at, expected.size()) << "trial " << trial;
   }
+}
+
+TEST(WireRunFrameTest, InterleavedBatchTakesOneRunPerChange) {
+  // A batch whose grids interleave takes a new run wherever the grid
+  // changes, and wherever the report shape changes within a grid (grid
+  // 1's GRR then PGR report), and decodes in batch order.
+  const auto report = [](uint32_t grid_index, fo::ReportPayload payload) {
+    ReportMessage m;
+    m.payload = std::move(payload);
+    m.grid_index = grid_index;
+    return m;
+  };
+  const std::vector<ReportMessage> batch = {
+      report(1, uint64_t{5}),
+      report(1, uint64_t{6}),
+      report(2, fo::OlhReport{0, 1, 3}),
+      report(1, uint64_t{7}),
+      report(1, uint32_t{8}),
+      report(3, std::vector<uint8_t>{1, 0}),
+      report(3, std::vector<uint8_t>{0, 1}),
+      report(2, fo::OlhReport{0, 2, 4}),
+  };
+  ReportChunkDecoder decoder;
+  const std::vector<uint8_t> frame = EncodeReportBatch(batch);
+  EXPECT_EQ(RunCount(frame), 6u);
+  const test_support::ScopedAllocationCap cap(frame.size());
+  const Decoded decoded = DecodeBoth(frame, decoder);
+  ASSERT_TRUE(decoded.whole_ok);
+  ASSERT_TRUE(decoded.chunks_ok);
+  EXPECT_EQ(decoded.whole, batch);
+  EXPECT_EQ(decoded.chunks, batch);
+  // The same reports grouped by grid take one run per grid.
+  const std::vector<ReportMessage> grouped = {
+      batch[0], batch[1], batch[3], batch[2], batch[7], batch[5], batch[6]};
+  EXPECT_EQ(RunCount(EncodeReportBatch(grouped)), 3u);
 }
 
 // A small frame of every shape, for the sweeps.

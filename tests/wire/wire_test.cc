@@ -457,9 +457,9 @@ TEST(WireFormatStabilityTest, GoldenBytesForGrrReport) {
 TEST(WireFormatStabilityTest, GoldenBytesForReportBatch) {
   // The batch frame every device ships, pinned like the one-record rows
   // above: one record of every payload shape, an empty OUE bit vector
-  // included, out of grid order. The frame holds one run per grid in
-  // ascending grid order, each grid's reports in batch order: grid 1's
-  // two GRR reports share a run whose value width (4) fits 123456.
+  // included, grouped by grid as the device loop emits them. The frame
+  // holds one run per grid in batch order: grid 1's two GRR reports share
+  // a run whose value width (4) fits 123456.
   const auto report = [](uint32_t grid_index, fo::ReportPayload payload) {
     ReportMessage m;
     m.payload = std::move(payload);
@@ -467,15 +467,15 @@ TEST(WireFormatStabilityTest, GoldenBytesForReportBatch) {
     return m;
   };
   const std::vector<ReportMessage> batch = {
-      report(6, uint32_t{42}),
       report(1, uint64_t{123456}),
+      report(1, uint64_t{7}),
       report(2, fo::OlhReport{0x0123456789abcdefull, 17, 5}),
       report(3, fo::OlhReport{0xfedcba9876543210ull, 3,
                               fo::OlhReport::kNoPool}),
       report(4, std::vector<uint8_t>{0, 1, 1, 0, 1}),
       report(5, std::vector<uint8_t>{}),
+      report(6, uint32_t{42}),
       report(0x01020304, fo::FldpReport{11, {1, 0, 0, 1}}),
-      report(1, uint64_t{7}),
   };
   const std::string hex =
       "504c4546" "010a" "07000000"
@@ -491,14 +491,51 @@ TEST(WireFormatStabilityTest, GoldenBytesForReportBatch) {
   EXPECT_EQ(Hex(encoded), hex);
   // The frame is sized once, checksum trailer included.
   EXPECT_EQ(encoded.capacity(), encoded.size());
-  std::vector<ReportMessage> grouped = {batch[1], batch[7], batch[2],
-                                        batch[3], batch[4], batch[5],
-                                        batch[0], batch[6]};
-  for (ReportMessage& m : grouped) m = AsDecoded(std::move(m));
+  std::vector<ReportMessage> expected;
+  for (const ReportMessage& m : batch) expected.push_back(AsDecoded(m));
   const auto decoded = DecodeReportBatch(encoded);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, grouped);
+  EXPECT_EQ(*decoded, expected);
   EXPECT_EQ(EncodeReportBatch(*decoded), encoded);
+}
+
+TEST(WireFormatStabilityTest, GoldenBytesForTwoGridRuns) {
+  // A two-grid batch grouped by grid: two GRR reports of grid 2 and three
+  // pooled OLH reports of grid 9. In ascending grid order, the order the
+  // device loop emits, it frames as `hex`, the bytes the encoder wrote
+  // when it still sorted every batch by grid. The encoder frames runs in
+  // batch order, so in descending order the frame holds the same two run
+  // sections, swapped, under its own checksum.
+  const auto report = [](uint32_t grid_index, fo::ReportPayload payload) {
+    ReportMessage m;
+    m.payload = std::move(payload);
+    m.grid_index = grid_index;
+    return m;
+  };
+  const std::vector<ReportMessage> grid2 = {report(2, uint64_t{3}),
+                                            report(2, uint64_t{300})};
+  const std::vector<ReportMessage> grid9 = {
+      report(9, fo::OlhReport{0, 1, 7}), report(9, fo::OlhReport{0, 2, 8}),
+      report(9, fo::OlhReport{0, 0, 70000})};
+  const std::string run2 = "02000000" "00" "02000000" "02" "0300" "2c01";
+  const std::string run9 =
+      "09000000" "01" "03000000" "01" "04" "01"
+      "07000000" "01" "08000000" "02" "70110100" "00";
+  const std::string hex = "504c4546" "010a" "02000000" + run2 + run9 +
+                          "4daf07c55ab5bacf";
+  std::vector<ReportMessage> ascending = grid2;
+  ascending.insert(ascending.end(), grid9.begin(), grid9.end());
+  EXPECT_EQ(Hex(EncodeReportBatch(ascending)), hex);
+
+  std::vector<ReportMessage> descending = grid9;
+  descending.insert(descending.end(), grid2.begin(), grid2.end());
+  const std::vector<uint8_t> frame = EncodeReportBatch(descending);
+  const std::string swapped = "504c4546" "010a" "02000000" + run9 + run2;
+  EXPECT_EQ(Hex(frame).substr(0, swapped.size()), swapped);
+  EXPECT_EQ(frame.size() * 2, swapped.size() + 16);
+  const auto decoded = DecodeReportBatch(frame);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, descending);
 }
 
 TEST(WireFuzzTest, RandomBuffersNeverDecode) {
