@@ -126,15 +126,15 @@ void TdgHdgPipeline::Collect(const data::Dataset& dataset) {
     return grid.CellOf(dataset.Value(row, grid.attr_x()),
                        dataset.Value(row, grid.attr_y()));
   };
-  // User division: each user draws one grid (fo/collection_round.h).
   std::vector<const fo::ReportData*> run;
   fo::RunCollectionRound(
       config_.seed, dataset.num_rows(), /*every_grid=*/false, clients,
       /*batch_size=*/1024, cell_of,
-      [&](const std::vector<std::vector<fo::ReportData>>& runs) {
+      [&](const std::vector<std::vector<fo::ReportData>>& runs,
+          const std::vector<size_t>& counts) {
         for (size_t g = 0; g < runs.size(); ++g) {
           run.clear();
-          for (const fo::ReportData& report : runs[g]) run.push_back(&report);
+          for (size_t k = 0; k < counts[g]; ++k) run.push_back(&runs[g][k]);
           FELIP_CHECK(oracles_[g]->IngestReports(run) == run.size());
         }
         return true;

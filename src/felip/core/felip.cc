@@ -261,9 +261,8 @@ void FelipPipeline::Collect(const data::Dataset& dataset) {
   };
 
   // Each user's device is the grid's report client; its reports reach
-  // the oracles through IngestReports, one grid run of each batch at a
-  // time, exactly like reports off the wire. The round is one serial pass
-  // (fo/collection_round.h): the rng trajectory defines the simulated
+  // the oracles through IngestReports, like reports off the wire. The
+  // round is one serial pass: the rng trajectory defines the simulated
   // population and must not depend on thread count.
   const size_t m = assignments_.size();
   const fo::ProtocolOptions options = config_.protocol_options();
@@ -280,10 +279,11 @@ void FelipPipeline::Collect(const data::Dataset& dataset) {
       config_.seed, dataset.num_rows(),
       config_.partitioning == PartitioningMode::kDivideBudget, clients,
       /*batch_size=*/1024, cell_of,
-      [&](const std::vector<std::vector<fo::ReportData>>& runs) {
+      [&](const std::vector<std::vector<fo::ReportData>>& runs,
+          const std::vector<size_t>& counts) {
         for (uint32_t g = 0; g < runs.size(); ++g) {
           run.clear();
-          for (const fo::ReportData& report : runs[g]) run.push_back(&report);
+          for (size_t k = 0; k < counts[g]; ++k) run.push_back(&runs[g][k]);
           FELIP_CHECK_MSG(IngestReports(g, run) == run.size(),
                           "an oracle rejected a report its own client "
                           "perturbed");

@@ -1,19 +1,14 @@
-// The collection round's device loop, written once for FelipPipeline::
-// Collect, svc::PopulationSimulator and the TDG/HDG baselines.
+// The device loop of a collection round, written once for
+// FelipPipeline::Collect, svc::PopulationSimulator and the TDG/HDG
+// baselines: one Rng(seed), rows in order, then one drawn grid per row
+// (user division) or every grid in index order (budget division), each
+// report the grid's ReportClient perturbing the row's cell with that Rng.
 //
-// One Rng seeded with the round's seed walks the rows in order. Under user
-// division each row draws one grid (rng.UniformU64(m)) and reports there;
-// under budget division it reports to every grid in index order. A report
-// is the grid's ReportClient perturbing the row's cell with the same Rng,
-// so the simulated population depends only on the seed, the rows and the
-// grid layout.
-//
-// Reports are grouped by grid where they are made: each goes to its
-// grid's run, and every `batch_size` reports (the last batch may be
-// shorter) the loop hands the batch on as one run per grid, each in row
-// order. A batch is thus the next `batch_size` reports of the row-order
-// stream, grouped by grid, and no consumer has to group it again. Batches
-// are not one grid's run each: a grid whose reports are all alike (a
+// Reports are grouped by grid where they are made. Every `batch_size`
+// reports (the last batch may be shorter) the loop hands on the batch as
+// one run per grid, each in row order: the next `batch_size` reports of
+// the row-order stream, grouped, so no consumer groups them again. A
+// batch is not one grid's run: a grid whose reports are all alike (a
 // one-cell GRR grid) would then send byte-identical frames, which the
 // ingest server's checksum-keyed dedup window takes for resends.
 
@@ -24,6 +19,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "felip/common/rng.h"
@@ -31,42 +28,43 @@
 
 namespace felip::fo {
 
-// Runs one round over `num_rows` rows and the grids of `clients`, every
-// grid per row when `every_grid` (budget division), else one drawn grid.
-// cell_of(g, row) is the row's cell in grid g. flush(runs) hands on a
-// batch, runs[g] holding grid g's reports, and may move them out; false
-// stops the round, and the call returns false. Both are inlined, so no
-// indirect call runs per report beyond the client's Perturb.
+// Runs one round over `num_rows` rows and the grids of `clients`
+// (`every_grid`: budget division). cell_of(g, row) is the row's cell in
+// grid g; flush(slots, counts) hands on a batch whose grid g reports are
+// slots[g][0, counts[g]), and may move them out: the slots are reused, a
+// slot already holding a report's alternative only move-assigned. Returns
+// the reports made, or nullopt once a flush returns false.
 template <typename CellOf, typename Flush>
-bool RunCollectionRound(
+std::optional<uint64_t> RunCollectionRound(
     uint64_t seed, uint64_t num_rows, bool every_grid,
     const std::vector<std::unique_ptr<ReportClient>>& clients,
     size_t batch_size, const CellOf& cell_of, const Flush& flush) {
   const size_t m = clients.size();
   batch_size = std::max<size_t>(batch_size, 1);
-  std::vector<std::vector<ReportData>> runs(m);  // capacity kept
+  std::vector<std::vector<ReportData>> slots(m);
+  std::vector<size_t> counts(m, 0);
   size_t filled = 0;
   const auto hand_on = [&] {
-    const bool delivered = flush(runs);
-    for (std::vector<ReportData>& run : runs) run.clear();
+    const bool delivered = flush(slots, std::as_const(counts));
+    std::fill(counts.begin(), counts.end(), 0);
     filled = 0;
     return delivered;
   };
   Rng rng(seed);
   const auto report = [&](size_t g, uint64_t row) {
-    runs[g].push_back(clients[g]->Perturb(cell_of(g, row), rng));
+    if (counts[g] == slots[g].size()) slots[g].emplace_back();
+    slots[g][counts[g]++] = clients[g]->Perturb(cell_of(g, row), rng);
     return ++filled < batch_size || hand_on();
   };
   for (uint64_t row = 0; row < num_rows; ++row) {
-    if (!every_grid) {
-      if (!report(static_cast<size_t>(rng.UniformU64(m)), row)) return false;
-      continue;
-    }
-    for (size_t g = 0; g < m; ++g) {
-      if (!report(g, row)) return false;
+    const size_t first =
+        every_grid ? 0 : static_cast<size_t>(rng.UniformU64(m));
+    for (size_t g = first; g < (every_grid ? m : first + 1); ++g) {
+      if (!report(g, row)) return std::nullopt;
     }
   }
-  return filled == 0 || hand_on();
+  if (filled > 0 && !hand_on()) return std::nullopt;
+  return num_rows * (every_grid ? m : 1);
 }
 
 }  // namespace felip::fo

@@ -10,13 +10,11 @@
 // One ingestion path exists: IngestReports / IngestReport take
 // already-perturbed, untrusted reports and run the protocol's checks
 // before the server's Add(). Reports come from the network, the replay
-// log or an in-process simulation (the device loop of
-// fo/collection_round.h), and all of them take this path. Grouping by
-// grid is decided once, in that loop, and the encoder keeps batch order,
-// so a decoded frame is already grouped: service sinks hand every grid's
-// oracle its run of reports in one IngestReports call, a tight
-// check-then-Add loop; IngestReport is the one-report form with the same
-// checks. Invalid input is rejected, never fatal. See docs/aggregation.md.
+// log or an in-process simulation (fo/collection_round.h, which groups
+// reports by grid), and all take this path. Every grid's oracle gets its
+// run of reports in one IngestReports call, a tight check-then-Add loop;
+// IngestReport is the one-report form with the same checks. Invalid input
+// is rejected, never fatal. See docs/aggregation.md.
 
 #ifndef FELIP_FO_FREQUENCY_ORACLE_H_
 #define FELIP_FO_FREQUENCY_ORACLE_H_

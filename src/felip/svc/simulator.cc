@@ -58,25 +58,25 @@ std::optional<uint64_t> PopulationSimulator::Run(
     return projectors_[g].ProjectToCell(x, y);
   };
   // Each batch is moved out of its grid runs, in grid order, into one
-  // vector that keeps its capacity across batches.
+  // vector of slots reused across batches.
   std::vector<wire::ReportMessage> batch;
-  uint64_t emitted = 0;
-  const bool delivered = fo::RunCollectionRound(
+  return fo::RunCollectionRound(
       options_.seed, dataset.num_rows(),
       options_.partitioning == core::PartitioningMode::kDivideBudget,
       clients_, options_.batch_size, cell_of,
-      [&](std::vector<std::vector<fo::ReportData>>& runs) {
-        batch.clear();
+      [&](std::vector<std::vector<fo::ReportData>>& runs,
+          const std::vector<size_t>& counts) {
+        size_t at = 0;
         for (uint32_t g = 0; g < runs.size(); ++g) {
-          for (fo::ReportData& report : runs[g]) {
-            batch.push_back({std::move(report), g});
+          for (size_t k = 0; k < counts[g]; ++k, ++at) {
+            if (at == batch.size()) batch.emplace_back();
+            static_cast<fo::ReportData&>(batch[at]) = std::move(runs[g][k]);
+            batch[at].grid_index = g;
           }
         }
-        emitted += batch.size();
+        batch.resize(at);
         return consume(batch);
       });
-  if (!delivered) return std::nullopt;
-  return emitted;
 }
 
 }  // namespace felip::svc

@@ -1,15 +1,10 @@
 // Device-population simulator for the networked ingest path.
 //
-// FelipPipeline::Collect simulates users in-process. PopulationSimulator
-// runs the same device loop, fo::RunCollectionRound (one Rng seeded with
-// FelipConfig::seed, rows in order, the group draw or every grid), on the
-// *client side of the wire*: it rebuilds each grid's device (FelipClient
-// projection + the grid's frequency-oracle client) from the public
-// GridConfigMessages and emits the perturbed reports as wire batches
-// instead of aggregating them locally. Grouping is decided once, in that
-// loop: a batch is the next batch_size reports of the round, grouped by
-// grid in ascending grid order, each grid's reports in row order, and
-// wire::EncodeReportBatch frames it as one run per grid without sorting.
+// PopulationSimulator runs FelipPipeline::Collect's device loop
+// (fo::RunCollectionRound) on the *client side of the wire*: it rebuilds
+// each grid's device (FelipClient projection + the grid's frequency-oracle
+// client) from the public GridConfigMessages and emits each batch, grouped
+// by grid, as wire reports instead of aggregating them locally.
 //
 // Because the aggregator counts integers, a server that accepts this
 // report multiset — in any order, over any number of connections —
@@ -37,9 +32,8 @@ struct SimulatorOptions {
   // assignment/perturbation trajectory; partitioning selects it).
   uint64_t seed = 1;
   core::PartitioningMode partitioning = core::PartitioningMode::kDivideUsers;
-  // Reports per emitted batch (0 acts as 1); the last batch may be
-  // shorter. Batch boundaries cannot affect estimates — only the report
-  // multiset matters.
+  // Reports per emitted batch (0 acts as 1). Batch boundaries cannot
+  // affect estimates — only the report multiset matters.
   size_t batch_size = 1024;
 };
 

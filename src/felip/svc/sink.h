@@ -17,8 +17,7 @@
 // batch boundaries. That is what makes the networked path bit-identical
 // to the in-process pipeline. The one order that state does
 // keep, OLH per-user raw report lists, is each grid's reports in batch
-// order, which the encoder keeps: the device loop groups a batch by grid
-// where it is made, each grid's reports in row order.
+// order, which the device loop (fo/collection_round.h) keeps.
 
 #ifndef FELIP_SVC_SINK_H_
 #define FELIP_SVC_SINK_H_

@@ -694,7 +694,7 @@ std::vector<uint8_t> EncodeReportBatch(
   size_t size = kHeaderBytes + sizeof(uint32_t) + kTrailerBytes;
   for (size_t k = 0; k < reports.size();) {
     const ReportMessage& first = reports[k];
-    EncodedRun run{.grid = first.grid_index, .begin = k};
+    EncodedRun run{first.grid_index, k};
     kRunOps[first.payload.index()].scan(reports, &run);
     size += RunHeaderBytes(run.shape) + run.count * RecordBytes(run.shape);
     k += run.count;

@@ -68,12 +68,10 @@ struct GridConfigMessage {
 // addressed to a grid.
 //
 // On the wire a batch is a run count and then grid runs (docs/service.md
-// has the layout). Grouping is decided once, by the device loop
-// (fo/collection_round.h), whose every batch is one grid's run:
-// EncodeReportBatch frames the batch in its own order and starts a new
-// run wherever the grid or the report shape (protocol, pooled or per-user
-// OLH, bit-vector length) changes, so a one-grid batch is one run and an
-// interleaved batch is still framed, one run per change. A run header carries the grid index, the protocol byte (the
+// has the layout). The device loop (fo/collection_round.h) groups a batch
+// by grid; EncodeReportBatch writes it in batch order, one run per change
+// of grid or report shape (protocol, pooled or per-user OLH, bit-vector
+// length). A run header carries the grid index, the protocol byte (the
 // payload's alternative index, see fo/report.h), the report count (at
 // least 1), an OLH run's pooled byte, the byte width (1, 2, 4 or 8) of
 // each field, and the bit length of OUE and FLDP runs. Its records follow
@@ -105,8 +103,8 @@ StatusOr<GridConfigMessage> DecodeGridConfig(
     const std::vector<uint8_t>& buffer);
 
 // Whole-frame convenience: verifies the checksum trailer, validates every
-// run before anything is allocated, then decodes the batch in frame order,
-// which is the encoded batch's order. The ingest server and the replay engine decode
+// run before anything is allocated, then decodes the batch in frame order
+// (the encoded batch's). The ingest server and the replay engine decode
 // through ReportChunkDecoder instead.
 StatusOr<std::vector<ReportMessage>> DecodeReportBatch(
     const std::vector<uint8_t>& buffer);
