@@ -13,7 +13,6 @@
 // buffer is allocated once, by the constructor, and sized by
 // kReportChunkSize rather than by any frame.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
