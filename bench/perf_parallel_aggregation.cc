@@ -2,10 +2,10 @@
 // pooled OLH and OUE (the loop every oracle's IngestReports runs after its
 // checks), per-user OLH estimation, the ingest server's drain of one
 // round of 1,024-report pooled-OLH frames through the verified-frame
-// chunk decoder into a PipelineSink, and the device side that makes such
-// frames (simulator plus EncodeReportBatch). Per-user OLH estimation
-// shards over the host's cores; everything else runs on the calling
-// thread.
+// chunk decoder into a PipelineSink, the device side that makes such
+// frames (simulator plus EncodeReportBatch), and the Finalize that ends a
+// paper_round-shaped round. Per-user OLH estimation shards over the
+// host's cores; everything else runs on the calling thread.
 //
 // Record results with:
 //   FELIP_BENCH_JSON_DIR=results FELIP_GIT_SHA=$(git rev-parse --short HEAD) \
@@ -34,6 +34,7 @@
 #include "felip/fo/grr.h"
 #include "felip/fo/olh.h"
 #include "felip/fo/oue.h"
+#include "felip/snapshot/pipeline_snapshot.h"
 #include "felip/svc/simulator.h"
 #include "felip/svc/sink.h"
 #include "felip/wire/wire.h"
@@ -227,17 +228,28 @@ void BM_DrainFrames(benchmark::State& state) {
 }
 BENCHMARK(BM_DrainFrames)->Unit(benchmark::kMillisecond);
 
-// The device side of one round on a paper_round-shaped plan (OHG, eps 1,
-// AFO over GRR and OLH with the 4096-seed pool, 6 ipums-like attributes):
-// the simulator's device loop perturbs every user's report into its
-// grid's run and each 1,024-report batch is framed by EncodeReportBatch.
-// The simulator and its grid configs are built outside the timed region.
-void BM_SimulateEncode(benchmark::State& state) {
+// A paper_round-shaped round: OHG, eps 1, AFO over GRR and OLH with the
+// 4096-seed pool, 6 ipums-like attributes.
+const data::Dataset& PaperRoundDataset() {
   static const data::Dataset* dataset = new data::Dataset(
       data::MakeIpumsLike(kNumReports, 6, 100, 8, /*seed=*/8765));
+  return *dataset;
+}
+
+core::FelipConfig PaperRoundConfig() {
   core::FelipConfig config;
   config.strategy = core::Strategy::kOhg;
   config.epsilon = kEpsilon;
+  return config;
+}
+
+// The device side of one paper_round-shaped round: the simulator's device
+// loop perturbs every user's report into its grid's run and each
+// 1,024-report batch is framed by EncodeReportBatch. The simulator and its
+// grid configs are built outside the timed region.
+void BM_SimulateEncode(benchmark::State& state) {
+  const data::Dataset* dataset = &PaperRoundDataset();
+  const core::FelipConfig config = PaperRoundConfig();
   const core::FelipPipeline planned(dataset->attributes(), kNumReports,
                                     config);
   std::vector<wire::GridConfigMessage> grids;
@@ -271,6 +283,34 @@ void BM_SimulateEncode(benchmark::State& state) {
       static_cast<double>(bytes) / static_cast<double>(kNumReports);
 }
 BENCHMARK(BM_SimulateEncode)->Unit(benchmark::kMillisecond);
+
+// Finalize of one paper_round-shaped round: estimation, Norm-Sub,
+// consistency and the response matrices. The sealed round is collected
+// once and kept as snapshot bytes; each iteration decodes a fresh sealed
+// pipeline outside the timed region.
+void BM_Finalize(benchmark::State& state) {
+  static const std::vector<uint8_t>* sealed = [] {
+    core::FelipPipeline pipeline(PaperRoundDataset().attributes(),
+                                 kNumReports, PaperRoundConfig());
+    pipeline.Collect(PaperRoundDataset());
+    return new std::vector<uint8_t>(
+        snapshot::PipelineCodec::Encode(pipeline, {}, {}));
+  }();
+  for (auto _ : state) {
+    state.PauseTiming();
+    StatusOr<snapshot::RecoveredPipeline> recovered =
+        snapshot::PipelineCodec::Decode(*sealed);
+    if (!recovered.ok()) {
+      state.SkipWithError("the sealed round failed to decode");
+      return;
+    }
+    core::FelipPipeline& pipeline = recovered.value().pipeline;
+    state.ResumeTiming();
+    pipeline.Finalize();
+    benchmark::DoNotOptimize(pipeline.state());
+  }
+}
+BENCHMARK(BM_Finalize)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace felip

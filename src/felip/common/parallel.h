@@ -1,11 +1,15 @@
 // Minimal data-parallel helpers.
 //
-// FELIP's finalization is embarrassingly parallel across grids (estimation)
-// and attribute pairs (response matrices), and its aggregation is
-// embarrassingly parallel across user reports. Two primitives cover both:
+// Three library paths still use them: per-user OLH estimation
+// (ParallelReduce over report shards, fo/olh.cc), PGR's direct decode
+// (ParallelFor over values, fo/pgr.cc) and wire::DecodeReportBatchSharded
+// (ParallelFor over fixed shards). Finalize's pooled-OLH estimation and
+// response-matrix builds run on the calling thread: threads never bought
+// them wall time (bench/finalize_threads.cc, results/finalize_threads.txt).
 //
 //   * ParallelFor distributes an index range over a bounded number of
-//     std::threads; callers use it where iterations touch disjoint state.
+//     std::threads, started afresh on every call; callers use it where
+//     iterations touch disjoint state.
 //   * ParallelReduce shards an index range into a fixed shard layout, maps
 //     every shard into its own accumulator, and folds the accumulators in
 //     ascending shard order. Because both the shard boundaries and the

@@ -8,7 +8,6 @@
 #include "felip/common/check.h"
 #include "felip/common/hash.h"
 #include "felip/common/numeric.h"
-#include "felip/common/parallel.h"
 #include "felip/fo/collection_round.h"
 #include "felip/obs/metrics.h"
 #include "felip/obs/trace.h"
@@ -215,15 +214,7 @@ FelipPipeline FelipPipeline::FromEstimatedGrids(
     }
   }
   // Response matrices are derived state: rebuild rather than persist.
-  pipeline.response_matrices_.assign(pipeline.grids_2d_.size(),
-                                     post::ResponseMatrix());
-  ParallelFor(pipeline.grids_2d_.size(), [&](size_t idx) {
-    const Grid2D& g2 = pipeline.grids_2d_[idx];
-    pipeline.response_matrices_[idx] = post::ResponseMatrix::Build(
-        g2, pipeline.OneDimGrid(g2.attr_x()),
-        pipeline.OneDimGrid(g2.attr_y()),
-        pipeline.config_.response_matrix_options);
-  });
+  pipeline.BuildResponseMatrices();
   pipeline.state_ = PipelineState::kQueryable;
   return pipeline;
 }
@@ -411,19 +402,24 @@ void FelipPipeline::Finalize() {
                           .normalization = config_.normalization});
   }
 
-  // Response matrices for every pair (Γ includes the 1-D grids under OHG).
-  // Pairs are independent, so build them in parallel.
   {
     obs::ScopedTimer rm_span("felip_core_response_matrix");
-    response_matrices_.assign(grids_2d_.size(), post::ResponseMatrix());
-    ParallelFor(grids_2d_.size(), [&](size_t idx) {
-      const Grid2D& g2 = grids_2d_[idx];
-      response_matrices_[idx] = post::ResponseMatrix::Build(
-          g2, OneDimGrid(g2.attr_x()), OneDimGrid(g2.attr_y()),
-          config_.response_matrix_options);
-    });
+    BuildResponseMatrices();
   }
   state_ = PipelineState::kQueryable;
+}
+
+void FelipPipeline::BuildResponseMatrices() {
+  // One matrix per pair (Γ includes the 1-D grids under OHG), on the
+  // calling thread: threads over pairs never bought wall time
+  // (results/finalize_threads.txt).
+  response_matrices_.clear();
+  response_matrices_.reserve(grids_2d_.size());
+  for (const Grid2D& g2 : grids_2d_) {
+    response_matrices_.push_back(post::ResponseMatrix::Build(
+        g2, OneDimGrid(g2.attr_x()), OneDimGrid(g2.attr_y()),
+        config_.response_matrix_options));
+  }
 }
 
 size_t FelipPipeline::PairGridIndex(uint32_t i, uint32_t j) const {

@@ -351,6 +351,10 @@ class FelipPipeline {
   size_t PairGridIndex(uint32_t i, uint32_t j) const;
   // Pointer to the 1-D grid of `attr`, or nullptr.
   const grid::Grid1D* OneDimGrid(uint32_t attr) const;
+  // Builds every pair's response matrix (Algorithm 3) from the
+  // post-processed grids: Finalize, FromEstimatedGrids and a snapshot
+  // load without stored matrices all run this.
+  void BuildResponseMatrices();
   // Per-axis selection for `attr` in `query` (whole domain when absent).
   grid::AxisSelection SelectionFor(const query::Query& query,
                                    uint32_t attr) const;

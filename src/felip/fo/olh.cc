@@ -131,8 +131,10 @@ std::vector<double> OlhServer::EstimateFrequencies() const {
     }
     return freq;
   }
-  // Pool mode: each value's O(K) support is independent of the others.
-  ParallelFor(domain_, [&](size_t v) { freq[v] = Debias(SupportCount(v)); });
+  // Pool mode: O(K) support per value, on the calling thread. A grid's
+  // 16-64 values never paid for thread starts (results/
+  // finalize_threads.txt).
+  for (uint64_t v = 0; v < domain_; ++v) freq[v] = Debias(SupportCount(v));
   return freq;
 }
 

@@ -6,6 +6,7 @@
 #include "felip/common/check.h"
 #include "felip/simd/dispatch.h"
 #include "felip/simd/kernels.h"
+#include "felip/simd/kernels_internal.h"
 
 namespace felip::post {
 
@@ -159,14 +160,16 @@ ResponseMatrix ResponseMatrix::Build(const Grid2D& g2, const Grid1D* gx,
   const std::vector<Constraint> constraints =
       BuildConstraints(g2, gx, gy, m.bx_, m.by_);
 
-  const simd::Level level = simd::ActiveLevel();
+  // A constraint's row holds 2.5 blocks on average, so the canonical
+  // lane-folded loops run inline: a dispatched call per row cost more
+  // than the arithmetic. Every SIMD level computed these same bits.
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     double total_change = 0.0;
     for (const Constraint& c : constraints) {
       double sum = 0.0;
       for (uint32_t i = c.x0; i < c.x1; ++i) {
         const double* row = &m.mass_[static_cast<size_t>(i) * nby];
-        sum += simd::Sum(level, row + c.y0, c.y1 - c.y0);
+        sum += simd::scalar_impl::Sum(row + c.y0, c.y1 - c.y0);
       }
       if (sum <= 0.0) continue;  // Algorithm 3 line 8: skip S == 0
       const double scale = c.target / sum;
@@ -174,7 +177,7 @@ ResponseMatrix ResponseMatrix::Build(const Grid2D& g2, const Grid1D* gx,
       for (uint32_t i = c.x0; i < c.x1; ++i) {
         double* row = &m.mass_[static_cast<size_t>(i) * nby];
         total_change +=
-            simd::ScaleAbsDelta(level, row + c.y0, c.y1 - c.y0, scale);
+            simd::scalar_impl::ScaleAbsDelta(row + c.y0, c.y1 - c.y0, scale);
       }
     }
     if (total_change < options.threshold) break;

@@ -10,13 +10,16 @@
 //   * Integer kernels (byte counting, folds, OLH support) are exact
 //     by nature — the vector variants merely reorganize commutative
 //     integer additions.
-//   * Floating-point reductions (Dot, Sum, ScaleAbsDelta) define ONE
-//     canonical accumulation order — kLanes independent lane accumulators
-//     folded as (l0 + l1) + (l2 + l3), then a sequential tail — which the
-//     scalar baseline implements literally and the vector variants map
-//     onto their registers. All kernel translation units are compiled
-//     with -ffp-contract=off so no variant (including scalar) silently
-//     fuses a multiply-add. See docs/simd.md.
+//   * The floating-point reduction (Dot) defines ONE canonical
+//     accumulation order — kLanes independent lane accumulators folded
+//     as (l0 + l1) + (l2 + l3), then a sequential tail — which the scalar
+//     baseline implements literally and the vector variants map onto
+//     their registers. All kernel translation units are compiled with
+//     -ffp-contract=off so no variant (including scalar) silently fuses
+//     a multiply-add. See docs/simd.md. The response-matrix sweep's sum
+//     and rescale use the same order through the scalar loops in
+//     kernels_internal.h, inline: its rows are too short for a
+//     dispatched call to pay.
 //   * FitIpf runs one independent problem per lane, so each lane
 //     repeats the serial loop's operations in the serial order.
 
@@ -68,13 +71,6 @@ void AddF64(Level level, const double* a, const double* b, double* dst,
 
 // Canonical lane-folded dot product of a[0..n) and b[0..n).
 double Dot(Level level, const double* a, const double* b, size_t n);
-
-// Canonical lane-folded sum of p[0..n).
-double Sum(Level level, const double* p, size_t n);
-
-// p[i] *= scale for i in [0, n); returns the canonical lane-folded sum of
-// |p_after - p_before|. (Weighted-update rescale + convergence residual.)
-double ScaleAbsDelta(Level level, double* p, size_t n, double scale);
 
 // --- Lane-batched iterative proportional fitting (Algorithm 4) ---
 

@@ -8,10 +8,9 @@
 //     xxHash64 path in 64-bit lanes instruction-for-instruction, and
 //     replace `% g` with the exact magic-multiply division from
 //     fastdiv.h — equal for every uint64_t dividend.
-//   * Dot / Sum / ScaleAbsDelta keep one __m256d accumulator whose lane
-//     k receives exactly the terms of scalar lane accumulator k, folded
-//     (l0 + l1) + (l2 + l3) like the scalar baseline, with the identical
-//     sequential tail.
+//   * Dot keeps one __m256d accumulator whose lane k receives exactly
+//     the terms of scalar lane accumulator k, folded (l0 + l1) + (l2 + l3)
+//     like the scalar baseline, with the identical sequential tail.
 //   * FitIpf fits eight problems in two __m256d per step; each lane runs
 //     its own problem's serial operations (no horizontal op touches a
 //     fitted value).
@@ -19,8 +18,6 @@
 #if defined(FELIP_SIMD_HAS_AVX2)
 
 #include <immintrin.h>
-
-#include <cmath>
 
 #include "felip/simd/fastdiv.h"
 #include "felip/simd/kernels.h"
@@ -248,42 +245,6 @@ double Dot(const double* a, const double* b, size_t n) {
   }
   double total = FoldLanes(acc);
   for (size_t i = blocked; i < n; ++i) total += a[i] * b[i];
-  return total;
-}
-
-double Sum(const double* p, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  const size_t blocked = n - n % 4;
-  for (size_t i = 0; i < blocked; i += 4) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(p + i));
-  }
-  double total = FoldLanes(acc);
-  for (size_t i = blocked; i < n; ++i) total += p[i];
-  return total;
-}
-
-double ScaleAbsDelta(double* p, size_t n, double scale) {
-  // fabs == clear the sign bit, identical to std::fabs on binary64.
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL));
-  const __m256d vscale = _mm256_set1_pd(scale);
-  __m256d acc = _mm256_setzero_pd();
-  const size_t blocked = n - n % 4;
-  for (size_t i = 0; i < blocked; i += 4) {
-    const __m256d before = _mm256_loadu_pd(p + i);
-    const __m256d after = _mm256_mul_pd(before, vscale);
-    const __m256d delta =
-        _mm256_and_pd(_mm256_sub_pd(after, before), abs_mask);
-    acc = _mm256_add_pd(acc, delta);
-    _mm256_storeu_pd(p + i, after);
-  }
-  double total = FoldLanes(acc);
-  for (size_t i = blocked; i < n; ++i) {
-    const double before = p[i];
-    const double after = before * scale;
-    total += std::fabs(after - before);
-    p[i] = after;
-  }
   return total;
 }
 

@@ -6,6 +6,9 @@
 // (e.g. the NEON build inherits the scalar OLH support kernel) without a
 // cross-TU call — and so the trampolines in kernels_scalar.cc and the
 // vector TUs agree on one definition of the canonical accumulation order.
+// Sum and ScaleAbsDelta have no dispatched form: the response-matrix
+// sweep (post/response_matrix.cc) calls them inline, on rows that
+// average 2.5 blocks.
 
 #ifndef FELIP_SIMD_KERNELS_INTERNAL_H_
 #define FELIP_SIMD_KERNELS_INTERNAL_H_
@@ -226,8 +229,6 @@ uint64_t OlhPoolSupport(uint64_t value, const uint64_t* seeds,
                         const uint32_t* pool_counts);
 void AddF64(const double* a, const double* b, double* dst, size_t n);
 double Dot(const double* a, const double* b, size_t n);
-double Sum(const double* p, size_t n);
-double ScaleAbsDelta(double* p, size_t n, double scale);
 void FitIpf(const IpfLayout& layout, const double* targets, size_t n,
             double threshold, int max_iterations, uint32_t first_kept,
             double* fitted, double* z, double* lane_targets);
@@ -242,8 +243,6 @@ void AccumulateNonzeroBytes(const uint8_t* bits, size_t n, uint64_t* acc);
 void AddU64(uint64_t* into, const uint64_t* from, size_t n);
 void AddF64(const double* a, const double* b, double* dst, size_t n);
 double Dot(const double* a, const double* b, size_t n);
-double Sum(const double* p, size_t n);
-double ScaleAbsDelta(double* p, size_t n, double scale);
 void FitIpf(const IpfLayout& layout, const double* targets, size_t n,
             double threshold, int max_iterations, uint32_t first_kept,
             double* fitted, double* z, double* lane_targets);

@@ -13,8 +13,6 @@
 
 #include <arm_neon.h>
 
-#include <cmath>
-
 #include "felip/simd/kernels.h"
 #include "felip/simd/kernels_internal.h"
 
@@ -87,44 +85,6 @@ double Dot(const double* a, const double* b, size_t n) {
   }
   double total = FoldLanes(acc01, acc23);
   for (size_t i = blocked; i < n; ++i) total += a[i] * b[i];
-  return total;
-}
-
-double Sum(const double* p, size_t n) {
-  float64x2_t acc01 = vdupq_n_f64(0.0);
-  float64x2_t acc23 = vdupq_n_f64(0.0);
-  const size_t blocked = n - n % 4;
-  for (size_t i = 0; i < blocked; i += 4) {
-    acc01 = vaddq_f64(acc01, vld1q_f64(p + i));
-    acc23 = vaddq_f64(acc23, vld1q_f64(p + i + 2));
-  }
-  double total = FoldLanes(acc01, acc23);
-  for (size_t i = blocked; i < n; ++i) total += p[i];
-  return total;
-}
-
-double ScaleAbsDelta(double* p, size_t n, double scale) {
-  const float64x2_t vscale = vdupq_n_f64(scale);
-  float64x2_t acc01 = vdupq_n_f64(0.0);
-  float64x2_t acc23 = vdupq_n_f64(0.0);
-  const size_t blocked = n - n % 4;
-  for (size_t i = 0; i < blocked; i += 4) {
-    const float64x2_t before01 = vld1q_f64(p + i);
-    const float64x2_t before23 = vld1q_f64(p + i + 2);
-    const float64x2_t after01 = vmulq_f64(before01, vscale);
-    const float64x2_t after23 = vmulq_f64(before23, vscale);
-    acc01 = vaddq_f64(acc01, vabsq_f64(vsubq_f64(after01, before01)));
-    acc23 = vaddq_f64(acc23, vabsq_f64(vsubq_f64(after23, before23)));
-    vst1q_f64(p + i, after01);
-    vst1q_f64(p + i + 2, after23);
-  }
-  double total = FoldLanes(acc01, acc23);
-  for (size_t i = blocked; i < n; ++i) {
-    const double before = p[i];
-    const double after = before * scale;
-    total += std::fabs(after - before);
-    p[i] = after;
-  }
   return total;
 }
 

@@ -188,26 +188,6 @@ double Dot(Level level, const double* a, const double* b, size_t n) {
   return scalar_impl::Dot(a, b, n);
 }
 
-double Sum(Level level, const double* p, size_t n) {
-#if defined(FELIP_SIMD_HAS_AVX2)
-  if (UseAvx2(level)) return avx2::Sum(p, n);
-#endif
-#if defined(FELIP_SIMD_HAS_NEON)
-  if (UseNeon(level)) return neon::Sum(p, n);
-#endif
-  return scalar_impl::Sum(p, n);
-}
-
-double ScaleAbsDelta(Level level, double* p, size_t n, double scale) {
-#if defined(FELIP_SIMD_HAS_AVX2)
-  if (UseAvx2(level)) return avx2::ScaleAbsDelta(p, n, scale);
-#endif
-#if defined(FELIP_SIMD_HAS_NEON)
-  if (UseNeon(level)) return neon::ScaleAbsDelta(p, n, scale);
-#endif
-  return scalar_impl::ScaleAbsDelta(p, n, scale);
-}
-
 void FitIpf(Level level, const IpfLayout& layout, const double* targets,
             size_t n, double threshold, int max_iterations,
             uint32_t first_kept, double* fitted) {

@@ -631,15 +631,7 @@ StatusOr<RecoveredPipeline> PipelineCodec::Decode(
       } else {
         // Response matrices are derived state; rebuild them exactly like
         // Finalize() does.
-        pipeline.response_matrices_.assign(pipeline.grids_2d_.size(),
-                                           post::ResponseMatrix());
-        for (size_t i = 0; i < pipeline.grids_2d_.size(); ++i) {
-          const grid::Grid2D& g2 = pipeline.grids_2d_[i];
-          pipeline.response_matrices_[i] = post::ResponseMatrix::Build(
-              g2, pipeline.OneDimGrid(g2.attr_x()),
-              pipeline.OneDimGrid(g2.attr_y()),
-              pipeline.config_.response_matrix_options);
-        }
+        pipeline.BuildResponseMatrices();
       }
       pipeline.state_ = PipelineState::kQueryable;
       pipeline.reports_ingested_ = reports_ingested;

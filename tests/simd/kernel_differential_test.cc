@@ -206,42 +206,6 @@ TEST(KernelDifferentialTest, DotBitIdentical) {
   }
 }
 
-TEST(KernelDifferentialTest, SumBitIdentical) {
-  for (uint64_t seed = 0; seed < 8; ++seed) {
-    for (const size_t n : InterestingSizes()) {
-      const std::vector<double> p = AdversarialDoubles(n, 300 + seed);
-      const double expected = Sum(Level::kScalar, p.data(), n);
-      for (const Level level : RunnableLevels()) {
-        EXPECT_EQ(Bits(Sum(level, p.data(), n)), Bits(expected))
-            << "level=" << LevelName(level) << " n=" << n
-            << " seed=" << seed;
-      }
-    }
-  }
-}
-
-TEST(KernelDifferentialTest, ScaleAbsDeltaBitIdentical) {
-  for (const double scale : {0.0, 1.0, 0.7315, -2.5, 1e-300, 1e300}) {
-    for (const size_t n : InterestingSizes()) {
-      const std::vector<double> input = AdversarialDoubles(n, 400);
-      std::vector<double> expected_data = input;
-      const double expected_delta = ScaleAbsDelta(
-          Level::kScalar, expected_data.data(), n, scale);
-      for (const Level level : RunnableLevels()) {
-        std::vector<double> data = input;
-        const double delta = ScaleAbsDelta(level, data.data(), n, scale);
-        EXPECT_EQ(Bits(delta), Bits(expected_delta))
-            << "level=" << LevelName(level) << " n=" << n
-            << " scale=" << scale;
-        for (size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(Bits(data[i]), Bits(expected_data[i]))
-              << "level=" << LevelName(level) << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
 TEST(FastDivTest, ExactForRandomDividends) {
   std::mt19937_64 rng(50);
   for (int trial = 0; trial < 2000; ++trial) {

@@ -146,8 +146,10 @@ TEST(SimdGoldenTest, OlhPoolEstimatesIdenticalAcrossLevels) {
 
 // Full pipeline: dataset -> perturbation -> aggregation -> consistency ->
 // response matrices -> query answers, re-run per dispatch level. Covers
-// the post/ kernels (Dot in ScanRect, AddF64 in BuildPrefixSums, Sum and
-// ScaleAbsDelta in the IPF sweeps) on top of the FO ones.
+// the post/ kernels (Dot in ScanRect, AddF64 in BuildPrefixSums) and the
+// query engine's FitIpf on top of the FO ones. The IPF sweeps of the
+// response-matrix build run the same scalar loops at every level;
+// ResponseMatrixPinTest pins their bits.
 TEST(SimdGoldenTest, PipelineAnswersIdenticalAcrossLevels) {
   const data::Dataset dataset = data::MakeIpumsLike(
       /*n=*/1500, /*attributes=*/4, /*num_domain=*/40, /*cat_domain=*/6,
