@@ -4,8 +4,9 @@
 // (ParallelReduce over report shards, fo/olh.cc), PGR's direct decode
 // (ParallelFor over values, fo/pgr.cc) and wire::DecodeReportBatchSharded
 // (ParallelFor over fixed shards). Finalize's pooled-OLH estimation and
-// response-matrix builds run on the calling thread: threads never bought
-// them wall time (bench/finalize_threads.cc, results/finalize_threads.txt).
+// response-matrix builds run on the calling thread, because threads
+// started per call cost every round CPU time (docs/aggregation.md,
+// bench/finalize_threads.cc).
 //
 //   * ParallelFor distributes an index range over a bounded number of
 //     std::threads, started afresh on every call; callers use it where

@@ -411,8 +411,8 @@ void FelipPipeline::Finalize() {
 
 void FelipPipeline::BuildResponseMatrices() {
   // One matrix per pair (Γ includes the 1-D grids under OHG), on the
-  // calling thread: threads over pairs never bought wall time
-  // (results/finalize_threads.txt).
+  // calling thread: threads started per call cost every round CPU time
+  // (docs/aggregation.md).
   response_matrices_.clear();
   response_matrices_.reserve(grids_2d_.size());
   for (const Grid2D& g2 : grids_2d_) {

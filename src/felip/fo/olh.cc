@@ -131,9 +131,8 @@ std::vector<double> OlhServer::EstimateFrequencies() const {
     }
     return freq;
   }
-  // Pool mode: O(K) support per value, on the calling thread. A grid's
-  // 16-64 values never paid for thread starts (results/
-  // finalize_threads.txt).
+  // Pool mode: O(K) support per value, on the calling thread. A grid has
+  // 16-64 values, too few to pay for thread starts (docs/aggregation.md).
   for (uint64_t v = 0; v < domain_; ++v) freq[v] = Debias(SupportCount(v));
   return freq;
 }

@@ -162,7 +162,7 @@ ResponseMatrix ResponseMatrix::Build(const Grid2D& g2, const Grid1D* gx,
 
   // A constraint's row holds 2.5 blocks on average, so the canonical
   // lane-folded loops run inline: a dispatched call per row cost more
-  // than the arithmetic. Every SIMD level computed these same bits.
+  // than its arithmetic.
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     double total_change = 0.0;
     for (const Constraint& c : constraints) {
