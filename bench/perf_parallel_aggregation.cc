@@ -304,7 +304,7 @@ void BM_Finalize(benchmark::State& state) {
                                  kNumReports, PaperRoundConfig());
     pipeline.Collect(PaperRoundDataset());
     return new std::vector<uint8_t>(
-        snapshot::PipelineCodec::Encode(pipeline, {}, {}));
+        snapshot::PipelineCodec::Encode(pipeline, {}));
   }();
   double cpu_ms = 0.0;
   for (auto _ : state) {

@@ -1,14 +1,8 @@
 // Query-engine throughput (google-benchmark): queries/sec answering a
 // 10k mixed point/range workload against one finalized pipeline.
 //
-// The baseline (BM_PerQueryScan) reproduces the original per-query path:
-// one engine call per query on the full-matrix scan
-// (PairAnswerPath::kScan, retained for exactly this purpose), paying the
-// per-call validation, observability, and scratch setup every time. The
-// batch rows answer the whole workload in one AnswerQueries call — the
-// per-call costs amortize across the batch and the exact/prefix paths
-// replace the O(bx*by) scan with touched-blocks / O(1) corner lookups.
-// All paths answer from the same immutable post-Finalize state.
+// BM_BatchExact answers the whole 2-D workload in one AnswerQueries call,
+// each pair through ResponseMatrix::AnswerExact (the touched blocks only).
 //
 // BM_BatchLambdaMix answers the round benchmark's query shape (λ uniform
 // over 2..6, s = 0.5), where the λ >= 3 queries' Algorithm 4 fits weigh
@@ -107,37 +101,14 @@ const Fixture& GetFixture() {
   return *fixture;
 }
 
-// Pre-PR behavior: one engine invocation per query, scan path.
-void BM_PerQueryScan(benchmark::State& state) {
+// The whole 2-D workload in one AnswerQueries call.
+void BM_BatchExact(benchmark::State& state) {
   const Fixture& fixture = GetFixture();
-  core::QueryBatchOptions options;
-  options.pair_path = core::PairAnswerPath::kScan;
-
-  uint64_t answered = 0;
-  for (auto _ : state) {
-    for (const query::Query& q : fixture.queries) {
-      std::vector<double> answer = fixture.pipeline.AnswerQueries(
-          std::span<const query::Query>(&q, 1), options);
-      benchmark::DoNotOptimize(answer.data());
-    }
-    answered += fixture.queries.size();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(answered));
-  state.counters["queries/s"] = benchmark::Counter(
-      static_cast<double>(answered), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_PerQueryScan)->Unit(benchmark::kMillisecond);
-
-void RunBatchBench(benchmark::State& state, core::PairAnswerPath path) {
-  const Fixture& fixture = GetFixture();
-  core::QueryBatchOptions options;
-  options.pair_path = path;
   const std::span<const query::Query> workload(fixture.queries);
 
   uint64_t answered = 0;
   for (auto _ : state) {
-    std::vector<double> answers =
-        fixture.pipeline.AnswerQueries(workload, options);
+    std::vector<double> answers = fixture.pipeline.AnswerQueries(workload);
     benchmark::DoNotOptimize(answers.data());
     answered += answers.size();
   }
@@ -145,21 +116,7 @@ void RunBatchBench(benchmark::State& state, core::PairAnswerPath path) {
   state.counters["queries/s"] = benchmark::Counter(
       static_cast<double>(answered), benchmark::Counter::kIsRate);
 }
-
-void BM_BatchScan(benchmark::State& state) {
-  RunBatchBench(state, core::PairAnswerPath::kScan);
-}
-BENCHMARK(BM_BatchScan)->Unit(benchmark::kMillisecond);
-
-void BM_BatchExact(benchmark::State& state) {
-  RunBatchBench(state, core::PairAnswerPath::kExact);
-}
 BENCHMARK(BM_BatchExact)->Unit(benchmark::kMillisecond);
-
-void BM_BatchPrefix(benchmark::State& state) {
-  RunBatchBench(state, core::PairAnswerPath::kPrefix);
-}
-BENCHMARK(BM_BatchPrefix)->Unit(benchmark::kMillisecond);
 
 void BM_BatchLambdaMix(benchmark::State& state) {
   const Fixture& fixture = GetFixture();

@@ -445,23 +445,12 @@ AxisSelection FelipPipeline::SelectionFor(const query::Query& query,
 double FelipPipeline::AnswerPair(uint32_t i, uint32_t j,
                                  const AxisSelection& sel_i,
                                  const AxisSelection& sel_j,
-                                 PairAnswerPath path,
                                  post::QueryScratch* rm_scratch) const {
-  const post::ResponseMatrix& m = response_matrices_[PairGridIndex(i, j)];
-  switch (path) {
-    case PairAnswerPath::kScan:
-      return m.Answer(sel_i, sel_j);
-    case PairAnswerPath::kExact:
-      return m.AnswerExact(sel_i, sel_j, rm_scratch);
-    case PairAnswerPath::kPrefix:
-      return m.AnswerPrefix(sel_i, sel_j, rm_scratch);
-  }
-  FELIP_CHECK_MSG(false, "unreachable");
-  return 0.0;
+  return response_matrices_[PairGridIndex(i, j)].AnswerExact(sel_i, sel_j,
+                                                             rm_scratch);
 }
 
 double FelipPipeline::AnswerMarginal(uint32_t attr, const AxisSelection& sel,
-                                     PairAnswerPath path,
                                      post::QueryScratch* rm_scratch) const {
   const Grid1D* g1 = OneDimGrid(attr);
   if (g1 != nullptr) return g1->Answer(sel);
@@ -471,12 +460,11 @@ double FelipPipeline::AnswerMarginal(uint32_t attr, const AxisSelection& sel,
   const uint32_t i = std::min(attr, partner);
   const uint32_t j = std::max(attr, partner);
   const AxisSelection all = AxisSelection::MakeAll(schema_[partner].domain);
-  return attr < partner ? AnswerPair(i, j, sel, all, path, rm_scratch)
-                        : AnswerPair(i, j, all, sel, path, rm_scratch);
+  return attr < partner ? AnswerPair(i, j, sel, all, rm_scratch)
+                        : AnswerPair(i, j, all, sel, rm_scratch);
 }
 
 void FelipPipeline::AnswerBatch(std::span<const query::Query> queries,
-                                PairAnswerPath path,
                                 std::span<double> answers) const {
   // Step 1: answer λ <= 2 queries directly, and write the pair answers
   // (and marginals, under quadrant fit) of every λ >= 3 query into its
@@ -496,8 +484,7 @@ void FelipPipeline::AnswerBatch(std::span<const query::Query> queries,
     if (lambda == 1) {
       const query::Predicate& p = query.predicates()[0];
       answers[q] = std::clamp(
-          AnswerMarginal(p.attr, p.ToSelection(), path, &rm_scratch), 0.0,
-          1.0);
+          AnswerMarginal(p.attr, p.ToSelection(), &rm_scratch), 0.0, 1.0);
       continue;
     }
     // Per-query-attribute selections (predicates are sorted by attribute).
@@ -509,7 +496,7 @@ void FelipPipeline::AnswerBatch(std::span<const query::Query> queries,
     }
     if (lambda == 2) {
       answers[q] = std::clamp(AnswerPair(attrs[0], attrs[1], selections[0],
-                                         selections[1], path, &rm_scratch),
+                                         selections[1], &rm_scratch),
                               0.0, 1.0);
       continue;
     }
@@ -518,16 +505,14 @@ void FelipPipeline::AnswerBatch(std::span<const query::Query> queries,
     group.queries.push_back(q);
     for (uint32_t a = 0; a < lambda; ++a) {
       for (uint32_t b = a + 1; b < lambda; ++b) {
-        group.pair_answers.push_back(AnswerPair(attrs[a], attrs[b],
-                                                selections[a], selections[b],
-                                                path, &rm_scratch));
+        group.pair_answers.push_back(AnswerPair(
+            attrs[a], attrs[b], selections[a], selections[b], &rm_scratch));
       }
     }
     if (config_.lambda_quadrant_fit) {
       for (uint32_t a = 0; a < lambda; ++a) {
         group.marginals.push_back(std::clamp(
-            AnswerMarginal(attrs[a], selections[a], path, &rm_scratch), 0.0,
-            1.0));
+            AnswerMarginal(attrs[a], selections[a], &rm_scratch), 0.0, 1.0));
       }
     }
   }
@@ -560,13 +545,12 @@ double FelipPipeline::AnswerQuery(const query::Query& query) const {
   }
   double answer = 0.0;
   AnswerBatch(std::span<const query::Query>(&query, 1),
-              PairAnswerPath::kExact, std::span<double>(&answer, 1));
+              std::span<double>(&answer, 1));
   return answer;
 }
 
 std::vector<double> FelipPipeline::AnswerQueries(
-    std::span<const query::Query> queries,
-    const QueryBatchOptions& options) const {
+    std::span<const query::Query> queries) const {
   obs::ScopedTimer span("felip_core_query_batch");
   static obs::Counter& queries_total =
       obs::Registry::Default().GetCounter("felip_core_queries_total");
@@ -587,7 +571,7 @@ std::vector<double> FelipPipeline::AnswerQueries(
   }
 
   std::vector<double> answers(queries.size());
-  AnswerBatch(queries, options.pair_path, answers);
+  AnswerBatch(queries, answers);
   return answers;
 }
 

@@ -66,15 +66,6 @@ enum class PipelineState : uint8_t {
 // Stable lowercase name of `state` ("configured", "collecting", ...).
 std::string_view PipelineStateName(PipelineState state);
 
-// Options for FelipPipeline::SaveSnapshot.
-struct SnapshotOptions {
-  // Also persist the post-processed response matrices (kQueryable
-  // snapshots only). Off by default: they are derived state and the
-  // rebuild on load is deterministic, but persisting them trades snapshot
-  // bytes for skipping the IPF fit on warm restart.
-  bool include_response_matrices = false;
-};
-
 // OUG answers every query from the 2-D grids alone under the within-cell
 // uniformity assumption; OHG additionally collects 1-D grids for numerical
 // attributes and refines pair estimates through response matrices.
@@ -112,7 +103,6 @@ struct FelipConfig {
   uint64_t report_budget_bytes = 0;
 
   fo::OlhOptions olh_options = {.seed_pool_size = 4096};
-  fo::PgrOptions pgr_options;
   fo::FldpOptions fldp_options;
 
   // The per-protocol options bundle the registry-driven layers (planning,
@@ -120,7 +110,6 @@ struct FelipConfig {
   fo::ProtocolOptions protocol_options() const {
     fo::ProtocolOptions options;
     options.olh = olh_options;
-    options.pgr = pgr_options;
     options.fldp = fldp_options;
     return options;
   }
@@ -143,22 +132,6 @@ struct FelipConfig {
   bool lambda_quadrant_fit = false;
 
   uint64_t seed = 1;  // drives group assignment and perturbation
-};
-
-// How the batch query engine answers the 2-D pair selections a query
-// decomposes into (see docs/query_engine.md):
-//   * kScan — the reference per-query scan over every refined block,
-//     allocating per call. Kept as the baseline the fast paths are pinned
-//     against (tests) and measured against (perf_query_engine).
-//   * kExact — covered-rectangle scan with per-batch scratch; identical
-//     floating-point operation sequence to kScan, so answers are
-//     bit-identical for every selection type. The default.
-//   * kPrefix — summed-area-table corner lookups for range x range pairs
-//     (falls back to kExact for IN sets); agrees with kScan to ~1e-12.
-enum class PairAnswerPath { kScan, kExact, kPrefix };
-
-struct QueryBatchOptions {
-  PairAnswerPath pair_path = PairAnswerPath::kExact;
 };
 
 // One planned grid: which attributes it covers and the optimizer's output.
@@ -292,9 +265,10 @@ class FelipPipeline {
   // or post-processed grid frequencies (kQueryable) — to `path`.
   // LoadSnapshot verifies and decodes `path` and reconstructs a pipeline
   // in the state the snapshot captured; restoring a mid-round snapshot
-  // and continuing ingestion is bit-identical to never having stopped.
-  Status SaveSnapshot(const std::string& path,
-                      const SnapshotOptions& options = {}) const;
+  // and continuing ingestion is bit-identical to never having stopped. A
+  // kQueryable load rebuilds the response matrices from the grid
+  // frequencies.
+  Status SaveSnapshot(const std::string& path) const;
   static StatusOr<FelipPipeline> LoadSnapshot(const std::string& path);
 
   // The privacy budget each grid's oracle runs at (epsilon, or epsilon/m
@@ -312,11 +286,9 @@ class FelipPipeline {
   // Batch variant: answers every query on the calling thread with one
   // reusable scratch, fitting the λ >= 3 queries of each λ in one
   // Algorithm 4 kernel call (docs/query_engine.md). answers[i] is
-  // bit-identical to AnswerQuery(queries[i]) under the default kExact
-  // path. Requires Finalize().
-  std::vector<double> AnswerQueries(std::span<const query::Query> queries,
-                                    const QueryBatchOptions& options = {})
-      const;
+  // bit-identical to AnswerQuery(queries[i]). Requires Finalize().
+  std::vector<double> AnswerQueries(
+      std::span<const query::Query> queries) const;
 
   // Post-processed marginal distribution of `attr` over its full domain
   // (length = domain, non-negative, sums to ~1). Uses the attribute's 1-D
@@ -352,24 +324,23 @@ class FelipPipeline {
   // Pointer to the 1-D grid of `attr`, or nullptr.
   const grid::Grid1D* OneDimGrid(uint32_t attr) const;
   // Builds every pair's response matrix (Algorithm 3) from the
-  // post-processed grids: Finalize, FromEstimatedGrids and a snapshot
-  // load without stored matrices all run this.
+  // post-processed grids: Finalize, FromEstimatedGrids and a queryable
+  // snapshot load all run this.
   void BuildResponseMatrices();
   // Per-axis selection for `attr` in `query` (whole domain when absent).
   grid::AxisSelection SelectionFor(const query::Query& query,
                                    uint32_t attr) const;
   // Estimated answer of the 2-D query restricted to pair (i, j), i < j.
   double AnswerPair(uint32_t i, uint32_t j, const grid::AxisSelection& sel_i,
-                    const grid::AxisSelection& sel_j, PairAnswerPath path,
+                    const grid::AxisSelection& sel_j,
                     post::QueryScratch* rm_scratch) const;
   double AnswerMarginal(uint32_t attr, const grid::AxisSelection& sel,
-                        PairAnswerPath path,
                         post::QueryScratch* rm_scratch) const;
   // Shared answering core of AnswerQuery and AnswerQueries: writes
   // answers[i] for queries[i]. Validation and obs accounting happen in
   // the public entry points.
   void AnswerBatch(std::span<const query::Query> queries,
-                   PairAnswerPath path, std::span<double> answers) const;
+                   std::span<double> answers) const;
 
   std::vector<data::AttributeInfo> schema_;
   uint64_t num_users_;

@@ -201,8 +201,8 @@ struct ProtocolPair<Protocol::kPgr> {
     return Client(epsilon, domain);
   }
   static Server MakeServer(double epsilon, uint64_t domain,
-                           const ProtocolOptions& options) {
-    return Server(epsilon, domain, options.pgr);
+                           const ProtocolOptions&) {
+    return Server(epsilon, domain);
   }
   static Status CheckReport(const Client&, const Server& server,
                             uint32_t point) {

@@ -27,7 +27,6 @@
 #include "felip/common/status.h"
 #include "felip/fo/fldp.h"
 #include "felip/fo/olh.h"
-#include "felip/fo/pgr.h"
 #include "felip/fo/protocol.h"
 #include "felip/fo/report.h"
 
@@ -40,7 +39,6 @@ class FrequencyOracle;
 // reads only its own member.
 struct ProtocolOptions {
   OlhOptions olh;
-  PgrOptions pgr;
   FldpOptions fldp;
 
   friend bool operator==(const ProtocolOptions&,

@@ -95,25 +95,6 @@ bool TouchedBlocks(const std::vector<uint32_t>& b, uint32_t domain,
   return true;
 }
 
-// One per-axis run of blocks [b0, b1) sharing a coverage weight: the
-// fractional first block, the fully-covered interior, the fractional last
-// block. At most three per axis for a range selection.
-struct Segment {
-  uint32_t b0, b1;
-  double w;
-};
-
-int RangeSegments(const std::vector<uint32_t>& b,
-                  const grid::AxisSelection& sel, uint32_t first,
-                  uint32_t last, Segment out[3]) {
-  int n = 0;
-  out[n++] = {first, first + 1, sel.CoverageOfInterval(b[first], b[first + 1])};
-  if (first == last) return n;
-  if (last > first + 1) out[n++] = {first + 1, last, 1.0};
-  out[n++] = {last, last + 1, sel.CoverageOfInterval(b[last], b[last + 1])};
-  return n;
-}
-
 void ValidateInputs(const Grid2D& g2, const Grid1D* gx, const Grid1D* gy) {
   if (gx != nullptr) {
     FELIP_CHECK_MSG(gx->attr() == g2.attr_x(), "gx is not the x attribute");
@@ -182,7 +163,6 @@ ResponseMatrix ResponseMatrix::Build(const Grid2D& g2, const Grid1D* gx,
     }
     if (total_change < options.threshold) break;
   }
-  m.BuildPrefixSums();
   return m;
 }
 
@@ -254,62 +234,6 @@ double ResponseMatrix::AnswerExact(const grid::AxisSelection& sel_x,
   return ScanRect(sel_x, sel_y, x0, x1, y0, y1, scratch);
 }
 
-double ResponseMatrix::AnswerPrefix(const grid::AxisSelection& sel_x,
-                                    const grid::AxisSelection& sel_y,
-                                    QueryScratch* scratch) const {
-  if (!sel_x.is_range() || !sel_y.is_range()) {
-    return AnswerExact(sel_x, sel_y, scratch);
-  }
-  uint32_t x0 = 0, x1 = 0, y0 = 0, y1 = 0;
-  if (!TouchedBlocks(bx_, domain_x_, sel_x, &x0, &x1) ||
-      !TouchedBlocks(by_, domain_y_, sel_y, &y0, &y1)) {
-    return 0.0;
-  }
-  Segment segs_x[3];
-  Segment segs_y[3];
-  const int nx = RangeSegments(bx_, sel_x, x0, x1, segs_x);
-  const int ny = RangeSegments(by_, sel_y, y0, y1, segs_y);
-  double total = 0.0;
-  for (int a = 0; a < nx; ++a) {
-    for (int b = 0; b < ny; ++b) {
-      total += segs_x[a].w * segs_y[b].w *
-               PrefixRect(segs_x[a].b0, segs_x[a].b1, segs_y[b].b0,
-                          segs_y[b].b1);
-    }
-  }
-  return total;
-}
-
-void ResponseMatrix::BuildPrefixSums() {
-  const auto nbx = static_cast<uint32_t>(bx_.size() - 1);
-  const auto nby = static_cast<uint32_t>(by_.size() - 1);
-  const size_t stride = nby + 1;
-  prefix_.assign((static_cast<size_t>(nbx) + 1) * stride, 0.0);
-  // Two passes per row: the serial running row sum (a true dependency
-  // chain), then the element-wise vectorizable propagation from the
-  // previous prefix row. Same additions on the same values as the old
-  // interleaved loop, so the table is bit-identical — and row i + 1 is
-  // written in one streaming pass instead of strided row hops.
-  std::vector<double> running(stride);
-  const simd::Level level = simd::ActiveLevel();
-  for (uint32_t i = 0; i < nbx; ++i) {
-    const double* row = &mass_[static_cast<size_t>(i) * nby];
-    running[0] = 0.0;
-    for (uint32_t j = 0; j < nby; ++j) running[j + 1] = running[j] + row[j];
-    simd::AddF64(level, &prefix_[static_cast<size_t>(i) * stride],
-                 running.data(),
-                 &prefix_[(static_cast<size_t>(i) + 1) * stride], stride);
-  }
-}
-
-double ResponseMatrix::PrefixRect(uint32_t x0, uint32_t x1, uint32_t y0,
-                                  uint32_t y1) const {
-  const size_t stride = by_.size();
-  const double* s = prefix_.data();
-  return s[x1 * stride + y1] - s[x0 * stride + y1] - s[x1 * stride + y0] +
-         s[x0 * stride + y0];
-}
-
 ResponseMatrix::Blocks ResponseMatrix::ExportBlocks() const {
   Blocks blocks;
   blocks.domain_x = domain_x_;
@@ -318,36 +242,6 @@ ResponseMatrix::Blocks ResponseMatrix::ExportBlocks() const {
   blocks.by = by_;
   blocks.mass = mass_;
   return blocks;
-}
-
-bool ResponseMatrix::FromBlocks(Blocks blocks, ResponseMatrix* out) {
-  if (out == nullptr) return false;
-  if (blocks.domain_x == 0 || blocks.domain_y == 0) return false;
-  const auto valid_boundaries = [](const std::vector<uint32_t>& b,
-                                   uint32_t domain) {
-    if (b.size() < 2 || b.front() != 0 || b.back() != domain) return false;
-    for (size_t i = 0; i + 1 < b.size(); ++i) {
-      if (b[i] >= b[i + 1]) return false;
-    }
-    return true;
-  };
-  if (!valid_boundaries(blocks.bx, blocks.domain_x)) return false;
-  if (!valid_boundaries(blocks.by, blocks.domain_y)) return false;
-  const size_t nbx = blocks.bx.size() - 1;
-  const size_t nby = blocks.by.size() - 1;
-  if (blocks.mass.size() != nbx * nby) return false;
-  for (const double m : blocks.mass) {
-    if (!std::isfinite(m) || m < 0.0) return false;
-  }
-  ResponseMatrix matrix;
-  matrix.domain_x_ = blocks.domain_x;
-  matrix.domain_y_ = blocks.domain_y;
-  matrix.bx_ = std::move(blocks.bx);
-  matrix.by_ = std::move(blocks.by);
-  matrix.mass_ = std::move(blocks.mass);
-  matrix.BuildPrefixSums();
-  *out = std::move(matrix);
-  return true;
 }
 
 std::vector<double> ResponseMatrix::ToDense() const {

@@ -25,10 +25,10 @@
 
 namespace felip::post {
 
-// Reusable per-thread workspace for the allocation-free answer paths.
-// ResponseMatrix never writes beyond the block counts of the matrix being
-// queried, so one scratch serves matrices of any size; the batch query
-// engine keeps one per worker thread.
+// Reusable workspace for the allocation-free answer path. ResponseMatrix
+// never writes beyond the block counts of the matrix being queried, so one
+// scratch serves matrices of any size; the batch query engine keeps one
+// per batch.
 struct QueryScratch {
   // Compacted nonzero y-coverage weights, their block columns, and the
   // gathered row values for non-contiguous (set-selection) columns.
@@ -61,7 +61,7 @@ class ResponseMatrix {
 
   // Estimated frequency of the conjunction of two per-axis selections.
   // Reference scan: walks every block, allocating coverage storage per
-  // call. AnswerExact/AnswerPrefix below are the production paths.
+  // call. AnswerExact below is the production path.
   double Answer(const grid::AxisSelection& sel_x,
                 const grid::AxisSelection& sel_y) const;
 
@@ -75,16 +75,6 @@ class ResponseMatrix {
                      const grid::AxisSelection& sel_y,
                      QueryScratch* scratch) const;
 
-  // O(1)-per-pair summed-area-table path for range x range selections:
-  // interior mass comes from at most nine prefix-table rectangle
-  // differences, with the fractional first/last block strips weighted by
-  // their coverage. Associativity differs from the scan, so agreement
-  // with Answer() is ~1e-12 relative, not bit-exact. Non-range selections
-  // fall back to AnswerExact.
-  double AnswerPrefix(const grid::AxisSelection& sel_x,
-                      const grid::AxisSelection& sel_y,
-                      QueryScratch* scratch) const;
-
   // Dense d_i x d_j export (row-major, x-major); for tests and small
   // domains.
   std::vector<double> ToDense() const;
@@ -92,9 +82,8 @@ class ResponseMatrix {
   // Block structure introspection (tests, benchmarks).
   size_t num_blocks() const { return mass_.size(); }
 
-  // --- Persistence (felip/snapshot) ---
-  // The converged block structure is the matrix's entire state; the
-  // prefix table is derived and rebuilt on import.
+  // The converged block structure, which is the matrix's entire state
+  // (tests pin its bits).
   struct Blocks {
     uint32_t domain_x = 0;
     uint32_t domain_y = 0;
@@ -103,10 +92,6 @@ class ResponseMatrix {
     std::vector<double> mass;  // nbx * nby, row-major
   };
   Blocks ExportBlocks() const;
-  // Rebuilds a matrix from exported blocks. Returns false (leaving `out`
-  // untouched) when the structure is invalid — snapshot bytes are
-  // untrusted input even after their checksums pass.
-  static bool FromBlocks(Blocks blocks, ResponseMatrix* out);
 
  private:
   // Shared scan over the inclusive block rectangle [x0, x1] x [y0, y1]:
@@ -119,20 +104,11 @@ class ResponseMatrix {
                   const grid::AxisSelection& sel_y, uint32_t x0, uint32_t x1,
                   uint32_t y0, uint32_t y1, QueryScratch* scratch) const;
 
-  // Summed-area table over the block masses; built once per Build().
-  void BuildPrefixSums();
-  // Mass of the block rectangle [x0, x1) x [y0, y1).
-  double PrefixRect(uint32_t x0, uint32_t x1, uint32_t y0,
-                    uint32_t y1) const;
-
   uint32_t domain_x_ = 0;
   uint32_t domain_y_ = 0;
   std::vector<uint32_t> bx_;   // x block boundaries, size nbx + 1
   std::vector<uint32_t> by_;   // y block boundaries, size nby + 1
   std::vector<double> mass_;   // nbx * nby, row-major, total mass per block
-  // (nbx + 1) * (nby + 1) summed-area table: prefix_[i * (nby + 1) + j] is
-  // the total mass of blocks [0, i) x [0, j).
-  std::vector<double> prefix_;
 };
 
 // Literal Algorithm 3 over the dense d_i x d_j matrix (reference

@@ -64,11 +64,6 @@ uint64_t OlhPoolSupport(Level level, uint64_t value, const uint64_t* seeds,
 
 // --- Floating-point kernels (canonical lane-folded order) ---
 
-// dst[i] = a[i] + b[i] for i in [0, n). Element-wise, so exact at any
-// width. (Prefix-sum row propagation.)
-void AddF64(Level level, const double* a, const double* b, double* dst,
-            size_t n);
-
 // Canonical lane-folded dot product of a[0..n) and b[0..n).
 double Dot(Level level, const double* a, const double* b, size_t n);
 

@@ -213,15 +213,6 @@ uint64_t OlhPoolSupport(uint64_t value, const uint64_t* seeds,
   return total;
 }
 
-void AddF64(const double* a, const double* b, double* dst, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(dst + i, _mm256_add_pd(_mm256_loadu_pd(a + i),
-                                            _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] + b[i];
-}
-
 namespace {
 
 // Fold one __m256d accumulator exactly like the scalar baseline:

@@ -53,11 +53,6 @@ inline uint64_t OlhPoolSupport(uint64_t value, const uint64_t* seeds,
   return support;
 }
 
-inline void AddF64(const double* a, const double* b, double* dst,
-                   size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] = a[i] + b[i];
-}
-
 // The canonical lane-folded reductions. The loop shape below IS the
 // specification: kLanes independent accumulators over the blocked body,
 // folded (l0 + l1) + (l2 + l3), then a sequential tail on the folded
@@ -227,7 +222,6 @@ void OlhSupportRange(uint64_t seed, uint32_t g, uint32_t target,
 uint64_t OlhPoolSupport(uint64_t value, const uint64_t* seeds,
                         size_t num_seeds, uint32_t g,
                         const uint32_t* pool_counts);
-void AddF64(const double* a, const double* b, double* dst, size_t n);
 double Dot(const double* a, const double* b, size_t n);
 void FitIpf(const IpfLayout& layout, const double* targets, size_t n,
             double threshold, int max_iterations, uint32_t first_kept,
@@ -241,7 +235,6 @@ void FitIpf(const IpfLayout& layout, const double* targets, size_t n,
 namespace neon {
 void AccumulateNonzeroBytes(const uint8_t* bits, size_t n, uint64_t* acc);
 void AddU64(uint64_t* into, const uint64_t* from, size_t n);
-void AddF64(const double* a, const double* b, double* dst, size_t n);
 double Dot(const double* a, const double* b, size_t n);
 void FitIpf(const IpfLayout& layout, const double* targets, size_t n,
             double threshold, int max_iterations, uint32_t first_kept,

@@ -53,14 +53,6 @@ void AddU64(uint64_t* into, const uint64_t* from, size_t n) {
   for (; i < n; ++i) into[i] += from[i];
 }
 
-void AddF64(const double* a, const double* b, double* dst, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(dst + i, vaddq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] + b[i];
-}
-
 namespace {
 
 // (l0 + l1) + (l2 + l3) with scalar lanes {0,1} in acc01, {2,3} in acc23.

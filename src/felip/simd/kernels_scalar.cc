@@ -167,17 +167,6 @@ uint64_t OlhPoolSupport(Level level, uint64_t value, const uint64_t* seeds,
                                      pool_counts);
 }
 
-void AddF64(Level level, const double* a, const double* b, double* dst,
-            size_t n) {
-#if defined(FELIP_SIMD_HAS_AVX2)
-  if (UseAvx2(level)) return avx2::AddF64(a, b, dst, n);
-#endif
-#if defined(FELIP_SIMD_HAS_NEON)
-  if (UseNeon(level)) return neon::AddF64(a, b, dst, n);
-#endif
-  scalar_impl::AddF64(a, b, dst, n);
-}
-
 double Dot(Level level, const double* a, const double* b, size_t n) {
 #if defined(FELIP_SIMD_HAS_AVX2)
   if (UseAvx2(level)) return avx2::Dot(a, b, n);

@@ -11,9 +11,8 @@
 namespace felip::snapshot {
 
 Checkpointer::Checkpointer(SnapshotStore* store,
-                           const core::FelipPipeline* pipeline,
-                           core::SnapshotOptions options)
-    : store_(store), pipeline_(pipeline), options_(options) {
+                           const core::FelipPipeline* pipeline)
+    : store_(store), pipeline_(pipeline) {
   FELIP_CHECK(store != nullptr);
   FELIP_CHECK(pipeline != nullptr);
 }
@@ -27,7 +26,7 @@ Status Checkpointer::Checkpoint(std::span<const uint64_t> drained_keys) {
   obs::ScopedTimer span("felip_snapshot_write");
   const auto start = std::chrono::steady_clock::now();
   const std::vector<uint8_t> bytes =
-      PipelineCodec::Encode(*pipeline_, options_, drained_keys);
+      PipelineCodec::Encode(*pipeline_, drained_keys);
   FELIP_ASSIGN_OR_RETURN(const std::string path, store_->Write(bytes));
   (void)path;
   ++snapshots_written_;

@@ -40,8 +40,7 @@ class Checkpointer {
   // `store` and `pipeline` must outlive this object. The caller is
   // responsible for serializing Checkpoint() calls against pipeline
   // mutation (IngestServer invokes it under its drain lock).
-  Checkpointer(SnapshotStore* store, const core::FelipPipeline* pipeline,
-               core::SnapshotOptions options = {});
+  Checkpointer(SnapshotStore* store, const core::FelipPipeline* pipeline);
 
   // Encodes the pipeline plus `drained_keys` and commits one snapshot.
   // Matches svc::CheckpointFn.
@@ -59,7 +58,6 @@ class Checkpointer {
  private:
   SnapshotStore* store_;
   const core::FelipPipeline* pipeline_;
-  core::SnapshotOptions options_;
   uint64_t snapshots_written_ = 0;
 };
 

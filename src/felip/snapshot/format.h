@@ -42,7 +42,7 @@ enum class SectionId : uint8_t {
   kState = 3,             // lifecycle state + reports_ingested
   kOracles = 4,           // per-grid oracle accumulators (mid-round)
   kGridFrequencies = 5,   // post-processed estimates (finalized)
-  kResponseMatrices = 6,  // optional: converged response-matrix blocks
+  kResponseMatrices = 6,  // reserved: older writers stored matrices here
   kDedup = 7,             // ingest dedup trailer keys, oldest first
 };
 

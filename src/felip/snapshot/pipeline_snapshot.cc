@@ -352,81 +352,6 @@ Status DecodeGridFrequencies(const std::vector<uint8_t>& payload,
   return Status::Ok();
 }
 
-// --- kResponseMatrices ---
-
-std::vector<uint8_t> EncodeResponseMatrices(
-    const std::vector<post::ResponseMatrix>& matrices) {
-  std::vector<uint8_t> payload;
-  Writer w(&payload);
-  w.Put<uint32_t>(static_cast<uint32_t>(matrices.size()));
-  for (const post::ResponseMatrix& matrix : matrices) {
-    const post::ResponseMatrix::Blocks blocks = matrix.ExportBlocks();
-    w.Put<uint32_t>(blocks.domain_x);
-    w.Put<uint32_t>(blocks.domain_y);
-    w.Put<uint64_t>(blocks.bx.size());
-    for (const uint32_t b : blocks.bx) w.Put<uint32_t>(b);
-    w.Put<uint64_t>(blocks.by.size());
-    for (const uint32_t b : blocks.by) w.Put<uint32_t>(b);
-    w.Put<uint64_t>(blocks.mass.size());
-    for (const double m : blocks.mass) w.Put<double>(m);
-  }
-  return payload;
-}
-
-Status DecodeResponseMatrices(const std::vector<uint8_t>& payload,
-                              std::vector<post::ResponseMatrix>* matrices) {
-  Reader r(payload);
-  // Each matrix is at least domain_x(4) + domain_y(4) + three length
-  // prefixes(8 each).
-  uint32_t count = 0;
-  if (!r.GetCount(&count, 4 + 4 + 3 * 8)) {
-    return Malformed("snapshot response-matrix section is truncated");
-  }
-  matrices->clear();
-  matrices->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    post::ResponseMatrix::Blocks blocks;
-    uint64_t len = 0;
-    if (!r.Get(&blocks.domain_x) || !r.Get(&blocks.domain_y) ||
-        !r.GetLength(&len, sizeof(uint32_t))) {
-      return Malformed("snapshot response-matrix section is truncated");
-    }
-    blocks.bx.resize(len);
-    for (uint32_t& b : blocks.bx) {
-      if (!r.Get(&b)) {
-        return Malformed("snapshot response-matrix section is truncated");
-      }
-    }
-    if (!r.GetLength(&len, sizeof(uint32_t))) {
-      return Malformed("snapshot response-matrix section is truncated");
-    }
-    blocks.by.resize(len);
-    for (uint32_t& b : blocks.by) {
-      if (!r.Get(&b)) {
-        return Malformed("snapshot response-matrix section is truncated");
-      }
-    }
-    if (!r.GetLength(&len, sizeof(double))) {
-      return Malformed("snapshot response-matrix section is truncated");
-    }
-    blocks.mass.resize(len);
-    for (double& m : blocks.mass) {
-      if (!r.Get(&m)) {
-        return Malformed("snapshot response-matrix section is truncated");
-      }
-    }
-    post::ResponseMatrix matrix;
-    if (!post::ResponseMatrix::FromBlocks(std::move(blocks), &matrix)) {
-      return Malformed("snapshot response-matrix blocks are invalid");
-    }
-    matrices->push_back(std::move(matrix));
-  }
-  if (r.remaining() != 0) {
-    return Malformed("snapshot response-matrix section has trailing bytes");
-  }
-  return Status::Ok();
-}
-
 // --- kDedup ---
 
 std::vector<uint8_t> EncodeDedup(std::span<const uint64_t> keys) {
@@ -475,8 +400,7 @@ Status PipelineCodec::DecodeOracleSection(
 }
 
 std::vector<uint8_t> PipelineCodec::Encode(
-    const FelipPipeline& pipeline, const core::SnapshotOptions& options,
-    std::span<const uint64_t> dedup_keys) {
+    const FelipPipeline& pipeline, std::span<const uint64_t> dedup_keys) {
   SnapshotWriter writer(static_cast<uint8_t>(pipeline.state_));
   writer.AppendSection(
       SectionId::kConfig,
@@ -498,11 +422,6 @@ std::vector<uint8_t> PipelineCodec::Encode(
       writer.AppendSection(
           SectionId::kGridFrequencies,
           EncodeGridFrequencies(pipeline.ExportGridFrequencies()));
-      if (options.include_response_matrices) {
-        writer.AppendSection(
-            SectionId::kResponseMatrices,
-            EncodeResponseMatrices(pipeline.response_matrices_));
-      }
       break;
   }
   writer.AppendSection(SectionId::kDedup, EncodeDedup(dedup_keys));
@@ -610,29 +529,10 @@ StatusOr<RecoveredPipeline> PipelineCodec::Decode(
         }
       }
 
-      const std::vector<uint8_t>* rm_section =
-          reader.FindSection(SectionId::kResponseMatrices);
-      if (rm_section != nullptr) {
-        std::vector<post::ResponseMatrix> matrices;
-        FELIP_RETURN_IF_ERROR(DecodeResponseMatrices(*rm_section, &matrices));
-        if (matrices.size() != pipeline.grids_2d_.size()) {
-          return Malformed(
-              "snapshot response-matrix count does not match the layout");
-        }
-        for (size_t i = 0; i < matrices.size(); ++i) {
-          const grid::Grid2D& g2 = pipeline.grids_2d_[i];
-          if (matrices[i].domain_x() != g2.px().domain() ||
-              matrices[i].domain_y() != g2.py().domain()) {
-            return Malformed(
-                "snapshot response-matrix domains do not match the layout");
-          }
-        }
-        pipeline.response_matrices_ = std::move(matrices);
-      } else {
-        // Response matrices are derived state; rebuild them exactly like
-        // Finalize() does.
-        pipeline.BuildResponseMatrices();
-      }
+      // Response matrices are derived state; rebuild them exactly like
+      // Finalize() does. A section kResponseMatrices from an older writer
+      // is never looked up, so such a file loads and rebuilds too.
+      pipeline.BuildResponseMatrices();
       pipeline.state_ = PipelineState::kQueryable;
       pipeline.reports_ingested_ = reports_ingested;
       break;
@@ -649,12 +549,11 @@ namespace felip::core {
 // Defined here (the felip_snapshot library) so felip_core never depends on
 // the snapshot format; see the declarations in felip/core/felip.h.
 
-Status FelipPipeline::SaveSnapshot(const std::string& path,
-                                   const SnapshotOptions& options) const {
+Status FelipPipeline::SaveSnapshot(const std::string& path) const {
   obs::ScopedTimer span("felip_snapshot_write");
   const auto start = std::chrono::steady_clock::now();
   const std::vector<uint8_t> bytes =
-      snapshot::PipelineCodec::Encode(*this, options, {});
+      snapshot::PipelineCodec::Encode(*this, {});
   FELIP_RETURN_IF_ERROR(storage::WriteFileAtomic(path, bytes));
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;

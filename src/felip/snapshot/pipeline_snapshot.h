@@ -13,10 +13,8 @@
 //     continuing ingestion is bit-identical to never having stopped,
 //     because estimates depend only on the multiset of accepted reports.
 //   * kGridFrequencies (kQueryable) — the post-processed per-grid
-//     estimates; response matrices are rebuilt deterministically on load
-//     unless kResponseMatrices was persisted
-//     (SnapshotOptions::include_response_matrices), which trades bytes for
-//     skipping the IPF fit on warm restart.
+//     estimates; response matrices are derived state, rebuilt on load
+//     exactly as Finalize() builds them.
 //   * kDedup — the ingest service's drained trailer keys, oldest first, so
 //     a restarted server recognizes resent batches it already counted.
 //
@@ -70,7 +68,6 @@ class PipelineCodec {
   // Never fails: encoding reads only in-memory state the pipeline already
   // validated.
   static std::vector<uint8_t> Encode(const core::FelipPipeline& pipeline,
-                                     const core::SnapshotOptions& options,
                                      std::span<const uint64_t> dedup_keys);
 
   // Verifies and decodes `bytes` into a pipeline in the captured state.

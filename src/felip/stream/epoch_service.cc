@@ -92,8 +92,8 @@ std::vector<data::AttributeInfo> EpochSet::schema() const {
 }
 
 StatusOr<std::vector<double>> EpochSet::AnswerWindowed(
-    std::span<const query::Query> queries, uint32_t window, double decay,
-    const core::QueryBatchOptions& options) const {
+    std::span<const query::Query> queries, uint32_t window,
+    double decay) const {
   obs::ScopedTimer span("felip_epoch_answer_windowed");
   FELIP_CHECK_MSG(decay > 0.0 && decay <= 1.0,
                   "decay must be in (0, 1] (the wire decoder enforces this "
@@ -113,7 +113,7 @@ StatusOr<std::vector<double>> EpochSet::AnswerWindowed(
   std::vector<std::vector<double>> per_epoch;
   per_epoch.reserve(span_epochs);
   for (size_t e = first; e < epochs_.size(); ++e) {
-    per_epoch.push_back(epochs_[e].pipeline->AnswerQueries(queries, options));
+    per_epoch.push_back(epochs_[e].pipeline->AnswerQueries(queries));
   }
   std::vector<double> answers(queries.size());
   std::vector<double> history(span_epochs);
@@ -125,13 +125,12 @@ StatusOr<std::vector<double>> EpochSet::AnswerWindowed(
 }
 
 StatusOr<std::vector<double>> EpochSet::AnswerLatest(
-    std::span<const query::Query> queries,
-    const core::QueryBatchOptions& options) const {
+    std::span<const query::Query> queries) const {
   std::lock_guard<std::mutex> lock(mutex_);
   if (epochs_.empty()) {
     return Status::FailedPrecondition("no epoch has been sealed yet");
   }
-  return epochs_.back().pipeline->AnswerQueries(queries, options);
+  return epochs_.back().pipeline->AnswerQueries(queries);
 }
 
 EpochSet::BudgetReport EpochSet::WindowBudget(uint32_t window) const {
@@ -150,9 +149,8 @@ EpochSet::BudgetReport EpochSet::WindowBudget(uint32_t window) const {
   return report;
 }
 
-EpochRotationService::EpochRotationService(EpochStore* store, EpochSet* epochs,
-                                           core::SnapshotOptions options)
-    : store_(store), epochs_(epochs), options_(options) {
+EpochRotationService::EpochRotationService(EpochStore* store, EpochSet* epochs)
+    : store_(store), epochs_(epochs) {
   FELIP_CHECK(store != nullptr);
   FELIP_CHECK(epochs != nullptr);
 }
@@ -215,7 +213,7 @@ StatusOr<std::string> EpochRotationService::SealEpoch(
   segment.reports = pipeline->reports_ingested();
   segment.epsilon = pipeline->config().epsilon;
   segment.snapshot =
-      snapshot::PipelineCodec::Encode(*pipeline, options_, drained_keys);
+      snapshot::PipelineCodec::Encode(*pipeline, drained_keys);
 
   SealedEpoch epoch;
   epoch.seq = segment.seq;

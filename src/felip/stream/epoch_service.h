@@ -8,7 +8,7 @@
 //     thread answers sliding-window / decay-mixed query batches from it
 //     (svc::QueryServer) while the rotation path appends freshly sealed
 //     epochs; one mutex serializes the two. Answers are computed with the
-//     exact same per-epoch batch engine (kExact path) and the shared
+//     exact same per-epoch batch engine and the shared
 //     DecayMix fold as StreamingCollector, so a served windowed answer is
 //     bit-identical to the in-process collector over the same arrivals.
 //
@@ -92,14 +92,13 @@ class EpochSet {
   // arrivals. kFailedPrecondition before the first seal (retryable: the
   // next seal satisfies it).
   StatusOr<std::vector<double>> AnswerWindowed(
-      std::span<const query::Query> queries, uint32_t window, double decay,
-      const core::QueryBatchOptions& options = {}) const;
+      std::span<const query::Query> queries, uint32_t window,
+      double decay) const;
 
   // Answers from the newest sealed epoch only (the epoch-mode service of
   // plain query batches). Same empty-window contract as AnswerWindowed.
   StatusOr<std::vector<double>> AnswerLatest(
-      std::span<const query::Query> queries,
-      const core::QueryBatchOptions& options = {}) const;
+      std::span<const query::Query> queries) const;
 
   // Worst-case privacy budget across the newest `window` epochs
   // (0 = all retained): `max` is the per-user guarantee under the
@@ -121,10 +120,8 @@ class EpochSet {
 
 class EpochRotationService {
  public:
-  // `store` and `epochs` must outlive the service. `options` controls the
-  // embedded pipeline snapshots (fidelity/size trade, as for checkpoints).
-  EpochRotationService(EpochStore* store, EpochSet* epochs,
-                       core::SnapshotOptions options = {});
+  // `store` and `epochs` must outlive the service.
+  EpochRotationService(EpochStore* store, EpochSet* epochs);
 
   // What RecoverSegments could reconstruct from the store's directory.
   struct RecoveredEpochs {
@@ -167,7 +164,6 @@ class EpochRotationService {
  private:
   EpochStore* store_;
   EpochSet* epochs_;
-  core::SnapshotOptions options_;
   uint64_t epochs_sealed_ = 0;
   uint64_t seal_failures_ = 0;
 };

@@ -15,6 +15,7 @@
 #include "felip/common/check.h"
 #include "felip/common/hash.h"
 #include "felip/common/parallel.h"
+#include "felip/fo/pgr.h"
 #include "felip/fo/registry.h"
 #include "felip/obs/metrics.h"
 #include "felip/obs/trace.h"

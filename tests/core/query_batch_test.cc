@@ -1,10 +1,11 @@
 // The batch query engine's API contract (docs/query_engine.md):
-// AnswerQueries is bit-identical to per-query AnswerQuery under the
-// default exact path and under the reference scan path; the prefix path
-// agrees closely; out-of-domain predicates are fatal in-process; λ answers
-// stay in [0, 1] even from adversarially inflated grid frequencies; and
-// on shuffled mixed-λ batches the lane-batched Algorithm 4 kernel gives
-// every query the bits of the serial fit it replaced.
+// AnswerQueries is bit-identical to per-query AnswerQuery; the exact pair
+// path it answers through is bit-identical to the reference scan on every
+// pair of the workload; out-of-domain predicates are fatal in-process; λ
+// answers stay in [0, 1] even from adversarially inflated grid
+// frequencies; and on shuffled mixed-λ batches the lane-batched
+// Algorithm 4 kernel gives every query the bits of the serial fit it
+// replaced.
 
 #include "felip/core/felip.h"
 
@@ -18,6 +19,7 @@
 
 #include "felip/common/rng.h"
 #include "felip/data/synthetic.h"
+#include "felip/post/response_matrix.h"
 #include "felip/query/generator.h"
 #include "felip/query/query.h"
 #include "support/lambda_reference.h"
@@ -80,32 +82,45 @@ TEST(QueryBatchTest, BatchBitIdenticalToSerialAnswerQuery) {
   }
 }
 
+// The pipeline answers every pair through AnswerExact; the reference scan
+// Answer() must give the same bits for every 2-D predicate pair of the
+// workload, on matrices rebuilt from the pipeline's grids.
 TEST(QueryBatchTest, ScanPathIdenticalToExactPath) {
   const Fixture& f = GetFixture();
-  const std::span<const query::Query> workload(f.workload);
-  const std::vector<double> exact = f.pipeline.AnswerQueries(
-      workload, {.pair_path = PairAnswerPath::kExact});
-  const std::vector<double> scan = f.pipeline.AnswerQueries(
-      workload, {.pair_path = PairAnswerPath::kScan});
-  ASSERT_EQ(scan.size(), exact.size());
-  for (size_t i = 0; i < scan.size(); ++i) {
-    EXPECT_EQ(scan[i], exact[i]) << "query " << i;
+  const auto one_dim = [&f](uint32_t attr) -> const grid::Grid1D* {
+    for (const grid::Grid1D& g : f.pipeline.grids_1d()) {
+      if (g.attr() == attr) return &g;
+    }
+    return nullptr;
+  };
+  std::vector<std::vector<post::ResponseMatrix>> matrices(
+      kAttributes, std::vector<post::ResponseMatrix>(kAttributes));
+  for (const grid::Grid2D& g2 : f.pipeline.grids_2d()) {
+    matrices[g2.attr_x()][g2.attr_y()] = post::ResponseMatrix::Build(
+        g2, one_dim(g2.attr_x()), one_dim(g2.attr_y()),
+        f.pipeline.config().response_matrix_options);
   }
-}
-
-TEST(QueryBatchTest, PrefixPathAgreesClosely) {
-  const Fixture& f = GetFixture();
-  const std::span<const query::Query> workload(f.workload);
-  const std::vector<double> exact = f.pipeline.AnswerQueries(workload);
-  const std::vector<double> prefix = f.pipeline.AnswerQueries(
-      workload, {.pair_path = PairAnswerPath::kPrefix});
-  ASSERT_EQ(prefix.size(), exact.size());
-  for (size_t i = 0; i < exact.size(); ++i) {
-    // The λ fit can amplify the prefix path's ~1e-15 pair-answer
-    // perturbations a little; 1e-6 absolute is still far below the
-    // estimator's statistical error.
-    EXPECT_NEAR(prefix[i], exact[i], 1e-6) << "query " << i;
+  post::QueryScratch scratch;
+  size_t pairs = 0;
+  for (size_t q = 0; q < f.workload.size(); ++q) {
+    const std::vector<query::Predicate>& predicates =
+        f.workload[q].predicates();
+    for (size_t a = 0; a < predicates.size(); ++a) {
+      for (size_t b = a + 1; b < predicates.size(); ++b) {
+        // Predicates are sorted by attribute, as the pair grids are.
+        const post::ResponseMatrix& m =
+            matrices[predicates[a].attr][predicates[b].attr];
+        const grid::AxisSelection sx = predicates[a].ToSelection();
+        const grid::AxisSelection sy = predicates[b].ToSelection();
+        EXPECT_EQ(std::bit_cast<uint64_t>(m.AnswerExact(sx, sy, &scratch)),
+                  std::bit_cast<uint64_t>(m.Answer(sx, sy)))
+            << "query " << q << " pair (" << predicates[a].attr << ", "
+            << predicates[b].attr << ")";
+        ++pairs;
+      }
+    }
   }
+  EXPECT_GT(pairs, 0u);
 }
 
 TEST(QueryBatchTest, EmptyBatchReturnsEmpty) {
@@ -116,15 +131,11 @@ TEST(QueryBatchTest, EmptyBatchReturnsEmpty) {
 
 TEST(QueryBatchTest, AllAnswersWithinUnitInterval) {
   const Fixture& f = GetFixture();
-  for (const PairAnswerPath path :
-       {PairAnswerPath::kScan, PairAnswerPath::kExact,
-        PairAnswerPath::kPrefix}) {
-    const std::vector<double> answers = f.pipeline.AnswerQueries(
-        std::span<const query::Query>(f.workload), {.pair_path = path});
-    for (size_t i = 0; i < answers.size(); ++i) {
-      EXPECT_GE(answers[i], 0.0) << "query " << i;
-      EXPECT_LE(answers[i], 1.0) << "query " << i;
-    }
+  const std::vector<double> answers =
+      f.pipeline.AnswerQueries(std::span<const query::Query>(f.workload));
+  for (size_t i = 0; i < answers.size(); ++i) {
+    EXPECT_GE(answers[i], 0.0) << "query " << i;
+    EXPECT_LE(answers[i], 1.0) << "query " << i;
   }
 }
 

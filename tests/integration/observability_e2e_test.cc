@@ -60,7 +60,7 @@ TEST(ObservabilityE2eTest, EverySubsystemReportsToTheDefaultRegistry) {
 
   // snapshot: FSNP round-trip of the queryable pipeline.
   const std::vector<uint8_t> snapshot =
-      snapshot::PipelineCodec::Encode(pipeline, {}, {});
+      snapshot::PipelineCodec::Encode(pipeline, {});
   ASSERT_TRUE(snapshot::PipelineCodec::Decode(snapshot).ok());
 
   // wire: the query batch round-trip a query server decodes.
@@ -146,7 +146,7 @@ TEST(ObservabilityE2eTest, EveryRenderedMetricHasADocRow) {
       dataset, 4, {.dimension = 2, .selectivity = 0.5}, qrng);
   reference.AnswerQueries(std::span<const query::Query>(queries));
   ASSERT_TRUE(snapshot::PipelineCodec::Decode(
-                  snapshot::PipelineCodec::Encode(reference, {}, {}))
+                  snapshot::PipelineCodec::Encode(reference, {}))
                   .ok());
   stream::StreamConfig stream_config;
   stream_config.felip = config;

@@ -1,10 +1,9 @@
-// Exactness contract of the fast answer paths (docs/query_engine.md).
+// Exactness contract of the fast answer path (docs/query_engine.md).
 //
 // AnswerExact must be bit-identical to the reference scan Answer() for
-// every selection type; AnswerPrefix must agree to ~1e-12 on range x range
-// and fall back bit-identically for set selections. All three must agree
-// with a brute-force sum over the dense export. Partitions are chosen with
-// coprime cell counts so the refinement blocks are genuinely unequal.
+// every selection type, and both must agree with a brute-force sum over
+// the dense export. Partitions are chosen with coprime cell counts so the
+// refinement blocks are genuinely unequal.
 
 #include "felip/post/response_matrix.h"
 
@@ -135,37 +134,6 @@ TEST(QueryFastPathTest, ExactHandlesBoundaryRanges) {
             0.0);
 }
 
-TEST(QueryFastPathTest, PrefixMatchesScanOnRanges) {
-  for (uint64_t seed : {6ull, 7ull}) {
-    const ResponseMatrix m = UnequalBlockMatrix(seed);
-    QueryScratch scratch;
-    Rng rng(seed + 200);
-    for (int trial = 0; trial < 300; ++trial) {
-      const AxisSelection sx = RandomRange(rng, m.domain_x());
-      const AxisSelection sy = RandomRange(rng, m.domain_y());
-      const double scan = m.Answer(sx, sy);
-      const double prefix = m.AnswerPrefix(sx, sy, &scratch);
-      // Different association order than the scan, so ~1e-12, not exact.
-      EXPECT_NEAR(prefix, scan, 1e-12) << "seed=" << seed
-                                       << " trial=" << trial;
-    }
-  }
-}
-
-TEST(QueryFastPathTest, PrefixFallsBackBitIdenticallyOnSets) {
-  const ResponseMatrix m = UnequalBlockMatrix(8);
-  QueryScratch scratch;
-  Rng rng(81);
-  for (int trial = 0; trial < 200; ++trial) {
-    const AxisSelection sx = RandomSet(rng, m.domain_x());
-    const AxisSelection sy = (trial % 2 == 0)
-                                 ? RandomRange(rng, m.domain_y())
-                                 : RandomSet(rng, m.domain_y());
-    EXPECT_EQ(m.AnswerPrefix(sx, sy, &scratch), m.Answer(sx, sy))
-        << "trial=" << trial;
-  }
-}
-
 TEST(QueryFastPathTest, AllPathsMatchDenseBruteForce) {
   // Ground truth from the dense export: every selected (x, y) value's
   // individual frequency, summed. Pins the block-coverage arithmetic
@@ -189,12 +157,11 @@ TEST(QueryFastPathTest, AllPathsMatchDenseBruteForce) {
     }
     EXPECT_NEAR(m.Answer(sx, sy), brute, 1e-9) << "trial=" << trial;
     EXPECT_NEAR(m.AnswerExact(sx, sy, &scratch), brute, 1e-9);
-    EXPECT_NEAR(m.AnswerPrefix(sx, sy, &scratch), brute, 1e-9);
   }
 }
 
 TEST(QueryFastPathTest, OneScratchServesMatricesOfDifferentSizes) {
-  // The batch engine reuses one scratch per worker across every pair
+  // The batch engine reuses one scratch per batch across every pair
   // matrix a query touches; shrinking from a large matrix to a small one
   // must not leave stale coverage behind.
   const ResponseMatrix big = UnequalBlockMatrix(10);
@@ -210,9 +177,6 @@ TEST(QueryFastPathTest, OneScratchServesMatricesOfDifferentSizes) {
     const AxisSelection cx = RandomSet(rng, small.domain_x());
     const AxisSelection cy = RandomRange(rng, small.domain_y());
     EXPECT_EQ(small.AnswerExact(cx, cy, &scratch), small.Answer(cx, cy));
-    const AxisSelection rx = RandomRange(rng, small.domain_x());
-    EXPECT_NEAR(small.AnswerPrefix(rx, cy, &scratch), small.Answer(rx, cy),
-                1e-12);
   }
 }
 

@@ -173,23 +173,6 @@ std::vector<double> AdversarialDoubles(size_t n, uint64_t seed) {
 // NaN is false, but two kernels producing the same NaN still agree).
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
-TEST(KernelDifferentialTest, AddF64BitIdentical) {
-  for (const size_t n : InterestingSizes()) {
-    const std::vector<double> a = AdversarialDoubles(n, 47);
-    const std::vector<double> b = AdversarialDoubles(n, 48);
-    std::vector<double> expected(n);
-    AddF64(Level::kScalar, a.data(), b.data(), expected.data(), n);
-    for (const Level level : RunnableLevels()) {
-      std::vector<double> dst(n);
-      AddF64(level, a.data(), b.data(), dst.data(), n);
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(Bits(dst[i]), Bits(expected[i]))
-            << "level=" << LevelName(level) << " n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(KernelDifferentialTest, DotBitIdentical) {
   for (uint64_t seed = 0; seed < 8; ++seed) {
     for (const size_t n : InterestingSizes()) {

@@ -4,8 +4,8 @@
 // and golden_pipeline_test allows 1e-6, so without this a change to the
 // sweep's accumulation order would pass both as long as every level
 // moved together. Every runnable level must reproduce the digests, and
-// the two rebuilds of derived state (FromEstimatedGrids, and a snapshot
-// without a response-matrix section) must reproduce Finalize's bits.
+// the two rebuilds of derived state (FromEstimatedGrids, and a queryable
+// snapshot load) must reproduce Finalize's bits.
 
 #include <cstdint>
 #include <ios>
@@ -21,6 +21,7 @@
 #include "felip/query/generator.h"
 #include "felip/query/query.h"
 #include "felip/simd/dispatch.h"
+#include "felip/snapshot/format.h"
 #include "felip/snapshot/pipeline_snapshot.h"
 
 namespace felip {
@@ -130,13 +131,35 @@ TEST(ResponseMatrixPinTest, RebuildsOfDerivedStateMatchFinalize) {
           finalized.ExportGridFrequencies());
   ExpectPinned(Of(from_grids), "from-estimated-grids");
 
-  // The default options leave the response matrices out, so the load
-  // rebuilds them.
+  // A snapshot carries no response matrices, so the load rebuilds them.
   const std::vector<uint8_t> bytes =
-      snapshot::PipelineCodec::Encode(finalized, {}, {});
+      snapshot::PipelineCodec::Encode(finalized, {});
   auto recovered = snapshot::PipelineCodec::Decode(bytes);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   ExpectPinned(Of(recovered.value().pipeline), "snapshot-rebuild");
+}
+
+// Older writers could store the matrices in section 6, which is now
+// reserved. The loader never looks that id up, so a file that carries it
+// loads and rebuilds, even when the payload is one no matrix decoder
+// would accept: 3 bytes, shorter than a matrix count.
+TEST(ResponseMatrixPinTest, StoredMatrixSectionIsIgnoredOnLoad) {
+  const core::FelipPipeline finalized = core::RunFelip(Dataset(), Config());
+  const auto reader = snapshot::SnapshotReader::Open(
+      snapshot::PipelineCodec::Encode(finalized, {}));
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  snapshot::SnapshotWriter writer(reader->state_byte());
+  for (const snapshot::SnapshotReader::Section& section : reader->sections()) {
+    writer.AppendSection(section.id, section.payload);
+    if (section.id == snapshot::SectionId::kGridFrequencies) {
+      writer.AppendSection(snapshot::SectionId::kResponseMatrices,
+                           {0x01, 0x02, 0x03});
+    }
+  }
+  auto recovered =
+      snapshot::PipelineCodec::Decode(std::move(writer).Finish());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ExpectPinned(Of(recovered.value().pipeline), "stored-section");
 }
 
 }  // namespace

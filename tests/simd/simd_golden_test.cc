@@ -146,8 +146,8 @@ TEST(SimdGoldenTest, OlhPoolEstimatesIdenticalAcrossLevels) {
 
 // Full pipeline: dataset -> perturbation -> aggregation -> consistency ->
 // response matrices -> query answers, re-run per dispatch level. Covers
-// the post/ kernels (Dot in ScanRect, AddF64 in BuildPrefixSums) and the
-// query engine's FitIpf on top of the FO ones. The IPF sweeps of the
+// the post/ kernel (Dot in ScanRect) and the query engine's FitIpf on top
+// of the FO ones. The IPF sweeps of the
 // response-matrix build run the same scalar loops at every level;
 // ResponseMatrixPinTest pins their bits.
 TEST(SimdGoldenTest, PipelineAnswersIdenticalAcrossLevels) {

@@ -127,7 +127,7 @@ TEST(PipelineSnapshotTest, MidCollectionResumeIsBitIdenticalPerProtocol) {
       for (size_t b = 0; b < half; ++b) sink.IngestBatch(batches[b]);
     }
     const std::vector<uint8_t> bytes =
-        PipelineCodec::Encode(interrupted, {}, {});
+        PipelineCodec::Encode(interrupted, {});
     StatusOr<RecoveredPipeline> recovered = PipelineCodec::Decode(bytes);
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     core::FelipPipeline resumed = std::move(recovered->pipeline);
@@ -151,7 +151,7 @@ TEST(PipelineSnapshotTest, ConfiguredSnapshotReplansIdentically) {
   const core::FelipConfig config = MakeConfig();
   core::FelipPipeline original(dataset.attributes(), kUsers, config);
 
-  const auto bytes = PipelineCodec::Encode(original, {}, {});
+  const auto bytes = PipelineCodec::Encode(original, {});
   auto recovered = PipelineCodec::Decode(bytes);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   core::FelipPipeline replanned = std::move(recovered->pipeline);
@@ -180,7 +180,7 @@ TEST(PipelineSnapshotTest, BudgetedFldpConfigReplansIdentically) {
   config.fldp_options.pool_salt = 0xabcdef;
   core::FelipPipeline original(dataset.attributes(), kUsers, config);
 
-  const auto bytes = PipelineCodec::Encode(original, {}, {});
+  const auto bytes = PipelineCodec::Encode(original, {});
   auto recovered = PipelineCodec::Decode(bytes);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   core::FelipPipeline replanned = std::move(recovered->pipeline);
@@ -209,7 +209,7 @@ TEST(PipelineSnapshotTest, SealedSnapshotFinalizesIdentically) {
   core::FelipPipeline original(dataset.attributes(), kUsers, MakeConfig());
   original.Collect(dataset);  // kSealed
 
-  const auto bytes = PipelineCodec::Encode(original, {}, {});
+  const auto bytes = PipelineCodec::Encode(original, {});
   auto recovered = PipelineCodec::Decode(bytes);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   core::FelipPipeline restored = std::move(recovered->pipeline);
@@ -225,21 +225,15 @@ TEST(PipelineSnapshotTest, QueryableSnapshotAnswersBitIdentically) {
   const core::FelipPipeline original =
       core::RunFelip(dataset, MakeConfig());
 
-  for (const bool include_rm : {false, true}) {
-    SCOPED_TRACE(include_rm ? "persisted response matrices"
-                            : "rebuilt response matrices");
-    core::SnapshotOptions options;
-    options.include_response_matrices = include_rm;
-    const auto bytes = PipelineCodec::Encode(original, options, {});
-    auto recovered = PipelineCodec::Decode(bytes);
-    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-    const core::FelipPipeline restored = std::move(recovered->pipeline);
-    EXPECT_EQ(restored.state(), core::PipelineState::kQueryable);
-    ExpectIdenticalEstimates(original, restored);
-    for (uint32_t attr = 0; attr < kAttributes; ++attr) {
-      EXPECT_EQ(original.EstimateMarginal(attr),
-                restored.EstimateMarginal(attr));
-    }
+  const auto bytes = PipelineCodec::Encode(original, {});
+  auto recovered = PipelineCodec::Decode(bytes);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const core::FelipPipeline restored = std::move(recovered->pipeline);
+  EXPECT_EQ(restored.state(), core::PipelineState::kQueryable);
+  ExpectIdenticalEstimates(original, restored);
+  for (uint32_t attr = 0; attr < kAttributes; ++attr) {
+    EXPECT_EQ(original.EstimateMarginal(attr),
+              restored.EstimateMarginal(attr));
   }
 }
 
@@ -254,7 +248,7 @@ TEST(PipelineSnapshotTest, QuadrantFlagSurvives) {
   const core::FelipPipeline original = core::RunFelip(dataset, config);
 
   auto recovered =
-      PipelineCodec::Decode(PipelineCodec::Encode(original, {}, {}));
+      PipelineCodec::Decode(PipelineCodec::Encode(original, {}));
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   const core::FelipPipeline& restored = recovered->pipeline;
   EXPECT_TRUE(restored.config().lambda_quadrant_fit);
@@ -325,7 +319,7 @@ TEST(PipelineSnapshotTest, DedupKeysRoundTrip) {
   const core::FelipPipeline pipeline(dataset.attributes(), kUsers,
                                      MakeConfig());
   const std::vector<uint64_t> keys = {0xdead, 0xbeef, 42, 0, ~0ull};
-  const auto bytes = PipelineCodec::Encode(pipeline, {}, keys);
+  const auto bytes = PipelineCodec::Encode(pipeline, keys);
   const auto recovered = PipelineCodec::Decode(bytes);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->dedup_keys, keys);
@@ -401,7 +395,7 @@ TEST(PipelineSnapshotAdversarialTest, MissingRequiredSectionRejected) {
   const data::Dataset dataset = MakeData();
   const core::FelipPipeline pipeline(dataset.attributes(), kUsers,
                                      MakeConfig());
-  const auto bytes = PipelineCodec::Encode(pipeline, {}, {});
+  const auto bytes = PipelineCodec::Encode(pipeline, {});
   uint8_t state_byte = 0;
   const auto sections = OpenSections(bytes, &state_byte);
 
@@ -422,7 +416,7 @@ TEST(PipelineSnapshotAdversarialTest, HeaderStateDisagreementRejected) {
   const data::Dataset dataset = MakeData();
   const core::FelipPipeline pipeline(dataset.attributes(), kUsers,
                                      MakeConfig());
-  const auto bytes = PipelineCodec::Encode(pipeline, {}, {});
+  const auto bytes = PipelineCodec::Encode(pipeline, {});
   uint8_t state_byte = 0;
   const auto sections = OpenSections(bytes, &state_byte);
   // Claim kQueryable in the envelope while kState says kConfigured.
@@ -438,7 +432,7 @@ TEST(PipelineSnapshotAdversarialTest, SealedReportCountDisagreementRejected) {
   core::FelipPipeline pipeline(dataset.attributes(), kUsers, MakeConfig());
   pipeline.Collect(dataset);
   ASSERT_EQ(pipeline.reports_ingested(), kUsers);
-  const auto bytes = PipelineCodec::Encode(pipeline, {}, {});
+  const auto bytes = PipelineCodec::Encode(pipeline, {});
   auto recovered = PipelineCodec::Decode(bytes);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->pipeline.reports_ingested(), kUsers);
@@ -473,8 +467,8 @@ TEST(PipelineSnapshotAdversarialTest, CrossBredSnapshotsRejected) {
                           MakeConfig(false, false, true));
   olh.BeginIngest();
   oue.BeginIngest();
-  const auto olh_bytes = PipelineCodec::Encode(olh, {}, {});
-  const auto oue_bytes = PipelineCodec::Encode(oue, {}, {});
+  const auto olh_bytes = PipelineCodec::Encode(olh, {});
+  const auto oue_bytes = PipelineCodec::Encode(oue, {});
 
   uint8_t state_byte = 0;
   const auto olh_sections = OpenSections(olh_bytes, &state_byte);
@@ -512,7 +506,7 @@ TEST(PipelineSnapshotAdversarialTest, SectionByteFlipSweepNeverCrashes) {
     }
   }
   const auto bytes =
-      PipelineCodec::Encode(pipeline, {}, std::vector<uint64_t>{1, 2, 3});
+      PipelineCodec::Encode(pipeline, std::vector<uint64_t>{1, 2, 3});
   uint8_t state_byte = 0;
   const auto sections = OpenSections(bytes, &state_byte);
 
@@ -546,7 +540,7 @@ TEST(PipelineSnapshotAdversarialTest, TruncationSweepRejected) {
   const data::Dataset dataset = MakeData();
   const core::FelipPipeline pipeline(dataset.attributes(), kUsers,
                                      MakeConfig());
-  const auto bytes = PipelineCodec::Encode(pipeline, {}, {});
+  const auto bytes = PipelineCodec::Encode(pipeline, {});
   for (size_t keep = 0; keep < bytes.size(); keep += 7) {
     const std::vector<uint8_t> truncated(bytes.begin(),
                                          bytes.begin() + keep);

@@ -17,9 +17,9 @@
 // With --expect-digest the tool exits non-zero unless the replayed grid
 // digest matches — the CI soaks use this to pin replay == live bitwise.
 //
-// --probe-queries additionally answers a seeded random workload through
-// the chosen pair-answer path (exact or prefix-sum matrices) and digests
-// the answers, so the query surface is comparable across runs too.
+// --probe-queries additionally answers a seeded random workload and
+// digests the answers, so the query surface is comparable across runs
+// too.
 
 #include <array>
 #include <cinttypes>
@@ -65,8 +65,6 @@ void PrintUsage() {
       "  --probe-queries=<int>   also answer N seeded queries (default "
       "0)\n"
       "  --probe-seed=<int>      probe workload seed (default 42)\n"
-      "  --pair-path=exact|prefix  probe pair-answer path (default "
-      "exact)\n"
       "  --metrics               dump observability metrics to stderr\n");
 }
 
@@ -91,7 +89,6 @@ int main(int argc, char** argv) {
       flags.GetString("expect-protocols", "");
   const uint64_t probe_queries = flags.GetUint("probe-queries", 0);
   const uint64_t probe_seed = flags.GetUint("probe-seed", 42);
-  const std::string pair_path_name = flags.GetString("pair-path", "exact");
   const bool dump_metrics = flags.GetBool("metrics", false);
 
   if (!flags.CheckAllConsumed()) {
@@ -106,10 +103,6 @@ int main(int argc, char** argv) {
   if (log_dirs.empty()) {
     std::fprintf(stderr,
                  "error: --log-dir or --report-log-dir is required\n");
-    return 2;
-  }
-  if (pair_path_name != "exact" && pair_path_name != "prefix") {
-    std::fprintf(stderr, "error: --pair-path must be exact or prefix\n");
     return 2;
   }
 
@@ -161,15 +154,10 @@ int main(int argc, char** argv) {
     Rng rng(probe_seed);
     const std::vector<query::Query> workload = query::GenerateQueries(
         schema_only, static_cast<uint32_t>(probe_queries), {}, rng);
-    core::QueryBatchOptions query_options;
-    query_options.pair_path = pair_path_name == "prefix"
-                                  ? core::PairAnswerPath::kPrefix
-                                  : core::PairAnswerPath::kExact;
-    const std::vector<double> answers =
-        pipeline.AnswerQueries(workload, query_options);
+    const std::vector<double> answers = pipeline.AnswerQueries(workload);
     const uint64_t answer_digest =
         XxHash64Bytes(answers.data(), answers.size() * sizeof(double), 0);
-    std::printf("probe answers (%s) xxh64=%016llx\n", pair_path_name.c_str(),
+    std::printf("probe answers xxh64=%016llx\n",
                 static_cast<unsigned long long>(answer_digest));
   }
 
