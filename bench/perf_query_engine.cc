@@ -101,7 +101,6 @@ const Fixture& GetFixture() {
   return *fixture;
 }
 
-// The whole 2-D workload in one AnswerQueries call.
 void BM_BatchExact(benchmark::State& state) {
   const Fixture& fixture = GetFixture();
   const std::span<const query::Query> workload(fixture.queries);
