@@ -83,8 +83,8 @@ void Run() {
       const auto client =
           fo::MakeReportClient(plan.protocol, eps, plan.lx, options);
       for (const uint32_t v : dataset.Column(0)) {
-        FELIP_CHECK(oracle->IngestReport(client->Perturb(g.CellOf(v), rng))
-                        .ok());
+        const fo::ReportData report = client->Perturb(g.CellOf(v), rng);
+        FELIP_CHECK(oracle->IngestReports({&report, 1}) == 1);
       }
       std::vector<double> cell_freq = oracle->EstimateFrequencies();
       post::RemoveNegativity(&cell_freq);

@@ -40,8 +40,14 @@ inline std::pair<size_t, size_t> SliceRange(size_t count, size_t slice,
   return {count * slice / num_slices, count * (slice + 1) / num_slices};
 }
 
+// CPUs this process may run on: the size of its CPU affinity mask
+// (sched_getaffinity), so a process narrowed by `taskset` or a container's
+// cpuset counts only the CPUs it has. Where the mask cannot be read, it is
+// std::thread::hardware_concurrency(). Always at least 1.
+unsigned AvailableCpus();
+
 // Runs body(i) for i in [0, count), distributing contiguous shards over up
-// to `max_threads` threads (0 = hardware concurrency). Falls back to the
+// to `max_threads` threads (0 = AvailableCpus()). Falls back to the
 // calling thread for small counts. `body` must not throw and iterations
 // must be independent.
 void ParallelFor(size_t count, const std::function<void(size_t)>& body,
@@ -62,7 +68,7 @@ inline size_t ReduceShardCount(size_t count) {
 // The range is cut into ReduceShardCount(count) contiguous shards via
 // SliceRange. Each shard gets a fresh accumulator from `make()` and is
 // processed by `map(acc, begin, end)`; shards run concurrently on up to
-// `max_threads` threads (0 = hardware concurrency, 1 = fully serial).
+// `max_threads` threads (0 = AvailableCpus(), 1 = fully serial).
 // The shard accumulators are then folded left-to-right in ascending shard
 // order with `fold(into, from)` on the calling thread. Shard boundaries
 // and fold order depend only on `count`, so the returned accumulator is

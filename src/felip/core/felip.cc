@@ -265,17 +265,16 @@ void FelipPipeline::Collect(const data::Dataset& dataset) {
         plan.protocol, per_grid_epsilon_,
         static_cast<uint64_t>(plan.lx) * plan.ly, options));
   }
-  std::vector<const fo::ReportData*> run;
   fo::RunCollectionRound(
       config_.seed, dataset.num_rows(),
       config_.partitioning == PartitioningMode::kDivideBudget, clients,
       /*batch_size=*/1024, cell_of,
       [&](const std::vector<std::vector<fo::ReportData>>& runs,
           const std::vector<size_t>& counts) {
-        for (uint32_t g = 0; g < runs.size(); ++g) {
-          run.clear();
-          for (size_t k = 0; k < counts[g]; ++k) run.push_back(&runs[g][k]);
-          FELIP_CHECK_MSG(IngestReports(g, run) == run.size(),
+        for (size_t g = 0; g < runs.size(); ++g) {
+          const std::span<const fo::ReportData> run(runs[g].data(),
+                                                    counts[g]);
+          FELIP_CHECK_MSG(IngestReports(run) == run.size(),
                           "an oracle rejected a report its own client "
                           "perturbed");
         }
@@ -299,24 +298,21 @@ void FelipPipeline::BeginIngest() {
   state_ = PipelineState::kCollecting;
 }
 
-size_t FelipPipeline::IngestReports(
-    uint32_t grid_index, std::span<const fo::ReportData* const> reports) {
+size_t FelipPipeline::IngestReports(std::span<const fo::ReportData> reports) {
   ExpectState(PipelineState::kCollecting, "IngestReports()");
-  if (grid_index >= oracles_.size()) return 0;
-  const size_t accepted = oracles_[grid_index]->IngestReports(reports);
+  size_t accepted = 0;
+  for (size_t begin = 0; begin < reports.size();) {
+    const uint32_t grid = reports[begin].grid_index;
+    size_t end = begin + 1;
+    while (end < reports.size() && reports[end].grid_index == grid) ++end;
+    if (grid < oracles_.size()) {
+      accepted += oracles_[grid]->IngestReports(
+          reports.subspan(begin, end - begin));
+    }
+    begin = end;
+  }
   reports_ingested_ += accepted;
   return accepted;
-}
-
-Status FelipPipeline::IngestReport(uint32_t grid_index,
-                                   const fo::ReportData& report) {
-  ExpectState(PipelineState::kCollecting, "IngestReport()");
-  if (grid_index >= oracles_.size()) {
-    return Status::InvalidArgument("report names a grid that is not planned");
-  }
-  FELIP_RETURN_IF_ERROR(oracles_[grid_index]->IngestReport(report));
-  ++reports_ingested_;
-  return Status::Ok();
 }
 
 uint64_t FelipPipeline::min_grid_reports() const {

@@ -206,23 +206,22 @@ class FelipPipeline {
   // Alternative to Collect() for deployments where already-perturbed
   // reports arrive over a transport instead of being simulated in-process.
   // BeginIngest() builds the per-grid oracles at the per-grid budget
-  // (kConfigured -> kCollecting); IngestReports() / IngestReport()
-  // validate reports against `grid_index`'s planned protocol and domain,
-  // dropping any out-of-range or mismatched input (network bytes are
-  // untrusted — never fatal); FinishIngest() closes the round
-  // (-> kSealed) so Finalize() can run. Aggregation is integer-count
-  // based, so the estimates depend only on the multiset of accepted
-  // reports, never on arrival order or batching.
+  // (kConfigured -> kCollecting); IngestReports() validates reports
+  // against their grid's planned protocol and domain, dropping any
+  // out-of-range or mismatched input (network bytes are untrusted — never
+  // fatal); FinishIngest() closes the round (-> kSealed) so Finalize() can
+  // run. Aggregation is integer-count based, so the estimates depend only
+  // on the multiset of accepted reports, never on arrival order or
+  // batching.
   void BeginIngest();
-  // Hands a run of reports that all name `grid_index` to that grid's
-  // oracle, which accepts only its own protocol, and returns how many it
-  // accepted (none when the grid is not planned). The state and the grid
-  // index are checked once per run. Callers (sinks, the replay engine)
-  // never branch on the protocol.
-  size_t IngestReports(uint32_t grid_index,
-                       std::span<const fo::ReportData* const> reports);
-  // One report, with the reason when it is rejected (kInvalidArgument).
-  Status IngestReport(uint32_t grid_index, const fo::ReportData& report);
+  // Hands each maximal run of reports that name the same grid_index to
+  // that grid's oracle, in order, and returns how many were accepted. An
+  // oracle accepts only its own protocol; a run naming a grid that is not
+  // planned is rejected whole. The state is checked once per call. A
+  // device batch (fo/collection_round.h) is one run per grid; an
+  // interleaved batch takes more runs and gives the same result. Callers
+  // (Collect, sinks, the replay engine) never branch on the protocol.
+  size_t IngestReports(std::span<const fo::ReportData> reports);
   void FinishIngest();
   // Reports accepted since BeginIngest() (Collect() included), plus the
   // report totals of merged shards; equals the summed num_reports of the
@@ -311,8 +310,6 @@ class FelipPipeline {
   const std::vector<grid::Grid1D>& grids_1d() const { return grids_1d_; }
   const std::vector<grid::Grid2D>& grids_2d() const { return grids_2d_; }
   PipelineState state() const { return state_; }
-  // Deprecated shim over state(); prefer state() == kQueryable.
-  bool finalized() const { return state_ == PipelineState::kQueryable; }
 
  private:
   friend class felip::snapshot::PipelineCodec;

@@ -5,8 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
+#include "felip/common/parallel.h"
 #include "felip/simd/dispatch.h"
 #include "felip/storage/storage.h"
 
@@ -82,7 +82,7 @@ BenchReport MakeBenchReport(std::string_view name) {
   const char* sha = std::getenv("FELIP_GIT_SHA");
   report.git_sha = (sha != nullptr && sha[0] != '\0') ? sha : "unknown";
   report.dispatch = simd::LevelName(simd::ActiveLevel());
-  report.threads = std::thread::hardware_concurrency();
+  report.threads = AvailableCpus();
   return report;
 }
 

@@ -4,7 +4,9 @@
 // (user division) or every grid in index order (budget division), each
 // report the grid's ReportClient perturbing the row's cell with that Rng.
 //
-// Reports are grouped by grid where they are made. Every `batch_size`
+// Reports are grouped by grid where they are made, and each report's
+// grid_index is its grid's from the moment it enters the grid's slot, so
+// a consumer can hand the runs on as they are. Every `batch_size`
 // reports (the last batch may be shorter) the loop hands on the batch as
 // one run per grid, each in row order: the next `batch_size` reports of
 // the row-order stream, grouped, so no consumer groups them again. A
@@ -31,8 +33,9 @@ namespace felip::fo {
 // Runs one round over `num_rows` rows and the grids of `clients`
 // (`every_grid`: budget division). cell_of(g, row) is the row's cell in
 // grid g; flush(slots, counts) hands on a batch whose grid g reports are
-// slots[g][0, counts[g]), and may move them out: the slots are reused, a
-// slot already holding a report's alternative only move-assigned. Returns
+// slots[g][0, counts[g]), each with grid_index g, and may move them out:
+// the slots are reused, a slot already holding a report's alternative
+// only move-assigned, and grid_index set once when the slot is made. Returns
 // the reports made, or nullopt once a flush returns false.
 template <typename CellOf, typename Flush>
 std::optional<uint64_t> RunCollectionRound(
@@ -52,8 +55,11 @@ std::optional<uint64_t> RunCollectionRound(
   };
   Rng rng(seed);
   const auto report = [&](size_t g, uint64_t row) {
-    if (counts[g] == slots[g].size()) slots[g].emplace_back();
-    slots[g][counts[g]++] = clients[g]->Perturb(cell_of(g, row), rng);
+    if (counts[g] == slots[g].size()) {
+      slots[g].push_back(ReportData{{}, static_cast<uint32_t>(g)});
+    }
+    slots[g][counts[g]++].payload =
+        clients[g]->Perturb(cell_of(g, row), rng).payload;
     return ++filled < batch_size || hand_on();
   };
   for (uint64_t row = 0; row < num_rows; ++row) {

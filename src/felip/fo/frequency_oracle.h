@@ -7,14 +7,14 @@
 // client/server classes remain public API for deployments that separate
 // the two sides. Create oracles with MakeFrequencyOracle (fo/registry.h).
 //
-// One ingestion path exists: IngestReports / IngestReport take
-// already-perturbed, untrusted reports and run the protocol's checks
-// before the server's Add(). Reports come from the network, the replay
-// log or an in-process simulation (fo/collection_round.h, which groups
-// reports by grid), and all take this path. Every grid's oracle gets its
-// run of reports in one IngestReports call, a tight check-then-Add loop;
-// IngestReport is the one-report form with the same checks. Invalid input
-// is rejected, never fatal. See docs/aggregation.md.
+// One ingestion path exists: IngestReports takes a contiguous run of
+// already-perturbed, untrusted reports and runs the protocol's checks
+// before the server's Add(), report by report. Reports come from the
+// network, the replay log or an in-process simulation
+// (fo/collection_round.h, which groups reports by grid), and all take this
+// path: the pipeline splits what it receives into same-grid runs and gives
+// each run to its grid's oracle in one call. One report is a one-element
+// span. Invalid input is rejected, never fatal. See docs/aggregation.md.
 
 #ifndef FELIP_FO_FREQUENCY_ORACLE_H_
 #define FELIP_FO_FREQUENCY_ORACLE_H_
@@ -68,17 +68,14 @@ class FrequencyOracle {
 
   // --- Untrusted-report ingestion ---
   //
-  // Aggregates one already-perturbed report after validating it against
-  // this oracle's protocol and domain. Unlike the server Add() methods
-  // (which FELIP_CHECK their input), this returns kInvalidArgument on
-  // invalid input — including a report of another protocol — so a service
+  // Aggregates a run of already-perturbed reports, in order, after
+  // validating each against this oracle's protocol and domain, and
+  // returns how many were accepted. Unlike the server Add() methods (which
+  // FELIP_CHECK their input), a report that fails a check — including a
+  // report of another protocol — is dropped and not counted, so a service
   // can count and drop bad reports from the network instead of aborting.
-  virtual Status IngestReport(const ReportData& report) = 0;
-
-  // Aggregates a run of reports, in order, as IngestReport would one at a
-  // time: each report passes the same checks or is dropped. Returns how
-  // many were accepted.
-  virtual size_t IngestReports(std::span<const ReportData* const> reports) = 0;
+  // The reports' grid_index is the caller's business and is not read.
+  virtual size_t IngestReports(std::span<const ReportData> reports) = 0;
 
   // --- Accumulator persistence (snapshot path) ---
   //

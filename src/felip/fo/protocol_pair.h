@@ -5,7 +5,7 @@
 // registry. A protocol is its client/server pair plus a ProtocolPair<P>
 // specialization naming what really differs between protocols:
 //   * Client / Server and how they are built from ProtocolOptions,
-//   * CheckReport — the untrusted-report checks IngestReport(s) run before
+//   * CheckReport — the untrusted-report checks IngestReports runs before
 //     Server::Add (which FELIP_CHECKs instead of returning a Status),
 //   * Export / Restore — which OracleState fields carry the accumulator,
 //     and the checks that make restoring untrusted state safe.
@@ -312,17 +312,11 @@ class PairOracle final : public FrequencyOracle {
       : client_(Pair::MakeClient(epsilon, domain, options)),
         server_(Pair::MakeServer(epsilon, domain, options)) {}
 
-  Status IngestReport(const ReportData& report) override {
-    const Report* payload = nullptr;
-    FELIP_RETURN_IF_ERROR(Check(report, &payload));
-    server_.Add(*payload);
-    return Status::Ok();
-  }
-  size_t IngestReports(std::span<const ReportData* const> reports) override {
+  size_t IngestReports(std::span<const ReportData> reports) override {
     size_t accepted = 0;
-    for (const ReportData* report : reports) {
-      const Report* payload = nullptr;
-      if (!Check(*report, &payload).ok()) continue;
+    for (const ReportData& report : reports) {
+      const Report* payload = Checked(report);
+      if (payload == nullptr) continue;
       server_.Add(*payload);
       ++accepted;
     }
@@ -353,17 +347,17 @@ class PairOracle final : public FrequencyOracle {
   Protocol protocol() const override { return P; }
 
  private:
-  // The one validation of both ingest entry points: the payload must be
-  // this protocol's report and pass Pair::CheckReport. Sets `*payload` on
-  // success.
-  Status Check(const ReportData& report, const Report** payload) const {
-    *payload = std::get_if<static_cast<size_t>(P)>(&report.payload);
-    if (*payload == nullptr) {
-      return Status::InvalidArgument(
-          std::string(ProtocolName(report.protocol())) + " report sent to a " +
-          std::string(ProtocolName(P)) + " oracle");
+  // The checks IngestReports runs on each report: the payload must be this
+  // protocol's report and pass Pair::CheckReport. Returns the payload, or
+  // nullptr for a rejected report.
+  const Report* Checked(const ReportData& report) const {
+    const Report* payload =
+        std::get_if<static_cast<size_t>(P)>(&report.payload);
+    if (payload == nullptr ||
+        !Pair::CheckReport(client_, server_, *payload).ok()) {
+      return nullptr;
     }
-    return Pair::CheckReport(client_, server_, **payload);
+    return payload;
   }
 
   typename Pair::Client client_;

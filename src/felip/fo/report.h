@@ -1,11 +1,14 @@
 // Protocol-tagged perturbed reports.
 //
 // ReportData is the one value type every layer above fo/ moves perturbed
-// reports around in: the wire codec frames it, the simulator produces it,
-// sinks and the replay engine feed it back into pipelines. Its payload is
-// exactly the report type of one protocol's client, and the protocol is
-// derived from which alternative the payload holds, so a tag can never
-// disagree with its payload:
+// reports around in: a payload addressed to a grid. The device loop
+// (fo/collection_round.h) makes it, the wire codec frames it, and sinks,
+// the replay engine and Collect() hand contiguous runs of it to the
+// pipeline, which gives each same-grid run to that grid's oracle
+// (FrequencyOracle::IngestReports). Its payload is exactly the report type
+// of one protocol's client, and the protocol is derived from which
+// alternative the payload holds, so a tag can never disagree with its
+// payload:
 //   GRR  -> uint64_t              (reported value)
 //   OLH  -> OlhReport             (seed, seed index, hashed report)
 //   OUE  -> std::vector<uint8_t>  (one byte per domain value)
@@ -14,8 +17,10 @@
 //
 // ReportClient is the device-side counterpart: one Perturb() call turns a
 // raw value into a ReportData using the caller's Rng, with exactly the
-// same rng trajectory as the underlying protocol client. Instances are
-// immutable after construction and safe to share across users/threads.
+// same rng trajectory as the underlying protocol client. Perturb() leaves
+// grid_index 0; whoever addresses the report sets it after the payload.
+// Instances are immutable after construction and safe to share across
+// users/threads.
 
 #ifndef FELIP_FO_REPORT_H_
 #define FELIP_FO_REPORT_H_
@@ -52,11 +57,19 @@ static_assert(std::is_same_v<ReportOf<Protocol::kFldp>, FldpReport>);
 
 struct ReportData {
   ReportPayload payload;
+  uint32_t grid_index = 0;  // index into the aggregator's grid list
 
   Protocol protocol() const { return static_cast<Protocol>(payload.index()); }
 
   friend bool operator==(const ReportData&, const ReportData&) = default;
 };
+
+// The device loop's slots, the wire decoder's chunk buffer and
+// wire::DecodeReportBatch hold one ReportData per report, so the type must
+// not grow past the 48 bytes a grid-addressed report took when the grid
+// index lived in a wire-only subtype.
+static_assert(sizeof(ReportData) <= 48,
+              "ReportData must stay within 48 bytes per report");
 
 // Device-side perturbation behind one interface, so collectors need no
 // per-protocol branches. Create via MakeReportClient (fo/registry.h).

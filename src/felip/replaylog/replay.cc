@@ -10,7 +10,6 @@
 #include "felip/storage/storage.h"
 #include "felip/svc/dedup.h"
 #include "felip/svc/message.h"
-#include "felip/svc/sink.h"
 #include "felip/wire/framing.h"
 #include "felip/wire/wire.h"
 
@@ -93,10 +92,9 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
   std::optional<core::FelipPipeline> pipeline;
   std::vector<uint8_t> plan;
   svc::DedupWindow dedup;
-  // The drain thread's decoder and grid-run path, reused for every batch
-  // of the log; the decoder bounds what it retains between batches.
+  // The drain thread's decoder, reused for every batch of the log; it
+  // bounds what it retains between batches.
   wire::ReportChunkDecoder decoder;
-  svc::GridRunIngester grid_runs;
 
   for (const std::string& path : segments) {
     StatusOr<std::vector<uint8_t>> bytes = storage::ReadFile(path);
@@ -168,7 +166,7 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
       }
       size_t accepted = 0;
       decoder.Decode([&](std::span<const wire::ReportMessage> chunk) {
-        accepted += grid_runs.Ingest(*pipeline, chunk);
+        accepted += pipeline->IngestReports(chunk);
       });
       stats.reports_accepted += accepted;
       stats.reports_rejected += decoder.report_count() - accepted;

@@ -491,7 +491,7 @@ StatusOr<RecoveredPipeline> PipelineCodec::Decode(
             pipeline.oracles_[g]->RestoreState(std::move(states[g])));
       }
       // Every report an oracle holds was counted on its way in, by
-      // IngestReports, IngestReport, MergeAccumulators or Collect().
+      // IngestReports, MergeAccumulators or Collect().
       if (total_reports != reports_ingested) {
         return Malformed("snapshot report counts are inconsistent");
       }

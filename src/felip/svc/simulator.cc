@@ -58,7 +58,8 @@ std::optional<uint64_t> PopulationSimulator::Run(
     return projectors_[g].ProjectToCell(x, y);
   };
   // Each batch is moved out of its grid runs, in grid order, into one
-  // vector of slots reused across batches.
+  // vector of slots reused across batches; the device loop has already
+  // addressed every report to its grid.
   std::vector<wire::ReportMessage> batch;
   return fo::RunCollectionRound(
       options_.seed, dataset.num_rows(),
@@ -70,8 +71,7 @@ std::optional<uint64_t> PopulationSimulator::Run(
         for (uint32_t g = 0; g < runs.size(); ++g) {
           for (size_t k = 0; k < counts[g]; ++k, ++at) {
             if (at == batch.size()) batch.emplace_back();
-            static_cast<fo::ReportData&>(batch[at]) = std::move(runs[g][k]);
-            batch[at].grid_index = g;
+            batch[at] = std::move(runs[g][k]);
           }
         }
         batch.resize(at);

@@ -16,27 +16,11 @@ PipelineSink::PipelineSink(core::FelipPipeline* pipeline)
   }
 }
 
-size_t GridRunIngester::Ingest(core::FelipPipeline& pipeline,
-                               std::span<const wire::ReportMessage> reports) {
-  reports_.resize(reports.size());
-  for (size_t i = 0; i < reports.size(); ++i) reports_[i] = &reports[i];
-  const std::span<const fo::ReportData* const> all(reports_);
-  size_t accepted = 0;
-  for (size_t begin = 0; begin < reports.size();) {
-    const uint32_t grid = reports[begin].grid_index;
-    size_t end = begin + 1;
-    while (end < reports.size() && reports[end].grid_index == grid) ++end;
-    accepted += pipeline.IngestReports(grid, all.subspan(begin, end - begin));
-    begin = end;
-  }
-  return accepted;
-}
-
 size_t PipelineSink::IngestBatch(std::span<const wire::ReportMessage> reports) {
   static obs::Counter& rejected_total = obs::Registry::Default().GetCounter(
       "felip_svc_reports_rejected_total");
   std::lock_guard<std::mutex> lock(mutex_);
-  const size_t accepted = grid_runs_.Ingest(*pipeline_, reports);
+  const size_t accepted = pipeline_->IngestReports(reports);
   const size_t rejected = reports.size() - accepted;
   if (rejected > 0) rejected_total.Increment(rejected);
   accepted_ += accepted;

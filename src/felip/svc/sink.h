@@ -3,14 +3,14 @@
 //
 // IngestServer's drain thread hands decoded chunks of structurally valid
 // batches (at most wire::kReportChunkSize reports, in the grid runs the
-// frame carries) to a ReportSink. PipelineSink is the
-// production sink: under a mutex it feeds each chunk to a planned
-// FelipPipeline one grid run at a time (GridRunIngester): one
-// FelipPipeline::IngestReports call per maximal same-grid run. Per-report
-// validation (grid index in range, protocol matching the grid's plan,
-// payload within the grid's domain) still happens report by report inside
-// the pipeline's oracles, and rejected reports are counted, never fatal —
-// these bytes come from the network.
+// frame carries) to a ReportSink. PipelineSink is the production sink:
+// under a mutex it passes each chunk as it is to a planned FelipPipeline's
+// IngestReports, which gives every maximal same-grid run to that grid's
+// oracle in one call. Per-report validation (grid index in range,
+// protocol matching the grid's plan, payload within the grid's domain)
+// still happens report by report inside the pipeline's oracles, and
+// rejected reports are counted, never fatal — these bytes come from the
+// network.
 //
 // Aggregation counts are integers, so the final estimates depend only on
 // the multiset of accepted reports — never on batch arrival order or
@@ -26,7 +26,6 @@
 #include <functional>
 #include <mutex>
 #include <span>
-#include <vector>
 
 #include "felip/core/felip.h"
 #include "felip/wire/wire.h"
@@ -43,27 +42,6 @@ class ReportSink {
   // the sink (dist export, epoch rotation); implementations synchronize.
   virtual size_t IngestBatch(
       std::span<const wire::ReportMessage> reports) = 0;
-};
-
-// The grid-run ingest path PipelineSink and the replay engine share: one
-// FelipPipeline::IngestReports call per maximal run of same-grid reports,
-// in batch order. A device frame is grouped by grid already (the device
-// loop, fo/collection_round.h), so that is one call per grid per chunk; an
-// interleaved batch takes more calls and the same result. It reuses its
-// pointer buffer across batches and is not thread-safe. A report naming an
-// unplanned grid is rejected. The result equals FelipPipeline::IngestReport
-// on every report in batch order: the same accepted reports and the same
-// oracle states.
-class GridRunIngester {
- public:
-  // Ingests `reports` into `pipeline` (kCollecting) and returns how many
-  // were accepted.
-  size_t Ingest(core::FelipPipeline& pipeline,
-                std::span<const wire::ReportMessage> reports);
-
- private:
-  // The batch's reports as the span IngestReports takes.
-  std::vector<const fo::ReportData*> reports_;
 };
 
 // Thread-safe sink over a planned (not yet collected) FelipPipeline.
@@ -104,7 +82,6 @@ class PipelineSink final : public ReportSink {
  private:
   std::mutex mutex_;
   core::FelipPipeline* pipeline_;
-  GridRunIngester grid_runs_;
   uint64_t accepted_ = 0;
   uint64_t rejected_ = 0;
 };

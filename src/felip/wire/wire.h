@@ -4,9 +4,10 @@
 //   * GridConfig (aggregator -> client): which grid the client is assigned,
 //     its cell layout, the protocol and epsilon to perturb with.
 //   * ReportBatch (client or relay -> aggregator): perturbed cell reports,
-//     each an fo::ReportData addressed to a grid, written as grid runs: one
-//     run header per grid and shape, then fixed-width fields (see
-//     ReportMessage below). A single report travels as a one-record batch.
+//     each an fo::ReportData (a payload and the grid it is addressed to),
+//     written as grid runs: one run header per grid and shape, then
+//     fixed-width fields (see ReportMessage below). A single report
+//     travels as a one-record batch.
 //
 // Encoding is a compact little-endian binary format with a 4-byte magic, a
 // format version, and an xxHash64 trailer so truncation and corruption are
@@ -64,8 +65,9 @@ struct GridConfigMessage {
                          const GridConfigMessage&) = default;
 };
 
-// Client -> aggregator: one perturbed report — an fo::ReportData
-// addressed to a grid.
+// Client -> aggregator: one perturbed report addressed to a grid. It is
+// fo::ReportData itself; the wire name stays because the batch codec, the
+// sinks and roundbench spell their batches with it.
 //
 // On the wire a batch is a run count and then grid runs (docs/service.md
 // has the layout). The device loop (fo/collection_round.h) groups a batch
@@ -86,12 +88,9 @@ struct GridConfigMessage {
 // value. Bits are packed LSB-first into max(1, ceil(bits / 8)) bytes with
 // zero pad bits; a nonzero bit byte encodes as 1. A pooled OLH seed is
 // PoolSeed(pool index), which the server derives itself, so it is not
-// sent and decodes as 0.
-struct ReportMessage : public fo::ReportData {
-  uint32_t grid_index = 0;
-
-  friend bool operator==(const ReportMessage&, const ReportMessage&) = default;
-};
+// sent and decodes as 0. Decoded reports come out in frame order, so a
+// run's reports are contiguous and a sink hands them on as they are.
+using ReportMessage = fo::ReportData;
 
 // --- Encoding (never fails) ---
 std::vector<uint8_t> EncodeGridConfig(const GridConfigMessage& message);

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace felip {
 namespace {
 
@@ -99,6 +103,45 @@ TEST(ParallelForTest, ExplicitThreadCapRespectedFunctionally) {
     EXPECT_EQ(total.load(), 4950u) << "cap " << cap;
   }
 }
+
+TEST(AvailableCpusTest, IsAtLeastOneAndAtMostTheMask) {
+  EXPECT_GE(AvailableCpus(), 1u);
+#if defined(__linux__)
+  cpu_set_t mask;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  EXPECT_EQ(AvailableCpus(), static_cast<unsigned>(CPU_COUNT(&mask)));
+#endif
+}
+
+#if defined(__linux__)
+// A process narrowed to one CPU (taskset -c N, a one-CPU cpuset) counts one
+// CPU, and ParallelFor's default then runs every body on the calling
+// thread instead of starting threads that would share that CPU. The test
+// narrows its own affinity and restores it before returning.
+TEST(AvailableCpusTest, OneCpuMaskRunsParallelForOnCallingThread) {
+  cpu_set_t original;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &original)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+
+  const unsigned narrowed = AvailableCpus();
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr size_t kCount = 64;
+  std::vector<std::thread::id> seen(kCount);
+  ParallelFor(kCount, [&](size_t i) { seen[i] = std::this_thread::get_id(); });
+
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(narrowed, 1u);
+  for (size_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(seen[i], caller) << "index " << i;
+  }
+  EXPECT_EQ(AvailableCpus(), static_cast<unsigned>(CPU_COUNT(&original)));
+}
+#endif
 
 }  // namespace
 }  // namespace felip

@@ -281,7 +281,7 @@ TEST(FelipPipelineDeathTest, DoubleCollectAborts) {
 TEST(RunFelipTest, OneCallConvenience) {
   const data::Dataset ds = data::MakeUniform(20000, 2, 1, 32, 4, 13);
   const FelipPipeline pipeline = RunFelip(ds, FastConfig());
-  EXPECT_TRUE(pipeline.finalized());
+  EXPECT_EQ(pipeline.state(), PipelineState::kQueryable);
 }
 
 }  // namespace

@@ -42,14 +42,12 @@ TEST(LifecycleTest, CollectPathWalksConfiguredSealedQueryable) {
   const data::Dataset dataset = MakeData();
   FelipPipeline pipeline(dataset.attributes(), kUsers, MakeConfig());
   EXPECT_EQ(pipeline.state(), PipelineState::kConfigured);
-  EXPECT_FALSE(pipeline.finalized());
 
   pipeline.Collect(dataset);
   EXPECT_EQ(pipeline.state(), PipelineState::kSealed);
 
   pipeline.Finalize();
   EXPECT_EQ(pipeline.state(), PipelineState::kQueryable);
-  EXPECT_TRUE(pipeline.finalized());
 }
 
 TEST(LifecycleTest, IngestPathWalksEveryState) {

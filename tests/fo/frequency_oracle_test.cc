@@ -19,7 +19,8 @@ class FrequencyOracleTest : public ::testing::TestWithParam<Protocol> {};
 // Perturbs `value` with a client matching `oracle` and ingests the report.
 void Submit(FrequencyOracle& oracle, const ReportClient& client,
             uint64_t value, Rng& rng) {
-  ASSERT_TRUE(oracle.IngestReport(client.Perturb(value, rng)).ok());
+  const ReportData report = client.Perturb(value, rng);
+  ASSERT_EQ(oracle.IngestReports({&report, 1}), 1u);
 }
 
 TEST_P(FrequencyOracleTest, ReportsProtocolAndDomain) {

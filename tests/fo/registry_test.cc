@@ -89,8 +89,7 @@ TEST(RegistryTest, ClientReportsIngestIntoMatchingOracle) {
     for (int i = 0; i < 200; ++i) {
       const ReportData report = client->Perturb(i % 16, rng);
       EXPECT_EQ(report.protocol(), traits.protocol);
-      const Status status = oracle->IngestReport(report);
-      EXPECT_TRUE(status.ok()) << status.ToString();
+      EXPECT_EQ(oracle->IngestReports({&report, 1}), 1u);
     }
     EXPECT_EQ(oracle->num_reports(), 200u);
     EXPECT_EQ(oracle->EstimateFrequencies().size(), 16u);
@@ -109,7 +108,8 @@ TEST(RegistryTest, MismatchedReportTagIsRejected) {
         MakeReportClient(oracle_traits.protocol, 1.0, 16, options);
     Rng rng(4);
     for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(oracle->IngestReport(own->Perturb(i % 16, rng)).ok());
+      const ReportData report = own->Perturb(i % 16, rng);
+      ASSERT_EQ(oracle->IngestReports({&report, 1}), 1u);
     }
     const OracleState before = oracle->ExportState();
     for (const ProtocolTraits& report_traits : AllProtocolTraits()) {
@@ -118,8 +118,8 @@ TEST(RegistryTest, MismatchedReportTagIsRejected) {
                    std::string(oracle_traits.name) + " oracle");
       const std::unique_ptr<ReportClient> client =
           MakeReportClient(report_traits.protocol, 1.0, 16, options);
-      EXPECT_EQ(oracle->IngestReport(client->Perturb(5, rng)).code(),
-                StatusCode::kInvalidArgument);
+      const ReportData report = client->Perturb(5, rng);
+      EXPECT_EQ(oracle->IngestReports({&report, 1}), 0u);
       EXPECT_EQ(oracle->num_reports(), 20u);
       const OracleState after = oracle->ExportState();
       EXPECT_EQ(after.protocol, before.protocol);

@@ -370,7 +370,7 @@ TEST(IngestServerTest, ReusedDecodeBufferNeverSinksAStaleTail) {
   reference.BeginIngest();
   for (const auto* batch : {&long_batch, &short_batch}) {
     for (const wire::ReportMessage& m : *batch) {
-      ASSERT_TRUE(reference.IngestReport(m.grid_index, m).ok());
+      ASSERT_EQ(reference.IngestReports({&m, 1}), 1u);
     }
   }
   reference.FinishIngest();

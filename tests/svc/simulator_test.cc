@@ -99,8 +99,8 @@ std::vector<wire::ReportMessage> ReferenceReports(
     const uint32_t x = dataset.Value(row, config.attr_x);
     const uint32_t y = config.is_2d ? dataset.Value(row, config.attr_y) : 0;
     const uint64_t cell = projectors[g].ProjectToCell(x, y);
-    wire::ReportMessage m;
-    static_cast<fo::ReportData&>(m) = clients[g]->Perturb(cell, rng);
+    // The grid goes on after the payload: Perturb() returns grid 0.
+    wire::ReportMessage m = clients[g]->Perturb(cell, rng);
     m.grid_index = static_cast<uint32_t>(g);
     reports.push_back(std::move(m));
   };

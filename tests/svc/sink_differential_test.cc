@@ -1,13 +1,15 @@
-// Differential test of the grid-run sink: PipelineSink::IngestBatch sorts
-// each frame by grid and hands every grid's oracle its run in one call,
-// and that must be indistinguishable from FelipPipeline::IngestReport on
-// every report in frame order. Seeded random frames mix valid reports for
-// GRR, pooled OLH, per-user OLH, OUE, PGR and FLDP grids with reports of
-// the wrong protocol, out-of-domain payloads and grid indices past the
-// plan. Both paths must agree on accepted and rejected counts, on the
-// rejected-reports counter, on reports_ingested(), and on every oracle's
-// exported state field by field — including the order of OLH per-user raw
-// reports, which only a stable sort preserves.
+// Differential test of the grid-run path: PipelineSink::IngestBatch hands
+// each frame as it is to FelipPipeline::IngestReports, which gives every
+// maximal same-grid run to that grid's oracle in one call, and that must
+// be indistinguishable from ingesting the frame report by report (one
+// one-element IngestReports call per report, in frame order). Seeded
+// random frames mix valid reports for GRR, pooled OLH, per-user OLH, OUE,
+// PGR and FLDP grids with reports of the wrong protocol, out-of-domain
+// payloads and grid indices past the plan. Both paths must agree on
+// accepted and rejected counts, on the rejected-reports counter, on
+// reports_ingested(), and on every oracle's exported state field by field
+// — including the order of OLH per-user raw reports, which run splitting
+// must keep in frame order.
 //
 // The same scenarios pin FelipPipeline::Collect to a networked round of
 // the same population: PopulationSimulator batches through PipelineSink
@@ -286,7 +288,7 @@ TEST(SinkDifferentialTest, GridRunIngestMatchesReportByReportIngest) {
 
       size_t expected_accepted = 0;
       for (const wire::ReportMessage& m : frame) {
-        if (reference.IngestReport(m.grid_index, m).ok()) ++expected_accepted;
+        expected_accepted += reference.IngestReports({&m, 1});
       }
       EXPECT_EQ(accepted, expected_accepted) << "frame " << f;
       EXPECT_EQ(rejected_delta, frame.size() - expected_accepted)

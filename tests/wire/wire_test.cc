@@ -160,8 +160,7 @@ TEST(WireReportTest, RegistryReportBytesBoundRecordBytes) {
             kRunHeaderBytes[static_cast<size_t>(traits.protocol)];
         Rng rng(domain);
         for (uint64_t value = 0; value < domain; value += 1 + domain / 8) {
-          ReportMessage m;
-          static_cast<fo::ReportData&>(m) = client->Perturb(value, rng);
+          const ReportMessage m = client->Perturb(value, rng);
           EXPECT_LE(EncodeReportBatch({m}).size() - framing,
                     traits.report_bytes(1.0, domain, options))
               << "protocol " << static_cast<int>(traits.protocol)
@@ -441,8 +440,8 @@ TEST(WireFormatStabilityTest, GoldenBytesForGrrReport) {
     const std::unique_ptr<fo::ReportClient> client = fo::MakeReportClient(
         row.protocol, row.epsilon, row.domain, row.options);
     Rng rng(row.seed);
-    ReportMessage m;
-    static_cast<fo::ReportData&>(m) = client->Perturb(row.value, rng);
+    // The grid goes on after the payload: Perturb() returns grid 0.
+    ReportMessage m = client->Perturb(row.value, rng);
     m.grid_index = 0x01020304;
     const std::vector<uint8_t> encoded = EncodeReportBatch({m});
     EXPECT_EQ(Hex(encoded), row.hex);
