@@ -40,9 +40,10 @@ inline std::pair<size_t, size_t> SliceRange(size_t count, size_t slice,
   return {count * slice / num_slices, count * (slice + 1) / num_slices};
 }
 
-// CPUs this process may run on: the size of its CPU affinity mask
-// (sched_getaffinity), so a process narrowed by `taskset` or a container's
-// cpuset counts only the CPUs it has. Where the mask cannot be read, it is
+// CPUs the calling thread may run on: the size of its CPU affinity mask
+// (sched_getaffinity), which a process narrowed by `taskset` or a
+// container's cpuset shares, so such a process counts only the CPUs it
+// has. Where the mask cannot be read, it is
 // std::thread::hardware_concurrency(). Always at least 1.
 unsigned AvailableCpus();
 

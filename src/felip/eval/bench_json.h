@@ -39,7 +39,7 @@ struct BenchReport {
   std::string name;      // bench binary name, e.g. "perf_query_engine"
   std::string git_sha;   // from $FELIP_GIT_SHA, else "unknown"
   std::string dispatch;  // SIMD dispatch level name: scalar|avx2|neon
-  unsigned threads = 0;  // CPUs in the process affinity mask (AvailableCpus)
+  unsigned threads = 0;  // CPUs in the affinity mask (AvailableCpus)
   std::vector<BenchRecord> records;
 };
 

@@ -5,8 +5,8 @@
 // registry. A protocol is its client/server pair plus a ProtocolPair<P>
 // specialization naming what really differs between protocols:
 //   * Client / Server and how they are built from ProtocolOptions,
-//   * CheckReport — the untrusted-report checks IngestReports runs before
-//     Server::Add (which FELIP_CHECKs instead of returning a Status),
+//   * InRange — whether an untrusted report is in range, checked by
+//     IngestReports before Server::Add (which FELIP_CHECKs instead),
 //   * Export / Restore — which OracleState fields carry the accumulator,
 //     and the checks that make restoring untrusted state safe.
 // Everything else (tag checks, ingestion, estimation) is shared by
@@ -41,6 +41,14 @@ namespace felip::fo {
 template <Protocol P>
 struct ProtocolPair;
 
+// Whether every entry of an OUE or FLDP bit vector is 0 or 1.
+inline bool AllBits(const std::vector<uint8_t>& bits) {
+  for (const uint8_t bit : bits) {
+    if (bit > 1) return false;
+  }
+  return true;
+}
+
 template <>
 struct ProtocolPair<Protocol::kGrr> {
   using Client = GrrClient;
@@ -53,12 +61,8 @@ struct ProtocolPair<Protocol::kGrr> {
                            const ProtocolOptions&) {
     return Server(epsilon, domain);
   }
-  static Status CheckReport(const Client& client, const Server&,
-                            uint64_t report) {
-    if (report >= client.domain()) {
-      return Status::InvalidArgument("GRR report outside the domain");
-    }
-    return Status::Ok();
+  static bool InRange(const Client& client, const Server&, uint64_t report) {
+    return report < client.domain();
   }
   static void Export(const Server& server, OracleState* state) {
     state->counts = server.counts();
@@ -90,20 +94,13 @@ struct ProtocolPair<Protocol::kOlh> {
                            const ProtocolOptions& options) {
     return Server(epsilon, domain, options.olh);
   }
-  static Status CheckReport(const Client& client, const Server&,
-                            const OlhReport& report) {
-    if (report.hashed_report >= client.g()) {
-      return Status::InvalidArgument("OLH hashed report outside [0, g)");
-    }
+  static bool InRange(const Client& client, const Server&,
+                      const OlhReport& report) {
+    if (report.hashed_report >= client.g()) return false;
+    // A pooled oracle takes a pool index; a per-user one takes none.
     const uint32_t pool = client.options().seed_pool_size;
-    if (pool > 0) {
-      if (report.seed_index >= pool) {
-        return Status::InvalidArgument("OLH seed index outside the pool");
-      }
-    } else if (report.seed_index != OlhReport::kNoPool) {
-      return Status::InvalidArgument("OLH pool index on a per-user oracle");
-    }
-    return Status::Ok();
+    return pool > 0 ? report.seed_index < pool
+                    : report.seed_index == OlhReport::kNoPool;
   }
   static void Export(const Server& server, OracleState* state) {
     state->pool_counts = server.pool_counts();
@@ -138,8 +135,7 @@ struct ProtocolPair<Protocol::kOlh> {
           "OLH report list does not match num_reports");
     }
     for (const OlhReport& r : state.reports) {
-      if (r.hashed_report >= client.g() ||
-          r.seed_index != OlhReport::kNoPool) {
+      if (!InRange(client, *server, r)) {
         return Status::InvalidArgument("invalid report in OLH state");
       }
     }
@@ -160,17 +156,9 @@ struct ProtocolPair<Protocol::kOue> {
                            const ProtocolOptions&) {
     return Server(epsilon, domain);
   }
-  static Status CheckReport(const Client& client, const Server&,
-                            const std::vector<uint8_t>& bits) {
-    if (bits.size() != client.domain()) {
-      return Status::InvalidArgument("OUE bit vector length != domain");
-    }
-    for (const uint8_t bit : bits) {
-      if (bit > 1) {
-        return Status::InvalidArgument("OUE bit vector has a non-bit entry");
-      }
-    }
-    return Status::Ok();
+  static bool InRange(const Client& client, const Server&,
+                      const std::vector<uint8_t>& bits) {
+    return bits.size() == client.domain() && AllBits(bits);
   }
   static void Export(const Server& server, OracleState* state) {
     state->counts = server.counts();
@@ -204,12 +192,8 @@ struct ProtocolPair<Protocol::kPgr> {
                            const ProtocolOptions&) {
     return Server(epsilon, domain);
   }
-  static Status CheckReport(const Client&, const Server& server,
-                            uint32_t point) {
-    if (point >= server.params().num_points) {
-      return Status::InvalidArgument("PGR point outside the point space");
-    }
-    return Status::Ok();
+  static bool InRange(const Client&, const Server& server, uint32_t point) {
+    return point < server.params().num_points;
   }
   static void Export(const Server& server, OracleState* state) {
     state->counts = server.counts();
@@ -241,20 +225,10 @@ struct ProtocolPair<Protocol::kFldp> {
                            const ProtocolOptions& options) {
     return Server(epsilon, domain, options.fldp);
   }
-  static Status CheckReport(const Client& client, const Server&,
-                            const FldpReport& report) {
-    if (report.subset_index >= client.options().subset_pool_size) {
-      return Status::InvalidArgument("FLDP subset index outside the pool");
-    }
-    if (report.bits.size() != client.subset_size()) {
-      return Status::InvalidArgument("FLDP bit vector length != subset size");
-    }
-    for (const uint8_t bit : report.bits) {
-      if (bit > 1) {
-        return Status::InvalidArgument("FLDP bit vector has a non-bit entry");
-      }
-    }
-    return Status::Ok();
+  static bool InRange(const Client& client, const Server&,
+                      const FldpReport& report) {
+    return report.subset_index < client.options().subset_pool_size &&
+           report.bits.size() == client.subset_size() && AllBits(report.bits);
   }
   static void Export(const Server& server, OracleState* state) {
     state->counts = server.counts();
@@ -348,13 +322,12 @@ class PairOracle final : public FrequencyOracle {
 
  private:
   // The checks IngestReports runs on each report: the payload must be this
-  // protocol's report and pass Pair::CheckReport. Returns the payload, or
+  // protocol's report and pass Pair::InRange. Returns the payload, or
   // nullptr for a rejected report.
   const Report* Checked(const ReportData& report) const {
     const Report* payload =
         std::get_if<static_cast<size_t>(P)>(&report.payload);
-    if (payload == nullptr ||
-        !Pair::CheckReport(client_, server_, *payload).ok()) {
+    if (payload == nullptr || !Pair::InRange(client_, server_, *payload)) {
       return nullptr;
     }
     return payload;

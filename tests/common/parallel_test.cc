@@ -117,7 +117,8 @@ TEST(AvailableCpusTest, IsAtLeastOneAndAtMostTheMask) {
 // A process narrowed to one CPU (taskset -c N, a one-CPU cpuset) counts one
 // CPU, and ParallelFor's default then runs every body on the calling
 // thread instead of starting threads that would share that CPU. The test
-// narrows its own affinity and restores it before returning.
+// narrows the calling thread's affinity mask (the one AvailableCpus reads,
+// which such a process shares) and restores it before returning.
 TEST(AvailableCpusTest, OneCpuMaskRunsParallelForOnCallingThread) {
   cpu_set_t original;
   ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
