@@ -3,6 +3,7 @@
 #include <charconv>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "felip/common/check.h"
@@ -34,9 +35,13 @@ StatusOr<uint64_t> BumpShardEpoch(const std::string& dir) {
   StatusOr<std::vector<uint8_t>> bytes = storage::ReadFile(path);
   if (bytes.ok()) {
     const char* begin = reinterpret_cast<const char*>(bytes->data());
-    const auto [ptr, parse_ec] =
-        std::from_chars(begin, begin + bytes->size(), epoch);
-    if (parse_ec != std::errc()) {
+    const char* end = begin + bytes->size();
+    const auto [ptr, parse_ec] = std::from_chars(begin, end, epoch);
+    // Trailing bytes mean damage ("12s" was "123"), and the largest value
+    // has no successor: either would restart at an epoch the root has
+    // already seen and drop this shard's frames as stale.
+    if (parse_ec != std::errc() || ptr != end ||
+        epoch == std::numeric_limits<uint64_t>::max()) {
       return Status::DataLoss("shard epoch file is corrupt: " + path);
     }
   }

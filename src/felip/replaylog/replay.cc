@@ -1,59 +1,29 @@
 #include "felip/replaylog/replay.h"
 
+#include <cstring>
 #include <utility>
 
 #include "felip/obs/metrics.h"
 #include "felip/obs/trace.h"
-#include "felip/replaylog/format.h"
-#include "felip/replaylog/store.h"
+#include "felip/snapshot/format.h"
 #include "felip/snapshot/pipeline_snapshot.h"
 #include "felip/storage/storage.h"
 #include "felip/svc/dedup.h"
 #include "felip/svc/message.h"
-#include "felip/wire/framing.h"
 #include "felip/wire/wire.h"
 
 namespace felip::replaylog {
 
-std::vector<uint8_t> EncodePlan(
-    const core::FelipConfig& config, uint64_t num_users,
-    const std::vector<data::AttributeInfo>& schema) {
-  const std::vector<uint8_t> config_bytes =
-      snapshot::EncodeConfigSection(config, num_users);
-  const std::vector<uint8_t> schema_bytes =
-      snapshot::EncodeSchemaSection(schema);
-  std::vector<uint8_t> plan;
-  wire::Writer w(&plan);
-  w.Put<uint32_t>(static_cast<uint32_t>(config_bytes.size()));
-  w.PutBytes(config_bytes.data(), config_bytes.size());
-  w.Put<uint32_t>(static_cast<uint32_t>(schema_bytes.size()));
-  w.PutBytes(schema_bytes.data(), schema_bytes.size());
-  return plan;
+namespace {
+
+// Reads the section at the head of `reader` when it has `id`.
+bool NextIs(snapshot::SectionReader* reader, snapshot::SectionId id,
+            snapshot::Section* section) {
+  const StatusOr<bool> next = reader->Next(section);
+  return next.ok() && *next && section->id == id;
 }
 
-Status DecodePlan(const std::vector<uint8_t>& plan, core::FelipConfig* config,
-                  uint64_t* num_users,
-                  std::vector<data::AttributeInfo>* schema) {
-  wire::Reader r(plan);
-  uint32_t config_len = 0;
-  if (!r.GetLength(&config_len, 1)) {
-    return Status::InvalidArgument("replay log plan is truncated");
-  }
-  std::vector<uint8_t> config_bytes(r.cursor(), r.cursor() + config_len);
-  r.Skip(config_len);
-  uint32_t schema_len = 0;
-  if (!r.GetLength(&schema_len, 1)) {
-    return Status::InvalidArgument("replay log plan is truncated");
-  }
-  std::vector<uint8_t> schema_bytes(r.cursor(), r.cursor() + schema_len);
-  r.Skip(schema_len);
-  if (r.remaining() != 0) {
-    return Status::InvalidArgument("replay log plan has trailing bytes");
-  }
-  FELIP_RETURN_IF_ERROR(
-      snapshot::DecodeConfigSection(config_bytes, config, num_users));
-  return snapshot::DecodeSchemaSection(schema_bytes, schema);
-}
+}  // namespace
 
 StatusOr<ReplayResult> ReplayLog(const std::string& dir,
                                  const ReplayOverrides& overrides) {
@@ -85,37 +55,41 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
     return Status::NotFound("no report log segments under: " + dirs.front());
   }
 
-  // Pass 1 over headers happens lazily inside the single pass below: the
-  // first verified header fixes the plan; later headers must match it
-  // byte for byte.
+  // The first segment whose header and plan verify fixes the plan; later
+  // segments must carry the same plan section payloads.
   ReplayStats stats;
   std::optional<core::FelipPipeline> pipeline;
-  std::vector<uint8_t> plan;
+  std::vector<uint8_t> plan_config;
+  std::vector<uint8_t> plan_schema;
   svc::DedupWindow dedup;
   // The drain thread's decoder, reused for every batch of the log; it
   // bounds what it retains between batches.
   wire::ReportChunkDecoder decoder;
+  snapshot::Section section;
+  std::vector<uint8_t> frame;
 
   for (const std::string& path : segments) {
     StatusOr<std::vector<uint8_t>> bytes = storage::ReadFile(path);
-    if (!bytes.ok()) {
-      stats.segments_damaged += 1;
-      damaged_total.Increment();
-      continue;
-    }
-    StatusOr<SegmentParser> parser = SegmentParser::Open(*std::move(bytes));
-    if (!parser.ok()) {
+    StatusOr<snapshot::SectionReader> reader =
+        bytes.ok() ? snapshot::SectionReader::Open(*std::move(bytes))
+                   : StatusOr<snapshot::SectionReader>(bytes.status());
+    snapshot::Section config_section;
+    snapshot::Section schema_section;
+    if (!reader.ok() || reader->state_byte() != snapshot::kLogSegment ||
+        !NextIs(&*reader, snapshot::SectionId::kConfig, &config_section) ||
+        !NextIs(&*reader, snapshot::SectionId::kSchema, &schema_section)) {
       stats.segments_damaged += 1;
       damaged_total.Increment();
       continue;
     }
     if (!pipeline.has_value()) {
-      plan = parser->plan();
       core::FelipConfig config;
       uint64_t num_users = 0;
       std::vector<data::AttributeInfo> schema;
+      FELIP_RETURN_IF_ERROR(snapshot::DecodeConfigSection(
+          config_section.payload, &config, &num_users));
       FELIP_RETURN_IF_ERROR(
-          DecodePlan(plan, &config, &num_users, &schema));
+          snapshot::DecodeSchemaSection(schema_section.payload, &schema));
       if (overrides.normalization.has_value()) {
         config.normalization = *overrides.normalization;
       }
@@ -130,37 +104,45 @@ StatusOr<ReplayResult> ReplayLogs(std::span<const std::string> dirs,
       }
       pipeline.emplace(std::move(schema), num_users, std::move(config));
       pipeline->BeginIngest();
-    } else if (parser->plan() != plan) {
+      plan_config = std::move(config_section.payload);
+      plan_schema = std::move(schema_section.payload);
+    } else if (config_section.payload != plan_config ||
+               schema_section.payload != plan_schema) {
       return Status::FailedPrecondition(
           "report log segments carry different plans: " + path);
     }
     stats.segments_read += 1;
 
-    LogRecord record;
     while (true) {
-      StatusOr<bool> next = parser->Next(&record);
-      if (!next.ok()) {
-        // Torn or corrupt tail: everything before it already replayed.
+      const StatusOr<bool> next = reader->Next(&section);
+      if (next.ok() && !*next) break;
+      if (!next.ok() || section.id != snapshot::SectionId::kBatch ||
+          section.payload.size() < sizeof(uint64_t)) {
+        // Torn or corrupt tail, or a section a log never holds:
+        // everything before it already replayed.
         stats.segments_damaged += 1;
         damaged_total.Increment();
         break;
       }
-      if (!*next) break;
+      uint64_t key = 0;
+      std::memcpy(&key, section.payload.data(), sizeof(key));
+      frame.assign(section.payload.begin() + sizeof(key),
+                   section.payload.end());
 
       // Mirror the live server's gates: trailer verification
       // (HandleFrame), trailer-keyed dedup, then the structural validation
       // and chunked decode of the verified frame (DrainLoop), so replay
       // validates and orders reports exactly as the server did.
-      if (!svc::VerifyChecksumTrailer(record.payload) ||
-          svc::ChecksumTrailer(record.payload).value_or(0) != record.key) {
+      if (!svc::VerifyChecksumTrailer(frame) ||
+          svc::ChecksumTrailer(frame).value_or(0) != key) {
         stats.batches_undecodable += 1;
         continue;
       }
-      if (!dedup.Insert(record.key)) {
+      if (!dedup.Insert(key)) {
         stats.batches_duplicate += 1;
         continue;
       }
-      if (!decoder.Validate(record.payload).ok()) {
+      if (!decoder.Validate(frame).ok()) {
         stats.batches_undecodable += 1;
         continue;
       }

@@ -18,13 +18,13 @@
 // (the server's admission horizon is the same kDefaultDedupCapacity; a
 // log long enough to wrap it would double-count on the live side too).
 //
-// Reading is recovery-oriented, like snapshot recovery: a segment with a
-// damaged header is skipped whole, a segment with a torn or corrupt tail
-// contributes every record up to the last good boundary, and both are
-// counted in ReplayStats rather than failing the replay. The only hard
-// failures are an empty/unreadable log and segments whose plans disagree
-// — byte-identical plan blobs are how two segments prove they belong to
-// one collection round.
+// Reading is recovery-oriented, like snapshot recovery: a segment whose
+// header or plan sections do not verify is skipped whole, a segment with
+// a torn or corrupt tail contributes every batch up to the last good
+// section boundary, and both are counted in ReplayStats rather than
+// failing the replay. The only hard failures are an empty/unreadable log
+// and segments whose plans disagree — byte-identical plan sections are
+// how two segments prove they belong to one collection round.
 //
 // ReplayOverrides is the estimator-comparison surface (ROADMAP item 5):
 // every field re-runs post-processing a different way against the frozen
@@ -44,20 +44,9 @@
 #include "felip/common/status.h"
 #include "felip/core/felip.h"
 #include "felip/post/norm_sub.h"
+#include "felip/replaylog/store.h"
 
 namespace felip::replaylog {
-
-// The plan blob every segment header carries: the full FelipConfig,
-// population size, and schema — everything needed to replan the identical
-// grid layout with no out-of-band context. Encoded with the snapshot
-// format's config/schema section codecs, so the two durable formats can
-// never drift apart.
-std::vector<uint8_t> EncodePlan(const core::FelipConfig& config,
-                                uint64_t num_users,
-                                const std::vector<data::AttributeInfo>& schema);
-Status DecodePlan(const std::vector<uint8_t>& plan, core::FelipConfig* config,
-                  uint64_t* num_users,
-                  std::vector<data::AttributeInfo>* schema);
 
 // Post-processing knobs to swap out relative to the logged plan. Every
 // field is layout-neutral (grid planning never reads it).
@@ -69,8 +58,8 @@ struct ReplayOverrides {
 };
 
 struct ReplayStats {
-  uint64_t segments_read = 0;     // headers that verified
-  uint64_t segments_damaged = 0;  // skipped headers + torn/corrupt tails
+  uint64_t segments_read = 0;     // headers and plans that verified
+  uint64_t segments_damaged = 0;  // skipped segments + torn/corrupt tails
   uint64_t batches_replayed = 0;
   uint64_t batches_duplicate = 0;    // dropped by the idempotency window
   uint64_t batches_undecodable = 0;  // bad trailer or structural decode
@@ -85,7 +74,7 @@ struct ReplayResult {
 };
 
 // Replays every segment under `dir`. kNotFound when the directory holds
-// no segments, kDataLoss when no segment header verifies,
+// no segments, kDataLoss when no segment header and plan verify,
 // kFailedPrecondition when verified segments carry different plans, and
 // any plan-decode failure as-is.
 StatusOr<ReplayResult> ReplayLog(const std::string& dir,
@@ -94,7 +83,7 @@ StatusOr<ReplayResult> ReplayLog(const std::string& dir,
 // Multi-log variant for auditing a distributed round offline: replays the
 // union of every directory's segments (directory-major, oldest first
 // within each) into ONE pipeline, with a single shared dedup window.
-// Every shard of a round logs the identical plan blob — shards plan with
+// Every shard of a round logs the identical plan — shards plan with
 // the global population — so the cross-segment plan check spans
 // directories unchanged, and the shared window drops a batch that somehow
 // appears in two shard logs exactly like one server would have.

@@ -3,11 +3,14 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <deque>
 #include <mutex>
 #include <thread>
 #include <utility>
 
+#include "felip/common/check.h"
+#include "felip/snapshot/pipeline_snapshot.h"
 #include "felip/storage/storage.h"
 
 namespace felip::replaylog {
@@ -19,6 +22,17 @@ constexpr char kSealedSuffix[] = ".flog";
 constexpr char kOpenSuffix[] = ".open";
 
 }  // namespace
+
+std::vector<uint8_t> EncodePlan(
+    const core::FelipConfig& config, uint64_t num_users,
+    const std::vector<data::AttributeInfo>& schema) {
+  std::vector<uint8_t> plan;
+  snapshot::AppendSection(&plan, snapshot::SectionId::kConfig,
+                          {snapshot::EncodeConfigSection(config, num_users)});
+  snapshot::AppendSection(&plan, snapshot::SectionId::kSchema,
+                          {snapshot::EncodeSchemaSection(schema)});
+  return plan;
+}
 
 // Three stages, three owners:
 //   Append (caller)  — encode + push onto `queue` under `mutex`;
@@ -32,17 +46,19 @@ constexpr char kOpenSuffix[] = ".open";
 // pushed; Seal additionally waits for a seal epoch to complete. Failures
 // accumulate in `io_failures` and are consumed once per barrier.
 struct LogWriter::Impl {
-  Impl(const std::string& dir, std::vector<uint8_t> plan_bytes,
+  Impl(const std::string& dir, const std::vector<uint8_t>& plan,
        LogWriterOptions writer_options)
       : series(dir, kPrefix, {kSealedSuffix, kOpenSuffix},
                writer_options.keep_segments),
-        plan(std::move(plan_bytes)),
-        options(writer_options) {}
+        options(writer_options) {
+    snapshot::AppendHeader(&head, snapshot::kLogSegment);
+    head.insert(head.end(), plan.begin(), plan.end());
+  }
 
   // .flog segments are committed, .open ones are being written; both
   // share one sequence space.
   storage::FileSeries series;
-  std::vector<uint8_t> plan;
+  std::vector<uint8_t> head;  // every segment's header and plan sections
   LogWriterOptions options;
 
   // --- Append <-> writer handoff, under `mutex` ---
@@ -183,8 +199,7 @@ struct LogWriter::Impl {
     if (!storage::CreateDirectories(series.dir()).ok()) return false;
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) return false;
-    const std::vector<uint8_t> header = EncodeSegmentHeader(plan);
-    if (std::fwrite(header.data(), 1, header.size(), f) != header.size() ||
+    if (std::fwrite(head.data(), 1, head.size(), f) != head.size() ||
         std::fflush(f) != 0) {
       std::fclose(f);
       std::remove(path.c_str());
@@ -195,7 +210,7 @@ struct LogWriter::Impl {
     std::setvbuf(f, nullptr, _IONBF, 0);
     file = f;
     active_seq = seq;
-    active_bytes = header.size();
+    active_bytes = head.size();
     active_records = 0;
     series.Advance(seq);
     return true;
@@ -283,7 +298,7 @@ StatusOr<LogWriter> LogWriter::Open(const std::string& dir,
   // The series resumes the sequence past every existing segment — sealed
   // or a crashed writer's leftover .open — so a committed name is never
   // reused. OpenSegment creates `dir`.
-  auto impl = std::make_unique<Impl>(dir, std::move(plan), options);
+  auto impl = std::make_unique<Impl>(dir, plan, options);
   if (impl->options.max_buffered_bytes == 0) {
     impl->options.max_buffered_bytes = impl->options.segment_bytes;
   }
@@ -326,12 +341,16 @@ uint64_t LogWriter::bytes_appended() const {
 }
 
 Status LogWriter::Append(RecordType type, uint64_t key,
-                         std::span<const uint8_t> payload) {
+                         std::span<const uint8_t> frame) {
+  FELIP_CHECK_MSG(type == RecordType::kBatch,
+                  "the report log appends batch sections only");
   Impl& impl = *impl_;
   std::vector<uint8_t> record;
-  // type u8 + payload_len u32 + key u64 + payload + xxh64 seal
-  record.reserve(1 + 4 + 8 + payload.size() + 8);
-  AppendRecord(&record, type, key, payload);
+  // id u8 + len u64 + key u64 + frame + xxh64
+  record.reserve(1 + 8 + 8 + frame.size() + 8);
+  uint8_t key_bytes[sizeof(key)];
+  std::memcpy(key_bytes, &key, sizeof(key));
+  snapshot::AppendSection(&record, type, {key_bytes, frame});
   const uint64_t record_bytes = record.size();
 
   std::unique_lock<std::mutex> lock(impl.mutex);

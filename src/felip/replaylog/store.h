@@ -1,4 +1,32 @@
-// On-disk report log store: segment files, rotation, crash discipline.
+// On-disk report log store: segment layout, rotation, crash discipline.
+//
+// Reports leaving FELIP clients are already LDP-perturbed, so persisting
+// them verbatim is privacy-safe — and a frozen log of every drained batch
+// is exactly what offline estimator comparison needs: one corpus, many
+// post-processing configurations, all digest-compared (see
+// felip/replaylog/replay.h and docs/replay.md).
+//
+// A segment is an unsealed FSNP section file (felip/snapshot/format.h):
+//
+//   [header, state byte kLogSegment]
+//   [kConfig section] [kSchema section]   the plan (EncodePlan)
+//   [kBatch section]*                     one per Append: [key u64][frame]
+//
+// The plan carries the full FelipConfig + population size + schema, so a
+// segment replays with no out-of-band context; every segment of one log
+// starts with byte-identical plan sections. A kBatch payload is the
+// batch's idempotency key (its wire checksum trailer) followed by the
+// complete encoded wire::ReportBatch frame, envelope and trailer
+// untouched.
+//
+// Truncation semantics are the format's contract (and what
+// tests/replaylog pins): the log is appended a whole section at a time,
+// so a reader either consumes a complete checksum-valid section or stops
+// at the last good section boundary with kDataLoss. Every section's id is
+// fixed by its position (the two plan sections, then batches only), so a
+// section with any other id is damage too, never skipped. No prefix of a
+// valid segment ever yields a torn batch, and no bit flip survives the
+// per-section checksum.
 //
 // A LogWriter owns one directory of segment files, the report-log schema
 // of storage::FileSeries: the active segment is reportlog-<seq>.open, and
@@ -34,10 +62,10 @@
 //
 // Readers take both spellings: .flog segments are whole by construction,
 // and leftover .open segments (a crashed writer) are expected to end in a
-// torn tail the per-record checksums cut at the last record boundary
-// (felip/replaylog/format.h). A crashed writer's leftover .open is never
-// appended to or renamed on restart — its tail is unverified, and the
-// ".flog = complete" invariant is worth more than a tidy directory.
+// torn tail the per-section checksums cut at the last section boundary.
+// A crashed writer's leftover .open is never appended to or renamed on
+// restart — its tail is unverified, and the ".flog = complete" invariant
+// is worth more than a tidy directory.
 //
 // Rotation keeps the newest keep_segments sealed files; the default (0)
 // keeps everything, because replay needs the full history. Bound it only
@@ -53,9 +81,20 @@
 #include <vector>
 
 #include "felip/common/status.h"
-#include "felip/replaylog/format.h"
+#include "felip/core/felip.h"
+#include "felip/snapshot/format.h"
 
 namespace felip::replaylog {
+
+// What LogWriter::Append writes: only SectionId::kBatch.
+using RecordType = snapshot::SectionId;
+
+// The plan sections every segment of a log starts with after its header:
+// kConfig and kSchema, encoded with the snapshot format's section codecs,
+// so the two durable artifacts can never drift apart.
+std::vector<uint8_t> EncodePlan(const core::FelipConfig& config,
+                                uint64_t num_users,
+                                const std::vector<data::AttributeInfo>& schema);
 
 struct LogWriterOptions {
   // Seal and rotate the active segment once it reaches this many bytes.
@@ -70,9 +109,10 @@ struct LogWriterOptions {
 
 class LogWriter {
  public:
-  // Creates `dir` if absent and opens the first segment, whose header
-  // carries `plan` (as will every subsequent segment's — replay requires
-  // byte-identical plans across one log). kUnavailable on I/O failure.
+  // Creates `dir` if absent and opens the first segment, which starts
+  // with the header and `plan` (EncodePlan's bytes; so will every later
+  // segment — replay requires identical plans across one log).
+  // kUnavailable on I/O failure.
   static StatusOr<LogWriter> Open(const std::string& dir,
                                   std::vector<uint8_t> plan,
                                   LogWriterOptions options = {});
@@ -83,12 +123,13 @@ class LogWriter {
   LogWriter(const LogWriter&) = delete;
   LogWriter& operator=(const LogWriter&) = delete;
 
-  // Encodes one record and queues it for the writer thread; no file I/O
-  // on this path. Blocks only when max_buffered_bytes of records are
-  // already queued. I/O errors from earlier records are not reported
-  // here — they surface at the next Flush()/Seal() barrier.
+  // Encodes one batch section (`type` must be kBatch) carrying `key` and
+  // `frame`, and queues it for the writer thread; no file I/O on this
+  // path. Blocks only when max_buffered_bytes of records are already
+  // queued. I/O errors from earlier records are not reported here — they
+  // surface at the next Flush()/Seal() barrier.
   Status Append(RecordType type, uint64_t key,
-                std::span<const uint8_t> payload);
+                std::span<const uint8_t> frame);
 
   // Barrier: waits until every record appended so far has been written
   // and flushed to the OS. After Flush() returns Ok those records are in

@@ -61,8 +61,8 @@ std::vector<uint8_t> EncodeConfigSection(const FelipConfig& config,
   w.Put<int32_t>(config.response_matrix_options.max_iterations);
   w.Put<double>(config.lambda_threshold);
   w.Put<uint8_t>(config.lambda_quadrant_fit ? 1 : 0);
-  // Retired thread-count slot: always 0, kept so every FSNP, FRLG and
-  // FESG file and every plan digest keeps its layout.
+  // Retired thread-count slot: always 0, kept so every snapshot, epoch
+  // segment and report log, and every plan digest, keeps its layout.
   w.Put<uint32_t>(0);
   w.Put<uint64_t>(config.seed);
   return payload;
@@ -400,7 +400,8 @@ Status PipelineCodec::DecodeOracleSection(
 }
 
 std::vector<uint8_t> PipelineCodec::Encode(
-    const FelipPipeline& pipeline, std::span<const uint64_t> dedup_keys) {
+    const FelipPipeline& pipeline, std::span<const uint64_t> dedup_keys,
+    uint64_t epoch_seq) {
   SnapshotWriter writer(static_cast<uint8_t>(pipeline.state_));
   writer.AppendSection(
       SectionId::kConfig,
@@ -425,6 +426,11 @@ std::vector<uint8_t> PipelineCodec::Encode(
       break;
   }
   writer.AppendSection(SectionId::kDedup, EncodeDedup(dedup_keys));
+  if (epoch_seq != 0) {
+    std::vector<uint8_t> seq;
+    Writer(&seq).Put<uint64_t>(epoch_seq);
+    writer.AppendSection(SectionId::kEpoch, seq);
+  }
   return std::move(writer).Finish();
 }
 
@@ -459,6 +465,14 @@ StatusOr<RecoveredPipeline> PipelineCodec::Decode(
   if (const std::vector<uint8_t>* dedup =
           reader.FindSection(SectionId::kDedup)) {
     FELIP_RETURN_IF_ERROR(DecodeDedup(*dedup, &dedup_keys));
+  }
+  uint64_t epoch_seq = 0;
+  if (const std::vector<uint8_t>* epoch =
+          reader.FindSection(SectionId::kEpoch)) {
+    Reader r(*epoch);
+    if (!r.Get(&epoch_seq) || r.remaining() != 0 || epoch_seq == 0) {
+      return Malformed("snapshot epoch section needs a sequence >= 1");
+    }
   }
 
   // Grid planning is deterministic in (schema, num_users, config), so the
@@ -539,7 +553,8 @@ StatusOr<RecoveredPipeline> PipelineCodec::Decode(
     }
   }
 
-  return RecoveredPipeline{std::move(pipeline), std::move(dedup_keys)};
+  return RecoveredPipeline{std::move(pipeline), std::move(dedup_keys),
+                           epoch_seq};
 }
 
 }  // namespace felip::snapshot

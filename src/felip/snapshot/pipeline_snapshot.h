@@ -17,6 +17,9 @@
 //     exactly as Finalize() builds them.
 //   * kDedup — the ingest service's drained trailer keys, oldest first, so
 //     a restarted server recognizes resent batches it already counted.
+//   * kEpoch (epoch segments only) — the sealed epoch's sequence number.
+//     An epoch segment is the sealed pipeline's snapshot plus this one
+//     section; its reports and epsilon are the kState and kConfig values.
 //
 // Decode validates everything semantically (shape against the replanned
 // layout, oracle state via FrequencyOracle::RestoreState) and returns
@@ -40,13 +43,15 @@ namespace felip::snapshot {
 struct RecoveredPipeline {
   core::FelipPipeline pipeline;
   std::vector<uint64_t> dedup_keys;
+  // The kEpoch sequence (>= 1) of an epoch segment; 0 for a checkpoint.
+  uint64_t epoch_seq = 0;
 };
 
 // --- Shared section codecs ---
 //
-// The kConfig / kSchema section payloads double as the "plan descriptor"
-// other durable formats embed (the report log in felip/replaylog writes
-// one into every segment header), so their codecs are exposed here.
+// The kConfig / kSchema sections double as the plan of a report-log
+// segment (felip/replaylog writes both at the head of every segment), so
+// their codecs are exposed here.
 // Grid planning is deterministic in (schema, num_users, config): any two
 // artifacts carrying equal section bytes replan the identical layout.
 // Decoding validates semantically (enum ranges, positive epsilon,
@@ -64,13 +69,16 @@ Status DecodeSchemaSection(const std::vector<uint8_t>& payload,
 
 class PipelineCodec {
  public:
-  // Serializes `pipeline` (any state) and `dedup_keys` to snapshot bytes.
+  // Serializes `pipeline` (any state) and `dedup_keys` to snapshot bytes;
+  // a nonzero `epoch_seq` adds the kEpoch section of an epoch segment.
   // Never fails: encoding reads only in-memory state the pipeline already
   // validated.
   static std::vector<uint8_t> Encode(const core::FelipPipeline& pipeline,
-                                     std::span<const uint64_t> dedup_keys);
+                                     std::span<const uint64_t> dedup_keys,
+                                     uint64_t epoch_seq = 0);
 
   // Verifies and decodes `bytes` into a pipeline in the captured state.
+  // A kEpoch section must hold a sequence >= 1.
   static StatusOr<RecoveredPipeline> Decode(
       const std::vector<uint8_t>& bytes);
 

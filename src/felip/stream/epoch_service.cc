@@ -6,7 +6,6 @@
 #include "felip/common/check.h"
 #include "felip/obs/metrics.h"
 #include "felip/obs/trace.h"
-#include "felip/snapshot/pipeline_snapshot.h"
 #include "felip/stream/streaming.h"
 
 namespace felip::stream {
@@ -165,22 +164,15 @@ EpochRotationService::RecoveredEpochs EpochRotationService::RecoverSegments() {
   LoadedEpochs loaded = store_->LoadAll();
   recovered.segments_skipped = loaded.files_skipped;
   for (EpochSegment& segment : loaded.segments) {
-    StatusOr<snapshot::RecoveredPipeline> state =
-        snapshot::PipelineCodec::Decode(segment.snapshot);
-    if (!state.ok() ||
-        state->pipeline.state() != core::PipelineState::kQueryable) {
-      ++recovered.segments_skipped;
-      continue;
-    }
-    recovered.dedup_keys.insert(recovered.dedup_keys.end(),
-                                state->dedup_keys.begin(),
-                                state->dedup_keys.end());
+    std::vector<uint64_t>& keys = segment.state.dedup_keys;
+    recovered.dedup_keys.insert(recovered.dedup_keys.end(), keys.begin(),
+                                keys.end());
     SealedEpoch epoch;
     epoch.seq = segment.seq;
-    epoch.reports = segment.reports;
-    epoch.epsilon = segment.epsilon;
+    epoch.reports = segment.reports();
+    epoch.epsilon = segment.epsilon();
     epoch.pipeline = std::make_shared<core::FelipPipeline>(
-        std::move(state->pipeline));
+        std::move(segment.state.pipeline));
     epochs_->Append(std::move(epoch));
     ++recovered.segments_loaded;
   }
@@ -208,27 +200,22 @@ StatusOr<std::string> EpochRotationService::SealEpoch(
                   "SealEpoch needs a collecting, sealed, or finalized "
                   "pipeline");
 
-  EpochSegment segment;
-  segment.seq = std::max(store_->next_seq(), epochs_->newest_seq() + 1);
-  segment.reports = pipeline->reports_ingested();
-  segment.epsilon = pipeline->config().epsilon;
-  segment.snapshot =
-      snapshot::PipelineCodec::Encode(*pipeline, drained_keys);
-
   SealedEpoch epoch;
-  epoch.seq = segment.seq;
-  epoch.reports = segment.reports;
-  epoch.epsilon = segment.epsilon;
+  epoch.seq = std::max(store_->next_seq(), epochs_->newest_seq() + 1);
+  epoch.reports = pipeline->reports_ingested();
+  epoch.epsilon = pipeline->config().epsilon;
+  StatusOr<std::string> path =
+      store_->Write(epoch.seq, *pipeline, drained_keys);
   epoch.pipeline = std::move(pipeline);
+  const uint64_t reports = epoch.reports;
 
-  StatusOr<std::string> path = store_->Write(segment);
   // Serve the epoch either way: a failed commit degrades what a restart
   // can recover, not what live queries see (and the counter is the
   // operator's durability signal, mirroring checkpoint failures).
   epochs_->Append(std::move(epoch));
   ++epochs_sealed_;
   counters.seals.Increment();
-  counters.reports.Increment(segment.reports);
+  counters.reports.Increment(reports);
   counters.window_epsilon.Set(epochs_->WindowBudget().sum_epsilon);
   if (!path.ok()) {
     ++seal_failures_;

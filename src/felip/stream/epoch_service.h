@@ -49,10 +49,10 @@
 
 namespace felip::stream {
 
-// One sealed epoch held in memory: the decoded segment header plus its
-// queryable pipeline. The pipeline is shared because an answer in flight
-// on the IO thread may still be reading an epoch the rotation path is
-// evicting from the window.
+// One sealed epoch held in memory: its sequence, report count and budget
+// plus its queryable pipeline. The pipeline is shared because an answer
+// in flight on the IO thread may still be reading an epoch the rotation
+// path is evicting from the window.
 struct SealedEpoch {
   uint64_t seq = 0;
   uint64_t reports = 0;
@@ -126,8 +126,8 @@ class EpochRotationService {
   // What RecoverSegments could reconstruct from the store's directory.
   struct RecoveredEpochs {
     size_t segments_loaded = 0;
-    // Damaged files plus segments whose embedded snapshot fails to decode
-    // or is not queryable: one bad epoch costs that epoch, never recovery.
+    // Files that are damaged, fail to decode, or are not queryable epoch
+    // segments: one bad epoch costs that epoch, never recovery.
     size_t segments_skipped = 0;
     // Union of every recovered segment's drained batch keys, oldest
     // segment first — preseed the ingest server's dedup windows with

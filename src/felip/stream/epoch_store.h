@@ -2,15 +2,13 @@
 //
 // The service-tier promotion of the in-process streaming collector
 // (streaming.h) seals each finished epoch's pipeline into one immutable
-// segment file, epoch-<seq>.fesg:
-//
-//   [magic 'FESG' u32][version u8][seq u64][reports u64][epsilon f64]
-//   [snapshot_len u64][PipelineCodec bytes][salted xxHash64 trailer]
-//
-// The embedded snapshot is the full PipelineCodec encoding of the sealed
-// (kQueryable) pipeline plus the batch dedup keys drained into that epoch,
-// so a restarted server can both answer windowed queries from the segment
-// set and recognize resent batches the sealed epochs already counted.
+// segment file, epoch-<seq>.fesg. A segment is a sealed FSNP snapshot
+// (felip/snapshot/format.h): the PipelineCodec encoding of the finalized
+// (kQueryable) pipeline and the batch dedup keys drained into that epoch,
+// plus a kEpoch section holding the sequence. A restarted server can both
+// answer windowed queries from the segment set and recognize resent
+// batches the sealed epochs already counted. The epoch's report count and
+// privacy budget are the snapshot's kState and kConfig values.
 //
 // EpochStore is the epoch-segment schema of storage::FileSeries: atomic,
 // durable commits, keep-last-N compaction after each seal, and a sequence
@@ -24,36 +22,37 @@
 #define FELIP_STREAM_EPOCH_STORE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "felip/common/status.h"
+#include "felip/core/felip.h"
+#include "felip/snapshot/pipeline_snapshot.h"
 #include "felip/storage/storage.h"
 
 namespace felip::stream {
 
-// One sealed epoch, as persisted. `seq` is 1-based and equals the 0-based
+// One sealed epoch, as recovered. `seq` is 1-based and equals the 0-based
 // epoch index + 1 (epoch 0 seals as epoch-1.fesg), so the highest sealed
 // sequence is also the count of epochs ever sealed.
 struct EpochSegment {
   uint64_t seq = 0;
-  uint64_t reports = 0;   // users counted by the sealed pipeline
-  double epsilon = 0.0;   // per-epoch privacy budget spent (eps-LDP)
-  std::vector<uint8_t> snapshot;  // PipelineCodec bytes (pipeline + keys)
+  // The queryable pipeline and the drained keys sealed with it.
+  snapshot::RecoveredPipeline state;
+
+  // Users counted by the sealed pipeline.
+  uint64_t reports() const { return state.pipeline.reports_ingested(); }
+  // Per-epoch privacy budget spent (eps-LDP).
+  double epsilon() const { return state.pipeline.config().epsilon; }
 };
-
-// Serializes `segment` with the sealed checksum trailer. Never fails.
-std::vector<uint8_t> EncodeEpochSegment(const EpochSegment& segment);
-
-// Verifies and decodes segment bytes. kDataLoss on truncation or checksum
-// mismatch, kInvalidArgument on wrong magic / unsupported version /
-// non-finite budget — these bytes come from disk and must fail cleanly.
-StatusOr<EpochSegment> DecodeEpochSegment(const std::vector<uint8_t>& bytes);
 
 // Everything LoadAll could recover from a segment directory.
 struct LoadedEpochs {
   std::vector<EpochSegment> segments;  // oldest first (ascending seq)
-  size_t files_skipped = 0;            // present but damaged / undecodable
+  // Present but unusable: unreadable, damaged, not an epoch segment,
+  // renamed to another sequence, or not queryable.
+  size_t files_skipped = 0;
 };
 
 class EpochStore {
@@ -65,15 +64,18 @@ class EpochStore {
   // to compaction.
   explicit EpochStore(std::string dir, size_t keep_last_n = 8);
 
-  // Commits `segment` and compacts segments beyond keep_last_n; returns
-  // the committed file's path. segment.seq must be >= next_seq() — seals
-  // are sequential, but a failed commit may leave a gap the next seal
-  // skips over (degraded durability for that one epoch, never a clobbered
+  // Encodes the finalized `pipeline` and `drained_keys` as segment `seq`,
+  // commits it and compacts segments beyond keep_last_n; returns the
+  // committed file's path. `seq` must be >= next_seq() — seals are
+  // sequential, but a failed commit may leave a gap the next seal skips
+  // over (degraded durability for that one epoch, never a clobbered
   // committed file).
-  StatusOr<std::string> Write(const EpochSegment& segment);
+  StatusOr<std::string> Write(uint64_t seq,
+                              const core::FelipPipeline& pipeline,
+                              std::span<const uint64_t> drained_keys);
 
-  // Decodes every verifiable segment in the directory, oldest first.
-  // Damaged files are skipped and counted, never fatal.
+  // Decodes every usable segment in the directory, oldest first.
+  // Unusable files are skipped and counted, never fatal.
   LoadedEpochs LoadAll() const;
 
   // The sequence the next sealed epoch will take; equivalently, one past

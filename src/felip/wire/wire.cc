@@ -26,13 +26,13 @@ namespace felip::wire {
 namespace {
 
 enum class MessageKind : uint8_t {
-  kGridConfig = 1,
-  // 2 was the single-report frame, since replaced by one-record report
-  // batches, and 3 the record-per-report batch frame, since replaced by
-  // the grid-run frame (kReportRuns); never reuse either for another kind.
-  // 4 was the single-frame snapshot, since replaced by the FSNP
-  // container (felip/snapshot); never reuse it for another kind.
-  kSnapshot = 4,
+  // Retired kinds; never reuse them for another kind:
+  //   1 the grid-config frame (devices get their GridConfigMessage from
+  //     the planned pipeline; nothing sent it);
+  //   2 the single-report frame, replaced by one-record report batches;
+  //   3 the record-per-report batch frame, replaced by kReportRuns;
+  //   4 the single-frame snapshot, replaced by the FSNP container
+  //     (felip/snapshot).
   kQueryBatch = 5,
   kQueryResponse = 6,
   kAccumulatorPull = 7,
@@ -796,92 +796,6 @@ StatusOr<size_t> DecodeReportBatchSharded(
       },
       thread_count);
   return count;
-}
-
-std::vector<uint8_t> EncodeGridConfig(const GridConfigMessage& m) {
-  std::vector<uint8_t> buffer;
-  Writer w(&buffer);
-  WriteHeader(w, MessageKind::kGridConfig);
-  w.Put<uint32_t>(m.grid_index);
-  w.Put<uint8_t>(m.is_2d ? 1 : 0);
-  w.Put<uint32_t>(m.attr_x);
-  w.Put<uint32_t>(m.attr_y);
-  w.Put<uint32_t>(m.domain_x);
-  w.Put<uint32_t>(m.domain_y);
-  w.Put<uint32_t>(m.lx);
-  w.Put<uint32_t>(m.ly);
-  w.Put<uint8_t>(static_cast<uint8_t>(m.protocol));
-  w.Put<double>(m.epsilon);
-  w.Put<uint32_t>(m.seed_pool_size);
-  w.Put<uint64_t>(m.pool_salt);
-  w.Put<uint32_t>(m.fldp_report_bits);
-  w.Put<uint32_t>(m.fldp_pool_size);
-  w.Put<uint64_t>(m.fldp_salt);
-  SealChecksum(&buffer, kChecksumSalt);
-  return buffer;
-}
-
-namespace {
-
-std::optional<GridConfigMessage> DecodeGridConfigImpl(
-    const std::vector<uint8_t>& buffer) {
-  const auto payload_end = ValidateEnvelope(buffer, MessageKind::kGridConfig);
-  if (!payload_end.has_value()) return std::nullopt;
-  Reader r(buffer);
-  uint8_t skip[6];
-  if (!r.GetBytes(skip, sizeof(skip))) return std::nullopt;
-
-  GridConfigMessage m;
-  uint8_t is_2d = 0;
-  uint8_t protocol = 0;
-  if (!r.Get(&m.grid_index) || !r.Get(&is_2d) || !r.Get(&m.attr_x) ||
-      !r.Get(&m.attr_y) || !r.Get(&m.domain_x) || !r.Get(&m.domain_y) ||
-      !r.Get(&m.lx) || !r.Get(&m.ly) || !r.Get(&protocol) ||
-      !r.Get(&m.epsilon) || !r.Get(&m.seed_pool_size) ||
-      !r.Get(&m.pool_salt) || !r.Get(&m.fldp_report_bits) ||
-      !r.Get(&m.fldp_pool_size) || !r.Get(&m.fldp_salt)) {
-    return std::nullopt;
-  }
-  if (r.position() != *payload_end) return std::nullopt;
-  if (!fo::KnownProtocolByte(protocol)) return std::nullopt;
-  m.is_2d = is_2d != 0;
-  m.protocol = static_cast<fo::Protocol>(protocol);
-  // Semantic validation: layouts must be feasible.
-  if (m.domain_x == 0 || m.domain_y == 0 || m.lx == 0 || m.ly == 0) {
-    return std::nullopt;
-  }
-  if (m.lx > m.domain_x || m.ly > m.domain_y) return std::nullopt;
-  if (!(m.epsilon > 0.0) || m.epsilon > 100.0) return std::nullopt;
-  const uint64_t cells = static_cast<uint64_t>(m.lx) * m.ly;
-  // An FLDP grid without the public pool parameters cannot perturb, and
-  // its bucket indices are uint32 — cell domains past that would silently
-  // wrap in the subset construction.
-  if (m.protocol == fo::Protocol::kFldp &&
-      (m.fldp_report_bits == 0 || m.fldp_pool_size == 0 ||
-       cells > 0xffffffffull)) {
-    return std::nullopt;
-  }
-  // A PGR grid whose (epsilon, cell count) the projective construction
-  // cannot represent would abort (or, unscreened, hit undefined behavior)
-  // in PgrParams::Make; untrusted configs are rejected instead.
-  if (m.protocol == fo::Protocol::kPgr && !fo::PgrFeasible(m.epsilon, cells)) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-}  // namespace
-
-StatusOr<GridConfigMessage> DecodeGridConfig(
-    const std::vector<uint8_t>& buffer) {
-  DecodeCounters& counters = Counters();
-  counters.bytes.Increment(buffer.size());
-  std::optional<GridConfigMessage> m = DecodeGridConfigImpl(buffer);
-  if (!m.has_value()) {
-    counters.malformed.Increment();
-    return Malformed("malformed grid-config frame");
-  }
-  return *std::move(m);
 }
 
 namespace {

@@ -1,13 +1,13 @@
 // Wire format for client↔aggregator messages.
 //
-// A real FELIP deployment ships two kinds of report-path messages:
-//   * GridConfig (aggregator -> client): which grid the client is assigned,
-//     its cell layout, the protocol and epsilon to perturb with.
-//   * ReportBatch (client or relay -> aggregator): perturbed cell reports,
-//     each an fo::ReportData (a payload and the grid it is addressed to),
-//     written as grid runs: one run header per grid and shape, then
-//     fixed-width fields (see ReportMessage below). A single report
-//     travels as a one-record batch.
+// The report path ships one message, ReportBatch (client or relay ->
+// aggregator): perturbed cell reports, each an fo::ReportData (a payload
+// and the grid it is addressed to), written as grid runs: one run header
+// per grid and shape, then fixed-width fields (see ReportMessage below).
+// A single report travels as a one-record batch. What a device perturbs
+// with — its grid, cell layout, protocol and epsilon — is a
+// GridConfigMessage that devices and simulators build from the planned
+// pipeline (MakeGridConfig); it has no frame of its own.
 //
 // Encoding is a compact little-endian binary format with a 4-byte magic, a
 // format version, and an xxHash64 trailer so truncation and corruption are
@@ -41,7 +41,7 @@ inline constexpr uint8_t kVersion = 1;
 // the format: a relay re-framing messages must use the same salt.
 inline constexpr uint64_t kChecksumSalt = 0x77697265'6373756dULL;
 
-// Aggregator -> client: everything a device needs to produce its report.
+// Everything a device needs to produce its report.
 struct GridConfigMessage {
   uint32_t grid_index = 0;  // index into the aggregator's assignment list
   bool is_2d = false;
@@ -93,14 +93,10 @@ struct GridConfigMessage {
 using ReportMessage = fo::ReportData;
 
 // --- Encoding (never fails) ---
-std::vector<uint8_t> EncodeGridConfig(const GridConfigMessage& message);
 std::vector<uint8_t> EncodeReportBatch(
     const std::vector<ReportMessage>& reports);
 
 // --- Decoding (kInvalidArgument on any malformed input) ---
-StatusOr<GridConfigMessage> DecodeGridConfig(
-    const std::vector<uint8_t>& buffer);
-
 // Whole-frame convenience: verifies the checksum trailer, validates every
 // run before anything is allocated, then decodes the batch in frame order
 // (the encoded batch's). The ingest server and the replay engine decode

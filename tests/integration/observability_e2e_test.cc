@@ -2,11 +2,15 @@
 // snapshot and a wire round-trip, a streaming ingest, and an eval-harness
 // run, the default registry's RenderText exposition must contain counters
 // and spans from every instrumented subsystem (core, fo, wire, stream,
-// eval). After a served round on top, every name it renders must have a
-// row in docs/observability.md.
+// eval). After a served round on top — faulted on the way in, logged and
+// checkpointed on the drain path, then replayed, recovered, sealed as an
+// epoch and pulled by a root — every name it renders must have a row in
+// docs/observability.md.
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <span>
 #include <sstream>
@@ -18,13 +22,22 @@
 #include "felip/common/rng.h"
 #include "felip/core/felip.h"
 #include "felip/data/synthetic.h"
+#include "felip/dist/accumulator.h"
+#include "felip/dist/root.h"
 #include "felip/eval/harness.h"
 #include "felip/obs/metrics.h"
 #include "felip/query/generator.h"
 #include "felip/query/query.h"
+#include "felip/replaylog/replay.h"
+#include "felip/replaylog/store.h"
+#include "felip/snapshot/checkpoint.h"
 #include "felip/snapshot/pipeline_snapshot.h"
+#include "felip/snapshot/store.h"
+#include "felip/stream/epoch_service.h"
+#include "felip/stream/epoch_store.h"
 #include "felip/stream/streaming.h"
 #include "felip/svc/client.h"
+#include "felip/svc/fault_injection.h"
 #include "felip/svc/loopback.h"
 #include "felip/svc/query_service.h"
 #include "felip/svc/server.h"
@@ -158,24 +171,57 @@ TEST(ObservabilityE2eTest, EveryRenderedMetricHasADocRow) {
   eval::RunMethodMae("OHG", dataset, queries,
                      std::vector<double>(queries.size(), 0.5), params);
 
-  // Served: the device batches over loopback into an ingest server, then
-  // the queries through a query server.
+  // Served: the device batches over a faulty loopback into an ingest
+  // server that logs and checkpoints every drained batch, then the
+  // queries through a query server.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "felip_obs_e2e";
+  std::filesystem::remove_all(dir);
+  const std::vector<test_support::Batch> batches =
+      test_support::MakeBatches(dataset, reference, 128);
   core::FelipPipeline served(dataset.attributes(), dataset.num_rows(),
                              config);
   svc::LoopbackTransport transport;
+  snapshot::SnapshotStore snapshots((dir / "snapshots").string());
   {
+    StatusOr<replaylog::LogWriter> log = replaylog::LogWriter::Open(
+        (dir / "log").string(),
+        replaylog::EncodePlan(config, dataset.num_rows(),
+                              dataset.attributes()));
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    snapshot::Checkpointer checkpointer(&snapshots, &served);
+    svc::IngestServerOptions options;
+    options.report_log = [&log](uint64_t key,
+                                std::span<const uint8_t> frame) {
+      return log->Append(replaylog::RecordType::kBatch, key, frame);
+    };
+    options.checkpoint_every_batches = 2;
+    options.checkpoint = [&checkpointer](std::span<const uint64_t> keys) {
+      return checkpointer.Checkpoint(keys);
+    };
     svc::PipelineSink sink(&served);
-    svc::IngestServer server(&transport, "obs-ingest", &sink);
+    svc::IngestServer server(&transport, "obs-ingest", &sink,
+                             std::move(options));
     ASSERT_TRUE(server.Start());
-    svc::IngestClient client(&transport, server.endpoint());
-    for (const test_support::Batch& batch :
-         test_support::MakeBatches(dataset, served, 128)) {
+    svc::FaultOptions faults;
+    faults.drop_prob = 0.3;
+    faults.seed = 5;
+    svc::FaultInjectingTransport faulty(&transport, faults);
+    svc::IngestClientOptions client_options;
+    client_options.response_timeout_ms = 100;
+    client_options.max_attempts = 64;
+    svc::IngestClient client(&faulty, server.endpoint(), client_options);
+    for (const test_support::Batch& batch : batches) {
       ASSERT_TRUE(client.SendBatch(batch).ok());
     }
+    EXPECT_GT(faulty.faults_injected(), 0u);
     ASSERT_TRUE(server.WaitForReports(dataset.num_rows(), 30000));
     server.Stop();
     sink.Finish();
+    ASSERT_TRUE(log->Seal().ok());
   }
+  ASSERT_TRUE(replaylog::ReplayLog((dir / "log").string()).ok());
+  ASSERT_TRUE(snapshot::RecoverFromStore(snapshots).ok());
   served.Finalize();
   svc::QueryServer query_server(&transport, "obs-query", &served);
   ASSERT_TRUE(query_server.Start());
@@ -183,6 +229,50 @@ TEST(ObservabilityE2eTest, EveryRenderedMetricHasADocRow) {
                   .AnswerQueries(queries)
                   .ok());
   query_server.Stop();
+
+  // The same reports sealed as an epoch, recovered from its segment, and
+  // pulled from a one-shard accumulator by a root.
+  const auto ingested = [&] {
+    auto pipeline = std::make_unique<core::FelipPipeline>(
+        dataset.attributes(), dataset.num_rows(), config);
+    pipeline->BeginIngest();
+    for (const test_support::Batch& batch : batches) {
+      pipeline->IngestReports(batch);
+    }
+    return pipeline;
+  };
+  {
+    stream::EpochStore store((dir / "epochs").string(), 2);
+    stream::EpochSet epochs(2);
+    stream::EpochRotationService rotation(&store, &epochs);
+    ASSERT_TRUE(rotation.SealEpoch(ingested(), {}).ok());
+    ASSERT_TRUE(epochs.AnswerWindowed(queries, 0, 1.0).ok());
+    stream::EpochSet recovered_epochs(2);
+    EXPECT_EQ(stream::EpochRotationService(&store, &recovered_epochs)
+                  .RecoverSegments()
+                  .segments_loaded,
+              1u);
+  }
+  {
+    const std::unique_ptr<core::FelipPipeline> shard = ingested();
+    svc::PipelineSink sink(shard.get());
+    dist::ShardAccumulatorOptions shard_options;
+    shard_options.plan_digest = dist::PlanDigest(*shard);
+    dist::ShardAccumulatorServer accumulator(&transport, "obs-shard", &sink,
+                                             shard_options);
+    ASSERT_TRUE(accumulator.Start());
+    dist::RootAggregatorOptions root_options;
+    root_options.expected_reports = dataset.num_rows();
+    root_options.plan_digest = shard_options.plan_digest;
+    dist::RootAggregator root(&transport, {accumulator.endpoint()},
+                              root_options);
+    ASSERT_TRUE(root.PullUntilComplete(30000).ok());
+    core::FelipPipeline merged(dataset.attributes(), dataset.num_rows(),
+                               config);
+    ASSERT_TRUE(root.MergeInto(&merged).ok());
+    accumulator.Stop();
+  }
+  std::filesystem::remove_all(dir);
 
   std::ifstream doc_file(std::string(FELIP_SOURCE_DIR) +
                          "/docs/observability.md");
@@ -192,7 +282,9 @@ TEST(ObservabilityE2eTest, EveryRenderedMetricHasADocRow) {
   const std::set<std::string> names = RenderedNames(registry.RenderText());
   for (const char* subsystem :
        {"felip_core_", "felip_wire_", "felip_svc_", "felip_fo_",
-        "felip_stream_", "felip_eval_", "felip_span_"}) {
+        "felip_stream_", "felip_eval_", "felip_span_", "felip_epoch_",
+        "felip_replay_", "felip_snapshot_", "felip_dist_",
+        "felip_svc_fault_"}) {
     EXPECT_TRUE(std::any_of(names.begin(), names.end(),
                             [subsystem](const std::string& name) {
                               return name.rfind(subsystem, 0) == 0;

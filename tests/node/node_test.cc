@@ -223,9 +223,7 @@ TEST(EpochNodeTest, RestartRecoversSealedEpochsAndSealsTheSameDigests) {
   EXPECT_EQ(loaded.files_skipped, 0u);
   ASSERT_EQ(loaded.segments.size(), kEpochs);
   for (const stream::EpochSegment& segment : loaded.segments) {
-    const auto state = snapshot::PipelineCodec::Decode(segment.snapshot);
-    ASSERT_TRUE(state.ok()) << state.status().ToString();
-    EXPECT_EQ(core::GridFrequencyDigest(state->pipeline),
+    EXPECT_EQ(core::GridFrequencyDigest(segment.state.pipeline),
               reference[segment.seq])
         << "epoch " << segment.seq;
   }

@@ -24,13 +24,17 @@
 #include "felip/data/synthetic.h"
 #include "felip/node/node.h"
 #include "felip/post/norm_sub.h"
-#include "felip/replaylog/format.h"
 #include "felip/replaylog/store.h"
 #include "felip/simd/dispatch.h"
+#include "felip/snapshot/checkpoint.h"
+#include "felip/snapshot/format.h"
+#include "felip/snapshot/pipeline_snapshot.h"
 #include "felip/storage/storage.h"
 #include "felip/svc/client.h"
 #include "felip/svc/fault_injection.h"
 #include "felip/svc/loopback.h"
+#include "felip/wire/framing.h"
+#include "support/log_segments.h"
 #include "support/rounds.h"
 
 namespace felip::replaylog {
@@ -180,34 +184,31 @@ class ReplayE2eTest : public ::testing::Test {
 std::string* ReplayE2eTest::log_dir_ = nullptr;
 LoggedRound* ReplayE2eTest::round_ = nullptr;
 
-// Reads every record of a segment file (expects no damage).
-std::vector<LogRecord> ReadSegment(const std::string& path,
-                                   std::vector<uint8_t>* plan) {
+using test_support::LoggedBatch;
+
+// Reads every batch of a segment file (expects no damage).
+std::vector<LoggedBatch> ReadSegment(const std::string& path,
+                                     std::vector<uint8_t>* plan) {
   StatusOr<std::vector<uint8_t>> bytes = storage::ReadFile(path);
   EXPECT_TRUE(bytes.ok());
-  StatusOr<SegmentParser> parser = SegmentParser::Open(*std::move(bytes));
-  EXPECT_TRUE(parser.ok()) << parser.status().ToString();
-  *plan = parser->plan();
-  std::vector<LogRecord> records;
-  LogRecord record;
-  while (true) {
-    const StatusOr<bool> next = parser->Next(&record);
-    EXPECT_TRUE(next.ok()) << next.status().ToString();
-    if (!next.ok() || !*next) return records;
-    records.push_back(record);
-  }
+  test_support::ReadLog log = test_support::ReadLogSegment(*std::move(bytes));
+  EXPECT_TRUE(log.plan_ok && log.clean) << path;
+  plan->clear();
+  snapshot::AppendSection(plan, snapshot::SectionId::kConfig, {log.config});
+  snapshot::AppendSection(plan, snapshot::SectionId::kSchema, {log.schema});
+  return std::move(log.batches);
 }
 
-void WriteSegment(const std::string& path, const std::vector<uint8_t>& plan,
-                  const std::vector<LogRecord>& records) {
-  std::vector<uint8_t> bytes = EncodeSegmentHeader(plan);
-  for (const LogRecord& record : records) {
-    AppendRecord(&bytes, record.type, record.key, record.payload);
-  }
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
   std::fclose(f);
+}
+
+void WriteSegment(const std::string& path, const std::vector<uint8_t>& plan,
+                  const std::vector<LoggedBatch>& batches) {
+  WriteBytes(path, test_support::EncodeLogSegment(plan, batches));
 }
 
 TEST_F(ReplayE2eTest, ReplayReproducesTheLiveDigestBitIdentically) {
@@ -277,17 +278,17 @@ TEST_F(ReplayE2eTest, TornTailReplaysEverythingBeforeTheTear) {
 }
 
 TEST_F(ReplayE2eTest, ResealedPayloadDamageIsCaughtByTheWireTrailer) {
-  // Flip one payload byte and RE-SEAL the record: the segment format
-  // reads it cleanly, so the wire checksum trailer inside the payload is
+  // Flip one frame byte and RE-SEAL its section: the segment format
+  // reads it cleanly, so the wire checksum trailer inside the frame is
   // the gate that must catch it — counted undecodable, never ingested.
   const std::string dir = CloneLog("resealed");
   const std::vector<std::string> segments = ListSegmentsOldestFirst(dir);
   ASSERT_FALSE(segments.empty());
   std::vector<uint8_t> plan;
-  std::vector<LogRecord> records = ReadSegment(segments[0], &plan);
-  ASSERT_FALSE(records.empty());
-  records.back().payload[records.back().payload.size() / 2] ^= 0x10;
-  WriteSegment(segments[0], plan, records);
+  std::vector<LoggedBatch> batches = ReadSegment(segments[0], &plan);
+  ASSERT_FALSE(batches.empty());
+  batches.back().frame[batches.back().frame.size() / 2] ^= 0x10;
+  WriteSegment(segments[0], plan, batches);
 
   StatusOr<ReplayResult> result = ReplayLog(dir);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -304,11 +305,11 @@ TEST_F(ReplayE2eTest, DuplicateRecordsFallToTheIdempotencyWindow) {
   const std::vector<std::string> segments = ListSegmentsOldestFirst(dir);
   ASSERT_FALSE(segments.empty());
   std::vector<uint8_t> plan;
-  std::vector<LogRecord> records = ReadSegment(segments[0], &plan);
-  ASSERT_GE(records.size(), 2u);
-  records.push_back(records[0]);
-  records.push_back(records[1]);
-  WriteSegment(segments[0], plan, records);
+  std::vector<LoggedBatch> batches = ReadSegment(segments[0], &plan);
+  ASSERT_GE(batches.size(), 2u);
+  batches.push_back(batches[0]);
+  batches.push_back(batches[1]);
+  WriteSegment(segments[0], plan, batches);
 
   StatusOr<ReplayResult> result = ReplayLog(dir);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -318,7 +319,7 @@ TEST_F(ReplayE2eTest, DuplicateRecordsFallToTheIdempotencyWindow) {
 }
 
 TEST_F(ReplayE2eTest, SegmentsWithDifferentPlansRefuseToMix) {
-  // Byte-identical plans are how segments prove they belong to one
+  // Identical plan sections are how segments prove they belong to one
   // round; a foreign segment (here: same schema, different epsilon)
   // fails the whole replay rather than silently mixing estimates.
   const std::string dir = CloneLog("plan_mismatch");
@@ -351,6 +352,79 @@ TEST_F(ReplayE2eTest, AllGarbageSegmentsAreDataLoss) {
   const StatusOr<ReplayResult> result = ReplayLog(dir);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+}
+
+TEST_F(ReplayE2eTest, RetiredFrlgSegmentIsSkippedAndCounted) {
+  // A segment in the retired FRLG layout ([magic 'FRLG'][version 2]
+  // [plan_len u32][plan][xxh64 salted "rlogcsum"], then records) is
+  // damage: skipped and counted, never fatal, and the rest replays.
+  const std::string dir = CloneLog("retired_frlg");
+  std::vector<uint8_t> retired;
+  wire::Writer w(&retired);
+  w.Put<uint32_t>(0x46524c47);  // "FRLG"
+  w.Put<uint8_t>(2);
+  const std::vector<uint8_t> plan =
+      EncodePlan(MakeConfig(), kUsers, MakeData().attributes());
+  w.Put<uint32_t>(static_cast<uint32_t>(plan.size()));
+  w.PutBytes(plan.data(), plan.size());
+  wire::SealChecksum(&retired, 0x726c6f67'6373756dULL);
+  WriteBytes((fs::path(dir) / "reportlog-99.flog").string(), retired);
+
+  StatusOr<ReplayResult> result = ReplayLog(dir);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->stats.segments_damaged, 1u);
+  EXPECT_EQ(result->stats.batches_replayed, round_->batches_logged);
+  EXPECT_EQ(FinalizedReplayDigest(&*result), round_->digest);
+}
+
+TEST_F(ReplayE2eTest, UnknownSectionEndsTheSegmentAsDamage) {
+  // A checksum-valid section that is not a batch is damage, not skipped:
+  // the batches before it replay and the ones after it do not.
+  const std::string dir = CloneLog("unknown_section");
+  const std::vector<std::string> segments = ListSegmentsOldestFirst(dir);
+  ASSERT_EQ(segments.size(), 1u);
+  std::vector<uint8_t> plan;
+  const std::vector<LoggedBatch> batches = ReadSegment(segments[0], &plan);
+  ASSERT_GE(batches.size(), 3u);
+  std::vector<uint8_t> bytes = test_support::EncodeLogSegment(
+      plan, std::vector<LoggedBatch>(batches.begin(), batches.begin() + 2));
+  snapshot::AppendSection(&bytes, snapshot::SectionId::kDedup,
+                          {batches[2].frame});
+  for (size_t i = 2; i < batches.size(); ++i) {
+    test_support::AppendBatch(&bytes, batches[i].key, batches[i].frame);
+  }
+  WriteBytes(segments[0], bytes);
+
+  StatusOr<ReplayResult> result = ReplayLog(dir);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->stats.segments_damaged, 1u);
+  EXPECT_EQ(result->stats.batches_replayed, 2u);
+  EXPECT_EQ(result->stats.batches_undecodable, 0u);
+}
+
+TEST_F(ReplayE2eTest, SnapshotsAndLogSegmentsNeverCrossRecover) {
+  // A snapshot named like a log segment is damage to replay, and a log
+  // segment named like a snapshot is skipped by snapshot recovery.
+  const std::string dir = FreshDir("cross");
+  fs::create_directories(dir);
+  const core::FelipPipeline pipeline(MakeData().attributes(), kUsers,
+                                     MakeConfig());
+  WriteBytes((fs::path(dir) / "reportlog-1.flog").string(),
+             snapshot::PipelineCodec::Encode(pipeline, {}));
+  const StatusOr<ReplayResult> replayed = ReplayLog(dir);
+  ASSERT_FALSE(replayed.ok());
+  EXPECT_EQ(replayed.status().code(), StatusCode::kDataLoss);
+
+  const std::vector<std::string> segments = ListSegmentsOldestFirst(*log_dir_);
+  ASSERT_FALSE(segments.empty());
+  const std::string snapshot_dir = FreshDir("cross_snapshots");
+  fs::create_directories(snapshot_dir);
+  fs::copy_file(segments[0], fs::path(snapshot_dir) / "snapshot-1.felip");
+  const snapshot::SnapshotStore store(snapshot_dir);
+  const StatusOr<snapshot::Recovered> recovered =
+      snapshot::RecoverFromStore(store);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kNotFound);
 }
 
 TEST(ReplayFaultSoakTest, FaultSoakLogReplaysBitIdentically) {

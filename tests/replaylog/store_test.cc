@@ -13,15 +13,17 @@
 
 #include <gtest/gtest.h>
 
-#include "felip/replaylog/format.h"
 #include "felip/storage/storage.h"
+#include "support/log_segments.h"
 
 namespace felip::replaylog {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::vector<uint8_t> MakePlan() { return {0x01, 0x02, 0x03}; }
+std::vector<uint8_t> MakePlan() {
+  return EncodePlan(core::FelipConfig{}, 1000, {{"age", 16, false}});
+}
 
 std::string FreshDir(const std::string& name) {
   const std::string dir =
@@ -40,20 +42,17 @@ Status AppendN(LogWriter* writer, int n, uint64_t first_key = 100) {
   return Status::Ok();
 }
 
-// Parses one segment file and returns its record keys (empty on damage
-// after the last good boundary — damage itself is the parser's business).
+// Reads one segment file and returns its batch keys up to the last good
+// section boundary (damage itself is the reader's business).
 std::vector<uint64_t> SegmentKeys(const std::string& path) {
   StatusOr<std::vector<uint8_t>> bytes = storage::ReadFile(path);
   if (!bytes.ok()) return {};
-  StatusOr<SegmentParser> parser = SegmentParser::Open(*std::move(bytes));
-  if (!parser.ok()) return {};
   std::vector<uint64_t> keys;
-  LogRecord record;
-  while (true) {
-    const StatusOr<bool> next = parser->Next(&record);
-    if (!next.ok() || !*next) return keys;
-    keys.push_back(record.key);
+  for (const test_support::LoggedBatch& batch :
+       test_support::ReadLogSegment(*std::move(bytes)).batches) {
+    keys.push_back(batch.key);
   }
+  return keys;
 }
 
 std::vector<std::string> Filenames(const std::string& dir) {
@@ -176,9 +175,8 @@ TEST(LogWriterTest, CrashLeftoverOpenIsNeverTouched) {
   // .open, byte-identical) and write past its sequence number.
   const std::string dir = FreshDir("leftover");
   fs::create_directories(dir);
-  std::vector<uint8_t> leftover = EncodeSegmentHeader(MakePlan());
-  AppendRecord(&leftover, RecordType::kBatch, 7, {{1, 2, 3}});
-  AppendRecord(&leftover, RecordType::kBatch, 8, {{4, 5}});
+  std::vector<uint8_t> leftover = test_support::EncodeLogSegment(
+      MakePlan(), {{7, {1, 2, 3}}, {8, {4, 5}}});
   leftover.insert(leftover.end(), {0xDE, 0xAD, 0xBE});  // torn tail
   const std::string leftover_path =
       (fs::path(dir) / "reportlog-7.open").string();

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "felip/common/hash.h"
 #include "felip/common/rng.h"
 #include "felip/core/felip.h"
 #include "felip/data/synthetic.h"
@@ -273,9 +274,9 @@ std::string Hex(const std::vector<uint8_t>& bytes) {
 }
 
 // The kConfig bytes of a default config, and the distributed plan digest
-// hashed from them. Every FSNP, FRLG and FESG file embeds this section,
-// replay matches log segments by it and the root matches shards by the
-// digest, so neither may drift.
+// hashed from them. Every checkpoint, epoch segment and report-log
+// segment embeds this section, replay matches log segments by it and the
+// root matches shards by the digest, so neither may drift.
 constexpr char kDefaultConfigHex[] =
     "d0070000000000000100000000000000f03f666666666666e63fb81e85eb51b8"
     "9e3f000000000000e03f0000000001010000000000000000000000001000000d"
@@ -289,6 +290,31 @@ TEST(PipelineSnapshotTest, DefaultConfigSectionAndPlanDigestArePinned) {
   const core::FelipPipeline pipeline(MakeData().attributes(), kUsers, config);
   EXPECT_EQ(dist::PlanDigest(pipeline), kDefaultPlanDigest)
       << std::hex << dist::PlanDigest(pipeline);
+}
+
+// The snapshot bytes of the ResponseMatrixPinTest pipeline (30,000
+// IPUMS-like users, 6 attributes, OHG, epsilon 1, seed 17) when
+// configured, sealed and queryable, hashed with xxHash64 (seed 0). The
+// values were computed by the writer that preceded the epoch-segment and
+// report-log move into the FSNP container: checkpoints already on disk
+// must keep recovering, so these bytes may never change.
+TEST(PipelineSnapshotTest, SnapshotBytesArePinned) {
+  const data::Dataset dataset = data::MakeIpumsLike(30000, 6, 32, 6, 31);
+  core::FelipConfig config;
+  config.strategy = core::Strategy::kOhg;
+  config.epsilon = 1.0;
+  config.seed = 17;
+  core::FelipPipeline pipeline(dataset.attributes(), dataset.num_rows(),
+                               config);
+  const auto digest = [&pipeline] {
+    const std::vector<uint8_t> bytes = PipelineCodec::Encode(pipeline, {});
+    return XxHash64Bytes(bytes.data(), bytes.size(), 0);
+  };
+  EXPECT_EQ(digest(), 0x28d5b94021403f46ull) << "configured";
+  pipeline.Collect(dataset);
+  EXPECT_EQ(digest(), 0x108122cd89d1ec64ull) << "sealed";
+  pipeline.Finalize();
+  EXPECT_EQ(digest(), 0x3d1acf99c358c0beull) << "queryable";
 }
 
 TEST(PipelineSnapshotTest, RetiredThreadSlotIsIgnoredOnDecode) {
@@ -536,16 +562,38 @@ TEST(PipelineSnapshotAdversarialTest, SectionByteFlipSweepNeverCrashes) {
   EXPECT_GT(mutants, 0u);
 }
 
-TEST(PipelineSnapshotAdversarialTest, TruncationSweepRejected) {
+// A mid-collection checkpoint (oracle state and dedup keys), as
+// Checkpointer writes it.
+std::vector<uint8_t> CheckpointBytes() {
   const data::Dataset dataset = MakeData();
-  const core::FelipPipeline pipeline(dataset.attributes(), kUsers,
-                                     MakeConfig());
-  const auto bytes = PipelineCodec::Encode(pipeline, {});
-  for (size_t keep = 0; keep < bytes.size(); keep += 7) {
+  core::FelipPipeline pipeline(dataset.attributes(), kUsers, MakeConfig());
+  {
+    svc::PipelineSink sink(&pipeline);
+    const auto batches = MakeBatches(dataset, pipeline);
+    sink.IngestBatch(batches.front());
+  }
+  return PipelineCodec::Encode(pipeline, std::vector<uint64_t>{7, 8});
+}
+
+TEST(PipelineSnapshotAdversarialTest, TruncationSweepRejected) {
+  const std::vector<uint8_t> bytes = CheckpointBytes();
+  ASSERT_TRUE(PipelineCodec::Decode(bytes).ok());
+  const test_support::ScopedAllocationCap cap(bytes.size());
+  for (size_t keep = 0; keep < bytes.size(); ++keep) {
     const std::vector<uint8_t> truncated(bytes.begin(),
                                          bytes.begin() + keep);
     EXPECT_FALSE(PipelineCodec::Decode(truncated).ok())
         << "decoded at truncation length " << keep;
+  }
+}
+
+TEST(PipelineSnapshotAdversarialTest, CheckpointBitFlipSweepRejected) {
+  const std::vector<uint8_t> bytes = CheckpointBytes();
+  const test_support::ScopedAllocationCap cap(bytes.size());
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    std::vector<uint8_t> flipped = bytes;
+    flipped[i] ^= static_cast<uint8_t>(1u << (i % 8));
+    EXPECT_FALSE(PipelineCodec::Decode(flipped).ok()) << "byte " << i;
   }
 }
 

@@ -132,8 +132,8 @@ TEST_F(EpochServiceTest, SealAppendsServesAndPersists) {
   const LoadedEpochs loaded = store.LoadAll();
   ASSERT_EQ(loaded.segments.size(), 1u);
   EXPECT_EQ(loaded.segments[0].seq, 1u);
-  EXPECT_EQ(loaded.segments[0].reports, 4000u);
-  EXPECT_EQ(loaded.segments[0].epsilon, 2.0);
+  EXPECT_EQ(loaded.segments[0].reports(), 4000u);
+  EXPECT_EQ(loaded.segments[0].epsilon(), 2.0);
 }
 
 // The tentpole's acceptance arithmetic: answers served from the sealed

@@ -1,6 +1,6 @@
 // A per-scope cap on single heap allocations, for the corruption corpora
-// (truncation and bit-flip sweeps over FSNP, FRLG and FESG bytes on disk
-// and over wire report frames).
+// (truncation and bit-flip sweeps over checkpoint, epoch-segment and
+// report-log bytes on disk and over wire report frames).
 //
 // Linking alloc_cap.cc into a test binary replaces the global operator
 // new, the nothrow forms included. While a ScopedAllocationCap is alive

@@ -43,21 +43,12 @@ void Reseal(std::vector<uint8_t>* buffer) {
   std::memcpy(buffer->data() + payload_end, &checksum, sizeof(checksum));
 }
 
-GridConfigMessage SampleGridConfig() {
-  GridConfigMessage m;
-  m.grid_index = 3;
-  m.is_2d = true;
-  m.attr_x = 1;
-  m.attr_y = 4;
-  m.domain_x = 100;
-  m.domain_y = 50;
-  m.lx = 10;
-  m.ly = 5;
-  m.protocol = fo::Protocol::kOlh;
-  m.epsilon = 1.5;
-  m.seed_pool_size = 1024;
-  m.pool_salt = 0xabcdef;
-  return m;
+std::vector<query::Query> SampleQueries() {
+  return {query::Query({{.attr = 0, .op = query::Op::kBetween, .lo = 2,
+                         .hi = 9}}),
+          query::Query({{.attr = 1, .op = query::Op::kIn, .values = {1, 3}},
+                        {.attr = 4, .op = query::Op::kBetween, .lo = 0,
+                         .hi = 5}})};
 }
 
 ReportMessage SampleReport(fo::Protocol protocol) {
@@ -84,10 +75,9 @@ std::vector<ReportMessage> SampleBatch() {
 }
 
 TEST(WireFuzzTest, AllThreeMessageTypesRoundTrip) {
-  const GridConfigMessage config = SampleGridConfig();
-  const auto config_rt = DecodeGridConfig(EncodeGridConfig(config));
-  ASSERT_TRUE(config_rt.ok()) << config_rt.status().ToString();
-  EXPECT_EQ(*config_rt, config);
+  const auto queries_rt = DecodeQueryBatch(EncodeQueryBatch(SampleQueries()));
+  ASSERT_TRUE(queries_rt.ok()) << queries_rt.status().ToString();
+  EXPECT_EQ(EncodeQueryBatch(*queries_rt), EncodeQueryBatch(SampleQueries()));
 
   for (const fo::ProtocolTraits& traits : fo::AllProtocolTraits()) {
     const ReportMessage report = SampleReport(traits.protocol);
@@ -104,7 +94,7 @@ TEST(WireFuzzTest, AllThreeMessageTypesRoundTrip) {
 
 TEST(WireFuzzTest, TruncationAtEveryByteOffsetFails) {
   const std::vector<std::vector<uint8_t>> encodings = {
-      EncodeGridConfig(SampleGridConfig()),
+      EncodeQueryBatch(SampleQueries()),
       EncodeReportBatch({SampleReport(fo::Protocol::kGrr)}),
       EncodeReportBatch({SampleReport(fo::Protocol::kOlh)}),
       EncodeReportBatch({SampleReport(fo::Protocol::kOue)}),
@@ -115,7 +105,7 @@ TEST(WireFuzzTest, TruncationAtEveryByteOffsetFails) {
     const test_support::ScopedAllocationCap cap(full.size());
     for (size_t len = 0; len < full.size(); ++len) {
       const std::vector<uint8_t> prefix(full.begin(), full.begin() + len);
-      EXPECT_FALSE(DecodeGridConfig(prefix).ok())
+      EXPECT_FALSE(DecodeQueryBatch(prefix).ok())
           << "encoding " << e << " truncated to " << len;
       EXPECT_FALSE(DecodeReportBatch(prefix).ok())
           << "encoding " << e << " truncated to " << len;
@@ -141,9 +131,9 @@ TEST(WireFuzzTest, BadMagicVersionOrKindFailsEvenResealed) {
     EXPECT_FALSE(DecodeReportBatch(corrupt).ok()) << "header byte " << i;
   }
   // A valid message of one kind must not decode as another.
-  EXPECT_FALSE(DecodeReportBatch(EncodeGridConfig(SampleGridConfig())).ok());
+  EXPECT_FALSE(DecodeReportBatch(EncodeQueryBatch(SampleQueries())).ok());
   EXPECT_FALSE(
-      DecodeGridConfig(EncodeReportBatch({SampleReport(fo::Protocol::kGrr)}))
+      DecodeQueryBatch(EncodeReportBatch({SampleReport(fo::Protocol::kGrr)}))
           .ok());
   // Kinds 2 and 3, the retired single-report and record-per-report batch
   // frames, are no report kind any more.
@@ -278,7 +268,7 @@ TEST(WireFuzzTest, RandomGarbageBuffersNeverDecode) {
     for (uint8_t& b : garbage) {
       b = static_cast<uint8_t>(rng.UniformU64(256));
     }
-    EXPECT_FALSE(DecodeGridConfig(garbage).ok());
+    EXPECT_FALSE(DecodeQueryBatch(garbage).ok());
     EXPECT_FALSE(DecodeReportBatch(garbage).ok());
   }
 }

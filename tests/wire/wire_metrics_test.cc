@@ -153,29 +153,6 @@ TEST(WireMetricsTest, SingleReportDecodesAreCounted) {
   EXPECT_EQ(after.bytes - before.bytes, valid.size() + corrupt.size());
 }
 
-TEST(WireMetricsTest, GridConfigDecodesAreCounted) {
-  GridConfigMessage m;
-  m.grid_index = 1;
-  m.is_2d = false;
-  m.attr_x = 0;
-  m.attr_y = 0;
-  m.domain_x = 10;
-  m.domain_y = 1;
-  m.lx = 5;
-  m.ly = 1;
-  m.protocol = fo::Protocol::kGrr;
-  m.epsilon = 1.0;
-  const std::vector<uint8_t> valid = EncodeGridConfig(m);
-  std::vector<uint8_t> truncated(valid.begin(), valid.end() - 3);
-
-  const CounterSnapshot before = Snapshot();
-  ASSERT_TRUE(DecodeGridConfig(valid).has_value());
-  EXPECT_FALSE(DecodeGridConfig(truncated).has_value());
-  const CounterSnapshot after = Snapshot();
-  EXPECT_EQ(after.malformed - before.malformed, 1u);
-  EXPECT_EQ(after.bytes - before.bytes, valid.size() + truncated.size());
-}
-
 // felip_fo_report_bytes_total_<protocol> counts the record bytes a run
 // carries — its fields in their encoded widths and its packed bits, not
 // the run header — whichever decoder validates the frame. Per report that

@@ -34,7 +34,6 @@
 #include "felip/node/node.h"
 #include "felip/obs/metrics.h"
 #include "felip/post/norm_sub.h"
-#include "felip/snapshot/pipeline_snapshot.h"
 #include "felip/stream/epoch_store.h"
 #include "felip/svc/tcp.h"
 
@@ -140,20 +139,11 @@ int InspectEpochs(const std::string& epoch_dir, uint64_t epoch_keep) {
   stream::EpochStore store(epoch_dir, static_cast<size_t>(epoch_keep));
   const stream::LoadedEpochs loaded = store.LoadAll();
   for (const stream::EpochSegment& segment : loaded.segments) {
-    const StatusOr<snapshot::RecoveredPipeline> state =
-        snapshot::PipelineCodec::Decode(segment.snapshot);
-    if (!state.ok() ||
-        state->pipeline.state() != core::PipelineState::kQueryable) {
-      std::printf("epoch %" PRIu64 " UNUSABLE (%s)\n", segment.seq,
-                  state.ok() ? "snapshot is not queryable"
-                             : state.status().ToString().c_str());
-      continue;
-    }
     std::printf("epoch %" PRIu64 " sealed: reports=%" PRIu64
                 " epsilon=%.17g xxh64=%016" PRIx64 " dedup_keys=%zu\n",
-                segment.seq, segment.reports, segment.epsilon,
-                core::GridFrequencyDigest(state->pipeline),
-                state->dedup_keys.size());
+                segment.seq, segment.reports(), segment.epsilon(),
+                core::GridFrequencyDigest(segment.state.pipeline),
+                segment.state.dedup_keys.size());
   }
   std::printf("segments=%zu skipped=%zu next_seq=%" PRIu64 "\n",
               loaded.segments.size(), loaded.files_skipped, store.next_seq());
